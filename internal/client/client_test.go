@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -208,10 +209,67 @@ func TestLateJoinerBootstrapsViaGetChanges(t *testing.T) {
 	}
 }
 
+// heldMQ is an mq.MQ whose consumers stop receiving while held: the same
+// seam mq.Faulty perturbs publishes through, applied to deliveries. A test
+// uses it to keep a device ignorant of what the broker already has for it.
+type heldMQ struct {
+	mq.MQ
+	mu   sync.Mutex
+	gate chan struct{} // non-nil while held; closed by release
+}
+
+func (h *heldMQ) hold() {
+	h.mu.Lock()
+	h.gate = make(chan struct{})
+	h.mu.Unlock()
+}
+
+func (h *heldMQ) release() {
+	h.mu.Lock()
+	close(h.gate)
+	h.gate = nil
+	h.mu.Unlock()
+}
+
+type heldSub struct {
+	mq.Subscription
+	out chan mq.Delivery
+}
+
+func (s heldSub) Deliveries() <-chan mq.Delivery { return s.out }
+
+func (h *heldMQ) Subscribe(queue string, prefetch int) (mq.Subscription, error) {
+	sub, err := h.MQ.Subscribe(queue, prefetch)
+	if err != nil {
+		return nil, err
+	}
+	out := make(chan mq.Delivery)
+	go func() {
+		defer close(out)
+		for d := range sub.Deliveries() {
+			h.mu.Lock()
+			gate := h.gate
+			h.mu.Unlock()
+			if gate != nil {
+				<-gate
+			}
+			out <- d
+		}
+	}()
+	return heldSub{Subscription: sub, out: out}, nil
+}
+
 func TestConcurrentEditProducesConflictCopy(t *testing.T) {
 	r := newRig(t)
 	a := r.newDevice("alice", "dev-a")
-	b := r.newDevice("bob", "dev-b")
+	// B hears from the broker through a handle the test can hold.
+	held := &heldMQ{MQ: r.mq}
+	heldBroker, err := omq.NewBroker(held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = heldBroker.Close() })
+	b := r.newDevice("bob", "dev-b", func(c *Config) { c.Broker = heldBroker })
 
 	if err := a.PutFile("shared.txt", []byte("base")); err != nil {
 		t.Fatal(err)
@@ -223,13 +281,18 @@ func TestConcurrentEditProducesConflictCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Both devices propose version 2 before either sees the other's commit.
+	// Both devices propose version 2 before B sees A's commit: B's
+	// deliveries are held until both proposals are published. Unheld, A's
+	// commit can round-trip before B proposes, B then proposes — and
+	// commits — version 3, and there is no conflict to resolve.
+	held.hold()
 	if err := a.PutFile("shared.txt", []byte("from A")); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.PutFile("shared.txt", []byte("from B")); err != nil {
 		t.Fatal(err)
 	}
+	held.release()
 
 	// Both converge on one winner at v2...
 	if err := a.WaitForVersion("shared.txt", 2, syncWait); err != nil {

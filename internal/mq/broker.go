@@ -21,8 +21,12 @@ type Broker struct {
 	journal   *Journal
 	clk       clock.Clock
 	nextTag   uint64
-	nextMsgID uint64
 	closed    bool
+	// seq numbers every publish. It names generated message ids and is the
+	// journal's LSN, so recovery restores it and neither repeats across
+	// restarts. nextQueueID numbers queues for the journal the same way.
+	seq         uint64
+	nextQueueID uint64
 
 	// Scratch space reused under b.mu to keep the hot publish path
 	// allocation-free: idBuf builds generated message IDs, routeScratch
@@ -45,6 +49,7 @@ type exchange struct {
 type queuedMsg struct {
 	msg         Message
 	redelivered int
+	lsn         uint64 // the journal's name for msg; 0 if it is not journalled
 }
 
 type inflightMsg struct {
@@ -54,6 +59,7 @@ type inflightMsg struct {
 
 type queue struct {
 	name      string
+	id        uint64  // stands for name in journal records
 	pending   msgRing // backlog deque, front = next to dispatch
 	consumers []*consumer
 	rr        int
@@ -81,8 +87,8 @@ func WithClock(c clock.Clock) BrokerOption {
 	return func(b *Broker) { b.clk = c }
 }
 
-// WithJournal enables write-ahead persistence of declarations and
-// persistent messages at the given path. See Journal.
+// WithJournal enables persistence of declarations and persistent messages
+// in j. See Journal.
 func WithJournal(j *Journal) BrokerOption {
 	return func(b *Broker) { b.journal = j }
 }
@@ -100,27 +106,40 @@ func NewBroker(opts ...BrokerOption) *Broker {
 	return b
 }
 
+// journalled runs one change — a declaration or a publish — under the mutex
+// and then, with the mutex released, waits for the journal record the
+// change returned to reach the file. The change's own error comes first.
+func (b *Broker) journalled(change func() (int64, error)) error {
+	b.mu.Lock()
+	if b.closed {
+		b.mu.Unlock()
+		return ErrClosed
+	}
+	off, err := change()
+	b.mu.Unlock()
+	if werr := b.journal.wait(off); err == nil {
+		err = werr
+	}
+	return err
+}
+
 // DeclareQueue creates the named queue. Declaring an existing queue is a
 // no-op, which lets many server objects bind to the same identifier (§3).
 func (b *Broker) DeclareQueue(name string) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return ErrClosed
-	}
-	if _, ok := b.queues[name]; ok {
-		return nil
-	}
-	b.addQueueLocked(name)
-	if b.journal != nil {
-		return b.journal.record(journalEntry{Op: jopDeclareQueue, Queue: name})
-	}
-	return nil
+	return b.journalled(func() (int64, error) {
+		if _, ok := b.queues[name]; ok {
+			return 0, nil
+		}
+		q := b.addQueueLocked(name)
+		return b.journal.record(recDeclareQueue, q.id, 0, name)
+	})
 }
 
 func (b *Broker) addQueueLocked(name string) *queue {
+	b.nextQueueID++
 	q := &queue{
 		name:    name,
+		id:      b.nextQueueID,
 		unacked: make(map[uint64]inflightMsg),
 	}
 	b.queues[name] = q
@@ -192,163 +211,155 @@ func (r *msgRing) PopFront() queuedMsg {
 // DeleteQueue removes the queue, dropping pending messages and closing its
 // consumers' delivery channels.
 func (b *Broker) DeleteQueue(name string) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return ErrClosed
-	}
-	q, ok := b.queues[name]
-	if !ok {
-		return ErrQueueNotFound
-	}
-	for _, c := range q.consumers {
-		if !c.cancelled {
-			c.cancelled = true
-			close(c.ch)
+	return b.journalled(func() (int64, error) {
+		q, ok := b.queues[name]
+		if !ok {
+			return 0, ErrQueueNotFound
 		}
-	}
-	delete(b.queues, name)
-	for _, ex := range b.exchanges {
-		for _, set := range ex.bindings {
-			delete(set, name)
+		for _, c := range q.consumers {
+			if !c.cancelled {
+				c.cancelled = true
+				close(c.ch)
+			}
 		}
-	}
-	if b.journal != nil {
-		return b.journal.record(journalEntry{Op: jopDeleteQueue, Queue: name})
-	}
-	return nil
+		delete(b.queues, name)
+		for _, ex := range b.exchanges {
+			for _, set := range ex.bindings {
+				delete(set, name)
+			}
+		}
+		return b.journal.record(recDeleteQueue, q.id, 0)
+	})
 }
 
 // DeclareExchange creates an exchange. Re-declaring with the same kind is a
 // no-op; with a different kind it fails.
 func (b *Broker) DeclareExchange(name string, kind ExchangeKind) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return ErrClosed
-	}
-	if ex, ok := b.exchanges[name]; ok {
-		if ex.kind != kind {
-			return ErrExchangeExists
+	return b.journalled(func() (int64, error) {
+		if ex, ok := b.exchanges[name]; ok {
+			if ex.kind != kind {
+				return 0, ErrExchangeExists
+			}
+			return 0, nil
 		}
-		return nil
-	}
-	b.exchanges[name] = &exchange{kind: kind, bindings: make(map[string]map[string]*queue)}
-	if b.journal != nil {
-		return b.journal.record(journalEntry{Op: jopDeclareExchange, Exchange: name, Kind: kind.String()})
-	}
-	return nil
+		b.exchanges[name] = &exchange{kind: kind, bindings: make(map[string]map[string]*queue)}
+		return b.journal.record(recDeclareExchange, uint64(kind), 0, name)
+	})
 }
 
 // BindQueue binds a queue to an exchange under a key. For fanout exchanges
 // the key is ignored (normalized to "").
 func (b *Broker) BindQueue(queueName, exchangeName, key string) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return ErrClosed
-	}
-	ex, ok := b.exchanges[exchangeName]
-	if !ok {
-		return ErrNoExchange
-	}
-	q, ok := b.queues[queueName]
-	if !ok {
-		return ErrQueueNotFound
-	}
-	if ex.kind == Fanout {
-		key = ""
-	}
-	set, ok := ex.bindings[key]
-	if !ok {
-		set = make(map[string]*queue)
-		ex.bindings[key] = set
-	}
-	set[queueName] = q
-	if b.journal != nil {
-		return b.journal.record(journalEntry{Op: jopBind, Queue: queueName, Exchange: exchangeName, Key: key})
-	}
-	return nil
+	return b.journalled(func() (int64, error) {
+		ex, ok := b.exchanges[exchangeName]
+		if !ok {
+			return 0, ErrNoExchange
+		}
+		q, ok := b.queues[queueName]
+		if !ok {
+			return 0, ErrQueueNotFound
+		}
+		if ex.kind == Fanout {
+			key = ""
+		}
+		set, ok := ex.bindings[key]
+		if !ok {
+			set = make(map[string]*queue)
+			ex.bindings[key] = set
+		}
+		set[queueName] = q
+		return b.journal.record(recBind, q.id, 0, exchangeName, key)
+	})
 }
 
 // UnbindQueue removes a binding; unknown bindings are ignored.
 func (b *Broker) UnbindQueue(queueName, exchangeName, key string) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return ErrClosed
-	}
-	ex, ok := b.exchanges[exchangeName]
-	if !ok {
-		return ErrNoExchange
-	}
-	if ex.kind == Fanout {
-		key = ""
-	}
-	if set, ok := ex.bindings[key]; ok {
-		delete(set, queueName)
-	}
-	if b.journal != nil {
-		return b.journal.record(journalEntry{Op: jopUnbind, Queue: queueName, Exchange: exchangeName, Key: key})
-	}
-	return nil
+	return b.journalled(func() (int64, error) {
+		ex, ok := b.exchanges[exchangeName]
+		if !ok {
+			return 0, ErrNoExchange
+		}
+		if ex.kind == Fanout {
+			key = ""
+		}
+		q, bound := ex.bindings[key][queueName]
+		if !bound {
+			return 0, nil
+		}
+		delete(ex.bindings[key], queueName)
+		return b.journal.record(recUnbind, q.id, 0, exchangeName, key)
+	})
 }
 
 // Publish routes a message. The empty exchange is the AMQP default exchange:
-// it routes directly to the queue named by the routing key.
+// it routes directly to the queue named by the routing key. A persistent
+// message is in the journal file when Publish returns nil. If writing it
+// failed, Publish returns the error, but consumers may have the message
+// already: the error says "not durable", not "not delivered". Every later
+// publish of a persistent message is refused without being delivered.
 func (b *Broker) Publish(exchangeName, key string, msg Message) error {
 	b.mu.Lock()
-	defer b.mu.Unlock()
 	if b.closed {
+		b.mu.Unlock()
 		return ErrClosed
 	}
-	return b.publishLocked(exchangeName, key, msg, b.clk.Now())
+	off, err := b.publishLocked(exchangeName, key, msg, b.clk.Now())
+	b.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return b.journal.wait(off)
 }
 
 // PublishBatch routes a whole batch under one lock acquisition — the
-// batching half of the pipelined notification fanout. Each publication
-// succeeds or fails independently; the joined error reports the failures.
+// batching half of the pipelined notification fanout — and waits for the
+// journal once. Each publication succeeds or fails independently; the
+// joined error reports the failures.
 func (b *Broker) PublishBatch(pubs []Publication) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return ErrClosed
-	}
-	var errs []error
-	now := b.clk.Now() // one clock read for the whole batch
-	for _, p := range pubs {
-		if err := b.publishLocked(p.Exchange, p.Key, p.Message, now); err != nil {
-			errs = append(errs, err)
+	return b.journalled(func() (int64, error) {
+		var errs []error
+		var last int64
+		now := b.clk.Now() // one clock read for the whole batch
+		for _, p := range pubs {
+			off, err := b.publishLocked(p.Exchange, p.Key, p.Message, now)
+			if err != nil {
+				errs = append(errs, err)
+			} else if off != 0 {
+				last = off
+			}
 		}
-	}
-	return errors.Join(errs...)
+		return last, errors.Join(errs...)
+	})
 }
 
-func (b *Broker) publishLocked(exchangeName, key string, msg Message, now time.Time) error {
+// publishLocked routes msg, appends its one journal record — before any
+// consumer can see the message, so the record of an ack always follows it —
+// and returns the journal offset the caller waits on after unlocking.
+func (b *Broker) publishLocked(exchangeName, key string, msg Message, now time.Time) (int64, error) {
+	b.seq++
 	if msg.ID == "" {
-		b.nextMsgID++
-		b.idBuf = strconv.AppendUint(append(b.idBuf[:0], 'm'), b.nextMsgID, 10)
+		b.idBuf = strconv.AppendUint(append(b.idBuf[:0], 'm'), b.seq, 10)
 		msg.ID = string(b.idBuf)
 	}
 	targets, err := b.routeLocked(exchangeName, key)
 	if err != nil {
-		return err
+		return 0, err
+	}
+	qm := queuedMsg{msg: msg}
+	var off int64
+	if b.journal != nil && msg.Persistent && len(targets) > 0 {
+		qm.lsn = b.seq
+		if off, err = b.journal.publish(qm.lsn, targets, &qm.msg); err != nil {
+			return 0, err // a journal that has failed takes no more messages
+		}
 	}
 	for _, q := range targets {
-		if b.journal != nil && msg.Persistent {
-			// Copy before taking the address: &msg directly would make every
-			// publish heap-allocate the message, journalled or not.
-			jm := msg
-			if err := b.journal.record(journalEntry{Op: jopPublish, Queue: q.name, Msg: &jm}); err != nil {
-				return err
-			}
-		}
-		q.pending.PushBack(queuedMsg{msg: msg})
+		q.pending.PushBack(qm)
 		q.enqueued++
 		q.arrivals.add(now)
 		b.dispatchLocked(q)
 	}
-	return nil
+	return off, nil
 }
 
 // routeLocked resolves a publish to its target queues. The returned slice
@@ -446,6 +457,7 @@ func (q *queue) nextFreeConsumer() *consumer {
 func (b *Broker) settleFunc(queueName string, tag uint64) func(ack, requeue bool) error {
 	return func(ack, requeue bool) error {
 		b.mu.Lock()
+		defer b.journal.flush() // runs after the unlock: no file I/O under b.mu
 		defer b.mu.Unlock()
 		if b.closed {
 			return ErrClosed
@@ -460,23 +472,18 @@ func (b *Broker) settleFunc(queueName string, tag uint64) func(ack, requeue bool
 		}
 		delete(q.unacked, tag)
 		inflight.consumer.inflight--
-		switch {
-		case ack:
-			q.acked++
-			if b.journal != nil && inflight.qm.msg.Persistent {
-				if err := b.journal.record(journalEntry{Op: jopAck, Queue: queueName, MsgID: inflight.qm.msg.ID}); err != nil {
-					return err
-				}
-			}
-		case requeue:
+		if requeue && !ack {
 			inflight.qm.redelivered++
 			q.pending.PushFront(inflight.qm)
-		default:
-			// Dropped. Persistent messages are considered consumed.
-			if b.journal != nil && inflight.qm.msg.Persistent {
-				if err := b.journal.record(journalEntry{Op: jopAck, Queue: queueName, MsgID: inflight.qm.msg.ID}); err != nil {
-					return err
-				}
+		} else {
+			// Acked or dropped: either way the message is consumed. Nobody
+			// waits for the record: losing it to a crash costs one
+			// redelivery.
+			if ack {
+				q.acked++
+			}
+			if inflight.qm.lsn != 0 {
+				b.journal.record(recAck, q.id, inflight.qm.lsn)
 			}
 		}
 		b.dispatchLocked(q)
@@ -528,8 +535,8 @@ func (b *Broker) Queues() []string {
 // persistent messages remain in the journal for recovery.
 func (b *Broker) Close() error {
 	b.mu.Lock()
-	defer b.mu.Unlock()
 	if b.closed {
+		b.mu.Unlock()
 		return nil
 	}
 	b.closed = true
@@ -541,10 +548,8 @@ func (b *Broker) Close() error {
 			}
 		}
 	}
-	if b.journal != nil {
-		return b.journal.Close()
-	}
-	return nil
+	b.mu.Unlock()
+	return b.journal.Close()
 }
 
 type brokerSubscription struct {

@@ -1,7 +1,8 @@
 // Package mq implements the messaging substrate the paper deploys as
 // RabbitMQ 2.8.7: named queues with competing consumers, direct and fanout
 // exchanges, explicit acknowledgements with redelivery, per-consumer
-// prefetch, round-robin load balancing and optional write-ahead persistence.
+// prefetch, round-robin load balancing and an optional journal from which a
+// restarted broker recovers its topology and unacked persistent messages.
 //
 // Two implementations satisfy the MQ interface: Broker (in-process) and
 // Client (over TCP, speaking the wire protocol to a Server wrapping a

@@ -56,14 +56,18 @@ go test -race -count=1 -run '^(TestMultiInstanceChaosQuick|TestCrossInstanceLine
 echo "==> fleet-trace stitching smoke (race)"
 go test -race -count=1 -run '^TestFleetTraceSmoke$' ./internal/bench/
 
-# Short coverage-guided fuzz legs over the two codecs that parse
-# attacker-controlled bytes: the wire frame reader and WAL replay. Ten
-# seconds each is a smoke pass — run `go test -fuzz` open-ended to dig.
+# Short coverage-guided fuzz legs over the codecs that parse bytes the
+# program did not just write: the wire frame reader, WAL replay and broker
+# journal replay. Ten seconds each is a smoke pass — run `go test -fuzz`
+# open-ended to dig.
 echo "==> fuzz smoke: FuzzFrameCodec (10s)"
 go test -run '^$' -fuzz '^FuzzFrameCodec$' -fuzztime 10s ./internal/wire/
 
 echo "==> fuzz smoke: FuzzWALReplay (10s)"
 go test -run '^$' -fuzz '^FuzzWALReplay$' -fuzztime 10s ./internal/metastore/
+
+echo "==> fuzz smoke: FuzzJournalReplay (10s)"
+go test -run '^$' -fuzz '^FuzzJournalReplay$' -fuzztime 10s ./internal/mq/
 
 # The MVCC read path's reply correctness under random commit/compact/read
 # interleavings, checked against a serial reference log.
