@@ -468,22 +468,22 @@ func BenchmarkMQPublishThroughput(b *testing.B) {
 	b.Run("batch", func(b *testing.B) { run(b, true) })
 }
 
-// BenchmarkWireFrameCodec measures frame encode+decode throughput for the
-// binary (v2) framing against the legacy JSON framing over an in-memory
-// stream — the broker→proxy wire hot path minus the TCP stack. The frame
-// shape is a typical delivery: routed headers plus a 256-byte body.
-// benchcmp gates on the binary leg's frames/s and allocs/op.
+// BenchmarkWireFrameCodec measures frame encode+decode throughput over an
+// in-memory stream — the broker→proxy wire hot path minus the TCP stack. The
+// frame shape is a typical delivery: routed headers plus a 256-byte body.
+// benchcmp gates on the binary leg's frames/s and allocs/op (the one leg
+// left since the pre-v2 JSON framing was removed).
 func BenchmarkWireFrameCodec(b *testing.B) {
 	frame := &wire.Frame{
 		Op: wire.OpDeliver, Queue: "sync.requests", ConsumerID: "c1",
 		DeliveryID: 42, MessageID: "m-12345",
-		Headers:    map[string]string{"codec": "bin", "x-route-key": "ws-7"},
+		Headers:    map[string]string{"x-route-epoch": "12", "x-route-key": "ws-7"},
 		Body:       make([]byte, 256),
 		Persistent: true,
 	}
-	run := func(b *testing.B, format wire.Format) {
+	b.Run("binary", func(b *testing.B) {
 		var buf bytes.Buffer
-		w := wire.NewWriterFormat(&buf, format)
+		w := wire.NewWriter(&buf)
 		r := wire.NewReader(&buf)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -501,9 +501,7 @@ func BenchmarkWireFrameCodec(b *testing.B) {
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "frames/s")
-	}
-	b.Run("json", func(b *testing.B) { run(b, wire.FormatJSON) })
-	b.Run("binary", func(b *testing.B) { run(b, wire.FormatBinary) })
+	})
 }
 
 // readWriteMix drives 4 writers committing flat out against the MVCC store

@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"stacksync/internal/benchhist"
-	"stacksync/internal/codec"
 	"stacksync/internal/core"
 	"stacksync/internal/metastore"
 	"stacksync/internal/mq"
@@ -44,15 +43,14 @@ func main() {
 	admin := flag.String("admin", "", "admin/introspection listen address, e.g. 127.0.0.1:7072 (empty disables; enabling it also enables tracing)")
 	benchHistory := flag.String("bench-history", "dev/bench/history.jsonl", "benchmark history file served on /benchz")
 	affinity := flag.Bool("affinity", false, "enable workspace-affinity routing: instances fence routed commits by consistent-hash ownership and the supervisor rebalances the ring on scale events")
-	codecName := flag.String("codec", "", "RPC argument codec: json, gob or bin (default: $STACKSYNC_CODEC, else json); peers negotiate per message, so mixed fleets interoperate")
 	flag.Parse()
 
-	if err := run(*listen, *storageListen, *storageToken, *dataDir, *workspace, *users, *minInstances, *maxInstances, *metaShards, *admin, *benchHistory, *affinity, *codecName); err != nil {
+	if err := run(*listen, *storageListen, *storageToken, *dataDir, *workspace, *users, *minInstances, *maxInstances, *metaShards, *admin, *benchHistory, *affinity); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(listen, storageListen, storageToken, dataDir, workspace, users string, minInstances, maxInstances, metaShards int, admin, benchHistory string, affinity bool, codecName string) error {
+func run(listen, storageListen, storageToken, dataDir, workspace, users string, minInstances, maxInstances, metaShards int, admin, benchHistory string, affinity bool) error {
 	if err := os.MkdirAll(dataDir, 0o755); err != nil {
 		return err
 	}
@@ -88,18 +86,6 @@ func run(listen, storageListen, storageToken, dataDir, workspace, users string, 
 		scraper = obs.StartScraper(registry, obs.ScraperConfig{})
 		defer scraper.Stop()
 		obsOpts = []omq.BrokerOption{omq.WithTracer(tracer), omq.WithRegistry(registry), omq.WithEventLog(events)}
-	}
-
-	// RPC codec: an explicit -codec wins over $STACKSYNC_CODEC (the default
-	// inside omq). obsOpts seeds every broker on this node, so all of them
-	// speak the chosen codec; replies still follow each requester's codec.
-	if codecName != "" {
-		c, err := codec.ByName(codecName)
-		if err != nil {
-			return err
-		}
-		obsOpts = append(obsOpts, omq.WithCodec(c))
-		log.Printf("rpc codec: %s", c.Name())
 	}
 
 	// Metadata back-end with WAL recovery, sharded by workspace.

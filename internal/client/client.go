@@ -715,15 +715,17 @@ func (c *Client) ProposalPending(filePath string) bool {
 	return false
 }
 
-func (c *Client) takeProposed(item metastore.ItemVersion) ([]byte, bool) {
+// takeProposed removes and returns the stashed proposal that a
+// notification's key-only echo refers to.
+func (c *Client) takeProposed(echo metastore.ItemVersion) (pendingProposal, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	key := pendingKey{item.ItemID, item.Version}
+	key := pendingKey{echo.ItemID, echo.Version}
 	p, ok := c.pendingProposals[key]
 	if ok {
 		delete(c.pendingProposals, key)
 	}
-	return p.content, ok
+	return p, ok
 }
 
 // FileContent returns the current synced content of path.
@@ -839,7 +841,7 @@ func (h *notificationHandler) NotifyCommit(ctx context.Context, n core.CommitNot
 
 func (c *Client) handleNotification(ctx context.Context, n core.CommitNotification) error {
 	for _, r := range n.Results {
-		mine := r.Proposed.DeviceID == c.cfg.DeviceID && n.DeviceID == c.cfg.DeviceID
+		mine := n.DeviceID == c.cfg.DeviceID
 		switch {
 		case r.Committed && mine:
 			c.applyOwnCommit(r)
@@ -869,7 +871,7 @@ func (c *Client) handleNotification(ctx context.Context, n core.CommitNotificati
 // pending entry is cleared, but an already-current database is not touched,
 // so no duplicate event fires.
 func (c *Client) applyOwnCommit(r CommitResultView) {
-	content, _ := c.takeProposed(r.Proposed)
+	p, _ := c.takeProposed(r.Proposed)
 	if cur, have := c.db.lookupID(r.Item.ItemID); have && cur.version >= r.Item.Version {
 		return
 	}
@@ -881,7 +883,7 @@ func (c *Client) applyOwnCommit(r CommitResultView) {
 		chunks:   r.Item.Chunks,
 		checksum: r.Item.Checksum,
 		size:     r.Item.Size,
-		content:  content,
+		content:  p.content,
 	}
 	c.db.upsert(it)
 	c.emit(Event{Type: LocalCommitted, Path: r.Item.Path, Version: r.Item.Version, Status: r.Item.Status})
@@ -970,24 +972,27 @@ func (c *Client) fetchContent(ctx context.Context, item metastore.ItemVersion) (
 
 // resolveConflict implements the losing side of Algorithm 1: adopt the
 // server's authoritative version for the original path and preserve the
-// local content as a renamed conflict copy, proposed as a fresh item.
+// local content as a renamed conflict copy, proposed as a fresh item. The
+// notification echoes only the proposal's key; its path and status come
+// from the proposal this device stashed.
 func (c *Client) resolveConflict(ctx context.Context, r CommitResultView) error {
-	localContent, _ := c.takeProposed(r.Proposed)
+	p, ok := c.takeProposed(r.Proposed)
 
 	// Adopt the authoritative version.
 	if err := c.applyRemote(ctx, r.Item); err != nil {
 		return err
 	}
 
-	if r.Proposed.Status == metastore.Deleted || localContent == nil {
-		// Our delete lost against a newer edit (or content is unknown):
-		// keeping the server version is the whole resolution.
+	if !ok || p.item.Status == metastore.Deleted || p.content == nil {
+		// Our delete lost against a newer edit, or the proposal is unknown
+		// (this device restarted since): keeping the server version is the
+		// whole resolution.
 		c.emit(Event{Type: RemoteApplied, Path: r.Item.Path, Version: r.Item.Version, Status: r.Item.Status})
 		return nil
 	}
 
-	copyPath := ConflictCopyPath(r.Proposed.Path, c.cfg.DeviceID)
-	if err := c.PutFile(copyPath, localContent); err != nil {
+	copyPath := ConflictCopyPath(p.item.Path, c.cfg.DeviceID)
+	if err := c.PutFile(copyPath, p.content); err != nil {
 		return fmt.Errorf("client: propose conflict copy: %w", err)
 	}
 	c.emit(Event{Type: ConflictResolved, Path: copyPath, Version: r.Item.Version, Status: r.Item.Status})

@@ -13,7 +13,7 @@ import (
 // Binary is the compact reflection codec — the paper's Kryo analogue. Every
 // value is a one-byte type tag followed by a varint-framed payload:
 //
-//	nil/false/true   tag only
+//	nil/false/true   tag only (nil covers nil slices and maps)
 //	int              zigzag varint
 //	uint             uvarint
 //	float            8-byte big-endian IEEE 754
@@ -26,16 +26,12 @@ import (
 //
 // The per-field byte length is what buys schema evolution: a decoder built
 // against an older struct skips unknown trailing fields, and missing
-// trailing fields decode as zero values — the same append-only contract
-// JSON gives us, at a fraction of the size. Types implementing
-// encoding.BinaryMarshaler/BinaryUnmarshaler (notably time.Time) use their
-// own representation. Only exported fields travel, matching JSON and gob.
+// trailing fields decode as zero values — an append-only contract, so
+// fields may be added at the end of a struct but never reordered or
+// removed. Types implementing encoding.BinaryMarshaler/BinaryUnmarshaler
+// (notably time.Time) use their own representation. Only exported fields
+// travel.
 type Binary struct{}
-
-var _ Codec = Binary{}
-
-// Name returns "bin".
-func (Binary) Name() string { return "bin" }
 
 const (
 	bNil = iota + 1
@@ -128,6 +124,9 @@ func appendValue(dst []byte, v reflect.Value, depth int) ([]byte, error) {
 		dst = binary.AppendUvarint(dst, uint64(len(s)))
 		return append(dst, s...), nil
 	case reflect.Slice:
+		if v.IsNil() {
+			return append(dst, bNil), nil // a nil list decodes back to nil, not empty
+		}
 		if t.Elem().Kind() == reflect.Uint8 {
 			dst = append(dst, bBytes)
 			dst = binary.AppendUvarint(dst, uint64(v.Len()))
@@ -146,6 +145,9 @@ func appendValue(dst []byte, v reflect.Value, depth int) ([]byte, error) {
 		}
 		return dst, nil
 	case reflect.Map:
+		if v.IsNil() {
+			return append(dst, bNil), nil
+		}
 		dst = append(dst, bMap)
 		dst = binary.AppendUvarint(dst, uint64(v.Len()))
 		iter := v.MapRange()

@@ -1,10 +1,8 @@
-// Package codec defines the v2 serialization API shared by ObjectMQ
-// argument marshalling, the mq journal and wire-adjacent layers: an
-// append-style encoder that composes with pooled buffers instead of
-// allocating a fresh slice per value. The paper's implementation swaps
-// between Kryo, Java serialization and JSON; here JSON, gob and a compact
-// length-prefixed binary format (the Kryo analogue) are provided, selected
-// per message via the "codec" header so mixed fleets interoperate.
+// Package codec is the one serialization every ObjectMQ envelope, argument
+// and result travels in, and the mq stats reply too: Binary, a compact
+// length-prefixed reflection codec (the paper's Kryo analogue). There is no
+// negotiation and no fallback — a peer still speaking the pre-binary JSON
+// envelope is refused, not translated.
 //
 // # Buffer ownership
 //
@@ -21,132 +19,5 @@
 // after Unmarshal returns.
 package codec
 
-import (
-	"bytes"
-	"encoding/gob"
-	"encoding/json"
-	"fmt"
-	"os"
-	"reflect"
-	"sync"
-)
-
-// Codec serializes call arguments, results and journal records.
-type Codec interface {
-	// Name is the wire identity carried in the "codec" message header.
-	Name() string
-	// MarshalAppend appends the encoding of v to dst and returns the
-	// extended slice (see the package comment for the ownership contract).
-	MarshalAppend(dst []byte, v any) ([]byte, error)
-	// Unmarshal decodes data into v without retaining or aliasing data.
-	Unmarshal(data []byte, v any) error
-}
-
-// JSON encodes values as JSON. It is the default: readable on the wire and
-// tolerant of schema evolution.
-type JSON struct{}
-
-var _ Codec = JSON{}
-
-// Name returns "json".
-func (JSON) Name() string { return "json" }
-
-// MarshalAppend appends the JSON encoding of v to dst.
-func (JSON) MarshalAppend(dst []byte, v any) ([]byte, error) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return dst, err
-	}
-	return append(dst, data...), nil
-}
-
-// Unmarshal decodes JSON into v.
-func (JSON) Unmarshal(data []byte, v any) error { return json.Unmarshal(data, v) }
-
-// Gob encodes values with encoding/gob: the Go-native reflection transport.
-// Types with unexported fields or interfaces must be registered by the
-// caller via gob.Register. Structs with no exported fields (which gob
-// rejects) encode as zero bytes, so placeholder arguments like struct{}{}
-// travel under every codec.
-type Gob struct{}
-
-var _ Codec = Gob{}
-
-// Name returns "gob".
-func (Gob) Name() string { return "gob" }
-
-// noGobFields reports whether v is a struct value gob cannot represent
-// because it exports no fields (e.g. struct{}{}).
-func noGobFields(t reflect.Type) bool {
-	for t.Kind() == reflect.Pointer {
-		t = t.Elem()
-	}
-	if t.Kind() != reflect.Struct {
-		return false
-	}
-	for i := 0; i < t.NumField(); i++ {
-		if t.Field(i).IsExported() {
-			return false
-		}
-	}
-	return true
-}
-
-// MarshalAppend appends the gob encoding of v to dst.
-func (Gob) MarshalAppend(dst []byte, v any) ([]byte, error) {
-	if v != nil && noGobFields(reflect.TypeOf(v)) {
-		return dst, nil
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return dst, fmt.Errorf("codec: gob encode: %w", err)
-	}
-	return append(dst, buf.Bytes()...), nil
-}
-
-// Unmarshal decodes gob data into v.
-func (Gob) Unmarshal(data []byte, v any) error {
-	if len(data) == 0 && v != nil && noGobFields(reflect.TypeOf(v)) {
-		return nil
-	}
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
-		return fmt.Errorf("codec: gob decode: %w", err)
-	}
-	return nil
-}
-
-// ByName resolves a codec from its wire name. The empty name is JSON, the
-// historical envelope default.
-func ByName(name string) (Codec, error) {
-	switch name {
-	case "json", "":
-		return JSON{}, nil
-	case "gob":
-		return Gob{}, nil
-	case "bin":
-		return Binary{}, nil
-	default:
-		return nil, fmt.Errorf("codec: unknown codec %q", name)
-	}
-}
-
-// EnvVar names the environment variable Default consults.
-const EnvVar = "STACKSYNC_CODEC"
-
-var defaultOnce = sync.OnceValue(func() Codec {
-	name := os.Getenv(EnvVar)
-	c, err := ByName(name)
-	if err != nil {
-		// An unknown name must not silently fall back to JSON: the CI codec
-		// matrix relies on the env var actually selecting the codec.
-		panic("codec: invalid " + EnvVar + "=" + name)
-	}
-	return c
-})
-
-// Default returns the process-wide default codec: JSON, unless the
-// STACKSYNC_CODEC environment variable selects another (json, gob or bin —
-// an unknown value panics on first use rather than silently testing the
-// wrong codec). The CI codec matrix uses this to run the full omq/mq test
-// surface under each codec.
-func Default() Codec { return defaultOnce() }
+// Default returns the codec every RPC speaks.
+func Default() Binary { return Binary{} }

@@ -43,8 +43,10 @@ type CommitResult struct {
 	// authoritative current version — piggybacked so the losing client can
 	// identify its missing chunks and reconstruct the object (§4.2.1).
 	Item metastore.ItemVersion `json:"item"`
-	// Proposed echoes the version the device proposed (useful to the
-	// originator for matching up conflicts).
+	// Proposed echoes only the key (ItemID, Version) of the version the
+	// device proposed: the originator matches it against the full proposal
+	// it kept, and every other device ignores it, so echoing the whole
+	// proposal would repeat it once per device of the workspace.
 	Proposed metastore.ItemVersion `json:"proposed"`
 }
 
@@ -284,7 +286,7 @@ func (s *Service) commit(ctx context.Context, req CommitRequest) (CommitNotifica
 		n.Results[i] = CommitResult{
 			Committed: r.Committed,
 			Item:      r.Version,
-			Proposed:  req.Items[i],
+			Proposed:  metastore.ItemVersion{ItemID: req.Items[i].ItemID, Version: req.Items[i].Version},
 		}
 	}
 	// notifyCommit: @MultiMethod + @AsyncMethod (Fig. 6).

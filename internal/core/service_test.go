@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"stacksync/internal/metastore"
@@ -118,11 +119,11 @@ func TestCommitConflictCarriesCurrentVersion(t *testing.T) {
 	if res.Committed {
 		t.Fatal("stale proposal committed")
 	}
-	if res.Item.Version != 2 || res.Item.Chunks[0] != "winner-chunk" {
+	if res.Item.Version != 2 || res.Item.Path != "/f" || res.Item.Chunks[0] != "winner-chunk" {
 		t.Fatalf("conflict must carry authoritative version, got %+v", res.Item)
 	}
-	if res.Proposed.Chunks[0] != "loser-chunk" {
-		t.Fatalf("conflict must echo the proposal, got %+v", res.Proposed)
+	if want := (metastore.ItemVersion{ItemID: "f", Version: 2}); !reflect.DeepEqual(res.Proposed, want) {
+		t.Fatalf("conflict must echo only the proposal's key, got %+v", res.Proposed)
 	}
 }
 

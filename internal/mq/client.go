@@ -252,7 +252,7 @@ func (c *Client) QueueStats(name string) (QueueStats, error) {
 		return QueueStats{}, err
 	}
 	var stats QueueStats
-	if err := (codec.JSON{}).Unmarshal(resp.Stats, &stats); err != nil {
+	if err := codec.Default().Unmarshal(resp.Stats, &stats); err != nil {
 		return QueueStats{}, fmt.Errorf("mq: decode stats: %w", err)
 	}
 	return stats, nil

@@ -208,7 +208,7 @@ func (c *serverConn) handle(f *wire.Frame) error {
 		if err != nil {
 			return err
 		}
-		raw, err := (codec.JSON{}).MarshalAppend(nil, stats)
+		raw, err := codec.Default().MarshalAppend(nil, stats)
 		if err != nil {
 			return fmt.Errorf("mq: marshal stats: %w", err)
 		}

@@ -7,14 +7,14 @@ import (
 	"stacksync/internal/mq"
 )
 
-func benchRig(b *testing.B, codec Codec) (*Broker, *Broker) {
+func benchRig(b *testing.B) (*Broker, *Broker) {
 	b.Helper()
 	m := mq.NewBroker()
-	server, err := NewBroker(m, WithCodec(codec))
+	server, err := NewBroker(m)
 	if err != nil {
 		b.Fatal(err)
 	}
-	client, err := NewBroker(m, WithCodec(codec))
+	client, err := NewBroker(m)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -26,26 +26,10 @@ func benchRig(b *testing.B, codec Codec) (*Broker, *Broker) {
 	return server, client
 }
 
-// BenchmarkSyncCallJSON measures @SyncMethod round-trip latency with the
-// default codec — the per-request overhead ObjectMQ adds over raw queues.
-func BenchmarkSyncCallJSON(b *testing.B) {
-	server, client := benchRig(b, JSONCodec{})
-	if _, err := server.Bind("calc", &calc{}); err != nil {
-		b.Fatal(err)
-	}
-	p := client.Lookup("calc", WithTimeout(5*time.Second))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var sum int
-		if err := p.Call("Add", &sum, addArgs{A: i, B: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSyncCallGob is the codec ablation arm: gob vs JSON transport.
-func BenchmarkSyncCallGob(b *testing.B) {
-	server, client := benchRig(b, GobCodec{})
+// BenchmarkSyncCall measures @SyncMethod round-trip latency — the
+// per-request overhead ObjectMQ adds over raw queues.
+func BenchmarkSyncCall(b *testing.B) {
+	server, client := benchRig(b)
 	if _, err := server.Bind("calc", &calc{}); err != nil {
 		b.Fatal(err)
 	}
@@ -62,7 +46,7 @@ func BenchmarkSyncCallGob(b *testing.B) {
 // BenchmarkAsyncCall measures the fire-and-forget path (@AsyncMethod), the
 // commitRequest hot path.
 func BenchmarkAsyncCall(b *testing.B) {
-	server, client := benchRig(b, JSONCodec{})
+	server, client := benchRig(b)
 	c := &calc{}
 	if _, err := server.Bind("calc", c); err != nil {
 		b.Fatal(err)
@@ -90,7 +74,7 @@ func BenchmarkAsyncCall(b *testing.B) {
 // shared into the message rather than merged per call.
 func BenchmarkPublishDisabledTracer(b *testing.B) {
 	run := func(b *testing.B, opts ...CallOption) {
-		server, client := benchRig(b, JSONCodec{})
+		server, client := benchRig(b)
 		c := &calc{}
 		if _, err := server.Bind("calc", c); err != nil {
 			b.Fatal(err)

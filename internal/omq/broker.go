@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"stacksync/internal/clock"
-	"stacksync/internal/codec"
 	"stacksync/internal/mq"
 	"stacksync/internal/obs"
 )
@@ -21,18 +20,12 @@ const replyPrefetch = 64
 // and creates proxies for remote ones (paper Fig. 1). One Broker per process
 // is typical; each owns a private reply queue for its synchronous calls.
 type Broker struct {
-	mq    mq.MQ
-	codec Codec
-	// codecHdrs is the pinned read-only header map stamping this broker's
-	// codec onto every publish (nil for JSON: header absence is the JSON
-	// signal, and the JSON hot path stays free of per-message maps). Shared
-	// across messages and never mutated after construction.
-	codecHdrs map[string]string
-	clk       clock.Clock
-	id        string
-	tracer    *obs.Tracer
-	reg       *obs.Registry
-	events    *obs.EventLog
+	mq     mq.MQ
+	clk    clock.Clock
+	id     string
+	tracer *obs.Tracer
+	reg    *obs.Registry
+	events *obs.EventLog
 
 	replyQueue string
 	replySub   mq.Subscription
@@ -47,12 +40,6 @@ type Broker struct {
 
 // BrokerOption configures a Broker.
 type BrokerOption func(*Broker)
-
-// WithCodec selects the argument codec (default: codec.Default(), i.e.
-// JSON unless STACKSYNC_CODEC says otherwise).
-func WithCodec(c Codec) BrokerOption {
-	return func(b *Broker) { b.codec = c }
-}
 
 // WithBrokerClock substitutes the time source used for call timeouts and
 // service-time measurement.
@@ -92,7 +79,6 @@ func WithEventLog(l *obs.EventLog) BrokerOption {
 func NewBroker(m mq.MQ, opts ...BrokerOption) (*Broker, error) {
 	b := &Broker{
 		mq:      m,
-		codec:   codec.Default(),
 		clk:     clock.NewReal(),
 		id:      newID(),
 		pending: make(map[string]chan *response),
@@ -101,7 +87,6 @@ func NewBroker(m mq.MQ, opts ...BrokerOption) (*Broker, error) {
 	for _, opt := range opts {
 		opt(b)
 	}
-	b.codecHdrs = codecHeaders(b.codec)
 	if b.reg == nil {
 		b.reg = obs.NewRegistry()
 	}
@@ -122,9 +107,6 @@ func NewBroker(m mq.MQ, opts ...BrokerOption) (*Broker, error) {
 // ID returns the broker identity.
 func (b *Broker) ID() string { return b.id }
 
-// Codec returns the configured codec.
-func (b *Broker) Codec() Codec { return b.codec }
-
 // Tracer returns the configured tracer (nil when tracing is disabled).
 func (b *Broker) Tracer() *obs.Tracer { return b.tracer }
 
@@ -137,7 +119,7 @@ func (b *Broker) EventLog() *obs.EventLog { return b.events }
 func (b *Broker) replyLoop() {
 	defer b.wg.Done()
 	for d := range b.replySub.Deliveries() {
-		resp, err := decodeResponse(d.Headers, d.Body)
+		resp, err := decodeResponse(d.Body)
 		ackErr := d.Ack()
 		if err != nil || ackErr != nil {
 			continue
@@ -274,24 +256,6 @@ func (b *Broker) Lookup(oid string, opts ...CallOption) *Proxy {
 	for _, opt := range opts {
 		opt(p)
 	}
-	// Precompute the pinned header map untraced publishes share: the codec
-	// stamp merged with any WithCallHeaders routing headers. nil when both
-	// are empty (JSON, unrouted) — the zero-allocation hot path.
-	switch {
-	case len(b.codecHdrs) == 0:
-		p.pinned = p.extraHeaders
-	case len(p.extraHeaders) == 0:
-		p.pinned = b.codecHdrs
-	default:
-		merged := make(map[string]string, len(b.codecHdrs)+len(p.extraHeaders))
-		for k, v := range b.codecHdrs {
-			merged[k] = v
-		}
-		for k, v := range p.extraHeaders {
-			merged[k] = v
-		}
-		p.pinned = merged
-	}
 	return p
 }
 
@@ -394,10 +358,10 @@ func (b *Broker) Close() error {
 	return nil
 }
 
-// encodeArgs marshals an argument list with the broker codec. All arguments
-// share one backing buffer (each slice three-index capped, so a growth for
-// a later argument can never scribble over an earlier one) — one allocation
-// for the whole list instead of one per argument.
+// encodeArgs marshals an argument list. All arguments share one backing
+// buffer (each slice three-index capped, so a growth for a later argument
+// can never scribble over an earlier one) — one allocation for the whole
+// list instead of one per argument.
 func (b *Broker) encodeArgs(args []interface{}) ([][]byte, error) {
 	if len(args) == 0 {
 		return nil, nil
@@ -407,7 +371,7 @@ func (b *Broker) encodeArgs(args []interface{}) ([][]byte, error) {
 	for i, a := range args {
 		start := len(buf)
 		var err error
-		buf, err = b.codec.MarshalAppend(buf, a)
+		buf, err = bin.MarshalAppend(buf, a)
 		if err != nil {
 			return nil, fmt.Errorf("omq: encode arg %d: %w", i, err)
 		}
@@ -421,13 +385,12 @@ func (b *Broker) encodeArgs(args []interface{}) ([][]byte, error) {
 // receiver's queue-dwell span). When the calling context is not part of a
 // trace the publish starts a fresh one, so server-initiated flows (health
 // multicalls, notifications) are traced too. With tracing disabled the span
-// is nil and the headers are the broker's pinned codec map (nil for JSON):
-// no per-message allocation on the untraced hot path. A traced publish gets
-// a fresh map, owned by the caller, with the codec stamp merged in.
+// and the headers are nil: no per-message allocation on the untraced hot
+// path. A traced publish gets a fresh map, owned by the caller.
 func (b *Broker) startPublishSpan(ctx context.Context, name string) (*obs.SpanHandle, map[string]string) {
 	tr := b.tracer
 	if tr == nil {
-		return nil, b.codecHdrs
+		return nil, nil
 	}
 	var h *obs.SpanHandle
 	if tc := obs.FromContext(ctx); tc.Valid() {
@@ -438,9 +401,6 @@ func (b *Broker) startPublishSpan(ctx context.Context, name string) (*obs.SpanHa
 	headers := make(map[string]string, 4)
 	h.Context().Inject(headers)
 	headers[obs.HeaderPublishNanos] = strconv.FormatInt(b.now().UnixNano(), 10)
-	if cn := b.codec.Name(); cn != "json" {
-		headers[HeaderCodec] = cn
-	}
 	return h, headers
 }
 
@@ -470,7 +430,7 @@ func (b *Broker) PublishMultiBatch(pubs []MultiPub) error {
 			errs = append(errs, err)
 			continue
 		}
-		body, err := encodeRequest(b.codec, &request{
+		body, err := encodeRequest(&request{
 			Method: p.Method,
 			Args:   encoded,
 			OneWay: true,
@@ -510,28 +470,17 @@ func (b *Broker) publish(exchangeName, key string, body []byte, persistent bool)
 }
 
 // publishH is publish with extra message headers (trace propagation,
-// routing stamps, codec negotiation). The map is attached as-is, never
-// copied: callers hand over ownership (or a long-lived read-only map like
-// the routed proxy's pinned headers or the broker's codec stamp), and
-// consumers only ever read Message.Headers. With tracing disabled, no
-// routing and the JSON codec, extra is nil and the hot path publishes with
-// no per-message header-map allocation at all.
+// routing stamps). The map is attached as-is, never copied: callers hand
+// over ownership (or a long-lived read-only map like the routed proxy's
+// call headers), and consumers only ever read Message.Headers. With tracing
+// disabled and no routing, extra is nil and the hot path publishes with no
+// per-message header-map allocation at all.
 func (b *Broker) publishH(exchangeName, key string, body []byte, persistent bool, extra map[string]string) error {
 	return b.mq.Publish(exchangeName, key, mq.Message{
 		Headers:    extra,
 		Body:       body,
 		Persistent: persistent,
 	})
-}
-
-// headersFor returns the pinned header map stamping codec c onto a
-// publish: the broker's own shared map when c is the broker codec, a fresh
-// stamp (nil for JSON) otherwise — the cross-codec reply path.
-func (b *Broker) headersFor(c Codec) map[string]string {
-	if c.Name() == b.codec.Name() {
-		return b.codecHdrs
-	}
-	return codecHeaders(c)
 }
 
 // now is a small indirection for tests.

@@ -1,3 +1,12 @@
+// Package omq is ObjectMQ: a lightweight framework providing programmatic
+// elasticity to distributed objects over a message-queue system (paper §3).
+//
+// A Broker binds server objects to named queues (Bind) and creates dynamic
+// client proxies (Lookup). Three invocation primitives mirror the paper's
+// method decorators: Proxy.Async (@AsyncMethod), Proxy.Call (@SyncMethod
+// with timeout and retries) and Proxy.Multi / Proxy.MultiCall
+// (@MultiMethod combined with the other two). Load balancing, at-least-once
+// delivery, and change notification all come from the underlying mq layer.
 package omq
 
 import (
@@ -5,90 +14,73 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+
+	"stacksync/internal/codec"
 )
 
-// request is the envelope published to a remote object's queue. The
-// envelope is encoded with the sender's codec, announced in the "codec"
-// message header (HeaderCodec); argument payloads are codec-encoded byte
-// slices inside. Messages without the header are decoded as JSON — the
-// pre-negotiation wire format — so old and new brokers interoperate.
+// bin encodes every envelope, argument and result. The paper's
+// implementation can swap in Kryo, Java serialization or JSON; here one
+// compact binary codec is the whole wire contract, so there is nothing to
+// negotiate per message.
+var bin = codec.Default()
+
+// request is the envelope published to a remote object's queue; argument
+// payloads are bin-encoded byte slices inside it.
 type request struct {
-	Method string   `json:"method"`
-	Args   [][]byte `json:"args,omitempty"`
-	// Codec names the codec that encoded Args (and, on the new wire format,
-	// the envelope itself). Kept inside the envelope as well as in the
-	// header so a legacy JSON envelope can still carry gob-encoded args.
-	Codec         string `json:"codec,omitempty"`
-	CorrelationID string `json:"correlationId,omitempty"`
-	ReplyTo       string `json:"replyTo,omitempty"`
+	Method        string
+	Args          [][]byte
+	CorrelationID string
+	ReplyTo       string
 	// RequestID identifies the logical call: it is stable across the retry
 	// attempts of one Proxy.Call (each attempt gets a fresh CorrelationID).
 	// Servers use it to deduplicate a retried @SyncMethod instead of
 	// executing it twice.
-	RequestID string `json:"requestId,omitempty"`
+	RequestID string
 	// OneWay marks @AsyncMethod calls: no response is produced even on
 	// handler error, matching "the client is not even notified whether the
 	// message was handled correctly" (§3.2).
-	OneWay bool `json:"oneWay,omitempty"`
+	OneWay bool
 }
 
-// response is the envelope published to the caller's private reply queue,
-// encoded with the codec the request envelope arrived in (announced back to
-// the caller via the same header).
+// response is the envelope published to the caller's private reply queue.
 type response struct {
-	CorrelationID string `json:"correlationId"`
-	Result        []byte `json:"result,omitempty"`
-	Err           string `json:"err,omitempty"`
+	CorrelationID string
+	Result        []byte
+	Err           string
 	// From identifies the responding server instance; multi-calls use it to
 	// attribute collected replies.
-	From string `json:"from,omitempty"`
+	From string
 }
 
-// envelopeCodec resolves the codec a message's envelope was encoded with
-// from its headers; absence of the header means JSON.
-func envelopeCodec(headers map[string]string) (Codec, error) {
-	return CodecByName(headers[HeaderCodec])
-}
-
-func encodeRequest(c Codec, r *request) ([]byte, error) {
-	r.Codec = c.Name()
-	data, err := c.MarshalAppend(nil, r)
+func encodeRequest(r *request) ([]byte, error) {
+	data, err := bin.MarshalAppend(nil, r)
 	if err != nil {
 		return nil, fmt.Errorf("omq: encode request: %w", err)
 	}
 	return data, nil
 }
 
-// decodeRequest decodes a request envelope using the codec named in the
-// message headers and also returns that codec so the response travels back
-// the same way.
-func decodeRequest(headers map[string]string, data []byte) (*request, Codec, error) {
-	env, err := envelopeCodec(headers)
-	if err != nil {
-		return nil, nil, fmt.Errorf("omq: decode request: %w", err)
-	}
+// decodeRequest decodes a request envelope. Anything else — including the
+// JSON envelope of pre-binary peers — is an error, and the server drops it.
+func decodeRequest(data []byte) (*request, error) {
 	var r request
-	if err := env.Unmarshal(data, &r); err != nil {
-		return nil, nil, fmt.Errorf("omq: decode request: %w", err)
+	if err := bin.Unmarshal(data, &r); err != nil {
+		return nil, fmt.Errorf("omq: decode request: %w", err)
 	}
-	return &r, env, nil
+	return &r, nil
 }
 
-func encodeResponse(c Codec, r *response) ([]byte, error) {
-	data, err := c.MarshalAppend(nil, r)
+func encodeResponse(r *response) ([]byte, error) {
+	data, err := bin.MarshalAppend(nil, r)
 	if err != nil {
 		return nil, fmt.Errorf("omq: encode response: %w", err)
 	}
 	return data, nil
 }
 
-func decodeResponse(headers map[string]string, data []byte) (*response, error) {
-	env, err := envelopeCodec(headers)
-	if err != nil {
-		return nil, fmt.Errorf("omq: decode response: %w", err)
-	}
+func decodeResponse(data []byte) (*response, error) {
 	var r response
-	if err := env.Unmarshal(data, &r); err != nil {
+	if err := bin.Unmarshal(data, &r); err != nil {
 		return nil, fmt.Errorf("omq: decode response: %w", err)
 	}
 	return &r, nil

@@ -442,43 +442,6 @@ func TestUnbindStopsServing(t *testing.T) {
 	}
 }
 
-func TestGobCodecRoundTrip(t *testing.T) {
-	m := mq.NewBroker()
-	defer m.Close()
-	server, err := NewBroker(m, WithCodec(GobCodec{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer server.Close()
-	client, err := NewBroker(m, WithCodec(GobCodec{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	if _, err := server.Bind("calc", &calc{}); err != nil {
-		t.Fatal(err)
-	}
-	var sum int
-	if err := client.Lookup("calc").Call("Add", &sum, addArgs{A: 40, B: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if sum != 42 {
-		t.Fatalf("gob Add = %d", sum)
-	}
-}
-
-func TestCodecByName(t *testing.T) {
-	if c, err := CodecByName(""); err != nil || c.Name() != "json" {
-		t.Fatalf("default codec: %v %v", c, err)
-	}
-	if c, err := CodecByName("gob"); err != nil || c.Name() != "gob" {
-		t.Fatalf("gob codec: %v %v", c, err)
-	}
-	if _, err := CodecByName("protobuf"); err == nil {
-		t.Fatal("unknown codec accepted")
-	}
-}
-
 func TestBrokerCloseIdempotent(t *testing.T) {
 	m := mq.NewBroker()
 	defer m.Close()

@@ -33,12 +33,9 @@ type Proxy struct {
 	backoffMax  time.Duration
 	// extraHeaders are merged into every publish this proxy makes; the
 	// Router uses them to stamp routed calls with their ring epoch and key.
+	// Untraced publishes share the map as-is (consumers only read headers),
+	// so the untraced hot path allocates no per-call map.
 	extraHeaders map[string]string
-	// pinned is the read-only header map untraced publishes share: the
-	// broker's codec stamp merged with extraHeaders, computed once at
-	// Lookup. It flows into mq.Message.Headers as-is (consumers only read
-	// headers), so the untraced hot path allocates no per-call map.
-	pinned map[string]string
 	// requestID, when non-empty, pins the request id of every Call through
 	// this proxy. The Router sets it so that dedup stays stable across its
 	// own failover attempts, which use a fresh proxy per attempt. Leave
@@ -93,11 +90,7 @@ func (p *Proxy) encodeArgs(args []interface{}) ([][]byte, error) {
 // see Broker.startPublishSpan.
 func (p *Proxy) startPublishSpan(ctx context.Context, name string) (*obs.SpanHandle, map[string]string) {
 	if p.broker.tracer == nil {
-		// Tracer disabled: share the proxy's pinned map (codec stamp +
-		// routing headers, merged once at Lookup) as-is. Every consumer
-		// treats mq.Message.Headers as read-only, so sharing it skips the
-		// per-call merge allocation.
-		return nil, p.pinned
+		return nil, p.extraHeaders
 	}
 	// Traced: the broker returns a fresh map owned by this call.
 	span, headers := p.broker.startPublishSpan(ctx, name)
@@ -122,7 +115,7 @@ func (p *Proxy) AsyncCtx(ctx context.Context, method string, args ...interface{}
 	if err != nil {
 		return err
 	}
-	body, err := encodeRequest(p.broker.codec, &request{
+	body, err := encodeRequest(&request{
 		Method: method,
 		Args:   encoded,
 		OneWay: true,
@@ -183,7 +176,7 @@ func (p *Proxy) CallCtx(ctx context.Context, method string, reply interface{}, a
 			return &RemoteError{Method: method, Msg: resp.Err}
 		}
 		if reply != nil && resp.Result != nil {
-			if err := p.broker.codec.Unmarshal(resp.Result, reply); err != nil {
+			if err := bin.Unmarshal(resp.Result, reply); err != nil {
 				return fmt.Errorf("omq: decode reply of %s: %w", method, err)
 			}
 		}
@@ -228,7 +221,7 @@ func retryJitter(seed string, n int, base, max time.Duration) time.Duration {
 
 func (p *Proxy) attempt(ctx context.Context, method string, encoded [][]byte, requestID string) (*response, error) {
 	correlationID := newID()
-	body, err := encodeRequest(p.broker.codec, &request{
+	body, err := encodeRequest(&request{
 		Method:        method,
 		Args:          encoded,
 		CorrelationID: correlationID,
@@ -267,7 +260,7 @@ func (p *Proxy) MultiCtx(ctx context.Context, method string, args ...interface{}
 	if err != nil {
 		return err
 	}
-	body, err := encodeRequest(p.broker.codec, &request{
+	body, err := encodeRequest(&request{
 		Method: method,
 		Args:   encoded,
 		OneWay: true,
@@ -287,8 +280,7 @@ type Reply struct {
 	// Err carries the remote handler error, if any.
 	Err string
 
-	raw   []byte
-	codec Codec
+	raw []byte
 }
 
 // Decode unmarshals the reply payload into v.
@@ -299,7 +291,7 @@ func (r *Reply) Decode(v interface{}) error {
 	if r.raw == nil {
 		return nil
 	}
-	return r.codec.Unmarshal(r.raw, v)
+	return bin.Unmarshal(r.raw, v)
 }
 
 // MultiCall performs a blocking @MultiMethod+@SyncMethod invocation: the
@@ -321,7 +313,7 @@ func (p *Proxy) MultiCallCtx(ctx context.Context, method string, window time.Dur
 		return nil, err
 	}
 	correlationID := newID()
-	body, err := encodeRequest(p.broker.codec, &request{
+	body, err := encodeRequest(&request{
 		Method:        method,
 		Args:          encoded,
 		CorrelationID: correlationID,
@@ -343,10 +335,9 @@ func (p *Proxy) MultiCallCtx(ctx context.Context, method string, window time.Dur
 		select {
 		case resp := <-ch:
 			replies = append(replies, Reply{
-				From:  resp.From,
-				Err:   resp.Err,
-				raw:   resp.Result,
-				codec: p.broker.codec,
+				From: resp.From,
+				Err:  resp.Err,
+				raw:  resp.Result,
 			})
 		case <-deadline:
 			return replies, nil

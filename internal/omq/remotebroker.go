@@ -136,7 +136,7 @@ func (rb *RemoteBroker) SpawnLocal(oid string, n int) (int, error) {
 		// The instance id is decided up front so SpawnHooks.Options can build
 		// per-instance observability keyed by it before the broker exists.
 		id := newID()
-		opts := []BrokerOption{WithCodec(rb.broker.codec), WithBrokerClock(rb.broker.clk),
+		opts := []BrokerOption{WithBrokerClock(rb.broker.clk),
 			WithTracer(rb.broker.tracer), WithRegistry(rb.broker.reg), WithEventLog(rb.broker.events)}
 		if hooks.Options != nil {
 			opts = append(opts, hooks.Options(oid, id)...)

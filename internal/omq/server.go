@@ -254,12 +254,10 @@ func (bo *BoundObject) work() {
 }
 
 func (bo *BoundObject) handle(d mq.Delivery) {
-	// The envelope codec (from the message headers) is remembered so the
-	// response travels back the same way — per-message negotiation is what
-	// lets mixed-codec fleets interoperate during a rollout.
-	req, env, err := decodeRequest(d.Headers, d.Body)
+	req, err := decodeRequest(d.Body)
 	if err != nil {
-		// Malformed request: drop without requeue, it can never succeed.
+		// Malformed request (or a pre-binary JSON envelope): drop without
+		// requeue, it can never succeed.
 		_ = d.Nack(false)
 		return
 	}
@@ -272,7 +270,7 @@ func (bo *BoundObject) handle(d mq.Delivery) {
 	if !req.OneWay && req.RequestID != "" {
 		if e, ok := bo.dedup.get(req.RequestID); ok {
 			bo.dedupHits.Inc()
-			bo.reply(req, env, e.result, e.errMsg)
+			bo.reply(req, e.result, e.errMsg)
 			_ = d.Ack()
 			return
 		}
@@ -341,15 +339,13 @@ func (bo *BoundObject) handle(d mq.Delivery) {
 	if req.RequestID != "" && !IsStaleRoute(callErr) {
 		bo.dedup.put(req.RequestID, dedupEntry{result: result, errMsg: errMsg})
 	}
-	bo.reply(req, env, result, errMsg)
+	bo.reply(req, result, errMsg)
 	_ = d.Ack()
 }
 
-// reply publishes the response envelope for a sync request, encoded with
-// the codec the request envelope arrived in (and stamped into the reply's
-// headers for the caller's reply loop); failures are the caller's timeout
-// to notice.
-func (bo *BoundObject) reply(req *request, env Codec, result []byte, errMsg string) {
+// reply publishes the response envelope for a sync request; failures are
+// the caller's timeout to notice.
+func (bo *BoundObject) reply(req *request, result []byte, errMsg string) {
 	if req.ReplyTo == "" {
 		return
 	}
@@ -357,8 +353,8 @@ func (bo *BoundObject) reply(req *request, env Codec, result []byte, errMsg stri
 	if errMsg == "" {
 		resp.Result = result
 	}
-	if body, err := encodeResponse(env, resp); err == nil {
-		_ = bo.broker.publishH("", req.ReplyTo, body, false, bo.broker.headersFor(env))
+	if body, err := encodeResponse(resp); err == nil {
+		_ = bo.broker.publish("", req.ReplyTo, body, false)
 	}
 }
 
@@ -379,8 +375,9 @@ func (bo *BoundObject) Dropped() uint64 {
 }
 
 // invoke dispatches req. permanent reports that the failure is structural
-// (unknown method, arity or codec mismatch) — retrying the identical request
-// can never succeed, unlike a handler error, which may be transient.
+// (unknown method, wrong arity, undecodable argument) — retrying the
+// identical request can never succeed, unlike a handler error, which may be
+// transient.
 func (bo *BoundObject) invoke(ctx context.Context, req *request) (result []byte, err error, permanent bool) {
 	bm, ok := bo.methods[req.Method]
 	if !ok {
@@ -389,21 +386,13 @@ func (bo *BoundObject) invoke(ctx context.Context, req *request) (result []byte,
 	if len(req.Args) != len(bm.argTypes) {
 		return nil, fmt.Errorf("%w: %s takes %d, got %d", ErrBadArity, req.Method, len(bm.argTypes), len(req.Args)), true
 	}
-	// Args were encoded with the codec named inside the envelope (usually
-	// the same codec as the envelope itself; a legacy JSON envelope can
-	// still carry gob- or bin-encoded args). The result is encoded the same
-	// way, since the caller decodes it with its own broker codec.
-	argCodec, err := CodecByName(req.Codec)
-	if err != nil {
-		return nil, err, true
-	}
 	in := make([]reflect.Value, 0, len(bm.argTypes)+1)
 	if bm.wantsCtx {
 		in = append(in, reflect.ValueOf(ctx))
 	}
 	for i, at := range bm.argTypes {
 		pv := reflect.New(at)
-		if err := argCodec.Unmarshal(req.Args[i], pv.Interface()); err != nil {
+		if err := bin.Unmarshal(req.Args[i], pv.Interface()); err != nil {
 			return nil, fmt.Errorf("omq: decode arg %d of %s: %w", i, req.Method, err), true
 		}
 		in = append(in, pv.Elem())
@@ -417,7 +406,7 @@ func (bo *BoundObject) invoke(ctx context.Context, req *request) (result []byte,
 	if !bm.hasReply {
 		return nil, nil, false
 	}
-	result, merr := argCodec.MarshalAppend(nil, out[0].Interface())
+	result, merr := bin.MarshalAppend(nil, out[0].Interface())
 	if merr != nil {
 		return nil, fmt.Errorf("omq: encode result of %s: %w", req.Method, merr), true
 	}

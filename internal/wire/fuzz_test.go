@@ -2,14 +2,16 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"reflect"
 	"testing"
-	"unicode/utf8"
 )
 
-// normalizeFrame folds the empty/nil asymmetry JSON's omitempty introduces:
-// a frame decoded from a payload that spelled out empty maps or arrays loses
-// them on re-encode, which is fine — the two forms mean the same thing.
+// normalizeFrame folds the empty/nil asymmetry of the encoder, which omits
+// empty headers, bodies and stats: a frame decoded from a payload that
+// spelled them out loses them on re-encode, which is fine — the two forms
+// mean the same thing.
 func normalizeFrame(f *Frame) {
 	if len(f.Headers) == 0 {
 		f.Headers = nil
@@ -22,30 +24,22 @@ func normalizeFrame(f *Frame) {
 	}
 }
 
-// utf8Clean reports whether every string field of f is valid UTF-8, i.e.
-// whether the frame survives a JSON encode byte-for-byte.
-func utf8Clean(f *Frame) bool {
-	for _, s := range []string{f.Queue, f.Exchange, f.Kind, f.Key, f.ConsumerID, f.MessageID, f.Err} {
-		if !utf8.ValidString(s) {
-			return false
-		}
-	}
-	for k, v := range f.Headers {
-		if !utf8.ValidString(k) || !utf8.ValidString(v) {
-			return false
-		}
-	}
-	return true
+// legacyFrame is a frame as pre-v2 peers framed it: a 4-byte big-endian
+// length, then a JSON payload. The reader must refuse it.
+func legacyFrame(payload string) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
 }
 
 // FuzzFrameCodec feeds arbitrary bytes to the frame reader. Whatever decodes
-// must survive a re-encode/re-decode round trip unchanged, and nothing may
-// panic — a corrupt or malicious peer gets an error, never a crash.
+// must survive a re-encode/re-decode round trip unchanged, a stream that
+// does not start with the binary marker must be refused with ErrNotBinary,
+// and nothing may panic — a corrupt, malicious or pre-v2 peer gets an error,
+// never a crash.
 func FuzzFrameCodec(f *testing.F) {
 	var pub bytes.Buffer
 	_ = NewWriter(&pub).Write(&Frame{
 		Op: OpPublish, Seq: 7, Exchange: "ex", Key: "k",
-		Headers:    map[string]string{"codec": "json"},
+		Headers:    map[string]string{"x-route-key": "w1"},
 		Body:       []byte("payload"),
 		Persistent: true,
 	})
@@ -53,18 +47,14 @@ func FuzzFrameCodec(f *testing.F) {
 	var ping bytes.Buffer
 	_ = NewWriter(&ping).Write(&Frame{Op: OpPing, Seq: 1})
 	f.Add(ping.Bytes())
-	var legacy bytes.Buffer
-	_ = NewWriterFormat(&legacy, FormatJSON).Write(&Frame{
-		Op: OpDeliver, Queue: "q", DeliveryID: 3, Body: []byte("legacy"),
-	})
-	f.Add(legacy.Bytes())
-	var mixed bytes.Buffer // legacy then binary on one stream
-	_ = NewWriterFormat(&mixed, FormatJSON).Write(&Frame{Op: OpPing, Seq: 1})
+	f.Add(legacyFrame(`{"op":11,"queue":"q","deliveryId":3,"body":"bGVnYWN5"}`)) // pre-v2 JSON frame
+	var mixed bytes.Buffer                                                       // pre-v2 frame then binary on one stream
+	mixed.Write(legacyFrame(`{"op":16,"seq":1}`))
 	_ = NewWriter(&mixed).Write(&Frame{Op: OpPong, Seq: 1})
 	f.Add(mixed.Bytes())
-	f.Add([]byte{0, 0, 0})                                                                                    // truncated legacy header
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 'x'})                                                                // over-limit legacy length prefix
-	f.Add([]byte{0, 0, 0, 2, '{', '}', 0, 0, 0})                                                              // empty frame + torn tail
+	f.Add([]byte{0, 0, 0})                                                                                    // truncated pre-v2 header
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 'x'})                                                                // over-limit pre-v2 length prefix
+	f.Add([]byte{0, 0, 0, 2, '{', '}', 0, 0, 0})                                                              // pre-v2 empty frame + torn tail
 	f.Add([]byte{binaryMarker})                                                                               // marker with no length
 	f.Add([]byte{binaryMarker, 0x80})                                                                         // truncated length varint
 	f.Add([]byte{binaryMarker, 0x02, fSeq, 0x80})                                                             // truncated field varint
@@ -80,40 +70,32 @@ func FuzzFrameCodec(f *testing.F) {
 			fr, err := r.Read()
 			if err != nil {
 				// Any decode error is acceptable on arbitrary input; a frame
-				// alongside one is not.
+				// alongside one is not, and a frame without the marker must
+				// be refused as such.
 				if fr != nil {
 					t.Fatalf("Read returned frame %+v with error %v", fr, err)
+				}
+				if len(data) > 0 && data[0] != binaryMarker && !errors.Is(err, ErrNotBinary) {
+					t.Fatalf("unmarked stream not refused as ErrNotBinary: %v", err)
 				}
 				return
 			}
 			// Clone first: fr aliases r's buffer, which the next Read (and
-			// the nested readers below) would otherwise clobber.
+			// the nested reader below) would otherwise clobber.
 			got := fr.Clone()
-			// Whatever decoded must survive re-encode/re-decode in BOTH
-			// formats, and the two must agree — the cross-check that keeps
-			// binary and legacy JSON framing semantically identical. The
-			// JSON leg only applies to UTF-8-clean frames: binary framing
-			// carries arbitrary bytes in string fields, but json.Marshal
-			// substitutes U+FFFD for invalid sequences.
-			formats := []Format{FormatBinary}
-			if utf8Clean(got) {
-				formats = append(formats, FormatJSON)
+			var rt bytes.Buffer
+			if err := NewWriter(&rt).Write(got); err != nil {
+				t.Fatalf("re-encode failed: %v (frame %+v)", err, got)
 			}
-			for _, format := range formats {
-				var rt bytes.Buffer
-				if err := NewWriterFormat(&rt, format).Write(got); err != nil {
-					t.Fatalf("re-encode (format %d) failed: %v (frame %+v)", format, err, got)
-				}
-				back, err := NewReader(&rt).Read()
-				if err != nil {
-					t.Fatalf("re-decode (format %d) failed: %v (frame %+v)", format, err, got)
-				}
-				back = back.Clone()
-				normalizeFrame(got)
-				normalizeFrame(back)
-				if !reflect.DeepEqual(got, back) {
-					t.Fatalf("round trip (format %d) diverged:\n decoded:   %+v\n re-decoded: %+v", format, got, back)
-				}
+			back, err := NewReader(&rt).Read()
+			if err != nil {
+				t.Fatalf("re-decode failed: %v (frame %+v)", err, got)
+			}
+			back = back.Clone()
+			normalizeFrame(got)
+			normalizeFrame(back)
+			if !reflect.DeepEqual(got, back) {
+				t.Fatalf("round trip diverged:\n decoded:    %+v\n re-decoded: %+v", got, back)
 			}
 		}
 	})

@@ -2,21 +2,14 @@
 // clients and the mq TCP server. It plays the role AMQP framing plays
 // between RabbitMQ and its clients in the paper's deployment.
 //
-// Two frame encodings share the stream and are distinguished by the first
-// byte of each frame:
-//
-//	binary (v2): 0xB2 marker, uvarint payload length, then a stream of
-//	  (field id, varint-framed value) pairs with hot header keys interned
-//	  to one byte. The frame header and the message body are written as two
-//	  scatter/gather vectors (net.Buffers), so a publish performs zero
-//	  payload copies after encode.
-//	legacy JSON: 4-byte big-endian payload length followed by a
-//	  JSON-encoded Frame. Since MaxFrameSize is 16 MiB, the first length
-//	  byte is always 0x00 or 0x01 — it can never collide with 0xB2.
-//
-// Readers auto-detect the encoding per frame, so mixed fleets (and the
-// fuzz cross-checks) interoperate; Writers emit binary unless constructed
-// with FormatJSON. The hard size cap protects both ends from corrupt peers.
+// Every frame is binary (v2): a 0xB2 marker, the uvarint payload length,
+// then a stream of (field id, varint-framed value) pairs with hot header
+// keys interned to one byte. The frame header and the message body are
+// written as two scatter/gather vectors (net.Buffers), so a publish performs
+// zero payload copies after encode. A frame that does not start with the
+// marker — such as the 4-byte-length JSON framing of pre-v2 peers — is
+// refused with ErrNotBinary. The hard size cap protects both ends from
+// corrupt peers.
 //
 // # Buffer ownership
 //
@@ -30,7 +23,6 @@ package wire
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -42,9 +34,7 @@ import (
 // enough for a compressed 512 KB chunk plus headers with ample margin.
 const MaxFrameSize = 16 << 20
 
-// binaryMarker is the first byte of every binary (v2) frame. Legacy JSON
-// frames start with the high byte of a 4-byte big-endian length, which the
-// MaxFrameSize cap keeps at 0x00 or 0x01.
+// binaryMarker is the first byte of every frame.
 const binaryMarker = 0xB2
 
 // Frame operation codes. Values are part of the protocol; never renumber.
@@ -115,27 +105,27 @@ func (o Op) String() string {
 // Frame is the unit of exchange on the wire. Which fields are meaningful
 // depends on Op; unused fields are omitted from the encoding.
 type Frame struct {
-	Op  Op     `json:"op"`
-	Seq uint64 `json:"seq,omitempty"` // request/response correlation
+	Op  Op
+	Seq uint64 // request/response correlation
 
-	Queue    string `json:"queue,omitempty"`
-	Exchange string `json:"exchange,omitempty"`
-	Kind     string `json:"kind,omitempty"` // exchange kind for declare
-	Key      string `json:"key,omitempty"`  // routing/binding key
+	Queue    string
+	Exchange string
+	Kind     string // exchange kind for declare
+	Key      string // routing/binding key
 
-	ConsumerID string `json:"consumerId,omitempty"`
-	Prefetch   int    `json:"prefetch,omitempty"`
-	DeliveryID uint64 `json:"deliveryId,omitempty"`
-	Requeue    bool   `json:"requeue,omitempty"`
+	ConsumerID string
+	Prefetch   int
+	DeliveryID uint64
+	Requeue    bool
 
-	MessageID  string            `json:"messageId,omitempty"`
-	Headers    map[string]string `json:"headers,omitempty"`
-	Body       []byte            `json:"body,omitempty"`
-	Persistent bool              `json:"persistent,omitempty"`
-	Redelivery int               `json:"redelivery,omitempty"`
+	MessageID  string
+	Headers    map[string]string
+	Body       []byte
+	Persistent bool
+	Redelivery int
 
-	Err   string `json:"err,omitempty"`
-	Stats []byte `json:"stats,omitempty"` // JSON-encoded mq.QueueStats
+	Err   string
+	Stats []byte // codec-encoded mq.QueueStats
 }
 
 // Clone returns a deep copy of f, safe to retain past the next Read on the
@@ -180,14 +170,13 @@ const (
 	fBody
 )
 
-// internedKeys interns the header keys hot on the publish path (codec
-// negotiation, trace context, routing stamps) to a single byte on the
-// wire. Ids are part of the protocol: append-only, never renumber. Id 0
-// escapes to a length-prefixed literal key, so unknown keys always travel.
-// The strings mirror omq/obs constants; wire stays dependency-free, and a
-// drifted name only costs bytes, never correctness.
+// internedKeys interns the header keys hot on the publish path (trace
+// context, routing stamps) to a single byte on the wire. Ids are part of the
+// protocol: append-only, never renumber. Id 0 escapes to a length-prefixed
+// literal key, so unknown keys always travel; id 1, the retired codec
+// header, stays unassigned. The strings mirror omq/obs constants; wire stays
+// dependency-free, and a drifted name only costs bytes, never correctness.
 var internedKeys = []string{
-	1: "codec",
 	2: "x-obs-trace",
 	3: "x-obs-span",
 	4: "x-obs-pub",
@@ -209,17 +198,7 @@ var internedKeyID = func() map[string]byte {
 var (
 	ErrFrameTooLarge = errors.New("wire: frame exceeds size limit")
 	ErrShortFrame    = errors.New("wire: truncated frame")
-)
-
-// Format selects the encoding a Writer emits.
-type Format int
-
-const (
-	// FormatBinary is the compact varint encoding (the default).
-	FormatBinary Format = iota
-	// FormatJSON is the legacy length-prefixed JSON encoding, kept for
-	// fallback and fuzz cross-checks.
-	FormatJSON
+	ErrNotBinary     = errors.New("wire: frame lacks the binary v2 marker (pre-v2 JSON peer?)")
 )
 
 // maxPrefix is the space reserved at the front of an encode buffer for the
@@ -249,26 +228,17 @@ func putEncodeBuf(bp *[]byte, b []byte) {
 // Writer encodes frames onto an io.Writer. Not safe for concurrent use;
 // callers serialize writes. Write never retains the frame or its body.
 type Writer struct {
-	w      io.Writer
-	format Format
-	vecs   [2][]byte
+	w    io.Writer
+	vecs [2][]byte
 }
 
-// NewWriter returns a Writer emitting binary frames to w.
+// NewWriter returns a Writer emitting frames to w.
 func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 
-// NewWriterFormat returns a Writer emitting frames in the given format.
-func NewWriterFormat(w io.Writer, format Format) *Writer {
-	return &Writer{w: w, format: format}
-}
-
-// Write encodes and sends a single frame. In binary format the encoded
-// header and the frame body go out as two scatter/gather vectors
-// (net.Buffers → writev on TCP): the body is never copied after encode.
+// Write encodes and sends a single frame. The encoded header and the frame
+// body go out as two scatter/gather vectors (net.Buffers → writev on TCP):
+// the body is never copied after encode.
 func (fw *Writer) Write(f *Frame) error {
-	if fw.format == FormatJSON {
-		return fw.writeJSON(f)
-	}
 	bp := encodeBufPool.Get().(*[]byte)
 	buf := (*bp)[:0]
 	buf = buf[:maxPrefix] // reserve prefix space (pool buffers have cap >= maxPrefix)
@@ -297,26 +267,6 @@ func (fw *Writer) Write(f *Frame) error {
 	putEncodeBuf(bp, buf)
 	if err != nil {
 		return fmt.Errorf("wire: write frame: %w", err)
-	}
-	return nil
-}
-
-func (fw *Writer) writeJSON(f *Frame) error {
-	payload, err := json.Marshal(f)
-	if err != nil {
-		return fmt.Errorf("wire: marshal frame: %w", err)
-	}
-	if len(payload) > MaxFrameSize {
-		return ErrFrameTooLarge
-	}
-	bp := encodeBufPool.Get().(*[]byte)
-	buf := append((*bp)[:0], 0, 0, 0, 0)
-	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	_, werr := fw.w.Write(buf)
-	putEncodeBuf(bp, buf)
-	if werr != nil {
-		return fmt.Errorf("wire: write frame: %w", werr)
 	}
 	return nil
 }
@@ -411,10 +361,10 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{r: bufio.NewReader(r)}
 }
 
-// Read decodes the next frame, auto-detecting binary vs legacy JSON
-// encoding from its first byte. It returns io.EOF when the stream ends
-// cleanly on a frame boundary and ErrShortFrame when it ends mid-frame.
-// See the Reader doc for the returned frame's lifetime.
+// Read decodes the next frame. It returns io.EOF when the stream ends
+// cleanly on a frame boundary, ErrShortFrame when it ends mid-frame and
+// ErrNotBinary when a frame does not start with the marker. See the Reader
+// doc for the returned frame's lifetime.
 func (fr *Reader) Read() (*Frame, error) {
 	first, err := fr.r.ReadByte()
 	if err != nil {
@@ -423,51 +373,9 @@ func (fr *Reader) Read() (*Frame, error) {
 		}
 		return nil, fmt.Errorf("wire: read frame header: %w", err)
 	}
-	if first == binaryMarker {
-		return fr.readBinary()
+	if first != binaryMarker {
+		return nil, ErrNotBinary
 	}
-	return fr.readJSON(first)
-}
-
-// grow returns the payload buffer sized to n, reusing the previous
-// allocation when possible and letting one oversized frame's buffer go
-// once traffic shrinks again.
-func (fr *Reader) grow(n int) []byte {
-	if cap(fr.payload) < n || (cap(fr.payload) > 4<<20 && n < 1<<20) {
-		fr.payload = make([]byte, n)
-	}
-	fr.payload = fr.payload[:n]
-	return fr.payload
-}
-
-func (fr *Reader) readJSON(first byte) (*Frame, error) {
-	var lb [4]byte
-	lb[0] = first
-	if _, err := io.ReadFull(fr.r, lb[1:]); err != nil {
-		if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, ErrShortFrame
-		}
-		return nil, fmt.Errorf("wire: read frame header: %w", err)
-	}
-	n := binary.BigEndian.Uint32(lb[:])
-	if n > MaxFrameSize {
-		return nil, ErrFrameTooLarge
-	}
-	payload := fr.grow(int(n))
-	if _, err := io.ReadFull(fr.r, payload); err != nil {
-		if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, ErrShortFrame
-		}
-		return nil, fmt.Errorf("wire: read frame payload: %w", err)
-	}
-	fr.frame = Frame{}
-	if err := json.Unmarshal(payload, &fr.frame); err != nil {
-		return nil, fmt.Errorf("wire: unmarshal frame: %w", err)
-	}
-	return &fr.frame, nil
-}
-
-func (fr *Reader) readBinary() (*Frame, error) {
 	n, err := binary.ReadUvarint(fr.r)
 	if err != nil {
 		if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
@@ -489,6 +397,17 @@ func (fr *Reader) readBinary() (*Frame, error) {
 		return nil, err
 	}
 	return &fr.frame, nil
+}
+
+// grow returns the payload buffer sized to n, reusing the previous
+// allocation when possible and letting one oversized frame's buffer go
+// once traffic shrinks again.
+func (fr *Reader) grow(n int) []byte {
+	if cap(fr.payload) < n || (cap(fr.payload) > 4<<20 && n < 1<<20) {
+		fr.payload = make([]byte, n)
+	}
+	fr.payload = fr.payload[:n]
+	return fr.payload
 }
 
 var errMalformed = errors.New("wire: malformed binary frame")

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"reflect"
@@ -18,7 +19,7 @@ func TestRoundTrip(t *testing.T) {
 		{"publish with body", Frame{
 			Op: OpPublish, Seq: 7, Exchange: "workspace.fanout", Key: "ws1",
 			MessageID: "m-1", Body: []byte("hello"), Persistent: true,
-			Headers: map[string]string{"codec": "json"},
+			Headers: map[string]string{"x-route-key": "ws1"},
 		}},
 		{"deliver", Frame{
 			Op: OpDeliver, Queue: "sync.requests", ConsumerID: "c1",
@@ -110,7 +111,7 @@ func TestTruncatedFrame(t *testing.T) {
 
 func TestOversizedFrameRejected(t *testing.T) {
 	// Hand-craft a header claiming a payload larger than the cap.
-	hdr := []byte{0xFF, 0xFF, 0xFF, 0xFF}
+	hdr := []byte{binaryMarker, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}
 	if _, err := NewReader(bytes.NewReader(hdr)).Read(); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("expected ErrFrameTooLarge, got %v", err)
 	}
@@ -135,34 +136,32 @@ func TestOpString(t *testing.T) {
 	}
 }
 
-// TestFormatInterop pins the mixed-fleet story: a JSON writer's frames and a
-// binary writer's frames decode identically from the same stream, because the
-// reader auto-detects per frame.
+// TestFormatInterop pins the one-format contract: a frame framed the pre-v2
+// way (4-byte length + JSON) is refused with ErrNotBinary rather than
+// misparsed, while binary frames on a fresh stream still decode.
 func TestFormatInterop(t *testing.T) {
+	legacy := legacyFrame(`{"op":6,"seq":9,"exchange":"ex","key":"route","body":"bWl4ZWQ="}`)
+	if _, err := NewReader(bytes.NewReader(legacy)).Read(); !errors.Is(err, ErrNotBinary) {
+		t.Fatalf("pre-v2 frame: err = %v, want ErrNotBinary", err)
+	}
 	frame := Frame{
 		Op: OpPublish, Seq: 9, Exchange: "ex", Key: "route",
 		MessageID: "m-9", Body: []byte("mixed"), Persistent: true,
-		Headers: map[string]string{"codec": "bin", "x-custom": "v"},
+		Headers: map[string]string{"x-route-key": "w9", "x-custom": "v"},
 	}
 	var buf bytes.Buffer
-	if err := NewWriterFormat(&buf, FormatJSON).Write(&frame); err != nil {
-		t.Fatal(err)
-	}
 	if err := NewWriter(&buf).Write(&frame); err != nil {
 		t.Fatal(err)
 	}
-	r := NewReader(&buf)
-	for i := 0; i < 2; i++ {
-		got, err := r.Read()
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if got.Op != frame.Op || got.Seq != frame.Seq || got.Exchange != frame.Exchange ||
-			got.Key != frame.Key || got.MessageID != frame.MessageID ||
-			!bytes.Equal(got.Body, frame.Body) || !got.Persistent ||
-			got.Headers["codec"] != "bin" || got.Headers["x-custom"] != "v" {
-			t.Fatalf("frame %d mismatch: %+v", i, got)
-		}
+	got, err := NewReader(&buf).Read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Op != frame.Op || got.Seq != frame.Seq || got.Exchange != frame.Exchange ||
+		got.Key != frame.Key || got.MessageID != frame.MessageID ||
+		!bytes.Equal(got.Body, frame.Body) || !got.Persistent ||
+		got.Headers["x-route-key"] != "w9" || got.Headers["x-custom"] != "v" {
+		t.Fatalf("binary frame mismatch: %+v", got)
 	}
 }
 
@@ -203,7 +202,7 @@ func TestReaderReusesBuffer(t *testing.T) {
 // TestInternedHeaderKeys checks that hot header keys encode to a single byte
 // and unknown keys still round-trip via the literal escape.
 func TestInternedHeaderKeys(t *testing.T) {
-	interned := Frame{Op: OpPublish, Headers: map[string]string{"codec": "bin"}}
+	interned := Frame{Op: OpPublish, Headers: map[string]string{"x-route-key": "bin"}}
 	literal := Frame{Op: OpPublish, Headers: map[string]string{"x-totally-custom-key": "bin"}}
 	var bi, bl bytes.Buffer
 	if err := NewWriter(&bi).Write(&interned); err != nil {
@@ -221,7 +220,7 @@ func TestInternedHeaderKeys(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if f.Headers["codec"] != "bin" && f.Headers["x-totally-custom-key"] != "bin" {
+		if f.Headers["x-route-key"] != "bin" && f.Headers["x-totally-custom-key"] != "bin" {
 			t.Fatalf("headers lost: %v", f.Headers)
 		}
 	}
@@ -259,20 +258,17 @@ func TestMalformedBinary(t *testing.T) {
 	}
 }
 
-// TestWriterRejectsOversizedFrame checks the cap applies on the encode side
-// for both formats.
+// TestWriterRejectsOversizedFrame checks the cap applies on the encode side.
 func TestWriterRejectsOversizedFrame(t *testing.T) {
 	f := &Frame{Op: OpPublish, Body: make([]byte, MaxFrameSize+1)}
 	if err := NewWriter(io.Discard).Write(f); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("binary: expected ErrFrameTooLarge, got %v", err)
-	}
-	if err := NewWriterFormat(io.Discard, FormatJSON).Write(f); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("json: expected ErrFrameTooLarge, got %v", err)
+		t.Fatalf("expected ErrFrameTooLarge, got %v", err)
 	}
 }
 
-// TestBinaryJSONCrossCheck round-trips the same frames through both formats
-// and requires identical decodes.
+// TestBinaryJSONCrossCheck runs every frame shape through both framings:
+// the binary frame decodes to exactly its input, and the same frame framed
+// the pre-v2 way (4-byte length + JSON) is refused with ErrNotBinary.
 func TestBinaryJSONCrossCheck(t *testing.T) {
 	frames := []Frame{
 		{Op: OpPublish, Seq: 1, Exchange: "e", Key: "k", Body: []byte("b"), Persistent: true},
@@ -280,31 +276,30 @@ func TestBinaryJSONCrossCheck(t *testing.T) {
 		{Op: OpNack, DeliveryID: 9, Requeue: true},
 		{Op: OpError, Seq: 2, Err: "boom"},
 		{Op: OpSubscribe, Queue: "q", Prefetch: 64},
-		{Op: OpStatsReply, Seq: 4, Stats: []byte(`{"depth":1}`)},
-		{Op: OpPublish, Headers: map[string]string{"codec": "gob", "x-route-key": "w7", "weird": "☃"}},
+		{Op: OpStatsReply, Seq: 4, Stats: []byte{0x0B, 0x01}},
+		{Op: OpPublish, Headers: map[string]string{"x-route-key": "w7", "x-route-epoch": "3", "weird": "☃"}},
 	}
 	for i, in := range frames {
-		var jb, bb bytes.Buffer
-		if err := NewWriterFormat(&jb, FormatJSON).Write(&in); err != nil {
+		payload, err := json.Marshal(&in)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if _, err := NewReader(bytes.NewReader(legacyFrame(string(payload)))).Read(); !errors.Is(err, ErrNotBinary) {
+			t.Fatalf("frame %d pre-v2: err = %v, want ErrNotBinary", i, err)
+		}
+		var bb bytes.Buffer
 		if err := NewWriter(&bb).Write(&in); err != nil {
 			t.Fatal(err)
 		}
-		fromJSON, err := NewReader(&jb).Read()
-		if err != nil {
-			t.Fatalf("frame %d json: %v", i, err)
-		}
-		j := fromJSON.Clone()
 		fromBin, err := NewReader(&bb).Read()
 		if err != nil {
 			t.Fatalf("frame %d bin: %v", i, err)
 		}
-		b := fromBin.Clone()
-		normalizeFrame(j)
-		normalizeFrame(b)
-		if !reflect.DeepEqual(j, b) {
-			t.Fatalf("frame %d diverged:\n json: %+v\n bin:  %+v", i, j, b)
+		got, want := fromBin.Clone(), in
+		normalizeFrame(got)
+		normalizeFrame(&want)
+		if !reflect.DeepEqual(*got, want) {
+			t.Fatalf("frame %d diverged:\n in:  %+v\n bin: %+v", i, want, *got)
 		}
 	}
 }

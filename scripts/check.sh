@@ -24,17 +24,10 @@ go vet ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-# Codec matrix: the messaging layers must pass under every negotiable codec,
-# since $STACKSYNC_CODEC swings the default the whole fleet publishes with.
-# The binary codec gets an extra race pass — it is the default-off path with
-# the most hand-rolled encoding.
-echo "==> codec matrix (json/gob/bin)"
-for c in json gob bin; do
-    echo "--- STACKSYNC_CODEC=$c"
-    STACKSYNC_CODEC=$c go test ./internal/codec/ ./internal/omq/ ./internal/mq/
-done
-echo "--- STACKSYNC_CODEC=bin (race)"
-STACKSYNC_CODEC=bin go test -race ./internal/codec/ ./internal/omq/ ./internal/wire/
+# The RPC codec and the frame format are the most hand-rolled encoding in
+# the tree and every message crosses both: one extra race pass over them.
+echo "==> codec + wire (race)"
+go test -race -count=1 ./internal/codec/ ./internal/omq/ ./internal/wire/
 
 # Extra interleavings over the client's parallel transfer pipeline: many
 # writers, overlapping chunks, dedup probes and singleflight coalescing all
@@ -57,11 +50,14 @@ echo "==> fleet-trace stitching smoke (race)"
 go test -race -count=1 -run '^TestFleetTraceSmoke$' ./internal/bench/
 
 # Short coverage-guided fuzz legs over the codecs that parse bytes the
-# program did not just write: the wire frame reader, WAL replay and broker
-# journal replay. Ten seconds each is a smoke pass — run `go test -fuzz`
-# open-ended to dig.
+# program did not just write: the wire frame reader, the RPC codec on every
+# envelope and payload omq decodes, WAL replay and broker journal replay.
+# Ten seconds each is a smoke pass — run `go test -fuzz` open-ended to dig.
 echo "==> fuzz smoke: FuzzFrameCodec (10s)"
 go test -run '^$' -fuzz '^FuzzFrameCodec$' -fuzztime 10s ./internal/wire/
+
+echo "==> fuzz smoke: FuzzBinaryCodec (10s)"
+go test -run '^$' -fuzz '^FuzzBinaryCodec$' -fuzztime 10s ./internal/omq/
 
 echo "==> fuzz smoke: FuzzWALReplay (10s)"
 go test -run '^$' -fuzz '^FuzzWALReplay$' -fuzztime 10s ./internal/metastore/
