@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -87,7 +88,8 @@ func (d *Disk) Put(ctx context.Context, container, key string, data []byte) erro
 	return nil
 }
 
-// Get reads the object.
+// Get reads the object with one read(2) sized by fstat, where os.ReadFile
+// reads again to see EOF: objects are immutable and appear by rename.
 func (d *Disk) Get(ctx context.Context, container, key string) ([]byte, error) {
 	if err := ctxErr(ctx, "get", container); err != nil {
 		return nil, err
@@ -95,11 +97,20 @@ func (d *Disk) Get(ctx context.Context, container, key string) ([]byte, error) {
 	if _, err := os.Stat(d.containerPath(container)); err != nil {
 		return nil, opErr("get", container, key, ErrNoContainer)
 	}
-	data, err := os.ReadFile(d.objectPath(container, key))
+	f, err := os.Open(d.objectPath(container, key))
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return nil, opErr("get", container, key, ErrNotFound)
 		}
+		return nil, opErr("get", container, key, err)
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, opErr("get", container, key, err)
+	}
+	data := make([]byte, fi.Size())
+	if _, err := io.ReadFull(f, data); err != nil {
 		return nil, opErr("get", container, key, err)
 	}
 	return data, nil

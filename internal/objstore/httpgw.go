@@ -3,13 +3,15 @@ package objstore
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net/http"
 	"net/url"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -19,13 +21,18 @@ import (
 //
 //	PUT    /v1/{container}                  create container
 //	GET    /v1/{container}                  list objects (newline-separated)
-//	POST   /v1/{container}?multi=put        batch store (JSON [{key,data}])
-//	POST   /v1/{container}?multi=get        batch fetch (JSON [keys] -> [{key,found,data}])
-//	POST   /v1/{container}?multi=exists     batch probe (JSON [keys] -> [bool])
+//	POST   /v1/{container}?multi=put        batch store (key, data fields)
+//	POST   /v1/{container}?multi=get        batch fetch (key fields -> found flags, hits' data)
+//	POST   /v1/{container}?multi=exists     batch probe (key fields -> one flag per key)
 //	PUT    /v1/{container}/{object}         store object (body = content)
 //	GET    /v1/{container}/{object}         fetch object
 //	HEAD   /v1/{container}/{object}         existence check
 //	DELETE /v1/{container}/{object}         delete object
+//
+// A batch body, request or response, is batchMagic, flag bytes (responses
+// only), then fields framed as uvarint(len) | bytes. Every body is read into
+// one buffer sized from Content-Length and written in one Write with
+// Content-Length set; one over maxBatchBody is refused (413), not truncated.
 //
 // An optional bearer token (X-Auth-Token, as in Swift) gates all routes.
 // Error responses carry an X-Objstore-Error header naming the sentinel
@@ -35,21 +42,127 @@ import (
 // errHeader is the response header carrying the sentinel error kind.
 const errHeader = "X-Objstore-Error"
 
-// maxBatchBody bounds a batch request body read by the gateway (64 MB).
+// maxBatchBody bounds every body the gateway and HTTPStore build or read (64 MB).
 const maxBatchBody = 64 << 20
 
-// gwObject is the JSON wire form of one batch object ([]byte marshals as
-// base64).
-type gwObject struct {
-	Key  string `json:"key"`
-	Data []byte `json:"data,omitempty"`
+// batchMagic opens every batch body: a UTF-8 continuation byte, which no
+// JSON text starts with, so a JSON-era client's body is refused, not misparsed.
+const batchMagic = 0xB5
+
+var errBadBatch = errors.New("objstore: malformed batch body")
+var errTooLarge = errors.New("objstore: body exceeds the 64 MB cap")
+
+// encodeBatch builds a batch body in one exactly sized buffer.
+func encodeBatch[T string | []byte](flags []byte, fields []T) ([]byte, error) {
+	size := 1 + len(flags)
+	for _, f := range fields {
+		size += (bits.Len64(uint64(len(f))|1)+6)/7 + len(f) // uvarint(len) + bytes
+	}
+	if size > maxBatchBody {
+		return nil, errTooLarge
+	}
+	b := append(append(make([]byte, 0, size), batchMagic), flags...)
+	for _, f := range fields {
+		b = append(binary.AppendUvarint(b, uint64(len(f))), f...)
+	}
+	return b, nil
 }
 
-// gwGetResult is one entry of a multi=get response.
-type gwGetResult struct {
-	Key   string `json:"key"`
-	Found bool   `json:"found"`
-	Data  []byte `json:"data,omitempty"`
+// decodeBatch splits a batch body into n flags, each 0 or 1, and the fields
+// after them. Fields alias body, capped so an append cannot clobber the next.
+func decodeBatch(body []byte, n int) (flags []byte, fields [][]byte, err error) {
+	if len(body) <= n || body[0] != batchMagic || len(bytes.Trim(body[1:1+n], "\x00\x01")) > 0 {
+		return nil, nil, errBadBatch
+	}
+	flags, rest := body[1:1+n], body[1+n:]
+	for len(rest) > 0 {
+		l, k := binary.Uvarint(rest)
+		if k <= 0 || l > uint64(len(rest)-k) {
+			return nil, nil, errBadBatch
+		}
+		end := k + int(l)
+		fields, rest = append(fields, rest[k:end:end]), rest[end:]
+	}
+	return flags, fields, nil
+}
+
+// decodeObjects decodes a multi=put request: key, data field pairs.
+func decodeObjects(body []byte) ([]Object, error) {
+	_, f, err := decodeBatch(body, 0)
+	if err != nil || len(f)%2 != 0 {
+		return nil, errBadBatch
+	}
+	objs := make([]Object, len(f)/2)
+	for i := range objs {
+		objs[i] = Object{Key: string(f[2*i]), Data: f[2*i+1]}
+	}
+	return objs, nil
+}
+
+// decodeKeys decodes a multi=get or multi=exists request: one key per field.
+func decodeKeys(body []byte) ([]string, error) {
+	_, f, err := decodeBatch(body, 0)
+	if err != nil {
+		return nil, err
+	}
+	keys := make([]string, len(f))
+	for i := range f {
+		keys[i] = string(f[i])
+	}
+	return keys, nil
+}
+
+// encodeGetResult encodes a multi=get response: one found flag per entry,
+// then the data of each non-nil entry.
+func encodeGetResult(data [][]byte) ([]byte, error) {
+	flags, hits := make([]byte, len(data)), make([][]byte, 0, len(data))
+	for i, d := range data {
+		if d != nil {
+			flags[i], hits = 1, append(hits, d)
+		}
+	}
+	return encodeBatch(flags, hits)
+}
+
+// decodeGetResult decodes a multi=get response for n keys. Hits are non-nil
+// (an empty object is an empty slice) and alias body; misses are nil.
+func decodeGetResult(body []byte, n int) ([][]byte, error) {
+	flags, hits, err := decodeBatch(body, n)
+	if err != nil || bytes.Count(flags, []byte{1}) != len(hits) {
+		return nil, errBadBatch
+	}
+	out := make([][]byte, n)
+	for i, f := range flags {
+		if f == 1 {
+			out[i], hits = hits[0], hits[1:]
+		}
+	}
+	return out, nil
+}
+
+// readBody reads a body of declared length n (-1 when unknown) into one
+// buffer, refusing one longer than limit rather than truncating it.
+func readBody(body io.Reader, n, limit int64) ([]byte, error) {
+	if n > limit {
+		return nil, errTooLarge
+	}
+	if n < 0 {
+		b, err := io.ReadAll(io.LimitReader(body, limit+1))
+		if err == nil && int64(len(b)) > limit {
+			err = errTooLarge
+		}
+		return b, err
+	}
+	b := make([]byte, n)
+	_, err := io.ReadFull(body, b)
+	return b, err
+}
+
+// writeBody sends body in one Write with Content-Length set: not chunked.
+func writeBody(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	_, _ = w.Write(body)
 }
 
 // Handler serves a Store over HTTP.
@@ -104,7 +217,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 	case hasObject && r.Method == http.MethodPut:
 		var body []byte
-		body, err = io.ReadAll(r.Body)
+		body, err = readBody(r.Body, r.ContentLength, maxBatchBody)
 		if err == nil {
 			err = h.store.Put(ctx, container, object, body)
 		}
@@ -115,8 +228,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		var data []byte
 		data, err = h.store.Get(ctx, container, object)
 		if err == nil {
-			w.Header().Set("Content-Type", "application/octet-stream")
-			_, _ = w.Write(data)
+			writeBody(w, data)
 		}
 	case hasObject && r.Method == http.MethodHead:
 		var exists bool
@@ -143,64 +255,55 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // serveBatch dispatches the multi=put/get/exists routes.
 func (h *Handler) serveBatch(w http.ResponseWriter, r *http.Request, container string) {
 	ctx := r.Context()
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBatchBody))
+	body, err := readBody(r.Body, r.ContentLength, maxBatchBody)
 	if err != nil {
-		http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
+		writeError(w, err)
 		return
 	}
+	var keys []string
+	var resp []byte
 	switch r.URL.Query().Get("multi") {
 	case "put":
-		var objs []gwObject
-		if err := json.Unmarshal(body, &objs); err != nil {
-			http.Error(w, "decode batch: "+err.Error(), http.StatusBadRequest)
+		var objs []Object
+		if objs, err = decodeObjects(body); err == nil {
+			err = h.store.PutMulti(ctx, container, objs)
+		}
+		if err == nil {
+			w.WriteHeader(http.StatusCreated)
 			return
 		}
-		batch := make([]Object, len(objs))
-		for i, o := range objs {
-			batch[i] = Object{Key: o.Key, Data: o.Data}
-		}
-		if err := h.store.PutMulti(ctx, container, batch); err != nil {
-			writeError(w, err)
-			return
-		}
-		w.WriteHeader(http.StatusCreated)
 	case "get":
-		var keys []string
-		if err := json.Unmarshal(body, &keys); err != nil {
-			http.Error(w, "decode batch: "+err.Error(), http.StatusBadRequest)
-			return
+		var data [][]byte
+		if keys, err = decodeKeys(body); err == nil {
+			data, err = h.store.GetMulti(ctx, container, keys)
 		}
-		data, err := h.store.GetMulti(ctx, container, keys)
-		if err != nil && !errors.Is(err, ErrNotFound) {
-			// Misses are encoded per entry; anything else aborts the batch.
-			writeError(w, err)
-			return
+		// Misses are encoded per entry; anything else aborts the batch.
+		if err == nil || errors.Is(err, ErrNotFound) {
+			resp, err = encodeGetResult(data)
 		}
-		results := make([]gwGetResult, len(keys))
-		for i, k := range keys {
-			results[i] = gwGetResult{Key: k, Found: i < len(data) && data[i] != nil}
-			if results[i].Found {
-				results[i].Data = data[i]
+	case "exists":
+		var present []bool
+		if keys, err = decodeKeys(body); err == nil {
+			present, err = h.store.ExistsMulti(ctx, container, keys)
+		}
+		flags := make([]byte, len(present))
+		for i, p := range present {
+			if p {
+				flags[i] = 1
 			}
 		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(results)
-	case "exists":
-		var keys []string
-		if err := json.Unmarshal(body, &keys); err != nil {
-			http.Error(w, "decode batch: "+err.Error(), http.StatusBadRequest)
-			return
+		if err == nil {
+			resp, err = encodeBatch(flags, []string(nil))
 		}
-		present, err := h.store.ExistsMulti(ctx, container, keys)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(present)
 	default:
 		http.Error(w, "unknown batch operation", http.StatusBadRequest)
+		return
 	}
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	writeBody(w, resp)
 }
 
 // writeError maps a store error onto a status code and sentinel header.
@@ -212,7 +315,7 @@ func writeError(w http.ResponseWriter, err error) {
 	http.Error(w, err.Error(), status)
 }
 
-// statusFor returns the HTTP status and sentinel kind of a store error.
+// statusFor returns the HTTP status and sentinel kind of a store or body error.
 func statusFor(err error) (int, string) {
 	switch {
 	case errors.Is(err, ErrNoContainer):
@@ -221,6 +324,10 @@ func statusFor(err error) (int, string) {
 		return http.StatusNotFound, "not-found"
 	case errors.Is(err, ErrUnauthorized):
 		return http.StatusForbidden, "unauthorized"
+	case errors.Is(err, errTooLarge):
+		return http.StatusRequestEntityTooLarge, ""
+	case errors.Is(err, errBadBatch), errors.Is(err, io.ErrUnexpectedEOF):
+		return http.StatusBadRequest, ""
 	default:
 		return http.StatusInternalServerError, ""
 	}
@@ -275,10 +382,11 @@ func (s *HTTPStore) url(container, object string) string {
 	return u
 }
 
-// do issues one request bound to ctx; canceling the context aborts the
-// request mid-flight and surfaces the context's error to errors.Is.
-func (s *HTTPStore) do(ctx context.Context, method, u string, body io.Reader) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, method, u, body)
+// call issues one request bound to ctx and returns the response body (none
+// for HEAD). Canceling the context aborts the request mid-flight and
+// surfaces the context's error to errors.Is.
+func (s *HTTPStore) call(ctx context.Context, method, u string, body []byte) ([]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, method, u, bytes.NewReader(body))
 	if err != nil {
 		return nil, fmt.Errorf("objstore: build request: %w", err)
 	}
@@ -289,7 +397,15 @@ func (s *HTTPStore) do(ctx context.Context, method, u string, body io.Reader) (*
 	if err != nil {
 		return nil, fmt.Errorf("objstore: %s %s: %w", method, u, err)
 	}
-	return resp, nil
+	defer resp.Body.Close()
+	if err := s.checkStatus(resp); err != nil || method == http.MethodHead {
+		return nil, err
+	}
+	out, err := readBody(resp.Body, resp.ContentLength, maxBatchBody)
+	if err != nil {
+		return nil, fmt.Errorf("objstore: read body: %w", err)
+	}
+	return out, nil
 }
 
 // checkStatus maps non-2xx responses onto the objstore sentinel errors so
@@ -308,140 +424,83 @@ func (s *HTTPStore) checkStatus(resp *http.Response) error {
 
 // EnsureContainer creates the remote container.
 func (s *HTTPStore) EnsureContainer(ctx context.Context, container string) error {
-	resp, err := s.do(ctx, http.MethodPut, s.url(container, ""), nil)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	return s.checkStatus(resp)
+	_, err := s.call(ctx, http.MethodPut, s.url(container, ""), nil)
+	return err
 }
 
 // Put stores an object remotely.
 func (s *HTTPStore) Put(ctx context.Context, container, key string, data []byte) error {
-	resp, err := s.do(ctx, http.MethodPut, s.url(container, key), bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	return s.checkStatus(resp)
+	_, err := s.call(ctx, http.MethodPut, s.url(container, key), data)
+	return err
 }
 
 // Get fetches an object remotely.
 func (s *HTTPStore) Get(ctx context.Context, container, key string) ([]byte, error) {
-	resp, err := s.do(ctx, http.MethodGet, s.url(container, key), nil)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if err := s.checkStatus(resp); err != nil {
-		return nil, err
-	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("objstore: read body: %w", err)
-	}
-	return data, nil
+	return s.call(ctx, http.MethodGet, s.url(container, key), nil)
 }
 
 // Exists checks object presence remotely. A plain not-found is a false
 // answer, not an error; a missing container is ErrNoContainer, as locally.
 func (s *HTTPStore) Exists(ctx context.Context, container, key string) (bool, error) {
-	resp, err := s.do(ctx, http.MethodHead, s.url(container, key), nil)
-	if err != nil {
-		return false, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound && resp.Header.Get(errHeader) != "no-container" {
+	_, err := s.call(ctx, http.MethodHead, s.url(container, key), nil)
+	if errors.Is(err, ErrNotFound) {
 		return false, nil
 	}
-	if err := s.checkStatus(resp); err != nil {
-		return false, err
-	}
-	return true, nil
+	return err == nil, err
 }
 
 // Delete removes an object remotely.
 func (s *HTTPStore) Delete(ctx context.Context, container, key string) error {
-	resp, err := s.do(ctx, http.MethodDelete, s.url(container, key), nil)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	return s.checkStatus(resp)
+	_, err := s.call(ctx, http.MethodDelete, s.url(container, key), nil)
+	return err
 }
 
 // List enumerates a remote container.
 func (s *HTTPStore) List(ctx context.Context, container string) ([]string, error) {
-	resp, err := s.do(ctx, http.MethodGet, s.url(container, ""), nil)
-	if err != nil {
+	body, err := s.call(ctx, http.MethodGet, s.url(container, ""), nil)
+	if err != nil || len(body) == 0 {
 		return nil, err
-	}
-	defer resp.Body.Close()
-	if err := s.checkStatus(resp); err != nil {
-		return nil, err
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("objstore: read list: %w", err)
-	}
-	if len(body) == 0 {
-		return nil, nil
 	}
 	return strings.Split(string(body), "\n"), nil
 }
 
-// postBatch issues one multi=<op> request and decodes the JSON response.
-func (s *HTTPStore) postBatch(ctx context.Context, container, op string, payload, out any) error {
-	body, err := json.Marshal(payload)
+// postBatch sends fields as one multi=<op> request and returns the response
+// body. A request body past maxBatchBody is refused before anything is sent.
+func postBatch[T string | []byte](ctx context.Context, s *HTTPStore, container, op string, fields []T) ([]byte, error) {
+	body, err := encodeBatch(nil, fields)
 	if err != nil {
-		return fmt.Errorf("objstore: encode batch: %w", err)
+		return nil, opErr(op+"multi", container, "", err)
 	}
-	resp, err := s.do(ctx, http.MethodPost, s.url(container, "")+"?multi="+op, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if err := s.checkStatus(resp); err != nil {
-		return err
-	}
-	if out == nil {
-		return nil
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("objstore: decode batch: %w", err)
-	}
-	return nil
+	return s.call(ctx, http.MethodPost, s.url(container, "")+"?multi="+op, body)
 }
 
 // PutMulti ships the whole batch in one round trip.
 func (s *HTTPStore) PutMulti(ctx context.Context, container string, objects []Object) error {
-	payload := make([]gwObject, len(objects))
-	for i, o := range objects {
-		payload[i] = gwObject{Key: o.Key, Data: o.Data}
+	fields := make([][]byte, 0, 2*len(objects))
+	for _, o := range objects {
+		fields = append(fields, []byte(o.Key), o.Data)
 	}
-	return s.postBatch(ctx, container, "put", payload, nil)
+	_, err := postBatch(ctx, s, container, "put", fields)
+	return err
 }
 
 // GetMulti fetches the whole batch in one round trip, reconstructing the
-// partial-result contract from the per-entry found flags.
+// partial-result contract from the per-key found flags. The returned slices
+// alias one response buffer: nothing reuses it, but keeping any one slice
+// keeps the whole buffer alive.
 func (s *HTTPStore) GetMulti(ctx context.Context, container string, keys []string) ([][]byte, error) {
-	var results []gwGetResult
-	if err := s.postBatch(ctx, container, "get", keys, &results); err != nil {
+	body, err := postBatch(ctx, s, container, "get", keys)
+	if err != nil {
 		return nil, err
 	}
-	if len(results) != len(keys) {
-		return nil, fmt.Errorf("objstore: remote batch returned %d results for %d keys", len(results), len(keys))
+	out, err := decodeGetResult(body, len(keys))
+	if err != nil {
+		return nil, fmt.Errorf("objstore: decode batch: %w", err)
 	}
-	out := make([][]byte, len(keys))
 	var errs []error
-	for i, r := range results {
-		if !r.Found {
+	for i, d := range out {
+		if d == nil {
 			errs = append(errs, opErr("getmulti", container, keys[i], ErrNotFound))
-			continue
-		}
-		out[i] = r.Data
-		if out[i] == nil {
-			out[i] = []byte{}
 		}
 	}
 	return out, errors.Join(errs...)
@@ -449,12 +508,17 @@ func (s *HTTPStore) GetMulti(ctx context.Context, container string, keys []strin
 
 // ExistsMulti probes the whole batch in one round trip.
 func (s *HTTPStore) ExistsMulti(ctx context.Context, container string, keys []string) ([]bool, error) {
-	var present []bool
-	if err := s.postBatch(ctx, container, "exists", keys, &present); err != nil {
+	body, err := postBatch(ctx, s, container, "exists", keys)
+	if err != nil {
 		return nil, err
 	}
-	if len(present) != len(keys) {
-		return nil, fmt.Errorf("objstore: remote batch returned %d results for %d keys", len(present), len(keys))
+	flags, rest, err := decodeBatch(body, len(keys))
+	if err != nil || len(rest) > 0 {
+		return nil, fmt.Errorf("objstore: decode batch: %w", errBadBatch)
+	}
+	present := make([]bool, len(keys))
+	for i, f := range flags {
+		present[i] = f == 1
 	}
 	return present, nil
 }

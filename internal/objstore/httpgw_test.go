@@ -1,11 +1,20 @@
 package objstore
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"io"
+	"net"
+	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
+	"testing/iotest"
+	"time"
 )
 
 func newGateway(t *testing.T, token string) *HTTPStore {
@@ -13,6 +22,22 @@ func newGateway(t *testing.T, token string) *HTTPStore {
 	srv := httptest.NewServer(NewHandler(NewMemory(), token))
 	t.Cleanup(srv.Close)
 	return NewHTTPStore(srv.URL, token)
+}
+
+// raw sends one request through s's client and returns the response, whose
+// body is closed when the test ends.
+func raw(t *testing.T, s *HTTPStore, method, u string, body io.Reader) *http.Response {
+	t.Helper()
+	req, err := http.NewRequest(method, u, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := s.client.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { resp.Body.Close() })
+	return resp
 }
 
 // The full contract (incl. batch ops and ctx cancellation) runs through the
@@ -173,28 +198,16 @@ func TestHTTPHandlerRejectsBadRoutes(t *testing.T) {
 	if err := s.EnsureContainer(ctx, "c"); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := s.do(ctx, "POST", s.url("c", "k"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	resp := raw(t, s, "POST", s.url("c", "k"), nil)
 	if resp.StatusCode != 405 {
 		t.Fatalf("POST status = %d, want 405", resp.StatusCode)
 	}
-	resp2, err := s.do(ctx, "GET", s.base+"/other", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
+	resp2 := raw(t, s, "GET", s.base+"/other", nil)
 	if resp2.StatusCode != 404 {
 		t.Fatalf("bad path status = %d, want 404", resp2.StatusCode)
 	}
 	// POST on a container with an unknown multi op.
-	resp3, err := s.do(ctx, "POST", s.url("c", "")+"?multi=zap", bytes.NewReader([]byte("[]")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp3.Body.Close()
+	resp3 := raw(t, s, "POST", s.url("c", "")+"?multi=zap", bytes.NewReader([]byte("[]")))
 	if resp3.StatusCode != 400 {
 		t.Fatalf("unknown multi op status = %d, want 400", resp3.StatusCode)
 	}
@@ -212,5 +225,115 @@ func TestHTTPStoreKeysWithSpecialCharacters(t *testing.T) {
 	got, err := s.Get(ctx, "c", key)
 	if err != nil || string(got) != "v" {
 		t.Fatalf("special key round trip: %q %v", got, err)
+	}
+}
+
+// TestHTTPGatewayRefusesLegacyBodies: a JSON batch body from a client of the
+// JSON-era gateway, or a binary one without the magic byte, is answered 4xx
+// and stores nothing. Without the magic, '[' would read as a field length.
+func TestHTTPGatewayRefusesLegacyBodies(t *testing.T) {
+	s := newGateway(t, "")
+	if err := s.EnsureContainer(ctx, "c"); err != nil {
+		t.Fatal(err)
+	}
+	unmarked, err := putBody([]Object{{Key: "k", Data: []byte("v")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ op, body string }{
+		{"put", `[{"key":"k","data":"dg=="}]`},
+		{"put", `[]`},
+		{"put", string(unmarked[1:])},
+		{"get", `["k"]`},
+		{"exists", `["k"]`},
+		{"get", ""},
+	} {
+		resp := raw(t, s, http.MethodPost, s.url("c", "")+"?multi="+tc.op, strings.NewReader(tc.body))
+		if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+			t.Fatalf("%s %q: status %d, want 4xx", tc.op, tc.body, resp.StatusCode)
+		}
+	}
+	if keys, err := s.List(ctx, "c"); err != nil || len(keys) != 0 {
+		t.Fatalf("legacy bodies stored %v (%v)", keys, err)
+	}
+}
+
+// TestHTTPGatewayBodyCap: a body over maxBatchBody is refused whole on both
+// sides, never truncated, and stores nothing.
+func TestHTTPGatewayBodyCap(t *testing.T) {
+	srv := httptest.NewServer(NewHandler(NewMemory(), ""))
+	t.Cleanup(srv.Close)
+	s := NewHTTPStore(srv.URL, "")
+	if err := s.EnsureContainer(ctx, "c"); err != nil {
+		t.Fatal(err)
+	}
+
+	// A declared Content-Length over the cap is answered from the headers:
+	// the body is never sent, so a gateway that waited for it would hang.
+	for _, route := range [][2]string{{"POST", "/v1/c?multi=put"}, {"PUT", "/v1/c/k"}} {
+		method, path := route[0], route[1]
+		conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+		fmt.Fprintf(conn, "%s %s HTTP/1.1\r\nHost: gw\r\nContent-Length: %d\r\n\r\n", method, path, maxBatchBody+1)
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatalf("%s %s: %v", method, path, err)
+		}
+		resp.Body.Close()
+		conn.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s %s over the cap: status %d, want 413", method, path, resp.StatusCode)
+		}
+	}
+
+	// A chunked body is read up to the cap and refused past it.
+	if _, err := readBody(strings.NewReader("12345"), -1, 4); !errors.Is(err, errTooLarge) {
+		t.Fatalf("chunked body past the cap: %v", err)
+	}
+	if b, err := readBody(strings.NewReader("1234"), -1, 4); err != nil || string(b) != "1234" {
+		t.Fatalf("chunked body at the cap: %q %v", b, err)
+	}
+	if _, err := readBody(iotest.ErrReader(errors.New("read")), 5, 4); !errors.Is(err, errTooLarge) {
+		t.Fatalf("declared length past the cap: %v", err)
+	}
+	// Under the cap, a chunked batch body is accepted.
+	body, err := putBody([]Object{{Key: "chunked", Data: []byte("v")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := raw(t, s, http.MethodPost, s.url("c", "")+"?multi=put", io.MultiReader(bytes.NewReader(body)))
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("chunked batch under the cap: status %d", resp.StatusCode)
+	}
+
+	// An over-cap PutMulti (65 MB, one shared 1 MB slice) is refused before
+	// it is sent.
+	mb := make([]byte, 1<<20)
+	objs := make([]Object, 65)
+	for i := range objs {
+		objs[i] = Object{Key: strconv.Itoa(i), Data: mb}
+	}
+	if err := s.PutMulti(ctx, "c", objs); !errors.Is(err, errTooLarge) {
+		t.Fatalf("over-cap PutMulti: %v", err)
+	}
+	if keys, err := s.List(ctx, "c"); err != nil || len(keys) != 1 || keys[0] != "chunked" {
+		t.Fatalf("after refused bodies the container holds %v (%v)", keys, err)
+	}
+
+	// The client refuses a response that declares more than the cap.
+	liar := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", strconv.Itoa(maxBatchBody+1))
+		w.WriteHeader(http.StatusOK)
+	}))
+	t.Cleanup(liar.Close)
+	remote := NewHTTPStore(liar.URL, "")
+	if _, err := remote.GetMulti(ctx, "c", []string{"k"}); !errors.Is(err, errTooLarge) {
+		t.Fatalf("GetMulti of an over-cap response: %v", err)
+	}
+	if _, err := remote.Get(ctx, "c", "k"); !errors.Is(err, errTooLarge) {
+		t.Fatalf("Get of an over-cap response: %v", err)
 	}
 }

@@ -50,11 +50,15 @@ echo "==> fleet-trace stitching smoke (race)"
 go test -race -count=1 -run '^TestFleetTraceSmoke$' ./internal/bench/
 
 # Short coverage-guided fuzz legs over the codecs that parse bytes the
-# program did not just write: the wire frame reader, the RPC codec on every
-# envelope and payload omq decodes, WAL replay and broker journal replay.
+# program did not just write: the wire frame reader, the storage gateway's
+# batch bodies, the RPC codec on every envelope and payload omq decodes, WAL
+# replay and broker journal replay.
 # Ten seconds each is a smoke pass — run `go test -fuzz` open-ended to dig.
 echo "==> fuzz smoke: FuzzFrameCodec (10s)"
 go test -run '^$' -fuzz '^FuzzFrameCodec$' -fuzztime 10s ./internal/wire/
+
+echo "==> fuzz smoke: FuzzGatewayBatch (10s)"
+go test -run '^$' -fuzz '^FuzzGatewayBatch$' -fuzztime 10s ./internal/objstore/
 
 echo "==> fuzz smoke: FuzzBinaryCodec (10s)"
 go test -run '^$' -fuzz '^FuzzBinaryCodec$' -fuzztime 10s ./internal/omq/
