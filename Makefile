@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet check chaos chaos-multi fleet-trace ub1-multi experiments trace-demo elastic-demo benchsnap benchcmp matrix dashboard
+.PHONY: build test race vet check chaos chaos-multi fleet-trace ub1-multi experiments trace-demo elastic-demo matrix
 
 build:
 	$(GO) build ./...
@@ -55,26 +55,7 @@ trace-demo:
 elastic-demo:
 	$(GO) run ./cmd/experiments -run elastic-demo -quick
 
-## benchsnap runs the Fig. 7 microbenchmarks once, appends a
-## provenance-stamped record to dev/bench/history.jsonl, and writes the next
-## free BENCH_<n>.json at the repo root for eyeballing a single run.
-benchsnap:
-	./scripts/benchsnap.sh
-
-## benchcmp gates the newest micro-suite record against the rolling median of
-## the last 5 clean runs in dev/bench/history.jsonl and fails on a >20%
-## regression (or a gated metric going missing).
-benchcmp:
-	./scripts/benchcmp.sh
-
-## matrix sweeps the scenario matrix (fanout storm, Zipf-skewed workspaces,
-## mobile churn, cold-start herd), records each scenario into
-## dev/bench/history.jsonl, and gates it against its own rolling median.
+## matrix runs the scenario matrix (mobile churn, cold-start herd, reconnect
+## storm) as correctness/SLO checks and exits non-zero on a violation.
 matrix:
 	$(GO) run ./cmd/experiments -run matrix -quick
-
-## dashboard regenerates the static benchmark dashboard (dev/bench/data.js +
-## index.html) from dev/bench/history.jsonl — deterministic for a given
-## history, so CI can check it is up to date.
-dashboard:
-	$(GO) run ./cmd/benchhist -mode dash -history dev/bench/history.jsonl -out dev/bench

@@ -308,9 +308,8 @@ func BenchmarkCommitParallelWorkspaces(b *testing.B) {
 // over the simulated store (1 ms per request, per object): serial is the
 // one-chunk-at-a-time baseline (1 worker, batch 1), pipelined is the
 // default-shaped pipeline (8 workers × 16-chunk batches with the
-// server-assisted dedup probe folded into each batch). benchcmp gates on
-// the pipelined MB/s metric; the issue's acceptance bar is pipelined >= 3x
-// serial.
+// server-assisted dedup probe folded into each batch). Both legs report
+// MB/s; the pipelined leg is expected to reach >= 3x serial.
 func BenchmarkTransferPipeline(b *testing.B) {
 	run := func(b *testing.B, workers, batch int) {
 		var mbps float64
@@ -336,8 +335,7 @@ func BenchmarkTransferPipeline(b *testing.B) {
 // workspace-affinity path: a compressed UB1 day-8 peak-hour slice replayed as
 // synchronous routed commitRequests over a fleet of 1 vs 4 SyncService
 // instances. Every iteration asserts the robustness contract (no failed and
-// no lost acked commits) before reporting; benchcmp gates on the 4-instance
-// commits/min metric.
+// no lost acked commits) before reporting commits/min per fleet size.
 func BenchmarkMultiInstanceCommit(b *testing.B) {
 	run := func(b *testing.B, instances int) {
 		var rate, p99ms float64
@@ -369,8 +367,8 @@ func BenchmarkMultiInstanceCommit(b *testing.B) {
 // BenchmarkFleetObs measures the fleet-observability plumbing on its own:
 // one full Collector scrape plus rollup over a 4-instance fleet whose span
 // sinks, metric registries and hot-workspace sketches are warm. No brokers,
-// no RPC — pure collector overhead, so the trend gate catches a scrape that
-// starts walking spans quadratically or allocating per metric. The steady
+// no RPC — pure collector overhead, so a scrape that starts walking spans
+// quadratically or allocating per metric shows up here. The steady
 // state after the first iteration is the poller's real cost: every span is
 // already deduplicated, so the loop pays the re-scan, the metric snapshot
 // and the top-K merge.
@@ -419,8 +417,7 @@ func BenchmarkFleetObs(b *testing.B) {
 
 // BenchmarkMQPublishThroughput measures raw broker publish throughput into a
 // fanout exchange with 8 bound queues, per-message vs batched (the path the
-// SyncService's pipelined notification fan-out uses). benchcmp gates on the
-// msgs/s metric.
+// SyncService's pipelined notification fan-out uses), reported as msgs/s.
 func BenchmarkMQPublishThroughput(b *testing.B) {
 	const (
 		queues = 8
@@ -471,8 +468,8 @@ func BenchmarkMQPublishThroughput(b *testing.B) {
 // BenchmarkWireFrameCodec measures frame encode+decode throughput over an
 // in-memory stream — the broker→proxy wire hot path minus the TCP stack. The
 // frame shape is a typical delivery: routed headers plus a 256-byte body.
-// benchcmp gates on the binary leg's frames/s and allocs/op (the one leg
-// left since the pre-v2 JSON framing was removed).
+// It reports the binary leg's frames/s and allocs/op (the one leg left since
+// the pre-v2 JSON framing was removed).
 func BenchmarkWireFrameCodec(b *testing.B) {
 	frame := &wire.Frame{
 		Op: wire.OpDeliver, Queue: "sync.requests", ConsumerID: "c1",
@@ -634,9 +631,9 @@ func readWriteMix(b *testing.B, readers int) {
 
 // BenchmarkReadWriteMix sweeps the readers:writers ratio over the lock-free
 // metastore read path: 0 readers is the commit baseline, then 1:1, 8:1 and
-// 64:1 (4 writers throughout). benchcmp gates the 64:1 commits/s — the leg
-// where the pre-MVCC RWMutex collapsed — and the baseline, so a regression
-// on either the write path or the read path's isolation shows up.
+// 64:1 (4 writers throughout). The 64:1 commits/s — the leg where the
+// pre-MVCC RWMutex collapsed — against the baseline shows a regression on
+// either the write path or the read path's isolation.
 func BenchmarkReadWriteMix(b *testing.B) {
 	for _, readers := range []int{0, 4, 32, 256} {
 		b.Run(fmt.Sprintf("readers=%d", readers), func(b *testing.B) {

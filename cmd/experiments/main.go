@@ -11,26 +11,22 @@
 // (fleet-observability smoke: stitched cross-instance failover trace,
 // collector rollup, hot-workspace sketch), ub1-multi (UB1 day-8
 // peak replay over 4 routed instances with SLO attainment), matrix (the
-// scenario matrix: fanout storm, Zipf-skewed workspaces, mobile churn,
-// cold-start herd — recorded into the benchmark history and trend-gated
-// unless -smoke), trace (end-to-end observability demo), elastic-demo
-// (telemetry-instrumented Fig. 8 replay), ablation. -admin serves /metrics,
-// /healthz, /tracez, /queuesz, /varz, /eventz, /elasticz, /benchz and
-// /debug/pprof while (and after) the run executes.
+// scenario matrix's correctness/SLO checks: mobile churn, cold-start herd,
+// reconnect storm; exit 1 on a violation), trace (end-to-end observability
+// demo), elastic-demo (telemetry-instrumented Fig. 8 replay), ablation.
+// -admin serves /metrics, /healthz, /tracez, /queuesz, /varz, /eventz,
+// /elasticz and /debug/pprof while (and after) the run executes.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"stacksync/internal/bench"
-	"stacksync/internal/benchhist"
 	"stacksync/internal/obs"
 	"stacksync/internal/trace"
 )
@@ -39,18 +35,16 @@ func main() {
 	run := flag.String("run", "all", "experiment id (fig7a|fig7b|fig7cd|table2|fig7e|fig7f|fig8ab|fig8cde|fig8f|chaos|chaos-multi|fleet-trace|ub1-multi|matrix|trace|elastic-demo|all)")
 	seed := flag.Int64("seed", 1, "PRNG seed for trace generation")
 	quick := flag.Bool("quick", false, "smaller traces / shorter runs")
-	smoke := flag.Bool("smoke", false, "matrix: minimal sizes, correctness only — no history append, no gate")
-	history := flag.String("history", "dev/bench/history.jsonl", "matrix: benchmark history file to append to and gate against")
 	admin := flag.String("admin", "", "admin endpoint address (e.g. 127.0.0.1:7072); kept serving after the run until interrupted")
 	flag.Parse()
 
-	if err := runExperiments(strings.ToLower(*run), *seed, *quick, *smoke, *history, *admin); err != nil {
+	if err := runExperiments(strings.ToLower(*run), *seed, *quick, *admin); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func runExperiments(which string, seed int64, quick, smoke bool, historyPath, adminAddr string) error {
+func runExperiments(which string, seed int64, quick bool, adminAddr string) error {
 	// With -admin, the trace demo records into a shared tracer/registry that
 	// the admin endpoint keeps serving after the run, so /tracez and /metrics
 	// can be inspected interactively.
@@ -65,7 +59,7 @@ func runExperiments(which string, seed int64, quick, smoke bool, historyPath, ad
 	if adminAddr != "" {
 		tracer = obs.NewTracer()
 		registry = obs.NewRegistry()
-		adm := &obs.Admin{Registry: registry, Tracer: tracer, Bench: benchhist.AdminStatus(historyPath)}
+		adm := &obs.Admin{Registry: registry, Tracer: tracer}
 		if demo != nil {
 			// The demo's telemetry backs the admin surface: its registry,
 			// scraper and flight recorder must be attached before Serve so
@@ -77,7 +71,7 @@ func runExperiments(which string, seed int64, quick, smoke bool, historyPath, ad
 			return err
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "admin endpoint on http://%s (/metrics /healthz /tracez /queuesz /varz /eventz /elasticz /benchz /debug/pprof)\n", srv.Addr())
+		fmt.Fprintf(os.Stderr, "admin endpoint on http://%s (/metrics /healthz /tracez /queuesz /varz /eventz /elasticz /debug/pprof)\n", srv.Addr())
 		defer func() {
 			fmt.Fprintln(os.Stderr, "run finished; admin endpoint still serving — interrupt to exit")
 			sig := make(chan os.Signal, 1)
@@ -265,9 +259,9 @@ func runExperiments(which string, seed int64, quick, smoke bool, historyPath, ad
 			return fmt.Errorf("ub1-multi missed the SLO: attainment %.4f < %.2f", res.Attainment, res.SLOObjective)
 		}
 	}
-	if which == "matrix" { // not part of "all": scenario matrix into the benchmark history
+	if which == "matrix" { // not part of "all": scenario correctness/SLO checks
 		ran = true
-		res, err := bench.RunMatrix(bench.MatrixConfig{Seed: seed, Quick: quick, Smoke: smoke})
+		res, err := bench.RunMatrix(bench.MatrixConfig{Seed: seed, Quick: quick})
 		if err != nil {
 			return err
 		}
@@ -275,11 +269,6 @@ func runExperiments(which string, seed int64, quick, smoke bool, historyPath, ad
 		fmt.Fprintln(out)
 		if v := res.Violations(); len(v) > 0 {
 			return fmt.Errorf("scenario matrix failed with %d violations", len(v))
-		}
-		if !smoke {
-			if err := recordAndGateMatrix(out, historyPath, res); err != nil {
-				return err
-			}
 		}
 	}
 	if which == "trace" { // observability demo, not a paper figure
@@ -335,42 +324,6 @@ func runExperiments(which string, seed int64, quick, smoke bool, historyPath, ad
 	}
 	if !ran {
 		return fmt.Errorf("unknown experiment %q", which)
-	}
-	return nil
-}
-
-// recordAndGateMatrix appends one history record per scenario, then judges
-// every scenario suite against its rolling median — so workload shapes are
-// regression-gated exactly like microbenchmarks.
-func recordAndGateMatrix(out io.Writer, historyPath string, res *bench.MatrixResult) error {
-	prov := benchhist.CollectProvenance(".")
-	takenAt := time.Now()
-	for i := range res.Scenarios {
-		rec := res.Scenarios[i].HistoryRecord(prov, takenAt)
-		if err := benchhist.Append(historyPath, rec); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "recorded %s into %s\n", rec.Suite, historyPath)
-	}
-	h, err := benchhist.ReadHistory(historyPath)
-	if err != nil {
-		return err
-	}
-	failed := 0
-	for i := range res.Scenarios {
-		suite := "scenario/" + res.Scenarios[i].Name
-		rep, err := benchhist.GateSuite(h, suite, benchhist.GateConfig{})
-		if err != nil {
-			return err
-		}
-		rep.Print(out)
-		if rep.Failed {
-			failed++
-		}
-	}
-	fmt.Fprintln(out)
-	if failed > 0 {
-		return fmt.Errorf("%d scenario suite(s) regressed vs the rolling median", failed)
 	}
 	return nil
 }

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -20,7 +21,6 @@ import (
 	"syscall"
 	"time"
 
-	"stacksync/internal/benchhist"
 	"stacksync/internal/core"
 	"stacksync/internal/metastore"
 	"stacksync/internal/mq"
@@ -41,16 +41,15 @@ func main() {
 	maxInstances := flag.Int("max-instances", 8, "maximum SyncService instances")
 	metaShards := flag.Int("meta-shards", 0, "metadata store shard count, rounded up to a power of two (0 = default)")
 	admin := flag.String("admin", "", "admin/introspection listen address, e.g. 127.0.0.1:7072 (empty disables; enabling it also enables tracing)")
-	benchHistory := flag.String("bench-history", "dev/bench/history.jsonl", "benchmark history file served on /benchz")
 	affinity := flag.Bool("affinity", false, "enable workspace-affinity routing: instances fence routed commits by consistent-hash ownership and the supervisor rebalances the ring on scale events")
 	flag.Parse()
 
-	if err := run(*listen, *storageListen, *storageToken, *dataDir, *workspace, *users, *minInstances, *maxInstances, *metaShards, *admin, *benchHistory, *affinity); err != nil {
+	if err := run(*listen, *storageListen, *storageToken, *dataDir, *workspace, *users, *minInstances, *maxInstances, *metaShards, *admin, *affinity); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(listen, storageListen, storageToken, dataDir, workspace, users string, minInstances, maxInstances, metaShards int, admin, benchHistory string, affinity bool) error {
+func run(listen, storageListen, storageToken, dataDir, workspace, users string, minInstances, maxInstances, metaShards int, admin string, affinity bool) error {
 	if err := os.MkdirAll(dataDir, 0o755); err != nil {
 		return err
 	}
@@ -103,7 +102,7 @@ func run(listen, storageListen, storageToken, dataDir, workspace, users string, 
 	defer meta.Close()
 	members := strings.Split(users, ",")
 	err = meta.CreateWorkspace(metastore.Workspace{ID: workspace, Owner: members[0], Members: members})
-	if err != nil && !strings.Contains(err.Error(), "exists") {
+	if err != nil && !errors.Is(err, metastore.ErrWorkspaceExists) {
 		return err
 	}
 
@@ -247,7 +246,6 @@ func run(listen, storageListen, storageToken, dataDir, workspace, users string, 
 			Tracer:   tracer,
 			Scraper:  scraper,
 			Events:   events,
-			Bench:    benchhist.AdminStatus(benchHistory),
 			Elastic: func() obs.ElasticStatus {
 				var st obs.ElasticStatus
 				if s, err := broker.QueueStats(core.ServiceOID); err == nil {
@@ -318,7 +316,7 @@ func run(listen, storageListen, storageToken, dataDir, workspace, users string, 
 			return err
 		}
 		defer adminSrv.Close()
-		log.Printf("admin endpoint on http://%s (/metrics /healthz /readyz /tracez /fleetz /queuesz /varz /eventz /elasticz /benchz /debug/pprof)", adminSrv.Addr())
+		log.Printf("admin endpoint on http://%s (/metrics /healthz /readyz /tracez /fleetz /queuesz /varz /eventz /elasticz /debug/pprof)", adminSrv.Addr())
 	}
 
 	fmt.Printf("stacksync-server up: workspace=%q users=%v service pool %d..%d affinity=%v\n",

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"stacksync/internal/benchhist"
 	"stacksync/internal/chunker"
 	"stacksync/internal/client"
 	"stacksync/internal/core"
@@ -21,76 +20,62 @@ import (
 	"stacksync/internal/omq"
 )
 
-// The scenario matrix: four workload shapes beyond the paper's traces, each
-// run against the real in-process stack and emitted as a gated record into
-// the benchmark history — so "handles many scenarios" is an enumerable,
-// regression-gated artifact rather than a set of one-off demos.
+// The scenario matrix: three workload shapes that none of the end-to-end
+// benchmark's workloads covers, each run against the real in-process stack
+// as a correctness/SLO check — a scenario that fails to converge or breaks
+// its SLO invariant reports a violation.
 //
-//   - fanout:    sharing-heavy storm — one workspace shared by many devices,
-//     every commit must propagate to every member.
-//   - zipf:      Zipf-skewed workspace popularity — a few hot workspaces
-//     absorb most commits while the long tail stays warm.
 //   - churn:     mobile connect/disconnect cycles — devices repeatedly drop
 //     off, come back with a cold local DB, and must resync before writing.
 //   - coldstart: thundering herd — a fleet of brand-new devices bootstraps
 //     a populated workspace simultaneously.
 //   - reconnect: getChanges storm against a committing fleet — a burst of
 //     cold full-state readers plus warm changes-since-v readers hammers the
-//     MVCC read path while committers keep writing; gated on the commit p99
-//     not collapsing versus a no-reader baseline run (DESIGN §16).
+//     MVCC read path while committers keep writing; fails if the commit p99
+//     collapses versus a no-reader baseline run (DESIGN §16).
 
 // MatrixConfig parameterizes the scenario matrix run.
 type MatrixConfig struct {
-	// Seed fixes workload shapes (content bytes, Zipf draws, schedules).
+	// Seed fixes workload shapes (content bytes, schedules).
 	Seed int64
 	// Quick shrinks the scenarios for interactive runs.
 	Quick bool
-	// Smoke shrinks them further for the CI leg: a correctness pass over
-	// every scenario in a few seconds, not a measurement.
+	// Smoke shrinks them further for TestMatrixSmoke: a correctness pass
+	// over every scenario in a few seconds, not a measurement.
 	Smoke bool
 }
 
 // matrixSizes resolves the per-scenario workload sizes for a config.
 type matrixSizes struct {
-	fanoutDevices, fanoutFiles      int
-	zipfWorkspaces, zipfCommits     int
-	zipfCommitters                  int
-	churnDevices, churnCycles       int
-	coldFiles, coldClients          int
-	reconnSeedItems, reconnCommits  int
-	reconnCommitters                int
-	reconnColdReaders               int
-	reconnWarmReaders               int
-	fileBytes                       int
-	waitBudget                      time.Duration
-	fanoutSLO, commitSLO, resyncSLO time.Duration
+	churnDevices, churnCycles      int
+	coldFiles, coldClients         int
+	reconnSeedItems, reconnCommits int
+	reconnCommitters               int
+	reconnColdReaders              int
+	reconnWarmReaders              int
+	fileBytes                      int
+	waitBudget                     time.Duration
+	commitSLO, resyncSLO           time.Duration
 }
 
 func (c MatrixConfig) sizes() matrixSizes {
 	s := matrixSizes{
-		fanoutDevices: 6, fanoutFiles: 40,
-		zipfWorkspaces: 32, zipfCommits: 1000, zipfCommitters: 8,
 		churnDevices: 4, churnCycles: 6,
 		coldFiles: 48, coldClients: 8,
 		reconnSeedItems: 64, reconnCommits: 600, reconnCommitters: 6,
 		reconnColdReaders: 8, reconnWarmReaders: 8,
 		fileBytes:  8 * 1024,
 		waitBudget: 30 * time.Second,
-		fanoutSLO:  450 * time.Millisecond,
 		commitSLO:  450 * time.Millisecond,
 		resyncSLO:  2 * time.Second,
 	}
 	if c.Quick {
-		s.fanoutDevices, s.fanoutFiles = 4, 15
-		s.zipfWorkspaces, s.zipfCommits = 16, 300
 		s.churnDevices, s.churnCycles = 3, 4
 		s.coldFiles, s.coldClients = 24, 5
 		s.reconnSeedItems, s.reconnCommits = 32, 300
 		s.reconnCommitters, s.reconnColdReaders, s.reconnWarmReaders = 4, 4, 4
 	}
 	if c.Smoke {
-		s.fanoutDevices, s.fanoutFiles = 3, 6
-		s.zipfWorkspaces, s.zipfCommits, s.zipfCommitters = 8, 80, 4
 		s.churnDevices, s.churnCycles = 2, 2
 		s.coldFiles, s.coldClients = 8, 3
 		s.reconnSeedItems, s.reconnCommits = 16, 80
@@ -106,8 +91,8 @@ type ScenarioResult struct {
 	Name    string        `json:"name"`
 	Ops     int           `json:"ops"`
 	Elapsed time.Duration `json:"elapsed"`
-	// OpsPerSec is the scenario's headline throughput (gated, higher is
-	// better); what one op is depends on the scenario (commits, files).
+	// OpsPerSec is the scenario's throughput; what one op is depends on the
+	// scenario (commits, files).
 	OpsPerSec float64       `json:"opsPerSec"`
 	P50       time.Duration `json:"p50"`
 	P99       time.Duration `json:"p99"`
@@ -117,36 +102,8 @@ type ScenarioResult struct {
 	Converged  bool    `json:"converged"`
 	// Retries counts omq call retry attempts over the run — the repair
 	// traffic the scenario induced (informational, from the registry).
-	Retries uint64 `json:"retries"`
-	// Extra carries scenario-specific informational metrics.
-	Extra      []benchhist.Metric `json:"extra,omitempty"`
-	Violations []string           `json:"violations,omitempty"`
-}
-
-// HistoryRecord renders the scenario as a history record in the suite
-// "scenario/<name>": throughput, p99 and SLO attainment gated, the rest
-// informational.
-func (s *ScenarioResult) HistoryRecord(prov benchhist.Provenance, takenAt time.Time) benchhist.Record {
-	ms := []benchhist.Metric{
-		{Name: s.Name, Unit: "ops/s", Value: s.OpsPerSec, Dir: benchhist.DirHigher},
-		{Name: s.Name, Unit: "p99-ms", Value: float64(s.P99) / 1e6, Dir: benchhist.DirLower},
-		{Name: s.Name, Unit: "attainment", Value: s.Attainment, Dir: benchhist.DirHigher},
-		{Name: s.Name, Unit: "p50-ms", Value: float64(s.P50) / 1e6},
-		{Name: s.Name, Unit: "ops", Value: float64(s.Ops)},
-		{Name: s.Name, Unit: "retries", Value: float64(s.Retries)},
-	}
-	ms = append(ms, s.Extra...)
-	return benchhist.Record{
-		Schema:     benchhist.SchemaVersion,
-		Suite:      "scenario/" + s.Name,
-		Commit:     prov.Commit,
-		Dirty:      prov.Dirty,
-		TakenAt:    takenAt.UTC(),
-		GoVersion:  prov.GoVersion,
-		GOMAXPROCS: prov.GOMAXPROCS,
-		Host:       prov.Host,
-		Metrics:    ms,
-	}
+	Retries    uint64   `json:"retries"`
+	Violations []string `json:"violations,omitempty"`
 }
 
 // MatrixResult is the full matrix run.
@@ -186,7 +143,7 @@ func (r *MatrixResult) Print(w io.Writer) {
 	}
 }
 
-// RunMatrix executes all five scenarios in sequence.
+// RunMatrix executes the three scenarios in sequence.
 func RunMatrix(cfg MatrixConfig) (*MatrixResult, error) {
 	sz := cfg.sizes()
 	res := &MatrixResult{Seed: cfg.Seed}
@@ -194,8 +151,6 @@ func RunMatrix(cfg MatrixConfig) (*MatrixResult, error) {
 		name string
 		fn   func(MatrixConfig, matrixSizes) (*ScenarioResult, error)
 	}{
-		{"fanout", runFanoutScenario},
-		{"zipf", runZipfScenario},
 		{"churn", runChurnScenario},
 		{"coldstart", runColdStartScenario},
 		{"reconnect", runReconnectScenario},
@@ -228,216 +183,6 @@ func scenarioStats(s *ScenarioResult, lats []time.Duration, slo *obs.SLOTracker)
 	if s.Elapsed > 0 {
 		s.OpsPerSec = float64(s.Ops) / s.Elapsed.Seconds()
 	}
-}
-
-// --- fanout: sharing-heavy storm ------------------------------------------
-
-// runFanoutScenario deploys one workspace shared by sz.fanoutDevices
-// devices; device 0 commits sz.fanoutFiles files and every commit must
-// reach every other member. Latency is commit-to-everywhere: from PutFile
-// until the last member holds the version.
-func runFanoutScenario(cfg MatrixConfig, sz matrixSizes) (*ScenarioResult, error) {
-	reg := obs.NewRegistry()
-	st, err := NewStack(StackOptions{
-		Devices:     sz.fanoutDevices,
-		WorkspaceID: "matrix-fanout",
-		Registry:    reg,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer st.Close()
-
-	slo := obs.NewSLOTracker(reg, obs.SLOConfig{Name: "matrix_fanout", Target: sz.fanoutSLO, Objective: 0.99})
-	rnd := rand.New(rand.NewSource(cfg.Seed))
-	s := &ScenarioResult{Name: "fanout", SLOTarget: sz.fanoutSLO, Converged: true}
-	writer := st.Client(0)
-	var lats []time.Duration
-
-	start := time.Now()
-	for k := 0; k < sz.fanoutFiles; k++ {
-		path := fmt.Sprintf("storm/f%04d.txt", k)
-		t0 := time.Now()
-		if err := writer.PutFile(path, matrixContent(rnd, sz.fileBytes)); err != nil {
-			return nil, fmt.Errorf("put %s: %w", path, err)
-		}
-		for d := 1; d < st.Devices(); d++ {
-			if err := st.Client(d).WaitForVersion(path, 1, sz.waitBudget); err != nil {
-				s.Converged = false
-				s.Violations = append(s.Violations,
-					fmt.Sprintf("device %d never received %s: %v", d, path, err))
-			}
-		}
-		lat := time.Since(t0)
-		lats = append(lats, lat)
-		slo.Observe(lat)
-	}
-	s.Elapsed = time.Since(start)
-	s.Ops = sz.fanoutFiles
-	s.Retries = reg.CounterValue("omq_retry_attempts_total", "oid", core.ServiceOID)
-	s.Extra = []benchhist.Metric{
-		{Name: s.Name, Unit: "devices", Value: float64(sz.fanoutDevices)},
-	}
-	scenarioStats(s, lats, slo)
-	return s, nil
-}
-
-// --- zipf: skewed hot workspaces ------------------------------------------
-
-// runZipfScenario spreads sz.zipfCommits commits over sz.zipfWorkspaces
-// workspaces with Zipf-distributed popularity (s=1.2), fired by concurrent
-// committers straight at the SyncService — the metadata hot path under a
-// realistic skew where per-workspace serialization bites on the head of the
-// distribution.
-func runZipfScenario(cfg MatrixConfig, sz matrixSizes) (*ScenarioResult, error) {
-	reg := obs.NewRegistry()
-	m := mq.NewBroker()
-	defer m.Close()
-	meta := metastore.NewStore(metastore.WithRegistry(reg))
-	defer meta.Close()
-	wsName := func(i int) string { return fmt.Sprintf("matrix-zipf-%02d", i) }
-	for i := 0; i < sz.zipfWorkspaces; i++ {
-		if err := meta.CreateWorkspace(metastore.Workspace{ID: wsName(i), Owner: "user-0"}); err != nil {
-			return nil, err
-		}
-	}
-	sb, err := omq.NewBroker(m, omq.WithID("svc"), omq.WithRegistry(reg))
-	if err != nil {
-		return nil, err
-	}
-	defer sb.Close()
-	svc := core.NewService(meta, sb)
-	bind, err := svc.Bind()
-	if err != nil {
-		return nil, err
-	}
-	defer bind.Unbind()
-
-	// Hot-workspace attribution under skew: the space-saving sketch on the
-	// commit path must surface the Zipf head without tracking every
-	// workspace exactly.
-	hotStats := obs.NewHotStats(8)
-	svc.SetObs(nil, hotStats)
-
-	// Pre-draw the workspace sequence so the skew is deterministic and the
-	// committers share no RNG.
-	rnd := rand.New(rand.NewSource(cfg.Seed))
-	zipf := rand.NewZipf(rnd, 1.2, 1, uint64(sz.zipfWorkspaces-1))
-	wsOf := make([]int, sz.zipfCommits)
-	hot := make(map[int]int)
-	for i := range wsOf {
-		wsOf[i] = int(zipf.Uint64())
-		hot[wsOf[i]]++
-	}
-	hotTopIdx, hotMax := 0, 0
-	for i, n := range hot {
-		if n > hotMax || (n == hotMax && i < hotTopIdx) {
-			hotTopIdx, hotMax = i, n
-		}
-	}
-
-	slo := obs.NewSLOTracker(reg, obs.SLOConfig{Name: "matrix_zipf", Target: sz.commitSLO, Objective: 0.99})
-	s := &ScenarioResult{Name: "zipf", SLOTarget: sz.commitSLO, Converged: true}
-	var (
-		mu     sync.Mutex
-		lats   []time.Duration
-		failed int
-	)
-	jobCh := make(chan int, sz.zipfCommits)
-	for i := 0; i < sz.zipfCommits; i++ {
-		jobCh <- i
-	}
-	close(jobCh)
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < sz.zipfCommitters; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			cb, err := omq.NewBroker(m, omq.WithID(fmt.Sprintf("zipf-%d", w)), omq.WithRegistry(reg))
-			if err != nil {
-				return
-			}
-			defer cb.Close()
-			proxy := cb.Lookup(core.ServiceOID)
-			for i := range jobCh {
-				ws := wsName(wsOf[i])
-				path := fmt.Sprintf("zipf/f%05d.txt", i)
-				req := core.CommitRequest{
-					Workspace: ws,
-					DeviceID:  fmt.Sprintf("zipf-dev-%d", w),
-					Items: []metastore.ItemVersion{{
-						Workspace: ws,
-						ItemID:    ws + ":" + path,
-						Path:      path,
-						Version:   1,
-						Status:    metastore.Added,
-						Size:      int64(sz.fileBytes),
-						DeviceID:  fmt.Sprintf("zipf-dev-%d", w),
-					}},
-				}
-				t0 := time.Now()
-				err := proxy.Call("CommitRequest", nil, req)
-				lat := time.Since(t0)
-				slo.Observe(lat)
-				mu.Lock()
-				lats = append(lats, lat)
-				if err != nil {
-					failed++
-				}
-				mu.Unlock()
-			}
-		}(w)
-	}
-	wg.Wait()
-	s.Elapsed = time.Since(start)
-	s.Ops = sz.zipfCommits
-
-	if failed > 0 {
-		s.Converged = false
-		s.Violations = append(s.Violations, fmt.Sprintf("%d of %d commits failed", failed, sz.zipfCommits))
-	}
-	// Every acked commit must be durable: the per-workspace item counts sum
-	// back to the commit count.
-	stored := 0
-	for i := 0; i < sz.zipfWorkspaces; i++ {
-		state, err := meta.State(wsName(i))
-		if err != nil {
-			return nil, err
-		}
-		stored += len(state)
-	}
-	if stored != sz.zipfCommits-failed {
-		s.Converged = false
-		s.Violations = append(s.Violations,
-			fmt.Sprintf("metadata store holds %d items, want %d", stored, sz.zipfCommits-failed))
-	}
-	// The sketch tracks at most 8 of the sz.zipfWorkspaces workspaces, yet
-	// under Zipf skew the true head must survive every eviction: missing it
-	// means the fleet's hot-workspace attribution cannot be trusted.
-	sketchShare := 0.0
-	sketchHit := false
-	for _, e := range hotStats.Commits.Snapshot() {
-		if e.Key == wsName(hotTopIdx) {
-			sketchHit = true
-			sketchShare = float64(e.Count) / float64(sz.zipfCommits)
-			break
-		}
-	}
-	if !sketchHit {
-		s.Converged = false
-		s.Violations = append(s.Violations,
-			fmt.Sprintf("hot-workspace sketch missed the Zipf head %q (%d commits)", wsName(hotTopIdx), hotMax))
-	}
-	s.Retries = reg.CounterValue("omq_retry_attempts_total", "oid", core.ServiceOID)
-	s.Extra = []benchhist.Metric{
-		{Name: s.Name, Unit: "workspaces", Value: float64(sz.zipfWorkspaces)},
-		{Name: s.Name, Unit: "hot-ws-share", Value: float64(hotMax) / float64(sz.zipfCommits)},
-		{Name: s.Name, Unit: "sketch-top-share", Value: sketchShare},
-	}
-	scenarioStats(s, lats, slo)
-	return s, nil
 }
 
 // --- churn: mobile connect/disconnect cycles ------------------------------
@@ -595,10 +340,6 @@ func runChurnScenario(cfg MatrixConfig, sz matrixSizes) (*ScenarioResult, error)
 	s.Elapsed = time.Since(start)
 	s.Ops = sz.churnDevices * sz.churnCycles
 	s.Retries = reg.CounterValue("omq_retry_attempts_total", "oid", core.ServiceOID)
-	s.Extra = []benchhist.Metric{
-		{Name: s.Name, Unit: "devices", Value: float64(sz.churnDevices)},
-		{Name: s.Name, Unit: "reconnects", Value: float64(sz.churnDevices * (sz.churnCycles + 1))},
-	}
 	scenarioStats(s, lats, slo)
 	return s, nil
 }
@@ -645,39 +386,44 @@ func runColdStartScenario(cfg MatrixConfig, sz matrixSizes) (*ScenarioResult, er
 	defer bind.Unbind()
 	base := objstore.NewMemory()
 
-	// Seed the workspace: user-0's device writes the corpus, then leaves.
-	seedBroker, err := omq.NewBroker(m, omq.WithID("cold-seed"), omq.WithRegistry(reg))
-	if err != nil {
-		return nil, err
-	}
-	rnd := rand.New(rand.NewSource(cfg.Seed))
-	seeder, err := client.NewClient(client.Config{
-		UserID: "user-0", DeviceID: "dev-seed", WorkspaceID: workspace,
-		Broker: seedBroker, Storage: base, Registry: reg,
-		Chunker: chunker.Fixed{ChunkSize: 4 * 1024},
-	})
-	if err != nil {
-		seedBroker.Close()
-		return nil, err
-	}
-	if err := seeder.Start(); err != nil {
-		seedBroker.Close()
-		return nil, err
-	}
+	// Seed the workspace: user-0's device writes the corpus, then leaves —
+	// on every path, so a failed seed leaks neither the device nor its broker.
 	paths := make([]string, sz.coldFiles)
-	for k := range paths {
-		paths[k] = fmt.Sprintf("corpus/f%04d.txt", k)
-		if err := seeder.PutFile(paths[k], matrixContent(rnd, sz.fileBytes)); err != nil {
-			return nil, fmt.Errorf("seed %s: %w", paths[k], err)
+	seed := func() error {
+		seedBroker, err := omq.NewBroker(m, omq.WithID("cold-seed"), omq.WithRegistry(reg))
+		if err != nil {
+			return err
 		}
-	}
-	for _, p := range paths {
-		if err := seeder.WaitForVersion(p, 1, sz.waitBudget); err != nil {
-			return nil, fmt.Errorf("seed commit %s not applied: %w", p, err)
+		defer seedBroker.Close()
+		seeder, err := client.NewClient(client.Config{
+			UserID: "user-0", DeviceID: "dev-seed", WorkspaceID: workspace,
+			Broker: seedBroker, Storage: base, Registry: reg,
+			Chunker: chunker.Fixed{ChunkSize: 4 * 1024},
+		})
+		if err != nil {
+			return err
 		}
+		defer seeder.Close()
+		if err := seeder.Start(); err != nil {
+			return err
+		}
+		rnd := rand.New(rand.NewSource(cfg.Seed))
+		for k := range paths {
+			paths[k] = fmt.Sprintf("corpus/f%04d.txt", k)
+			if err := seeder.PutFile(paths[k], matrixContent(rnd, sz.fileBytes)); err != nil {
+				return fmt.Errorf("seed %s: %w", paths[k], err)
+			}
+		}
+		for _, p := range paths {
+			if err := seeder.WaitForVersion(p, 1, sz.waitBudget); err != nil {
+				return fmt.Errorf("seed commit %s not applied: %w", p, err)
+			}
+		}
+		return nil
 	}
-	seeder.Close()
-	seedBroker.Close()
+	if err := seed(); err != nil {
+		return nil, err
+	}
 
 	slo := obs.NewSLOTracker(reg, obs.SLOConfig{Name: "matrix_cold", Target: sz.resyncSLO, Objective: 0.99})
 	s := &ScenarioResult{Name: "coldstart", SLOTarget: sz.resyncSLO, Converged: true}
@@ -752,10 +498,6 @@ func runColdStartScenario(cfg MatrixConfig, sz matrixSizes) (*ScenarioResult, er
 	s.Elapsed = time.Since(start)
 	s.Ops = sz.coldClients * sz.coldFiles // files bootstrapped fleet-wide
 	s.Retries = reg.CounterValue("omq_retry_attempts_total", "oid", core.ServiceOID)
-	s.Extra = []benchhist.Metric{
-		{Name: s.Name, Unit: "clients", Value: float64(sz.coldClients)},
-		{Name: s.Name, Unit: "corpus-files", Value: float64(sz.coldFiles)},
-	}
 	scenarioStats(s, lats, slo)
 	sort.Strings(s.Violations)
 	return s, nil
@@ -771,7 +513,7 @@ func runColdStartScenario(cfg MatrixConfig, sz matrixSizes) (*ScenarioResult, er
 // sz.reconnColdReaders loop full-state GetChanges and sz.reconnWarmReaders
 // loop GetChangesSince from tracked cursors (reply versions must never go
 // backwards, and full-state replies must never shrink below the seeded
-// corpus). The gated result is the storm phase; a violation fires when the
+// corpus). The reported result is the storm phase; a violation fires when the
 // storm p99 exceeds both 8x the baseline and an absolute 100ms floor. The
 // ratio alone would trip on scheduler noise over a near-zero baseline, and
 // the floor alone would trip on race-enabled single-core CI where every
@@ -1033,11 +775,5 @@ func runReconnectScenario(cfg MatrixConfig, sz matrixSizes) (*ScenarioResult, er
 			fmt.Sprintf("storm commit p99 %v collapsed vs no-reader baseline %v", s.P99, baseP99))
 	}
 	s.Retries = reg.CounterValue("omq_retry_attempts_total", "oid", core.ServiceOID)
-	s.Extra = []benchhist.Metric{
-		{Name: s.Name, Unit: "base-p99-ms", Value: float64(baseP99) / 1e6},
-		{Name: s.Name, Unit: "cold-reads", Value: float64(coldReads.Load())},
-		{Name: s.Name, Unit: "warm-reads", Value: float64(warmReads.Load())},
-		{Name: s.Name, Unit: "fallback-fulls", Value: float64(reg.CounterValue("metastore_changes_compaction_fallback_total"))},
-	}
 	return s, nil
 }

@@ -4,27 +4,22 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
-
-	"stacksync/internal/benchhist"
 )
 
-// TestMatrixSmoke runs all five scenarios at smoke size: every scenario must
-// converge with zero violations and emit a well-formed, gateable history
-// record.
+// TestMatrixSmoke runs all three scenarios at smoke size: every scenario must
+// converge with zero violations and report consistent latency figures.
 func TestMatrixSmoke(t *testing.T) {
 	res, err := RunMatrix(MatrixConfig{Seed: 7, Smoke: true})
 	if err != nil {
 		t.Fatalf("RunMatrix: %v", err)
 	}
-	if len(res.Scenarios) != 5 {
-		t.Fatalf("got %d scenarios, want 5", len(res.Scenarios))
+	if len(res.Scenarios) != 3 {
+		t.Fatalf("got %d scenarios, want 3", len(res.Scenarios))
 	}
 	if v := res.Violations(); len(v) != 0 {
 		t.Fatalf("matrix violations: %v", v)
 	}
-	wantNames := []string{"fanout", "zipf", "churn", "coldstart", "reconnect"}
-	prov := benchhist.Provenance{Commit: "test", GoVersion: "go", GOMAXPROCS: 1, Host: "h"}
+	wantNames := []string{"churn", "coldstart", "reconnect"}
 	for i, s := range res.Scenarios {
 		if s.Name != wantNames[i] {
 			t.Errorf("scenario %d = %s, want %s", i, s.Name, wantNames[i])
@@ -41,40 +36,11 @@ func TestMatrixSmoke(t *testing.T) {
 		if s.Attainment < 0 || s.Attainment > 1 {
 			t.Errorf("%s attainment out of range: %f", s.Name, s.Attainment)
 		}
-
-		rec := s.HistoryRecord(prov, time.Date(2026, 8, 2, 0, 0, 0, 0, time.UTC))
-		if rec.Suite != "scenario/"+s.Name {
-			t.Errorf("record suite = %q", rec.Suite)
-		}
-		gated := 0
-		for _, m := range rec.Metrics {
-			if m.Gated() {
-				gated++
-			}
-		}
-		if gated < 3 {
-			t.Errorf("%s record has %d gated metrics, want >=3 (ops/s, p99, attainment)", s.Name, gated)
-		}
-	}
-
-	// The records must gate cleanly against a same-shaped baseline.
-	var recs []benchhist.Record
-	for i := 0; i < 2; i++ {
-		rec := res.Scenarios[0].HistoryRecord(prov, time.Date(2026, 8, 2, 0, i, 0, 0, time.UTC))
-		rec.Commit = rec.Commit + string(rune('a'+i))
-		recs = append(recs, rec)
-	}
-	rep, err := benchhist.GateSuite(&benchhist.History{Records: recs}, recs[0].Suite, benchhist.GateConfig{})
-	if err != nil {
-		t.Fatalf("GateSuite on scenario records: %v", err)
-	}
-	if rep.Failed {
-		t.Fatalf("identical scenario records failed the gate: %+v", rep.Verdicts)
 	}
 
 	var buf bytes.Buffer
 	res.Print(&buf)
-	for _, want := range []string{"fanout", "zipf", "churn", "coldstart", "reconnect", "converged"} {
+	for _, want := range append(wantNames, "converged") {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("matrix summary missing %q:\n%s", want, buf.String())
 		}

@@ -29,8 +29,8 @@ func TestTransferContentDistinctChunks(t *testing.T) {
 // TestTransferPipelineSpeedsUpUploads is the in-tree smoke version of
 // BenchmarkTransferPipeline: with per-request latency dominating, the
 // pipelined schedule (8 workers × 16-chunk batches) must beat the serial
-// one-chunk-at-a-time baseline clearly. The snapshot gate in benchcmp.sh
-// holds the full >=3x bar; here 2x keeps the test robust on loaded machines.
+// one-chunk-at-a-time baseline clearly. The benchmark's bar is >=3x; here
+// 2x keeps the test robust on loaded machines.
 func TestTransferPipelineSpeedsUpUploads(t *testing.T) {
 	opts := TransferOptions{
 		Chunks: 128, ChunkSize: 4 << 10, PerRequest: time.Millisecond, Seed: 1,

@@ -2,6 +2,7 @@ package client
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io/fs"
 	"os"
@@ -263,7 +264,7 @@ func (w *DirWatcher) scanLocal() error {
 			w.forget(p)
 			continue // already deleted in sync state (remote delete)
 		}
-		if err := w.c.RemoveFile(p); err != nil && !strings.Contains(err.Error(), "not found") {
+		if err := w.c.RemoveFile(p); err != nil && !errors.Is(err, ErrNoFile) {
 			return err
 		}
 		w.forget(p)

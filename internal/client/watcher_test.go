@@ -2,10 +2,14 @@ package client
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"stacksync/internal/core"
+	"stacksync/internal/mq"
 )
 
 // watchRig couples two directory watchers to two devices in one workspace.
@@ -97,6 +101,39 @@ func TestWatcherPropagatesDelete(t *testing.T) {
 		_, err := os.Stat(dst)
 		return os.IsNotExist(err)
 	}, wa, wb)
+}
+
+// A local delete whose tombstone never reaches the server must fail the scan
+// and leave the path known, so a later scan retries it — even when the
+// failure's text happens to say "not found".
+func TestWatcherKeepsPathWhenTombstoneFails(t *testing.T) {
+	r, wa, dirA, _, _ := watchRig(t)
+	src := filepath.Join(dirA, "keep.txt")
+	if err := os.WriteFile(src, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	pump(t, func() bool {
+		_, ok := wa.c.Version("keep.txt")
+		return ok
+	}, wa)
+
+	// Without the service queue the tombstone publish fails with the wrapped
+	// mq.ErrQueueNotFound ("mq: queue not found"), not with ErrNoFile.
+	if err := r.mq.DeleteQueue(core.ServiceOID); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(src); err != nil {
+		t.Fatal(err)
+	}
+	if err := wa.SyncOnce(); !errors.Is(err, mq.ErrQueueNotFound) {
+		t.Fatalf("scan after a failed tombstone publish = %v, want mq.ErrQueueNotFound", err)
+	}
+	wa.mu.Lock()
+	_, known := wa.known["keep.txt"]
+	wa.mu.Unlock()
+	if !known {
+		t.Fatal("watcher forgot a path whose delete never reached the server")
+	}
 }
 
 func TestWatcherHandlesSubdirectories(t *testing.T) {

@@ -40,8 +40,7 @@ type Health struct {
 
 // Admin is the introspection surface: /metrics, /healthz, /tracez, /queuesz,
 // /varz (scraped time series), /elasticz (provisioning decision history and
-// queue load), /eventz (flight-recorder tail), /benchz (continuous benchmark
-// history) and /debug/pprof. Provider
+// queue load), /eventz (flight-recorder tail) and /debug/pprof. Provider
 // fields are optional; missing ones degrade to empty responses so partial
 // wiring still serves.
 type Admin struct {
@@ -66,8 +65,6 @@ type Admin struct {
 	Events *EventLog
 	// Elastic assembles the /elasticz report.
 	Elastic func() ElasticStatus
-	// Bench assembles the /benchz report from the benchmark history.
-	Bench func() BenchStatus
 	// Collector backs /fleetz and upgrades /tracez to the fleet-stitched
 	// view when set.
 	Collector *Collector
@@ -86,7 +83,6 @@ func (a *Admin) Handler() http.Handler {
 	mux.HandleFunc("/varz", a.serveVarz)
 	mux.HandleFunc("/eventz", a.serveEventz)
 	mux.HandleFunc("/elasticz", a.serveElasticz)
-	mux.HandleFunc("/benchz", a.serveBenchz)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
