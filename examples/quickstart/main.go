@@ -11,10 +11,8 @@ import (
 	"time"
 
 	"stacksync/internal/client"
-	"stacksync/internal/core"
+	"stacksync/internal/deploy"
 	"stacksync/internal/metastore"
-	"stacksync/internal/mq"
-	"stacksync/internal/objstore"
 	"stacksync/internal/omq"
 )
 
@@ -25,42 +23,27 @@ func main() {
 }
 
 func run() error {
-	// 1. The messaging substrate (the paper's RabbitMQ role).
-	broker := mq.NewBroker()
-	defer broker.Close()
-
-	// 2. Metadata back-end (PostgreSQL role) with one shared workspace.
-	meta := metastore.NewStore()
-	defer meta.Close()
-	if err := meta.CreateWorkspace(metastore.Workspace{
-		ID: "family-photos", Owner: "alice", Members: []string{"bob"},
-	}); err != nil {
-		return err
-	}
-
-	// 3. Storage back-end (OpenStack Swift role).
-	storage := objstore.NewMemory()
-
-	// 4. The SyncService, bound to the shared request queue via ObjectMQ.
-	serverBroker, err := omq.NewBroker(broker)
+	// 1. The server side in one call: the messaging substrate (the paper's
+	// RabbitMQ role), the metadata back-end (PostgreSQL role) with one shared
+	// workspace, the storage back-end (OpenStack Swift role) and a
+	// SyncService bound to the shared request queue via ObjectMQ.
+	fleet, err := deploy.Start(deploy.Config{
+		Workspaces: []metastore.Workspace{{ID: "family-photos", Owner: "alice", Members: []string{"bob"}}},
+	})
 	if err != nil {
 		return err
 	}
-	defer serverBroker.Close()
-	service := core.NewService(meta, serverBroker)
-	if _, err := service.Bind(); err != nil {
-		return err
-	}
+	defer fleet.Close()
 
-	// 5. Two devices.
+	// 2. Two devices.
 	newDevice := func(user, device string) (*client.Client, error) {
-		b, err := omq.NewBroker(broker)
+		b, err := omq.NewBroker(fleet.MQ)
 		if err != nil {
 			return nil, err
 		}
 		c, err := client.NewClient(client.Config{
 			UserID: user, DeviceID: device, WorkspaceID: "family-photos",
-			Broker: b, Storage: storage,
+			Broker: b, Storage: fleet.Chunks,
 		})
 		if err != nil {
 			return nil, err
@@ -78,7 +61,7 @@ func run() error {
 	}
 	defer bob.Close()
 
-	// 6. Alice adds a file; Bob receives it as a push notification.
+	// 3. Alice adds a file; Bob receives it as a push notification.
 	fmt.Println("alice: adding holiday.txt")
 	if err := alice.PutFile("holiday.txt", []byte("Beach, 2014-12-08, Bordeaux")); err != nil {
 		return err
@@ -89,7 +72,7 @@ func run() error {
 	content, _ := bob.FileContent("holiday.txt")
 	fmt.Printf("bob:   received holiday.txt v1: %q\n", content)
 
-	// 7. Bob edits it; Alice sees version 2.
+	// 4. Bob edits it; Alice sees version 2.
 	fmt.Println("bob:   editing holiday.txt")
 	if err := bob.PutFile("holiday.txt", []byte("Beach, 2014-12-08, Bordeaux. Great wine!")); err != nil {
 		return err

@@ -12,10 +12,8 @@ import (
 	"time"
 
 	"stacksync/internal/client"
-	"stacksync/internal/core"
+	"stacksync/internal/deploy"
 	"stacksync/internal/metastore"
-	"stacksync/internal/mq"
-	"stacksync/internal/objstore"
 	"stacksync/internal/omq"
 )
 
@@ -26,39 +24,26 @@ func main() {
 }
 
 func run() error {
-	broker := mq.NewBroker()
-	defer broker.Close()
-	meta := metastore.NewStore()
-	defer meta.Close()
-	storage := objstore.NewMemory()
-
-	if err := meta.CreateWorkspace(metastore.Workspace{
-		ID: "design-docs", Owner: "alice", Members: []string{"bob", "carol"},
-	}); err != nil {
-		return err
-	}
-
-	serverBroker, err := omq.NewBroker(broker)
+	fleet, err := deploy.Start(deploy.Config{
+		Workspaces: []metastore.Workspace{{ID: "design-docs", Owner: "alice", Members: []string{"bob", "carol"}}},
+	})
 	if err != nil {
 		return err
 	}
-	defer serverBroker.Close()
-	if _, err := core.NewService(meta, serverBroker).Bind(); err != nil {
-		return err
-	}
+	defer fleet.Close()
 
 	devices := map[string]*client.Client{}
 	for _, spec := range []struct{ user, device string }{
 		{"alice", "alice-laptop"}, {"bob", "bob-laptop"}, {"carol", "carol-tablet"},
 	} {
-		b, err := omq.NewBroker(broker)
+		b, err := omq.NewBroker(fleet.MQ)
 		if err != nil {
 			return err
 		}
 		defer b.Close()
 		c, err := client.NewClient(client.Config{
 			UserID: spec.user, DeviceID: spec.device, WorkspaceID: "design-docs",
-			Broker: b, Storage: storage,
+			Broker: b, Storage: fleet.Chunks,
 		})
 		if err != nil {
 			return err

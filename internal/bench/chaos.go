@@ -11,7 +11,7 @@ import (
 
 	"stacksync/internal/chunker"
 	"stacksync/internal/client"
-	"stacksync/internal/core"
+	"stacksync/internal/deploy"
 	"stacksync/internal/faults"
 	"stacksync/internal/metastore"
 	"stacksync/internal/mq"
@@ -83,14 +83,14 @@ func chaosPlan(cfg ChaosConfig, reg *obs.Registry) *faults.Plan {
 			// Client-side publishes: commit requests vanish, duplicate, lag.
 			"mq.client": {DropP: 0.05, DupP: 0.05, DelayP: 0.10, MaxDelay: 20 * time.Millisecond},
 			// Notification pushes: the lossiest hop — resync must repair.
-			"mq.notif": {DropP: 0.10, DupP: 0.05, DelayP: 0.10, MaxDelay: 20 * time.Millisecond},
+			deploy.FaultSiteNotify: {DropP: 0.10, DupP: 0.05, DelayP: 0.10, MaxDelay: 20 * time.Millisecond},
 			// Storage: transient errors, latency spikes, plus full outages.
 			"objstore": {
 				ErrorP: 0.10, DelayP: 0.10, MaxDelay: 10 * time.Millisecond,
 				Outages: faults.RandomOutages(cfg.Seed, "objstore", 2, 300*time.Millisecond, horizon),
 			},
 			// Metadata transactions: sporadic aborts the pipeline must retry.
-			"meta": {AbortP: 0.15},
+			deploy.FaultSiteMeta: {AbortP: 0.15},
 		},
 	})
 }
@@ -126,69 +126,28 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		[]byte(chaosPlan(cfg, nil).Describe(512)),
 	)
 
-	m := mq.NewBroker()
-	defer m.Close()
-	meta := metastore.NewStore(metastore.WithFaults(plan, "meta"), metastore.WithRegistry(reg))
-	defer meta.Close()
-	if err := meta.CreateWorkspace(metastore.Workspace{ID: "chaos-ws", Owner: "user-0"}); err != nil {
-		return nil, err
-	}
-	baseStore := objstore.NewMemory()
-	faultyStore := objstore.NewFaulty(baseStore, plan, "objstore", nil)
-
-	// Node hosting the crashing SyncService instances (raw MQ: the server's
-	// own plumbing is healthy; the chaos lives on the edges).
-	nodeBroker, err := omq.NewBroker(m, omq.WithID("10-node"))
-	if err != nil {
-		return nil, err
-	}
-	defer nodeBroker.Close()
-	rb, err := omq.NewRemoteBroker(nodeBroker)
-	if err != nil {
-		return nil, err
-	}
-	defer rb.Close()
-
-	// Notifications go out through the faulty MQ view: pushes get lost.
-	notifMQ := mq.NewFaulty(m, plan, "mq.notif", nil)
-	notifBroker, err := omq.NewBroker(notifMQ, omq.WithID("20-notif"))
-	if err != nil {
-		return nil, err
-	}
-	defer notifBroker.Close()
-	rb.RegisterFactory(core.ServiceOID, func() (interface{}, error) {
-		return core.NewService(meta, notifBroker).API(), nil
-	})
-	if err := m.DeclareQueue(core.ServiceOID); err != nil {
-		return nil, err
-	}
-
-	supBroker, err := omq.NewBroker(m, omq.WithID("00-supervisor"))
-	if err != nil {
-		return nil, err
-	}
-	defer supBroker.Close()
-	sup, err := omq.StartSupervisor(supBroker, omq.SupervisorConfig{
-		OID:         core.ServiceOID,
-		CheckEvery:  cfg.CheckEvery,
-		Provisioner: omq.FixedProvisioner(1),
+	const ws = "chaos-ws"
+	fleet, err := deploy.Start(deploy.Config{
+		Workspaces: []metastore.Workspace{{ID: ws, Owner: "user-0"}},
+		Registry:   reg,
+		// Notification pushes get lost and metadata transactions abort; the
+		// RemoteBroker/Supervisor plumbing itself stays healthy.
+		Faults: plan,
+		Supervisor: &omq.SupervisorConfig{
+			CheckEvery:  cfg.CheckEvery,
+			Provisioner: omq.FixedProvisioner(1),
+		},
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer sup.Stop()
-	deadline := time.Now().Add(10 * time.Second)
-	for rb.InstanceCount(core.ServiceOID) == 0 {
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("bench: supervisor never spawned the service")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	defer fleet.Close()
+	faultyStore := objstore.NewFaulty(fleet.Chunks, plan, "objstore", nil)
 
 	// Client devices, each on its own broker over the faulty client MQ view.
 	clients := make([]*client.Client, cfg.Clients)
 	for i := range clients {
-		cb, err := omq.NewBroker(mq.NewFaulty(m, plan, "mq.client", nil),
+		cb, err := omq.NewBroker(mq.NewFaulty(fleet.MQ, plan, "mq.client", nil),
 			omq.WithID(fmt.Sprintf("30-client-%d", i)))
 		if err != nil {
 			return nil, err
@@ -197,7 +156,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		cl, err := client.NewClient(client.Config{
 			UserID:      "user-0",
 			DeviceID:    fmt.Sprintf("dev-%d", i),
-			WorkspaceID: "chaos-ws",
+			WorkspaceID: ws,
 			Broker:      cb,
 			Storage:     faultyStore,
 			Registry:    reg,
@@ -221,44 +180,14 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	// Anchor outage windows at workload start; launch the crash schedule.
 	start := time.Now()
 	plan.Begin(start)
-	type downInterval struct{ from, to time.Time }
-	var crashMu sync.Mutex
-	var downs []downInterval
-	stopCrasher := make(chan struct{})
-	crasherDone := make(chan struct{})
-	crashTimes := faults.CrashSchedule(cfg.Seed, cfg.CrashEvery, 0.5, cfg.Settle)
-	go func() {
-		defer close(crasherDone)
-		for _, at := range crashTimes {
-			select {
-			case <-stopCrasher:
-				return
-			case <-time.After(time.Until(start.Add(at))):
-			}
-			if rb.KillLocal(core.ServiceOID) == "" {
-				continue
-			}
-			crashMu.Lock()
-			downs = append(downs, downInterval{from: time.Now()})
-			idx := len(downs) - 1
-			crashMu.Unlock()
-			for rb.InstanceCount(core.ServiceOID) == 0 {
-				select {
-				case <-stopCrasher:
-					return
-				default:
-				}
-				time.Sleep(time.Millisecond)
-			}
-			crashMu.Lock()
-			downs[idx].to = time.Now()
-			crashMu.Unlock()
-		}
-	}()
+	crashes := startCrashes(fleet, start, faults.CrashSchedule(cfg.Seed, cfg.CrashEvery, 0.5, cfg.Settle),
+		func() int { return 1 })
+	defer crashes.Stop()
 
 	// Workload: each device writes its own distinct paths, so any
 	// "conflicted copy" in the end state is spurious by construction.
-	expected := make(map[string]string) // path -> content
+	wsOf := func(int) string { return ws }
+	expected := map[string]map[string]string{ws: {}} // workspace -> path -> content
 	var expMu sync.Mutex
 	var wg sync.WaitGroup
 	errCh := make(chan error, cfg.Clients)
@@ -270,7 +199,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 				path := fmt.Sprintf("dev%d/file-%04d.txt", i, k)
 				content := fmt.Sprintf("chaos seed=%d dev=%d k=%d", cfg.Seed, i, k)
 				expMu.Lock()
-				expected[path] = content
+				expected[ws][path] = content
 				expMu.Unlock()
 				if err := cl.PutFile(path, []byte(content)); err != nil {
 					errCh <- fmt.Errorf("bench: chaos put %s: %w", path, err)
@@ -289,14 +218,13 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 
 	// Stop crashing; let the repair machinery (redelivery, retransmission,
 	// resync, upload flushing) settle the system.
-	close(stopCrasher)
-	<-crasherDone
+	crashes.Stop()
 
 	converged := false
 	var settleTime time.Duration
 	settleDeadline := workloadEnd.Add(cfg.Settle)
 	for time.Now().Before(settleDeadline) {
-		if chaosConverged(clients, expected) {
+		if soakConverged(clients, wsOf, expected) {
 			converged = true
 			settleTime = time.Since(workloadEnd)
 			break
@@ -306,43 +234,31 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 
 	res := &ChaosResult{
 		Seed:           cfg.Seed,
-		Commits:        len(expected),
+		Commits:        len(expected[ws]),
 		Clients:        cfg.Clients,
-		MaxRespawn:     0,
 		Converged:      converged,
 		SettleTime:     settleTime,
 		ScheduleStable: scheduleStable,
 		FaultCounts:    plan.Counts(),
 	}
-	crashMu.Lock()
-	res.Crashes = len(downs)
-	for _, d := range downs {
-		if d.to.IsZero() {
-			continue
-		}
-		if dur := d.to.Sub(d.from); dur > res.MaxRespawn {
-			res.MaxRespawn = dur
-		}
-	}
-	crashMu.Unlock()
-
-	res.Violations = chaosViolations(clients, expected, converged, res)
+	res.Crashes, res.MaxRespawn = crashes.result()
+	res.Violations = soakViolations(clients, wsOf, expected, res.Commits, converged, scheduleStable, res.MaxRespawn)
+	sort.Strings(res.Violations)
 	return res, nil
 }
 
-// chaosConverged reports whether every client holds exactly the expected
-// state: all proposed files at their final content, no conflict copies, no
-// queued uploads left.
-func chaosConverged(clients []*client.Client, expected map[string]string) bool {
+// soakConverged reports whether every client holds exactly its workspace's
+// expected state (path -> content) with no queued uploads left.
+func soakConverged(clients []*client.Client, wsOf func(int) string, expected map[string]map[string]string) bool {
 	for i, cl := range clients {
 		if client.UploadQueueDepth(cl.Registry(), fmt.Sprintf("dev-%d", i)) > 0 {
 			return false
 		}
-		paths := cl.Paths()
-		if len(paths) != len(expected) {
+		exp := expected[wsOf(i)]
+		if len(cl.Paths()) != len(exp) {
 			return false
 		}
-		for path, want := range expected {
+		for path, want := range exp {
 			got, ok := cl.FileContent(path)
 			if !ok || string(got) != want {
 				return false
@@ -352,35 +268,37 @@ func chaosConverged(clients []*client.Client, expected map[string]string) bool {
 	return true
 }
 
-// chaosViolations enumerates broken invariants for the report.
-func chaosViolations(clients []*client.Client, expected map[string]string, converged bool, res *ChaosResult) []string {
+// soakViolations enumerates the invariants both chaos soaks share: every
+// device converged on its workspace's acked commits with no spurious
+// conflict copy, a seed-reproducible schedule, respawns within ~1 s.
+func soakViolations(clients []*client.Client, wsOf func(int) string, expected map[string]map[string]string,
+	commits int, converged, scheduleStable bool, maxRespawn time.Duration) []string {
 	var v []string
 	if !converged {
-		v = append(v, fmt.Sprintf("clients did not converge within the settle window (%d commits expected)", len(expected)))
+		v = append(v, fmt.Sprintf("clients did not converge within the settle window (%d commits expected)", commits))
 	}
 	for i, cl := range clients {
+		exp := expected[wsOf(i)]
 		for _, p := range cl.Paths() {
 			if strings.Contains(p, "conflicted copy") {
 				v = append(v, fmt.Sprintf("dev-%d holds spurious conflict copy %q", i, p))
 			}
-			if _, ok := expected[p]; !ok {
+			if _, ok := exp[p]; !ok {
 				v = append(v, fmt.Sprintf("dev-%d holds unexpected path %q", i, p))
 			}
 		}
-		for path := range expected {
+		for path := range exp {
 			if _, ok := cl.FileContent(path); !ok {
 				v = append(v, fmt.Sprintf("dev-%d lost acked commit %q", i, path))
 			}
 		}
 	}
-	if !res.ScheduleStable {
+	if !scheduleStable {
 		v = append(v, "fault schedule not reproducible from seed")
 	}
-	if res.MaxRespawn > time.Second {
-		v = append(v, fmt.Sprintf("crash respawn took %v (> 1s)", res.MaxRespawn))
+	if maxRespawn > time.Second {
+		v = append(v, fmt.Sprintf("crash respawn took %v (> 1s)", maxRespawn))
 	}
-	// Keep the list stable for golden comparisons.
-	sort.Strings(v)
 	return v
 }
 
@@ -406,4 +324,82 @@ func (r *ChaosResult) Print(w io.Writer) {
 	for _, v := range r.Violations {
 		fmt.Fprintf(w, "VIOLATION: %s\n", v)
 	}
+}
+
+// crashInjector kills one SyncService instance at each scheduled offset and
+// records every down interval: from the kill until the Supervisor's
+// replacement serves again.
+type crashInjector struct {
+	mu    sync.Mutex
+	downs []struct{ from, to time.Time }
+	stop  chan struct{}
+	done  chan struct{}
+	once  sync.Once
+}
+
+// startCrashes runs the injector over fleet, crashing at start+offset for
+// each offset; want is the instance count a respawn restores.
+func startCrashes(fleet *deploy.Fleet, start time.Time, offsets []time.Duration, want func() int) *crashInjector {
+	c := &crashInjector{stop: make(chan struct{}), done: make(chan struct{})}
+	go func() {
+		defer close(c.done)
+		for _, at := range offsets {
+			select {
+			case <-c.stop:
+				return
+			case <-time.After(time.Until(start.Add(at))):
+			}
+			if fleet.Kill() == "" {
+				continue
+			}
+			// Open the interval at once, so a commit completing while the
+			// service is still down classifies as crashed.
+			c.mu.Lock()
+			c.downs = append(c.downs, struct{ from, to time.Time }{from: time.Now()})
+			idx := len(c.downs) - 1
+			c.mu.Unlock()
+			for fleet.Instances() < want() {
+				select {
+				case <-c.stop:
+					return
+				case <-time.After(time.Millisecond):
+				}
+			}
+			c.mu.Lock()
+			c.downs[idx].to = time.Now()
+			c.mu.Unlock()
+		}
+	}()
+	return c
+}
+
+// Stop ends the schedule and waits for the injector; it is idempotent.
+func (c *crashInjector) Stop() {
+	c.once.Do(func() { close(c.stop) })
+	<-c.done
+}
+
+// result returns how many kills landed and the longest completed respawn.
+func (c *crashInjector) result() (crashes int, maxRespawn time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, d := range c.downs {
+		if !d.to.IsZero() && d.to.Sub(d.from) > maxRespawn {
+			maxRespawn = d.to.Sub(d.from)
+		}
+	}
+	return len(c.downs), maxRespawn
+}
+
+// overlaps reports whether [from, to] overlaps a down interval; one still
+// open counts as down until now.
+func (c *crashInjector) overlaps(from, to time.Time) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, d := range c.downs {
+		if (d.to.IsZero() || from.Before(d.to)) && to.After(d.from) {
+			return true
+		}
+	}
+	return false
 }

@@ -3,16 +3,13 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"stacksync/internal/chunker"
 	"stacksync/internal/client"
-	"stacksync/internal/core"
+	"stacksync/internal/deploy"
 	"stacksync/internal/metastore"
 	"stacksync/internal/metrics"
-	"stacksync/internal/mq"
-	"stacksync/internal/objstore"
 	"stacksync/internal/omq"
 	"stacksync/internal/provision"
 	"stacksync/internal/trace"
@@ -98,73 +95,28 @@ type Fig8fResult struct {
 func RunFig8f(cfg Fig8fConfig) (*Fig8fResult, error) {
 	cfg.applyDefaults()
 
-	m := mq.NewBroker()
-	defer m.Close()
-	meta := metastore.NewStore()
-	defer meta.Close()
-	if err := meta.CreateWorkspace(metastore.Workspace{ID: "ft-ws", Owner: "user-0"}); err != nil {
-		return nil, err
-	}
-	storage := objstore.NewMemory()
-
-	// Node hosting SyncService instances.
-	nodeBroker, err := omq.NewBroker(m, omq.WithID("10-node"))
-	if err != nil {
-		return nil, err
-	}
-	defer nodeBroker.Close()
-	rb, err := omq.NewRemoteBroker(nodeBroker)
-	if err != nil {
-		return nil, err
-	}
-	defer rb.Close()
-	// Notifications are pushed through a stable broker that outlives the
-	// crashing instances.
-	notifBroker, err := omq.NewBroker(m, omq.WithID("20-notif"))
-	if err != nil {
-		return nil, err
-	}
-	defer notifBroker.Close()
-	rb.RegisterFactory(core.ServiceOID, func() (interface{}, error) {
-		return core.NewService(meta, notifBroker).API(), nil
-	})
-	if err := m.DeclareQueue(core.ServiceOID); err != nil {
-		return nil, err
-	}
-
-	// Supervisor keeping exactly one instance alive.
-	supBroker, err := omq.NewBroker(m, omq.WithID("00-supervisor"))
-	if err != nil {
-		return nil, err
-	}
-	defer supBroker.Close()
-	sup, err := omq.StartSupervisor(supBroker, omq.SupervisorConfig{
-		OID:         core.ServiceOID,
-		CheckEvery:  cfg.CheckEvery,
-		Provisioner: omq.FixedProvisioner(1),
+	// Supervisor keeping exactly one RemoteBroker-spawned instance alive;
+	// notifications go through a stable broker that outlives the crashes.
+	fleet, err := deploy.Start(deploy.Config{
+		Workspaces: []metastore.Workspace{{ID: "ft-ws", Owner: "user-0"}},
+		Supervisor: &omq.SupervisorConfig{
+			CheckEvery:  cfg.CheckEvery,
+			Provisioner: omq.FixedProvisioner(1),
+		},
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer sup.Stop()
+	defer fleet.Close()
 
-	// Wait for the first instance before starting the client.
-	deadline := time.Now().Add(10 * time.Second)
-	for rb.InstanceCount(core.ServiceOID) == 0 {
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("bench: supervisor never spawned the service")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	clientBroker, err := omq.NewBroker(m, omq.WithID("30-client"))
+	clientBroker, err := omq.NewBroker(fleet.MQ, omq.WithID("30-client"))
 	if err != nil {
 		return nil, err
 	}
 	defer clientBroker.Close()
 	cl, err := client.NewClient(client.Config{
 		UserID: "user-0", DeviceID: "dev-0", WorkspaceID: "ft-ws",
-		Broker: clientBroker, Storage: storage,
+		Broker: clientBroker, Storage: fleet.Chunks,
 		Chunker:     chunker.Fixed{ChunkSize: 64 * 1024},
 		CallTimeout: 2 * time.Second, CallRetries: 10,
 		// Proxy retries alone cover the crash window; retransmission would
@@ -179,52 +131,21 @@ func RunFig8f(cfg Fig8fConfig) (*Fig8fResult, error) {
 	}
 	defer cl.Close()
 
-	// Crash injector. Each kill records the true down interval: from the
-	// kill until the Supervisor's respawned instance is back.
-	type downInterval struct{ from, to time.Time }
-	var crashMu sync.Mutex
-	var downs []downInterval
-	stopCrasher := make(chan struct{})
-	crasherDone := make(chan struct{})
-	go func() {
-		defer close(crasherDone)
-		ticker := time.NewTicker(cfg.CrashEvery)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stopCrasher:
-				return
-			case <-ticker.C:
-				if rb.KillLocal(core.ServiceOID) == "" {
-					continue
-				}
-				// Open the interval immediately so commits completing while
-				// the service is still down classify correctly; close it
-				// once the Supervisor's replacement is up.
-				crashMu.Lock()
-				downs = append(downs, downInterval{from: time.Now()})
-				idx := len(downs) - 1
-				crashMu.Unlock()
-				for rb.InstanceCount(core.ServiceOID) == 0 {
-					select {
-					case <-stopCrasher:
-						return
-					default:
-					}
-					time.Sleep(time.Millisecond)
-				}
-				crashMu.Lock()
-				downs[idx].to = time.Now()
-				crashMu.Unlock()
-			}
-		}
-	}()
+	// Crash injector: a kill every CrashEvery over the run. Each kill records
+	// the true down interval, until the Supervisor's replacement is back.
+	began := time.Now()
+	var offsets []time.Duration
+	for at := cfg.CrashEvery; at <= cfg.Duration; at += cfg.CrashEvery {
+		offsets = append(offsets, at)
+	}
+	crashes := startCrashes(fleet, began, offsets, func() int { return 1 })
+	defer crashes.Stop()
 
 	// Commit loop.
 	steady := metrics.NewRecorder()
 	crashed := metrics.NewRecorder()
 	lost := 0
-	end := time.Now().Add(cfg.Duration)
+	end := began.Add(cfg.Duration)
 	seq := 0
 	for time.Now().Before(end) {
 		path := fmt.Sprintf("ft/file-%06d.txt", seq)
@@ -242,30 +163,15 @@ func RunFig8f(cfg Fig8fConfig) (*Fig8fResult, error) {
 		}
 		// Classify: did this commit overlap a real down interval? Those are
 		// the commits that paid queueing-until-respawn or redelivery delay.
-		overlapped := false
-		commitEnd := start.Add(elapsed)
-		crashMu.Lock()
-		for _, d := range downs {
-			stillDown := d.to.IsZero()
-			if (stillDown || start.Before(d.to)) && commitEnd.After(d.from) {
-				overlapped = true
-				break
-			}
-		}
-		crashMu.Unlock()
-		if overlapped {
+		if crashes.overlaps(start, start.Add(elapsed)) {
 			crashed.Observe(elapsed)
 		} else {
 			steady.Observe(elapsed)
 		}
 		time.Sleep(cfg.CommitGap)
 	}
-	close(stopCrasher)
-	<-crasherDone
-
-	crashMu.Lock()
-	nCrashes := len(downs)
-	crashMu.Unlock()
+	crashes.Stop()
+	nCrashes, _ := crashes.result()
 	return &Fig8fResult{
 		Steady:      steady.Boxplot(),
 		Crashed:     crashed.Boxplot(),

@@ -6,13 +6,12 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"stacksync/internal/core"
+	"stacksync/internal/deploy"
 	"stacksync/internal/metastore"
-	"stacksync/internal/mq"
 	"stacksync/internal/obs"
 	"stacksync/internal/omq"
 )
@@ -54,73 +53,6 @@ func (c *FleetTraceConfig) applyDefaults() {
 }
 
 func fleetTraceWorkspace(i int) string { return fmt.Sprintf("fleet-ws-%d", i) }
-
-// instanceObs is one spawned instance's private observability bundle: its
-// own tracer/sink (so spans carry the instance identity), registry, flight
-// recorder and hot-workspace sketch — everything the Collector scrapes.
-type instanceObs struct {
-	reg    *obs.Registry
-	sink   *obs.SpanSink
-	events *obs.EventLog
-	tracer *obs.Tracer
-	hot    *obs.HotStats
-}
-
-// installFleetObs arms a RemoteBroker with per-instance observability spawn
-// hooks: every spawned child broker gets a fresh tracer, registry and event
-// log keyed by its instance id, and instance death is reported to the
-// collector (clean drains earn a final scrape; kills lose buffered spans).
-// The returned lookup resolves the bundle from inside an instance factory.
-func installFleetObs(rb *omq.RemoteBroker, collector *obs.Collector) func(id string) *instanceObs {
-	var mu sync.Mutex
-	bundles := make(map[string]*instanceObs)
-	rb.SetSpawnHooks(omq.SpawnHooks{
-		Options: func(oid, instanceID string) []omq.BrokerOption {
-			b := &instanceObs{
-				reg:    obs.NewRegistry(),
-				sink:   obs.NewSpanSink(0),
-				events: obs.NewEventLog(512),
-				hot:    obs.NewHotStats(8),
-			}
-			b.tracer = obs.NewTracer(obs.WithSink(b.sink), obs.WithInstance(instanceID))
-			mu.Lock()
-			bundles[instanceID] = b
-			mu.Unlock()
-			return []omq.BrokerOption{
-				omq.WithTracer(b.tracer), omq.WithRegistry(b.reg), omq.WithEventLog(b.events),
-			}
-		},
-		Stopped: func(oid, instanceID string, clean bool) {
-			collector.MarkDead(instanceID, clean)
-		},
-	})
-	return func(id string) *instanceObs {
-		mu.Lock()
-		defer mu.Unlock()
-		return bundles[id]
-	}
-}
-
-// registerFleetInstance finishes an instance's obs wiring from its factory:
-// the service adopts the per-instance tracer and sketch, and the instance
-// becomes a collector source with live epoch/readiness probes.
-func registerFleetInstance(collector *obs.Collector, obsOf func(string) *instanceObs, svc *core.Service, id string) error {
-	b := obsOf(id)
-	if b == nil {
-		return fmt.Errorf("bench: no obs bundle for instance %s", id)
-	}
-	svc.SetObs(b.tracer, b.hot)
-	collector.Register(obs.Source{
-		InstanceID: id,
-		Epoch:      svc.RingEpoch,
-		Ready:      svc.Ready,
-		Registry:   b.reg,
-		Sink:       b.sink,
-		Events:     b.events,
-		Hot:        b.hot,
-	})
-	return nil
-}
 
 // countFailoverTraces scans every stitched trace in the collector and counts
 // those containing at least one router attempt span annotated with a
@@ -182,99 +114,38 @@ type FleetTraceResult struct {
 //     the instance boundary.
 func RunFleetTrace(cfg FleetTraceConfig) (*FleetTraceResult, error) {
 	cfg.applyDefaults()
-	collector := obs.NewCollector()
-
-	m := mq.NewBroker()
-	defer m.Close()
-	meta := metastore.NewStore()
-	defer meta.Close()
-	created := make(map[string]bool)
-	ensureWorkspace := func(ws string) error {
-		if created[ws] {
-			return nil
-		}
-		if err := meta.CreateWorkspace(metastore.Workspace{ID: ws, Owner: "user-0"}); err != nil {
-			return err
-		}
-		created[ws] = true
-		return nil
-	}
-	for i := 0; i < cfg.Workspaces; i++ {
-		if err := ensureWorkspace(fleetTraceWorkspace(i)); err != nil {
-			return nil, err
-		}
-	}
-
-	nodeBroker, err := omq.NewBroker(m, omq.WithID("10-node"))
-	if err != nil {
-		return nil, err
-	}
-	defer nodeBroker.Close()
-	rb, err := omq.NewRemoteBroker(nodeBroker)
-	if err != nil {
-		return nil, err
-	}
-	defer rb.Close()
-	notifBroker, err := omq.NewBroker(m, omq.WithID("20-notif"))
-	if err != nil {
-		return nil, err
-	}
-	defer notifBroker.Close()
-
-	// Per-instance observability, built in the spawn hook (the instance id is
-	// decided before the child broker exists) and consumed by the factory.
-	obsOf := installFleetObs(rb, collector)
-	rb.RegisterInstanceFactory(core.ServiceOID, func(id string) (interface{}, error) {
-		svc := core.NewService(meta, notifBroker)
-		svc.SetInstance(id)
-		if err := registerFleetInstance(collector, obsOf, svc, id); err != nil {
-			return nil, err
-		}
-		return svc.API(), nil
-	})
-	if err := m.DeclareQueue(core.ServiceOID); err != nil {
-		return nil, err
-	}
-
 	var target atomic.Int64
 	target.Store(int64(cfg.Instances))
-	supBroker, err := omq.NewBroker(m, omq.WithID("00-supervisor"))
-	if err != nil {
-		return nil, err
-	}
-	defer supBroker.Close()
-	sup, err := omq.StartSupervisor(supBroker, omq.SupervisorConfig{
-		OID:        core.ServiceOID,
-		CheckEvery: cfg.CheckEvery,
-		Provisioner: omq.ProvisionerFunc(func(time.Time, omq.ObjectInfo) int {
-			return int(target.Load())
-		}),
-		MaxInstances:    cfg.Instances + 2,
-		Routing:         true,
-		InventoryWindow: 50 * time.Millisecond,
+	// Per-instance observability, built at spawn and registered with one
+	// Collector the smoke scrapes by hand.
+	fleet, err := deploy.Start(deploy.Config{
+		Workspaces: workspacesOf(cfg.Workspaces, fleetTraceWorkspace),
+		FleetObs:   true,
+		Supervisor: &omq.SupervisorConfig{
+			CheckEvery: cfg.CheckEvery,
+			Provisioner: omq.ProvisionerFunc(func(time.Time, omq.ObjectInfo) int {
+				return int(target.Load())
+			}),
+			MaxInstances:    cfg.Instances + 2,
+			Routing:         true,
+			InventoryWindow: 50 * time.Millisecond,
+		},
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer sup.Stop()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		r := sup.Ring()
-		if rb.InstanceCount(core.ServiceOID) == cfg.Instances && r != nil && len(r.Members()) == cfg.Instances {
-			break
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("bench: fleet never reached %d routed instances", cfg.Instances)
-		}
-		time.Sleep(5 * time.Millisecond)
+	defer fleet.Close()
+	if err := fleet.WaitInstances(cfg.Instances, 10*time.Second); err != nil {
+		return nil, err
 	}
+	collector := fleet.Collector
 
 	// The client is a pseudo-source: no epoch/readiness, but its sink holds
 	// the root/route/attempt spans every stitched trace starts from.
 	clientSink := obs.NewSpanSink(0)
 	clientReg := obs.NewRegistry()
 	clientTracer := obs.NewTracer(obs.WithSink(clientSink), obs.WithInstance("client"))
-	clientBroker, err := omq.NewBroker(m, omq.WithID("40-client"),
+	clientBroker, err := omq.NewBroker(fleet.MQ, omq.WithID("40-client"),
 		omq.WithTracer(clientTracer), omq.WithRegistry(clientReg))
 	if err != nil {
 		return nil, err
@@ -340,14 +211,14 @@ func RunFleetTrace(cfg FleetTraceConfig) (*FleetTraceResult, error) {
 		return nil, fmt.Errorf("bench: router never adopted a ring")
 	}
 	victimWS := fleetTraceWorkspace(1)
-	oldEpoch := sup.Ring().Epoch()
+	oldEpoch := fleet.Ring().Epoch()
 	killed := staleRing.Owner(victimWS)
-	if !rb.KillByID(core.ServiceOID, killed) {
+	if !fleet.KillByID(killed) {
 		return nil, fmt.Errorf("bench: owner %s of %s not running locally", killed, victimWS)
 	}
 	res.KilledInstance = killed
-	deadline = time.Now().Add(10 * time.Second)
-	for rb.InstanceCount(core.ServiceOID) < cfg.Instances || sup.Ring().Epoch() <= oldEpoch {
+	deadline := time.Now().Add(10 * time.Second)
+	for fleet.Instances() < cfg.Instances || fleet.Ring().Epoch() <= oldEpoch {
 		if time.Now().After(deadline) {
 			return nil, fmt.Errorf("bench: fleet never recovered from kill")
 		}
@@ -365,16 +236,13 @@ func RunFleetTrace(cfg FleetTraceConfig) (*FleetTraceResult, error) {
 	// unlike the kill, the Stopped hook grants a final scrape, so a drained
 	// instance's spans survive in the collector.
 	target.Store(int64(cfg.Instances - 1))
-	deadline = time.Now().Add(10 * time.Second)
-	for rb.InstanceCount(core.ServiceOID) != cfg.Instances-1 {
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("bench: fleet never drained to %d", cfg.Instances-1)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if err := fleet.WaitInstances(cfg.Instances-1, 10*time.Second); err != nil {
+		return nil, err
 	}
 	// The Stopped hook marks the drained instance dead asynchronously with
 	// respect to the instance-count drop, so wait for the rollup to reflect
 	// the clean exit; on timeout the DrainedClean violation below reports it.
+	deadline = time.Now().Add(10 * time.Second)
 	for !rollupHasCleanDrain(collector, killed) && !time.Now().After(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}

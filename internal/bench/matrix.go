@@ -12,10 +12,9 @@ import (
 	"stacksync/internal/chunker"
 	"stacksync/internal/client"
 	"stacksync/internal/core"
+	"stacksync/internal/deploy"
 	"stacksync/internal/metastore"
 	"stacksync/internal/metrics"
-	"stacksync/internal/mq"
-	"stacksync/internal/objstore"
 	"stacksync/internal/obs"
 	"stacksync/internal/omq"
 )
@@ -196,27 +195,15 @@ func scenarioStats(s *ScenarioResult, lats []time.Duration, slo *obs.SLOTracker)
 func runChurnScenario(cfg MatrixConfig, sz matrixSizes) (*ScenarioResult, error) {
 	const workspace = "matrix-churn"
 	reg := obs.NewRegistry()
-	m := mq.NewBroker()
-	defer m.Close()
-	meta := metastore.NewStore(metastore.WithRegistry(reg))
-	defer meta.Close()
-	if err := meta.CreateWorkspace(metastore.Workspace{
-		ID: workspace, Owner: "user-0", Members: memberNames(sz.churnDevices),
-	}); err != nil {
-		return nil, err
-	}
-	sb, err := omq.NewBroker(m, omq.WithID("svc"), omq.WithRegistry(reg))
+	fleet, err := deploy.Start(deploy.Config{
+		Workspaces: []metastore.Workspace{{ID: workspace, Owner: "user-0", Members: memberNames(sz.churnDevices)}},
+		Registry:   reg,
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer sb.Close()
-	svc := core.NewService(meta, sb)
-	bind, err := svc.Bind()
-	if err != nil {
-		return nil, err
-	}
-	defer bind.Unbind()
-	base := objstore.NewMemory()
+	defer fleet.Close()
+	m, base := fleet.MQ, fleet.Chunks
 
 	newIncarnation := func(dev int) (*client.Client, *omq.Broker, error) {
 		cb, err := omq.NewBroker(m, omq.WithID(fmt.Sprintf("churn-%d", dev)), omq.WithRegistry(reg))
@@ -364,27 +351,15 @@ func hasAll(cl *client.Client, paths []string) bool {
 func runColdStartScenario(cfg MatrixConfig, sz matrixSizes) (*ScenarioResult, error) {
 	const workspace = "matrix-cold"
 	reg := obs.NewRegistry()
-	m := mq.NewBroker()
-	defer m.Close()
-	meta := metastore.NewStore(metastore.WithRegistry(reg))
-	defer meta.Close()
-	if err := meta.CreateWorkspace(metastore.Workspace{
-		ID: workspace, Owner: "user-0", Members: memberNames(sz.coldClients + 1),
-	}); err != nil {
-		return nil, err
-	}
-	sb, err := omq.NewBroker(m, omq.WithID("svc"), omq.WithRegistry(reg))
+	fleet, err := deploy.Start(deploy.Config{
+		Workspaces: []metastore.Workspace{{ID: workspace, Owner: "user-0", Members: memberNames(sz.coldClients + 1)}},
+		Registry:   reg,
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer sb.Close()
-	svc := core.NewService(meta, sb)
-	bind, err := svc.Bind()
-	if err != nil {
-		return nil, err
-	}
-	defer bind.Unbind()
-	base := objstore.NewMemory()
+	defer fleet.Close()
+	m, base := fleet.MQ, fleet.Chunks
 
 	// Seed the workspace: user-0's device writes the corpus, then leaves —
 	// on every path, so a failed seed leaks neither the device nor its broker.
@@ -523,16 +498,26 @@ func runColdStartScenario(cfg MatrixConfig, sz matrixSizes) (*ScenarioResult, er
 func runReconnectScenario(cfg MatrixConfig, sz matrixSizes) (*ScenarioResult, error) {
 	const workspace = "matrix-reconn"
 	reg := obs.NewRegistry()
-	m := mq.NewBroker()
-	defer m.Close()
-	// Finite retention keeps compaction live during the storm, so some warm
-	// cursors genuinely fall below the watermark and exercise the full-state
-	// fallback rather than only the cheap tail branch.
-	meta := metastore.NewStore(metastore.WithRegistry(reg), metastore.WithLogRetention(256))
-	defer meta.Close()
-	if err := meta.CreateWorkspace(metastore.Workspace{ID: workspace, Owner: "user-0"}); err != nil {
+	// A SyncService fleet sharing the one store, one instance per concurrent
+	// caller. Each bound object drains its call queue with a single worker
+	// goroutine, so a lone instance would serialize reads ahead of commits at
+	// the dispatch layer and the gate would measure queue dwell, not the
+	// store. With a worker per caller the only cross-traffic coupling left is
+	// the metastore itself — exactly the contention DESIGN §16 claims away.
+	fleet, err := deploy.Start(deploy.Config{
+		Workspaces: []metastore.Workspace{{ID: workspace, Owner: "user-0"}},
+		// Finite retention keeps compaction live during the storm, so some
+		// warm cursors genuinely fall below the watermark and exercise the
+		// full-state fallback rather than only the cheap tail branch.
+		Meta:      []metastore.Option{metastore.WithLogRetention(256)},
+		Registry:  reg,
+		Instances: sz.reconnCommitters + sz.reconnColdReaders + sz.reconnWarmReaders,
+	})
+	if err != nil {
 		return nil, err
 	}
+	defer fleet.Close()
+	m, meta := fleet.MQ, fleet.Meta
 	// Seed a populated workspace so cold readers pay a real full-state cost.
 	seed := make([]metastore.ItemVersion, sz.reconnSeedItems)
 	for k := range seed {
@@ -545,27 +530,6 @@ func runReconnectScenario(cfg MatrixConfig, sz matrixSizes) (*ScenarioResult, er
 	if _, err := meta.CommitBatch(seed); err != nil {
 		return nil, err
 	}
-	// A SyncService fleet sharing the one store, one instance per concurrent
-	// caller. Each bound object drains its call queue with a single worker
-	// goroutine, so a lone instance would serialize reads ahead of commits at
-	// the dispatch layer and the gate would measure queue dwell, not the
-	// store. With a worker per caller the only cross-traffic coupling left is
-	// the metastore itself — exactly the contention DESIGN §16 claims away.
-	instances := sz.reconnCommitters + sz.reconnColdReaders + sz.reconnWarmReaders
-	for inst := 0; inst < instances; inst++ {
-		sb, err := omq.NewBroker(m, omq.WithID(fmt.Sprintf("svc-%d", inst)), omq.WithRegistry(reg))
-		if err != nil {
-			return nil, err
-		}
-		defer sb.Close()
-		svc := core.NewService(meta, sb)
-		bind, err := svc.Bind()
-		if err != nil {
-			return nil, err
-		}
-		defer bind.Unbind()
-	}
-
 	// commitPhase fires sz.reconnCommits single-item commits through the RPC
 	// surface (unique items per phase) and returns the per-commit latencies.
 	commitPhase := func(phase string) ([]time.Duration, int, error) {

@@ -14,6 +14,7 @@ import (
 	"stacksync/internal/chunker"
 	"stacksync/internal/client"
 	"stacksync/internal/core"
+	"stacksync/internal/deploy"
 	"stacksync/internal/faults"
 	"stacksync/internal/metastore"
 	"stacksync/internal/mq"
@@ -106,14 +107,14 @@ func multiChaosPlan(cfg MultiChaosConfig, reg *obs.Registry) *faults.Plan {
 			// this is the proxy↔instance partition of the issue brief.
 			"mq.client": {DropP: 0.04, DupP: 0.04, DelayP: 0.08, MaxDelay: 15 * time.Millisecond},
 			// Notification pushes: the lossiest hop — resync must repair.
-			"mq.notif": {DropP: 0.10, DupP: 0.05, DelayP: 0.10, MaxDelay: 20 * time.Millisecond},
+			deploy.FaultSiteNotify: {DropP: 0.10, DupP: 0.05, DelayP: 0.10, MaxDelay: 20 * time.Millisecond},
 			// Storage: transient errors, latency spikes, one outage window.
 			"objstore": {
 				ErrorP: 0.08, DelayP: 0.08, MaxDelay: 10 * time.Millisecond,
 				Outages: faults.RandomOutages(cfg.Seed, "objstore", 1, 200*time.Millisecond, horizon),
 			},
 			// Metadata transactions: sporadic aborts the pipeline must retry.
-			"meta": {AbortP: 0.10},
+			deploy.FaultSiteMeta: {AbortP: 0.10},
 		},
 	})
 }
@@ -168,98 +169,48 @@ func RunMultiChaos(cfg MultiChaosConfig) (*MultiChaosResult, error) {
 		[]byte(multiChaosPlan(cfg, nil).Describe(512)),
 	)
 
-	m := mq.NewBroker()
-	defer m.Close()
-	meta := metastore.NewStore(metastore.WithFaults(plan, "meta"), metastore.WithRegistry(reg))
-	defer meta.Close()
-	for i := 0; i < cfg.Workspaces; i++ {
-		if err := meta.CreateWorkspace(metastore.Workspace{ID: multiChaosWorkspace(i), Owner: "user-0"}); err != nil {
-			return nil, err
-		}
-	}
-	baseStore := objstore.NewMemory()
-	faultyStore := objstore.NewFaulty(baseStore, plan, "objstore", nil)
-
-	// Node hosting the crashing SyncService instances.
-	nodeBroker, err := omq.NewBroker(m, omq.WithID("10-node"), omq.WithRegistry(reg), omq.WithEventLog(events))
-	if err != nil {
-		return nil, err
-	}
-	defer nodeBroker.Close()
-	rb, err := omq.NewRemoteBroker(nodeBroker)
-	if err != nil {
-		return nil, err
-	}
-	defer rb.Close()
-
-	notifMQ := mq.NewFaulty(m, plan, "mq.notif", nil)
-	notifBroker, err := omq.NewBroker(notifMQ, omq.WithID("20-notif"), omq.WithRegistry(reg))
-	if err != nil {
-		return nil, err
-	}
-	defer notifBroker.Close()
-	// Fleet observability (DESIGN §15): every spawned instance exports its
-	// own tracer/registry/events/sketch into one Collector, polled while the
-	// chaos runs so crashes only lose the spans buffered since the last
-	// scrape.
-	collector := obs.NewCollector()
-	obsOf := installFleetObs(rb, collector)
-	stopPolling := collector.StartPolling(50 * time.Millisecond)
-	defer stopPolling()
-
-	// Instance factory: each spawned instance learns its ring identity before
-	// it is bound, so fencing is armed from the first UpdateRing push.
-	rb.RegisterInstanceFactory(core.ServiceOID, func(id string) (interface{}, error) {
-		svc := core.NewService(meta, notifBroker)
-		svc.SetInstance(id)
-		if err := registerFleetInstance(collector, obsOf, svc, id); err != nil {
-			return nil, err
-		}
-		return svc.API(), nil
-	})
-	if err := m.DeclareQueue(core.ServiceOID); err != nil {
-		return nil, err
-	}
-
 	// Routing supervisor driven through the phase schedule by an atomic
 	// target the phase driver advances.
 	var target atomic.Int64
 	target.Store(int64(cfg.Phases[0]))
-	supBroker, err := omq.NewBroker(m, omq.WithID("00-supervisor"), omq.WithRegistry(reg), omq.WithEventLog(events))
-	if err != nil {
-		return nil, err
-	}
-	defer supBroker.Close()
 	maxPhase := 0
 	for _, p := range cfg.Phases {
-		if p > maxPhase {
-			maxPhase = p
-		}
+		maxPhase = max(maxPhase, p)
 	}
-	sup, err := omq.StartSupervisor(supBroker, omq.SupervisorConfig{
-		OID:        core.ServiceOID,
-		CheckEvery: cfg.CheckEvery,
-		Provisioner: omq.ProvisionerFunc(func(time.Time, omq.ObjectInfo) int {
-			return int(target.Load())
-		}),
-		MaxInstances: maxPhase + 2,
-		Routing:      true,
-		// Keep the rebalance latency (inventory collection + ring push) well
-		// under the crash cadence, or the ring would chronically trail the
-		// fleet and every routed call would spend its budget on corpses.
-		InventoryWindow: 50 * time.Millisecond,
+	fleet, err := deploy.Start(deploy.Config{
+		Workspaces: workspacesOf(cfg.Workspaces, multiChaosWorkspace),
+		Registry:   reg,
+		Events:     events,
+		Faults:     plan,
+		// Fleet observability (DESIGN §15): every spawned instance exports its
+		// own tracer/registry/events/sketch into one Collector, polled while
+		// the chaos runs so crashes only lose the spans buffered since the
+		// last scrape.
+		FleetObs:     true,
+		CollectEvery: 50 * time.Millisecond,
+		Supervisor: &omq.SupervisorConfig{
+			CheckEvery: cfg.CheckEvery,
+			Provisioner: omq.ProvisionerFunc(func(time.Time, omq.ObjectInfo) int {
+				return int(target.Load())
+			}),
+			MaxInstances: maxPhase + 2,
+			Routing:      true,
+			// Keep the rebalance latency (inventory collection + ring push)
+			// well under the crash cadence, or the ring would chronically
+			// trail the fleet and every routed call would spend its budget on
+			// corpses.
+			InventoryWindow: 50 * time.Millisecond,
+		},
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer sup.Stop()
-	deadline := time.Now().Add(10 * time.Second)
-	for rb.InstanceCount(core.ServiceOID) < cfg.Phases[0] || sup.Ring() == nil {
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("bench: supervisor never built the initial ring")
-		}
-		time.Sleep(5 * time.Millisecond)
+	defer fleet.Close()
+	if err := fleet.WaitInstances(cfg.Phases[0], 10*time.Second); err != nil {
+		return nil, err
 	}
+	collector := fleet.Collector
+	faultyStore := objstore.NewFaulty(fleet.Chunks, plan, "objstore", nil)
 
 	// Client devices: each on its own broker over the faulty client MQ view,
 	// with a Router so commits and resyncs follow workspace affinity.
@@ -274,7 +225,7 @@ func RunMultiChaos(cfg MultiChaosConfig) (*MultiChaosResult, error) {
 		clientSink := obs.NewSpanSink(0)
 		clientTracer := obs.NewTracer(obs.WithSink(clientSink), obs.WithInstance(clientID))
 		collector.Register(obs.Source{InstanceID: clientID, Sink: clientSink})
-		cb, err := omq.NewBroker(mq.NewFaulty(m, plan, "mq.client", nil),
+		cb, err := omq.NewBroker(mq.NewFaulty(fleet.MQ, plan, "mq.client", nil),
 			omq.WithID(clientID), omq.WithRegistry(reg), omq.WithTracer(clientTracer))
 		if err != nil {
 			return nil, err
@@ -330,40 +281,9 @@ func RunMultiChaos(cfg MultiChaosConfig) (*MultiChaosResult, error) {
 
 	// Crash schedule: kill -9 one instance at a time; the Supervisor must
 	// respawn to the current phase target and re-push the ring.
-	type downInterval struct{ from, to time.Time }
-	var crashMu sync.Mutex
-	var downs []downInterval
-	stopCrasher := make(chan struct{})
-	crasherDone := make(chan struct{})
-	crashTimes := faults.CrashSchedule(cfg.Seed, cfg.CrashEvery, 0.5, cfg.Settle)
-	go func() {
-		defer close(crasherDone)
-		for _, at := range crashTimes {
-			select {
-			case <-stopCrasher:
-				return
-			case <-time.After(time.Until(start.Add(at))):
-			}
-			if rb.KillLocal(core.ServiceOID) == "" {
-				continue
-			}
-			crashMu.Lock()
-			downs = append(downs, downInterval{from: time.Now()})
-			idx := len(downs) - 1
-			crashMu.Unlock()
-			for rb.InstanceCount(core.ServiceOID) < int(target.Load()) {
-				select {
-				case <-stopCrasher:
-					return
-				default:
-				}
-				time.Sleep(time.Millisecond)
-			}
-			crashMu.Lock()
-			downs[idx].to = time.Now()
-			crashMu.Unlock()
-		}
-	}()
+	crashes := startCrashes(fleet, start, faults.CrashSchedule(cfg.Seed, cfg.CrashEvery, 0.5, cfg.Settle),
+		func() int { return int(target.Load()) })
+	defer crashes.Stop()
 
 	// Workload: each device writes its own distinct paths into its own
 	// workspace; a routed PutFile acks only once the metadata commit is
@@ -400,15 +320,14 @@ func RunMultiChaos(cfg MultiChaosConfig) (*MultiChaosResult, error) {
 	}
 	workloadEnd := time.Now()
 
-	close(stopCrasher)
-	<-crasherDone
+	crashes.Stop()
 	<-phaseDone
 
 	converged := false
 	var settleTime time.Duration
 	settleDeadline := workloadEnd.Add(cfg.Settle)
 	for time.Now().Before(settleDeadline) {
-		if multiChaosConverged(clients, wsOf, expected) {
+		if soakConverged(clients, wsOf, expected) {
 			converged = true
 			settleTime = time.Since(workloadEnd)
 			break
@@ -418,10 +337,7 @@ func RunMultiChaos(cfg MultiChaosConfig) (*MultiChaosResult, error) {
 
 	// Let the fleet drain to the final phase target before reading end state.
 	finalWant := cfg.Phases[len(cfg.Phases)-1]
-	fleetDeadline := time.Now().Add(5 * time.Second)
-	for rb.InstanceCount(core.ServiceOID) != finalWant && time.Now().Before(fleetDeadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
+	_ = fleet.WaitInstances(finalWant, 5*time.Second)
 
 	res := &MultiChaosResult{
 		Seed:           cfg.Seed,
@@ -431,7 +347,7 @@ func RunMultiChaos(cfg MultiChaosConfig) (*MultiChaosResult, error) {
 		Converged:      converged,
 		SettleTime:     settleTime,
 		ScheduleStable: scheduleStable,
-		FinalInstances: rb.InstanceCount(core.ServiceOID),
+		FinalInstances: fleet.Instances(),
 		FaultCounts:    plan.Counts(),
 		RoutedCalls:    reg.CounterValue("omq_router_calls_total", "oid", core.ServiceOID),
 		StaleRejects:   reg.CounterValue("omq_router_stale_total", "oid", core.ServiceOID),
@@ -441,7 +357,7 @@ func RunMultiChaos(cfg MultiChaosConfig) (*MultiChaosResult, error) {
 	for _, g := range expected {
 		res.Commits += len(g)
 	}
-	if r := sup.Ring(); r != nil {
+	if r := fleet.Ring(); r != nil {
 		res.FinalRingSize = len(r.Members())
 		res.RingEpoch = r.Epoch()
 	}
@@ -450,21 +366,10 @@ func RunMultiChaos(cfg MultiChaosConfig) (*MultiChaosResult, error) {
 			res.Rebalances++
 		}
 	}
-	crashMu.Lock()
-	res.Crashes = len(downs)
-	for _, d := range downs {
-		if d.to.IsZero() {
-			continue
-		}
-		if dur := d.to.Sub(d.from); dur > res.MaxRespawn {
-			res.MaxRespawn = dur
-		}
-	}
-	crashMu.Unlock()
+	res.Crashes, res.MaxRespawn = crashes.result()
 
 	// Final scrape (live instances and client pseudo-sources), then read the
 	// fleet-wide trace and heavy-hitter state.
-	stopPolling()
 	collector.Collect()
 	res.StitchedTraces, res.FailoverTraces = countFailoverTraces(collector)
 	if hot := collector.Rollup().HotCommits; len(hot) > 0 {
@@ -476,56 +381,9 @@ func RunMultiChaos(cfg MultiChaosConfig) (*MultiChaosResult, error) {
 	return res, nil
 }
 
-// multiChaosConverged reports whether every client holds exactly its
-// workspace's expected state with no queued uploads left.
-func multiChaosConverged(clients []*client.Client, wsOf func(int) string, expected map[string]map[string]string) bool {
-	for i, cl := range clients {
-		if client.UploadQueueDepth(cl.Registry(), fmt.Sprintf("dev-%d", i)) > 0 {
-			return false
-		}
-		exp := expected[wsOf(i)]
-		paths := cl.Paths()
-		if len(paths) != len(exp) {
-			return false
-		}
-		for path, want := range exp {
-			got, ok := cl.FileContent(path)
-			if !ok || string(got) != want {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // multiChaosViolations enumerates broken invariants for the report.
 func multiChaosViolations(clients []*client.Client, wsOf func(int) string, expected map[string]map[string]string, res *MultiChaosResult) []string {
-	var v []string
-	if !res.Converged {
-		v = append(v, fmt.Sprintf("clients did not converge within the settle window (%d commits expected)", res.Commits))
-	}
-	for i, cl := range clients {
-		exp := expected[wsOf(i)]
-		for _, p := range cl.Paths() {
-			if strings.Contains(p, "conflicted copy") {
-				v = append(v, fmt.Sprintf("dev-%d holds spurious conflict copy %q", i, p))
-			}
-			if _, ok := exp[p]; !ok {
-				v = append(v, fmt.Sprintf("dev-%d holds unexpected path %q", i, p))
-			}
-		}
-		for path := range exp {
-			if _, ok := cl.FileContent(path); !ok {
-				v = append(v, fmt.Sprintf("dev-%d lost acked commit %q", i, path))
-			}
-		}
-	}
-	if !res.ScheduleStable {
-		v = append(v, "fault schedule not reproducible from seed")
-	}
-	if res.MaxRespawn > time.Second {
-		v = append(v, fmt.Sprintf("crash respawn took %v (> 1s)", res.MaxRespawn))
-	}
+	v := soakViolations(clients, wsOf, expected, res.Commits, res.Converged, res.ScheduleStable, res.MaxRespawn)
 	finalWant := res.Phases[len(res.Phases)-1]
 	if res.FinalInstances != finalWant {
 		v = append(v, fmt.Sprintf("fleet settled at %d instances, want %d", res.FinalInstances, finalWant))
@@ -635,6 +493,15 @@ func (c *UB1MultiConfig) applyDefaults() {
 
 func ub1MultiWorkspace(i int) string { return fmt.Sprintf("ub1m-ws-%02d", i) }
 
+// workspacesOf names n workspaces owned by user-0.
+func workspacesOf(n int, name func(int) string) []metastore.Workspace {
+	ws := make([]metastore.Workspace, n)
+	for i := range ws {
+		ws[i] = metastore.Workspace{ID: name(i), Owner: "user-0"}
+	}
+	return ws
+}
+
 // UB1MultiResult reports the replay's outcome.
 type UB1MultiResult struct {
 	Seed       int64 `json:"seed"`
@@ -711,68 +578,27 @@ func RunUB1Multi(cfg UB1MultiConfig) (*UB1MultiResult, error) {
 	// Stack: healthy plumbing — the replay measures routed capacity, not
 	// fault repair (the chaos soak covers that).
 	reg := obs.NewRegistry()
-	m := mq.NewBroker()
-	defer m.Close()
-	meta := metastore.NewStore(metastore.WithRegistry(reg))
-	defer meta.Close()
-	for i := 0; i < cfg.Workspaces; i++ {
-		if err := meta.CreateWorkspace(metastore.Workspace{ID: ub1MultiWorkspace(i), Owner: "user-0"}); err != nil {
-			return nil, err
-		}
-	}
-	nodeBroker, err := omq.NewBroker(m, omq.WithID("10-node"), omq.WithRegistry(reg))
-	if err != nil {
-		return nil, err
-	}
-	defer nodeBroker.Close()
-	rb, err := omq.NewRemoteBroker(nodeBroker)
-	if err != nil {
-		return nil, err
-	}
-	defer rb.Close()
-	notifBroker, err := omq.NewBroker(m, omq.WithID("20-notif"), omq.WithRegistry(reg))
-	if err != nil {
-		return nil, err
-	}
-	defer notifBroker.Close()
-	rb.RegisterInstanceFactory(core.ServiceOID, func(id string) (interface{}, error) {
-		svc := core.NewService(meta, notifBroker)
-		svc.SetInstance(id)
-		return svc.API(), nil
-	})
-	if err := m.DeclareQueue(core.ServiceOID); err != nil {
-		return nil, err
-	}
-	supBroker, err := omq.NewBroker(m, omq.WithID("00-supervisor"), omq.WithRegistry(reg))
-	if err != nil {
-		return nil, err
-	}
-	defer supBroker.Close()
-	sup, err := omq.StartSupervisor(supBroker, omq.SupervisorConfig{
-		OID:             core.ServiceOID,
-		CheckEvery:      cfg.CheckEvery,
-		Provisioner:     omq.FixedProvisioner(cfg.Instances),
-		MaxInstances:    cfg.Instances,
-		Routing:         true,
-		InventoryWindow: 50 * time.Millisecond,
+	fleet, err := deploy.Start(deploy.Config{
+		Workspaces: workspacesOf(cfg.Workspaces, ub1MultiWorkspace),
+		Registry:   reg,
+		Supervisor: &omq.SupervisorConfig{
+			CheckEvery:      cfg.CheckEvery,
+			Provisioner:     omq.FixedProvisioner(cfg.Instances),
+			MaxInstances:    cfg.Instances,
+			Routing:         true,
+			InventoryWindow: 50 * time.Millisecond,
+		},
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer sup.Stop()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		r := sup.Ring()
-		if rb.InstanceCount(core.ServiceOID) == cfg.Instances && r != nil && len(r.Members()) == cfg.Instances {
-			break
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("bench: fleet never reached %d routed instances", cfg.Instances)
-		}
-		time.Sleep(5 * time.Millisecond)
+	defer fleet.Close()
+	if err := fleet.WaitInstances(cfg.Instances, 10*time.Second); err != nil {
+		return nil, err
 	}
+	meta := fleet.Meta
 
-	loadBroker, err := omq.NewBroker(m, omq.WithID("40-load"), omq.WithRegistry(reg))
+	loadBroker, err := omq.NewBroker(fleet.MQ, omq.WithID("40-load"), omq.WithRegistry(reg))
 	if err != nil {
 		return nil, err
 	}
@@ -899,7 +725,7 @@ func RunUB1Multi(cfg UB1MultiConfig) (*UB1MultiResult, error) {
 		StaleRejects:       reg.CounterValue("omq_router_stale_total", "oid", core.ServiceOID),
 	}
 	res.SLOMet = res.Attainment >= cfg.SLOObjective
-	if r := sup.Ring(); r != nil {
+	if r := fleet.Ring(); r != nil {
 		res.RingSize = len(r.Members())
 		res.RingEpoch = r.Epoch()
 	}

@@ -13,7 +13,7 @@ import (
 	"stacksync/internal/chunker"
 	"stacksync/internal/client"
 	"stacksync/internal/clock"
-	"stacksync/internal/core"
+	"stacksync/internal/deploy"
 	"stacksync/internal/metastore"
 	"stacksync/internal/mq"
 	"stacksync/internal/objstore"
@@ -26,9 +26,6 @@ type StackOptions struct {
 	// Devices is the number of client devices (>=1). Device 0 is the
 	// writer in replay experiments.
 	Devices int
-	// ServiceInstances is how many SyncService instances share the request
-	// queue (default 1).
-	ServiceInstances int
 	// Chunker used by all clients (default fixed 512 KB).
 	Chunker chunker.Chunker
 	// Compression used by all clients (default gzip).
@@ -48,10 +45,6 @@ type StackOptions struct {
 	// counters, and every device's MQ/storage traffic meters land on it. nil
 	// gives each component a private registry (the pre-existing behaviour).
 	Registry *obs.Registry
-	// MetaShards overrides the metadata store's shard count (0 keeps
-	// metastore.DefaultShards). Benchmarks sweep this to measure commit
-	// concurrency vs shard count.
-	MetaShards int
 	// TransferWorkers and TransferBatch tune every client's transfer
 	// pipeline (0 keeps the client defaults; negative forces serial /
 	// per-chunk). Benchmarks sweep these to measure the pipelined data path
@@ -63,9 +56,6 @@ type StackOptions struct {
 func (o *StackOptions) applyDefaults() {
 	if o.Devices <= 0 {
 		o.Devices = 1
-	}
-	if o.ServiceInstances <= 0 {
-		o.ServiceInstances = 1
 	}
 	if o.Chunker == nil {
 		o.Chunker = chunker.NewFixed()
@@ -82,12 +72,8 @@ func (o *StackOptions) applyDefaults() {
 // traffic meters.
 type Stack struct {
 	Opts StackOptions
-
-	MQ   *mq.Broker
-	Meta *metastore.Store
-
-	serverBrokers []*omq.Broker
-	serviceBinds  []*omq.BoundObject
+	// Fleet is the server side: broker, back-ends, one SyncService.
+	Fleet *deploy.Fleet
 
 	clients       []*client.Client
 	clientBrokers []*omq.Broker
@@ -95,68 +81,31 @@ type Stack struct {
 	clientStores  []*objstore.Metered
 }
 
-// NewStack deploys broker, metadata store, storage, SyncService instances
-// and the requested devices, all connected and started.
+// NewStack deploys broker, metadata store, storage, a SyncService and the
+// requested devices, all connected and started.
 func NewStack(opts StackOptions) (*Stack, error) {
 	opts.applyDefaults()
-	var metaOpts []metastore.Option
-	if opts.MetaShards > 0 {
-		metaOpts = append(metaOpts, metastore.WithShards(opts.MetaShards))
-	}
-	if opts.Registry != nil {
-		metaOpts = append(metaOpts, metastore.WithRegistry(opts.Registry))
-	}
-	st := &Stack{
-		Opts: opts,
-		MQ:   mq.NewBroker(),
-		Meta: metastore.NewStore(metaOpts...),
-	}
-	if err := st.Meta.CreateWorkspace(metastore.Workspace{
-		ID: opts.WorkspaceID, Owner: "user-0",
-		Members: memberNames(opts.Devices),
-	}); err != nil {
-		st.Close()
+	fleet, err := deploy.Start(deploy.Config{
+		Workspaces: []metastore.Workspace{{ID: opts.WorkspaceID, Owner: "user-0", Members: memberNames(opts.Devices)}},
+		Tracer:     opts.Tracer,
+		Registry:   opts.Registry,
+	})
+	if err != nil {
 		return nil, err
 	}
-
-	var brokerOpts []omq.BrokerOption
-	if opts.Tracer != nil {
-		brokerOpts = append(brokerOpts, omq.WithTracer(opts.Tracer))
-	}
-	if opts.Registry != nil {
-		brokerOpts = append(brokerOpts, omq.WithRegistry(opts.Registry))
-	}
-
-	base := objstore.NewMemory()
-	for i := 0; i < opts.ServiceInstances; i++ {
-		sb, err := omq.NewBroker(st.MQ, append([]omq.BrokerOption{
-			omq.WithID(fmt.Sprintf("svc-%d", i))}, brokerOpts...)...)
-		if err != nil {
-			st.Close()
-			return nil, fmt.Errorf("bench: service broker: %w", err)
-		}
-		st.serverBrokers = append(st.serverBrokers, sb)
-		svc := core.NewService(st.Meta, sb)
-		bind, err := svc.Bind()
-		if err != nil {
-			st.Close()
-			return nil, fmt.Errorf("bench: bind service: %w", err)
-		}
-		st.serviceBinds = append(st.serviceBinds, bind)
-	}
-
+	st := &Stack{Opts: opts, Fleet: fleet}
 	for i := 0; i < opts.Devices; i++ {
 		device := fmt.Sprintf("dev-%d", i)
-		mmq := mq.NewMeteredMQ(st.MQ)
-		cb, err := omq.NewBroker(mmq, append([]omq.BrokerOption{
-			omq.WithID("client-" + device)}, brokerOpts...)...)
+		mmq := mq.NewMeteredMQ(fleet.MQ)
+		cb, err := omq.NewBroker(mmq, omq.WithID("client-"+device),
+			omq.WithTracer(opts.Tracer), omq.WithRegistry(opts.Registry))
 		if err != nil {
 			st.Close()
 			return nil, fmt.Errorf("bench: client broker: %w", err)
 		}
-		var deviceStore objstore.Store = base
+		deviceStore := fleet.Chunks
 		if opts.StorageLatency > 0 || opts.StorageBandwidth > 0 {
-			deviceStore = objstore.NewSimulated(base, clock.NewReal(), opts.StorageLatency, opts.StorageBandwidth)
+			deviceStore = objstore.NewSimulated(deviceStore, clock.NewReal(), opts.StorageLatency, opts.StorageBandwidth)
 		}
 		metered := objstore.NewMetered(deviceStore)
 		if opts.Registry != nil {
@@ -209,25 +158,6 @@ func memberNames(n int) []string {
 // Client returns device i.
 func (st *Stack) Client(i int) *client.Client { return st.clients[i] }
 
-// AdminQueues adapts the stack's broker topology onto the admin surface:
-// one QueueInfo per declared queue, read live at call time.
-func (st *Stack) AdminQueues() []obs.QueueInfo {
-	names := st.MQ.Queues()
-	out := make([]obs.QueueInfo, 0, len(names))
-	for _, name := range names {
-		s, err := st.MQ.QueueStats(name)
-		if err != nil {
-			continue
-		}
-		out = append(out, obs.QueueInfo{
-			Name: s.Name, Depth: s.Depth, Unacked: s.Unacked,
-			Consumers: s.Consumers, ArrivalRate: s.ArrivalRate,
-			Enqueued: s.Enqueued, Acked: s.Acked, Redelivered: s.Redelivered,
-		})
-	}
-	return out
-}
-
 // Devices returns the number of deployed devices.
 func (st *Stack) Devices() int { return len(st.clients) }
 
@@ -255,16 +185,5 @@ func (st *Stack) Close() {
 	for _, b := range st.clientBrokers {
 		_ = b.Close()
 	}
-	for _, bind := range st.serviceBinds {
-		_ = bind.Unbind()
-	}
-	for _, sb := range st.serverBrokers {
-		_ = sb.Close()
-	}
-	if st.Meta != nil {
-		_ = st.Meta.Close()
-	}
-	if st.MQ != nil {
-		_ = st.MQ.Close()
-	}
+	_ = st.Fleet.Close()
 }

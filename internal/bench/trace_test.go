@@ -138,7 +138,7 @@ func TestAdminEndpoints(t *testing.T) {
 	admin := &obs.Admin{
 		Registry: reg,
 		Tracer:   tracer,
-		Queues:   st.AdminQueues,
+		Queues:   st.Fleet.Queues,
 		Health: func() obs.Health {
 			return obs.Health{OK: true, Components: []obs.ComponentHealth{{Name: "mq", OK: true}}}
 		},

@@ -1,0 +1,390 @@
+// Package deploy assembles the server side of a StackSync deployment — the
+// message broker, the metadata and storage back-ends, the network listeners
+// and the SyncService fleet — from one Config (DESIGN §19). The shipped
+// server and every in-process harness start their fleet here, so "the
+// deployment under test" and "the shipped binary" are the same wiring.
+package deploy
+
+import (
+	"errors"
+	"fmt"
+	"net"
+	"net/http"
+	"os"
+	"path/filepath"
+	"sync"
+	"time"
+
+	"stacksync/internal/core"
+	"stacksync/internal/faults"
+	"stacksync/internal/metastore"
+	"stacksync/internal/mq"
+	"stacksync/internal/objstore"
+	"stacksync/internal/obs"
+	"stacksync/internal/omq"
+)
+
+// Fault sites Config.Faults injects at: metadata transactions and the
+// SyncService's notification publishes.
+const (
+	FaultSiteMeta   = "meta"
+	FaultSiteNotify = "mq.notif"
+)
+
+// startTimeout bounds how long Start waits for a supervised fleet to serve.
+const startTimeout = 10 * time.Second
+
+// Config selects each part of a deployment.
+type Config struct {
+	// DataDir holds the broker journal, the metadata WAL and the chunk
+	// files. Empty keeps all three in memory.
+	DataDir string
+	// Listen is the broker's TCP address; empty serves in-process only.
+	Listen string
+	// StorageListen is the HTTP storage gateway's address; empty disables
+	// the gateway. StorageToken guards it ("" disables auth).
+	StorageListen string
+	StorageToken  string
+
+	// Workspaces are created at start; ones that already exist are kept.
+	Workspaces []metastore.Workspace
+	// Meta adds metadata store options (shard count, log retention).
+	Meta []metastore.Option
+
+	// Supervisor, when set, runs the fleet the paper's way: a RemoteBroker
+	// spawns SyncService instances and a Supervisor holds the pool at its
+	// provisioner's target. OID is filled in. Nil pins Instances instead.
+	Supervisor *omq.SupervisorConfig
+	// Instances is the pinned fleet size (default 1): one ObjectMQ broker
+	// per instance on the shared request queue.
+	Instances int
+
+	// Tracer, Registry and Events are shared by every server-side broker
+	// and the metadata store; nil disables each.
+	Tracer   *obs.Tracer
+	Registry *obs.Registry
+	Events   *obs.EventLog
+	// FleetObs gives every supervised instance its own tracer, registry,
+	// event log and hot-workspace sketch, registered with Fleet.Collector.
+	// CollectEvery > 0 polls the collector at that period.
+	FleetObs     bool
+	CollectEvery time.Duration
+
+	// Faults, when set, injects at FaultSiteMeta and FaultSiteNotify.
+	Faults *faults.Plan
+}
+
+// Fleet is a running deployment. Its exported back-ends are the ones the
+// fleet serves from; in-process devices connect to MQ and Chunks directly.
+type Fleet struct {
+	MQ     *mq.Broker
+	Meta   *metastore.Store
+	Chunks objstore.Store
+	// Collector federates per-instance observability (nil without FleetObs).
+	Collector *obs.Collector
+
+	cfg         Config
+	mqServer    *mq.Server
+	storageAddr string
+	pinned      int
+	rb          *omq.RemoteBroker
+	sup         *omq.Supervisor
+	bundles     sync.Map // instance id -> *instanceObs, from spawn to factory
+
+	closers   []func() error
+	closeOnce sync.Once
+	closeErr  error
+}
+
+// Start builds and starts a deployment. In supervised mode it returns once
+// MinInstances serve (and, with Routing, hold a ring), or fails past a
+// deadline. On error everything already started is torn down.
+func Start(cfg Config) (*Fleet, error) {
+	f := &Fleet{cfg: cfg}
+	if err := f.start(); err != nil {
+		_ = f.Close()
+		return nil, err
+	}
+	return f, nil
+}
+
+func (f *Fleet) start() error {
+	if err := f.startBackends(); err != nil {
+		return err
+	}
+	var err error
+	if f.cfg.Listen != "" {
+		if f.mqServer, err = mq.NewServer(f.MQ, f.cfg.Listen); err != nil {
+			return err
+		}
+		f.closers = append(f.closers, f.mqServer.Close)
+	}
+	if f.cfg.StorageListen != "" {
+		// Bind before anything is announced, so a taken port fails Start.
+		ln, err := net.Listen("tcp", f.cfg.StorageListen)
+		if err != nil {
+			return fmt.Errorf("deploy: storage gateway: %w", err)
+		}
+		gw := &http.Server{Handler: objstore.NewHandler(f.Chunks, f.cfg.StorageToken)}
+		go func() { _ = gw.Serve(ln) }()
+		f.storageAddr = ln.Addr().String()
+		f.closers = append(f.closers, gw.Close)
+	}
+
+	notifMQ := mq.MQ(f.MQ)
+	if f.cfg.Faults != nil {
+		notifMQ = mq.NewFaulty(f.MQ, f.cfg.Faults, FaultSiteNotify, nil)
+	}
+	notif, err := f.broker(notifMQ, "notif-0")
+	if err != nil {
+		return err
+	}
+	if err := f.MQ.DeclareQueue(core.ServiceOID); err != nil {
+		return err
+	}
+	if f.cfg.Supervisor == nil {
+		return f.startPinned(notif)
+	}
+	return f.startSupervised(notif)
+}
+
+// startBackends opens the broker, the metadata store and the chunk store,
+// in memory or recovered from DataDir, and creates the workspaces.
+func (f *Fleet) startBackends() error {
+	metaOpts := append([]metastore.Option{metastore.WithRegistry(f.cfg.Registry),
+		metastore.WithFaults(f.cfg.Faults, FaultSiteMeta)}, f.cfg.Meta...)
+	if dir := f.cfg.DataDir; dir == "" {
+		f.MQ, f.Meta, f.Chunks = mq.NewBroker(), metastore.NewStore(metaOpts...), objstore.NewMemory()
+		f.closers = append(f.closers, f.MQ.Close, f.Meta.Close)
+	} else {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return err
+		}
+		var err error
+		if f.MQ, err = mq.RecoverBroker(filepath.Join(dir, "broker.journal")); err != nil {
+			return err
+		}
+		f.closers = append(f.closers, f.MQ.Close)
+		if f.Meta, err = metastore.Recover(filepath.Join(dir, "metadata.wal"), metaOpts...); err != nil {
+			return err
+		}
+		f.closers = append(f.closers, f.Meta.Close)
+		if f.Chunks, err = objstore.NewDisk(filepath.Join(dir, "chunks")); err != nil {
+			return err
+		}
+	}
+	for _, ws := range f.cfg.Workspaces {
+		if err := f.Meta.CreateWorkspace(ws); err != nil && !errors.Is(err, metastore.ErrWorkspaceExists) {
+			return err
+		}
+	}
+	return nil
+}
+
+// broker builds a server-side ObjectMQ broker carrying the shared
+// observability; Close releases it.
+func (f *Fleet) broker(m mq.MQ, id string) (*omq.Broker, error) {
+	b, err := omq.NewBroker(m, omq.WithID(id), omq.WithTracer(f.cfg.Tracer),
+		omq.WithRegistry(f.cfg.Registry), omq.WithEventLog(f.cfg.Events))
+	if err != nil {
+		return nil, err
+	}
+	f.closers = append(f.closers, b.Close)
+	return b, nil
+}
+
+// startPinned binds Instances SyncServices, each on its own broker, all
+// notifying through the shared notif broker.
+func (f *Fleet) startPinned(notif *omq.Broker) error {
+	for i := 0; i < max(f.cfg.Instances, 1); i++ {
+		b, err := f.broker(f.MQ, fmt.Sprintf("svc-%d", i))
+		if err != nil {
+			return err
+		}
+		if _, err := b.Bind(core.ServiceOID, core.NewService(f.Meta, notif).API()); err != nil {
+			return err
+		}
+		f.pinned++
+	}
+	return nil
+}
+
+// startSupervised registers the SyncService factory on a RemoteBroker,
+// starts the Supervisor and waits until the fleet serves.
+func (f *Fleet) startSupervised(notif *omq.Broker) error {
+	node, err := f.broker(f.MQ, "node-0")
+	if err != nil {
+		return err
+	}
+	if f.rb, err = omq.NewRemoteBroker(node); err != nil {
+		return err
+	}
+	f.closers = append(f.closers, f.rb.Close)
+	if f.cfg.FleetObs {
+		f.Collector = obs.NewCollector()
+		f.rb.SetSpawnHooks(f.spawnHooks())
+		if f.cfg.CollectEvery > 0 {
+			stop := f.Collector.StartPolling(f.cfg.CollectEvery)
+			f.closers = append(f.closers, func() error { stop(); return nil })
+		}
+	}
+	sc := *f.cfg.Supervisor
+	sc.OID = core.ServiceOID
+	f.rb.RegisterInstanceFactory(core.ServiceOID, func(id string) (interface{}, error) {
+		svc := core.NewService(f.Meta, notif)
+		if sc.Routing {
+			// The instance learns its ring identity before it is bound, so
+			// fencing is armed from the first UpdateRing push.
+			svc.SetInstance(id)
+		}
+		if b, ok := f.bundles.LoadAndDelete(id); ok {
+			o := b.(*instanceObs)
+			svc.SetObs(o.tracer, o.Hot)
+			o.Epoch, o.Ready = svc.RingEpoch, svc.Ready
+			f.Collector.Register(o.Source)
+		}
+		return svc.API(), nil
+	})
+	supBroker, err := f.broker(f.MQ, "sup-0")
+	if err != nil {
+		return err
+	}
+	if f.sup, err = omq.StartSupervisor(supBroker, sc); err != nil {
+		return err
+	}
+	f.closers = append(f.closers, func() error { f.sup.Stop(); return nil })
+	// The Supervisor's first check runs one CheckEvery after start; poll for
+	// its result rather than enforcing concurrently with its loop.
+	n := max(sc.MinInstances, 1)
+	return f.wait(startTimeout, n, func(live, ring int) bool { return live >= n && ring >= n })
+}
+
+// instanceObs is one spawned instance's observability, built in the spawn
+// hook (the instance id exists before its broker) and consumed by the
+// factory.
+type instanceObs struct {
+	obs.Source
+	tracer *obs.Tracer
+}
+
+// spawnHooks gives every spawned instance its own observability bundle and
+// reports instance death to the collector (a clean drain earns a final
+// scrape; a kill loses the spans buffered since the last one).
+func (f *Fleet) spawnHooks() omq.SpawnHooks {
+	return omq.SpawnHooks{
+		Options: func(_, id string) []omq.BrokerOption {
+			o := &instanceObs{Source: obs.Source{
+				InstanceID: id,
+				Registry:   obs.NewRegistry(),
+				Sink:       obs.NewSpanSink(0),
+				Events:     obs.NewEventLog(obs.DefaultEventLogCapacity),
+				Hot:        obs.NewHotStats(8),
+			}}
+			o.tracer = obs.NewTracer(obs.WithSink(o.Sink), obs.WithInstance(id))
+			f.bundles.Store(id, o)
+			return []omq.BrokerOption{omq.WithTracer(o.tracer), omq.WithRegistry(o.Registry), omq.WithEventLog(o.Events)}
+		},
+		Stopped: func(_, id string, clean bool) { f.Collector.MarkDead(id, clean) },
+	}
+}
+
+// Addr is the broker's TCP address ("" without Listen).
+func (f *Fleet) Addr() string {
+	if f.mqServer == nil {
+		return ""
+	}
+	return f.mqServer.Addr()
+}
+
+// StorageAddr is the storage gateway's address ("" without StorageListen).
+func (f *Fleet) StorageAddr() string { return f.storageAddr }
+
+// Instances is the number of SyncService instances serving.
+func (f *Fleet) Instances() int {
+	if f.rb == nil {
+		return f.pinned
+	}
+	return f.rb.InstanceCount(core.ServiceOID)
+}
+
+// Ring is the Supervisor's routing ring (nil when the fleet does not route
+// or before the first rebalance).
+func (f *Fleet) Ring() *omq.Ring {
+	if f.sup == nil {
+		return nil
+	}
+	return f.sup.Ring()
+}
+
+// Kill crashes one supervised instance without draining it and returns its
+// id ("" when none runs). The Supervisor respawns it on its next check.
+func (f *Fleet) Kill() string {
+	if f.rb == nil {
+		return ""
+	}
+	return f.rb.KillLocal(core.ServiceOID)
+}
+
+// KillByID crashes the named supervised instance.
+func (f *Fleet) KillByID(id string) bool {
+	return f.rb != nil && f.rb.KillByID(core.ServiceOID, id)
+}
+
+// WaitInstances waits until exactly n instances serve and, when the fleet
+// routes, the ring has exactly n members.
+func (f *Fleet) WaitInstances(n int, timeout time.Duration) error {
+	return f.wait(timeout, n, func(live, ring int) bool { return live == n && ring == n })
+}
+
+// wait polls the fleet's size until ok accepts it or timeout passes.
+func (f *Fleet) wait(timeout time.Duration, want int, ok func(live, ring int) bool) error {
+	deadline := time.Now().Add(timeout)
+	for {
+		live := f.Instances()
+		ring := live
+		if f.sup != nil && f.cfg.Supervisor.Routing {
+			ring = 0
+			if r := f.sup.Ring(); r != nil {
+				ring = len(r.Members())
+			}
+		}
+		if ok(live, ring) {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("deploy: fleet at %d instances (ring %d), want %d after %v", live, ring, want, timeout)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// Queues reads every declared queue's stats for the admin surface.
+func (f *Fleet) Queues() []obs.QueueInfo {
+	names := f.MQ.Queues()
+	out := make([]obs.QueueInfo, 0, len(names))
+	for _, name := range names {
+		s, err := f.MQ.QueueStats(name)
+		if err != nil {
+			continue
+		}
+		out = append(out, obs.QueueInfo{
+			Name: s.Name, Depth: s.Depth, Unacked: s.Unacked,
+			Consumers: s.Consumers, ArrivalRate: s.ArrivalRate,
+			Enqueued: s.Enqueued, Acked: s.Acked, Redelivered: s.Redelivered,
+		})
+	}
+	return out
+}
+
+// Close tears the deployment down in reverse start order. It is idempotent
+// and returns the joined errors of the first call.
+func (f *Fleet) Close() error {
+	f.closeOnce.Do(func() {
+		var errs []error
+		for i := len(f.closers) - 1; i >= 0; i-- {
+			errs = append(errs, f.closers[i]())
+		}
+		f.closeErr = errors.Join(errs...)
+	})
+	return f.closeErr
+}

@@ -7,7 +7,6 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-# benchmark/ is its own module with its own tests; it is not gated here.
 echo "==> gofmt -l"
 unformatted=$(gofmt -l ./cmd ./internal ./examples ./*.go)
 if [ -n "$unformatted" ]; then
@@ -21,6 +20,13 @@ go build ./...
 
 echo "==> go vet ./..."
 go vet ./...
+
+# benchmark/ is its own module (the instrument; its tests are
+# `cd benchmark && go test .`). It builds against this tree, so compile and
+# vet it here: a refactor that breaks the instrument fails CI. Nothing under
+# benchmark/ is run or edited.
+echo "==> benchmark module: go vet"
+(cd benchmark && go vet ./...)
 
 echo "==> go test -race ./..."
 go test -race ./...
