@@ -148,11 +148,6 @@ func (s *slowServiceAPI) CommitRequest(ctx context.Context, req core.CommitReque
 	return s.inner.CommitRequest(ctx, req)
 }
 
-// GetChanges forwards.
-func (s *slowServiceAPI) GetChanges(ctx context.Context, workspace string) ([]metastore.ItemVersion, error) {
-	return s.inner.GetChanges(ctx, workspace)
-}
-
 // GetChangesSince forwards.
 func (s *slowServiceAPI) GetChangesSince(ctx context.Context, workspace string, since uint64) (core.ChangesReply, error) {
 	return s.inner.GetChangesSince(ctx, workspace, since)

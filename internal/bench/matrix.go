@@ -485,10 +485,10 @@ func runColdStartScenario(cfg MatrixConfig, sz matrixSizes) (*ScenarioResult, er
 // hammers the same workspace. Phase one fires sz.reconnCommits commits from
 // sz.reconnCommitters workers with no readers at all and records the
 // baseline commit p99. Phase two repeats the identical commit load while
-// sz.reconnColdReaders loop full-state GetChanges and sz.reconnWarmReaders
-// loop GetChangesSince from tracked cursors (reply versions must never go
-// backwards, and full-state replies must never shrink below the seeded
-// corpus). The reported result is the storm phase; a violation fires when the
+// sz.reconnColdReaders loop GetChangesSince from cursor 0 (the full state)
+// and sz.reconnWarmReaders loop it from tracked cursors (reply versions must
+// never go backwards, and full-state replies must never shrink below the
+// seeded corpus). The reported result is the storm phase; a violation fires when the
 // storm p99 exceeds both 8x the baseline and an absolute 100ms floor. The
 // ratio alone would trip on scheduler noise over a near-zero baseline, and
 // the floor alone would trip on race-enabled single-core CI where every
@@ -637,12 +637,12 @@ func runReconnectScenario(cfg MatrixConfig, sz matrixSizes) (*ScenarioResult, er
 					return
 				default:
 				}
-				var state []metastore.ItemVersion
-				if err := proxy.Call("GetChanges", &state, workspace); err != nil {
+				var state core.ChangesReply
+				if err := proxy.Call("GetChangesSince", &state, workspace, uint64(0)); err != nil {
 					readErrs.Add(1)
 					return
 				}
-				if len(state) < sz.reconnSeedItems {
+				if !state.Full || len(state.Items) < sz.reconnSeedItems {
 					shortReads.Add(1)
 				}
 				coldReads.Add(1)

@@ -93,8 +93,8 @@ type Config struct {
 	// RetransmitEvery re-proposes commits whose notification has not arrived
 	// (default 1 s; the metadata store deduplicates replays). <0 disables.
 	RetransmitEvery time.Duration
-	// ResyncEvery periodically pulls GetChanges to repair losses the push
-	// path missed (dropped notifications). Default 0 = disabled.
+	// ResyncEvery periodically pulls GetChangesSince to repair losses the
+	// push path missed (dropped notifications). Default 0 = disabled.
 	ResyncEvery time.Duration
 	// Tracer records a root span per commit and child spans at every hop
 	// (storage puts/gets, notification application). nil disables tracing.
@@ -291,7 +291,7 @@ const uploadFlushEvery = 100 * time.Millisecond
 // repairLoop is the client's self-healing heartbeat. Each tick it (1) drains
 // queued chunk uploads once the store admits requests again, (2) re-proposes
 // commits whose notification never came (the metadata store deduplicates
-// replays, §4.2 at-least-once), and (3) optionally pulls GetChanges to
+// replays, §4.2 at-least-once), and (3) optionally pulls GetChangesSince to
 // repair dropped pushes.
 func (c *Client) repairLoop() {
 	defer c.bg.Done()
@@ -339,10 +339,10 @@ func (c *Client) flushUploads() {
 			if !permanentStoreErr(err) {
 				return
 			}
-			// A poisoned batch: retry singly so the offending chunk is
-			// dropped without stalling the rest of the queue.
+			// A poisoned batch: retry each chunk as a batch of one so the
+			// offending chunk is dropped without stalling the rest of the queue.
 			for _, o := range batch {
-				if err := c.store.Put(ctx, c.container, o.Key, o.Data); err != nil {
+				if err := c.store.PutMulti(ctx, c.container, []objstore.Object{o}); err != nil {
 					if permanentStoreErr(err) {
 						c.uploads.remove(o.Key) // retrying can never succeed
 						continue

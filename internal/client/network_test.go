@@ -109,12 +109,28 @@ func TestFullyNetworkedDeployment(t *testing.T) {
 		}
 	}
 
-	// The chunks really live behind the gateway.
-	keys, err := storage.List(context.Background(), WorkspaceContainer("net-ws"))
+	// The chunks of every file really live behind the gateway.
+	var keys []string
+	for i := -1; i < 10; i++ {
+		content := payload
+		if i >= 0 {
+			content = []byte(fmt.Sprintf("doc %d", i))
+		}
+		chunks, err := chunker.SplitBytes(chunker.Fixed{ChunkSize: 8 * 1024}, content)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ch := range chunks {
+			keys = append(keys, ch.Fingerprint)
+		}
+	}
+	present, err := storage.ExistsMulti(context.Background(), WorkspaceContainer("net-ws"), keys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(keys) < 5 {
-		t.Fatalf("gateway store holds only %d chunks", len(keys))
+	for i, ok := range present {
+		if !ok {
+			t.Fatalf("chunk %d of %d is not in the gateway store", i, len(keys))
+		}
 	}
 }

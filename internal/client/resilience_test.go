@@ -1,13 +1,16 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"stacksync/internal/chunker"
 	"stacksync/internal/clock"
 	"stacksync/internal/core"
 	"stacksync/internal/mq"
@@ -15,9 +18,7 @@ import (
 	"stacksync/internal/omq"
 )
 
-// flakyStore fails every operation while down is set. It overrides the
-// batch entry points too, so the client's pipelined transfer path cannot
-// tunnel past the fault through the embedded inner store.
+// flakyStore fails every operation while down is set.
 type flakyStore struct {
 	objstore.Store
 	down  atomic.Bool
@@ -39,20 +40,6 @@ func (f *flakyStore) EnsureContainer(ctx context.Context, c string) error {
 		return err
 	}
 	return f.Store.EnsureContainer(ctx, c)
-}
-
-func (f *flakyStore) Put(ctx context.Context, c, k string, d []byte) error {
-	if err := f.fail(); err != nil {
-		return err
-	}
-	return f.Store.Put(ctx, c, k, d)
-}
-
-func (f *flakyStore) Get(ctx context.Context, c, k string) ([]byte, error) {
-	if err := f.fail(); err != nil {
-		return nil, err
-	}
-	return f.Store.Get(ctx, c, k)
 }
 
 func (f *flakyStore) PutMulti(ctx context.Context, c string, objs []objstore.Object) error {
@@ -82,8 +69,9 @@ func TestBreakerOpensThenRecovers(t *testing.T) {
 	b := newBreakerStore(flaky, clock.NewReal(), -1, time.Millisecond, 3, 30*time.Millisecond)
 
 	ctx := context.Background()
+	one := []objstore.Object{{Key: "k", Data: []byte("x")}}
 	for i := 0; i < 3; i++ {
-		if err := b.Put(ctx, "c", "k", []byte("x")); !errors.Is(err, errStoreDown) {
+		if err := b.PutMulti(ctx, "c", one); !errors.Is(err, errStoreDown) {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
@@ -91,7 +79,7 @@ func TestBreakerOpensThenRecovers(t *testing.T) {
 		t.Fatal("breaker closed after threshold failures")
 	}
 	before := flaky.calls.Load()
-	if err := b.Put(ctx, "c", "k", []byte("x")); !errors.Is(err, ErrCircuitOpen) {
+	if err := b.PutMulti(ctx, "c", one); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("open-circuit put: %v", err)
 	}
 	if flaky.calls.Load() != before {
@@ -107,7 +95,7 @@ func TestBreakerOpensThenRecovers(t *testing.T) {
 	if err := b.EnsureContainer(ctx, "c"); err != nil {
 		t.Fatalf("probe after cooldown: %v", err)
 	}
-	if err := b.Put(ctx, "c", "k", []byte("x")); err != nil {
+	if err := b.PutMulti(ctx, "c", one); err != nil {
 		t.Fatalf("put after recovery: %v", err)
 	}
 	if b.Open() {
@@ -125,13 +113,13 @@ func TestPermanentErrorsSkipRetries(t *testing.T) {
 	}
 	counting := &flakyStore{Store: mem}
 	b := newBreakerStore(counting, clock.NewReal(), 5, time.Millisecond, 2, time.Minute)
-	if _, err := b.Get(ctx, "c", "missing"); !errors.Is(err, objstore.ErrNotFound) {
+	if _, err := b.GetMulti(ctx, "c", []string{"missing"}); !errors.Is(err, objstore.ErrNotFound) {
 		t.Fatalf("get: %v", err)
 	}
 	if got := counting.calls.Load(); got != 1 {
 		t.Fatalf("permanent error attempted %d times, want 1", got)
 	}
-	if _, err := b.Get(ctx, "c", "missing"); !errors.Is(err, objstore.ErrNotFound) {
+	if _, err := b.GetMulti(ctx, "c", []string{"missing"}); !errors.Is(err, objstore.ErrNotFound) {
 		t.Fatalf("second get: %v", err)
 	}
 	if b.Open() {
@@ -182,6 +170,73 @@ func TestDegradedCommitQueuesUploads(t *testing.T) {
 	got, ok := b.FileContent("degraded.txt")
 	if !ok || string(got) != string(content) {
 		t.Fatalf("joiner content = %q ok=%v", got, ok)
+	}
+}
+
+// poisonStore permanently refuses any batch that carries key, the way a
+// store refuses a request it will never authorize.
+type poisonStore struct {
+	objstore.Store
+	key string
+}
+
+func (p *poisonStore) PutMulti(ctx context.Context, c string, objs []objstore.Object) error {
+	for _, o := range objs {
+		if o.Key == p.key {
+			return fmt.Errorf("put %s: %w", o.Key, objstore.ErrUnauthorized)
+		}
+	}
+	return p.Store.PutMulti(ctx, c, objs)
+}
+
+// TestFlushDropsPoisonedChunk: a queued batch holding one chunk the store
+// permanently refuses is retried chunk by chunk, so that chunk is dropped,
+// every other queued chunk lands, and the queue drains.
+func TestFlushDropsPoisonedChunk(t *testing.T) {
+	r := newRig(t)
+	fixed := chunker.Fixed{ChunkSize: 1024}
+	var content []byte // three distinct 1 KB chunks
+	for _, b := range "abc" {
+		content = append(content, bytes.Repeat([]byte{byte(b)}, 1024)...)
+	}
+	chunks, err := chunker.SplitBytes(fixed, content)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, len(chunks))
+	for i, ch := range chunks {
+		keys[i] = ch.Fingerprint
+	}
+	flaky := &flakyStore{Store: &poisonStore{Store: r.storage, key: keys[1]}}
+	a := r.newDevice("alice", "dev-a", func(cfg *Config) {
+		cfg.Storage = flaky
+		cfg.Chunker = fixed
+		cfg.StoreRetries = -1 // no in-call retries: fail fast into the queue
+		cfg.BreakerCooldown = 50 * time.Millisecond
+	})
+
+	flaky.down.Store(true)
+	if err := a.PutFile("poisoned.bin", content); err != nil {
+		t.Fatal(err)
+	}
+	if depth := UploadQueueDepth(a.Registry(), "dev-a"); depth != len(keys) {
+		t.Fatalf("queued %d uploads, want %d", depth, len(keys))
+	}
+
+	flaky.down.Store(false)
+	deadline := time.Now().Add(syncWait)
+	for UploadQueueDepth(a.Registry(), "dev-a") > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("poisoned batch stalled the queue (%d left)", UploadQueueDepth(a.Registry(), "dev-a"))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	present, err := r.storage.ExistsMulti(context.Background(), WorkspaceContainer("ws"), keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !present[0] || present[1] || !present[2] {
+		t.Fatalf("chunks stored %v, want [true false true]", present)
 	}
 }
 

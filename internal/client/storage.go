@@ -171,37 +171,6 @@ func (b *breakerStore) EnsureContainer(ctx context.Context, container string) er
 	return b.do(ctx, func() error { return b.inner.EnsureContainer(ctx, container) })
 }
 
-// Put applies the policy.
-func (b *breakerStore) Put(ctx context.Context, container, key string, data []byte) error {
-	return b.do(ctx, func() error { return b.inner.Put(ctx, container, key, data) })
-}
-
-// Get applies the policy.
-func (b *breakerStore) Get(ctx context.Context, container, key string) ([]byte, error) {
-	var data []byte
-	err := b.do(ctx, func() (e error) { data, e = b.inner.Get(ctx, container, key); return e })
-	return data, err
-}
-
-// Exists applies the policy.
-func (b *breakerStore) Exists(ctx context.Context, container, key string) (bool, error) {
-	var ok bool
-	err := b.do(ctx, func() (e error) { ok, e = b.inner.Exists(ctx, container, key); return e })
-	return ok, err
-}
-
-// Delete applies the policy.
-func (b *breakerStore) Delete(ctx context.Context, container, key string) error {
-	return b.do(ctx, func() error { return b.inner.Delete(ctx, container, key) })
-}
-
-// List applies the policy.
-func (b *breakerStore) List(ctx context.Context, container string) ([]string, error) {
-	var keys []string
-	err := b.do(ctx, func() (e error) { keys, e = b.inner.List(ctx, container); return e })
-	return keys, err
-}
-
 // PutMulti applies the policy to the whole batch: one breaker admission, the
 // batch retried as a unit. Replaying an already-landed prefix is safe —
 // chunk keys are content fingerprints, so puts are idempotent.

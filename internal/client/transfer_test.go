@@ -124,7 +124,7 @@ func TestWarmResyncSkipsPresentChunks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := r.storage.Put(ctx, WorkspaceContainer("ws"), ch.Fingerprint, compressed); err != nil {
+		if err := r.storage.PutMulti(ctx, WorkspaceContainer("ws"), []objstore.Object{{Key: ch.Fingerprint, Data: compressed}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,9 +1,11 @@
 // Package core implements the SyncService — the paper's file-sync protocol
 // engine (§4.2). It is a stateless ObjectMQ server object: commitRequest
 // validates proposed changes against the Metadata back-end (Algorithm 1),
-// getChanges returns workspace snapshots, getWorkspaces lists a user's
-// workspaces, and every committed change is pushed to all devices of the
-// workspace with an @MultiMethod CommitNotification.
+// GetChangesSince (the paper's getChanges, incremental) returns the change-log
+// tail after a client's cursor or, from cursor 0, the full workspace state,
+// getWorkspaces lists a user's workspaces, and every committed change is
+// pushed to all devices of the workspace with an @MultiMethod
+// CommitNotification.
 package core
 
 import (
@@ -390,21 +392,6 @@ func (a *API) CommitRequest(ctx context.Context, req CommitRequest) error {
 	}
 	_, err := a.svc.commit(ctx, req)
 	return err
-}
-
-// GetChanges returns the current state of a workspace (@SyncMethod); clients
-// call it only on startup because it is costly (§4.2.1). Kept wire-compatible
-// for old clients; new clients use GetChangesSince and pay only for the log
-// tail on reconnect.
-func (a *API) GetChanges(ctx context.Context, workspace string) ([]metastore.ItemVersion, error) {
-	if err := a.svc.checkRoute(ctx); err != nil {
-		return nil, err
-	}
-	state, err := a.svc.meta.State(workspace)
-	if err != nil {
-		return nil, err
-	}
-	return state, nil
 }
 
 // ChangesReply is the GetChangesSince payload: either a change-log tail in

@@ -86,11 +86,11 @@ func TestCommitAndGetChanges(t *testing.T) {
 	if len(n.Results) != 1 || !n.Results[0].Committed {
 		t.Fatalf("notification: %+v", n)
 	}
-	var state []metastore.ItemVersion
-	if err := r.client.Lookup(ServiceOID).Call("GetChanges", &state, "ws1"); err != nil {
+	var state ChangesReply
+	if err := r.client.Lookup(ServiceOID).Call("GetChangesSince", &state, "ws1", uint64(0)); err != nil {
 		t.Fatal(err)
 	}
-	if len(state) != 1 || state[0].ItemID != "f1" || state[0].Version != 1 {
+	if !state.Full || len(state.Items) != 1 || state.Items[0].ItemID != "f1" || state.Items[0].Version != 1 {
 		t.Fatalf("getChanges: %+v", state)
 	}
 }
@@ -129,8 +129,8 @@ func TestCommitConflictCarriesCurrentVersion(t *testing.T) {
 
 func TestGetChangesUnknownWorkspace(t *testing.T) {
 	r := newRig(t)
-	var state []metastore.ItemVersion
-	err := r.client.Lookup(ServiceOID).Call("GetChanges", &state, "ghost")
+	var state ChangesReply
+	err := r.client.Lookup(ServiceOID).Call("GetChangesSince", &state, "ghost", uint64(0))
 	var remote *omq.RemoteError
 	if !errors.As(err, &remote) {
 		t.Fatalf("want RemoteError, got %v", err)
@@ -148,14 +148,14 @@ func TestCommitRequestOverAsyncRPC(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// The async commit lands eventually; observe through getChanges.
+	// The async commit lands eventually; observe through a cold pull.
 	deadline := 200
 	for i := 0; i < deadline; i++ {
-		var state []metastore.ItemVersion
-		if err := r.client.Lookup(ServiceOID).Call("GetChanges", &state, "ws1"); err != nil {
+		var state ChangesReply
+		if err := r.client.Lookup(ServiceOID).Call("GetChangesSince", &state, "ws1", uint64(0)); err != nil {
 			t.Fatal(err)
 		}
-		if len(state) == 1 {
+		if len(state.Items) == 1 {
 			return
 		}
 	}
@@ -220,7 +220,7 @@ func TestGetChangesSinceOverRPC(t *testing.T) {
 		t.Fatalf("fallback reply: %+v", fb)
 	}
 
-	// Unknown workspace surfaces as a remote error, like GetChanges.
+	// Unknown workspace surfaces as a remote error.
 	var reply ChangesReply
 	err := r.client.Lookup(ServiceOID).Call("GetChangesSince", &reply, "ghost", uint64(0))
 	var remote *omq.RemoteError

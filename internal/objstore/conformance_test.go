@@ -10,11 +10,11 @@ import (
 	"stacksync/internal/objstore/storetest"
 )
 
-// TestStoreConformance pins the redesigned Store contract across every
-// implementation in this package: the two backends, every wrapper (each
-// configured so operations succeed — zero-cost simulation, a no-fault plan,
-// a fully granted token), and the remote gateway pair. The client's
-// breakerStore runs the same suite from its own package.
+// TestStoreConformance pins the Store contract across every implementation
+// in this package: the two backends, every wrapper (each configured so
+// operations succeed — zero-cost simulation, a no-fault plan), and the
+// remote gateway pair over both backends. The client's breakerStore runs the
+// same suite from its own package.
 func TestStoreConformance(t *testing.T) {
 	factories := map[string]func(t *testing.T) objstore.Store{
 		"memory": func(t *testing.T) objstore.Store { return objstore.NewMemory() },
@@ -34,15 +34,18 @@ func TestStoreConformance(t *testing.T) {
 		"faulty": func(t *testing.T) objstore.Store {
 			return objstore.NewFaulty(objstore.NewMemory(), faults.NewPlan(faults.Config{}), "objstore", nil)
 		},
-		"tokenauth": func(t *testing.T) objstore.Store {
-			auth := objstore.NewTokenAuth(objstore.NewMemory())
-			for _, c := range append([]string{storetest.MissingContainer}, storetest.Containers...) {
-				auth.Grant("suite-token", c)
-			}
-			return auth.WithToken("suite-token")
-		},
 		"http": func(t *testing.T) objstore.Store {
 			srv := httptest.NewServer(objstore.NewHandler(objstore.NewMemory(), "gw-token"))
+			t.Cleanup(srv.Close)
+			return objstore.NewHTTPStore(srv.URL, "gw-token")
+		},
+		// The composition the shipped server and the benchmark run.
+		"http-disk": func(t *testing.T) objstore.Store {
+			d, err := objstore.NewDisk(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := httptest.NewServer(objstore.NewHandler(d, "gw-token"))
 			t.Cleanup(srv.Close)
 			return objstore.NewHTTPStore(srv.URL, "gw-token")
 		},

@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -43,10 +42,6 @@ func (d *Disk) containerPath(container string) string {
 	return filepath.Join(d.root, safeName(container))
 }
 
-func (d *Disk) objectPath(container, key string) string {
-	return filepath.Join(d.containerPath(container), safeName(key))
-}
-
 // EnsureContainer creates the container directory if missing.
 func (d *Disk) EnsureContainer(ctx context.Context, container string) error {
 	if err := ctxErr(ctx, "ensure", container); err != nil {
@@ -58,129 +53,109 @@ func (d *Disk) EnsureContainer(ctx context.Context, container string) error {
 	return nil
 }
 
-// Put writes the object atomically (temp file + rename).
-func (d *Disk) Put(ctx context.Context, container, key string, data []byte) error {
-	if err := ctxErr(ctx, "put", container); err != nil {
-		return err
+// dir returns the directory of an existing container.
+func (d *Disk) dir(ctx context.Context, op, container string) (string, error) {
+	if err := ctxErr(ctx, op, container); err != nil {
+		return "", err
 	}
 	dir := d.containerPath(container)
 	if _, err := os.Stat(dir); err != nil {
-		return opErr("put", container, key, ErrNoContainer)
+		return "", opErr(op, container, "", ErrNoContainer)
 	}
-	tmp, err := os.CreateTemp(dir, ".put-*")
-	if err != nil {
-		return opErr("put", container, key, err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmpName)
-		return opErr("put", container, key, err)
-	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmpName)
-		return opErr("put", container, key, err)
-	}
-	if err := os.Rename(tmpName, d.objectPath(container, key)); err != nil {
-		_ = os.Remove(tmpName)
-		return opErr("put", container, key, err)
-	}
-	return nil
+	return dir, nil
 }
 
-// Get reads the object with one read(2) sized by fstat, where os.ReadFile
-// reads again to see EOF: objects are immutable and appear by rename.
-func (d *Disk) Get(ctx context.Context, container, key string) ([]byte, error) {
-	if err := ctxErr(ctx, "get", container); err != nil {
-		return nil, err
-	}
-	if _, err := os.Stat(d.containerPath(container)); err != nil {
-		return nil, opErr("get", container, key, ErrNoContainer)
-	}
-	f, err := os.Open(d.objectPath(container, key))
+// PutMulti writes each object atomically (temp file + rename), re-checking
+// ctx between files.
+func (d *Disk) PutMulti(ctx context.Context, container string, objects []Object) error {
+	dir, err := d.dir(ctx, "putmulti", container)
 	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, opErr("get", container, key, ErrNotFound)
-		}
-		return nil, opErr("get", container, key, err)
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, opErr("get", container, key, err)
-	}
-	data := make([]byte, fi.Size())
-	if _, err := io.ReadFull(f, data); err != nil {
-		return nil, opErr("get", container, key, err)
-	}
-	return data, nil
-}
-
-// Exists reports object presence.
-func (d *Disk) Exists(ctx context.Context, container, key string) (bool, error) {
-	if err := ctxErr(ctx, "exists", container); err != nil {
-		return false, err
-	}
-	if _, err := os.Stat(d.containerPath(container)); err != nil {
-		return false, opErr("exists", container, key, ErrNoContainer)
-	}
-	if _, err := os.Stat(d.objectPath(container, key)); err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return false, nil
-		}
-		return false, opErr("exists", container, key, err)
-	}
-	return true, nil
-}
-
-// Delete removes the object file; missing objects are ignored.
-func (d *Disk) Delete(ctx context.Context, container, key string) error {
-	if err := ctxErr(ctx, "delete", container); err != nil {
 		return err
 	}
-	if _, err := os.Stat(d.containerPath(container)); err != nil {
-		return opErr("delete", container, key, ErrNoContainer)
-	}
-	if err := os.Remove(d.objectPath(container, key)); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return opErr("delete", container, key, err)
+	for _, o := range objects {
+		if err := ctxErr(ctx, "putmulti", container); err != nil {
+			return err
+		}
+		if err := writeFile(dir, safeName(o.Key), o.Data); err != nil {
+			return opErr("putmulti", container, o.Key, err)
+		}
 	}
 	return nil
 }
 
-// List returns the sorted object keys of a container.
-func (d *Disk) List(ctx context.Context, container string) ([]string, error) {
-	if err := ctxErr(ctx, "list", container); err != nil {
-		return nil, err
-	}
-	entries, err := os.ReadDir(d.containerPath(container))
+// writeFile writes name in dir through a temp file renamed into place, so a
+// reader never sees a partial object.
+func writeFile(dir, name string, data []byte) error {
+	tmp, err := os.CreateTemp(dir, ".put-*")
 	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, opErr("list", container, "", ErrNoContainer)
-		}
-		return nil, opErr("list", container, "", err)
+		return err
 	}
-	keys := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if e.IsDir() || strings.HasPrefix(e.Name(), ".put-") {
-			continue
-		}
-		keys = append(keys, e.Name())
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	sort.Strings(keys)
-	return keys, nil
-}
-
-// PutMulti writes each object atomically, re-checking ctx between files.
-func (d *Disk) PutMulti(ctx context.Context, container string, objects []Object) error {
-	return putMultiSeq(ctx, d, container, objects)
+	if err == nil {
+		err = os.Rename(tmp.Name(), filepath.Join(dir, name))
+	}
+	if err != nil {
+		_ = os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // GetMulti reads each object, re-checking ctx between files.
 func (d *Disk) GetMulti(ctx context.Context, container string, keys []string) ([][]byte, error) {
-	return getMultiSeq(ctx, d, container, keys)
+	dir, err := d.dir(ctx, "getmulti", container)
+	if err != nil {
+		return nil, err
+	}
+	return getEach(ctx, container, keys, func(k string) ([]byte, error) {
+		data, err := readFile(filepath.Join(dir, safeName(k)))
+		if errors.Is(err, os.ErrNotExist) {
+			err = ErrNotFound
+		}
+		if err != nil {
+			return nil, opErr("getmulti", container, k, err)
+		}
+		return data, nil
+	})
+}
+
+// readFile reads a file with one read(2) sized by fstat, where os.ReadFile
+// reads again to see EOF: objects are immutable and appear by rename.
+func readFile(path string) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	data := make([]byte, fi.Size())
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, err
+	}
+	return data, nil
 }
 
 // ExistsMulti stats each object, re-checking ctx between files.
 func (d *Disk) ExistsMulti(ctx context.Context, container string, keys []string) ([]bool, error) {
-	return existsMultiSeq(ctx, d, container, keys)
+	dir, err := d.dir(ctx, "existsmulti", container)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]bool, len(keys))
+	for i, k := range keys {
+		if err := ctxErr(ctx, "existsmulti", container); err != nil {
+			return nil, err
+		}
+		_, err := os.Stat(filepath.Join(dir, safeName(k)))
+		if err != nil && !errors.Is(err, os.ErrNotExist) {
+			return nil, opErr("existsmulti", container, k, err)
+		}
+		out[i] = err == nil
+	}
+	return out, nil
 }

@@ -10,24 +10,22 @@ import (
 	"math/bits"
 	"net/http"
 	"net/url"
-	"sort"
 	"strconv"
 	"strings"
 )
 
 // HTTP gateway: exposes a Store over a Swift-flavoured REST API so that
 // clients on other machines reach the Storage back-end directly (the
-// decoupled data flow of §4). Routes:
+// decoupled data flow of §4). The Store API is batch-only, so the gateway
+// has two routes:
 //
 //	PUT    /v1/{container}                  create container
-//	GET    /v1/{container}                  list objects (newline-separated)
 //	POST   /v1/{container}?multi=put        batch store (key, data fields)
 //	POST   /v1/{container}?multi=get        batch fetch (key fields -> found flags, hits' data)
 //	POST   /v1/{container}?multi=exists     batch probe (key fields -> one flag per key)
-//	PUT    /v1/{container}/{object}         store object (body = content)
-//	GET    /v1/{container}/{object}         fetch object
-//	HEAD   /v1/{container}/{object}         existence check
-//	DELETE /v1/{container}/{object}         delete object
+//
+// Any other method, and any path below a container, is refused with 405
+// without reading the body, so nothing is stored through it.
 //
 // A batch body, request or response, is batchMagic, flag bytes (responses
 // only), then fields framed as uvarint(len) | bytes. Every body is read into
@@ -191,64 +189,22 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "not found", http.StatusNotFound)
 		return
 	}
-	container, object, hasObject := strings.Cut(rest, "/")
-	if container == "" {
-		http.Error(w, "container required", http.StatusBadRequest)
-		return
-	}
-	ctx := r.Context()
-	var err error
+	container, _, hasObject := strings.Cut(rest, "/")
 	switch {
-	case !hasObject && r.Method == http.MethodPost:
+	case container == "":
+		http.Error(w, "container required", http.StatusBadRequest)
+	case hasObject:
+		http.Error(w, "no object routes: use POST /v1/{container}?multi=", http.StatusMethodNotAllowed)
+	case r.Method == http.MethodPost:
 		h.serveBatch(w, r, container)
-		return
-	case !hasObject && r.Method == http.MethodPut:
-		err = h.store.EnsureContainer(ctx, container)
-		if err == nil {
-			w.WriteHeader(http.StatusCreated)
-		}
-	case !hasObject && r.Method == http.MethodGet:
-		var keys []string
-		keys, err = h.store.List(ctx, container)
-		if err == nil {
-			sort.Strings(keys)
-			w.Header().Set("Content-Type", "text/plain")
-			_, _ = io.WriteString(w, strings.Join(keys, "\n"))
-		}
-	case hasObject && r.Method == http.MethodPut:
-		var body []byte
-		body, err = readBody(r.Body, r.ContentLength, maxBatchBody)
-		if err == nil {
-			err = h.store.Put(ctx, container, object, body)
-		}
-		if err == nil {
-			w.WriteHeader(http.StatusCreated)
-		}
-	case hasObject && r.Method == http.MethodGet:
-		var data []byte
-		data, err = h.store.Get(ctx, container, object)
-		if err == nil {
-			writeBody(w, data)
-		}
-	case hasObject && r.Method == http.MethodHead:
-		var exists bool
-		exists, err = h.store.Exists(ctx, container, object)
-		if err == nil && !exists {
-			w.Header().Set(errHeader, "not-found")
-			w.WriteHeader(http.StatusNotFound)
+	case r.Method == http.MethodPut:
+		if err := h.store.EnsureContainer(r.Context(), container); err != nil {
+			writeError(w, err)
 			return
 		}
-	case hasObject && r.Method == http.MethodDelete:
-		err = h.store.Delete(ctx, container, object)
-		if err == nil {
-			w.WriteHeader(http.StatusNoContent)
-		}
+		w.WriteHeader(http.StatusCreated)
 	default:
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	if err != nil {
-		writeError(w, err)
 	}
 }
 
@@ -374,17 +330,13 @@ func NewHTTPStore(baseURL, token string) *HTTPStore {
 	}
 }
 
-func (s *HTTPStore) url(container, object string) string {
-	u := s.base + "/v1/" + url.PathEscape(container)
-	if object != "" {
-		u += "/" + url.PathEscape(object)
-	}
-	return u
+func (s *HTTPStore) url(container string) string {
+	return s.base + "/v1/" + url.PathEscape(container)
 }
 
-// call issues one request bound to ctx and returns the response body (none
-// for HEAD). Canceling the context aborts the request mid-flight and
-// surfaces the context's error to errors.Is.
+// call issues one request bound to ctx and returns the response body.
+// Canceling the context aborts the request mid-flight and surfaces the
+// context's error to errors.Is.
 func (s *HTTPStore) call(ctx context.Context, method, u string, body []byte) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, method, u, bytes.NewReader(body))
 	if err != nil {
@@ -398,7 +350,7 @@ func (s *HTTPStore) call(ctx context.Context, method, u string, body []byte) ([]
 		return nil, fmt.Errorf("objstore: %s %s: %w", method, u, err)
 	}
 	defer resp.Body.Close()
-	if err := s.checkStatus(resp); err != nil || method == http.MethodHead {
+	if err := s.checkStatus(resp); err != nil {
 		return nil, err
 	}
 	out, err := readBody(resp.Body, resp.ContentLength, maxBatchBody)
@@ -424,44 +376,8 @@ func (s *HTTPStore) checkStatus(resp *http.Response) error {
 
 // EnsureContainer creates the remote container.
 func (s *HTTPStore) EnsureContainer(ctx context.Context, container string) error {
-	_, err := s.call(ctx, http.MethodPut, s.url(container, ""), nil)
+	_, err := s.call(ctx, http.MethodPut, s.url(container), nil)
 	return err
-}
-
-// Put stores an object remotely.
-func (s *HTTPStore) Put(ctx context.Context, container, key string, data []byte) error {
-	_, err := s.call(ctx, http.MethodPut, s.url(container, key), data)
-	return err
-}
-
-// Get fetches an object remotely.
-func (s *HTTPStore) Get(ctx context.Context, container, key string) ([]byte, error) {
-	return s.call(ctx, http.MethodGet, s.url(container, key), nil)
-}
-
-// Exists checks object presence remotely. A plain not-found is a false
-// answer, not an error; a missing container is ErrNoContainer, as locally.
-func (s *HTTPStore) Exists(ctx context.Context, container, key string) (bool, error) {
-	_, err := s.call(ctx, http.MethodHead, s.url(container, key), nil)
-	if errors.Is(err, ErrNotFound) {
-		return false, nil
-	}
-	return err == nil, err
-}
-
-// Delete removes an object remotely.
-func (s *HTTPStore) Delete(ctx context.Context, container, key string) error {
-	_, err := s.call(ctx, http.MethodDelete, s.url(container, key), nil)
-	return err
-}
-
-// List enumerates a remote container.
-func (s *HTTPStore) List(ctx context.Context, container string) ([]string, error) {
-	body, err := s.call(ctx, http.MethodGet, s.url(container, ""), nil)
-	if err != nil || len(body) == 0 {
-		return nil, err
-	}
-	return strings.Split(string(body), "\n"), nil
 }
 
 // postBatch sends fields as one multi=<op> request and returns the response
@@ -471,7 +387,7 @@ func postBatch[T string | []byte](ctx context.Context, s *HTTPStore, container, 
 	if err != nil {
 		return nil, opErr(op+"multi", container, "", err)
 	}
-	return s.call(ctx, http.MethodPost, s.url(container, "")+"?multi="+op, body)
+	return s.call(ctx, http.MethodPost, s.url(container)+"?multi="+op, body)
 }
 
 // PutMulti ships the whole batch in one round trip.

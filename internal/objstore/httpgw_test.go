@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -47,52 +48,34 @@ func raw(t *testing.T, s *HTTPStore, method, u string, body io.Reader) *http.Res
 func TestHTTPStoreRoundTrip(t *testing.T) {
 	s := newGateway(t, "")
 
-	if err := s.Put(ctx, "nope", "k", []byte("v")); !errors.Is(err, ErrNoContainer) {
+	if err := s.PutMulti(ctx, "nope", []Object{{Key: "k", Data: []byte("v")}}); !errors.Is(err, ErrNoContainer) {
 		t.Fatalf("put without container: %v", err)
 	}
 	if err := s.EnsureContainer(ctx, "c"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Get(ctx, "c", "absent"); !errors.Is(err, ErrNotFound) {
+	if _, err := s.GetMulti(ctx, "c", []string{"absent"}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("get absent: %v", err)
 	}
-	ok, err := s.Exists(ctx, "c", "absent")
-	if err != nil || ok {
-		t.Fatalf("exists absent: %v %v", ok, err)
+	present, err := s.ExistsMulti(ctx, "c", []string{"absent"})
+	if err != nil || present[0] {
+		t.Fatalf("exists absent: %v %v", present, err)
 	}
 
 	payload := []byte{0, 1, 2, 254, 255, 'x'}
-	if err := s.Put(ctx, "c", "bin", payload); err != nil {
+	if err := s.PutMulti(ctx, "c", []Object{{Key: "bin", Data: payload}}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Get(ctx, "c", "bin")
-	if err != nil || !bytes.Equal(got, payload) {
+	got, err := s.GetMulti(ctx, "c", []string{"bin"})
+	if err != nil || !bytes.Equal(got[0], payload) {
 		t.Fatalf("get: %v %v", got, err)
 	}
-	ok, err = s.Exists(ctx, "c", "bin")
-	if err != nil || !ok {
-		t.Fatalf("exists: %v %v", ok, err)
-	}
-	if err := s.Put(ctx, "c", "second", []byte("2")); err != nil {
+	if err := s.PutMulti(ctx, "c", []Object{{Key: "second", Data: []byte("2")}}); err != nil {
 		t.Fatal(err)
 	}
-	keys, err := s.List(ctx, "c")
-	if err != nil || len(keys) != 2 || keys[0] != "bin" || keys[1] != "second" {
-		t.Fatalf("list: %v %v", keys, err)
-	}
-	if err := s.Delete(ctx, "c", "bin"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Get(ctx, "c", "bin"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("get after delete: %v", err)
-	}
-	// Empty container listing.
-	if err := s.EnsureContainer(ctx, "empty"); err != nil {
-		t.Fatal(err)
-	}
-	keys, err = s.List(ctx, "empty")
-	if err != nil || len(keys) != 0 {
-		t.Fatalf("empty list: %v %v", keys, err)
+	present, err = s.ExistsMulti(ctx, "c", []string{"bin", "second", "third"})
+	if err != nil || !present[0] || !present[1] || present[2] {
+		t.Fatalf("exists: %v %v", present, err)
 	}
 }
 
@@ -138,19 +121,19 @@ func TestHTTPErrorMappingUniform(t *testing.T) {
 	if err := s.EnsureContainer(ctx, "c"); err != nil {
 		t.Fatal(err)
 	}
-	// Exists against a missing container must be ErrNoContainer, not a
-	// silent false — the header disambiguates the two 404s on HEAD.
-	if _, err := s.Exists(ctx, "nope", "k"); !errors.Is(err, ErrNoContainer) {
-		t.Fatalf("exists without container: %v", err)
+	// A missing container must be ErrNoContainer, not a miss or a silent
+	// false — the header disambiguates the two 404s.
+	if _, err := s.ExistsMulti(ctx, "nope", []string{"k"}); !errors.Is(err, ErrNoContainer) {
+		t.Fatalf("existsmulti without container: %v", err)
 	}
 	if _, err := s.GetMulti(ctx, "nope", []string{"k"}); !errors.Is(err, ErrNoContainer) {
 		t.Fatalf("getmulti without container: %v", err)
 	}
-	if err := s.Delete(ctx, "nope", "k"); !errors.Is(err, ErrNoContainer) {
-		t.Fatalf("delete without container: %v", err)
+	if err := s.PutMulti(ctx, "nope", []Object{{Key: "k"}}); !errors.Is(err, ErrNoContainer) {
+		t.Fatalf("putmulti without container: %v", err)
 	}
-	if _, err := s.Get(ctx, "c", "absent"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("get absent object: %v", err)
+	if _, err := s.GetMulti(ctx, "c", []string{"absent"}); !errors.Is(err, ErrNotFound) || errors.Is(err, ErrNoContainer) {
+		t.Fatalf("getmulti absent object: %v", err)
 	}
 }
 
@@ -163,7 +146,7 @@ func TestHTTPStoreHonorsContext(t *testing.T) {
 	}
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := s.Put(canceled, "c", "k", []byte("v")); !errors.Is(err, context.Canceled) {
+	if err := s.PutMulti(canceled, "c", []Object{{Key: "k", Data: []byte("v")}}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("put with canceled ctx: %v", err)
 	}
 	if _, err := s.GetMulti(canceled, "c", []string{"k"}); !errors.Is(err, context.Canceled) {
@@ -184,7 +167,7 @@ func TestHTTPStoreTokenAuth(t *testing.T) {
 		t.Fatalf("wrong token: %v", err)
 	}
 	none := NewHTTPStore(srv.URL, "")
-	if _, err := none.Get(ctx, "c", "k"); !errors.Is(err, ErrUnauthorized) {
+	if _, err := none.GetMulti(ctx, "c", []string{"k"}); !errors.Is(err, ErrUnauthorized) {
 		t.Fatalf("missing token: %v", err)
 	}
 	if err := none.PutMulti(ctx, "c", []Object{{Key: "k"}}); !errors.Is(err, ErrUnauthorized) {
@@ -198,7 +181,7 @@ func TestHTTPHandlerRejectsBadRoutes(t *testing.T) {
 	if err := s.EnsureContainer(ctx, "c"); err != nil {
 		t.Fatal(err)
 	}
-	resp := raw(t, s, "POST", s.url("c", "k"), nil)
+	resp := raw(t, s, "POST", s.url("c")+"/k", nil)
 	if resp.StatusCode != 405 {
 		t.Fatalf("POST status = %d, want 405", resp.StatusCode)
 	}
@@ -207,7 +190,7 @@ func TestHTTPHandlerRejectsBadRoutes(t *testing.T) {
 		t.Fatalf("bad path status = %d, want 404", resp2.StatusCode)
 	}
 	// POST on a container with an unknown multi op.
-	resp3 := raw(t, s, "POST", s.url("c", "")+"?multi=zap", bytes.NewReader([]byte("[]")))
+	resp3 := raw(t, s, "POST", s.url("c")+"?multi=zap", bytes.NewReader([]byte("[]")))
 	if resp3.StatusCode != 400 {
 		t.Fatalf("unknown multi op status = %d, want 400", resp3.StatusCode)
 	}
@@ -219,11 +202,11 @@ func TestHTTPStoreKeysWithSpecialCharacters(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := "weird key/with? things#"
-	if err := s.Put(ctx, "c", key, []byte("v")); err != nil {
+	if err := s.PutMulti(ctx, "c", []Object{{Key: key, Data: []byte("v")}}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Get(ctx, "c", key)
-	if err != nil || string(got) != "v" {
+	got, err := s.GetMulti(ctx, "c", []string{key})
+	if err != nil || string(got[0]) != "v" {
 		t.Fatalf("special key round trip: %q %v", got, err)
 	}
 }
@@ -248,13 +231,13 @@ func TestHTTPGatewayRefusesLegacyBodies(t *testing.T) {
 		{"exists", `["k"]`},
 		{"get", ""},
 	} {
-		resp := raw(t, s, http.MethodPost, s.url("c", "")+"?multi="+tc.op, strings.NewReader(tc.body))
+		resp := raw(t, s, http.MethodPost, s.url("c")+"?multi="+tc.op, strings.NewReader(tc.body))
 		if resp.StatusCode < 400 || resp.StatusCode >= 500 {
 			t.Fatalf("%s %q: status %d, want 4xx", tc.op, tc.body, resp.StatusCode)
 		}
 	}
-	if keys, err := s.List(ctx, "c"); err != nil || len(keys) != 0 {
-		t.Fatalf("legacy bodies stored %v (%v)", keys, err)
+	if present, err := s.ExistsMulti(ctx, "c", []string{"k"}); err != nil || present[0] {
+		t.Fatalf("legacy bodies stored k: %v (%v)", present, err)
 	}
 }
 
@@ -270,8 +253,8 @@ func TestHTTPGatewayBodyCap(t *testing.T) {
 
 	// A declared Content-Length over the cap is answered from the headers:
 	// the body is never sent, so a gateway that waited for it would hang.
-	for _, route := range [][2]string{{"POST", "/v1/c?multi=put"}, {"PUT", "/v1/c/k"}} {
-		method, path := route[0], route[1]
+	for _, path := range []string{"/v1/c?multi=put", "/v1/c?multi=get"} {
+		method := http.MethodPost
 		conn, err := net.Dial("tcp", srv.Listener.Addr().String())
 		if err != nil {
 			t.Fatal(err)
@@ -304,7 +287,7 @@ func TestHTTPGatewayBodyCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp := raw(t, s, http.MethodPost, s.url("c", "")+"?multi=put", io.MultiReader(bytes.NewReader(body)))
+	resp := raw(t, s, http.MethodPost, s.url("c")+"?multi=put", io.MultiReader(bytes.NewReader(body)))
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("chunked batch under the cap: status %d", resp.StatusCode)
 	}
@@ -319,8 +302,13 @@ func TestHTTPGatewayBodyCap(t *testing.T) {
 	if err := s.PutMulti(ctx, "c", objs); !errors.Is(err, errTooLarge) {
 		t.Fatalf("over-cap PutMulti: %v", err)
 	}
-	if keys, err := s.List(ctx, "c"); err != nil || len(keys) != 1 || keys[0] != "chunked" {
-		t.Fatalf("after refused bodies the container holds %v (%v)", keys, err)
+	keys := []string{"chunked"}
+	for _, o := range objs {
+		keys = append(keys, o.Key)
+	}
+	present, err := s.ExistsMulti(ctx, "c", keys)
+	if err != nil || !present[0] || slices.Contains(present[1:], true) {
+		t.Fatalf("after refused bodies the container holds %v (%v)", present, err)
 	}
 
 	// The client refuses a response that declares more than the cap.
@@ -333,7 +321,33 @@ func TestHTTPGatewayBodyCap(t *testing.T) {
 	if _, err := remote.GetMulti(ctx, "c", []string{"k"}); !errors.Is(err, errTooLarge) {
 		t.Fatalf("GetMulti of an over-cap response: %v", err)
 	}
-	if _, err := remote.Get(ctx, "c", "k"); !errors.Is(err, errTooLarge) {
-		t.Fatalf("Get of an over-cap response: %v", err)
+	if _, err := remote.ExistsMulti(ctx, "c", []string{"k"}); !errors.Is(err, errTooLarge) {
+		t.Fatalf("ExistsMulti of an over-cap response: %v", err)
+	}
+}
+
+// TestHTTPGatewayRefusesSingleObjectRoutes: the Store API is batch-only, so
+// the gateway has no object routes and no listing. A single-object PUT, GET,
+// HEAD or DELETE, or a GET of the container, is answered 4xx and stores
+// nothing.
+func TestHTTPGatewayRefusesSingleObjectRoutes(t *testing.T) {
+	s := newGateway(t, "")
+	if err := s.EnsureContainer(ctx, "c"); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ method, path string }{
+		{http.MethodPut, "/v1/c/k"},
+		{http.MethodGet, "/v1/c/k"},
+		{http.MethodHead, "/v1/c/k"},
+		{http.MethodDelete, "/v1/c/k"},
+		{http.MethodGet, "/v1/c"},
+	} {
+		resp := raw(t, s, tc.method, s.base+tc.path, strings.NewReader("v"))
+		if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+			t.Fatalf("%s %s: status %d, want 4xx", tc.method, tc.path, resp.StatusCode)
+		}
+	}
+	if present, err := s.ExistsMulti(ctx, "c", []string{"k"}); err != nil || present[0] {
+		t.Fatalf("single-object routes stored k: %v (%v)", present, err)
 	}
 }

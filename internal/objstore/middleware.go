@@ -20,7 +20,6 @@ import (
 type Traffic struct {
 	Puts          uint64 `json:"puts"`
 	Gets          uint64 `json:"gets"`
-	Deletes       uint64 `json:"deletes"`
 	BytesUp       uint64 `json:"bytesUp"`
 	BytesDown     uint64 `json:"bytesDown"`
 	OtherRequests uint64 `json:"otherRequests"`
@@ -74,40 +73,6 @@ func (m *Metered) Register(reg *obs.Registry, labels ...string) {
 func (m *Metered) EnsureContainer(ctx context.Context, container string) error {
 	m.count(func(t *Traffic) { t.OtherRequests++ })
 	return m.inner.EnsureContainer(ctx, container)
-}
-
-// Put forwards and accounts uploaded bytes.
-func (m *Metered) Put(ctx context.Context, container, key string, data []byte) error {
-	m.count(func(t *Traffic) { t.Puts++; t.BytesUp += uint64(len(data)) })
-	return m.inner.Put(ctx, container, key, data)
-}
-
-// Get forwards and accounts downloaded bytes.
-func (m *Metered) Get(ctx context.Context, container, key string) ([]byte, error) {
-	data, err := m.inner.Get(ctx, container, key)
-	m.count(func(t *Traffic) {
-		t.Gets++
-		t.BytesDown += uint64(len(data))
-	})
-	return data, err
-}
-
-// Exists forwards and counts a control request.
-func (m *Metered) Exists(ctx context.Context, container, key string) (bool, error) {
-	m.count(func(t *Traffic) { t.OtherRequests++ })
-	return m.inner.Exists(ctx, container, key)
-}
-
-// Delete forwards and counts.
-func (m *Metered) Delete(ctx context.Context, container, key string) error {
-	m.count(func(t *Traffic) { t.Deletes++ })
-	return m.inner.Delete(ctx, container, key)
-}
-
-// List forwards and counts a control request.
-func (m *Metered) List(ctx context.Context, container string) ([]string, error) {
-	m.count(func(t *Traffic) { t.OtherRequests++ })
-	return m.inner.List(ctx, container)
 }
 
 // PutMulti forwards the batch and charges one put per object.
@@ -170,8 +135,8 @@ func NewSimulated(inner Store, clk clock.Clock, perRequest time.Duration, bytesP
 	return &Simulated{inner: inner, clk: clk, PerRequest: perRequest, BytesPerSecond: bytesPerSecond}
 }
 
-func (s *Simulated) pay(n int) {
-	d := s.cost(n)
+// pay sleeps for d of modelled time.
+func (s *Simulated) pay(d time.Duration) {
 	if d > 0 {
 		s.clk.Sleep(d)
 	}
@@ -187,39 +152,8 @@ func (s *Simulated) cost(n int) time.Duration {
 
 // EnsureContainer pays one request.
 func (s *Simulated) EnsureContainer(ctx context.Context, container string) error {
-	s.pay(0)
+	s.pay(s.cost(0))
 	return s.inner.EnsureContainer(ctx, container)
-}
-
-// Put pays request + upload time.
-func (s *Simulated) Put(ctx context.Context, container, key string, data []byte) error {
-	s.pay(len(data))
-	return s.inner.Put(ctx, container, key, data)
-}
-
-// Get pays request + download time.
-func (s *Simulated) Get(ctx context.Context, container, key string) ([]byte, error) {
-	data, err := s.inner.Get(ctx, container, key)
-	s.pay(len(data))
-	return data, err
-}
-
-// Exists pays one request.
-func (s *Simulated) Exists(ctx context.Context, container, key string) (bool, error) {
-	s.pay(0)
-	return s.inner.Exists(ctx, container, key)
-}
-
-// Delete pays one request.
-func (s *Simulated) Delete(ctx context.Context, container, key string) error {
-	s.pay(0)
-	return s.inner.Delete(ctx, container, key)
-}
-
-// List pays one request.
-func (s *Simulated) List(ctx context.Context, container string) ([]string, error) {
-	s.pay(0)
-	return s.inner.List(ctx, container)
 }
 
 // PutMulti pays request + upload time per object, then forwards the batch.
@@ -228,9 +162,7 @@ func (s *Simulated) PutMulti(ctx context.Context, container string, objects []Ob
 	for _, o := range objects {
 		d += s.cost(len(o.Data))
 	}
-	if d > 0 {
-		s.clk.Sleep(d)
-	}
+	s.pay(d)
 	return s.inner.PutMulti(ctx, container, objects)
 }
 
@@ -246,17 +178,13 @@ func (s *Simulated) GetMulti(ctx context.Context, container string, keys []strin
 		}
 		d += s.cost(n)
 	}
-	if d > 0 {
-		s.clk.Sleep(d)
-	}
+	s.pay(d)
 	return data, err
 }
 
 // ExistsMulti pays one request per key, then forwards the batch.
 func (s *Simulated) ExistsMulti(ctx context.Context, container string, keys []string) ([]bool, error) {
-	if d := s.cost(0) * time.Duration(len(keys)); d > 0 {
-		s.clk.Sleep(d)
-	}
+	s.pay(s.cost(0) * time.Duration(len(keys)))
 	return s.inner.ExistsMulti(ctx, container, keys)
 }
 
@@ -268,10 +196,10 @@ var ErrInjected = errors.New("objstore: injected fault")
 // Faulty wraps a Store with deterministic fault injection: per-operation
 // transient errors and latency spikes from the plan's decision stream, plus
 // scheduled outage windows during which every request fails — the model of a
-// Swift cluster that is slow, flaky or unreachable. Batch operations fall
-// back to per-object singles so every object rolls its own fault decision, a
-// mid-batch fault leaves the idempotent prefix applied, and the decision
-// stream advances exactly as it would without batching.
+// Swift cluster that is slow, flaky or unreachable. Batch operations roll one
+// fault decision per object, in order, and forward each object that passes
+// on its own, so a mid-batch fault leaves the idempotent prefix applied and
+// the decision stream does not depend on how the client batches.
 type Faulty struct {
 	inner Store
 	plan  *faults.Plan
@@ -310,205 +238,61 @@ func (f *Faulty) inject(op string) error {
 	return nil
 }
 
-// EnsureContainer injects then forwards.
-func (f *Faulty) EnsureContainer(ctx context.Context, container string) error {
-	if err := ctxErr(ctx, "ensure", container); err != nil {
+// admit fails a canceled ctx, then rolls one fault decision for op.
+func (f *Faulty) admit(ctx context.Context, op, container string) error {
+	if err := ctxErr(ctx, op, container); err != nil {
 		return err
 	}
-	if err := f.inject("ensure"); err != nil {
+	return f.inject(op)
+}
+
+// EnsureContainer injects then forwards.
+func (f *Faulty) EnsureContainer(ctx context.Context, container string) error {
+	if err := f.admit(ctx, "ensure", container); err != nil {
 		return err
 	}
 	return f.inner.EnsureContainer(ctx, container)
 }
 
-// Put injects then forwards.
-func (f *Faulty) Put(ctx context.Context, container, key string, data []byte) error {
-	if err := ctxErr(ctx, "put", container); err != nil {
-		return err
-	}
-	if err := f.inject("put"); err != nil {
-		return err
-	}
-	return f.inner.Put(ctx, container, key, data)
-}
-
-// Get injects then forwards.
-func (f *Faulty) Get(ctx context.Context, container, key string) ([]byte, error) {
-	if err := ctxErr(ctx, "get", container); err != nil {
-		return nil, err
-	}
-	if err := f.inject("get"); err != nil {
-		return nil, err
-	}
-	return f.inner.Get(ctx, container, key)
-}
-
-// Exists injects then forwards.
-func (f *Faulty) Exists(ctx context.Context, container, key string) (bool, error) {
-	if err := ctxErr(ctx, "exists", container); err != nil {
-		return false, err
-	}
-	if err := f.inject("exists"); err != nil {
-		return false, err
-	}
-	return f.inner.Exists(ctx, container, key)
-}
-
-// Delete injects then forwards.
-func (f *Faulty) Delete(ctx context.Context, container, key string) error {
-	if err := ctxErr(ctx, "delete", container); err != nil {
-		return err
-	}
-	if err := f.inject("delete"); err != nil {
-		return err
-	}
-	return f.inner.Delete(ctx, container, key)
-}
-
-// List injects then forwards.
-func (f *Faulty) List(ctx context.Context, container string) ([]string, error) {
-	if err := ctxErr(ctx, "list", container); err != nil {
-		return nil, err
-	}
-	if err := f.inject("list"); err != nil {
-		return nil, err
-	}
-	return f.inner.List(ctx, container)
-}
-
-// PutMulti injects per object via the per-object fallback.
+// PutMulti injects per object, forwarding each as a batch of one.
 func (f *Faulty) PutMulti(ctx context.Context, container string, objects []Object) error {
-	return putMultiSeq(ctx, f, container, objects)
+	for _, o := range objects {
+		if err := f.admit(ctx, "put", container); err != nil {
+			return err
+		}
+		if err := f.inner.PutMulti(ctx, container, []Object{o}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// GetMulti injects per object via the per-object fallback.
+// GetMulti injects per key, forwarding each as a batch of one.
 func (f *Faulty) GetMulti(ctx context.Context, container string, keys []string) ([][]byte, error) {
-	return getMultiSeq(ctx, f, container, keys)
+	return getEach(ctx, container, keys, func(k string) ([]byte, error) {
+		if err := f.inject("get"); err != nil {
+			return nil, err
+		}
+		data, err := f.inner.GetMulti(ctx, container, []string{k})
+		if err != nil {
+			return nil, err
+		}
+		return data[0], nil
+	})
 }
 
-// ExistsMulti injects per object via the per-object fallback.
+// ExistsMulti injects per key, forwarding each as a batch of one.
 func (f *Faulty) ExistsMulti(ctx context.Context, container string, keys []string) ([]bool, error) {
-	return existsMultiSeq(ctx, f, container, keys)
-}
-
-// authTable is the shared token -> containers grant map.
-type authTable struct {
-	mu     sync.RWMutex
-	grants map[string]map[string]bool
-}
-
-// TokenAuth wraps a Store and rejects requests whose container is not
-// covered by the presented token — the stand-in for Swift's auth service
-// (clients authenticate separately against storage, §4.1). Batch operations
-// check the grant once: the whole batch targets one container.
-type TokenAuth struct {
-	inner Store
-	table *authTable
-	token string
-}
-
-// NewTokenAuth wraps inner with an empty grant table.
-func NewTokenAuth(inner Store) *TokenAuth {
-	return &TokenAuth{inner: inner, table: &authTable{grants: make(map[string]map[string]bool)}}
-}
-
-// Grant allows token to access container.
-func (a *TokenAuth) Grant(token, container string) {
-	a.table.mu.Lock()
-	defer a.table.mu.Unlock()
-	set, ok := a.table.grants[token]
-	if !ok {
-		set = make(map[string]bool)
-		a.table.grants[token] = set
+	out := make([]bool, len(keys))
+	for i, k := range keys {
+		if err := f.admit(ctx, "exists", container); err != nil {
+			return nil, err
+		}
+		present, err := f.inner.ExistsMulti(ctx, container, []string{k})
+		if err != nil {
+			return nil, err
+		}
+		out[i] = present[0]
 	}
-	set[container] = true
-}
-
-// WithToken returns a Store view authenticated as token; grants added later
-// are visible to existing views.
-func (a *TokenAuth) WithToken(token string) Store {
-	return &TokenAuth{inner: a.inner, table: a.table, token: token}
-}
-
-func (a *TokenAuth) check(container string) error {
-	a.table.mu.RLock()
-	defer a.table.mu.RUnlock()
-	if set, ok := a.table.grants[a.token]; ok && set[container] {
-		return nil
-	}
-	return fmt.Errorf("objstore: token %q on %q: %w", a.token, container, ErrUnauthorized)
-}
-
-var _ Store = (*TokenAuth)(nil)
-
-// EnsureContainer checks the grant then forwards.
-func (a *TokenAuth) EnsureContainer(ctx context.Context, container string) error {
-	if err := a.check(container); err != nil {
-		return err
-	}
-	return a.inner.EnsureContainer(ctx, container)
-}
-
-// Put checks the grant then forwards.
-func (a *TokenAuth) Put(ctx context.Context, container, key string, data []byte) error {
-	if err := a.check(container); err != nil {
-		return err
-	}
-	return a.inner.Put(ctx, container, key, data)
-}
-
-// Get checks the grant then forwards.
-func (a *TokenAuth) Get(ctx context.Context, container, key string) ([]byte, error) {
-	if err := a.check(container); err != nil {
-		return nil, err
-	}
-	return a.inner.Get(ctx, container, key)
-}
-
-// Exists checks the grant then forwards.
-func (a *TokenAuth) Exists(ctx context.Context, container, key string) (bool, error) {
-	if err := a.check(container); err != nil {
-		return false, err
-	}
-	return a.inner.Exists(ctx, container, key)
-}
-
-// Delete checks the grant then forwards.
-func (a *TokenAuth) Delete(ctx context.Context, container, key string) error {
-	if err := a.check(container); err != nil {
-		return err
-	}
-	return a.inner.Delete(ctx, container, key)
-}
-
-// List checks the grant then forwards.
-func (a *TokenAuth) List(ctx context.Context, container string) ([]string, error) {
-	if err := a.check(container); err != nil {
-		return nil, err
-	}
-	return a.inner.List(ctx, container)
-}
-
-// PutMulti checks the grant once then forwards the batch.
-func (a *TokenAuth) PutMulti(ctx context.Context, container string, objects []Object) error {
-	if err := a.check(container); err != nil {
-		return err
-	}
-	return a.inner.PutMulti(ctx, container, objects)
-}
-
-// GetMulti checks the grant once then forwards the batch.
-func (a *TokenAuth) GetMulti(ctx context.Context, container string, keys []string) ([][]byte, error) {
-	if err := a.check(container); err != nil {
-		return nil, err
-	}
-	return a.inner.GetMulti(ctx, container, keys)
-}
-
-// ExistsMulti checks the grant once then forwards the batch.
-func (a *TokenAuth) ExistsMulti(ctx context.Context, container string, keys []string) ([]bool, error) {
-	if err := a.check(container); err != nil {
-		return nil, err
-	}
-	return a.inner.ExistsMulti(ctx, container, keys)
+	return out, nil
 }

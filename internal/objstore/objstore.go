@@ -3,26 +3,25 @@
 // in per-user containers; the SyncService never touches data flows, only
 // metadata — the decoupling at the core of the architecture (§4).
 //
-// The Store API is context-aware and batch-first: every method takes a
+// The Store API is context-aware and batch-only: every method takes a
 // context.Context, and PutMulti/GetMulti/ExistsMulti move many chunks per
 // round trip. Batch calls are the client's transfer-pipeline primitive:
 // ExistsMulti is the server-assisted dedup probe (skip uploading chunks the
 // container already holds), PutMulti/GetMulti amortize per-request overhead
-// across a worker pool.
+// across a worker pool. One object is a batch of one.
 //
-// Backends: Memory and Disk. Wrappers add per-request accounting (Metered,
-// used by the traffic experiments), a latency/bandwidth model (Simulated,
-// used by the sync-time experiments), deterministic fault injection (Faulty)
-// and token authentication (TokenAuth). Wrappers charge batch operations
-// per object, so the paper's traffic and sync-time experiments stay accurate
-// under batching.
+// Backends: Memory and Disk, and HTTPStore for a remote gateway (Handler).
+// Wrappers add per-request accounting (Metered, used by the traffic
+// experiments), a latency/bandwidth model (Simulated, used by the sync-time
+// experiments) and deterministic fault injection (Faulty). Wrappers charge
+// batch operations per object, so the paper's traffic and sync-time
+// experiments stay accurate under batching.
 package objstore
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -45,25 +44,13 @@ type Object struct {
 //
 // Contract, pinned down by the storetest conformance suite:
 //   - Operations against a missing container fail with ErrNoContainer.
-//   - Get of an absent key fails with ErrNotFound; Exists reports false.
+//   - An absent key is a nil GetMulti entry plus ErrNotFound; ExistsMulti
+//     reports false for it.
 //   - Content-addressed puts are idempotent: re-putting a key succeeds.
 //   - A canceled context fails every operation with the context's error.
-//   - Batch operations are equivalent to their per-object loops, except for
-//     GetMulti's partial-result semantics below.
 type Store interface {
 	// EnsureContainer creates the container if missing.
 	EnsureContainer(ctx context.Context, container string) error
-	// Put stores data under key. Content-addressed writes are idempotent.
-	Put(ctx context.Context, container, key string, data []byte) error
-	// Get retrieves the object or ErrNotFound.
-	Get(ctx context.Context, container, key string) ([]byte, error)
-	// Exists reports whether key is present.
-	Exists(ctx context.Context, container, key string) (bool, error)
-	// Delete removes the object; deleting a missing object is a no-op.
-	Delete(ctx context.Context, container, key string) error
-	// List returns the sorted keys of a container.
-	List(ctx context.Context, container string) ([]string, error)
-
 	// PutMulti stores every object. Puts are idempotent, so a failed batch
 	// may have applied a prefix; retrying the whole batch is always safe.
 	PutMulti(ctx context.Context, container string, objects []Object) error
@@ -93,31 +80,16 @@ func ctxErr(ctx context.Context, op, container string) error {
 	return nil
 }
 
-// putMultiSeq implements PutMulti as a per-object loop, re-checking the
-// context between objects. Wrappers that need per-object semantics (fault
-// injection, accounting) build on it.
-func putMultiSeq(ctx context.Context, s Store, container string, objects []Object) error {
-	for _, o := range objects {
-		if err := ctxErr(ctx, "putmulti", container); err != nil {
-			return err
-		}
-		if err := s.Put(ctx, container, o.Key, o.Data); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// getMultiSeq implements GetMulti as a per-object loop with the interface's
-// partial-result contract: misses accumulate, other errors abort.
-func getMultiSeq(ctx context.Context, s Store, container string, keys []string) ([][]byte, error) {
+// getEach builds GetMulti's partial-result contract from a per-key read,
+// re-checking ctx between keys: misses accumulate, other errors abort.
+func getEach(ctx context.Context, container string, keys []string, get func(key string) ([]byte, error)) ([][]byte, error) {
 	out := make([][]byte, len(keys))
 	var errs []error
 	for i, k := range keys {
 		if err := ctxErr(ctx, "getmulti", container); err != nil {
 			return out, err
 		}
-		data, err := s.Get(ctx, container, k)
+		data, err := get(k)
 		switch {
 		case err == nil:
 			out[i] = data
@@ -128,22 +100,6 @@ func getMultiSeq(ctx context.Context, s Store, container string, keys []string) 
 		}
 	}
 	return out, errors.Join(errs...)
-}
-
-// existsMultiSeq implements ExistsMulti as a per-object loop.
-func existsMultiSeq(ctx context.Context, s Store, container string, keys []string) ([]bool, error) {
-	out := make([]bool, len(keys))
-	for i, k := range keys {
-		if err := ctxErr(ctx, "existsmulti", container); err != nil {
-			return nil, err
-		}
-		ok, err := s.Exists(ctx, container, k)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = ok
-	}
-	return out, nil
 }
 
 // Memory is an in-process Store.
@@ -172,148 +128,62 @@ func (m *Memory) EnsureContainer(ctx context.Context, container string) error {
 	return nil
 }
 
-// Put stores a copy of data under key.
-func (m *Memory) Put(ctx context.Context, container, key string, data []byte) error {
-	if err := ctxErr(ctx, "put", container); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.putLocked(container, key, data)
-}
-
-func (m *Memory) putLocked(container, key string, data []byte) error {
-	c, ok := m.containers[container]
-	if !ok {
-		return opErr("put", container, key, ErrNoContainer)
-	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	c[key] = cp
-	return nil
-}
-
-// Get returns a copy of the stored object.
-func (m *Memory) Get(ctx context.Context, container, key string) ([]byte, error) {
-	if err := ctxErr(ctx, "get", container); err != nil {
+// bucket returns the objects of container; the caller holds m.mu.
+func (m *Memory) bucket(ctx context.Context, op, container string) (map[string][]byte, error) {
+	if err := ctxErr(ctx, op, container); err != nil {
 		return nil, err
 	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.getLocked(container, key)
-}
-
-func (m *Memory) getLocked(container, key string) ([]byte, error) {
 	c, ok := m.containers[container]
 	if !ok {
-		return nil, opErr("get", container, key, ErrNoContainer)
+		return nil, opErr(op, container, "", ErrNoContainer)
 	}
-	data, ok := c[key]
-	if !ok {
-		return nil, opErr("get", container, key, ErrNotFound)
-	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	return cp, nil
+	return c, nil
 }
 
-// Exists reports presence of key.
-func (m *Memory) Exists(ctx context.Context, container, key string) (bool, error) {
-	if err := ctxErr(ctx, "exists", container); err != nil {
-		return false, err
-	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	c, ok := m.containers[container]
-	if !ok {
-		return false, opErr("exists", container, key, ErrNoContainer)
-	}
-	_, ok = c[key]
-	return ok, nil
+// clone copies b into a non-nil slice, so stored and returned objects never
+// alias the caller's buffers and empty objects stay distinct from misses.
+func clone(b []byte) []byte {
+	return append(make([]byte, 0, len(b)), b...)
 }
 
-// Delete removes key; missing keys are ignored.
-func (m *Memory) Delete(ctx context.Context, container, key string) error {
-	if err := ctxErr(ctx, "delete", container); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c, ok := m.containers[container]
-	if !ok {
-		return opErr("delete", container, key, ErrNoContainer)
-	}
-	delete(c, key)
-	return nil
-}
-
-// List returns the sorted keys in container.
-func (m *Memory) List(ctx context.Context, container string) ([]string, error) {
-	if err := ctxErr(ctx, "list", container); err != nil {
-		return nil, err
-	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	c, ok := m.containers[container]
-	if !ok {
-		return nil, opErr("list", container, "", ErrNoContainer)
-	}
-	keys := make([]string, 0, len(c))
-	for k := range c {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys, nil
-}
-
-// PutMulti stores every object under one lock acquisition.
+// PutMulti stores a copy of every object under one lock acquisition.
 func (m *Memory) PutMulti(ctx context.Context, container string, objects []Object) error {
-	if err := ctxErr(ctx, "putmulti", container); err != nil {
-		return err
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	c, err := m.bucket(ctx, "putmulti", container)
+	if err != nil {
+		return err
+	}
 	for _, o := range objects {
-		if err := m.putLocked(container, o.Key, o.Data); err != nil {
-			return err
-		}
+		c[o.Key] = clone(o.Data)
 	}
 	return nil
 }
 
-// GetMulti reads every key under one lock acquisition.
+// GetMulti returns copies of the stored objects under one lock acquisition.
 func (m *Memory) GetMulti(ctx context.Context, container string, keys []string) ([][]byte, error) {
-	if err := ctxErr(ctx, "getmulti", container); err != nil {
-		return nil, err
-	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	out := make([][]byte, len(keys))
-	var errs []error
-	for i, k := range keys {
-		data, err := m.getLocked(container, k)
-		switch {
-		case err == nil:
-			out[i] = data
-		case errors.Is(err, ErrNotFound):
-			errs = append(errs, err)
-		default:
-			return out, err
-		}
+	c, err := m.bucket(ctx, "getmulti", container)
+	if err != nil {
+		return nil, err
 	}
-	return out, errors.Join(errs...)
+	return getEach(ctx, container, keys, func(k string) ([]byte, error) {
+		data, ok := c[k]
+		if !ok {
+			return nil, opErr("getmulti", container, k, ErrNotFound)
+		}
+		return clone(data), nil
+	})
 }
 
 // ExistsMulti probes every key under one lock acquisition.
 func (m *Memory) ExistsMulti(ctx context.Context, container string, keys []string) ([]bool, error) {
-	if err := ctxErr(ctx, "existsmulti", container); err != nil {
-		return nil, err
-	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	c, ok := m.containers[container]
-	if !ok {
-		return nil, opErr("existsmulti", container, "", ErrNoContainer)
+	c, err := m.bucket(ctx, "existsmulti", container)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]bool, len(keys))
 	for i, k := range keys {

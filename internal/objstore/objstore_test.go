@@ -3,29 +3,35 @@ package objstore
 import (
 	"context"
 	"errors"
+	"os"
+	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"stacksync/internal/clock"
+	"stacksync/internal/faults"
 )
 
 // The cross-implementation contract lives in the storetest conformance
 // suite (see conformance_test.go). The tests here cover backend- and
 // wrapper-specific behaviour the shared suite cannot: aliasing, crash
-// persistence, accounting and the latency model.
+// persistence, accounting, the latency model and fault injection.
 
 var ctx = context.Background()
 
 func TestMemoryGetReturnsCopy(t *testing.T) {
 	m := NewMemory()
 	_ = m.EnsureContainer(ctx, "c")
-	_ = m.Put(ctx, "c", "k", []byte("original"))
-	got, _ := m.Get(ctx, "c", "k")
-	got[0] = 'X'
-	again, _ := m.Get(ctx, "c", "k")
-	if string(again) != "original" {
-		t.Fatalf("internal state mutated through returned slice: %q", again)
+	_ = m.PutMulti(ctx, "c", []Object{{Key: "k", Data: []byte("original")}})
+	got, _ := m.GetMulti(ctx, "c", []string{"k", "k"})
+	got[0][0] = 'X'
+	if string(got[1]) != "original" {
+		t.Fatalf("entries of one batch share a buffer: %q", got[1])
+	}
+	again, _ := m.GetMulti(ctx, "c", []string{"k"})
+	if string(again[0]) != "original" {
+		t.Fatalf("internal state mutated through returned slice: %q", again[0])
 	}
 }
 
@@ -33,22 +39,24 @@ func TestMemoryPutCopiesInput(t *testing.T) {
 	m := NewMemory()
 	_ = m.EnsureContainer(ctx, "c")
 	buf := []byte("original")
-	_ = m.Put(ctx, "c", "k", buf)
+	_ = m.PutMulti(ctx, "c", []Object{{Key: "k", Data: buf}})
 	buf[0] = 'X'
-	got, _ := m.Get(ctx, "c", "k")
-	if string(got) != "original" {
-		t.Fatalf("store aliased caller's buffer: %q", got)
+	got, _ := m.GetMulti(ctx, "c", []string{"k"})
+	if string(got[0]) != "original" {
+		t.Fatalf("store aliased caller's buffer: %q", got[0])
 	}
 }
 
+// TestMemoryPutMultiCopiesInput: objects of one batch that share the
+// caller's buffer are stored as independent copies.
 func TestMemoryPutMultiCopiesInput(t *testing.T) {
 	m := NewMemory()
 	_ = m.EnsureContainer(ctx, "c")
 	buf := []byte("original")
-	_ = m.PutMulti(ctx, "c", []Object{{Key: "k", Data: buf}})
+	_ = m.PutMulti(ctx, "c", []Object{{Key: "k1", Data: buf}, {Key: "k2", Data: buf[:4]}})
 	buf[0] = 'X'
-	got, _ := m.Get(ctx, "c", "k")
-	if string(got) != "original" {
+	got, _ := m.GetMulti(ctx, "c", []string{"k1", "k2"})
+	if string(got[0]) != "original" || string(got[1]) != "orig" {
 		t.Fatalf("store aliased caller's batch buffer: %q", got)
 	}
 }
@@ -60,50 +68,53 @@ func TestDiskSurvivesReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = d1.EnsureContainer(ctx, "c")
-	if err := d1.Put(ctx, "c", "deadbeef", []byte("persisted")); err != nil {
+	if err := d1.PutMulti(ctx, "c", []Object{{Key: "deadbeef", Data: []byte("persisted")}}); err != nil {
 		t.Fatal(err)
 	}
 	d2, err := NewDisk(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := d2.Get(ctx, "c", "deadbeef")
-	if err != nil || string(got) != "persisted" {
+	got, err := d2.GetMulti(ctx, "c", []string{"deadbeef"})
+	if err != nil || string(got[0]) != "persisted" {
 		t.Fatalf("after reopen: %q, %v", got, err)
 	}
 }
 
 func TestDiskSanitizesHostileKeys(t *testing.T) {
-	d, err := NewDisk(t.TempDir())
+	root := t.TempDir()
+	d, err := NewDisk(root)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = d.EnsureContainer(ctx, "c")
-	if err := d.Put(ctx, "c", "../../etc/passwd", []byte("nope")); err != nil {
+	if err := d.PutMulti(ctx, "c", []Object{{Key: "../../etc/passwd", Data: []byte("nope")}}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.Get(ctx, "c", "../../etc/passwd")
-	if err != nil || string(got) != "nope" {
+	got, err := d.GetMulti(ctx, "c", []string{"../../etc/passwd"})
+	if err != nil || string(got[0]) != "nope" {
 		t.Fatalf("hostile key round trip: %q, %v", got, err)
 	}
-	keys, _ := d.List(ctx, "c")
-	if len(keys) != 1 {
-		t.Fatalf("keys = %v", keys)
+	// The object is one file inside the container, nothing outside it.
+	if files, _ := os.ReadDir(d.containerPath("c")); len(files) != 1 {
+		t.Fatalf("container holds %v", files)
+	}
+	if entries, _ := os.ReadDir(root); len(entries) != 1 {
+		t.Fatalf("store root holds %v", entries)
 	}
 }
 
 func TestMeteredCountsTraffic(t *testing.T) {
 	m := NewMetered(NewMemory())
 	_ = m.EnsureContainer(ctx, "c")
-	_ = m.Put(ctx, "c", "k1", make([]byte, 1000))
-	_ = m.Put(ctx, "c", "k2", make([]byte, 500))
-	if _, err := m.Get(ctx, "c", "k1"); err != nil {
+	_ = m.PutMulti(ctx, "c", []Object{{Key: "k1", Data: make([]byte, 1000)}})
+	_ = m.PutMulti(ctx, "c", []Object{{Key: "k2", Data: make([]byte, 500)}})
+	if _, err := m.GetMulti(ctx, "c", []string{"k1"}); err != nil {
 		t.Fatal(err)
 	}
-	_, _ = m.Exists(ctx, "c", "k1")
-	_ = m.Delete(ctx, "c", "k2")
+	_, _ = m.ExistsMulti(ctx, "c", []string{"k1"})
 	tr := m.Traffic()
-	if tr.Puts != 2 || tr.Gets != 1 || tr.Deletes != 1 {
+	if tr.Puts != 2 || tr.Gets != 1 || tr.OtherRequests != 2 {
 		t.Fatalf("request counts: %+v", tr)
 	}
 	if tr.BytesUp != 1500 || tr.BytesDown != 1000 {
@@ -163,7 +174,7 @@ func TestMeteredTrafficProperty(t *testing.T) {
 		var up uint64
 		for i, s := range sizes {
 			data := make([]byte, int(s)%4096)
-			_ = m.Put(ctx, "c", string(rune('a'+i%26)), data)
+			_ = m.PutMulti(ctx, "c", []Object{{Key: string(rune('a' + i%26)), Data: data}})
 			up += uint64(len(data))
 		}
 		return m.Traffic().BytesUp == up
@@ -181,7 +192,7 @@ func TestSimulatedLatencyModel(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_ = s.Put(ctx, "c", "k", make([]byte, 500_000)) // 10ms + 500ms
+		_ = s.PutMulti(ctx, "c", []Object{{Key: "k", Data: make([]byte, 500_000)}}) // 10ms + 500ms
 	}()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
@@ -249,42 +260,60 @@ func TestSimulatedBatchPaysPerObject(t *testing.T) {
 func TestSimulatedZeroCostPassthrough(t *testing.T) {
 	s := NewSimulated(NewMemory(), clock.NewReal(), 0, 0)
 	_ = s.EnsureContainer(ctx, "c")
-	if err := s.Put(ctx, "c", "k", []byte("fast")); err != nil {
+	if err := s.PutMulti(ctx, "c", []Object{{Key: "k", Data: []byte("fast")}}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Get(ctx, "c", "k")
-	if err != nil || string(got) != "fast" {
+	got, err := s.GetMulti(ctx, "c", []string{"k"})
+	if err != nil || string(got[0]) != "fast" {
 		t.Fatalf("passthrough: %q, %v", got, err)
 	}
 }
 
-func TestTokenAuthEnforcesGrants(t *testing.T) {
-	auth := NewTokenAuth(NewMemory())
-	auth.Grant("alice-token", "alice")
-	alice := auth.WithToken("alice-token")
-	mallory := auth.WithToken("mallory-token")
+// TestFaultyBatchRollsOneDecisionPerObject: a batch rolls one fault
+// decision per object, in order, and stops at the first injected error with
+// the prefix applied, so the plan's decision stream does not depend on how
+// the caller batches.
+func TestFaultyBatchRollsOneDecisionPerObject(t *testing.T) {
+	plan := faults.NewPlan(faults.Config{Seed: 3, Sites: map[string]faults.SiteConfig{"objstore": {ErrorP: 0.3}}})
+	var fails []int // the sequence keys of the first two injected errors
+	for i := 0; len(fails) < 2; i++ {
+		if plan.Decide("objstore", strconv.Itoa(i)).Kind == faults.Error {
+			fails = append(fails, i)
+		}
+	}
+	if fails[0] < 2 {
+		t.Fatalf("seed puts the first fault at %d; pick one that leaves a prefix", fails[0])
+	}
+	inner := NewMemory()
+	_ = inner.EnsureContainer(ctx, "c")
+	f := NewFaulty(inner, plan, "objstore", nil)
 
-	if err := alice.EnsureContainer(ctx, "alice"); err != nil {
-		t.Fatal(err)
+	objs := make([]Object, fails[0]+3)
+	keys := make([]string, len(objs))
+	for i := range objs {
+		keys[i] = strconv.Itoa(i)
+		objs[i] = Object{Key: keys[i], Data: []byte("v")}
 	}
-	if err := alice.Put(ctx, "alice", "k", []byte("secret")); err != nil {
-		t.Fatal(err)
+	if err := f.PutMulti(ctx, "c", objs); !errors.Is(err, ErrInjected) {
+		t.Fatalf("putmulti across a fault: %v", err)
 	}
-	if _, err := mallory.Get(ctx, "alice", "k"); !errors.Is(err, ErrUnauthorized) {
-		t.Fatalf("mallory read alice's data: %v", err)
+	present, _ := inner.ExistsMulti(ctx, "c", keys)
+	for i, p := range present {
+		if p != (i < fails[0]) {
+			t.Fatalf("after a fault at object %d the store holds %v", fails[0], present)
+		}
 	}
-	if err := mallory.Put(ctx, "alice", "k2", []byte("spam")); !errors.Is(err, ErrUnauthorized) {
-		t.Fatalf("mallory wrote to alice's container: %v", err)
+
+	// The stream resumes at the next object: the decisions up to the second
+	// fault pass, and the one after them fails.
+	if _, err := f.ExistsMulti(ctx, "c", make([]string, fails[1]-fails[0]-1)); err != nil {
+		t.Fatalf("existsmulti before the second fault: %v", err)
 	}
-	if _, err := mallory.GetMulti(ctx, "alice", []string{"k"}); !errors.Is(err, ErrUnauthorized) {
-		t.Fatalf("mallory batch-read alice's data: %v", err)
+	if _, err := f.GetMulti(ctx, "c", keys[:2]); !errors.Is(err, ErrInjected) {
+		t.Fatalf("getmulti at the second fault: %v", err)
 	}
-	if _, err := mallory.ExistsMulti(ctx, "alice", []string{"k"}); !errors.Is(err, ErrUnauthorized) {
-		t.Fatalf("mallory batch-probed alice's container: %v", err)
-	}
-	// Grants added later are visible to existing views.
-	auth.Grant("mallory-token", "mallory")
-	if err := mallory.EnsureContainer(ctx, "mallory"); err != nil {
-		t.Fatalf("granted container still denied: %v", err)
+	events := plan.Events()
+	if len(events) != 2 || events[0].Key != strconv.Itoa(fails[0]) || events[1].Key != strconv.Itoa(fails[1]) {
+		t.Fatalf("fault events %+v, want keys %v", events, fails)
 	}
 }

@@ -1,8 +1,9 @@
 // Package storetest pins down the objstore.Store contract as an executable
-// conformance suite. Every Store implementation — backends, wrappers, and
-// the client's resilience layer — runs the same suite, so sentinel errors,
-// idempotent content-addressed puts, context cancellation and batch/single
-// equivalence behave identically no matter how the store is composed.
+// conformance suite. Every Store implementation — backends, wrappers, the
+// remote gateway pair and the client's resilience layer — runs the same
+// suite, so sentinel errors, idempotent content-addressed puts, context
+// cancellation and the batch calls' per-key semantics behave identically no
+// matter how the store is composed.
 package storetest
 
 import (
@@ -14,11 +15,7 @@ import (
 	"stacksync/internal/objstore"
 )
 
-// Containers are the container names the suite creates. Auth-gating
-// wrappers (TokenAuth and friends) must pre-grant access to all of them,
-// plus MissingContainer: the suite probes MissingContainer to assert
-// ErrNoContainer, which an unauthorized view would mask with
-// ErrUnauthorized.
+// Containers are the container names the suite creates.
 var Containers = []string{"stc-a", "stc-b"}
 
 // MissingContainer is probed but never created.
@@ -36,45 +33,50 @@ func Run(t *testing.T, mk func(t *testing.T) objstore.Store) {
 	t.Run("cancellation", func(t *testing.T) { runCancellation(t, mk(t)) })
 }
 
+// put stores one object as a batch of one.
+func put(ctx context.Context, s objstore.Store, c, key string, data []byte) error {
+	return s.PutMulti(ctx, c, []objstore.Object{{Key: key, Data: data}})
+}
+
+// get fetches one key as a batch of one.
+func get(ctx context.Context, s objstore.Store, c, key string) ([]byte, error) {
+	data, err := s.GetMulti(ctx, c, []string{key})
+	if len(data) != 1 {
+		return nil, err
+	}
+	return data[0], err
+}
+
+// exists probes one key as a batch of one.
+func exists(ctx context.Context, s objstore.Store, c, key string) (bool, error) {
+	present, err := s.ExistsMulti(ctx, c, []string{key})
+	return len(present) == 1 && present[0], err
+}
+
 func runSentinels(t *testing.T, s objstore.Store) {
 	ctx := context.Background()
 	// Every operation against a missing container fails with ErrNoContainer.
-	if err := s.Put(ctx, MissingContainer, "k", []byte("v")); !errors.Is(err, objstore.ErrNoContainer) {
-		t.Fatalf("put without container: %v", err)
-	}
-	if _, err := s.Get(ctx, MissingContainer, "k"); !errors.Is(err, objstore.ErrNoContainer) {
-		t.Fatalf("get without container: %v", err)
-	}
-	if _, err := s.Exists(ctx, MissingContainer, "k"); !errors.Is(err, objstore.ErrNoContainer) {
-		t.Fatalf("exists without container: %v", err)
-	}
-	if err := s.Delete(ctx, MissingContainer, "k"); !errors.Is(err, objstore.ErrNoContainer) {
-		t.Fatalf("delete without container: %v", err)
-	}
-	if _, err := s.List(ctx, MissingContainer); !errors.Is(err, objstore.ErrNoContainer) {
-		t.Fatalf("list without container: %v", err)
-	}
-	if err := s.PutMulti(ctx, MissingContainer, []objstore.Object{{Key: "k", Data: []byte("v")}}); !errors.Is(err, objstore.ErrNoContainer) {
+	if err := put(ctx, s, MissingContainer, "k", []byte("v")); !errors.Is(err, objstore.ErrNoContainer) {
 		t.Fatalf("putmulti without container: %v", err)
 	}
-	if _, err := s.ExistsMulti(ctx, MissingContainer, []string{"k"}); !errors.Is(err, objstore.ErrNoContainer) {
+	if _, err := get(ctx, s, MissingContainer, "k"); !errors.Is(err, objstore.ErrNoContainer) {
+		t.Fatalf("getmulti without container: %v", err)
+	}
+	if _, err := exists(ctx, s, MissingContainer, "k"); !errors.Is(err, objstore.ErrNoContainer) {
 		t.Fatalf("existsmulti without container: %v", err)
 	}
 
 	if err := s.EnsureContainer(ctx, Containers[0]); err != nil {
 		t.Fatal(err)
 	}
-	// Absent objects: ErrNotFound on Get, a false answer (no error) on Exists.
-	if _, err := s.Get(ctx, Containers[0], "absent"); !errors.Is(err, objstore.ErrNotFound) {
-		t.Fatalf("get absent: %v", err)
+	// Absent objects: a nil entry plus ErrNotFound from GetMulti, a false
+	// answer (no error) from ExistsMulti.
+	if data, err := get(ctx, s, Containers[0], "absent"); !errors.Is(err, objstore.ErrNotFound) || data != nil {
+		t.Fatalf("getmulti absent = %q, %v", data, err)
 	}
-	ok, err := s.Exists(ctx, Containers[0], "absent")
+	ok, err := exists(ctx, s, Containers[0], "absent")
 	if err != nil || ok {
-		t.Fatalf("exists absent = %v, %v", ok, err)
-	}
-	// Deleting a missing object is a no-op, not an error.
-	if err := s.Delete(ctx, Containers[0], "absent"); err != nil {
-		t.Fatalf("delete absent: %v", err)
+		t.Fatalf("existsmulti absent = %v, %v", ok, err)
 	}
 }
 
@@ -90,56 +92,36 @@ func runRoundtrip(t *testing.T, s objstore.Store) {
 	}
 
 	payload := []byte("chunk-content")
-	if err := s.Put(ctx, c, "abc123", payload); err != nil {
+	if err := put(ctx, s, c, "abc123", payload); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Get(ctx, c, "abc123")
+	got, err := get(ctx, s, c, "abc123")
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("get = %q, %v", got, err)
 	}
-	ok, err := s.Exists(ctx, c, "abc123")
+	ok, err := exists(ctx, s, c, "abc123")
 	if err != nil || !ok {
 		t.Fatalf("exists = %v, %v", ok, err)
 	}
 
-	// Content-addressed puts are idempotent: re-putting the key succeeds.
-	if err := s.Put(ctx, c, "abc123", payload); err != nil {
+	// Content-addressed puts are idempotent: re-putting the key succeeds and
+	// leaves the content readable.
+	if err := put(ctx, s, c, "abc123", payload); err != nil {
 		t.Fatalf("re-put: %v", err)
 	}
-
-	// List is sorted.
-	if err := s.Put(ctx, c, "zzz", []byte("z")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(ctx, c, "aaa", []byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	keys, err := s.List(ctx, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"aaa", "abc123", "zzz"}
-	if len(keys) != 3 || keys[0] != want[0] || keys[1] != want[1] || keys[2] != want[2] {
-		t.Fatalf("list = %v, want %v", keys, want)
-	}
-
-	// Delete removes; re-delete is a no-op.
-	if err := s.Delete(ctx, c, "abc123"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Get(ctx, c, "abc123"); !errors.Is(err, objstore.ErrNotFound) {
-		t.Fatalf("get after delete: %v", err)
-	}
-	if err := s.Delete(ctx, c, "abc123"); err != nil {
-		t.Fatalf("double delete: %v", err)
+	if got, err := get(ctx, s, c, "abc123"); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("get after re-put = %q, %v", got, err)
 	}
 
 	// Containers are isolated.
 	if err := s.EnsureContainer(ctx, Containers[1]); err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := s.Exists(ctx, Containers[1], "aaa"); ok {
+	if ok, _ := exists(ctx, s, Containers[1], "abc123"); ok {
 		t.Fatal("object leaked across containers")
+	}
+	if _, err := get(ctx, s, Containers[1], "abc123"); !errors.Is(err, objstore.ErrNotFound) {
+		t.Fatalf("get across containers: %v, want ErrNotFound", err)
 	}
 }
 
@@ -161,7 +143,7 @@ func runBatch(t *testing.T, s objstore.Store) {
 		t.Fatalf("empty existsmulti = %v, %v", present, err)
 	}
 
-	// Batch puts land like single puts.
+	// Every object of a batch put lands.
 	objs := []objstore.Object{
 		{Key: "b1", Data: []byte("one")},
 		{Key: "b2", Data: []byte("two")},
@@ -171,7 +153,7 @@ func runBatch(t *testing.T, s objstore.Store) {
 		t.Fatal(err)
 	}
 	for _, o := range objs {
-		got, err := s.Get(ctx, c, o.Key)
+		got, err := get(ctx, s, c, o.Key)
 		if err != nil || !bytes.Equal(got, o.Data) {
 			t.Fatalf("get %s after putmulti = %q, %v", o.Key, got, err)
 		}
@@ -181,13 +163,19 @@ func runBatch(t *testing.T, s objstore.Store) {
 		t.Fatalf("re-putmulti: %v", err)
 	}
 
-	// ExistsMulti aligns with its keys and agrees with Exists.
-	present, err := s.ExistsMulti(ctx, c, []string{"b1", "nope", "b3"})
+	// ExistsMulti aligns with its keys and agrees with per-key probes.
+	keys := []string{"b1", "nope", "b3"}
+	present, err := s.ExistsMulti(ctx, c, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(present) != 3 || !present[0] || present[1] || !present[2] {
 		t.Fatalf("existsmulti = %v, want [true false true]", present)
+	}
+	for i, k := range keys {
+		if ok, err := exists(ctx, s, c, k); err != nil || ok != present[i] {
+			t.Fatalf("exists %s alone = %v, %v; in the batch %v", k, ok, err, present[i])
+		}
 	}
 
 	// GetMulti of present keys: aligned data, nil error. Present empty
@@ -213,16 +201,17 @@ func runBatch(t *testing.T, s objstore.Store) {
 		t.Fatalf("getmulti partial = %q", data)
 	}
 
-	// Single-element batches are equivalent to single operations.
-	if err := s.PutMulti(ctx, c, []objstore.Object{{Key: "solo", Data: []byte("s")}}); err != nil {
+	// A batch of one round-trips like a larger batch.
+	if err := put(ctx, s, c, "solo", []byte("s")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Get(ctx, c, "solo")
-	if err != nil || string(got) != "s" {
-		t.Fatalf("single-batch put round trip = %q, %v", got, err)
+	data, err = s.GetMulti(ctx, c, []string{"solo"})
+	if err != nil || len(data) != 1 || string(data[0]) != "s" {
+		t.Fatalf("single-batch put round trip = %q, %v", data, err)
 	}
-	if _, err := s.GetMulti(ctx, c, []string{"missing"}); !errors.Is(err, objstore.ErrNotFound) {
-		t.Fatalf("single-batch miss = %v, want ErrNotFound like Get", err)
+	data, err = s.GetMulti(ctx, c, []string{"missing"})
+	if !errors.Is(err, objstore.ErrNotFound) || len(data) != 1 || data[0] != nil {
+		t.Fatalf("single-batch miss = %q, %v, want [nil] and ErrNotFound", data, err)
 	}
 }
 
@@ -232,7 +221,7 @@ func runCancellation(t *testing.T, s objstore.Store) {
 	if err := s.EnsureContainer(live, c); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(live, c, "k", []byte("v")); err != nil {
+	if err := put(live, s, c, "k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -245,22 +234,18 @@ func runCancellation(t *testing.T, s objstore.Store) {
 		}
 	}
 	check("ensure", s.EnsureContainer(ctx, c))
-	check("put", s.Put(ctx, c, "k2", []byte("v")))
-	_, err := s.Get(ctx, c, "k")
-	check("get", err)
-	_, err = s.Exists(ctx, c, "k")
-	check("exists", err)
-	check("delete", s.Delete(ctx, c, "k"))
-	_, err = s.List(ctx, c)
-	check("list", err)
 	check("putmulti", s.PutMulti(ctx, c, []objstore.Object{{Key: "k3", Data: []byte("v")}}))
-	_, err = s.GetMulti(ctx, c, []string{"k"})
+	_, err := s.GetMulti(ctx, c, []string{"k"})
 	check("getmulti", err)
 	_, err = s.ExistsMulti(ctx, c, []string{"k"})
 	check("existsmulti", err)
 
-	// The store still works after the canceled calls.
-	if got, err := s.Get(live, c, "k"); err != nil || string(got) != "v" {
+	// The store still works after the canceled calls, and the canceled put
+	// stored nothing.
+	if got, err := get(live, s, c, "k"); err != nil || string(got) != "v" {
 		t.Fatalf("store broken after cancellation: %q, %v", got, err)
+	}
+	if ok, err := exists(live, s, c, "k3"); err != nil || ok {
+		t.Fatalf("canceled putmulti stored k3: %v, %v", ok, err)
 	}
 }

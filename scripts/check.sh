@@ -31,6 +31,13 @@ echo "==> benchmark module: go vet"
 echo "==> go test -race ./..."
 go test -race ./...
 
+# `go build ./...` only compiles the examples. Run the two that check their
+# own outcome (convergence; a conflict copy of a concurrent edit): each must
+# exit 0.
+echo "==> examples: quickstart, sharedworkspace"
+go run ./examples/quickstart
+go run ./examples/sharedworkspace
+
 # The RPC codec and the frame format are the most hand-rolled encoding in
 # the tree and every message crosses both: one extra race pass over them.
 echo "==> codec + wire (race)"
