@@ -106,6 +106,9 @@ func BenchmarkNetworkRoundTrip(b *testing.B) {
 // bound queue, through a journalled broker. journalB/msg is what the journal
 // file grew by, writes/msg the write(2) calls the process made (the journal
 // is the only file it writes), ns/msg the time from publish to last ack.
+// The acks' records ride the journal's next write: the publish writes its
+// own record, and the ack that leaves nothing outstanding writes the rest,
+// so writes/msg is about 2 at any fan-out (DESIGN.md §18).
 func BenchmarkJournalFanout(b *testing.B) {
 	for _, queues := range []int{1, 24} {
 		b.Run(fmt.Sprintf("queues=%d", queues), func(b *testing.B) {
@@ -169,11 +172,94 @@ func BenchmarkJournalFanout(b *testing.B) {
 	}
 }
 
+// BenchmarkNetworkFanoutAck is the ack path's layer number over real
+// sockets: 24 Clients on loopback, each consuming (prefetch 1) its own queue
+// bound to a fanout exchange of a journalled broker behind a Server. Each
+// iteration publishes one persistent 1 KB message in-process and waits until
+// every client has acked it. syscalls/msg counts the read and write system
+// calls of the whole process, clients and server, per message.
+// journalWrites/msg is how many more write calls a persistent fan-out costs
+// than the same number of transient ones, which the journal never sees.
+func BenchmarkNetworkFanoutAck(b *testing.B) {
+	const queues = 24
+	j, err := OpenJournal(filepath.Join(b.TempDir(), "bench.journal"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	br := NewBroker(WithJournal(j))
+	defer br.Close()
+	srv, err := NewServer(br, "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	if err := br.DeclareExchange("fan", Fanout); err != nil {
+		b.Fatal(err)
+	}
+	acked := make(chan struct{}, queues)
+	clients := make([]*Client, queues)
+	for q := range clients {
+		name := fmt.Sprintf("q%d", q)
+		if err := br.DeclareQueue(name); err != nil {
+			b.Fatal(err)
+		}
+		if err := br.BindQueue(name, "fan", ""); err != nil {
+			b.Fatal(err)
+		}
+		cli, err := Dial(srv.Addr())
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer cli.Close()
+		clients[q] = cli
+		sub, err := cli.Subscribe(name, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		go func() {
+			for d := range sub.Deliveries() {
+				_ = d.Ack()
+				acked <- struct{}{}
+			}
+		}()
+	}
+	payload := make([]byte, 1024)
+	fanout := func(persistent bool) {
+		for i := 0; i < b.N; i++ {
+			if err := br.Publish("fan", "", Message{Body: payload, Persistent: persistent}); err != nil {
+				b.Fatal(err)
+			}
+			for q := 0; q < queues; q++ {
+				<-acked
+			}
+		}
+		for _, cli := range clients { // the server has handled every ack
+			if err := cli.Ping(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	transientWrites := processWrites()
+	fanout(false)
+	transientWrites = processWrites() - transientWrites
+	calls, writes := processIO("syscr")+processIO("syscw"), processWrites()
+	b.ResetTimer()
+	fanout(true)
+	b.StopTimer()
+	calls = processIO("syscr") + processIO("syscw") - calls
+	writes = processWrites() - writes
+	b.ReportMetric(float64(calls)/float64(b.N), "syscalls/msg")
+	b.ReportMetric(float64(writes-transientWrites)/float64(b.N), "journalWrites/msg")
+}
+
 // processWrites reads this process's write-syscall count from /proc.
-func processWrites() int64 {
+func processWrites() int64 { return processIO("syscw") }
+
+// processIO reads one counter (syscr, syscw, ...) of /proc/self/io.
+func processIO(field string) int64 {
 	data, _ := os.ReadFile("/proc/self/io")
 	for _, line := range strings.Split(string(data), "\n") {
-		if rest, ok := strings.CutPrefix(line, "syscw: "); ok {
+		if rest, ok := strings.CutPrefix(line, field+": "); ok {
 			n, _ := strconv.ParseInt(rest, 10, 64)
 			return n
 		}

@@ -27,6 +27,10 @@ type Broker struct {
 	// restarts. nextQueueID numbers queues for the journal the same way.
 	seq         uint64
 	nextQueueID uint64
+	// outstanding counts deliveries not yet settled, over every queue. The
+	// settle, cancel or delete that brings it to zero writes out the ack
+	// records no publish has taken along (DESIGN.md §18).
+	outstanding int
 
 	// Scratch space reused under b.mu to keep the hot publish path
 	// allocation-free: idBuf builds generated message IDs, routeScratch
@@ -222,6 +226,7 @@ func (b *Broker) DeleteQueue(name string) error {
 				close(c.ch)
 			}
 		}
+		b.outstanding -= len(q.unacked) // dropped with the queue; the delq record below ends them
 		delete(b.queues, name)
 		for _, ex := range b.exchanges {
 			for _, set := range ex.bindings {
@@ -429,6 +434,7 @@ func (b *Broker) dispatchLocked(q *queue) {
 		tag := b.nextTag
 		q.unacked[tag] = inflightMsg{qm: qm, consumer: c}
 		c.inflight++
+		b.outstanding++
 		if qm.redelivered > 0 {
 			q.redelivered++
 		}
@@ -457,37 +463,54 @@ func (q *queue) nextFreeConsumer() *consumer {
 func (b *Broker) settleFunc(queueName string, tag uint64) func(ack, requeue bool) error {
 	return func(ack, requeue bool) error {
 		b.mu.Lock()
-		defer b.journal.flush() // runs after the unlock: no file I/O under b.mu
-		defer b.mu.Unlock()
-		if b.closed {
-			return ErrClosed
+		err := b.settleLocked(queueName, tag, ack, requeue)
+		b.unlockAndFlushIfIdle()
+		return err
+	}
+}
+
+func (b *Broker) settleLocked(queueName string, tag uint64, ack, requeue bool) error {
+	if b.closed {
+		return ErrClosed
+	}
+	q, ok := b.queues[queueName]
+	if !ok {
+		return ErrQueueNotFound
+	}
+	inflight, ok := q.unacked[tag]
+	if !ok {
+		return ErrAlreadySettled
+	}
+	delete(q.unacked, tag)
+	inflight.consumer.inflight--
+	b.outstanding--
+	if requeue && !ack {
+		inflight.qm.redelivered++
+		q.pending.PushFront(inflight.qm)
+	} else {
+		// Acked or dropped: either way the message is consumed. Nobody
+		// waits for the record: it rides the journal's next write, and
+		// losing it to a crash costs one redelivery.
+		if ack {
+			q.acked++
 		}
-		q, ok := b.queues[queueName]
-		if !ok {
-			return ErrQueueNotFound
+		if inflight.qm.lsn != 0 {
+			b.journal.record(recAck, q.id, inflight.qm.lsn)
 		}
-		inflight, ok := q.unacked[tag]
-		if !ok {
-			return ErrAlreadySettled
-		}
-		delete(q.unacked, tag)
-		inflight.consumer.inflight--
-		if requeue && !ack {
-			inflight.qm.redelivered++
-			q.pending.PushFront(inflight.qm)
-		} else {
-			// Acked or dropped: either way the message is consumed. Nobody
-			// waits for the record: losing it to a crash costs one
-			// redelivery.
-			if ack {
-				q.acked++
-			}
-			if inflight.qm.lsn != 0 {
-				b.journal.record(recAck, q.id, inflight.qm.lsn)
-			}
-		}
-		b.dispatchLocked(q)
-		return nil
+	}
+	b.dispatchLocked(q)
+	return nil
+}
+
+// unlockAndFlushIfIdle releases b.mu and, if no delivery is outstanding,
+// writes out the ack records buffered since the journal's last write: with
+// nothing in flight no publish may come to take them along. The write
+// happens after the unlock, so no file I/O runs under b.mu.
+func (b *Broker) unlockAndFlushIfIdle() {
+	idle := b.outstanding == 0
+	b.mu.Unlock()
+	if idle {
+		_ = b.journal.flush()
 	}
 }
 
@@ -566,8 +589,8 @@ func (s *brokerSubscription) Deliveries() <-chan Delivery { return s.c.ch }
 // the §3.4 crash-redelivery behaviour.
 func (s *brokerSubscription) Cancel() error {
 	s.b.mu.Lock()
-	defer s.b.mu.Unlock()
 	if s.c.cancelled {
+		s.b.mu.Unlock()
 		return nil
 	}
 	s.c.cancelled = true
@@ -589,6 +612,7 @@ func (s *brokerSubscription) Cancel() error {
 		q.pending.PushFront(inflight.qm)
 	}
 	s.c.inflight = 0
+	s.b.outstanding -= len(tags)
 	// Drop the consumer from the queue's list.
 	for i, c := range q.consumers {
 		if c == s.c {
@@ -602,6 +626,7 @@ func (s *brokerSubscription) Cancel() error {
 	if !s.b.closed {
 		s.b.dispatchLocked(q)
 	}
+	s.b.unlockAndFlushIfIdle()
 	return nil
 }
 

@@ -147,14 +147,11 @@ func (c *Client) request(f *wire.Frame) (*wire.Frame, error) {
 	c.pending[f.Seq] = ch
 	c.mu.Unlock()
 
-	c.writeMu.Lock()
-	err := c.w.Write(f)
-	c.writeMu.Unlock()
-	if err != nil {
+	if err := c.send(f); err != nil {
 		c.mu.Lock()
 		delete(c.pending, f.Seq)
 		c.mu.Unlock()
-		return nil, fmt.Errorf("mq: send %v: %w", f.Op, err)
+		return nil, err
 	}
 	resp := <-ch
 	if resp.Op == wire.OpError {
@@ -163,13 +160,24 @@ func (c *Client) request(f *wire.Frame) (*wire.Frame, error) {
 	return resp, nil
 }
 
+// send writes f and returns; nothing waits for an answer.
+func (c *Client) send(f *wire.Frame) error {
+	c.writeMu.Lock()
+	err := c.w.Write(f)
+	c.writeMu.Unlock()
+	if err != nil {
+		return fmt.Errorf("mq: send %v: %w", f.Op, err)
+	}
+	return nil
+}
+
 // remoteError maps well-known broker error strings back to sentinel errors
 // so errors.Is works across the network boundary. Broker errors may carry
 // wrapped context ("mq: publish to \"q\": mq: queue not found"), so the
 // sentinel is matched as a suffix.
 func remoteError(msg string) error {
 	for _, sentinel := range []error{
-		ErrQueueNotFound, ErrExchangeExists, ErrNoExchange, ErrAlreadySettled, ErrBadPrefetch, ErrClosed,
+		ErrQueueNotFound, ErrExchangeExists, ErrNoExchange, ErrBadPrefetch, ErrClosed,
 	} {
 		if strings.HasSuffix(msg, sentinel.Error()) {
 			if msg == sentinel.Error() {
@@ -278,15 +286,22 @@ func (c *Client) Close() error {
 	return err
 }
 
+// settleFunc sends a one-way OpAck or OpNack: Ack returning means "sent",
+// not "settled". The server handles a connection's frames in order, so a
+// later request on this Client, such as Ping, returns after the settle.
 func (c *Client) settleFunc(deliveryID uint64) func(ack, requeue bool) error {
 	return func(ack, requeue bool) error {
+		c.mu.Lock()
+		closed := c.closed
+		c.mu.Unlock()
+		if closed {
+			return ErrClosed
+		}
 		f := &wire.Frame{Op: wire.OpAck, DeliveryID: deliveryID}
 		if !ack {
-			f.Op = wire.OpNack
-			f.Requeue = requeue
+			f.Op, f.Requeue = wire.OpNack, requeue
 		}
-		_, err := c.request(f)
-		return err
+		return c.send(f)
 	}
 }
 

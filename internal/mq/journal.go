@@ -23,8 +23,10 @@ import (
 // mutex, which fixes their order, and one flusher at a time writes buf out,
 // so what accumulates during one write goes out in the next. wait blocks
 // until a record is in the file: written, not fsync'd, which survives a
-// crash of the process, not of the machine. A nil *Journal is a disabled
-// journal.
+// crash of the process, not of the machine. Ack records are appended with
+// no wait and ride the next write: any wait drains the whole buffer, and
+// the broker calls flush when no delivery is left outstanding. A nil
+// *Journal is a disabled journal.
 type Journal struct {
 	mu       sync.Mutex
 	cond     *sync.Cond // signalled after every write
@@ -177,8 +179,9 @@ func (j *Journal) wait(off int64) error {
 }
 
 // flush writes out what is buffered and reports the journal's error, if it
-// has one. It is for records nobody waits on: if a flusher is running it
-// returns at once, since that flusher's loop takes them along.
+// has one. It is for records nobody waits on (acks, and recovery's
+// checkpoint): if a flusher is running it returns at once, since that
+// flusher's loop takes them along.
 func (j *Journal) flush() error {
 	if j == nil {
 		return nil

@@ -234,6 +234,140 @@ func TestRecoveredBrokerKeepsJournalling(t *testing.T) {
 	wantIDs(t, mustRecover(t, path), "q", "second-gen")
 }
 
+// fanoutConsumers binds n queues, q0 to q<n-1>, to the fanout exchange fan
+// and subscribes one consumer of prefetch 1 to each.
+func fanoutConsumers(t *testing.T, b *Broker, n int) []Subscription {
+	t.Helper()
+	if err := b.DeclareExchange("fan", Fanout); err != nil {
+		t.Fatal(err)
+	}
+	subs := make([]Subscription, n)
+	for i := range subs {
+		name := fmt.Sprintf("q%d", i)
+		mustDeclare(t, b, name)
+		if err := b.BindQueue(name, "fan", ""); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if subs[i], err = b.Subscribe(name, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return subs
+}
+
+// TestAckRecordsWrittenWhenIdle: the 24 acks of a fan-out buffer their
+// records, and the one that leaves no delivery outstanding writes them all
+// out: the message costs two writes, its own and the acks', and a crash
+// right after the last Ack returns recovers nothing pending. The acks are
+// held until Publish returns, so its write cannot take any of them along.
+func TestAckRecordsWrittenWhenIdle(t *testing.T) {
+	path := journalPath(t)
+	b := newJournaledBroker(t, path)
+	t.Cleanup(func() { _ = b.Close() })
+	subs := fanoutConsumers(t, b, 24)
+	published := make(chan struct{})
+	acked := make(chan error, len(subs))
+	for _, sub := range subs {
+		go func() {
+			d := <-sub.Deliveries()
+			<-published
+			acked <- d.Ack()
+		}()
+	}
+	writes := processWrites()
+	mustPublish(t, b, "fan", "", "m")
+	close(published)
+	for range subs {
+		if err := <-acked; err != nil {
+			t.Fatal(err)
+		}
+	}
+	writes = processWrites() - writes
+	rb := mustRecover(t, crashCopy(t, path))
+	for i := range subs {
+		wantIDs(t, rb, fmt.Sprintf("q%d", i))
+	}
+	if writes > 2 {
+		t.Fatalf("a message fanned out to %d queues and acked by all took %d writes, want at most 2", len(subs), writes)
+	}
+}
+
+// TestAckRecordsRideNextWrite: while a delivery is outstanding, acks are not
+// written on their own; the next publish writes them with its record.
+func TestAckRecordsRideNextWrite(t *testing.T) {
+	path := journalPath(t)
+	b := newJournaledBroker(t, path)
+	t.Cleanup(func() { _ = b.Close() })
+	subs := fanoutConsumers(t, b, 24)
+	mustDeclare(t, b, "next")
+	mustPublish(t, b, "fan", "", "m")
+	held := recvDelivery(t, subs[0])
+	for _, sub := range subs[1:] {
+		d := recvDelivery(t, sub)
+		if err := d.Ack(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := mustRecover(t, crashCopy(t, path))
+	for i := range subs {
+		wantIDs(t, before, fmt.Sprintf("q%d", i), "m")
+	}
+
+	mustPublish(t, b, "", "next", "n")
+	after := mustRecover(t, crashCopy(t, path))
+	wantIDs(t, after, "q0", "m")
+	for i := 1; i < len(subs); i++ {
+		wantIDs(t, after, fmt.Sprintf("q%d", i))
+	}
+	wantIDs(t, after, "next", "n")
+	if err := held.Ack(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCrashRedeliversOnlyUnwrittenAcks abandons the broker, never closed,
+// with acks still buffered: recovery redelivers exactly the messages whose
+// acks were not written yet, besides the one never acked, and loses nothing.
+// A Cancel that leaves nothing outstanding then writes those acks.
+func TestCrashRedeliversOnlyUnwrittenAcks(t *testing.T) {
+	path := journalPath(t)
+	b := newJournaledBroker(t, path)
+	t.Cleanup(func() { _ = b.Close() })
+	mustDeclare(t, b, "q", "other")
+	sub, err := b.Subscribe("q", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"a", "b", "c", "d"} {
+		mustPublish(t, b, "", "q", id)
+	}
+	ds := make([]Delivery, 4)
+	for i := range ds {
+		ds[i] = recvDelivery(t, sub)
+	}
+	ack := func(d *Delivery) {
+		t.Helper()
+		if err := d.Ack(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ack(&ds[0])
+	mustPublish(t, b, "", "other", "e") // writes a's ack
+	ack(&ds[1])
+	ack(&ds[2]) // d is still out: b's and c's acks stay buffered
+	killed := mustRecover(t, crashCopy(t, path))
+	wantIDs(t, killed, "q", "b", "c", "d")
+	wantIDs(t, killed, "other", "e")
+
+	// Cancelling the consumer requeues d, which leaves nothing outstanding:
+	// the buffered acks are written then.
+	if err := sub.Cancel(); err != nil {
+		t.Fatal(err)
+	}
+	wantIDs(t, mustRecover(t, crashCopy(t, path)), "q", "d")
+}
+
 // TestPublishReturnsAfterRecordIsInFile kills the broker — it is simply
 // abandoned, never closed — the moment concurrent publishes have returned:
 // every one of them must already be in the file.

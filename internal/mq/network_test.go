@@ -2,9 +2,12 @@ package mq
 
 import (
 	"errors"
-	"stacksync/internal/obs"
+	"net"
 	"testing"
 	"time"
+
+	"stacksync/internal/obs"
+	"stacksync/internal/wire"
 )
 
 // newNetworkPair starts a broker + server and returns a connected client.
@@ -163,6 +166,75 @@ func TestNetworkCancelStopsDeliveries(t *testing.T) {
 	}
 	if stats.Depth != 1 {
 		t.Fatalf("message should stay queued, depth %d", stats.Depth)
+	}
+}
+
+// TestNetworkAckIsOneWay speaks raw frames to the server: an OpAck or OpNack
+// gets no reply, so the next frame after one is the Pong to a following
+// Ping, by which time the settle is done. A settle for a tag the connection
+// does not hold is dropped without harming the connection.
+func TestNetworkAckIsOneWay(t *testing.T) {
+	b, srv, _ := newNetworkPair(t)
+	mustDeclare(t, b, "q")
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	w, r := wire.NewWriter(conn), wire.NewReader(conn)
+	send := func(f *wire.Frame) {
+		t.Helper()
+		if err := w.Write(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := func(op wire.Op) *wire.Frame {
+		t.Helper()
+		f, err := r.Read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Op != op {
+			t.Fatalf("got %v frame (seq %d, err %q), want %v", f.Op, f.Seq, f.Err, op)
+		}
+		return f.Clone()
+	}
+	var seq uint64
+	barrier := func() {
+		t.Helper()
+		seq++
+		send(&wire.Frame{Op: wire.OpPing, Seq: seq})
+		if pong := next(wire.OpPong); pong.Seq != seq {
+			t.Fatalf("pong seq %d, want %d", pong.Seq, seq)
+		}
+	}
+
+	send(&wire.Frame{Op: wire.OpSubscribe, Seq: 100, Queue: "q", ConsumerID: "c1", Prefetch: 1})
+	next(wire.OpOK)
+	mustPublish(t, b, "", "q", "acked")
+	d := next(wire.OpDeliver)
+	send(&wire.Frame{Op: wire.OpAck, DeliveryID: d.DeliveryID})
+	barrier()
+	if st, _ := b.QueueStats("q"); st.Unacked != 0 || st.Acked != 1 {
+		t.Fatalf("after ack and ping: %+v, want Unacked 0, Acked 1", st)
+	}
+
+	send(&wire.Frame{Op: wire.OpAck, DeliveryID: d.DeliveryID + 1000})
+	send(&wire.Frame{Op: wire.OpNack, DeliveryID: d.DeliveryID, Requeue: true})
+	barrier()
+
+	mustPublish(t, b, "", "q", "nacked")
+	d = next(wire.OpDeliver)
+	send(&wire.Frame{Op: wire.OpNack, DeliveryID: d.DeliveryID, Requeue: true})
+	again := next(wire.OpDeliver)
+	if again.MessageID != "nacked" || again.Redelivery != 1 {
+		t.Fatalf("after Nack(true): %s redelivered %d, want nacked once", again.MessageID, again.Redelivery)
+	}
+	send(&wire.Frame{Op: wire.OpAck, DeliveryID: again.DeliveryID})
+	barrier()
+	if st, _ := b.QueueStats("q"); st.Unacked != 0 || st.Depth != 0 || st.Acked != 2 {
+		t.Fatalf("at the end: %+v", st)
 	}
 }
 

@@ -1,7 +1,6 @@
 package mq
 
 import (
-	"errors"
 	"fmt"
 	"log"
 	"net"
@@ -199,10 +198,9 @@ func (c *serverConn) handle(f *wire.Frame) error {
 		return c.subscribe(f)
 	case wire.OpCancel:
 		return c.cancel(f)
-	case wire.OpAck:
-		return c.settle(f, true, false)
-	case wire.OpNack:
-		return c.settle(f, false, f.Requeue)
+	case wire.OpAck, wire.OpNack:
+		c.settle(f)
+		return nil
 	case wire.OpQueueStats:
 		stats, err := b.QueueStats(f.Queue)
 		if err != nil {
@@ -279,25 +277,21 @@ func (c *serverConn) cancel(f *wire.Frame) error {
 	return nil
 }
 
-func (c *serverConn) settle(f *wire.Frame, ack, requeue bool) error {
+// settle applies an OpAck or OpNack. Both are one-way, like AMQP's
+// basic.ack: nothing is sent back, and a settle for a tag this connection
+// does not hold, or no longer holds, is dropped. Frames are handled in
+// order, so a Ping or Cancel sent after the settle sees it done.
+func (c *serverConn) settle(f *wire.Frame) {
 	c.mu.Lock()
 	d, ok := c.unsettled[f.DeliveryID]
-	if ok {
-		delete(c.unsettled, f.DeliveryID)
-	}
+	delete(c.unsettled, f.DeliveryID)
 	c.mu.Unlock()
 	if !ok {
-		return ErrAlreadySettled
+		return
 	}
-	var err error
-	if ack {
-		err = d.Ack()
+	if f.Op == wire.OpAck {
+		_ = d.Ack()
 	} else {
-		err = d.Nack(requeue)
+		_ = d.Nack(f.Requeue)
 	}
-	if err != nil && !errors.Is(err, ErrAlreadySettled) {
-		return err
-	}
-	c.reply(&wire.Frame{Op: wire.OpOK, Seq: f.Seq})
-	return nil
 }

@@ -120,8 +120,10 @@ func (b *Broker) replyLoop() {
 	defer b.wg.Done()
 	for d := range b.replySub.Deliveries() {
 		resp, err := decodeResponse(d.Body)
-		ackErr := d.Ack()
-		if err != nil || ackErr != nil {
+		// A failed ack costs at most a redelivered reply, which finds no
+		// waiter; dropping a reply that decoded would fail a call that ran.
+		_ = d.Ack()
+		if err != nil {
 			continue
 		}
 		b.mu.Lock()

@@ -375,9 +375,16 @@ func TestServiceStatsTracked(t *testing.T) {
 	if st.Mean < 4*time.Millisecond {
 		t.Fatalf("mean service time %v implausibly low", st.Mean)
 	}
-	info, err := server.ObjectInfo("calc")
-	if err != nil {
-		t.Fatal(err)
+	// The instance acks a call after replying to it, so the fifth ack may
+	// land after the fifth reply has returned: wait for it.
+	var info ObjectInfo
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		if info, err = server.ObjectInfo("calc"); err != nil {
+			t.Fatal(err)
+		}
+		if info.Processed == 5 || time.Now().After(deadline) {
+			break
+		}
 	}
 	if info.Processed != 5 || info.Instances != 1 {
 		t.Fatalf("object info: %+v", info)

@@ -117,6 +117,66 @@ func TestRetriedErrorIsDeduplicated(t *testing.T) {
 	}
 }
 
+// unsettledReplies wraps an MQ and hands every delivery of the target queue
+// on as a bare mq.Delivery{Message: …}, having acked the original itself:
+// the copy has no settle func, so its Ack fails with ErrAlreadySettled.
+type unsettledReplies struct {
+	mq.MQ
+	target string
+}
+
+type rewrappedSub struct {
+	mq.Subscription
+	ch chan mq.Delivery
+}
+
+func (s rewrappedSub) Deliveries() <-chan mq.Delivery { return s.ch }
+
+func (u *unsettledReplies) Subscribe(queue string, prefetch int) (mq.Subscription, error) {
+	sub, err := u.MQ.Subscribe(queue, prefetch)
+	if err != nil || queue != u.target {
+		return sub, err
+	}
+	out := make(chan mq.Delivery, prefetch) // as deep as the broker's own delivery buffer
+	go func() {
+		defer close(out)
+		for d := range sub.Deliveries() {
+			_ = d.Ack()
+			out <- mq.Delivery{Message: d.Message}
+		}
+	}()
+	return rewrappedSub{Subscription: sub, ch: out}, nil
+}
+
+// TestReplyDeliveredWhenAckFails: a reply that decoded reaches its caller
+// even when acking it fails. Dropping it timed the call out, and a caller
+// that retried would re-send a call that had already run.
+func TestReplyDeliveredWhenAckFails(t *testing.T) {
+	m := mq.NewBroker()
+	defer m.Close()
+	client, err := NewBroker(&unsettledReplies{MQ: m, target: "omq.reply.caller"}, WithID("caller"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	server, err := NewBroker(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	c := &calc{}
+	if _, err := server.Bind("calc", c); err != nil {
+		t.Fatal(err)
+	}
+	var sum int
+	if err := client.Lookup("calc", WithTimeout(time.Second), WithRetries(1)).Call("Add", &sum, addArgs{A: 2, B: 3}); err != nil {
+		t.Fatalf("call whose reply could not be acked: %v", err)
+	}
+	if sum != 5 || c.calls.Load() != 1 {
+		t.Fatalf("sum = %d after %d executions, want 5 after 1", sum, c.calls.Load())
+	}
+}
+
 // fencingOnce rejects its first invocation with a stale-route fencing error,
 // then accepts.
 type fencingOnce struct{ calls atomic.Int64 }

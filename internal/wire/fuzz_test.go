@@ -30,6 +30,18 @@ func legacyFrame(payload string) []byte {
 	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
 }
 
+// twoWayAckFrame is f as peers that waited for an OpOK to every ack framed
+// it: today's encoding under the 0xB2 marker. The reader must refuse it.
+func twoWayAckFrame(f *Frame) []byte {
+	var buf bytes.Buffer
+	if err := NewWriter(&buf).Write(f); err != nil {
+		panic(err)
+	}
+	b := buf.Bytes()
+	b[0] = 0xB2
+	return b
+}
+
 // FuzzFrameCodec feeds arbitrary bytes to the frame reader. Whatever decodes
 // must survive a re-encode/re-decode round trip unchanged, a stream that
 // does not start with the binary marker must be refused with ErrNotBinary,
@@ -52,6 +64,7 @@ func FuzzFrameCodec(f *testing.F) {
 	mixed.Write(legacyFrame(`{"op":16,"seq":1}`))
 	_ = NewWriter(&mixed).Write(&Frame{Op: OpPong, Seq: 1})
 	f.Add(mixed.Bytes())
+	f.Add(twoWayAckFrame(&Frame{Op: OpAck, DeliveryID: 3}))                                                   // 0xB2 peer
 	f.Add([]byte{0, 0, 0})                                                                                    // truncated pre-v2 header
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 'x'})                                                                // over-limit pre-v2 length prefix
 	f.Add([]byte{0, 0, 0, 2, '{', '}', 0, 0, 0})                                                              // pre-v2 empty frame + torn tail

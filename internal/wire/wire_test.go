@@ -144,6 +144,9 @@ func TestFormatInterop(t *testing.T) {
 	if _, err := NewReader(bytes.NewReader(legacy)).Read(); !errors.Is(err, ErrNotBinary) {
 		t.Fatalf("pre-v2 frame: err = %v, want ErrNotBinary", err)
 	}
+	if _, err := NewReader(bytes.NewReader(twoWayAckFrame(&Frame{Op: OpPing, Seq: 1}))).Read(); !errors.Is(err, ErrNotBinary) {
+		t.Fatalf("0xB2 frame: err = %v, want ErrNotBinary", err)
+	}
 	frame := Frame{
 		Op: OpPublish, Seq: 9, Exchange: "ex", Key: "route",
 		MessageID: "m-9", Body: []byte("mixed"), Persistent: true,
@@ -286,6 +289,9 @@ func TestBinaryJSONCrossCheck(t *testing.T) {
 		}
 		if _, err := NewReader(bytes.NewReader(legacyFrame(string(payload)))).Read(); !errors.Is(err, ErrNotBinary) {
 			t.Fatalf("frame %d pre-v2: err = %v, want ErrNotBinary", i, err)
+		}
+		if _, err := NewReader(bytes.NewReader(twoWayAckFrame(&in))).Read(); !errors.Is(err, ErrNotBinary) {
+			t.Fatalf("frame %d 0xB2: err = %v, want ErrNotBinary", i, err)
 		}
 		var bb bytes.Buffer
 		if err := NewWriter(&bb).Write(&in); err != nil {

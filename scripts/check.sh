@@ -39,9 +39,10 @@ go run ./examples/quickstart
 go run ./examples/sharedworkspace
 
 # The RPC codec and the frame format are the most hand-rolled encoding in
-# the tree and every message crosses both: one extra race pass over them.
+# the tree and every message crosses both: one extra race pass over them,
+# and over mq, whose one-way acks pipeline with the frames after them.
 echo "==> codec + wire (race)"
-go test -race -count=1 ./internal/codec/ ./internal/omq/ ./internal/wire/
+go test -race -count=1 ./internal/codec/ ./internal/omq/ ./internal/wire/ ./internal/mq/
 
 # Extra interleavings over the client's parallel transfer pipeline: many
 # writers, overlapping chunks, dedup probes and singleflight coalescing all
