@@ -50,15 +50,19 @@ func TestElasticSyncServiceEndToEnd(t *testing.T) {
 	}
 	defer notifBroker.Close()
 	// Each instance sleeps per request so a single instance saturates
-	// quickly and backlog builds.
+	// quickly and backlog builds. The delay is long enough that the burst
+	// below outruns one instance even when the client itself is slowed
+	// (race detector, loaded host): a 4 ms delay let a slowed client's
+	// arrivals stay inside one instance's capacity, so no scale-out came.
+	const serviceTime = 20 * time.Millisecond
 	rb.RegisterFactory(core.ServiceOID, func() (interface{}, error) {
-		return &slowServiceAPI{inner: core.NewService(meta, notifBroker).API(), delay: 4 * time.Millisecond}, nil
+		return &slowServiceAPI{inner: core.NewService(meta, notifBroker).API(), delay: serviceTime}, nil
 	})
 	if err := m.DeclareQueue(core.ServiceOID); err != nil {
 		t.Fatal(err)
 	}
 
-	sla := provision.SLA{D: 20 * time.Millisecond, S: 4 * time.Millisecond, VarService: 1e-6}
+	sla := provision.SLA{D: 5 * serviceTime, S: serviceTime, VarService: 1e-6}
 	reactive := provision.NewReactive(sla, 0.2, 0.2, nil)
 	reactive.DrainWindow = 500 * time.Millisecond
 	supBroker, err := omq.NewBroker(m, omq.WithID("00-sup"))

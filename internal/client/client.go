@@ -715,12 +715,12 @@ func (c *Client) ProposalPending(filePath string) bool {
 	return false
 }
 
-// takeProposed removes and returns the stashed proposal that a
-// notification's key-only echo refers to.
-func (c *Client) takeProposed(echo metastore.ItemVersion) (pendingProposal, bool) {
+// takeProposed removes and returns the stashed proposal with v's ItemID and
+// Version: a committed Item, or a conflict's key-only echo.
+func (c *Client) takeProposed(v metastore.ItemVersion) (pendingProposal, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	key := pendingKey{echo.ItemID, echo.Version}
+	key := pendingKey{v.ItemID, v.Version}
 	p, ok := c.pendingProposals[key]
 	if ok {
 		delete(c.pendingProposals, key)
@@ -869,9 +869,10 @@ func (c *Client) handleNotification(ctx context.Context, n core.CommitNotificati
 // acknowledgements (notification replayed by an at-least-once hop, or a
 // retransmitted proposal re-acked by the metadata store) are absorbed: the
 // pending entry is cleared, but an already-current database is not touched,
-// so no duplicate event fires.
+// so no duplicate event fires. A committed result echoes no proposal key:
+// the committed Item has the same ItemID and Version.
 func (c *Client) applyOwnCommit(r CommitResultView) {
-	p, _ := c.takeProposed(r.Proposed)
+	p, _ := c.takeProposed(r.Item)
 	if cur, have := c.db.lookupID(r.Item.ItemID); have && cur.version >= r.Item.Version {
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"testing"
+	"time"
 
 	"stacksync/internal/core"
 	"stacksync/internal/metastore"
@@ -103,4 +104,44 @@ func TestConflictCopyFromKeyOnlyEcho(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestOwnCommitWithoutEcho feeds the originator a committed result whose
+// Proposed is zero, as the SyncService sends it: the pending proposal must
+// be found by the committed Item's key, so it is no longer pending and is
+// never retransmitted.
+func TestOwnCommitWithoutEcho(t *testing.T) {
+	r := newRig(t)
+	const every = 50 * time.Millisecond
+	a := r.newDevice("alice", "dev-a", func(cfg *Config) { cfg.RetransmitEvery = every })
+	if err := a.PutFile("docs/plan.txt", []byte("base")); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.WaitForVersion("docs/plan.txt", 1, syncWait); err != nil {
+		t.Fatal(err)
+	}
+	base, ok, err := r.meta.Current("ws", ItemID("ws", "docs/plan.txt"))
+	if err != nil || !ok {
+		t.Fatalf("current: ok=%v err=%v", ok, err)
+	}
+	// A v2 proposal this device stashed but that no service has seen: only a
+	// retransmission would bring it to the metadata store.
+	edit := base
+	edit.Version, edit.Status, edit.DeviceID = 2, metastore.Modified, "dev-a"
+	a.stashProposed(edit, []byte("edited"))
+	n := core.CommitNotification{Workspace: "ws", DeviceID: "dev-a",
+		Results: []core.CommitResult{{Committed: true, Item: edit}}}
+	if err := a.handleNotification(context.Background(), n); err != nil {
+		t.Fatal(err)
+	}
+	if a.ProposalPending("docs/plan.txt") {
+		t.Fatal("committed proposal still pending")
+	}
+	if got, _ := a.FileContent("docs/plan.txt"); !bytes.Equal(got, []byte("edited")) {
+		t.Fatalf("content = %q, want the stashed proposal's", got)
+	}
+	time.Sleep(4 * every)
+	if cur, _, _ := r.meta.Current("ws", edit.ItemID); cur.Version != 1 {
+		t.Fatalf("metastore at v%d: the committed proposal was retransmitted", cur.Version)
+	}
 }

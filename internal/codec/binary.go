@@ -21,14 +21,20 @@ import (
 //	list             uvarint count + elements
 //	map              uvarint count + alternating key/value
 //	struct           uvarint field count, then per exported field (in
-//	                 declaration order) a uvarint byte length + encoding
+//	                 declaration order) a uvarint byte length + encoding,
+//	                 up to the last field that is not reflect-zero
 //	marshaled        uvarint length + encoding.BinaryMarshaler output
 //
 // The per-field byte length is what buys schema evolution: a decoder built
 // against an older struct skips unknown trailing fields, and missing
 // trailing fields decode as zero values — an append-only contract, so
 // fields may be added at the end of a struct but never reordered or
-// removed. Types implementing encoding.BinaryMarshaler/BinaryUnmarshaler
+// removed. The encoder leans on the same rule: it stops at the last
+// exported field that is not reflect.Value.IsZero, and any decoder reads
+// the omitted tail back as zero. An empty non-nil slice or map is not zero,
+// so it is still sent and stays non-nil; a negative-zero float counts as
+// zero, so a trailing -0.0 arrives as +0. Types implementing
+// encoding.BinaryMarshaler/BinaryUnmarshaler
 // (notably time.Time) use their own representation. Only exported fields
 // travel.
 type Binary struct{}
@@ -163,6 +169,9 @@ func appendValue(dst []byte, v reflect.Value, depth int) ([]byte, error) {
 		return dst, nil
 	case reflect.Struct:
 		fields := exportedFields(t)
+		for len(fields) > 0 && v.Field(fields[len(fields)-1]).IsZero() {
+			fields = fields[:len(fields)-1] // the decoder zero-fills them
+		}
 		dst = append(dst, bStruct)
 		dst = binary.AppendUvarint(dst, uint64(len(fields)))
 		for _, fi := range fields {

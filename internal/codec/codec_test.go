@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"stacksync/internal/metastore"
 )
 
 // conformanceValue is the kitchen-sink payload the codec must round-trip.
@@ -331,4 +333,65 @@ func TestBinaryCompact(t *testing.T) {
 	if len(bdata) >= len(jdata) {
 		t.Fatalf("binary (%d bytes) not smaller than JSON (%d bytes)", len(bdata), len(jdata))
 	}
+}
+
+// TestBinaryTrailingZeroFields pins the encoder's half of the append-only
+// contract: exported fields after the last non-zero one are not sent, and
+// the decoder reads them back as zero.
+func TestBinaryTrailingZeroFields(t *testing.T) {
+	c := Binary{}
+	t.Run("zero ItemVersion is tag and count", func(t *testing.T) {
+		data, err := c.MarshalAppend(nil, metastore.ItemVersion{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []byte{bStruct, 0}; !bytes.Equal(data, want) {
+			t.Fatalf("zero ItemVersion encodes as %x, want %x", data, want)
+		}
+	})
+	t.Run("non-zero last field keeps every field", func(t *testing.T) {
+		// The bytes every field of inner{"a", 1} encodes to: tag, count 2,
+		// then per field a length and the tagged value.
+		want := []byte{bStruct, 2, 3, bString, 1, 'a', 2, bInt, 2}
+		data, err := c.MarshalAppend(nil, inner{Name: "a", Count: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, want) {
+			t.Fatalf("encodes as %x, want %x", data, want)
+		}
+		if data, _ = c.MarshalAppend(nil, inner{Name: "a"}); !bytes.Equal(data, []byte{bStruct, 1, 3, bString, 1, 'a'}) {
+			t.Fatalf("zero trailing Count still sent: %x", data)
+		}
+	})
+	t.Run("empty non-nil slice is still sent", func(t *testing.T) {
+		type tail struct {
+			Name string
+			List []string
+		}
+		data, err := c.MarshalAppend(nil, tail{Name: "x", List: []string{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out tail
+		if err := c.Unmarshal(data, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.List == nil {
+			t.Fatal("empty trailing slice decoded as nil")
+		}
+	})
+	t.Run("omitted fields zero-fill a dirty target", func(t *testing.T) {
+		data, err := c.MarshalAppend(nil, conformanceValue{S: "only"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := sample()
+		if err := c.Unmarshal(data, &out); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(out, conformanceValue{S: "only"}) {
+			t.Fatalf("omitted fields kept stale values: %+v", out)
+		}
+	})
 }

@@ -45,10 +45,12 @@ type CommitResult struct {
 	// authoritative current version — piggybacked so the losing client can
 	// identify its missing chunks and reconstruct the object (§4.2.1).
 	Item metastore.ItemVersion `json:"item"`
-	// Proposed echoes only the key (ItemID, Version) of the version the
-	// device proposed: the originator matches it against the full proposal
-	// it kept, and every other device ignores it, so echoing the whole
-	// proposal would repeat it once per device of the workspace.
+	// Proposed is zero on a committed result, whose Item already has the
+	// proposal's key. On a conflict it echoes only the key (ItemID, Version)
+	// of the version the device proposed: the originator matches it against
+	// the full proposal it kept, and every other device ignores it, so
+	// echoing the whole proposal would repeat it once per device of the
+	// workspace.
 	Proposed metastore.ItemVersion `json:"proposed"`
 }
 
@@ -285,10 +287,9 @@ func (s *Service) commit(ctx context.Context, req CommitRequest) (CommitNotifica
 		Results:   make([]CommitResult, len(results)),
 	}
 	for i, r := range results {
-		n.Results[i] = CommitResult{
-			Committed: r.Committed,
-			Item:      r.Version,
-			Proposed:  metastore.ItemVersion{ItemID: req.Items[i].ItemID, Version: req.Items[i].Version},
+		n.Results[i] = CommitResult{Committed: r.Committed, Item: r.Version}
+		if !r.Committed {
+			n.Results[i].Proposed = metastore.ItemVersion{ItemID: req.Items[i].ItemID, Version: req.Items[i].Version}
 		}
 	}
 	// notifyCommit: @MultiMethod + @AsyncMethod (Fig. 6).

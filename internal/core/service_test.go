@@ -95,6 +95,9 @@ func TestCommitAndGetChanges(t *testing.T) {
 	}
 }
 
+// TestCommitConflictCarriesCurrentVersion pins what a CommitResult carries:
+// a committed one has the accepted Item and a zero Proposed; a conflicting
+// one has the authoritative current Item and the proposal's key only.
 func TestCommitConflictCarriesCurrentVersion(t *testing.T) {
 	r := newRig(t)
 	if err := r.meta.CreateWorkspace(metastore.Workspace{ID: "ws1", Owner: "alice"}); err != nil {
@@ -105,8 +108,13 @@ func TestCommitConflictCarriesCurrentVersion(t *testing.T) {
 	}
 	winner := item("ws1", "f", 2, metastore.Modified)
 	winner.Chunks = []string{"winner-chunk"}
-	if _, err := r.svc.commit(context.Background(), CommitRequest{Workspace: "ws1", Items: []metastore.ItemVersion{winner}}); err != nil {
+	won, err := r.svc.commit(context.Background(), CommitRequest{Workspace: "ws1", Items: []metastore.ItemVersion{winner}})
+	if err != nil {
 		t.Fatal(err)
+	}
+	// A committed Item already has the proposal's key, so nothing is echoed.
+	if res := won.Results[0]; !res.Committed || !reflect.DeepEqual(res.Proposed, metastore.ItemVersion{}) {
+		t.Fatalf("committed result must leave Proposed zero, got %+v", res)
 	}
 	// Loser proposes version 2 again.
 	loser := item("ws1", "f", 2, metastore.Modified)

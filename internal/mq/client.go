@@ -36,6 +36,7 @@ var _ MQ = (*Client)(nil)
 type clientSub struct {
 	client     *Client
 	consumerID string
+	queue      string // stamped on each Delivery; OpDeliver does not carry it
 	ch         chan Delivery
 	cancelled  bool
 }
@@ -95,7 +96,7 @@ func (c *Client) readLoop() {
 					Body:       body,
 					Persistent: f.Persistent,
 				},
-				Queue:       f.Queue,
+				Queue:       sub.queue,
 				Tag:         f.DeliveryID,
 				Redelivered: f.Redelivery,
 				settle:      c.settleFunc(f.DeliveryID),
@@ -241,7 +242,7 @@ func (c *Client) Subscribe(queueName string, prefetch int) (Subscription, error)
 	c.mu.Lock()
 	c.nextCons++
 	id := "c" + strconv.FormatUint(c.nextCons, 10)
-	sub := &clientSub{client: c, consumerID: id, ch: make(chan Delivery, prefetch)}
+	sub := &clientSub{client: c, consumerID: id, queue: queueName, ch: make(chan Delivery, prefetch)}
 	c.subs[id] = sub
 	c.mu.Unlock()
 	if _, err := c.request(&wire.Frame{Op: wire.OpSubscribe, Queue: queueName, ConsumerID: id, Prefetch: prefetch}); err != nil {

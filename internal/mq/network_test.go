@@ -172,7 +172,8 @@ func TestNetworkCancelStopsDeliveries(t *testing.T) {
 // TestNetworkAckIsOneWay speaks raw frames to the server: an OpAck or OpNack
 // gets no reply, so the next frame after one is the Pong to a following
 // Ping, by which time the settle is done. A settle for a tag the connection
-// does not hold is dropped without harming the connection.
+// does not hold is dropped without harming the connection. An OpDeliver
+// names its consumer but not its queue.
 func TestNetworkAckIsOneWay(t *testing.T) {
 	b, srv, _ := newNetworkPair(t)
 	mustDeclare(t, b, "q")
@@ -214,6 +215,9 @@ func TestNetworkAckIsOneWay(t *testing.T) {
 	next(wire.OpOK)
 	mustPublish(t, b, "", "q", "acked")
 	d := next(wire.OpDeliver)
+	if d.ConsumerID != "c1" || d.Queue != "" {
+		t.Fatalf("deliver frame names consumer %q and queue %q, want c1 and no queue", d.ConsumerID, d.Queue)
+	}
 	send(&wire.Frame{Op: wire.OpAck, DeliveryID: d.DeliveryID})
 	barrier()
 	if st, _ := b.QueueStats("q"); st.Unacked != 0 || st.Acked != 1 {
@@ -236,6 +240,54 @@ func TestNetworkAckIsOneWay(t *testing.T) {
 	if st, _ := b.QueueStats("q"); st.Unacked != 0 || st.Depth != 0 || st.Acked != 2 {
 		t.Fatalf("at the end: %+v", st)
 	}
+}
+
+// TestNetworkDeliveryQueueFromSubscription: OpDeliver frames carry no queue
+// name, so the client stamps each Delivery with the queue its consumer
+// subscribed to — per consumer on a shared connection, and anew after a
+// Cancel and re-subscribe.
+func TestNetworkDeliveryQueueFromSubscription(t *testing.T) {
+	_, _, cli := newNetworkPair(t)
+	mustDeclare(t, cli, "q1", "q2")
+	expect := func(sub Subscription, queue string) {
+		t.Helper()
+		if err := cli.Publish("", queue, Message{ID: "to-" + queue}); err != nil {
+			t.Fatal(err)
+		}
+		d := recvDelivery(t, sub)
+		if d.Queue != queue || d.ID != "to-"+queue {
+			t.Fatalf("delivery %q reports queue %q, want %q", d.ID, d.Queue, queue)
+		}
+		if err := d.Ack(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sub1, err := cli.Subscribe("q1", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub2, err := cli.Subscribe("q2", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect(sub1, "q1")
+	expect(sub2, "q2")
+	if err := sub1.Cancel(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := cli.Subscribe("q2", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sub2.Cancel(); err != nil {
+		t.Fatal(err)
+	}
+	expect(again, "q2")
+	sub1, err = cli.Subscribe("q1", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect(sub1, "q1")
 }
 
 func TestNetworkPing(t *testing.T) {

@@ -242,10 +242,11 @@ func (c *serverConn) subscribe(f *wire.Frame) error {
 			c.mu.Lock()
 			c.unsettled[d.Tag] = &d
 			c.mu.Unlock()
+			// No queue name: the consumer id names the subscription, and the
+			// client already knows which queue it subscribed to.
 			c.reply(&wire.Frame{
 				Op:         wire.OpDeliver,
 				ConsumerID: consumerID,
-				Queue:      d.Queue,
 				DeliveryID: d.Tag,
 				MessageID:  d.Message.ID,
 				Headers:    d.Message.Headers,

@@ -26,10 +26,15 @@ func FuzzBinaryCodec(f *testing.F) {
 		Checksum: "sum", DeviceID: "dev-1", CommittedAt: time.Unix(1418030000, 5).UTC(),
 	}
 	key := metastore.ItemVersion{ItemID: item.ItemID, Version: item.Version}
+	proposal := item
+	proposal.CommittedAt = time.Time{} // as a device proposes it: trailing zero, not sent
 	for _, v := range []any{
 		core.CommitRequest{Workspace: "ws-1", DeviceID: "dev-1", Items: []metastore.ItemVersion{item}},
+		core.CommitRequest{Workspace: "ws-1", DeviceID: "dev-1", Items: []metastore.ItemVersion{proposal}},
 		core.CommitNotification{Workspace: "ws-1", DeviceID: "dev-1",
-			Results: []core.CommitResult{{Committed: true, Item: item, Proposed: key}}},
+			Results: []core.CommitResult{{Committed: false, Item: item, Proposed: key}}},
+		core.CommitNotification{Workspace: "ws-1", DeviceID: "dev-1", // committed: no echo
+			Results: []core.CommitResult{{Committed: true, Item: item}}},
 		omq.Request{Method: "CommitRequest", Args: [][]byte{{1, 2}}, CorrelationID: "c", ReplyTo: "r", RequestID: "q"},
 		omq.Response{CorrelationID: "c", Result: []byte{3}, Err: "boom", From: "svc-0"},
 	} {

@@ -207,6 +207,12 @@ func TestUnicastLoadBalancesAcrossInstances(t *testing.T) {
 		if err := p.Call("Add", &sum, addArgs{A: i, B: 1}); err != nil {
 			t.Fatal(err)
 		}
+		// An instance acks a call after replying; round-robin skips one whose
+		// ack has not landed yet, so wait for it before the next call.
+		waitFor(t, 2*time.Second, func() bool {
+			st, err := m.QueueStats("calc")
+			return err == nil && st.Unacked == 0
+		})
 	}
 	for i, c := range impls {
 		if got := c.calls.Load(); got < 5 {

@@ -30,15 +30,19 @@ func legacyFrame(payload string) []byte {
 	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
 }
 
-// twoWayAckFrame is f as peers that waited for an OpOK to every ack framed
-// it: today's encoding under the 0xB2 marker. The reader must refuse it.
-func twoWayAckFrame(f *Frame) []byte {
+// retiredMarkers are the markers of earlier binary protocols: 0xB2 peers
+// wait for an OpOK to every ack, 0xB3 peers expect every commit result to
+// echo its proposal's key. The reader must refuse both.
+var retiredMarkers = []byte{0xB2, 0xB3}
+
+// retiredFrame is f in today's encoding under a retired marker.
+func retiredFrame(f *Frame, marker byte) []byte {
 	var buf bytes.Buffer
 	if err := NewWriter(&buf).Write(f); err != nil {
 		panic(err)
 	}
 	b := buf.Bytes()
-	b[0] = 0xB2
+	b[0] = marker
 	return b
 }
 
@@ -64,7 +68,8 @@ func FuzzFrameCodec(f *testing.F) {
 	mixed.Write(legacyFrame(`{"op":16,"seq":1}`))
 	_ = NewWriter(&mixed).Write(&Frame{Op: OpPong, Seq: 1})
 	f.Add(mixed.Bytes())
-	f.Add(twoWayAckFrame(&Frame{Op: OpAck, DeliveryID: 3}))                                                   // 0xB2 peer
+	f.Add(retiredFrame(&Frame{Op: OpAck, DeliveryID: 3}, 0xB2))                                               // peer awaiting OK to acks
+	f.Add(retiredFrame(&Frame{Op: OpDeliver, ConsumerID: "c1", Queue: "q", DeliveryID: 3}, 0xB3))             // peer expecting echoes
 	f.Add([]byte{0, 0, 0})                                                                                    // truncated pre-v2 header
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 'x'})                                                                // over-limit pre-v2 length prefix
 	f.Add([]byte{0, 0, 0, 2, '{', '}', 0, 0, 0})                                                              // pre-v2 empty frame + torn tail

@@ -2,15 +2,18 @@
 // clients and the mq TCP server. It plays the role AMQP framing plays
 // between RabbitMQ and its clients in the paper's deployment.
 //
-// Every frame is binary: a 0xB3 marker, the uvarint payload length, then a
+// Every frame is binary: a 0xB4 marker, the uvarint payload length, then a
 // stream of (field id, varint-framed value) pairs with hot header keys
 // interned to one byte. The frame header and the message body are written
 // as two scatter/gather vectors (net.Buffers), so a publish performs zero
 // payload copies after encode. OpAck and OpNack are one-way: the server
-// sends nothing back. A frame that does not start with the marker — the
-// 4-byte-length JSON framing of pre-v2 peers, or the 0xB2 marker of peers
-// that still wait for an OpOK to each ack — is refused with ErrNotBinary.
-// The hard size cap protects both ends from corrupt peers.
+// sends nothing back. OpDeliver carries no queue name: the consumer id
+// names the subscription. A frame that does not start with the marker is
+// refused with ErrNotBinary: the 4-byte-length JSON framing of pre-v2
+// peers, the 0xB2 marker of peers that still wait for an OpOK to each ack,
+// and the 0xB3 marker of peers that still expect every commit result to
+// echo its proposal's key. The hard size cap protects both ends from
+// corrupt peers.
 //
 // # Buffer ownership
 //
@@ -35,8 +38,9 @@ import (
 // enough for a compressed 512 KB chunk plus headers with ample margin.
 const MaxFrameSize = 16 << 20
 
-// binaryMarker is the first byte of every frame (0xB2 until acks went one-way).
-const binaryMarker = 0xB3
+// binaryMarker is the first byte of every frame (0xB2 until acks went
+// one-way, 0xB3 until a committed result stopped echoing its proposal key).
+const binaryMarker = 0xB4
 
 // Frame operation codes. Values are part of the protocol; never renumber.
 type Op int
@@ -199,7 +203,7 @@ var internedKeyID = func() map[string]byte {
 var (
 	ErrFrameTooLarge = errors.New("wire: frame exceeds size limit")
 	ErrShortFrame    = errors.New("wire: truncated frame")
-	ErrNotBinary     = errors.New("wire: frame lacks the 0xB3 binary marker (peer of an older protocol?)")
+	ErrNotBinary     = errors.New("wire: frame lacks the 0xB4 binary marker (peer of an older protocol?)")
 )
 
 // maxPrefix is the space reserved at the front of an encode buffer for the

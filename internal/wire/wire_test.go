@@ -137,15 +137,18 @@ func TestOpString(t *testing.T) {
 }
 
 // TestFormatInterop pins the one-format contract: a frame framed the pre-v2
-// way (4-byte length + JSON) is refused with ErrNotBinary rather than
-// misparsed, while binary frames on a fresh stream still decode.
+// way (4-byte length + JSON) or under a retired binary marker is refused
+// with ErrNotBinary rather than misparsed, while binary frames on a fresh
+// stream still decode.
 func TestFormatInterop(t *testing.T) {
 	legacy := legacyFrame(`{"op":6,"seq":9,"exchange":"ex","key":"route","body":"bWl4ZWQ="}`)
 	if _, err := NewReader(bytes.NewReader(legacy)).Read(); !errors.Is(err, ErrNotBinary) {
 		t.Fatalf("pre-v2 frame: err = %v, want ErrNotBinary", err)
 	}
-	if _, err := NewReader(bytes.NewReader(twoWayAckFrame(&Frame{Op: OpPing, Seq: 1}))).Read(); !errors.Is(err, ErrNotBinary) {
-		t.Fatalf("0xB2 frame: err = %v, want ErrNotBinary", err)
+	for _, m := range retiredMarkers {
+		if _, err := NewReader(bytes.NewReader(retiredFrame(&Frame{Op: OpPing, Seq: 1}, m))).Read(); !errors.Is(err, ErrNotBinary) {
+			t.Fatalf("%#x frame: err = %v, want ErrNotBinary", m, err)
+		}
 	}
 	frame := Frame{
 		Op: OpPublish, Seq: 9, Exchange: "ex", Key: "route",
@@ -269,9 +272,10 @@ func TestWriterRejectsOversizedFrame(t *testing.T) {
 	}
 }
 
-// TestBinaryJSONCrossCheck runs every frame shape through both framings:
+// TestBinaryJSONCrossCheck runs every frame shape through every framing:
 // the binary frame decodes to exactly its input, and the same frame framed
-// the pre-v2 way (4-byte length + JSON) is refused with ErrNotBinary.
+// the pre-v2 way (4-byte length + JSON) or under a retired marker is
+// refused with ErrNotBinary.
 func TestBinaryJSONCrossCheck(t *testing.T) {
 	frames := []Frame{
 		{Op: OpPublish, Seq: 1, Exchange: "e", Key: "k", Body: []byte("b"), Persistent: true},
@@ -290,8 +294,10 @@ func TestBinaryJSONCrossCheck(t *testing.T) {
 		if _, err := NewReader(bytes.NewReader(legacyFrame(string(payload)))).Read(); !errors.Is(err, ErrNotBinary) {
 			t.Fatalf("frame %d pre-v2: err = %v, want ErrNotBinary", i, err)
 		}
-		if _, err := NewReader(bytes.NewReader(twoWayAckFrame(&in))).Read(); !errors.Is(err, ErrNotBinary) {
-			t.Fatalf("frame %d 0xB2: err = %v, want ErrNotBinary", i, err)
+		for _, m := range retiredMarkers {
+			if _, err := NewReader(bytes.NewReader(retiredFrame(&in, m))).Read(); !errors.Is(err, ErrNotBinary) {
+				t.Fatalf("frame %d %#x: err = %v, want ErrNotBinary", i, m, err)
+			}
 		}
 		var bb bytes.Buffer
 		if err := NewWriter(&bb).Write(&in); err != nil {

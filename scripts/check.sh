@@ -28,8 +28,10 @@ go vet ./...
 echo "==> benchmark module: go vet"
 (cd benchmark && go vet ./...)
 
+# internal/bench alone takes 9–10 minutes under -race on a 2-CPU host, which
+# is the go test default timeout; give the pass room instead of a flaky cut.
 echo "==> go test -race ./..."
-go test -race ./...
+go test -race -timeout 20m ./...
 
 # `go build ./...` only compiles the examples. Run the two that check their
 # own outcome (convergence; a conflict copy of a concurrent edit): each must
@@ -63,6 +65,14 @@ go test -race -count=1 -run '^(TestMultiInstanceChaosQuick|TestCrossInstanceLine
 # the kill, so this is also where a scrape/teardown race would surface.
 echo "==> fleet-trace stitching smoke (race)"
 go test -race -count=1 -run '^TestFleetTraceSmoke$' ./internal/bench/
+
+# `go test` never executes benchmarks, so run once each the layer benchmarks
+# that performance claims cite: a refactor that breaks one fails here, not at
+# the next measurement. One iteration each is a smoke pass, not a number.
+echo "==> layer-benchmark smoke (1x)"
+go test -run '^$' -benchtime 1x \
+    -bench '^(BenchmarkNotifyDelivery|BenchmarkNetworkFanoutAck|BenchmarkJournalFanout|BenchmarkGatewayBatch|BenchmarkWireFrameCodec)$' \
+    . ./internal/core/ ./internal/mq/ ./internal/objstore/
 
 # Short coverage-guided fuzz legs over the codecs that parse bytes the
 # program did not just write: the wire frame reader, the storage gateway's
