@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet check chaos chaos-multi fleet-trace ub1-multi experiments trace-demo elastic-demo matrix
+.PHONY: build test race vet check chaos ub1-multi experiments trace-demo elastic-demo matrix
 
 build:
 	$(GO) build ./...
@@ -19,21 +19,11 @@ race:
 check: scripts/check.sh
 	./scripts/check.sh
 
-## chaos runs the seeded fault-injection soak (not part of `make test`'s
-## -short path; see EXPERIMENTS.md).
+## chaos runs the seeded fault soak: shipped-path and routed devices on one
+## fleet scaled 1→4→2 under kills, partitions and storage faults, closed by a
+## failover probe on the stitched fleet trace (see EXPERIMENTS.md).
 chaos:
 	$(GO) run ./cmd/experiments -run chaos -quick
-
-## chaos-multi runs the cross-instance failover soak: scale 1→4→2 under load
-## with kills, partitions and storage faults over the routed fleet.
-chaos-multi:
-	$(GO) run ./cmd/experiments -run chaos-multi -quick
-
-## fleet-trace kills the ring owner of a chosen workspace mid-commit and
-## asserts the federated collector shows it: one stitched trace with
-## cause-annotated failover attempts and a cross-instance critical path.
-fleet-trace:
-	$(GO) run ./cmd/experiments -run fleet-trace
 
 ## ub1-multi replays the UB1 day-8 peak hour over 4 routed SyncService
 ## instances and checks durability of every ack plus 450 ms SLO attainment.

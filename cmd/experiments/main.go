@@ -6,10 +6,10 @@
 //	experiments -run all -quick      # everything, reduced trace sizes
 //
 // Experiment ids: fig7a fig7b fig7cd table2 fig7e fig7f fig8ab fig8cde fig8f
-// plus the non-figure runs: chaos (robustness soak), chaos-multi
-// (cross-instance failover soak over the routed fleet), fleet-trace
-// (fleet-observability smoke: stitched cross-instance failover trace,
-// collector rollup, hot-workspace sketch), ub1-multi (UB1 day-8
+// plus the non-figure runs: chaos (the fault soak: shipped-path and routed
+// devices on one supervised fleet scaled 1→4→2 under kills, partitions and
+// storage faults, closed by a failover probe whose stitched cross-instance
+// trace is checked; exit 1 on a violation), ub1-multi (UB1 day-8
 // peak replay over 4 routed instances with SLO attainment), matrix (the
 // scenario matrix's correctness/SLO checks: mobile churn, cold-start herd,
 // reconnect storm; exit 1 on a violation), trace (end-to-end observability
@@ -32,7 +32,7 @@ import (
 )
 
 func main() {
-	run := flag.String("run", "all", "experiment id (fig7a|fig7b|fig7cd|table2|fig7e|fig7f|fig8ab|fig8cde|fig8f|chaos|chaos-multi|fleet-trace|ub1-multi|matrix|trace|elastic-demo|all)")
+	run := flag.String("run", "all", "experiment id (fig7a|fig7b|fig7cd|table2|fig7e|fig7f|fig8ab|fig8cde|fig8f|chaos|ub1-multi|matrix|trace|elastic-demo|all)")
 	seed := flag.Int64("seed", 1, "PRNG seed for trace generation")
 	quick := flag.Bool("quick", false, "smaller traces / shorter runs")
 	admin := flag.String("admin", "", "admin endpoint address (e.g. 127.0.0.1:7072); kept serving after the run until interrupted")
@@ -178,17 +178,14 @@ func runExperiments(which string, seed int64, quick bool, adminAddr string) erro
 	}
 	if which == "chaos" { // not part of "all": it is a robustness soak, not a figure
 		ran = true
-		cfg := bench.ChaosConfig{Seed: seed}
+		cfg := bench.SoakConfig{Seed: seed}
 		if quick {
-			// Long enough that at least one scheduled crash lands inside
-			// the workload window.
-			cfg.CommitsPerClient = 20
-			cfg.CommitGap = 25e6 // 25ms
-		} else {
-			cfg.CommitsPerClient = 60
-			cfg.Clients = 4
+			cfg.Clients, cfg.CommitsPerClient = 4, 25
+			cfg.CommitGap = 30e6   // 30ms
+			cfg.PhaseEvery = 250e6 // 250ms
+			cfg.CrashEvery = 350e6 // 350ms
 		}
-		res, err := bench.RunChaos(cfg)
+		res, err := bench.RunSoak(cfg)
 		if err != nil {
 			return err
 		}
@@ -196,47 +193,6 @@ func runExperiments(which string, seed int64, quick bool, adminAddr string) erro
 		fmt.Fprintln(out)
 		if len(res.Violations) > 0 {
 			return fmt.Errorf("chaos soak failed with %d violations", len(res.Violations))
-		}
-	}
-	if which == "chaos-multi" { // not part of "all": cross-instance failover soak
-		ran = true
-		cfg := bench.MultiChaosConfig{Seed: seed}
-		if quick {
-			cfg.Workspaces = 3
-			cfg.Clients = 4
-			cfg.CommitsPerClient = 6
-			cfg.PhaseEvery = 250e6 // 250ms
-			cfg.CrashEvery = 350e6 // 350ms
-		} else {
-			cfg.CommitsPerClient = 20
-			cfg.CommitGap = 15e6 // 15ms
-		}
-		res, err := bench.RunMultiChaos(cfg)
-		if err != nil {
-			return err
-		}
-		res.Print(out)
-		fmt.Fprintln(out)
-		if len(res.Violations) > 0 {
-			return fmt.Errorf("multi-instance chaos soak failed with %d violations", len(res.Violations))
-		}
-	}
-	if which == "fleet-trace" { // not part of "all": fleet-observability smoke
-		ran = true
-		cfg := bench.FleetTraceConfig{Seed: seed}
-		if !quick {
-			cfg.Instances = 3
-			cfg.Workspaces = 6
-			cfg.WarmCommits = 5
-		}
-		res, err := bench.RunFleetTrace(cfg)
-		if err != nil {
-			return err
-		}
-		res.Print(out)
-		fmt.Fprintln(out)
-		if len(res.Violations) > 0 {
-			return fmt.Errorf("fleet-trace smoke failed with %d violations", len(res.Violations))
 		}
 	}
 	if which == "ub1-multi" { // not part of "all": routed-fleet peak replay

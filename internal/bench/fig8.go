@@ -171,11 +171,11 @@ func RunFig8f(cfg Fig8fConfig) (*Fig8fResult, error) {
 		time.Sleep(cfg.CommitGap)
 	}
 	crashes.Stop()
-	nCrashes, _ := crashes.result()
+	killed, _ := crashes.result()
 	return &Fig8fResult{
 		Steady:      steady.Boxplot(),
 		Crashed:     crashed.Boxplot(),
-		Crashes:     nCrashes,
+		Crashes:     len(killed),
 		LostCommits: lost,
 	}, nil
 }

@@ -1,442 +1,21 @@
 package bench
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
 	"sort"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"stacksync/internal/chunker"
-	"stacksync/internal/client"
 	"stacksync/internal/core"
 	"stacksync/internal/deploy"
-	"stacksync/internal/faults"
 	"stacksync/internal/metastore"
-	"stacksync/internal/mq"
-	"stacksync/internal/objstore"
+	"stacksync/internal/metrics"
 	"stacksync/internal/obs"
 	"stacksync/internal/omq"
 	"stacksync/internal/trace"
 )
-
-// MultiChaosConfig parameterizes the cross-instance chaos soak: the chaos
-// stack of RunChaos, but with workspace-affinity routing enabled and the
-// SyncService fleet scaled through a phase schedule (default 1 → 4 → 2)
-// while instances are crashed mid-commit. Every client routes its commits
-// through an omq.Router, so the soak exercises the full failover machinery:
-// ring pushes, epoch fencing, stale-route retries and owner-timeout failover
-// — across instance boundaries, not just across respawns of a single one.
-type MultiChaosConfig struct {
-	// Seed fixes the entire fault schedule; same seed, same chaos.
-	Seed int64
-	// Workspaces is the number of sync workspaces; devices are assigned
-	// round-robin, so keys spread over the ring (default 4).
-	Workspaces int
-	// Clients is the number of devices writing concurrently (default 6).
-	Clients int
-	// CommitsPerClient is the number of files each device writes (default 10).
-	CommitsPerClient int
-	// CommitGap is the idle time between a device's commits (default 10 ms).
-	CommitGap time.Duration
-	// Phases is the fleet-size schedule the Supervisor is driven through
-	// (default 1, 4, 2 — grow under load, then shrink under load).
-	Phases []int
-	// PhaseEvery is the dwell time between phase switches (default 400 ms).
-	PhaseEvery time.Duration
-	// CrashEvery is the mean period of the instance-crash schedule (default
-	// 500 ms; jittered ±50% deterministically from the seed).
-	CrashEvery time.Duration
-	// CheckEvery is the Supervisor's enforcement period (default 60 ms).
-	CheckEvery time.Duration
-	// Settle caps how long the run may take to converge after the workload
-	// stops (default 30 s).
-	Settle time.Duration
-}
-
-func (c *MultiChaosConfig) applyDefaults() {
-	if c.Workspaces <= 0 {
-		c.Workspaces = 4
-	}
-	if c.Clients <= 0 {
-		c.Clients = 6
-	}
-	if c.CommitsPerClient <= 0 {
-		c.CommitsPerClient = 10
-	}
-	if c.CommitGap <= 0 {
-		c.CommitGap = 10 * time.Millisecond
-	}
-	if len(c.Phases) == 0 {
-		c.Phases = []int{1, 4, 2}
-	}
-	if c.PhaseEvery <= 0 {
-		c.PhaseEvery = 400 * time.Millisecond
-	}
-	if c.CrashEvery <= 0 {
-		c.CrashEvery = 500 * time.Millisecond
-	}
-	if c.CheckEvery <= 0 {
-		c.CheckEvery = 60 * time.Millisecond
-	}
-	if c.Settle <= 0 {
-		c.Settle = 30 * time.Second
-	}
-}
-
-func multiChaosWorkspace(i int) string { return fmt.Sprintf("mchaos-ws-%d", i) }
-
-// multiChaosPlan builds the fault plan. Slightly gentler than chaosPlan on
-// the client MQ edge — routed commits are synchronous, so every fault there
-// spends part of a bounded retry budget instead of an open-ended
-// retransmission loop.
-func multiChaosPlan(cfg MultiChaosConfig, reg *obs.Registry) *faults.Plan {
-	horizon := time.Duration(cfg.CommitsPerClient) * (cfg.CommitGap + 40*time.Millisecond)
-	if horizon < time.Second {
-		horizon = time.Second
-	}
-	return faults.NewPlan(faults.Config{
-		Seed:     cfg.Seed,
-		Registry: reg,
-		Sites: map[string]faults.SiteConfig{
-			// Client-side publishes: routed commitRequests vanish, dup, lag —
-			// this is the proxy↔instance partition of the issue brief.
-			"mq.client": {DropP: 0.04, DupP: 0.04, DelayP: 0.08, MaxDelay: 15 * time.Millisecond},
-			// Notification pushes: the lossiest hop — resync must repair.
-			deploy.FaultSiteNotify: {DropP: 0.10, DupP: 0.05, DelayP: 0.10, MaxDelay: 20 * time.Millisecond},
-			// Storage: transient errors, latency spikes, one outage window.
-			"objstore": {
-				ErrorP: 0.08, DelayP: 0.08, MaxDelay: 10 * time.Millisecond,
-				Outages: faults.RandomOutages(cfg.Seed, "objstore", 1, 200*time.Millisecond, horizon),
-			},
-			// Metadata transactions: sporadic aborts the pipeline must retry.
-			deploy.FaultSiteMeta: {AbortP: 0.10},
-		},
-	})
-}
-
-// MultiChaosResult reports the cross-instance soak's outcome.
-type MultiChaosResult struct {
-	Seed       int64         `json:"seed"`
-	Workspaces int           `json:"workspaces"`
-	Clients    int           `json:"clients"`
-	Commits    int           `json:"commits"`
-	Phases     []int         `json:"phases"`
-	Crashes    int           `json:"crashes"`
-	MaxRespawn time.Duration `json:"maxRespawn"`
-	SettleTime time.Duration `json:"settleTime"`
-	Converged  bool          `json:"converged"`
-	// ScheduleStable is true when rebuilding the plan from the same seed
-	// yields a byte-identical schedule description.
-	ScheduleStable bool `json:"scheduleStable"`
-	// Fleet and ring state after the final phase settled.
-	FinalInstances int    `json:"finalInstances"`
-	FinalRingSize  int    `json:"finalRingSize"`
-	RingEpoch      uint64 `json:"ringEpoch"`
-	// Rebalances counts supervisor.rebalance events in the flight recorder.
-	Rebalances int `json:"rebalances"`
-	// Router/fencing traffic over the whole run.
-	RoutedCalls  uint64            `json:"routedCalls"`
-	StaleRejects uint64            `json:"staleRejects"`
-	Failovers    uint64            `json:"failovers"`
-	Fenced       uint64            `json:"fenced"`
-	FaultCounts  map[string]uint64 `json:"faultCounts"`
-	// Fleet observability: stitched traces collected across instances, how
-	// many contain a cause-annotated router failover, and the fleet-merged
-	// hottest workspace by commits.
-	StitchedTraces int    `json:"stitchedTraces"`
-	FailoverTraces int    `json:"failoverTraces"`
-	HotTop         string `json:"hotTop"`
-	HotTopCommits  uint64 `json:"hotTopCommits"`
-	// Violations lists every broken invariant (empty on a clean run).
-	Violations []string `json:"violations,omitempty"`
-}
-
-// RunMultiChaos executes the cross-instance chaos soak and checks
-// convergence: every acked commit present on every device of its workspace,
-// no spurious conflict copies, the fleet and ring settled on the final phase.
-func RunMultiChaos(cfg MultiChaosConfig) (*MultiChaosResult, error) {
-	cfg.applyDefaults()
-	reg := obs.NewRegistry()
-	events := obs.NewEventLog(4096)
-	plan := multiChaosPlan(cfg, reg)
-	scheduleStable := bytes.Equal(
-		[]byte(plan.Describe(512)),
-		[]byte(multiChaosPlan(cfg, nil).Describe(512)),
-	)
-
-	// Routing supervisor driven through the phase schedule by an atomic
-	// target the phase driver advances.
-	var target atomic.Int64
-	target.Store(int64(cfg.Phases[0]))
-	maxPhase := 0
-	for _, p := range cfg.Phases {
-		maxPhase = max(maxPhase, p)
-	}
-	fleet, err := deploy.Start(deploy.Config{
-		Workspaces: workspacesOf(cfg.Workspaces, multiChaosWorkspace),
-		Registry:   reg,
-		Events:     events,
-		Faults:     plan,
-		// Fleet observability (DESIGN §15): every spawned instance exports its
-		// own tracer/registry/events/sketch into one Collector, polled while
-		// the chaos runs so crashes only lose the spans buffered since the
-		// last scrape.
-		FleetObs:     true,
-		CollectEvery: 50 * time.Millisecond,
-		Supervisor: &omq.SupervisorConfig{
-			CheckEvery: cfg.CheckEvery,
-			Provisioner: omq.ProvisionerFunc(func(time.Time, omq.ObjectInfo) int {
-				return int(target.Load())
-			}),
-			MaxInstances: maxPhase + 2,
-			Routing:      true,
-			// Keep the rebalance latency (inventory collection + ring push)
-			// well under the crash cadence, or the ring would chronically
-			// trail the fleet and every routed call would spend its budget on
-			// corpses.
-			InventoryWindow: 50 * time.Millisecond,
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer fleet.Close()
-	if err := fleet.WaitInstances(cfg.Phases[0], 10*time.Second); err != nil {
-		return nil, err
-	}
-	collector := fleet.Collector
-	faultyStore := objstore.NewFaulty(fleet.Chunks, plan, "objstore", nil)
-
-	// Client devices: each on its own broker over the faulty client MQ view,
-	// with a Router so commits and resyncs follow workspace affinity.
-	wsOf := func(i int) string { return multiChaosWorkspace(i % cfg.Workspaces) }
-	clients := make([]*client.Client, cfg.Clients)
-	for i := range clients {
-		// Each device traces into its own sink and joins the collector as a
-		// pseudo-source: the root/route/attempt spans of every routed commit
-		// live client-side, so a failover is traceable even when the owner
-		// that dropped it died unscraped.
-		clientID := fmt.Sprintf("30-client-%d", i)
-		clientSink := obs.NewSpanSink(0)
-		clientTracer := obs.NewTracer(obs.WithSink(clientSink), obs.WithInstance(clientID))
-		collector.Register(obs.Source{InstanceID: clientID, Sink: clientSink})
-		cb, err := omq.NewBroker(mq.NewFaulty(fleet.MQ, plan, "mq.client", nil),
-			omq.WithID(clientID), omq.WithRegistry(reg), omq.WithTracer(clientTracer))
-		if err != nil {
-			return nil, err
-		}
-		defer cb.Close()
-		router := omq.NewRouter(cb, omq.RouterConfig{
-			OID:         core.ServiceOID,
-			Timeout:     400 * time.Millisecond,
-			Attempts:    14,
-			BackoffBase: 15 * time.Millisecond,
-			BackoffMax:  250 * time.Millisecond,
-		})
-		cl, err := client.NewClient(client.Config{
-			UserID:      "user-0",
-			DeviceID:    fmt.Sprintf("dev-%d", i),
-			WorkspaceID: wsOf(i),
-			Broker:      cb,
-			Router:      router,
-			Storage:     faultyStore,
-			Registry:    reg,
-			Tracer:      clientTracer,
-			Chunker:     chunker.Fixed{ChunkSize: 4 * 1024},
-			CallTimeout: 500 * time.Millisecond, CallRetries: 10,
-			StoreBackoff: 5 * time.Millisecond, BreakerThreshold: 4,
-			BreakerCooldown: 150 * time.Millisecond,
-			RetransmitEvery: 250 * time.Millisecond,
-			ResyncEvery:     250 * time.Millisecond,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := cl.Start(); err != nil {
-			return nil, fmt.Errorf("bench: start client %d: %w", i, err)
-		}
-		defer cl.Close()
-		clients[i] = cl
-	}
-
-	start := time.Now()
-	plan.Begin(start)
-
-	// Phase driver: walk the fleet through the schedule while the workload
-	// runs. It is never cut short — the final phase must be applied so the
-	// end-state checks (ring size, instance count) are meaningful.
-	phaseDone := make(chan struct{})
-	go func() {
-		defer close(phaseDone)
-		for _, ph := range cfg.Phases[1:] {
-			time.Sleep(cfg.PhaseEvery)
-			target.Store(int64(ph))
-		}
-	}()
-
-	// Crash schedule: kill -9 one instance at a time; the Supervisor must
-	// respawn to the current phase target and re-push the ring.
-	crashes := startCrashes(fleet, start, faults.CrashSchedule(cfg.Seed, cfg.CrashEvery, 0.5, cfg.Settle),
-		func() int { return int(target.Load()) })
-	defer crashes.Stop()
-
-	// Workload: each device writes its own distinct paths into its own
-	// workspace; a routed PutFile acks only once the metadata commit is
-	// durable, so "acked" here is the strong notion the issue demands.
-	expected := make(map[string]map[string]string) // workspace -> path -> content
-	for i := 0; i < cfg.Workspaces; i++ {
-		expected[multiChaosWorkspace(i)] = make(map[string]string)
-	}
-	var expMu sync.Mutex
-	var wg sync.WaitGroup
-	errCh := make(chan error, cfg.Clients)
-	for i, cl := range clients {
-		wg.Add(1)
-		go func(i int, cl *client.Client) {
-			defer wg.Done()
-			for k := 0; k < cfg.CommitsPerClient; k++ {
-				path := fmt.Sprintf("dev%d/file-%04d.txt", i, k)
-				content := fmt.Sprintf("mchaos seed=%d dev=%d k=%d", cfg.Seed, i, k)
-				if err := cl.PutFile(path, []byte(content)); err != nil {
-					errCh <- fmt.Errorf("bench: multichaos put %s: %w", path, err)
-					return
-				}
-				expMu.Lock()
-				expected[wsOf(i)][path] = content
-				expMu.Unlock()
-				time.Sleep(cfg.CommitGap)
-			}
-		}(i, cl)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		return nil, err
-	}
-	workloadEnd := time.Now()
-
-	crashes.Stop()
-	<-phaseDone
-
-	converged := false
-	var settleTime time.Duration
-	settleDeadline := workloadEnd.Add(cfg.Settle)
-	for time.Now().Before(settleDeadline) {
-		if soakConverged(clients, wsOf, expected) {
-			converged = true
-			settleTime = time.Since(workloadEnd)
-			break
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-
-	// Let the fleet drain to the final phase target before reading end state.
-	finalWant := cfg.Phases[len(cfg.Phases)-1]
-	_ = fleet.WaitInstances(finalWant, 5*time.Second)
-
-	res := &MultiChaosResult{
-		Seed:           cfg.Seed,
-		Workspaces:     cfg.Workspaces,
-		Clients:        cfg.Clients,
-		Phases:         cfg.Phases,
-		Converged:      converged,
-		SettleTime:     settleTime,
-		ScheduleStable: scheduleStable,
-		FinalInstances: fleet.Instances(),
-		FaultCounts:    plan.Counts(),
-		RoutedCalls:    reg.CounterValue("omq_router_calls_total", "oid", core.ServiceOID),
-		StaleRejects:   reg.CounterValue("omq_router_stale_total", "oid", core.ServiceOID),
-		Failovers:      reg.CounterValue("omq_router_failover_total", "oid", core.ServiceOID),
-		Fenced:         reg.CounterValue("core_fenced_total"),
-	}
-	for _, g := range expected {
-		res.Commits += len(g)
-	}
-	if r := fleet.Ring(); r != nil {
-		res.FinalRingSize = len(r.Members())
-		res.RingEpoch = r.Epoch()
-	}
-	for _, e := range events.Tail(events.Len()) {
-		if e.Kind == obs.EventSupervisorRebalance {
-			res.Rebalances++
-		}
-	}
-	res.Crashes, res.MaxRespawn = crashes.result()
-
-	// Final scrape (live instances and client pseudo-sources), then read the
-	// fleet-wide trace and heavy-hitter state.
-	collector.Collect()
-	res.StitchedTraces, res.FailoverTraces = countFailoverTraces(collector)
-	if hot := collector.Rollup().HotCommits; len(hot) > 0 {
-		res.HotTop = hot[0].Key
-		res.HotTopCommits = hot[0].Count
-	}
-
-	res.Violations = multiChaosViolations(clients, wsOf, expected, res)
-	return res, nil
-}
-
-// multiChaosViolations enumerates broken invariants for the report.
-func multiChaosViolations(clients []*client.Client, wsOf func(int) string, expected map[string]map[string]string, res *MultiChaosResult) []string {
-	v := soakViolations(clients, wsOf, expected, res.Commits, res.Converged, res.ScheduleStable, res.MaxRespawn)
-	finalWant := res.Phases[len(res.Phases)-1]
-	if res.FinalInstances != finalWant {
-		v = append(v, fmt.Sprintf("fleet settled at %d instances, want %d", res.FinalInstances, finalWant))
-	}
-	if res.FinalRingSize != finalWant {
-		v = append(v, fmt.Sprintf("ring settled with %d members, want %d", res.FinalRingSize, finalWant))
-	}
-	if res.Rebalances == 0 {
-		v = append(v, "no supervisor.rebalance events recorded despite scale phases")
-	}
-	if res.StitchedTraces == 0 {
-		v = append(v, "collector holds no stitched traces despite a traced workload")
-	}
-	if res.Failovers > 0 && res.FailoverTraces == 0 {
-		v = append(v, fmt.Sprintf("%d router failovers happened but no stitched trace shows a cause-annotated attempt", res.Failovers))
-	}
-	if res.HotTop == "" || !strings.HasPrefix(res.HotTop, "mchaos-ws-") {
-		v = append(v, fmt.Sprintf("fleet hot-workspace sketch surfaced %q, want an mchaos workspace", res.HotTop))
-	}
-	sort.Strings(v)
-	return v
-}
-
-// Print writes the soak summary.
-func (r *MultiChaosResult) Print(w io.Writer) {
-	fmt.Fprintf(w, "Multi-instance chaos soak — seed %d: %d commits, %d devices over %d workspaces, phases %v, %d crashes\n",
-		r.Seed, r.Commits, r.Clients, r.Workspaces, r.Phases, r.Crashes)
-	status := "CONVERGED"
-	if !r.Converged {
-		status = "DIVERGED"
-	}
-	fmt.Fprintf(w, "%-22s %s (settle %v)\n", "outcome", status, r.SettleTime.Round(time.Millisecond))
-	fmt.Fprintf(w, "%-22s %v\n", "max respawn", r.MaxRespawn.Round(time.Millisecond))
-	fmt.Fprintf(w, "%-22s %d instances, ring %d members @ epoch %d\n", "final fleet", r.FinalInstances, r.FinalRingSize, r.RingEpoch)
-	fmt.Fprintf(w, "%-22s %d rebalances, %d routed calls, %d failovers, %d stale rejects, %d fenced\n",
-		"routing", r.Rebalances, r.RoutedCalls, r.Failovers, r.StaleRejects, r.Fenced)
-	fmt.Fprintf(w, "%-22s %d stitched traces, %d with failover attempts; hottest workspace %s (%d commits)\n",
-		"fleet obs", r.StitchedTraces, r.FailoverTraces, r.HotTop, r.HotTopCommits)
-	fmt.Fprintf(w, "%-22s %v\n", "schedule stable", r.ScheduleStable)
-	keys := make([]string, 0, len(r.FaultCounts))
-	for k := range r.FaultCounts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(w, "%-22s %d\n", "faults "+k, r.FaultCounts[k])
-	}
-	for _, v := range r.Violations {
-		fmt.Fprintf(w, "VIOLATION: %s\n", v)
-	}
-}
-
-// --- UB1 day-8 peak replay over a routed fleet -----------------------------
 
 // UB1MultiConfig parameterizes the capstone replay: the UB1 day-8 peak hour
 // (8,514 commits/min at full scale, §5.3.1), time-compressed, replayed as
@@ -628,7 +207,7 @@ func RunUB1Multi(cfg UB1MultiConfig) (*UB1MultiResult, error) {
 	close(jobCh)
 	var (
 		mu     sync.Mutex
-		lats   []time.Duration
+		lats   []float64 // seconds
 		failed int
 		acked  = make(map[string][]string) // workspace -> acked paths
 	)
@@ -661,7 +240,7 @@ func RunUB1Multi(cfg UB1MultiConfig) (*UB1MultiResult, error) {
 				lat := time.Since(start.Add(job.at))
 				slo.Observe(lat)
 				mu.Lock()
-				lats = append(lats, lat)
+				lats = append(lats, lat.Seconds())
 				if err != nil {
 					failed++
 				} else {
@@ -695,14 +274,6 @@ func RunUB1Multi(cfg UB1MultiConfig) (*UB1MultiResult, error) {
 		}
 	}
 
-	sort.Slice(lats, func(a, b int) bool { return lats[a] < lats[b] })
-	pct := func(q float64) time.Duration {
-		if len(lats) == 0 {
-			return 0
-		}
-		i := int(q * float64(len(lats)-1))
-		return lats[i]
-	}
 	res := &UB1MultiResult{
 		Seed:               cfg.Seed,
 		Instances:          cfg.Instances,
@@ -714,8 +285,8 @@ func RunUB1Multi(cfg UB1MultiConfig) (*UB1MultiResult, error) {
 		Elapsed:            elapsed,
 		RatePerMinute:      float64(ackedTotal) / elapsed.Minutes(),
 		TracePeakPerMinute: hour.Peak() * 60,
-		P50:                pct(0.50),
-		P99:                pct(0.99),
+		P50:                time.Duration(metrics.Percentile(lats, 0.50) * 1e9),
+		P99:                time.Duration(metrics.Percentile(lats, 0.99) * 1e9),
 		SLOTarget:          cfg.SLOTarget,
 		SLOObjective:       cfg.SLOObjective,
 		Attainment:         slo.Attainment(),

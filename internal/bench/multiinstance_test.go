@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"stacksync/internal/core"
+	"stacksync/internal/deploy"
 	"stacksync/internal/metastore"
-	"stacksync/internal/mq"
 	"stacksync/internal/omq"
 )
 
@@ -30,67 +30,25 @@ func TestCrossInstanceLinearizability(t *testing.T) {
 		racers     = 3
 		rounds     = 6
 	)
-	m := mq.NewBroker()
-	defer m.Close()
-	meta := metastore.NewStore()
-	defer meta.Close()
 	wsName := func(i int) string { return fmt.Sprintf("lin-ws-%d", i) }
-	for i := 0; i < workspaces; i++ {
-		if err := meta.CreateWorkspace(metastore.Workspace{ID: wsName(i), Owner: "u"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	nodeBroker, err := omq.NewBroker(m, omq.WithID("10-node"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nodeBroker.Close()
-	rb, err := omq.NewRemoteBroker(nodeBroker)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rb.Close()
-	notifBroker, err := omq.NewBroker(m, omq.WithID("20-notif"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer notifBroker.Close()
-	rb.RegisterInstanceFactory(core.ServiceOID, func(id string) (interface{}, error) {
-		svc := core.NewService(meta, notifBroker)
-		svc.SetInstance(id)
-		return svc.API(), nil
-	})
-	if err := m.DeclareQueue(core.ServiceOID); err != nil {
-		t.Fatal(err)
-	}
 	var target atomic.Int64
 	target.Store(1)
-	supBroker, err := omq.NewBroker(m, omq.WithID("00-supervisor"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer supBroker.Close()
-	sup, err := omq.StartSupervisor(supBroker, omq.SupervisorConfig{
-		OID:        core.ServiceOID,
-		CheckEvery: 40 * time.Millisecond,
-		Provisioner: omq.ProvisionerFunc(func(time.Time, omq.ObjectInfo) int {
-			return int(target.Load())
-		}),
-		MaxInstances:    6,
-		Routing:         true,
-		InventoryWindow: 50 * time.Millisecond,
+	fleet, err := deploy.Start(deploy.Config{
+		Workspaces: workspacesOf(workspaces, wsName),
+		Supervisor: &omq.SupervisorConfig{
+			CheckEvery: 40 * time.Millisecond,
+			Provisioner: omq.ProvisionerFunc(func(time.Time, omq.ObjectInfo) int {
+				return int(target.Load())
+			}),
+			MaxInstances:    6,
+			Routing:         true,
+			InventoryWindow: 50 * time.Millisecond,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sup.Stop()
-	deadline := time.Now().Add(10 * time.Second)
-	for rb.InstanceCount(core.ServiceOID) < 1 || sup.Ring() == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("supervisor never built the initial ring")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	defer fleet.Close()
 
 	// One router per racer, each on its own broker: independent ring views,
 	// independent failover state.
@@ -98,7 +56,7 @@ func TestCrossInstanceLinearizability(t *testing.T) {
 	for w := 0; w < workspaces; w++ {
 		routers[w] = make([]*omq.Router, racers)
 		for r := 0; r < racers; r++ {
-			cb, err := omq.NewBroker(m, omq.WithID(fmt.Sprintf("30-racer-%d-%d", w, r)))
+			cb, err := omq.NewBroker(fleet.MQ, omq.WithID(fmt.Sprintf("30-racer-%d-%d", w, r)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,7 +71,7 @@ func TestCrossInstanceLinearizability(t *testing.T) {
 		}
 	}
 
-	// Killer: crash one instance every 70 ms while the race runs.
+	// Killer: crash one instance every 220 ms while the race runs.
 	var kills atomic.Int64
 	stopKill := make(chan struct{})
 	killDone := make(chan struct{})
@@ -125,7 +83,7 @@ func TestCrossInstanceLinearizability(t *testing.T) {
 				return
 			case <-time.After(220 * time.Millisecond):
 			}
-			if rb.KillLocal(core.ServiceOID) != "" {
+			if fleet.Kill() != "" {
 				kills.Add(1)
 			}
 		}
@@ -194,7 +152,7 @@ func TestCrossInstanceLinearizability(t *testing.T) {
 	// Linearizability: the contested chain serialized to exactly `rounds`,
 	// and no acked uncontested commit was lost.
 	for w := 0; w < workspaces; w++ {
-		state, err := meta.State(wsName(w))
+		state, err := fleet.Meta.State(wsName(w))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,34 +184,6 @@ func TestCrossInstanceLinearizability(t *testing.T) {
 		if len(state) != want {
 			t.Fatalf("ws %d: %d items in final state, want %d", w, len(state), want)
 		}
-	}
-}
-
-// TestMultiInstanceChaosQuick runs a seeded, time-bounded cross-instance
-// chaos soak: scale 1 → 4 → 2 under load with kills, partitions and storage
-// faults; the run must converge with zero violations.
-func TestMultiInstanceChaosQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second chaos soak")
-	}
-	res, err := RunMultiChaos(MultiChaosConfig{
-		Seed:             42,
-		Workspaces:       3,
-		Clients:          4,
-		CommitsPerClient: 6,
-		PhaseEvery:       250 * time.Millisecond,
-		CrashEvery:       350 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Violations) > 0 || !res.Converged {
-		var buf bytes.Buffer
-		res.Print(&buf)
-		t.Fatalf("multi-instance chaos soak failed:\n%s", buf.String())
-	}
-	if res.Rebalances == 0 {
-		t.Fatal("no rebalance events recorded despite 1→4→2 phases")
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package metrics provides the summary statistics the evaluation section
 // reports: percentiles, CDF series (Fig. 7a), boxplot five-number summaries
-// (Fig. 7e, 8f) and streaming mean/variance recorders for response times.
+// (Fig. 7e, 8f) and concurrent recorders for response times.
 package metrics
 
 import (
@@ -146,37 +146,16 @@ func Skewness(values []float64) float64 {
 	return m3 / math.Pow(m2, 1.5)
 }
 
-// Recorder accumulates duration samples concurrently. Mean and variance are
-// always exact (Welford's online algorithm over every observation); the raw
-// samples kept for percentiles/boxplots are either complete (the default,
-// exact mode) or a fixed-size uniform reservoir (NewReservoirRecorder), so
-// long soaks get bounded memory while quantile estimates stay unbiased.
+// Recorder accumulates duration samples concurrently and keeps every one,
+// so percentiles and boxplots are exact.
 type Recorder struct {
 	mu      sync.Mutex
-	samples []float64 // seconds; all of them, or the reservoir
-	n       uint64    // total observations (>= len(samples))
-	mean    float64
-	m2      float64
-	cap     int    // reservoir capacity; 0 = exact mode (keep everything)
-	rng     uint64 // xorshift64 state for reservoir replacement
+	samples []float64 // seconds
+	mean    float64   // running mean (Welford)
 }
 
-// NewRecorder returns an empty recorder that keeps every sample.
+// NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
-
-// NewReservoirRecorder returns a recorder that keeps at most capacity raw
-// samples, maintained as a uniform random reservoir (Vitter's Algorithm R):
-// after n observations every sample has probability capacity/n of being in
-// the buffer. Count, Mean and Variance still reflect every observation
-// exactly; Percentile, Samples and Boxplot are estimates drawn from the
-// reservoir. The replacement sequence is seeded deterministically, so equal
-// observation sequences yield equal reservoirs.
-func NewReservoirRecorder(capacity int) *Recorder {
-	if capacity <= 0 {
-		return NewRecorder()
-	}
-	return &Recorder{cap: capacity, rng: 0x9E3779B97F4A7C15}
-}
 
 // Observe adds one duration sample.
 func (r *Recorder) Observe(d time.Duration) { r.ObserveSeconds(d.Seconds()) }
@@ -184,68 +163,33 @@ func (r *Recorder) Observe(d time.Duration) { r.ObserveSeconds(d.Seconds()) }
 // ObserveSeconds adds one sample expressed in seconds.
 func (r *Recorder) ObserveSeconds(s float64) {
 	r.mu.Lock()
-	r.n++
-	delta := s - r.mean
-	r.mean += delta / float64(r.n)
-	r.m2 += delta * (s - r.mean)
-	switch {
-	case r.cap == 0 || len(r.samples) < r.cap:
-		r.samples = append(r.samples, s)
-	default:
-		// Algorithm R: the new sample displaces a random slot with
-		// probability cap/n, keeping the reservoir uniform.
-		if j := r.nextUint64() % r.n; j < uint64(r.cap) {
-			r.samples[j] = s
-		}
-	}
+	r.samples = append(r.samples, s)
+	r.mean += (s - r.mean) / float64(len(r.samples))
 	r.mu.Unlock()
 }
 
-// nextUint64 steps the xorshift64 generator. Callers hold r.mu.
-func (r *Recorder) nextUint64() uint64 {
-	x := r.rng
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	r.rng = x
-	return x
-}
-
-// Count returns the total number of observations (not the reservoir size).
+// Count returns the number of observations.
 func (r *Recorder) Count() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return int(r.n)
+	return len(r.samples)
 }
 
-// Mean returns the exact sample mean in seconds over all observations.
+// Mean returns the sample mean in seconds.
 func (r *Recorder) Mean() float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.mean
 }
 
-// Variance returns the exact sample variance in seconds² over all
-// observations.
-func (r *Recorder) Variance() float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.n < 2 {
-		return 0
-	}
-	return r.m2 / float64(r.n-1)
-}
-
-// Percentile returns the p-th percentile in seconds (estimated from the
-// reservoir when sampling is enabled).
+// Percentile returns the p-th percentile in seconds.
 func (r *Recorder) Percentile(p float64) float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return Percentile(r.samples, p)
 }
 
-// Samples returns a copy of the retained samples in seconds: every
-// observation in exact mode, the current reservoir otherwise.
+// Samples returns a copy of the samples in seconds.
 func (r *Recorder) Samples() []float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -254,15 +198,5 @@ func (r *Recorder) Samples() []float64 {
 	return out
 }
 
-// Boxplot summarizes the retained samples.
+// Boxplot summarizes the samples.
 func (r *Recorder) Boxplot() Boxplot { return NewBoxplot(r.Samples()) }
-
-// Reset discards all samples (the reservoir capacity and RNG state persist).
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	r.samples = r.samples[:0]
-	r.n = 0
-	r.mean = 0
-	r.m2 = 0
-	r.mu.Unlock()
-}

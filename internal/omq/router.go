@@ -212,8 +212,8 @@ func (r *Router) Call(key, method string, reply interface{}, args ...interface{}
 
 // CallCtx routes a blocking invocation: resolve the key's owner on the
 // current ring, stamp the publish with the ring epoch, and call the owner's
-// private queue. On a fencing rejection or a timeout the router refreshes
-// the ring, sleeps a jittered backoff, and retries — against the successor
+// private queue. On a fencing rejection or a timeout the router sleeps a
+// jittered backoff, refreshes the ring, and retries — against the successor
 // once the ring has moved on. The request id is stable across all attempts,
 // so an owner that executed the call but lost the reply re-acknowledges from
 // its dedup table instead of executing twice.
@@ -250,8 +250,12 @@ func (r *Router) CallCtx(ctx context.Context, key, method string, reply interfac
 			wait = retryJitter(r.broker.id+requestID, attempt-1, r.cfg.BackoffBase, r.cfg.BackoffMax)
 			r.broker.clk.Sleep(wait)
 		}
+		// A retry re-resolves the owner after the backoff, not before it:
+		// a ring fetched before sleeping may already be stale when the call
+		// goes out, and under a kill cadence shorter than the backoff every
+		// retry would be fenced again.
 		ring := r.Ring()
-		if ring == nil || len(ring.Members()) == 0 {
+		if attempt > 0 || ring == nil || len(ring.Members()) == 0 {
 			r.Refresh()
 			ring = r.Ring()
 		}
@@ -274,10 +278,9 @@ func (r *Router) CallCtx(ctx context.Context, key, method string, reply interfac
 			return nil
 		case IsStaleRoute(err):
 			// The owner fenced us: our ring (or the instance's) is behind.
-			// Refresh and re-route; the instance catches up via UpdateRing.
+			// The retry re-routes; the instance catches up via UpdateRing.
 			span.Annotate("cause", CauseStaleRoute)
 			r.staleTotal.Inc()
-			r.Refresh()
 			lastErr = err
 		case routed && errors.Is(err, mq.ErrQueueNotFound):
 			// The owner's private queue is gone: the instance was drained and
@@ -285,21 +288,18 @@ func (r *Router) CallCtx(ctx context.Context, key, method string, reply interfac
 			// cheapest failover signal there is — no timeout to wait out.
 			span.Annotate("cause", CauseQueueNotFound)
 			r.failoverTotal.Inc()
-			r.Refresh()
 			lastErr = err
 		case errors.Is(err, ErrTimeout) && routed:
 			// The owner did not answer — crashed, partitioned, or draining.
-			// Refresh so the retry follows the Supervisor's repaired ring to
-			// the successor instance.
+			// The retry follows the Supervisor's repaired ring to the
+			// successor instance.
 			span.Annotate("cause", CauseRoutedTimeout)
 			r.failoverTotal.Inc()
-			r.Refresh()
 			lastErr = err
 		case errors.Is(err, ErrTimeout):
 			// Unrouted fallback timed out; nothing to fail over to, but the
 			// fleet may simply not be up yet. Retry within the budget.
 			span.Annotate("cause", CauseFallbackTimeout)
-			r.Refresh()
 			lastErr = err
 		default:
 			span.Annotate("cause", "error")

@@ -2,9 +2,11 @@ package omq
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 
+	"stacksync/internal/clock"
 	"stacksync/internal/mq"
 	"stacksync/internal/obs"
 )
@@ -144,6 +146,82 @@ func TestRouterUntracedNoSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	if reply != 2 {
+		t.Fatalf("reply = %d", reply)
+	}
+}
+
+// movingRingAuthority serves GetRing and fences routed calls by its current
+// ring; Bump moves the ring to a new epoch, as a rebalance does.
+type movingRingAuthority struct {
+	mu    sync.Mutex
+	state RingState
+}
+
+func (a *movingRingAuthority) GetRing(struct{}) RingState {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.state
+}
+
+func (a *movingRingAuthority) Do(ctx context.Context, n int) (int, error) {
+	a.mu.Lock()
+	ring := NewRing(a.state)
+	a.mu.Unlock()
+	if err := CheckRoute(ctx, ring, "a"); err != nil {
+		return 0, err
+	}
+	return n + 1, nil
+}
+
+func (a *movingRingAuthority) Bump() {
+	a.mu.Lock()
+	a.state.Epoch++
+	a.mu.Unlock()
+}
+
+// backoffHookClock runs hook in place of each backoff sleep.
+type backoffHookClock struct {
+	clock.Real
+	hook func()
+}
+
+func (c backoffHookClock) Sleep(time.Duration) { c.hook() }
+
+// TestRouterRefreshesAfterBackoff: when the ring moves on during every
+// backoff (a kill cadence shorter than the backoff), a retry must re-resolve
+// the owner after sleeping. A ring fetched before the sleep is stale by the
+// time the call goes out, and every attempt would be fenced.
+func TestRouterRefreshesAfterBackoff(t *testing.T) {
+	m := mq.NewBroker()
+	defer m.Close()
+	auth := &movingRingAuthority{state: RingState{Epoch: 2, Members: []string{"a"}}}
+	server, err := NewBroker(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	if _, err := server.Bind(RoutedInstanceOID("svc", "a"), auth); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := server.Bind("svc.ringsrc", auth); err != nil {
+		t.Fatal(err)
+	}
+	client, err := NewBroker(m, WithBrokerClock(backoffHookClock{hook: auth.Bump}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	r := NewRouter(client, RouterConfig{
+		OID: "svc", Timeout: time.Second, Attempts: 4,
+		BackoffBase: time.Millisecond, RefreshFrom: "svc.ringsrc",
+	})
+	r.UpdateRing(RingState{Epoch: 1, Members: []string{"a"}})
+	var reply int
+	if err := r.Call("w1", "Do", &reply, 41); err != nil {
+		t.Fatalf("routed call failed although the ring was current after each backoff: %v", err)
+	}
+	if reply != 42 {
 		t.Fatalf("reply = %d", reply)
 	}
 }
