@@ -19,14 +19,16 @@ race:
 check: scripts/check.sh
 	./scripts/check.sh
 
-## chaos runs the seeded fault soak: shipped-path and routed devices on one
-## fleet scaled 1→4→2 under kills, partitions and storage faults, closed by a
-## failover probe on the stitched fleet trace (see EXPERIMENTS.md).
+## chaos runs the seeded fault soak: shipped-path devices on one fleet scaled
+## 1→4→2 under kills, partitions and storage faults, closed by a traced
+## commit after a kill, checked on the stitched fleet trace (see
+## EXPERIMENTS.md).
 chaos:
 	$(GO) run ./cmd/experiments -run chaos -quick
 
-## ub1-multi replays the UB1 day-8 peak hour over 4 routed SyncService
-## instances and checks durability of every ack plus 450 ms SLO attainment.
+## ub1-multi replays the UB1 day-8 peak hour over 4 SyncService instances on
+## the shared request queue and checks durability of every ack plus 450 ms
+## SLO attainment.
 ub1-multi:
 	$(GO) run ./cmd/experiments -run ub1-multi -quick
 

@@ -331,10 +331,9 @@ func BenchmarkTransferPipeline(b *testing.B) {
 	b.Run("pipelined", func(b *testing.B) { run(b, 8, 16) })
 }
 
-// BenchmarkMultiInstanceCommit measures routed commit throughput through the
-// workspace-affinity path: a compressed UB1 day-8 peak-hour slice replayed as
-// synchronous routed commitRequests over a fleet of 1 vs 4 SyncService
-// instances. Every iteration asserts the robustness contract (no failed and
+// BenchmarkMultiInstanceCommit measures commit throughput on the shared
+// request queue: a compressed UB1 day-8 peak-hour slice replayed as
+// synchronous commitRequests over a fleet of 1 vs 4 SyncService instances. Every iteration asserts the robustness contract (no failed and
 // no lost acked commits) before reporting commits/min per fleet size.
 func BenchmarkMultiInstanceCommit(b *testing.B) {
 	run := func(b *testing.B, instances int) {
@@ -351,7 +350,7 @@ func BenchmarkMultiInstanceCommit(b *testing.B) {
 				b.Fatal(err)
 			}
 			if res.Failed > 0 || res.Lost > 0 {
-				b.Fatalf("routed replay broke durability: %d failed, %d lost", res.Failed, res.Lost)
+				b.Fatalf("replay broke durability: %d failed, %d lost", res.Failed, res.Lost)
 			}
 			rate = res.RatePerMinute
 			p99ms = float64(res.P99) / 1e6
@@ -467,14 +466,15 @@ func BenchmarkMQPublishThroughput(b *testing.B) {
 
 // BenchmarkWireFrameCodec measures frame encode+decode throughput over an
 // in-memory stream — the broker→proxy wire hot path minus the TCP stack. The
-// frame shape is a typical delivery: routed headers plus a 256-byte body.
+// frame shape is a typical delivery: trace-context headers plus a 256-byte
+// body.
 // It reports the binary leg's frames/s and allocs/op (the one leg left since
 // the pre-v2 JSON framing was removed).
 func BenchmarkWireFrameCodec(b *testing.B) {
 	frame := &wire.Frame{
 		Op: wire.OpDeliver, Queue: "sync.requests", ConsumerID: "c1",
 		DeliveryID: 42, MessageID: "m-12345",
-		Headers:    map[string]string{"x-route-epoch": "12", "x-route-key": "ws-7"},
+		Headers:    map[string]string{"x-obs-trace": "4bf92f3577b34da6", "x-obs-span": "00f067aa0ba902b7"},
 		Body:       make([]byte, 256),
 		Persistent: true,
 	}

@@ -6,11 +6,11 @@
 //	experiments -run all -quick      # everything, reduced trace sizes
 //
 // Experiment ids: fig7a fig7b fig7cd table2 fig7e fig7f fig8ab fig8cde fig8f
-// plus the non-figure runs: chaos (the fault soak: shipped-path and routed
-// devices on one supervised fleet scaled 1→4→2 under kills, partitions and
-// storage faults, closed by a failover probe whose stitched cross-instance
-// trace is checked; exit 1 on a violation), ub1-multi (UB1 day-8
-// peak replay over 4 routed instances with SLO attainment), matrix (the
+// plus the non-figure runs: chaos (the fault soak: shipped-path devices on
+// one supervised fleet scaled 1→4→2 under kills, partitions and storage
+// faults, closed by a traced commit after a kill whose stitched
+// cross-instance trace is checked; exit 1 on a violation), ub1-multi (UB1
+// day-8 peak replay over 4 instances with SLO attainment), matrix (the
 // scenario matrix's correctness/SLO checks: mobile churn, cold-start herd,
 // reconnect storm; exit 1 on a violation), trace (end-to-end observability
 // demo), elastic-demo (telemetry-instrumented Fig. 8 replay), ablation.
@@ -195,7 +195,7 @@ func runExperiments(which string, seed int64, quick bool, adminAddr string) erro
 			return fmt.Errorf("chaos soak failed with %d violations", len(res.Violations))
 		}
 	}
-	if which == "ub1-multi" { // not part of "all": routed-fleet peak replay
+	if which == "ub1-multi" { // not part of "all": multi-instance peak replay
 		ran = true
 		cfg := bench.UB1MultiConfig{Seed: seed}
 		if quick {

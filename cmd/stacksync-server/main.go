@@ -31,7 +31,6 @@ type options struct {
 	workspace, users                             string
 	minInstances, maxInstances, metaShards       int
 	admin                                        string
-	affinity                                     bool
 }
 
 func main() {
@@ -46,15 +45,14 @@ func main() {
 	flag.IntVar(&o.maxInstances, "max-instances", 8, "maximum SyncService instances")
 	flag.IntVar(&o.metaShards, "meta-shards", 0, "metadata store shard count, rounded up to a power of two (0 = default)")
 	flag.StringVar(&o.admin, "admin", "", "admin/introspection listen address, e.g. 127.0.0.1:7072 (empty disables; enabling it also enables tracing)")
-	flag.BoolVar(&o.affinity, "affinity", false, "enable workspace-affinity routing: instances fence routed commits by consistent-hash ownership and the supervisor rebalances the ring on scale events")
 	flag.Parse()
 
 	_, stop, err := start(o)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("stacksync-server up: workspace=%q users=%v service pool %d..%d affinity=%v\n",
-		o.workspace, strings.Split(o.users, ","), o.minInstances, o.maxInstances, o.affinity)
+	fmt.Printf("stacksync-server up: workspace=%q users=%v service pool %d..%d\n",
+		o.workspace, strings.Split(o.users, ","), o.minInstances, o.maxInstances)
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
@@ -78,7 +76,6 @@ func start(o options) (*deploy.Fleet, func(), error) {
 			MinInstances: o.minInstances,
 			MaxInstances: o.maxInstances,
 			Provisioner:  reactive,
-			Routing:      o.affinity,
 		},
 	}
 	if o.metaShards > 0 {
@@ -86,12 +83,12 @@ func start(o options) (*deploy.Fleet, func(), error) {
 	}
 	// Observability: with -admin set, every broker shares one registry, one
 	// tracer and one flight recorder so /metrics, /tracez and /eventz see the
-	// whole node; with -affinity too, every instance exports its own bundle
-	// to a fleet Collector for /fleetz and the fleet /tracez.
+	// whole node, and every instance exports its own bundle to a fleet
+	// Collector for /fleetz and the fleet /tracez.
 	if o.admin != "" {
 		cfg.Tracer, cfg.Registry = obs.NewTracer(), obs.NewRegistry()
 		cfg.Events = obs.NewEventLog(obs.DefaultEventLogCapacity)
-		cfg.FleetObs, cfg.CollectEvery = o.affinity, time.Second
+		cfg.FleetObs, cfg.CollectEvery = true, time.Second
 		reactive.SetEventLog(cfg.Events)
 	}
 	fleet, err := deploy.Start(cfg)
@@ -148,26 +145,6 @@ func adminFor(fleet *deploy.Fleet, cfg deploy.Config, scraper *obs.Scraper, minI
 				{Name: "mq", OK: true, Detail: fleet.Addr()},
 				{Name: "syncservice", OK: instances >= minInstances,
 					Detail: fmt.Sprintf("%d/%d instances", instances, minInstances)},
-			}}
-		},
-		Ready: func() obs.Health {
-			// Liveness counts processes; readiness counts instances that
-			// hold a ring slot. A fenced or draining instance is alive but
-			// not ready, so it drops out here before /healthz notices.
-			instances := fleet.Instances()
-			ready := instances
-			if c := fleet.Collector; c != nil {
-				c.Collect()
-				ready = 0
-				for _, st := range c.Rollup().Instances {
-					if st.Alive && st.Ready {
-						ready++
-					}
-				}
-			}
-			return obs.Health{OK: ready >= minInstances, Components: []obs.ComponentHealth{
-				{Name: "syncservice", OK: ready >= minInstances,
-					Detail: fmt.Sprintf("%d/%d ready (of %d alive)", ready, minInstances, instances)},
 			}}
 		},
 		Collector: fleet.Collector,

@@ -76,3 +76,28 @@ func TestStartFailsWhenStoragePortTaken(t *testing.T) {
 	}
 	stop()
 }
+
+// TestAdminEnablesFleetObs: -admin on its own gives /fleetz and the fleet
+// /tracez a collector that lists every serving instance.
+func TestAdminEnablesFleetObs(t *testing.T) {
+	o := testOptions(t)
+	o.admin = "127.0.0.1:0"
+	fleet, stop, err := start(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	if fleet.Collector == nil {
+		t.Fatal("-admin started no fleet collector")
+	}
+	fleet.Collector.Collect()
+	live := 0
+	for _, st := range fleet.Collector.Rollup().Instances {
+		if st.Alive {
+			live++
+		}
+	}
+	if live < o.minInstances {
+		t.Fatalf("collector lists %d live instances, want >= %d", live, o.minInstances)
+	}
+}

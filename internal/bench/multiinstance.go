@@ -19,14 +19,15 @@ import (
 
 // UB1MultiConfig parameterizes the capstone replay: the UB1 day-8 peak hour
 // (8,514 commits/min at full scale, §5.3.1), time-compressed, replayed as
-// routed commitRequests against a fixed fleet of SyncService instances, with
-// the paper's SLA latency bound (d = 450 ms, Table 3) tracked as an SLO.
+// synchronous commitRequests on the shared request queue of a fixed fleet of
+// SyncService instances, with the paper's SLA latency bound (d = 450 ms,
+// Table 3) tracked as an SLO.
 type UB1MultiConfig struct {
 	// Seed fixes the trace shape and the commit schedule.
 	Seed int64
 	// Instances is the fleet size (default 4).
 	Instances int
-	// Workspaces spreads commits over this many ring keys (default 24).
+	// Workspaces spreads commits over this many workspaces (default 24).
 	Workspaces int
 	// Commits is the number of commitRequests replayed (default 3000).
 	Commits int
@@ -90,7 +91,7 @@ type UB1MultiResult struct {
 	Acked      int   `json:"acked"`
 	Failed     int   `json:"failed"`
 	// Lost counts acked commits missing from the metadata store afterwards —
-	// must be zero: a routed ack means a durable commit.
+	// must be zero: a sync ack means a durable commit.
 	Lost    int           `json:"lost"`
 	Elapsed time.Duration `json:"elapsed"`
 	// RatePerMinute is the achieved commit throughput, for comparison with
@@ -106,16 +107,15 @@ type UB1MultiResult struct {
 	Attainment         float64       `json:"attainment"`
 	BurnRate           float64       `json:"burnRate"`
 	SLOMet             bool          `json:"sloMet"`
-	RingSize           int           `json:"ringSize"`
-	RingEpoch          uint64        `json:"ringEpoch"`
-	RoutedCalls        uint64        `json:"routedCalls"`
-	Failovers          uint64        `json:"failovers"`
-	StaleRejects       uint64        `json:"staleRejects"`
+	// Live is the number of instances serving after the replay; Retries
+	// counts call attempts past the first (omq_retry_attempts_total).
+	Live    int    `json:"live"`
+	Retries uint64 `json:"retries"`
 }
 
 // RunUB1Multi replays the UB1 day-8 peak hour, time-compressed into
-// cfg.Duration, as routed commitRequests over a fleet of cfg.Instances
-// SyncService instances, and verifies SLO attainment plus that every acked
+// cfg.Duration, as synchronous commitRequests on the shared queue of a fleet
+// of cfg.Instances SyncService instances, and verifies SLO attainment plus that every acked
 // commit is durable in the metadata store.
 func RunUB1Multi(cfg UB1MultiConfig) (*UB1MultiResult, error) {
 	cfg.applyDefaults()
@@ -154,18 +154,16 @@ func RunUB1Multi(cfg UB1MultiConfig) (*UB1MultiResult, error) {
 	}
 	sort.Slice(jobs, func(a, b int) bool { return jobs[a].at < jobs[b].at })
 
-	// Stack: healthy plumbing — the replay measures routed capacity, not
+	// Stack: healthy plumbing — the replay measures fleet capacity, not
 	// fault repair (the chaos soak covers that).
 	reg := obs.NewRegistry()
 	fleet, err := deploy.Start(deploy.Config{
 		Workspaces: workspacesOf(cfg.Workspaces, ub1MultiWorkspace),
 		Registry:   reg,
 		Supervisor: &omq.SupervisorConfig{
-			CheckEvery:      cfg.CheckEvery,
-			Provisioner:     omq.FixedProvisioner(cfg.Instances),
-			MaxInstances:    cfg.Instances,
-			Routing:         true,
-			InventoryWindow: 50 * time.Millisecond,
+			CheckEvery:   cfg.CheckEvery,
+			Provisioner:  omq.FixedProvisioner(cfg.Instances),
+			MaxInstances: cfg.Instances,
 		},
 	})
 	if err != nil {
@@ -182,14 +180,8 @@ func RunUB1Multi(cfg UB1MultiConfig) (*UB1MultiResult, error) {
 		return nil, err
 	}
 	defer loadBroker.Close()
-	router := omq.NewRouter(loadBroker, omq.RouterConfig{
-		OID:         core.ServiceOID,
-		Timeout:     600 * time.Millisecond,
-		Attempts:    8,
-		BackoffBase: 5 * time.Millisecond,
-		BackoffMax:  100 * time.Millisecond,
-	})
-	router.Refresh()
+	service := loadBroker.Lookup(core.ServiceOID, omq.WithTimeout(600*time.Millisecond),
+		omq.WithRetries(8), omq.WithBackoff(5*time.Millisecond, 100*time.Millisecond))
 
 	slo := obs.NewSLOTracker(reg, obs.SLOConfig{
 		Name:      "ub1_multi_commit",
@@ -236,7 +228,7 @@ func RunUB1Multi(cfg UB1MultiConfig) (*UB1MultiResult, error) {
 						DeviceID:  "load-gen",
 					}},
 				}
-				err := router.Call(ws, "CommitRequest", nil, req)
+				err := service.Call("CommitRequest", nil, req)
 				lat := time.Since(start.Add(job.at))
 				slo.Observe(lat)
 				mu.Lock()
@@ -254,7 +246,7 @@ func RunUB1Multi(cfg UB1MultiConfig) (*UB1MultiResult, error) {
 	elapsed := time.Since(start)
 
 	// Verification: every acked commit must be present in the metadata
-	// store — a routed ack is a durability promise.
+	// store — a sync ack is a durability promise.
 	lost := 0
 	ackedTotal := 0
 	for ws, paths := range acked {
@@ -291,21 +283,16 @@ func RunUB1Multi(cfg UB1MultiConfig) (*UB1MultiResult, error) {
 		SLOObjective:       cfg.SLOObjective,
 		Attainment:         slo.Attainment(),
 		BurnRate:           slo.BurnRate(),
-		RoutedCalls:        reg.CounterValue("omq_router_calls_total", "oid", core.ServiceOID),
-		Failovers:          reg.CounterValue("omq_router_failover_total", "oid", core.ServiceOID),
-		StaleRejects:       reg.CounterValue("omq_router_stale_total", "oid", core.ServiceOID),
+		Live:               fleet.Instances(),
+		Retries:            reg.CounterValue("omq_retry_attempts_total", "oid", core.ServiceOID),
 	}
 	res.SLOMet = res.Attainment >= cfg.SLOObjective
-	if r := fleet.Ring(); r != nil {
-		res.RingSize = len(r.Members())
-		res.RingEpoch = r.Epoch()
-	}
 	return res, nil
 }
 
 // Print writes the replay summary.
 func (r *UB1MultiResult) Print(w io.Writer) {
-	fmt.Fprintf(w, "UB1 day-8 peak replay — seed %d: %d commits over %d workspaces on %d routed instances\n",
+	fmt.Fprintf(w, "UB1 day-8 peak replay — seed %d: %d commits over %d workspaces on %d instances\n",
 		r.Seed, r.Scheduled, r.Workspaces, r.Instances)
 	fmt.Fprintf(w, "%-22s %d acked, %d failed, %d lost (elapsed %v)\n", "outcome", r.Acked, r.Failed, r.Lost, r.Elapsed.Round(time.Millisecond))
 	fmt.Fprintf(w, "%-22s %.0f commits/min achieved (trace peak %.0f/min at full scale)\n", "throughput", r.RatePerMinute, r.TracePeakPerMinute)
@@ -316,6 +303,5 @@ func (r *UB1MultiResult) Print(w io.Writer) {
 	}
 	fmt.Fprintf(w, "%-22s %.4f attainment vs %.2f objective at d=%v — %s (burn %.2f)\n",
 		"slo", r.Attainment, r.SLOObjective, r.SLOTarget, status, r.BurnRate)
-	fmt.Fprintf(w, "%-22s ring %d members @ epoch %d; %d routed calls, %d failovers, %d stale rejects\n",
-		"routing", r.RingSize, r.RingEpoch, r.RoutedCalls, r.Failovers, r.StaleRejects)
+	fmt.Fprintf(w, "%-22s %d instances live after the replay; %d call retries\n", "fleet", r.Live, r.Retries)
 }

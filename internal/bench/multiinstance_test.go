@@ -16,11 +16,14 @@ import (
 
 // TestCrossInstanceLinearizability extends the metastore property harness
 // across instance boundaries: per workspace, several racers propose the same
-// item's version chain through independent Routers while the fleet is scaled
-// 1 → 4 → 2 and instances are killed mid-commit. Version precedence must
-// serialize the contested chain to exactly one item at the final version on
-// whatever instance owns the key, and every racer's own (uncontested) acked
-// commit must survive — no matter how many owners a retried call visited.
+// item's version chain through sync calls on the shared request queue, each
+// from its own broker, while the fleet is scaled 1 → 4 → 2 and instances are
+// killed mid-commit. A killed instance's call is redelivered, and a timed-out
+// call retried, to whichever instance is live, so one proposal may execute
+// on two instances; the metastore's replay detection must re-ack the second
+// execution. Version precedence must serialize the contested chain to
+// exactly one item at the final version, and every racer's own (uncontested)
+// acked commit must survive.
 func TestCrossInstanceLinearizability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second cross-instance race")
@@ -41,7 +44,6 @@ func TestCrossInstanceLinearizability(t *testing.T) {
 				return int(target.Load())
 			}),
 			MaxInstances:    6,
-			Routing:         true,
 			InventoryWindow: 50 * time.Millisecond,
 		},
 	})
@@ -50,24 +52,19 @@ func TestCrossInstanceLinearizability(t *testing.T) {
 	}
 	defer fleet.Close()
 
-	// One router per racer, each on its own broker: independent ring views,
-	// independent failover state.
-	routers := make([][]*omq.Router, workspaces)
+	// One proxy per racer, each on its own broker: independent reply
+	// queues, independent retry state.
+	proxies := make([][]*omq.Proxy, workspaces)
 	for w := 0; w < workspaces; w++ {
-		routers[w] = make([]*omq.Router, racers)
+		proxies[w] = make([]*omq.Proxy, racers)
 		for r := 0; r < racers; r++ {
 			cb, err := omq.NewBroker(fleet.MQ, omq.WithID(fmt.Sprintf("30-racer-%d-%d", w, r)))
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer cb.Close()
-			routers[w][r] = omq.NewRouter(cb, omq.RouterConfig{
-				OID:         core.ServiceOID,
-				Timeout:     300 * time.Millisecond,
-				Attempts:    14,
-				BackoffBase: 15 * time.Millisecond,
-				BackoffMax:  200 * time.Millisecond,
-			})
+			proxies[w][r] = cb.Lookup(core.ServiceOID, omq.WithTimeout(300*time.Millisecond),
+				omq.WithRetries(14), omq.WithBackoff(15*time.Millisecond, 200*time.Millisecond))
 		}
 	}
 
@@ -127,7 +124,7 @@ func TestCrossInstanceLinearizability(t *testing.T) {
 						Workspace: ws, DeviceID: contested.DeviceID,
 						Items: []metastore.ItemVersion{contested, own},
 					}
-					if err := routers[w][r].Call(ws, "CommitRequest", nil, req); err != nil {
+					if err := proxies[w][r].Call("CommitRequest", nil, req); err != nil {
 						errCh <- fmt.Errorf("ws %d racer %d round %d: %w", w, r, v, err)
 					}
 				}(w, r, v)
@@ -139,7 +136,7 @@ func TestCrossInstanceLinearizability(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Dwell between rounds so the kill schedule and the Supervisor's
-		// repair (respawn + rebalance) interleave with the proposals instead
+		// respawns interleave with the proposals instead
 		// of the whole race outrunning the first crash.
 		time.Sleep(120 * time.Millisecond)
 	}
@@ -188,8 +185,8 @@ func TestCrossInstanceLinearizability(t *testing.T) {
 }
 
 // TestUB1MultiReplay replays a compressed slice of the UB1 day-8 peak hour
-// over a 4-instance routed fleet: every acked commit must be durable and the
-// paper's 450 ms SLA must be attained.
+// over 4 live instances on the shared queue: every acked commit must be
+// durable and the paper's 450 ms SLA must be attained.
 func TestUB1MultiReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second trace replay")
@@ -213,7 +210,7 @@ func TestUB1MultiReplay(t *testing.T) {
 	if !res.SLOMet {
 		t.Fatalf("SLO missed (attainment %.4f < %.2f):\n%s", res.Attainment, res.SLOObjective, buf.String())
 	}
-	if res.RingSize != 4 {
-		t.Fatalf("ring settled with %d members, want 4:\n%s", res.RingSize, buf.String())
+	if res.Live != 4 {
+		t.Fatalf("%d instances live after the replay, want 4:\n%s", res.Live, buf.String())
 	}
 }

@@ -23,16 +23,15 @@ import (
 	"stacksync/internal/omq"
 )
 
-// SoakConfig parameterizes the chaos soak: a routed, supervised SyncService
-// fleet is driven through the phase schedule soakPhases while a seeded
-// fault plan drops, duplicates and delays messages, fails storage, aborts
-// metadata transactions and kills instances. Devices alternate by index:
-// even ones take the shipped path (shared queue, async commit,
-// retransmission — what stacksync-client runs), odd ones route by workspace
-// through an omq.Router, so both kinds race in shared workspaces. Afterwards
-// every device must converge on every acked commit, respawns must take at
-// most the paper's ~1 s (§5.3.4), and a directed failover probe must leave a
-// stitched cross-instance trace.
+// SoakConfig parameterizes the chaos soak: a supervised SyncService fleet is
+// driven through the phase schedule soakPhases while a seeded fault plan
+// drops, duplicates and delays messages, fails storage, aborts metadata
+// transactions and kills instances. Every device takes the shipped path:
+// the shared request queue, async commits and retransmission, as
+// stacksync-client runs. Afterwards every device must converge on every
+// acked commit, respawns must take at most the paper's ~1 s (§5.3.4), and a
+// traced commit made after a closing kill must leave a complete stitched
+// trace.
 type SoakConfig struct {
 	// Seed fixes the fault plan and the kill schedule; same seed, same chaos.
 	Seed int64
@@ -70,9 +69,8 @@ func (c *SoakConfig) applyDefaults() {
 }
 
 const (
-	// soakWorkspaces is the number of device workspaces. It is odd, so
-	// devices i and i+3, which share a workspace, differ in parity: every
-	// workspace with two devices holds one of each kind.
+	// soakWorkspaces is the number of device workspaces; devices i and i+3
+	// share one, so their commits race.
 	soakWorkspaces = 3
 	// soakSettle caps the wait for convergence after the workload.
 	soakSettle = 30 * time.Second
@@ -83,23 +81,11 @@ const (
 var soakPhases = []int{1, 4, 2}
 
 // soakWorkspace names workspace i; workspace soakWorkspaces holds no device
-// and is the failover probe's target.
+// and is the closing probe's target.
 func soakWorkspace(i int) string { return fmt.Sprintf("soak-ws-%d", i) }
 
-// soakRouter configures every router of the soak, the probe's included.
-var soakRouter = omq.RouterConfig{
-	OID:         core.ServiceOID,
-	Timeout:     400 * time.Millisecond,
-	Attempts:    14,
-	BackoffBase: 15 * time.Millisecond,
-	BackoffMax:  250 * time.Millisecond,
-}
-
 // soakPlan builds the fault plan; pulled out so the schedule can be rebuilt
-// and compared for determinism. Each device kind has its own client sites.
-// The routed ones are gentler: a routed commit is synchronous, so every
-// fault there spends part of a bounded retry budget instead of an
-// open-ended retransmission loop.
+// and compared for determinism.
 func soakPlan(cfg SoakConfig, reg *obs.Registry) *faults.Plan {
 	horizon := max(time.Duration(cfg.CommitsPerClient)*(cfg.CommitGap+40*time.Millisecond), time.Second)
 	return faults.NewPlan(faults.Config{
@@ -108,15 +94,10 @@ func soakPlan(cfg SoakConfig, reg *obs.Registry) *faults.Plan {
 		Sites: map[string]faults.SiteConfig{
 			// Client publishes: commit requests vanish, duplicate, lag.
 			"mq.client": {DropP: 0.05, DupP: 0.05, DelayP: 0.10, MaxDelay: 20 * time.Millisecond},
-			"mq.router": {DropP: 0.04, DupP: 0.04, DelayP: 0.08, MaxDelay: 15 * time.Millisecond},
 			// Storage: transient errors, latency spikes, full outages.
 			"objstore": {
 				ErrorP: 0.10, DelayP: 0.10, MaxDelay: 10 * time.Millisecond,
 				Outages: faults.RandomOutages(cfg.Seed, "objstore", 2, 300*time.Millisecond, horizon),
-			},
-			"objstore.router": {
-				ErrorP: 0.08, DelayP: 0.08, MaxDelay: 10 * time.Millisecond,
-				Outages: faults.RandomOutages(cfg.Seed, "objstore.router", 1, 200*time.Millisecond, horizon),
 			},
 			// Notification pushes: the lossiest hop — resync must repair.
 			deploy.FaultSiteNotify: {DropP: 0.10, DupP: 0.05, DelayP: 0.10, MaxDelay: 20 * time.Millisecond},
@@ -142,29 +123,24 @@ type SoakResult struct {
 	// ScheduleStable is true when rebuilding the plan from the same seed
 	// yields a byte-identical schedule description.
 	ScheduleStable bool
-	// Fleet and ring size after the final phase and the probe, and the
-	// number of supervisor.rebalance events.
-	FinalInstances, FinalRingSize, Rebalances int
-	// Router and fencing traffic of the routed devices.
-	RoutedCalls, StaleRejects, Failovers, Fenced uint64
+	// Fleet size after the final phase and the probe, and the number of
+	// supervisor.scale events.
+	FinalInstances, Scales int
 	// FaultCounts maps site/kind to the injections fired.
 	FaultCounts map[string]uint64
-	// Fleet observability: stitched traces, those with a cause-annotated
-	// router attempt, and the fleet-merged hottest workspace by commits.
+	// Fleet observability: stitched traces and the fleet-merged hottest
+	// workspace by commits.
 	StitchedTraces int
-	FailoverTraces int
 	HotTop         string
 	HotTopCommits  uint64
-	// The closing failover probe: the owner it killed and the anatomy of
-	// the stitched trace of its failed-over commit. ProbePathInstances
+	// The closing probe: the instance it killed and the anatomy of the
+	// stitched trace of the commit it made afterwards. ProbePathInstances
 	// counts distinct instances on the trace's critical path; >= 2 means it
 	// crosses the process boundary.
 	ProbeKilled        string
 	ProbeTrace         string
 	ProbeSpans         int
 	ProbeInstances     int
-	ProbeAttempts      int // omq.attempt.* spans
-	ProbeCause         string
 	ProbePathInstances int
 	ProbePartial       bool
 	// Violations lists every broken invariant (empty on a clean run).
@@ -199,10 +175,8 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 				return int(target.Load())
 			}),
 			MaxInstances: slices.Max(soakPhases) + 2,
-			Routing:      true,
-			// Keep the rebalance latency well under the kill cadence, or
-			// the ring chronically trails the fleet and routed calls spend
-			// their budget on corpses.
+			// A scale-in's inventory multicall holds the check this long;
+			// keep it under the check period.
 			InventoryWindow: 50 * time.Millisecond,
 		},
 	})
@@ -216,43 +190,33 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 
 	wsOf := func(i int) string { return soakWorkspace(i % soakWorkspaces) }
 	clients := make([]*client.Client, cfg.Clients)
-	routed := make([]bool, cfg.Clients)
 	for i := range clients {
+		// Each device traces into its own sink, a collector pseudo-source,
+		// so a commit's trace stitches from the device into the instance
+		// that served it.
 		id := fmt.Sprintf("30-client-%d", i)
-		ccfg := client.Config{
+		sink := obs.NewSpanSink(0)
+		tracer := obs.NewTracer(obs.WithSink(sink), obs.WithInstance(id))
+		fleet.Collector.Register(obs.Source{InstanceID: id, Sink: sink})
+		cb, err := omq.NewBroker(mq.NewFaulty(fleet.MQ, plan, "mq.client", nil),
+			omq.WithID(id), omq.WithRegistry(reg), omq.WithTracer(tracer))
+		if err != nil {
+			return nil, err
+		}
+		defer cb.Close()
+		cl, err := client.NewClient(client.Config{
 			UserID: "user-0", DeviceID: fmt.Sprintf("dev-%d", i), WorkspaceID: wsOf(i),
+			Broker:      cb,
+			Storage:     objstore.NewFaulty(fleet.Chunks, plan, "objstore", nil),
 			Registry:    reg,
+			Tracer:      tracer,
 			Chunker:     chunker.Fixed{ChunkSize: 4 * 1024},
 			CallTimeout: 500 * time.Millisecond, CallRetries: 10,
 			StoreBackoff: 5 * time.Millisecond, BreakerThreshold: 4,
 			BreakerCooldown: 150 * time.Millisecond,
 			RetransmitEvery: 250 * time.Millisecond,
 			ResyncEvery:     250 * time.Millisecond,
-		}
-		mqSite, storeSite := "mq.client", "objstore"
-		opts := []omq.BrokerOption{omq.WithID(id), omq.WithRegistry(reg)}
-		if routed[i] = i%2 == 1; routed[i] {
-			// A routed device traces into its own sink, a collector
-			// pseudo-source: the root, route and attempt spans of a routed
-			// commit live client-side, so a failover stays traceable even
-			// when the owner that dropped it died unscraped.
-			mqSite, storeSite = "mq.router", "objstore.router"
-			sink := obs.NewSpanSink(0)
-			ccfg.Tracer = obs.NewTracer(obs.WithSink(sink), obs.WithInstance(id))
-			fleet.Collector.Register(obs.Source{InstanceID: id, Sink: sink})
-			opts = append(opts, omq.WithTracer(ccfg.Tracer))
-		}
-		cb, err := omq.NewBroker(mq.NewFaulty(fleet.MQ, plan, mqSite, nil), opts...)
-		if err != nil {
-			return nil, err
-		}
-		defer cb.Close()
-		ccfg.Broker = cb
-		ccfg.Storage = objstore.NewFaulty(fleet.Chunks, plan, storeSite, nil)
-		if routed[i] {
-			ccfg.Router = omq.NewRouter(cb, soakRouter)
-		}
-		cl, err := client.NewClient(ccfg)
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -334,22 +298,15 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 
 	final := soakPhases[len(soakPhases)-1]
 	_ = fleet.WaitInstances(final, 5*time.Second)
-	probeErr := res.probeFailover(fleet, soakWorkspace(soakWorkspaces), final)
+	probeErr := res.probeAfterKill(fleet, soakWorkspace(soakWorkspaces), final)
 	_ = fleet.WaitInstances(final, 5*time.Second)
 
 	res.FinalInstances = fleet.Instances()
-	if r := fleet.Ring(); r != nil {
-		res.FinalRingSize = len(r.Members())
-	}
 	for _, e := range events.Tail(events.Len()) {
-		if e.Kind == obs.EventSupervisorRebalance {
-			res.Rebalances++
+		if e.Kind == obs.EventSupervisorScale {
+			res.Scales++
 		}
 	}
-	res.RoutedCalls = reg.CounterValue("omq_router_calls_total", "oid", core.ServiceOID)
-	res.StaleRejects = reg.CounterValue("omq_router_stale_total", "oid", core.ServiceOID)
-	res.Failovers = reg.CounterValue("omq_router_failover_total", "oid", core.ServiceOID)
-	res.Fenced = reg.CounterValue("core_fenced_total")
 	res.FaultCounts = plan.Counts()
 	killed, maxRespawn := crashes.result()
 	res.Crashes, res.MaxRespawn = len(killed), maxRespawn
@@ -357,12 +314,12 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 	// Final scrape, then the fleet-wide trace and heavy-hitter state.
 	fleet.Collector.Collect()
 	rollup := fleet.Collector.Rollup()
-	res.StitchedTraces, res.FailoverTraces = countFailoverTraces(fleet.Collector)
+	res.StitchedTraces = len(fleet.Collector.TraceIDs())
 	if len(rollup.HotCommits) > 0 {
 		res.HotTop, res.HotTopCommits = rollup.HotCommits[0].Key, rollup.HotCommits[0].Count
 	}
 
-	v := deviceViolations(clients, routed, wsOf, expected)
+	v := deviceViolations(clients, wsOf, expected)
 	if probeErr != nil {
 		v = append(v, "probe: "+probeErr.Error())
 	}
@@ -393,14 +350,10 @@ func soakConverged(clients []*client.Client, wsOf func(int) string, expected map
 }
 
 // deviceViolations checks each device's end state against its workspace's
-// acked commits, and that some workspace mixed both device kinds.
-func deviceViolations(clients []*client.Client, routed []bool, wsOf func(int) string, expected map[string]map[string]string) []string {
+// acked commits.
+func deviceViolations(clients []*client.Client, wsOf func(int) string, expected map[string]map[string]string) []string {
 	var v []string
-	mixed := false
 	for i, cl := range clients {
-		for j := range clients {
-			mixed = mixed || (wsOf(j) == wsOf(i) && routed[j] != routed[i])
-		}
 		exp := expected[wsOf(i)]
 		for _, p := range cl.Paths() {
 			if strings.Contains(p, "conflicted copy") {
@@ -415,9 +368,6 @@ func deviceViolations(clients []*client.Client, routed []bool, wsOf func(int) st
 				v = append(v, fmt.Sprintf("dev-%d lost acked commit %q", i, path))
 			}
 		}
-	}
-	if !mixed {
-		v = append(v, "no workspace holds both a shipped-path and a routed device")
 	}
 	return v
 }
@@ -445,7 +395,7 @@ func (r *SoakResult) fleetViolations(killed []string, rollup obs.FleetRollup, ex
 			v = append(v, fmt.Sprintf("phase %d applied at %v, after the workload ended at %v", soakPhases[i+1], at, r.Window))
 		}
 	}
-	for _, site := range []string{"mq.client", "mq.router", "objstore", "objstore.router", deploy.FaultSiteNotify, deploy.FaultSiteMeta} {
+	for _, site := range []string{"mq.client", "objstore", deploy.FaultSiteNotify, deploy.FaultSiteMeta} {
 		fired := false
 		for k := range r.FaultCounts {
 			fired = fired || strings.HasPrefix(k, site+"/")
@@ -458,17 +408,11 @@ func (r *SoakResult) fleetViolations(killed []string, rollup obs.FleetRollup, ex
 	if r.FinalInstances != final {
 		v = append(v, fmt.Sprintf("fleet settled at %d instances, want %d", r.FinalInstances, final))
 	}
-	if r.FinalRingSize != final {
-		v = append(v, fmt.Sprintf("ring settled with %d members, want %d", r.FinalRingSize, final))
-	}
-	if r.Rebalances == 0 {
-		v = append(v, "no supervisor.rebalance events recorded despite scale phases")
+	if r.Scales == 0 {
+		v = append(v, "no supervisor.scale events recorded despite scale phases")
 	}
 	if r.StitchedTraces == 0 {
 		v = append(v, "collector holds no stitched traces despite a traced workload")
-	}
-	if r.Failovers > 0 && r.FailoverTraces == 0 {
-		v = append(v, fmt.Sprintf("%d router failovers happened but no stitched trace shows a cause-annotated attempt", r.Failovers))
 	}
 
 	// Kills are never clean; the 4 → 2 phase drains instances cleanly.
@@ -486,23 +430,16 @@ func (r *SoakResult) fleetViolations(killed []string, rollup obs.FleetRollup, ex
 		v = append(v, "no instance recorded as a clean drain after the scale-in")
 	}
 
-	// The probe's commit failed over, and its stitched trace shows it.
+	// The probe's commit after the kill stitched from the probe into a
+	// serving instance, completely.
 	if r.ProbeInstances < 2 {
 		v = append(v, fmt.Sprintf("probe: stitched trace spans %d instance(s), want >= 2", r.ProbeInstances))
-	}
-	if r.ProbeAttempts < 2 {
-		v = append(v, fmt.Sprintf("probe: failover trace has %d attempt spans, want >= 2", r.ProbeAttempts))
-	}
-	switch r.ProbeCause {
-	case omq.CauseStaleRoute, omq.CauseRoutedTimeout, omq.CauseQueueNotFound:
-	default:
-		v = append(v, fmt.Sprintf("probe: failover cause %q, want stale-route, routed-timeout or queue-not-found", r.ProbeCause))
 	}
 	if r.ProbePathInstances < 2 {
 		v = append(v, fmt.Sprintf("probe: critical path touches %d instance(s), want >= 2", r.ProbePathInstances))
 	}
 	if r.ProbePartial {
-		v = append(v, "probe: failover trace marked partial despite surviving instances")
+		v = append(v, "probe: trace of the commit after the kill marked partial")
 	}
 
 	most := 0
@@ -515,31 +452,12 @@ func (r *SoakResult) fleetViolations(killed []string, rollup obs.FleetRollup, ex
 	return v
 }
 
-// countFailoverTraces counts the collector's stitched traces, and those with
-// at least one router attempt span annotated with a failover cause.
-func countFailoverTraces(collector *obs.Collector) (total, failover int) {
-	for _, id := range collector.TraceIDs() {
-		st, ok := collector.Trace(id)
-		if !ok {
-			continue
-		}
-		total++
-		for _, sp := range st.Spans {
-			if strings.HasPrefix(sp.Name, "omq.attempt.") && sp.Annot("cause") != "" {
-				failover++
-				break
-			}
-		}
-	}
-	return total, failover
-}
-
-// probeFailover closes the soak: a clean traced router joins the collector,
-// the probe kills the owner of ws on the router's ring, waits for the
-// Supervisor's repair, then commits on that now-stale view. The commit must
-// fail over, and its stitched trace must show the failed attempt's cause and
-// a critical path across instances.
-func (r *SoakResult) probeFailover(fleet *deploy.Fleet, ws string, want int) error {
+// probeAfterKill closes the soak: it kills one instance, waits for the
+// Supervisor's respawn, then a clean traced client that joins the collector
+// makes one sync commit on the shared queue. The commit's stitched trace
+// must be in the collector, complete, and on a critical path that crosses
+// from the client into the instance that served it.
+func (r *SoakResult) probeAfterKill(fleet *deploy.Fleet, ws string, want int) error {
 	sink := obs.NewSpanSink(0)
 	tracer := obs.NewTracer(obs.WithSink(sink), obs.WithInstance("probe"))
 	b, err := omq.NewBroker(fleet.MQ, omq.WithID("40-probe"), omq.WithTracer(tracer))
@@ -548,24 +466,11 @@ func (r *SoakResult) probeFailover(fleet *deploy.Fleet, ws string, want int) err
 	}
 	defer b.Close()
 	fleet.Collector.Register(obs.Source{InstanceID: "probe", Sink: sink})
-	router := omq.NewRouter(b, soakRouter)
-	// The ring may still name an instance killed just before the workload
-	// ended, until the Supervisor's repair lands: retry until the owner is
-	// one that runs.
-	deadline := time.Now().Add(10 * time.Second)
-	var stale *omq.Ring
-	for {
-		router.Refresh()
-		if stale = router.Ring(); stale != nil && fleet.KillByID(stale.Owner(ws)) {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("no running owner of %s to kill", ws)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if r.ProbeKilled = fleet.Kill(); r.ProbeKilled == "" {
+		return fmt.Errorf("no running instance to kill")
 	}
-	r.ProbeKilled = stale.Owner(ws)
-	for fleet.Instances() < want || fleet.Ring().Epoch() <= stale.Epoch() {
+	deadline := time.Now().Add(10 * time.Second)
+	for fleet.Instances() < want {
 		if time.Now().After(deadline) {
 			return fmt.Errorf("fleet never recovered from the kill of %s", r.ProbeKilled)
 		}
@@ -573,31 +478,25 @@ func (r *SoakResult) probeFailover(fleet *deploy.Fleet, ws string, want int) err
 	}
 
 	root := tracer.StartRoot("client.commit")
-	const path = "probe/failover.txt"
-	err = router.CallCtx(obs.ContextWith(context.Background(), root.Context()), ws, "CommitRequest", nil,
+	const path = "probe/after-kill.txt"
+	service := b.Lookup(core.ServiceOID, omq.WithTimeout(400*time.Millisecond),
+		omq.WithRetries(14), omq.WithBackoff(15*time.Millisecond, 250*time.Millisecond))
+	err = service.CallCtx(obs.ContextWith(context.Background(), root.Context()), "CommitRequest", nil,
 		core.CommitRequest{Workspace: ws, DeviceID: "probe", Items: []metastore.ItemVersion{{
 			Workspace: ws, ItemID: ws + ":" + path, Path: path,
 			Version: 1, Status: metastore.Added, Size: 2048, DeviceID: "probe",
 		}}})
 	root.End()
 	if err != nil {
-		return fmt.Errorf("failover commit: %w", err)
+		return fmt.Errorf("commit after the kill: %w", err)
 	}
 	r.ProbeTrace = root.Context().TraceID
 	fleet.Collector.Collect()
 	st, ok := fleet.Collector.Trace(r.ProbeTrace)
 	if !ok {
-		return fmt.Errorf("failover trace missing from collector")
+		return fmt.Errorf("trace of the commit after the kill missing from collector")
 	}
 	r.ProbeSpans, r.ProbeInstances, r.ProbePartial = len(st.Spans), len(st.Instances), st.Partial
-	for _, sp := range st.Spans {
-		if strings.HasPrefix(sp.Name, "omq.attempt.") {
-			r.ProbeAttempts++
-			if c := sp.Annot("cause"); c != "" && r.ProbeCause == "" {
-				r.ProbeCause = c
-			}
-		}
-	}
 	onPath := make(map[string]bool)
 	for _, seg := range obs.CriticalPathDeep(st.Spans) {
 		if seg.Instance != "" {
@@ -605,13 +504,12 @@ func (r *SoakResult) probeFailover(fleet *deploy.Fleet, ws string, want int) err
 		}
 	}
 	r.ProbePathInstances = len(onPath)
-
 	return nil
 }
 
 // Print writes the soak summary.
 func (r *SoakResult) Print(w io.Writer) {
-	fmt.Fprintf(w, "Chaos soak — seed %d: %d acked commits, %d devices (even shipped-path, odd routed) over %d workspaces, phases %v\n",
+	fmt.Fprintf(w, "Chaos soak — seed %d: %d acked commits, %d devices over %d workspaces, phases %v\n",
 		r.Seed, r.Commits, r.Clients, soakWorkspaces, soakPhases)
 	status := "CONVERGED"
 	if !r.Converged {
@@ -620,13 +518,11 @@ func (r *SoakResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "%-30s %s (settle %v, max respawn %v)\n", "outcome", status,
 		r.SettleTime.Round(time.Millisecond), r.MaxRespawn.Round(time.Millisecond))
 	fmt.Fprintf(w, "%-30s %v; %d crashes, phase switches at %v\n", "workload window", r.Window, r.Crashes, r.PhaseAt)
-	fmt.Fprintf(w, "%-30s %d instances, ring of %d members\n", "final fleet", r.FinalInstances, r.FinalRingSize)
-	fmt.Fprintf(w, "%-30s %d rebalances, %d routed calls, %d failovers, %d stale rejects, %d fenced\n",
-		"routing", r.Rebalances, r.RoutedCalls, r.Failovers, r.StaleRejects, r.Fenced)
-	fmt.Fprintf(w, "%-30s %d stitched traces, %d with failover attempts; hottest workspace %s (%d commits)\n",
-		"fleet obs", r.StitchedTraces, r.FailoverTraces, r.HotTop, r.HotTopCommits)
-	fmt.Fprintf(w, "%-30s killed %s; trace %s: %d spans, %d instances, %d attempts, cause %q, critical path crosses %d instances\n",
-		"failover probe", r.ProbeKilled, r.ProbeTrace, r.ProbeSpans, r.ProbeInstances, r.ProbeAttempts, r.ProbeCause, r.ProbePathInstances)
+	fmt.Fprintf(w, "%-30s %d instances after %d scale events\n", "final fleet", r.FinalInstances, r.Scales)
+	fmt.Fprintf(w, "%-30s %d stitched traces; hottest workspace %s (%d commits)\n",
+		"fleet obs", r.StitchedTraces, r.HotTop, r.HotTopCommits)
+	fmt.Fprintf(w, "%-30s killed %s; trace %s: %d spans, %d instances, critical path crosses %d instances\n",
+		"probe after kill", r.ProbeKilled, r.ProbeTrace, r.ProbeSpans, r.ProbeInstances, r.ProbePathInstances)
 	fmt.Fprintf(w, "%-30s %v\n", "schedule stable", r.ScheduleStable)
 	keys := make([]string, 0, len(r.FaultCounts))
 	for k := range r.FaultCounts {

@@ -8,11 +8,11 @@ import (
 
 // TestChaosSoakConverges runs the chaos soak with a fixed seed at a size
 // whose workload outlasts both phase switches and the first kill (4 devices
-// over the 3 workspaces, so one workspace mixes device kinds), and
-// asserts it breaks no invariant: every device converged on every acked
-// commit, no spurious conflict copy, respawn under ~1 s, the fleet settled
-// on the final phase, a reproducible schedule, and a failover probe whose
-// stitched trace crosses instances. The full-size soak is `experiments -run
+// over the 3 workspaces, so two devices race in one workspace), and asserts
+// it breaks no invariant: every device converged on every acked commit, no
+// spurious conflict copy, respawn under ~1 s, the fleet settled on the final
+// phase, a reproducible schedule, and a commit made after the closing kill
+// whose stitched trace is complete and crosses instances. The full-size soak is `experiments -run
 // chaos`.
 func TestChaosSoakConverges(t *testing.T) {
 	if testing.Short() {

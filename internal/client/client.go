@@ -50,12 +50,6 @@ type Config struct {
 	WorkspaceID string
 	// Broker is this device's ObjectMQ endpoint.
 	Broker *omq.Broker
-	// Router, when set, routes this device's service calls by workspace
-	// affinity (DESIGN §13): CommitRequest becomes a synchronous routed call
-	// to the workspace's owning instance — acknowledged only after the
-	// metadata commit — with epoch fencing and failover to the successor on
-	// crash or rebalance. Nil keeps the legacy shared-queue path.
-	Router *omq.Router
 	// Storage is the Storage back-end. Chunks live in the workspace's
 	// container, which the client ensures on Start.
 	Storage objstore.Store
@@ -417,7 +411,7 @@ func (c *Client) pullChanges() error {
 	since := c.syncVersion
 	c.mu.Unlock()
 	var reply core.ChangesReply
-	if err := c.callService("GetChangesSince", &reply, c.cfg.WorkspaceID, since); err != nil {
+	if err := c.sync.Call("GetChangesSince", &reply, c.cfg.WorkspaceID, since); err != nil {
 		return err
 	}
 	for _, item := range reply.Items {
@@ -602,27 +596,11 @@ func (c *Client) prepareTombstone(filePath string) (metastore.ItemVersion, error
 	return item, nil
 }
 
-// callService performs a workspace-scoped @SyncMethod call: routed by
-// workspace key when a Router is configured, via the shared queue otherwise.
-func (c *Client) callService(method string, reply interface{}, args ...interface{}) error {
-	if c.cfg.Router != nil {
-		return c.cfg.Router.Call(c.cfg.WorkspaceID, method, reply, args...)
-	}
-	return c.sync.Call(method, reply, args...)
-}
-
 func (c *Client) propose(ctx context.Context, items []metastore.ItemVersion) error {
 	req := core.CommitRequest{
 		Workspace: c.cfg.WorkspaceID,
 		DeviceID:  c.cfg.DeviceID,
 		Items:     items,
-	}
-	if c.cfg.Router != nil {
-		// Routed commits are synchronous: the ack means the metadata commit
-		// is durable on the owning instance, and the Router's fencing/
-		// failover loop absorbs rebalances and crashes in between. The
-		// retransmit loop stays as the backstop for lost notifications.
-		return c.cfg.Router.CallCtx(ctx, c.cfg.WorkspaceID, "CommitRequest", nil, req)
 	}
 	return c.sync.AsyncCtx(ctx, "CommitRequest", req)
 }

@@ -76,18 +76,6 @@ type Service struct {
 	meta   *metastore.Store
 	broker *omq.Broker
 
-	// Workspace-affinity state (DESIGN §13). instanceID is the identity this
-	// instance serves under on the consistent-hash ring ("" for legacy
-	// shared-queue deployments, which never fence); ring is the instance's
-	// view of the routing ring, installed by the Supervisor's UpdateRing
-	// multicast. Routed calls stamped with a different epoch — or a key this
-	// instance does not own — are rejected with omq.ErrStaleRoute so the
-	// router retries against the current owner instead of applying twice.
-	ringMu     sync.RWMutex
-	instanceID string
-	ring       *omq.Ring
-	fenced     *obs.Counter
-
 	// Per-instance observability (DESIGN §15). tracer, when set, overrides the
 	// notification broker's tracer for spans this service opens — instances
 	// spawned through a RemoteBroker share that broker, so without the
@@ -132,7 +120,6 @@ func NewService(meta *metastore.Store, broker *omq.Broker) *Service {
 	s.notifyBatch = reg.HistogramWith(notifyBatchBuckets, "core_notify_batch_size")
 	s.notifyErrors = reg.Counter("core_notify_errors_total")
 	s.notifySent = reg.Counter("core_notify_published_total")
-	s.fenced = reg.Counter("core_fenced_total")
 	reg.GaugeFunc("core_notify_pending", func() float64 {
 		s.nmu.Lock()
 		defer s.nmu.Unlock()
@@ -150,15 +137,6 @@ func (s *Service) Bind() (*omq.BoundObject, error) {
 // API returns the remote surface of this service, for deployments that bind
 // instances through a RemoteBroker factory instead of calling Bind directly.
 func (s *Service) API() *API { return &API{svc: s} }
-
-// SetInstance installs the identity this service instance serves under on
-// the routing ring. Call it from the RemoteBroker instance factory, before
-// the instance is bound.
-func (s *Service) SetInstance(id string) {
-	s.ringMu.Lock()
-	s.instanceID = id
-	s.ringMu.Unlock()
-}
 
 // SetObs installs this instance's own tracer and hot-workspace sketch. Both
 // are optional; nil leaves the broker's tracer (and no sketch) in place.
@@ -179,65 +157,6 @@ func (s *Service) obsTracer() *obs.Tracer {
 		return t
 	}
 	return s.broker.Tracer()
-}
-
-// RingEpoch reports the epoch of this instance's ring view (0 before any
-// UpdateRing push lands).
-func (s *Service) RingEpoch() uint64 {
-	s.ringMu.RLock()
-	defer s.ringMu.RUnlock()
-	if s.ring == nil {
-		return 0
-	}
-	return s.ring.Epoch()
-}
-
-// Ready reports whether this instance should receive routed traffic: an
-// instance that has been fenced out of the ring (scale-down drain, or a
-// Supervisor rebalance that dropped it) is alive but not ready. Legacy
-// shared-queue deployments (no instance identity) and the bootstrap window
-// (no ring received yet) always report ready — liveness and readiness only
-// diverge once the instance participates in affinity routing.
-func (s *Service) Ready() bool {
-	s.ringMu.RLock()
-	defer s.ringMu.RUnlock()
-	if s.instanceID == "" || s.ring == nil {
-		return true
-	}
-	for _, m := range s.ring.Members() {
-		if m == s.instanceID {
-			return true
-		}
-	}
-	return false
-}
-
-// InstallRing adopts a ring state if it is newer than the current view.
-// Returns whether the view changed.
-func (s *Service) InstallRing(state omq.RingState) bool {
-	s.ringMu.Lock()
-	defer s.ringMu.Unlock()
-	if s.ring != nil && state.Epoch <= s.ring.Epoch() {
-		return false
-	}
-	s.ring = omq.NewRing(state)
-	return true
-}
-
-// checkRoute fences routed calls: a request stamped under a different ring
-// epoch, or for a workspace this instance no longer owns, is rejected so the
-// router re-resolves the owner. Unrouted calls and the bootstrap window
-// (instance spawned, no ring received yet) pass — replay idempotency at the
-// metastore keeps that safe.
-func (s *Service) checkRoute(ctx context.Context) error {
-	s.ringMu.RLock()
-	ring, id := s.ring, s.instanceID
-	s.ringMu.RUnlock()
-	if err := omq.CheckRoute(ctx, ring, id); err != nil {
-		s.fenced.Inc()
-		return err
-	}
-	return nil
 }
 
 // workspaceGroup makes sure the workspace's multicast exchange exists,
@@ -266,10 +185,10 @@ func (s *Service) commit(ctx context.Context, req CommitRequest) (CommitNotifica
 	var results []metastore.BatchResult
 	var err error
 	// ErrTxAborted is a transient rollback the store expects callers to
-	// retry. Absorb it here, bounded, so a synchronous routed commitRequest
-	// keeps its ack-means-durable promise instead of surfacing scheduler
-	// noise to the device; past the budget the error propagates (the one-way
-	// path requeues, the routed path reports to the caller).
+	// retry. Absorb it here, bounded: a retry in the handler is cheaper than
+	// failing the one-way call, which sends the delivery back through the
+	// queue after a backoff. Past the budget the error propagates and the
+	// delivery is requeued; a sync caller sees the error.
 	for attempt := 0; ; attempt++ {
 		results, err = s.meta.CommitBatch(req.Items)
 		if err == nil || !errors.Is(err, metastore.ErrTxAborted) || attempt >= commitAbortRetries {
@@ -388,9 +307,6 @@ type API struct {
 // so the metadata commit and the notification fan-out appear as spans of the
 // originating client's trace.
 func (a *API) CommitRequest(ctx context.Context, req CommitRequest) error {
-	if err := a.svc.checkRoute(ctx); err != nil {
-		return err
-	}
 	_, err := a.svc.commit(ctx, req)
 	return err
 }
@@ -412,13 +328,7 @@ type ChangesReply struct {
 // reconnecting client sends the last workspace version it synced and receives
 // only the versions committed after it. The read is a lock-free MVCC snapshot
 // at the metastore, so a reconnect storm never stalls the commit hot path.
-// Routed deployments fence it like every other call: a stale-epoch or
-// wrong-owner request is rejected so the reply always reflects the owning
-// instance's view.
 func (a *API) GetChangesSince(ctx context.Context, workspace string, since uint64) (ChangesReply, error) {
-	if err := a.svc.checkRoute(ctx); err != nil {
-		return ChangesReply{}, err
-	}
 	span := a.svc.obsTracer().StartFromContext(ctx, "metastore.changesSince")
 	span.Annotate("workspace", workspace)
 	ch, err := a.svc.meta.ChangesSince(workspace, since)
@@ -433,15 +343,6 @@ func (a *API) GetChangesSince(ctx context.Context, workspace string, since uint6
 		Full:      ch.Full,
 		Items:     ch.Items,
 	}, nil
-}
-
-// UpdateRing is the Supervisor's rebalance push (@MultiMethod +
-// @AsyncMethod): every instance adopts the new ring view and starts fencing
-// by its epoch. Older-epoch pushes are ignored (multicast redeliveries
-// reorder).
-func (a *API) UpdateRing(state omq.RingState) error {
-	a.svc.InstallRing(state)
-	return nil
 }
 
 // GetWorkspaces lists the workspaces a user can access (@SyncMethod).

@@ -97,8 +97,8 @@ type Fleet struct {
 }
 
 // Start builds and starts a deployment. In supervised mode it returns once
-// MinInstances serve (and, with Routing, hold a ring), or fails past a
-// deadline. On error everything already started is torn down.
+// MinInstances serve, or fails past a deadline. On error everything already
+// started is torn down.
 func Start(cfg Config) (*Fleet, error) {
 	f := &Fleet{cfg: cfg}
 	if err := f.start(); err != nil {
@@ -232,15 +232,9 @@ func (f *Fleet) startSupervised(notif *omq.Broker) error {
 	sc.OID = core.ServiceOID
 	f.rb.RegisterInstanceFactory(core.ServiceOID, func(id string) (interface{}, error) {
 		svc := core.NewService(f.Meta, notif)
-		if sc.Routing {
-			// The instance learns its ring identity before it is bound, so
-			// fencing is armed from the first UpdateRing push.
-			svc.SetInstance(id)
-		}
 		if b, ok := f.bundles.LoadAndDelete(id); ok {
 			o := b.(*instanceObs)
 			svc.SetObs(o.tracer, o.Hot)
-			o.Epoch, o.Ready = svc.RingEpoch, svc.Ready
 			f.Collector.Register(o.Source)
 		}
 		return svc.API(), nil
@@ -256,7 +250,7 @@ func (f *Fleet) startSupervised(notif *omq.Broker) error {
 	// The Supervisor's first check runs one CheckEvery after start; poll for
 	// its result rather than enforcing concurrently with its loop.
 	n := max(sc.MinInstances, 1)
-	return f.wait(startTimeout, n, func(live, ring int) bool { return live >= n && ring >= n })
+	return f.wait(startTimeout, n, func(live int) bool { return live >= n })
 }
 
 // instanceObs is one spawned instance's observability, built in the spawn
@@ -307,15 +301,6 @@ func (f *Fleet) Instances() int {
 	return f.rb.InstanceCount(core.ServiceOID)
 }
 
-// Ring is the Supervisor's routing ring (nil when the fleet does not route
-// or before the first rebalance).
-func (f *Fleet) Ring() *omq.Ring {
-	if f.sup == nil {
-		return nil
-	}
-	return f.sup.Ring()
-}
-
 // Kill crashes one supervised instance without draining it and returns its
 // id ("" when none runs). The Supervisor respawns it on its next check.
 func (f *Fleet) Kill() string {
@@ -325,34 +310,21 @@ func (f *Fleet) Kill() string {
 	return f.rb.KillLocal(core.ServiceOID)
 }
 
-// KillByID crashes the named supervised instance.
-func (f *Fleet) KillByID(id string) bool {
-	return f.rb != nil && f.rb.KillByID(core.ServiceOID, id)
-}
-
-// WaitInstances waits until exactly n instances serve and, when the fleet
-// routes, the ring has exactly n members.
+// WaitInstances waits until exactly n instances serve.
 func (f *Fleet) WaitInstances(n int, timeout time.Duration) error {
-	return f.wait(timeout, n, func(live, ring int) bool { return live == n && ring == n })
+	return f.wait(timeout, n, func(live int) bool { return live == n })
 }
 
 // wait polls the fleet's size until ok accepts it or timeout passes.
-func (f *Fleet) wait(timeout time.Duration, want int, ok func(live, ring int) bool) error {
+func (f *Fleet) wait(timeout time.Duration, want int, ok func(live int) bool) error {
 	deadline := time.Now().Add(timeout)
 	for {
 		live := f.Instances()
-		ring := live
-		if f.sup != nil && f.cfg.Supervisor.Routing {
-			ring = 0
-			if r := f.sup.Ring(); r != nil {
-				ring = len(r.Members())
-			}
-		}
-		if ok(live, ring) {
+		if ok(live) {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("deploy: fleet at %d instances (ring %d), want %d after %v", live, ring, want, timeout)
+			return fmt.Errorf("deploy: fleet at %d instances, want %d after %v", live, want, timeout)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

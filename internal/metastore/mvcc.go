@@ -117,10 +117,10 @@ func (s *Store) ChangesSince(workspace string, since uint64) (Changes, error) {
 	c := Changes{Workspace: workspace, Since: since, Version: sn.version}
 	switch {
 	case since >= sn.version && since > 0:
-		// Nothing new. A since from the future (a replica that has seen a
-		// newer view than this one should be unreachable on a single store,
-		// but routed failover makes it cheap to be defensive) degrades to
-		// the full state so the caller can converge.
+		// Nothing new. A since from the future cannot come from this
+		// store's own replies, but a client that synced against another
+		// deployment can send one; it degrades to the full state so the
+		// caller can converge.
 		if since > sn.version {
 			c.Full = true
 			c.Items = sn.live()

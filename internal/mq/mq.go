@@ -55,7 +55,7 @@ type Message struct {
 	// ID identifies the message for correlation and journalling. Publish
 	// assigns one when empty.
 	ID string
-	// Headers carry middleware metadata (trace context, routing stamps).
+	// Headers carry middleware metadata (trace context).
 	Headers map[string]string
 	// Body is the serialized payload.
 	Body []byte

@@ -48,15 +48,10 @@ type Admin struct {
 	Registry *Registry
 	// Tracer backs /tracez (its sink is read at request time).
 	Tracer *Tracer
-	// Health assembles the /healthz report; nil reports a bare ok.
-	// /healthz is liveness: "is this process up and serving". Use Ready for
-	// request-readiness.
+	// Health assembles the /healthz and /readyz reports; nil reports a bare
+	// ok. Every live instance consumes the shared request queue, so a
+	// serving process is also ready.
 	Health func() Health
-	// Ready assembles the /readyz report; nil falls back to Health. Readiness
-	// is distinct from liveness: a fenced/draining instance during scale-down
-	// is alive (keep scraping it, don't restart it) but must not be counted
-	// healthy by fleet rollups or load balancers.
-	Ready func() Health
 	// Queues lists per-queue stats for /queuesz.
 	Queues func() []QueueInfo
 	// Scraper backs /varz with windowed time series.
@@ -76,7 +71,7 @@ func (a *Admin) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", a.serveMetrics)
 	mux.HandleFunc("/healthz", a.serveHealthz)
-	mux.HandleFunc("/readyz", a.serveReadyz)
+	mux.HandleFunc("/readyz", a.serveHealthz)
 	mux.HandleFunc("/tracez", a.serveTracez)
 	mux.HandleFunc("/fleetz", a.serveFleetz)
 	mux.HandleFunc("/queuesz", a.serveQueuesz)
@@ -101,17 +96,6 @@ func (a *Admin) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 func (a *Admin) serveHealthz(w http.ResponseWriter, _ *http.Request) {
 	h := Health{OK: true}
 	if a.Health != nil {
-		h = a.Health()
-	}
-	writeHealth(w, h)
-}
-
-func (a *Admin) serveReadyz(w http.ResponseWriter, _ *http.Request) {
-	h := Health{OK: true}
-	switch {
-	case a.Ready != nil:
-		h = a.Ready()
-	case a.Health != nil:
 		h = a.Health()
 	}
 	writeHealth(w, h)

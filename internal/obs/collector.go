@@ -9,16 +9,16 @@ import (
 )
 
 // Collector federates per-instance observability exports into one fleet view.
-// Each routed SyncService instance owns its own SpanSink, Registry, EventLog
-// and HotStats (PR 2–3 made those strictly per-process); the Collector scrapes
-// all of them — stamping everything with the instance id and ring epoch — so
-// one admin surface can answer fleet questions: /fleetz for the rollup,
-// fleet-wide /tracez for a TraceID's spans stitched across instances.
+// Each supervised SyncService instance owns its own SpanSink, Registry,
+// EventLog and HotStats; the Collector scrapes all of them — stamping
+// everything with the instance id — so one admin surface can answer fleet
+// questions: /fleetz for the rollup, fleet-wide /tracez for a TraceID's spans
+// stitched across instances.
 //
 // Scrapes are idempotent: spans deduplicate by SpanID into a bounded per-trace
 // store and events are cursored by their flight-recorder sequence number, so
 // polling at any cadence never double-counts. When an instance dies cleanly
-// (fence-then-drain scale-down) the caller grants a final scrape; when it
+// (a drained scale-down) the caller grants a final scrape; when it
 // crashes, whatever was buffered since the last poll is lost and affected
 // traces surface as Partial — truthful, not papered over.
 
@@ -26,10 +26,6 @@ import (
 // mandatory; nil fields are skipped.
 type Source struct {
 	InstanceID string
-	// Epoch reports the routing-ring epoch the instance last installed.
-	Epoch func() uint64
-	// Ready reports request-readiness (false while fenced/draining).
-	Ready func() bool
 	// Registry, Sink, Events and Hot are the instance's exports.
 	Registry *Registry
 	Sink     *SpanSink
@@ -47,8 +43,6 @@ type FleetEvent struct {
 type InstanceStatus struct {
 	InstanceID string    `json:"instance"`
 	Alive      bool      `json:"alive"`
-	Ready      bool      `json:"ready"`
-	Epoch      uint64    `json:"epoch"`
 	Spans      uint64    `json:"spansCollected"`
 	Events     uint64    `json:"eventsCollected"`
 	LastScrape time.Time `json:"lastScrape"`
@@ -72,8 +66,6 @@ type sourceState struct {
 	src          Source
 	alive        bool
 	cleanExit    bool
-	ready        bool
-	epoch        uint64
 	lastEventSeq uint64
 	spans        uint64
 	events       uint64
@@ -151,7 +143,7 @@ func (c *Collector) Register(src Source) {
 		return
 	}
 	c.mu.Lock()
-	c.sources[src.InstanceID] = &sourceState{src: src, alive: true, ready: true}
+	c.sources[src.InstanceID] = &sourceState{src: src, alive: true}
 	c.mu.Unlock()
 }
 
@@ -174,7 +166,6 @@ func (c *Collector) MarkDead(instanceID string, clean bool) {
 	}
 	st.alive = false
 	st.cleanExit = clean
-	st.ready = false
 }
 
 // Collect scrapes every live source once. Returns the number of new spans
@@ -203,14 +194,6 @@ func (c *Collector) Collect() int {
 func (c *Collector) scrapeLocked(st *sourceState) int {
 	now := c.now()
 	st.lastScrape = now
-	if st.src.Epoch != nil {
-		st.epoch = st.src.Epoch()
-	}
-	if st.src.Ready != nil {
-		st.ready = st.src.Ready()
-	} else {
-		st.ready = st.alive
-	}
 	if st.src.Hot != nil {
 		st.hot = st.src.Hot.Snapshot()
 	}
@@ -393,8 +376,6 @@ func (c *Collector) Rollup() FleetRollup {
 		r.Instances = append(r.Instances, InstanceStatus{
 			InstanceID: id,
 			Alive:      st.alive,
-			Ready:      st.ready,
-			Epoch:      st.epoch,
 			Spans:      st.spans,
 			Events:     st.events,
 			LastScrape: st.lastScrape,
@@ -417,8 +398,7 @@ func (c *Collector) Rollup() FleetRollup {
 	return r
 }
 
-// WriteFleetz renders the rollup as text — the /fleetz?format=text view and
-// the fleet-trace demo's summary.
+// WriteFleetz renders the rollup as text — the /fleetz?format=text view.
 func (c *Collector) WriteFleetz(w io.Writer) {
 	r := c.Rollup()
 	fmt.Fprintf(w, "fleet: %d instance(s), %d trace(s) collected\n", len(r.Instances), r.Traces)
@@ -431,12 +411,8 @@ func (c *Collector) WriteFleetz(w io.Writer) {
 				state = "crashed"
 			}
 		}
-		ready := "ready"
-		if !st.Ready {
-			ready = "not-ready"
-		}
-		fmt.Fprintf(w, "  %-22s %-8s %-9s epoch=%-3d spans=%-6d events=%d\n",
-			st.InstanceID, state, ready, st.Epoch, st.Spans, st.Events)
+		fmt.Fprintf(w, "  %-22s %-8s spans=%-6d events=%d\n",
+			st.InstanceID, state, st.Spans, st.Events)
 	}
 	writeTopK := func(name string, list []TopKEntry) {
 		if len(list) == 0 {

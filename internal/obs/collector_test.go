@@ -9,12 +9,11 @@ import (
 // fleetFixture builds a collector over two instance sources with their own
 // sinks, event logs and sketches.
 type fleetFixture struct {
-	c              *Collector
-	sinkA, sinkB   *SpanSink
-	trA, trB       *Tracer
-	evA, evB       *EventLog
-	hotA, hotB     *HotStats
-	readyA, readyB bool
+	c            *Collector
+	sinkA, sinkB *SpanSink
+	trA, trB     *Tracer
+	evA, evB     *EventLog
+	hotA, hotB   *HotStats
 }
 
 func newFleetFixture() *fleetFixture {
@@ -22,21 +21,16 @@ func newFleetFixture() *fleetFixture {
 		sinkA: NewSpanSink(0), sinkB: NewSpanSink(0),
 		evA: NewEventLog(64), evB: NewEventLog(64),
 		hotA: NewHotStats(4), hotB: NewHotStats(4),
-		readyA: true, readyB: true,
 	}
 	f.trA = NewTracer(WithSink(f.sinkA), WithInstance("inst-a"))
 	f.trB = NewTracer(WithSink(f.sinkB), WithInstance("inst-b"))
 	f.c = NewCollector()
 	f.c.Register(Source{
 		InstanceID: "inst-a",
-		Epoch:      func() uint64 { return 3 },
-		Ready:      func() bool { return f.readyA },
 		Sink:       f.sinkA, Events: f.evA, Hot: f.hotA,
 	})
 	f.c.Register(Source{
 		InstanceID: "inst-b",
-		Epoch:      func() uint64 { return 3 },
-		Ready:      func() bool { return f.readyB },
 		Sink:       f.sinkB, Events: f.evB, Hot: f.hotB,
 	})
 	return f
@@ -49,7 +43,7 @@ func TestCollectorStitchesAcrossInstances(t *testing.T) {
 	childCtx := root.Context()
 	root.End()
 	h := f.trB.StartChild(childCtx, "omq.handle.CommitRequest")
-	h.Annotate("cause", "routed-timeout")
+	h.Annotate("workspace", "ws-1")
 	h.End()
 
 	if added := f.c.Collect(); added != 2 {
@@ -75,7 +69,7 @@ func TestCollectorStitchesAcrossInstances(t *testing.T) {
 	}
 	var buf strings.Builder
 	WriteStitched(&buf, st)
-	if !strings.Contains(buf.String(), "cause=routed-timeout") {
+	if !strings.Contains(buf.String(), "workspace=ws-1") {
 		t.Fatalf("annotation not rendered:\n%s", buf.String())
 	}
 }
@@ -92,7 +86,6 @@ func TestCollectorEventsCursorAndRollup(t *testing.T) {
 	f.hotA.ObserveCommit("ws-hot", 5, 1000)
 	f.hotB.ObserveCommit("ws-hot", 2, 500)
 	f.hotB.ObserveCommit("ws-cold", 1, 10)
-	f.readyB = false
 	f.c.Collect()
 
 	r := f.c.Rollup()
@@ -100,11 +93,11 @@ func TestCollectorEventsCursorAndRollup(t *testing.T) {
 		t.Fatalf("instances = %+v", r.Instances)
 	}
 	a, b := r.Instances[0], r.Instances[1]
-	if a.InstanceID != "inst-a" || a.Events != 2 || a.Epoch != 3 || !a.Alive || !a.Ready {
+	if a.InstanceID != "inst-a" || a.Events != 2 || !a.Alive {
 		t.Fatalf("inst-a status = %+v", a)
 	}
-	if b.InstanceID != "inst-b" || b.Ready {
-		t.Fatalf("inst-b should be not-ready: %+v", b)
+	if b.InstanceID != "inst-b" || b.Events != 0 || !b.Alive {
+		t.Fatalf("inst-b status = %+v", b)
 	}
 	if len(r.RecentEvents) != 2 || r.RecentEvents[0].Instance != "inst-a" {
 		t.Fatalf("events = %+v", r.RecentEvents)
@@ -122,7 +115,7 @@ func TestCollectorEventsCursorAndRollup(t *testing.T) {
 	var buf strings.Builder
 	f.c.WriteFleetz(&buf)
 	out := buf.String()
-	for _, want := range []string{"inst-a", "not-ready", "ws-hot", "hot workspaces by commits"} {
+	for _, want := range []string{"inst-a", "alive", "ws-hot", "hot workspaces by commits"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("fleetz missing %q:\n%s", want, out)
 		}
@@ -155,8 +148,8 @@ func TestCollectorCrashLosesUnscrapedSpans(t *testing.T) {
 	}
 	r := f.c.Rollup()
 	for _, inst := range r.Instances {
-		if inst.Alive || inst.Ready {
-			t.Fatalf("dead instance still alive/ready: %+v", inst)
+		if inst.Alive {
+			t.Fatalf("dead instance still alive: %+v", inst)
 		}
 		if inst.InstanceID == "inst-b" && !inst.CleanExit {
 			t.Fatalf("inst-b should be a clean exit: %+v", inst)

@@ -24,10 +24,6 @@ const (
 	// EventSupervisorRespawn is a Supervisor repair: the fleet shrank below
 	// the standing target (a crash) and was grown back.
 	EventSupervisorRespawn EventKind = "supervisor.respawn"
-	// EventSupervisorRebalance is a routing-ring rebuild: membership of the
-	// managed oid changed (scale, crash, respawn) and a new ring epoch was
-	// pushed to instances and routers.
-	EventSupervisorRebalance EventKind = "supervisor.rebalance"
 	// EventElectionWon marks a SupervisorGuard winning the leader election
 	// and starting a replacement supervisor.
 	EventElectionWon EventKind = "election.won"

@@ -109,10 +109,10 @@ func sortTopK(out []TopKEntry) {
 
 // MergeTopK folds per-instance snapshots into one fleet-wide top-k list.
 // Counts and error bounds add pointwise; keys absent from an input may have
-// occurred up to that input's minimum count times, but the space-saving
-// overestimate property (true ≥ Count-Err) is preserved without widening
-// bounds for the common disjoint-ownership case (routing pins a workspace to
-// one instance, so cross-instance double counting is the exception).
+// occurred up to that input's minimum count times, so a merged Count can
+// undercount such a key; the space-saving property (true ≥ Count-Err) is
+// preserved. Instances share one request queue, so a workspace hot enough to
+// matter sits in every instance's sketch and sums exactly up to its Err.
 func MergeTopK(k int, lists ...[]TopKEntry) []TopKEntry {
 	if k <= 0 {
 		k = 8

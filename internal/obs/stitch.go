@@ -7,10 +7,10 @@ import (
 	"time"
 )
 
-// Trace stitching: one logical request (a routed commit, say) leaves spans in
-// several processes — the client's root and router attempts, the owning
-// instance's handler and metastore spans, and after a failover a second
-// instance's retry handling. The Collector scrapes each instance's sink; Stitch
+// Trace stitching: one logical request (a commit, say) leaves spans in
+// several processes — the client's root and publish spans, the serving
+// instance's handler and metastore spans, and after a crash a second
+// instance's handling of the redelivered call. The Collector scrapes each instance's sink; Stitch
 // merges one TraceID's spans from all of them into a single coherent timeline
 // that CriticalPath and WriteTimeline can walk across process boundaries.
 //
@@ -135,7 +135,7 @@ func addSkew(m map[string]time.Duration, inst string, d time.Duration) map[strin
 
 // CriticalPathDeep is the fleet variant of CriticalPath. The classic walker
 // stops when a child's subtree finishes inside its parent — right for async
-// hops, but a synchronous routed call (the caller blocks until the reply)
+// hops, but a synchronous call (the caller blocks until the reply)
 // always contains its remote handler, so the classic path never crosses the
 // process boundary. This walker descends into the contained subtree and then
 // re-ascends, charging the reply tail back to the parent as a second segment

@@ -59,14 +59,14 @@ func TestStitchRepairsCrossInstanceClockSkew(t *testing.T) {
 }
 
 func TestStitchOverlappingRetrySpans(t *testing.T) {
-	// Two router attempts overlap: attempt 1's timeout fires after attempt 2
-	// already started on the new owner. Both must survive stitching and the
-	// critical path must follow the attempt whose subtree ends latest.
+	// Two call attempts overlap: attempt 1's timeout fires after attempt 2
+	// already started on another instance. Both must survive stitching and
+	// the critical path must follow the attempt whose subtree ends latest.
 	spans := []Span{
 		fleetSpan("root", "", "client.commit", "c", 0, 200),
-		fleetSpan("route", "root", "omq.route.CommitRequest", "c", 5, 195),
-		fleetSpan("a1", "route", "omq.attempt.CommitRequest", "c", 5, 110), // timed out
-		fleetSpan("a2", "route", "omq.attempt.CommitRequest", "c", 100, 190),
+		fleetSpan("sync", "root", "client.sync", "c", 5, 195),
+		fleetSpan("a1", "sync", "omq.call.CommitRequest", "c", 5, 110), // timed out
+		fleetSpan("a2", "sync", "omq.call.CommitRequest", "c", 100, 190),
 		fleetSpan("h2", "a2", "omq.handle.CommitRequest", "b", 120, 180),
 	}
 	st := Stitch("T", spans)
@@ -79,7 +79,7 @@ func TestStitchOverlappingRetrySpans(t *testing.T) {
 		names = append(names, s.Name)
 	}
 	joined := strings.Join(names, ">")
-	if !strings.Contains(joined, "omq.attempt.CommitRequest>omq.handle.CommitRequest") {
+	if !strings.Contains(joined, "omq.call.CommitRequest>omq.handle.CommitRequest") {
 		t.Fatalf("critical path should descend through attempt 2 into the handler: %v", joined)
 	}
 	// Sum of segments equals the root's full latency.
@@ -98,9 +98,9 @@ func TestStitchPartialTraceFromDeadInstance(t *testing.T) {
 	// extra root, the trace must be marked Partial, and nothing may panic.
 	spans := []Span{
 		fleetSpan("root", "", "client.commit", "c", 0, 300),
-		fleetSpan("a1", "root", "omq.attempt.CommitRequest", "c", 5, 150),
+		fleetSpan("a1", "root", "omq.call.CommitRequest", "c", 5, 150),
 		fleetSpan("db", "gone-handle", "metastore.commitBatch", "a", 30, 60), // orphan
-		fleetSpan("a2", "root", "omq.attempt.CommitRequest", "c", 160, 290),
+		fleetSpan("a2", "root", "omq.call.CommitRequest", "c", 160, 290),
 		fleetSpan("h2", "a2", "omq.handle.CommitRequest", "b", 170, 280),
 	}
 	st := Stitch("T", spans)

@@ -70,33 +70,26 @@ func BenchmarkAsyncCall(b *testing.B) {
 // the publish hot path: with no tracer wired, a one-way publish must carry a
 // nil header map (no per-message map allocation for trace injection). Run
 // with -benchmem and compare allocs/op before and after touching the header
-// path. The routed variant pins extra per-proxy headers, which must be
-// shared into the message rather than merged per call.
+// path.
 func BenchmarkPublishDisabledTracer(b *testing.B) {
-	run := func(b *testing.B, opts ...CallOption) {
-		server, client := benchRig(b)
-		c := &calc{}
-		if _, err := server.Bind("calc", c); err != nil {
+	server, client := benchRig(b)
+	c := &calc{}
+	if _, err := server.Bind("calc", c); err != nil {
+		b.Fatal(err)
+	}
+	p := client.Lookup("calc")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := p.Async("Fire", i); err != nil {
 			b.Fatal(err)
 		}
-		p := client.Lookup("calc", opts...)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := p.Async("Fire", i); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		deadline := time.Now().Add(10 * time.Second)
-		for c.calls.Load() < int64(b.N) && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
 	}
-	b.Run("bare", func(b *testing.B) { run(b) })
-	b.Run("routed-headers", func(b *testing.B) {
-		run(b, WithCallHeaders(map[string]string{HeaderRouteEpoch: "1", HeaderRouteKey: "w"}))
-	})
+	b.StopTimer()
+	deadline := time.Now().Add(10 * time.Second)
+	for c.calls.Load() < int64(b.N) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // BenchmarkMultiCallCollect measures the @MultiMethod+@SyncMethod group

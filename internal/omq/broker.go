@@ -471,12 +471,11 @@ func (b *Broker) publish(exchangeName, key string, body []byte, persistent bool)
 	return b.publishH(exchangeName, key, body, persistent, nil)
 }
 
-// publishH is publish with extra message headers (trace propagation,
-// routing stamps). The map is attached as-is, never copied: callers hand
-// over ownership (or a long-lived read-only map like the routed proxy's
-// call headers), and consumers only ever read Message.Headers. With tracing
-// disabled and no routing, extra is nil and the hot path publishes with no
-// per-message header-map allocation at all.
+// publishH is publish with extra message headers (trace propagation). The
+// map is attached as-is, never copied: callers hand over ownership, and
+// consumers only ever read Message.Headers. With tracing disabled extra is
+// nil and the hot path publishes with no per-message header-map allocation
+// at all.
 func (b *Broker) publishH(exchangeName, key string, body []byte, persistent bool, extra map[string]string) error {
 	return b.mq.Publish(exchangeName, key, mq.Message{
 		Headers:    extra,

@@ -31,16 +31,6 @@ type Proxy struct {
 	retries     int
 	backoffBase time.Duration
 	backoffMax  time.Duration
-	// extraHeaders are merged into every publish this proxy makes; the
-	// Router uses them to stamp routed calls with their ring epoch and key.
-	// Untraced publishes share the map as-is (consumers only read headers),
-	// so the untraced hot path allocates no per-call map.
-	extraHeaders map[string]string
-	// requestID, when non-empty, pins the request id of every Call through
-	// this proxy. The Router sets it so that dedup stays stable across its
-	// own failover attempts, which use a fresh proxy per attempt. Leave
-	// empty for normal proxies: each Call then draws a fresh id.
-	requestID string
 	// retriesTotal counts retry attempts (attempts beyond the first) made by
 	// sync calls through this proxy, as a registry series labelled by oid.
 	retriesTotal *obs.Counter
@@ -72,32 +62,11 @@ func WithBackoff(base, max time.Duration) CallOption {
 	return func(p *Proxy) { p.backoffBase, p.backoffMax = base, max }
 }
 
-// WithCallHeaders merges fixed headers into every publish the proxy makes.
-// Routed calls use this to carry their ring epoch and affinity key.
-func WithCallHeaders(h map[string]string) CallOption {
-	return func(p *Proxy) { p.extraHeaders = h }
-}
-
 // OID returns the remote object identifier this proxy addresses.
 func (p *Proxy) OID() string { return p.oid }
 
 func (p *Proxy) encodeArgs(args []interface{}) ([][]byte, error) {
 	return p.broker.encodeArgs(args)
-}
-
-// startPublishSpan opens the span covering one publish and builds the
-// headers that carry its context (merged with the proxy's fixed headers);
-// see Broker.startPublishSpan.
-func (p *Proxy) startPublishSpan(ctx context.Context, name string) (*obs.SpanHandle, map[string]string) {
-	if p.broker.tracer == nil {
-		return nil, p.extraHeaders
-	}
-	// Traced: the broker returns a fresh map owned by this call.
-	span, headers := p.broker.startPublishSpan(ctx, name)
-	for k, v := range p.extraHeaders {
-		headers[k] = v
-	}
-	return span, headers
 }
 
 // Async performs a one-way @AsyncMethod invocation: the request is published
@@ -123,7 +92,7 @@ func (p *Proxy) AsyncCtx(ctx context.Context, method string, args ...interface{}
 	if err != nil {
 		return err
 	}
-	span, headers := p.startPublishSpan(ctx, "omq.async."+method)
+	span, headers := p.broker.startPublishSpan(ctx, "omq.async."+method)
 	defer span.End()
 	return p.broker.publishH("", p.oid, body, true, headers)
 }
@@ -154,10 +123,7 @@ func (p *Proxy) CallCtx(ctx context.Context, method string, reply interface{}, a
 	if attempts < 1 {
 		attempts = 1
 	}
-	requestID := p.requestID
-	if requestID == "" {
-		requestID = newID()
-	}
+	requestID := newID()
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
 			p.retriesTotal.Inc()
@@ -231,7 +197,7 @@ func (p *Proxy) attempt(ctx context.Context, method string, encoded [][]byte, re
 	if err != nil {
 		return nil, err
 	}
-	span, headers := p.startPublishSpan(ctx, "omq.call."+method)
+	span, headers := p.broker.startPublishSpan(ctx, "omq.call."+method)
 	defer span.End()
 	ch := p.broker.registerPending(correlationID, 1)
 	defer p.broker.unregisterPending(correlationID)
@@ -268,7 +234,7 @@ func (p *Proxy) MultiCtx(ctx context.Context, method string, args ...interface{}
 	if err != nil {
 		return err
 	}
-	span, headers := p.startPublishSpan(ctx, "omq.multi."+method)
+	span, headers := p.broker.startPublishSpan(ctx, "omq.multi."+method)
 	defer span.End()
 	return p.broker.publishH(multiExchange(p.oid), "", body, true, headers)
 }
@@ -322,7 +288,7 @@ func (p *Proxy) MultiCallCtx(ctx context.Context, method string, window time.Dur
 	if err != nil {
 		return nil, err
 	}
-	span, headers := p.startPublishSpan(ctx, "omq.multicall."+method)
+	span, headers := p.broker.startPublishSpan(ctx, "omq.multicall."+method)
 	defer span.End()
 	ch := p.broker.registerPending(correlationID, replyPrefetch)
 	defer p.broker.unregisterPending(correlationID)

@@ -18,18 +18,10 @@ const RemoteBrokerGroup = "omq.rbroker"
 type Factory func() (interface{}, error)
 
 // InstanceFactory is a Factory that learns the identity its instance will
-// run under (the spawned child broker's id). Implementations that fence
-// routed calls (core.Service) need the id to compare against ring ownership.
+// run under (the spawned child broker's id), so it can attach state keyed by
+// that id — deploy hands each instance the observability bundle built for it
+// in SpawnHooks.Options.
 type InstanceFactory func(instanceID string) (interface{}, error)
-
-// spawnedInstance is one spawned server object: the shared-queue binding,
-// the instance's private routed-queue binding (workspace affinity), and the
-// identity both run under.
-type spawnedInstance struct {
-	id     string
-	main   *BoundObject
-	routed *BoundObject
-}
 
 // SpawnHooks let the embedding process observe instance lifecycle and
 // customize per-instance broker construction. Fleet observability hangs off
@@ -56,7 +48,7 @@ type RemoteBroker struct {
 
 	mu        sync.Mutex
 	factories map[string]InstanceFactory
-	instances map[string][]*spawnedInstance
+	instances map[string][]*BoundObject // spawned, each on its own child broker
 	hooks     SpawnHooks
 	closed    bool
 
@@ -69,7 +61,7 @@ func NewRemoteBroker(b *Broker) (*RemoteBroker, error) {
 	rb := &RemoteBroker{
 		broker:    b,
 		factories: make(map[string]InstanceFactory),
-		instances: make(map[string][]*spawnedInstance),
+		instances: make(map[string][]*BoundObject),
 	}
 	bo, err := b.Bind(RemoteBrokerGroup, &remoteBrokerAPI{rb: rb})
 	if err != nil {
@@ -86,7 +78,7 @@ func (rb *RemoteBroker) RegisterFactory(oid string, f Factory) {
 
 // RegisterInstanceFactory makes oid spawnable with identity-aware
 // construction: the factory receives the instance id its object will serve
-// under (and can install it for route fencing).
+// under.
 func (rb *RemoteBroker) RegisterInstanceFactory(oid string, f InstanceFactory) {
 	rb.mu.Lock()
 	defer rb.mu.Unlock()
@@ -132,7 +124,7 @@ func (rb *RemoteBroker) SpawnLocal(oid string, n int) (int, error) {
 		// queue per BoundObject, so instances can share rb.broker — except
 		// that Bind refuses duplicate oids per broker. Spawn therefore binds
 		// through a lightweight child broker on the same MQ, whose id doubles
-		// as the instance identity on the consistent-hash ring.
+		// as the instance identity.
 		// The instance id is decided up front so SpawnHooks.Options can build
 		// per-instance observability keyed by it before the broker exists.
 		id := newID()
@@ -157,17 +149,8 @@ func (rb *RemoteBroker) SpawnLocal(oid string, n int) (int, error) {
 			return started, fmt.Errorf("omq: spawn bind %q: %w", oid, err)
 		}
 		bo.ownedBroker = child
-		// The same implementation also serves the instance's private routed
-		// queue: workspace-affinity routers address it directly, bypassing
-		// the shared queue's load balancing.
-		routed, err := child.Bind(RoutedInstanceOID(oid, child.id), impl)
-		if err != nil {
-			_ = bo.Unbind()
-			_ = child.Close()
-			return started, fmt.Errorf("omq: spawn routed bind %q: %w", oid, err)
-		}
 		rb.mu.Lock()
-		rb.instances[oid] = append(rb.instances[oid], &spawnedInstance{id: child.id, main: bo, routed: routed})
+		rb.instances[oid] = append(rb.instances[oid], bo)
 		rb.mu.Unlock()
 		started++
 	}
@@ -186,52 +169,18 @@ func (rb *RemoteBroker) ShutdownLocal(oid string, n int) int {
 	victims := list[len(list)-take:]
 	rb.instances[oid] = list[:len(list)-take]
 	rb.mu.Unlock()
-	for _, s := range victims {
-		rb.stopInstance(oid, s)
+	for _, bo := range victims {
+		rb.stopInstance(oid, bo)
 	}
 	return take
 }
 
-// ShutdownByID stops the named instances of oid (fence-then-drain scale-down:
-// the Supervisor excludes the victims from the ring first, then names them
-// here), returning how many were stopped.
-func (rb *RemoteBroker) ShutdownByID(oid string, ids []string) int {
-	want := make(map[string]bool, len(ids))
-	for _, id := range ids {
-		want[id] = true
-	}
-	rb.mu.Lock()
-	var keep, victims []*spawnedInstance
-	for _, s := range rb.instances[oid] {
-		if want[s.id] {
-			victims = append(victims, s)
-		} else {
-			keep = append(keep, s)
-		}
-	}
-	rb.instances[oid] = keep
-	rb.mu.Unlock()
-	for _, s := range victims {
-		rb.stopInstance(oid, s)
-	}
-	return len(victims)
-}
-
-// stopInstance drains one instance in order: unbind the routed queue first
-// (its Unbind waits for the in-flight call to finish — the drain), delete the
-// routed queue so stranded routed publishes are dropped rather than parked
-// forever (the router's retry re-sends them to the successor; the metadata
-// store absorbs any duplicate), then release the shared binding and broker.
-func (rb *RemoteBroker) stopInstance(oid string, s *spawnedInstance) {
-	if s.routed != nil {
-		_ = s.routed.Unbind()
-		_ = rb.broker.mq.DeleteQueue(RoutedInstanceOID(oid, s.id))
-	}
-	_ = s.main.Unbind()
-	if s.main.ownedBroker != nil {
-		_ = s.main.ownedBroker.Close()
-	}
-	rb.notifyStopped(oid, s.id, true)
+// stopInstance drains one instance: Unbind waits for the in-flight call to
+// finish, then the owned broker is released.
+func (rb *RemoteBroker) stopInstance(oid string, bo *BoundObject) {
+	_ = bo.Unbind()
+	_ = bo.ownedBroker.Close()
+	rb.notifyStopped(oid, bo.ownedBroker.id, true)
 }
 
 func (rb *RemoteBroker) notifyStopped(oid, instanceID string, clean bool) {
@@ -246,10 +195,7 @@ func (rb *RemoteBroker) notifyStopped(oid, instanceID string, clean bool) {
 // KillLocal abruptly terminates one instance of oid without orderly
 // unbinding its in-flight work first — used by fault-injection tests and the
 // Fig. 8(f) experiment to emulate a crash. Returns the dead instance's id
-// ("" when there was nothing to kill). The instance's routed queue is left
-// behind, exactly as a real crash would leave it at the MOM: routed calls
-// already parked there strand until their callers time out, fail over and
-// re-send to the successor instance.
+// ("" when there was nothing to kill).
 func (rb *RemoteBroker) KillLocal(oid string) string {
 	rb.mu.Lock()
 	list := rb.instances[oid]
@@ -257,56 +203,22 @@ func (rb *RemoteBroker) KillLocal(oid string) string {
 		rb.mu.Unlock()
 		return ""
 	}
-	s := list[len(list)-1]
+	bo := list[len(list)-1]
 	rb.instances[oid] = list[:len(list)-1]
 	rb.mu.Unlock()
-	rb.crashInstance(oid, s)
-	return s.id
-}
-
-// KillByID is KillLocal aimed at one specific instance — harnesses that must
-// crash the owner of a chosen ring key use it for a deterministic failover
-// scenario. Returns false when no such instance runs on this node.
-func (rb *RemoteBroker) KillByID(oid, id string) bool {
-	rb.mu.Lock()
-	list := rb.instances[oid]
-	idx := -1
-	for i, s := range list {
-		if s.id == id {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		rb.mu.Unlock()
-		return false
-	}
-	s := list[idx]
-	rb.instances[oid] = append(list[:idx:idx], list[idx+1:]...)
-	rb.mu.Unlock()
-	rb.crashInstance(oid, s)
-	return true
-}
-
-// crashInstance performs the abrupt-death tail shared by KillLocal and
-// KillByID: record the event, close the owned broker (the MQ requeues any
-// unacked call, §3.4's crash behaviour), and report an unclean stop.
-func (rb *RemoteBroker) crashInstance(oid string, s *spawnedInstance) {
+	id := bo.ownedBroker.id
 	rb.broker.events.Append(obs.Event{
 		At:      rb.broker.clk.Now(),
 		Kind:    obs.EventInstanceKill,
 		Source:  "omq.rbroker",
-		Summary: fmt.Sprintf("killed one %s instance (%s) on broker %s", oid, s.id, rb.broker.id),
-		Fields:  map[string]string{"oid": oid, "broker": rb.broker.id, "instance": s.id},
+		Summary: fmt.Sprintf("killed one %s instance (%s) on broker %s", oid, id, rb.broker.id),
+		Fields:  map[string]string{"oid": oid, "broker": rb.broker.id, "instance": id},
 	})
 	// Closing the owned broker cancels subscriptions; the MQ requeues any
 	// unacked call, which is precisely the crash behaviour §3.4 describes.
-	if s.main.ownedBroker != nil {
-		_ = s.main.ownedBroker.Close()
-	} else {
-		_ = s.main.Unbind()
-	}
-	rb.notifyStopped(oid, s.id, false)
+	_ = bo.ownedBroker.Close()
+	rb.notifyStopped(oid, id, false)
+	return id
 }
 
 // Close shuts down every spawned instance and leaves the RemoteBroker group.
@@ -317,15 +229,12 @@ func (rb *RemoteBroker) Close() error {
 		return nil
 	}
 	rb.closed = true
-	all := make(map[string][]*spawnedInstance, len(rb.instances))
-	for oid, list := range rb.instances {
-		all[oid] = list
-	}
-	rb.instances = map[string][]*spawnedInstance{}
+	all := rb.instances
+	rb.instances = map[string][]*BoundObject{}
 	rb.mu.Unlock()
 	for oid, list := range all {
-		for _, s := range list {
-			rb.stopInstance(oid, s)
+		for _, bo := range list {
+			rb.stopInstance(oid, bo)
 		}
 	}
 	return rb.self.Unbind()
@@ -345,15 +254,13 @@ type SpawnReply struct {
 	Started  int    `json:"started"`
 }
 
-// ShutdownRequest asks a specific RemoteBroker to stop instances. A broker
-// whose id differs from Target ignores the request (multicast addressing).
-// With IDs set the named instances are stopped (routed scale-down picks its
-// fenced victims precisely); otherwise up to N arbitrary instances go.
+// ShutdownRequest asks a specific RemoteBroker to stop up to N instances. A
+// broker whose id differs from Target ignores the request (multicast
+// addressing).
 type ShutdownRequest struct {
-	Target string   `json:"target"`
-	OID    string   `json:"oid"`
-	N      int      `json:"n"`
-	IDs    []string `json:"ids,omitempty"`
+	Target string `json:"target"`
+	OID    string `json:"oid"`
+	N      int    `json:"n"`
 }
 
 // ShutdownReply reports how many instances were stopped.
@@ -371,9 +278,6 @@ type InventoryQuery struct {
 type Inventory struct {
 	BrokerID string         `json:"brokerId"`
 	Counts   map[string]int `json:"counts"`
-	// IDs lists the instance identities per oid — the Supervisor's ring
-	// membership input.
-	IDs map[string][]string `json:"ids,omitempty"`
 }
 
 // remoteBrokerAPI is the reflection-dispatched remote surface.
@@ -396,30 +300,20 @@ func (a *remoteBrokerAPI) Shutdown(req ShutdownRequest) ShutdownReply {
 	if req.Target != "" && req.Target != a.rb.broker.id {
 		return ShutdownReply{BrokerID: a.rb.broker.id}
 	}
-	var stopped int
-	if len(req.IDs) > 0 {
-		stopped = a.rb.ShutdownByID(req.OID, req.IDs)
-	} else {
-		stopped = a.rb.ShutdownLocal(req.OID, req.N)
-	}
-	return ShutdownReply{BrokerID: a.rb.broker.id, Stopped: stopped}
+	return ShutdownReply{BrokerID: a.rb.broker.id, Stopped: a.rb.ShutdownLocal(req.OID, req.N)}
 }
 
-// ListInstances reports local instance counts and identities; the Supervisor
-// multicalls it for introspection, failure detection and ring membership.
+// ListInstances reports local instance counts; the Supervisor multicalls it
+// for introspection and failure detection.
 func (a *remoteBrokerAPI) ListInstances(q InventoryQuery) Inventory {
 	a.rb.mu.Lock()
 	defer a.rb.mu.Unlock()
 	counts := make(map[string]int, len(a.rb.instances))
-	ids := make(map[string][]string, len(a.rb.instances))
 	for oid, list := range a.rb.instances {
 		if q.OID != "" && q.OID != oid {
 			continue
 		}
 		counts[oid] = len(list)
-		for _, s := range list {
-			ids[oid] = append(ids[oid], s.id)
-		}
 	}
-	return Inventory{BrokerID: a.rb.broker.id, Counts: counts, IDs: ids}
+	return Inventory{BrokerID: a.rb.broker.id, Counts: counts}
 }

@@ -2,7 +2,6 @@ package omq
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -174,61 +173,6 @@ func TestReplyDeliveredWhenAckFails(t *testing.T) {
 	}
 	if sum != 5 || c.calls.Load() != 1 {
 		t.Fatalf("sum = %d after %d executions, want 5 after 1", sum, c.calls.Load())
-	}
-}
-
-// fencingOnce rejects its first invocation with a stale-route fencing error,
-// then accepts.
-type fencingOnce struct{ calls atomic.Int64 }
-
-func (f *fencingOnce) Do(n int) error {
-	if f.calls.Add(1) == 1 {
-		return fmt.Errorf("%w: first attempt fenced", ErrStaleRoute)
-	}
-	return nil
-}
-
-// TestStaleRouteNotMemoized: a fencing rejection is a pre-execution routing
-// error, not an outcome, so — unlike ordinary handler errors
-// (TestRetriedErrorIsDeduplicated) — it must NOT enter the RequestID dedup
-// table. A router retries with the same pinned request id after refreshing
-// its ring; a memoized rejection would be replayed forever even once the
-// instance is the legitimate owner again.
-func TestStaleRouteNotMemoized(t *testing.T) {
-	m := mq.NewBroker()
-	defer m.Close()
-	client, err := NewBroker(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	server, err := NewBroker(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer server.Close()
-
-	f := &fencingOnce{}
-	if _, err := server.Bind("fenced", f); err != nil {
-		t.Fatal(err)
-	}
-
-	opts := []CallOption{WithTimeout(200 * time.Millisecond), WithRetries(1), WithBackoff(0, 0)}
-	p := client.Lookup("fenced", opts...)
-	p.requestID = "pinned-routed-req"
-	if err := p.Call("Do", nil, 1); !IsStaleRoute(err) {
-		t.Fatalf("first attempt: err = %v, want stale-route fencing rejection", err)
-	}
-
-	// The router's retry: same request id, fresh proxy (per-attempt, as
-	// Router.CallCtx builds them). The handler must execute again.
-	p = client.Lookup("fenced", opts...)
-	p.requestID = "pinned-routed-req"
-	if err := p.Call("Do", nil, 1); err != nil {
-		t.Fatalf("retry after refresh: err = %v — the fencing rejection was memoized", err)
-	}
-	if got := f.calls.Load(); got != 2 {
-		t.Fatalf("handler executed %d times, want 2 (rejection must not dedup)", got)
 	}
 }
 

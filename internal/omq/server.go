@@ -292,14 +292,6 @@ func (bo *BoundObject) handle(d mq.Delivery) {
 		}
 	}
 
-	// A routed call carries its ring stamp in the headers; surface it to the
-	// handler so service instances can fence stale routes (RouteFromContext).
-	if epochStr, ok := d.Headers[HeaderRouteEpoch]; ok {
-		if epoch, err := strconv.ParseUint(epochStr, 10, 64); err == nil {
-			ctx = routeContext(ctx, RouteInfo{Key: d.Headers[HeaderRouteKey], Epoch: epoch})
-		}
-	}
-
 	start := bo.broker.now()
 	result, callErr, permanent := bo.invoke(ctx, req)
 	elapsed := bo.broker.now().Sub(start)
@@ -331,12 +323,7 @@ func (bo *BoundObject) handle(d mq.Delivery) {
 	if callErr != nil {
 		errMsg = callErr.Error()
 	}
-	// A fencing rejection is a pre-execution routing error, not an outcome:
-	// the handler never ran. Memoizing it would wedge the caller — a router
-	// retries with the SAME request id after refreshing its ring, and a
-	// remembered rejection would be replayed forever even once this instance
-	// is the legitimate owner again.
-	if req.RequestID != "" && !IsStaleRoute(callErr) {
+	if req.RequestID != "" {
 		bo.dedup.put(req.RequestID, dedupEntry{result: result, errMsg: errMsg})
 	}
 	bo.reply(req, result, errMsg)

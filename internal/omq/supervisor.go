@@ -2,7 +2,6 @@ package omq
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -48,16 +47,6 @@ type SupervisorConfig struct {
 	// InventoryWindow bounds the multicall collecting RemoteBroker
 	// inventories. Default 200ms.
 	InventoryWindow time.Duration
-	// Routing enables workspace-affinity management: the Supervisor keeps a
-	// consistent-hash ring over the live instance identities, pushes every
-	// membership change to the instances (UpdateRing multicast, bumped
-	// epoch) and answers GetRing for routers. Scale-down becomes
-	// fence-then-drain: victims leave the ring before they are shut down,
-	// so no new routed call can land on a draining instance.
-	Routing bool
-	// RingVNodes overrides the ring's virtual-node count (default
-	// DefaultVNodes).
-	RingVNodes int
 }
 
 func (c *SupervisorConfig) applyDefaults() {
@@ -91,18 +80,16 @@ type Supervisor struct {
 	rbrokers *Proxy
 	selfBind *BoundObject
 
-	// fleet gauges: the scaling path's current and target instance counts
-	// plus the routing ring's epoch, scraped like any other series
-	// (omq_instances{oid}, omq_instances_target{oid}, omq_ring_epoch{oid}).
+	// fleet gauges: the scaling path's current and target instance counts,
+	// scraped like any other series (omq_instances{oid},
+	// omq_instances_target{oid}).
 	gCurrent *obs.Gauge
 	gTarget  *obs.Gauge
-	gEpoch   *obs.Gauge
 
 	mu          sync.Mutex
 	current     int
 	lastDesired int
 	history     []ScaleEvent
-	ring        *Ring
 
 	stop     chan struct{}
 	done     chan struct{}
@@ -126,21 +113,10 @@ type ScaleEvent struct {
 // supervisorAPI is the supervisor's own remote surface.
 type supervisorAPI struct {
 	brokerID string
-	sup      *Supervisor
 }
 
 // Ping answers health checks with the supervisor's broker identity.
 func (s *supervisorAPI) Ping(struct{}) string { return s.brokerID }
-
-// GetRing returns the authoritative routing ring (zero state when routing
-// is off or no ring has been built yet). Routers call it to refresh after a
-// fencing rejection or an owner timeout.
-func (s *supervisorAPI) GetRing(struct{}) RingState {
-	if r := s.sup.Ring(); r != nil {
-		return r.State()
-	}
-	return RingState{}
-}
 
 // StartSupervisor launches the enforcement loop. Stop it with Stop.
 func StartSupervisor(b *Broker, cfg SupervisorConfig) (*Supervisor, error) {
@@ -151,11 +127,10 @@ func StartSupervisor(b *Broker, cfg SupervisorConfig) (*Supervisor, error) {
 		rbrokers: b.Lookup(RemoteBrokerGroup, WithTimeout(2*time.Second), WithRetries(1)),
 		gCurrent: b.reg.Gauge("omq_instances", "oid", cfg.OID),
 		gTarget:  b.reg.Gauge("omq_instances_target", "oid", cfg.OID),
-		gEpoch:   b.reg.Gauge("omq_ring_epoch", "oid", cfg.OID),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-	bind, err := b.Bind(SupervisorOID, &supervisorAPI{brokerID: b.id, sup: s})
+	bind, err := b.Bind(SupervisorOID, &supervisorAPI{brokerID: b.id})
 	if err != nil {
 		return nil, err
 	}
@@ -181,14 +156,6 @@ func (s *Supervisor) History() []ScaleEvent {
 	out := make([]ScaleEvent, len(s.history))
 	copy(out, s.history)
 	return out
-}
-
-// Ring returns the current routing ring (nil with Routing off or before the
-// first rebalance).
-func (s *Supervisor) Ring() *Ring {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ring
 }
 
 func (s *Supervisor) loop() {
@@ -228,16 +195,7 @@ func (s *Supervisor) enforceOnce() {
 			return
 		}
 	case desired < current:
-		if s.cfg.Routing {
-			s.shrinkRouted(now, current-desired)
-		} else {
-			s.shrink(current - desired)
-		}
-	}
-	if s.cfg.Routing {
-		// Repair the ring after any membership change the scale actions (or
-		// a crash since the last check) caused; a no-change cycle is a no-op.
-		s.rebalance(now)
+		s.shrink(current - desired)
 	}
 	after, _ := s.broker.ObjectInfo(s.cfg.OID)
 	s.mu.Lock()
@@ -301,116 +259,6 @@ func (s *Supervisor) shrink(n int) {
 			continue
 		}
 		remaining -= rep.Stopped
-	}
-}
-
-// --- workspace-affinity ring management ----------------------------------
-
-// inventoryIDs collects the live instance identities of the managed oid,
-// sorted, plus their grouping by hosting RemoteBroker.
-func (s *Supervisor) inventoryIDs() (all []string, byBroker map[string][]string, err error) {
-	replies, err := s.rbrokers.MultiCall("ListInstances", s.cfg.InventoryWindow, InventoryQuery{OID: s.cfg.OID})
-	if err != nil {
-		return nil, nil, err
-	}
-	byBroker = make(map[string][]string, len(replies))
-	for _, r := range replies {
-		var inv Inventory
-		if err := r.Decode(&inv); err != nil {
-			continue
-		}
-		ids := inv.IDs[s.cfg.OID]
-		if len(ids) == 0 {
-			continue
-		}
-		byBroker[inv.BrokerID] = ids
-		all = append(all, ids...)
-	}
-	sort.Strings(all)
-	return all, byBroker, nil
-}
-
-// rebalance rebuilds and pushes the ring when the live membership differs
-// from the one the current ring was built over.
-func (s *Supervisor) rebalance(now time.Time) {
-	members, _, err := s.inventoryIDs()
-	if err != nil || len(members) == 0 {
-		return
-	}
-	s.pushRing(now, members)
-}
-
-// pushRing installs a ring over members (no-op when membership is
-// unchanged): bump the epoch, multicast UpdateRing to every instance of the
-// managed oid, and record the rebalance. Epochs derive from the supervisor
-// clock but are forced strictly monotonic, so a replacement supervisor
-// elected after a failover keeps fencing sound.
-func (s *Supervisor) pushRing(now time.Time, members []string) {
-	s.mu.Lock()
-	cur := s.ring
-	if cur != nil && cur.SameMembers(members) {
-		s.mu.Unlock()
-		return
-	}
-	epoch := uint64(1)
-	if ns := now.UnixNano(); ns > 0 {
-		epoch = uint64(ns)
-	}
-	if cur != nil && epoch <= cur.Epoch() {
-		epoch = cur.Epoch() + 1
-	}
-	ring := NewRing(RingState{Epoch: epoch, Members: members, VNodes: s.cfg.RingVNodes})
-	s.ring = ring
-	s.mu.Unlock()
-	_ = s.broker.Lookup(s.cfg.OID).Multi("UpdateRing", ring.State())
-	s.gEpoch.Set(float64(epoch))
-	s.broker.events.Append(obs.Event{
-		At:      now,
-		Kind:    obs.EventSupervisorRebalance,
-		Source:  "omq.supervisor",
-		Summary: fmt.Sprintf("%s: ring epoch %d over %d instances", s.cfg.OID, epoch, len(members)),
-		Fields: map[string]string{
-			"oid":     s.cfg.OID,
-			"epoch":   strconv.FormatUint(epoch, 10),
-			"members": strconv.Itoa(len(members)),
-		},
-	})
-}
-
-// shrinkRouted is the fence-then-drain scale-down of routing mode: pick the
-// victim instances, push a ring that excludes them (so routers stop sending
-// them new work and their stale-stamped calls are fenced), then shut them
-// down by name — Unbind drains the in-flight call before releasing the
-// queues.
-func (s *Supervisor) shrinkRouted(now time.Time, n int) {
-	all, byBroker, err := s.inventoryIDs()
-	if err != nil || len(all) == 0 || n <= 0 {
-		return
-	}
-	if n >= len(all) {
-		n = len(all) - 1 // never fence the whole fleet away
-	}
-	if n <= 0 {
-		return
-	}
-	survivors := all[:len(all)-n]
-	victims := make(map[string]bool, n)
-	for _, id := range all[len(all)-n:] {
-		victims[id] = true
-	}
-	s.pushRing(now, survivors)
-	for brokerID, ids := range byBroker {
-		var take []string
-		for _, id := range ids {
-			if victims[id] {
-				take = append(take, id)
-			}
-		}
-		if len(take) == 0 {
-			continue
-		}
-		var rep ShutdownReply
-		_ = s.rbrokers.Call("Shutdown", &rep, ShutdownRequest{Target: brokerID, OID: s.cfg.OID, IDs: take})
 	}
 }
 

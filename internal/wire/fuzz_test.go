@@ -55,7 +55,7 @@ func FuzzFrameCodec(f *testing.F) {
 	var pub bytes.Buffer
 	_ = NewWriter(&pub).Write(&Frame{
 		Op: OpPublish, Seq: 7, Exchange: "ex", Key: "k",
-		Headers:    map[string]string{"x-route-key": "w1"},
+		Headers:    map[string]string{"x-obs-trace": "t1"},
 		Body:       []byte("payload"),
 		Persistent: true,
 	})
@@ -77,6 +77,7 @@ func FuzzFrameCodec(f *testing.F) {
 	f.Add([]byte{binaryMarker, 0x80})                                                                         // truncated length varint
 	f.Add([]byte{binaryMarker, 0x02, fSeq, 0x80})                                                             // truncated field varint
 	f.Add([]byte{binaryMarker, 0x01, 0x63})                                                                   // unknown field id
+	f.Add([]byte{binaryMarker, 0x05, fHeaders, 0x01, 0x05, 0x01, 'v'})                                        // retired route-stamp key id
 	f.Add([]byte{binaryMarker, 0x04, fBody, 0x01, 'x', fSeq})                                                 // bytes after body
 	f.Add([]byte{binaryMarker, 0xff, 0xff, 0xff, 0xff, 0x7f})                                                 // over-limit binary length
 	f.Add([]byte{binaryMarker, 0x05, fHeaders, 0x01, 0x63, 0x01, 'v'})                                        // unknown interned key

@@ -176,17 +176,17 @@ const (
 )
 
 // internedKeys interns the header keys hot on the publish path (trace
-// context, routing stamps) to a single byte on the wire. Ids are part of the
-// protocol: append-only, never renumber. Id 0 escapes to a length-prefixed
-// literal key, so unknown keys always travel; id 1, the retired codec
-// header, stays unassigned. The strings mirror omq/obs constants; wire stays
-// dependency-free, and a drifted name only costs bytes, never correctness.
+// context) to a single byte on the wire. Ids are part of the protocol:
+// append-only, never renumber. Id 0 escapes to a length-prefixed literal
+// key, so unknown keys always travel. Retired ids stay unassigned, and a
+// frame that uses one is refused: id 1 was the codec header, ids 5 and 6
+// the workspace-routing epoch and key. The strings mirror obs constants;
+// wire stays dependency-free, and a drifted name only costs bytes, never
+// correctness.
 var internedKeys = []string{
 	2: "x-obs-trace",
 	3: "x-obs-span",
 	4: "x-obs-pub",
-	5: "x-route-epoch",
-	6: "x-route-key",
 }
 
 var internedKeyID = func() map[string]byte {

@@ -19,7 +19,7 @@ func TestRoundTrip(t *testing.T) {
 		{"publish with body", Frame{
 			Op: OpPublish, Seq: 7, Exchange: "workspace.fanout", Key: "ws1",
 			MessageID: "m-1", Body: []byte("hello"), Persistent: true,
-			Headers: map[string]string{"x-route-key": "ws1"},
+			Headers: map[string]string{"x-obs-trace": "t1"},
 		}},
 		{"deliver", Frame{
 			Op: OpDeliver, Queue: "sync.requests", ConsumerID: "c1",
@@ -153,7 +153,7 @@ func TestFormatInterop(t *testing.T) {
 	frame := Frame{
 		Op: OpPublish, Seq: 9, Exchange: "ex", Key: "route",
 		MessageID: "m-9", Body: []byte("mixed"), Persistent: true,
-		Headers: map[string]string{"x-route-key": "w9", "x-custom": "v"},
+		Headers: map[string]string{"x-obs-span": "s9", "x-custom": "v"},
 	}
 	var buf bytes.Buffer
 	if err := NewWriter(&buf).Write(&frame); err != nil {
@@ -166,7 +166,7 @@ func TestFormatInterop(t *testing.T) {
 	if got.Op != frame.Op || got.Seq != frame.Seq || got.Exchange != frame.Exchange ||
 		got.Key != frame.Key || got.MessageID != frame.MessageID ||
 		!bytes.Equal(got.Body, frame.Body) || !got.Persistent ||
-		got.Headers["x-route-key"] != "w9" || got.Headers["x-custom"] != "v" {
+		got.Headers["x-obs-span"] != "s9" || got.Headers["x-custom"] != "v" {
 		t.Fatalf("binary frame mismatch: %+v", got)
 	}
 }
@@ -208,7 +208,7 @@ func TestReaderReusesBuffer(t *testing.T) {
 // TestInternedHeaderKeys checks that hot header keys encode to a single byte
 // and unknown keys still round-trip via the literal escape.
 func TestInternedHeaderKeys(t *testing.T) {
-	interned := Frame{Op: OpPublish, Headers: map[string]string{"x-route-key": "bin"}}
+	interned := Frame{Op: OpPublish, Headers: map[string]string{"x-obs-trace": "bin"}}
 	literal := Frame{Op: OpPublish, Headers: map[string]string{"x-totally-custom-key": "bin"}}
 	var bi, bl bytes.Buffer
 	if err := NewWriter(&bi).Write(&interned); err != nil {
@@ -226,7 +226,7 @@ func TestInternedHeaderKeys(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if f.Headers["x-route-key"] != "bin" && f.Headers["x-totally-custom-key"] != "bin" {
+		if f.Headers["x-obs-trace"] != "bin" && f.Headers["x-totally-custom-key"] != "bin" {
 			t.Fatalf("headers lost: %v", f.Headers)
 		}
 	}
@@ -248,7 +248,12 @@ func TestMalformedBinary(t *testing.T) {
 		"bytes after body":    frame(fBody, 0x01, 'x', fSeq, 0x01),
 		"header count lie":    frame(fHeaders, 0x7f),
 		"bad interned key":    frame(fHeaders, 0x01, 0x63, 0x01, 'v'),
-		"truncated headers":   frame(fHeaders, 0x02, 0x01, 0x01, 'v'),
+		"truncated headers":   frame(fHeaders, 0x02, 0x02, 0x01, 'v'),
+		// Retired interned ids stay unassigned: the codec header (1) and
+		// the workspace-routing stamps (5, 6) are refused, not translated.
+		"retired key id 1": frame(fHeaders, 0x01, 0x01, 0x01, 'v'),
+		"retired key id 5": frame(fHeaders, 0x01, 0x05, 0x01, 'v'),
+		"retired key id 6": frame(fHeaders, 0x01, 0x06, 0x01, 'v'),
 	}
 	for name, data := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -284,7 +289,7 @@ func TestBinaryJSONCrossCheck(t *testing.T) {
 		{Op: OpError, Seq: 2, Err: "boom"},
 		{Op: OpSubscribe, Queue: "q", Prefetch: 64},
 		{Op: OpStatsReply, Seq: 4, Stats: []byte{0x0B, 0x01}},
-		{Op: OpPublish, Headers: map[string]string{"x-route-key": "w7", "x-route-epoch": "3", "weird": "☃"}},
+		{Op: OpPublish, Headers: map[string]string{"x-obs-trace": "t7", "x-obs-span": "s3", "weird": "☃"}},
 	}
 	for i, in := range frames {
 		payload, err := json.Marshal(&in)

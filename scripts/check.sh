@@ -53,10 +53,10 @@ echo "==> transfer pipeline stress (race, 3x)"
 go test -race -count=3 -run '^TestTransferPipelineStress$' ./internal/client/
 
 # Cross-instance failover is timing-sensitive by nature: re-run the chaos
-# soak (shipped-path and routed devices on one fleet under kills, closed by
-# the failover probe, whose collector polls concurrently with the kills) and
-# the cross-instance linearizability race under the race detector, so a
-# flaky interleaving fails here, not downstream.
+# soak (shipped-path devices on one fleet under kills, whose collector polls
+# concurrently with the kills, closed by a traced commit after one more
+# kill) and the cross-instance linearizability race under the race
+# detector, so a flaky interleaving fails here, not downstream.
 echo "==> chaos soak + cross-instance linearizability (race, 2x)"
 go test -race -count=2 -run '^(TestChaosSoakConverges|TestCrossInstanceLinearizability)$' ./internal/bench/
 
