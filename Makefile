@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet check chaos ub1-multi experiments trace-demo elastic-demo matrix
+.PHONY: build test race vet check chaos ub1-multi experiments trace-demo matrix
 
 build:
 	$(GO) build ./...
@@ -40,12 +40,6 @@ experiments:
 ## breakdown, and the metrics registry after the commit.
 trace-demo:
 	$(GO) run ./cmd/experiments -run trace
-
-## elastic-demo replays the Fig. 8 day-8 workload through the instrumented
-## provisioning stack and prints the over/under-provisioning summary derived
-## from scraped time series. Add -admin to inspect /elasticz live.
-elastic-demo:
-	$(GO) run ./cmd/experiments -run elastic-demo -quick
 
 ## matrix runs the scenario matrix (mobile churn, cold-start herd, reconnect
 ## storm) as correctness/SLO checks and exits non-zero on a violation.

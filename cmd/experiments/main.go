@@ -13,9 +13,8 @@
 // day-8 peak replay over 4 instances with SLO attainment), matrix (the
 // scenario matrix's correctness/SLO checks: mobile churn, cold-start herd,
 // reconnect storm; exit 1 on a violation), trace (end-to-end observability
-// demo), elastic-demo (telemetry-instrumented Fig. 8 replay), ablation.
-// -admin serves /metrics, /healthz, /tracez, /queuesz, /varz, /eventz,
-// /elasticz and /debug/pprof while (and after) the run executes.
+// demo), ablation. -admin serves the admin endpoints (README's table) while
+// (and after) the run executes.
 package main
 
 import (
@@ -32,7 +31,7 @@ import (
 )
 
 func main() {
-	run := flag.String("run", "all", "experiment id (fig7a|fig7b|fig7cd|table2|fig7e|fig7f|fig8ab|fig8cde|fig8f|chaos|ub1-multi|matrix|trace|elastic-demo|all)")
+	run := flag.String("run", "all", "experiment id (fig7a|fig7b|fig7cd|table2|fig7e|fig7f|fig8ab|fig8cde|fig8f|chaos|ub1-multi|matrix|trace|ablation|all)")
 	seed := flag.Int64("seed", 1, "PRNG seed for trace generation")
 	quick := flag.Bool("quick", false, "smaller traces / shorter runs")
 	admin := flag.String("admin", "", "admin endpoint address (e.g. 127.0.0.1:7072); kept serving after the run until interrupted")
@@ -51,27 +50,16 @@ func runExperiments(which string, seed int64, quick bool, adminAddr string) erro
 	var (
 		tracer   *obs.Tracer
 		registry *obs.Registry
-		demo     *bench.ElasticDemo
 	)
-	if which == "elastic-demo" {
-		demo = bench.NewElasticDemo(seed, quick)
-	}
 	if adminAddr != "" {
 		tracer = obs.NewTracer()
 		registry = obs.NewRegistry()
-		adm := &obs.Admin{Registry: registry, Tracer: tracer}
-		if demo != nil {
-			// The demo's telemetry backs the admin surface: its registry,
-			// scraper and flight recorder must be attached before Serve so
-			// /varz, /eventz and /elasticz are live from the first sample.
-			demo.AttachAdmin(adm)
-		}
-		srv, err := adm.Serve(adminAddr)
+		srv, err := (&obs.Admin{Registry: registry, Tracer: tracer}).Serve(adminAddr)
 		if err != nil {
 			return err
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "admin endpoint on http://%s (/metrics /healthz /tracez /queuesz /varz /eventz /elasticz /debug/pprof)\n", srv.Addr())
+		fmt.Fprintf(os.Stderr, "admin endpoint on http://%s\n", srv.Addr())
 		defer func() {
 			fmt.Fprintln(os.Stderr, "run finished; admin endpoint still serving — interrupt to exit")
 			sig := make(chan os.Signal, 1)
@@ -232,11 +220,6 @@ func runExperiments(which string, seed int64, quick bool, adminAddr string) erro
 		if err := bench.RunTraceDemo(out, tracer, registry); err != nil {
 			return err
 		}
-		fmt.Fprintln(out)
-	}
-	if which == "elastic-demo" { // instrumented Fig. 8 replay, not a separate figure
-		ran = true
-		demo.Run(out)
 		fmt.Fprintln(out)
 	}
 	if all || which == "ablation" {

@@ -17,7 +17,6 @@ import (
 	"syscall"
 	"time"
 
-	"stacksync/internal/core"
 	"stacksync/internal/deploy"
 	"stacksync/internal/metastore"
 	"stacksync/internal/obs"
@@ -102,43 +101,24 @@ func start(o options) (*deploy.Fleet, func(), error) {
 	if o.admin == "" {
 		return fleet, func() { _ = fleet.Close() }, nil
 	}
-	scraper := obs.StartScraper(cfg.Registry, obs.ScraperConfig{})
-	adminSrv, err := adminFor(fleet, cfg, scraper, o.minInstances).Serve(o.admin)
+	adminSrv, err := adminFor(fleet, cfg, o.minInstances).Serve(o.admin)
 	if err != nil {
-		scraper.Stop()
 		_ = fleet.Close()
 		return nil, nil, err
 	}
-	log.Printf("admin endpoint on http://%s (/metrics /healthz /readyz /tracez /fleetz /queuesz /varz /eventz /elasticz /debug/pprof)", adminSrv.Addr())
+	log.Printf("admin endpoint on http://%s", adminSrv.Addr())
 	return fleet, func() {
 		_ = adminSrv.Close()
-		scraper.Stop()
 		_ = fleet.Close()
 	}, nil
 }
 
 // adminFor builds the admin surface over a running fleet.
-func adminFor(fleet *deploy.Fleet, cfg deploy.Config, scraper *obs.Scraper, minInstances int) *obs.Admin {
+func adminFor(fleet *deploy.Fleet, cfg deploy.Config, minInstances int) *obs.Admin {
 	return &obs.Admin{
 		Registry: cfg.Registry,
 		Tracer:   cfg.Tracer,
-		Scraper:  scraper,
 		Events:   cfg.Events,
-		Elastic: func() obs.ElasticStatus {
-			var st obs.ElasticStatus
-			if s, err := fleet.MQ.QueueStats(core.ServiceOID); err == nil {
-				instances := fleet.Instances()
-				svc := provision.DefaultSLA().S.Seconds()
-				st.Queues = append(st.Queues, obs.QueueLoad{
-					Queue:       core.ServiceOID,
-					Lambda:      s.ArrivalRate,
-					ServiceTime: svc,
-					Instances:   instances,
-					Rho:         s.ArrivalRate * svc / float64(max(instances, 1)),
-				})
-			}
-			return st
-		},
 		Health: func() obs.Health {
 			instances := fleet.Instances()
 			return obs.Health{OK: instances >= minInstances, Components: []obs.ComponentHealth{

@@ -230,7 +230,7 @@ func runChurnScenario(cfg MatrixConfig, sz matrixSizes) (*ScenarioResult, error)
 		return cl, cb, nil
 	}
 
-	slo := obs.NewSLOTracker(reg, obs.SLOConfig{Name: "matrix_churn", Target: sz.resyncSLO, Objective: 0.99})
+	slo := obs.NewSLOTracker(obs.SLOConfig{Target: sz.resyncSLO, Objective: 0.99})
 	rndMu := sync.Mutex{}
 	rnd := rand.New(rand.NewSource(cfg.Seed))
 	content := func(n int) []byte {
@@ -400,7 +400,7 @@ func runColdStartScenario(cfg MatrixConfig, sz matrixSizes) (*ScenarioResult, er
 		return nil, err
 	}
 
-	slo := obs.NewSLOTracker(reg, obs.SLOConfig{Name: "matrix_cold", Target: sz.resyncSLO, Objective: 0.99})
+	slo := obs.NewSLOTracker(obs.SLOConfig{Target: sz.resyncSLO, Objective: 0.99})
 	s := &ScenarioResult{Name: "coldstart", SLOTarget: sz.resyncSLO, Converged: true}
 	var (
 		mu   sync.Mutex
@@ -683,7 +683,7 @@ func runReconnectScenario(cfg MatrixConfig, sz matrixSizes) (*ScenarioResult, er
 		}(r)
 	}
 
-	slo := obs.NewSLOTracker(reg, obs.SLOConfig{Name: "matrix_reconn", Target: sz.commitSLO, Objective: 0.99})
+	slo := obs.NewSLOTracker(obs.SLOConfig{Target: sz.commitSLO, Objective: 0.99})
 	s := &ScenarioResult{Name: "reconnect", SLOTarget: sz.commitSLO, Converged: true}
 	start := time.Now()
 	stormLats, stormFailed, perr := commitPhase("storm")

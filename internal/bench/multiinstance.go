@@ -183,11 +183,7 @@ func RunUB1Multi(cfg UB1MultiConfig) (*UB1MultiResult, error) {
 	service := loadBroker.Lookup(core.ServiceOID, omq.WithTimeout(600*time.Millisecond),
 		omq.WithRetries(8), omq.WithBackoff(5*time.Millisecond, 100*time.Millisecond))
 
-	slo := obs.NewSLOTracker(reg, obs.SLOConfig{
-		Name:      "ub1_multi_commit",
-		Target:    cfg.SLOTarget,
-		Objective: cfg.SLOObjective,
-	})
+	slo := obs.NewSLOTracker(obs.SLOConfig{Target: cfg.SLOTarget, Objective: cfg.SLOObjective})
 
 	// Replay: committers pull scheduled jobs and fire each at its offset.
 	// Latency is measured from the scheduled arrival, not the send, so

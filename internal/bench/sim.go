@@ -65,12 +65,6 @@ type SimConfig struct {
 	Seed int64
 	// MaxInstances caps the fleet (safety bound; default 64).
 	MaxInstances int
-	// Obs, when set, instruments the replay: per-second gauges
-	// (sim_lambda_obs, sim_lambda_pred, sim_instances), a response-time
-	// histogram and SLO counters, all scraped at the Obs scraper's interval
-	// in simulated time, plus flight-recorder wiring for every provisioning
-	// decision.
-	Obs *SimObs
 }
 
 func (c *SimConfig) applyDefaults() {
@@ -98,15 +92,10 @@ type MinuteStat struct {
 
 // SimResult is the replay outcome.
 type SimResult struct {
-	Minutes   []MinuteStat         `json:"minutes"`
-	Decisions []provision.Decision `json:"decisions"`
+	Minutes []MinuteStat `json:"minutes"`
 	// Responses collects every response time (seconds).
 	Responses *metrics.Recorder `json:"-"`
 	SLA       provision.SLA     `json:"-"`
-	// Provisioner is the Combined instance that produced Decisions; the
-	// /elasticz acceptance test compares the admin surface against
-	// Provisioner.Decisions() directly.
-	Provisioner *provision.Combined `json:"-"`
 }
 
 // MaxInstances returns the largest fleet size used.
@@ -150,11 +139,6 @@ func RunAutoScaleSim(cfg SimConfig) *SimResult {
 	}
 	reactiveOnly := provision.NewReactive(cfg.SLA, 0, 0, nil)
 	reactiveOnly.DrainWindow = 0 // backlog is not part of the sim's ObjectInfo
-	if cfg.Obs != nil {
-		combined.SetEventLog(cfg.Obs.Events)
-		reactiveOnly.SetEventLog(cfg.Obs.Events)
-		cfg.Obs.setCombined(combined)
-	}
 	policy := func(now time.Time, info omq.ObjectInfo) int {
 		switch cfg.Policy {
 		case PolicyPredictiveOnly:
@@ -221,9 +205,6 @@ func RunAutoScaleSim(cfg SimConfig) *SimResult {
 			resp := startSvc + svc - at
 			res.Responses.ObserveSeconds(resp)
 			minuteResponses = append(minuteResponses, resp)
-			if cfg.Obs != nil {
-				cfg.Obs.observeResponse(resp)
-			}
 		}
 
 		// One provisioning check per simulated second, like the live
@@ -252,9 +233,6 @@ func RunAutoScaleSim(cfg SimConfig) *SimResult {
 			servers = servers[:len(servers)-1]
 		}
 		lastExpected = combinedPredicted(combined, predictive, now)
-		if cfg.Obs != nil {
-			cfg.Obs.observeSecond(now, observed, lastExpected, len(servers))
-		}
 
 		if (sec+1)%60 == 0 {
 			stat := MinuteStat{
@@ -277,13 +255,6 @@ func RunAutoScaleSim(cfg SimConfig) *SimResult {
 			minuteArrivals = 0
 			minuteIdx++
 		}
-	}
-	res.Decisions = combined.Decisions()
-	res.Provisioner = combined
-	if cfg.Obs != nil {
-		// A final sample flushes the end-of-run counter values into the
-		// scraped history so cumulative reads see every observation.
-		cfg.Obs.finalTick(cfg.Workload.Start.Add(time.Duration(totalSeconds) * time.Second))
 	}
 	return res
 }

@@ -38,11 +38,10 @@ type Health struct {
 	Components []ComponentHealth `json:"components,omitempty"`
 }
 
-// Admin is the introspection surface: /metrics, /healthz, /tracez, /queuesz,
-// /varz (scraped time series), /elasticz (provisioning decision history and
-// queue load), /eventz (flight-recorder tail) and /debug/pprof. Provider
-// fields are optional; missing ones degrade to empty responses so partial
-// wiring still serves.
+// Admin is the introspection surface: /metrics, /healthz, /readyz, /tracez,
+// /fleetz, /queuesz, /eventz (flight-recorder tail) and /debug/pprof.
+// Provider fields are optional; missing ones degrade to empty responses so
+// partial wiring still serves.
 type Admin struct {
 	// Registry backs /metrics.
 	Registry *Registry
@@ -54,12 +53,8 @@ type Admin struct {
 	Health func() Health
 	// Queues lists per-queue stats for /queuesz.
 	Queues func() []QueueInfo
-	// Scraper backs /varz with windowed time series.
-	Scraper *Scraper
 	// Events backs /eventz with the flight-recorder tail.
 	Events *EventLog
-	// Elastic assembles the /elasticz report.
-	Elastic func() ElasticStatus
 	// Collector backs /fleetz and upgrades /tracez to the fleet-stitched
 	// view when set.
 	Collector *Collector
@@ -75,9 +70,7 @@ func (a *Admin) Handler() http.Handler {
 	mux.HandleFunc("/tracez", a.serveTracez)
 	mux.HandleFunc("/fleetz", a.serveFleetz)
 	mux.HandleFunc("/queuesz", a.serveQueuesz)
-	mux.HandleFunc("/varz", a.serveVarz)
 	mux.HandleFunc("/eventz", a.serveEventz)
-	mux.HandleFunc("/elasticz", a.serveElasticz)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -221,6 +214,34 @@ func (a *Admin) serveQueuesz(w http.ResponseWriter, r *http.Request) {
 	for _, q := range queues {
 		fmt.Fprintf(w, "%-40s %7d %7d %9d %9d %9d %7d %11.2f\n",
 			q.Name, q.Depth, q.Unacked, q.Consumers, q.Enqueued, q.Acked, q.Redelivered, q.ArrivalRate)
+	}
+}
+
+// serveEventz serves the flight-recorder tail; ?n= bounds it (default 50)
+// and ?format=json switches to JSON.
+func (a *Admin) serveEventz(w http.ResponseWriter, r *http.Request) {
+	n := 50
+	if v := r.URL.Query().Get("n"); v != "" {
+		if parsed, err := strconv.Atoi(v); err == nil && parsed > 0 {
+			n = parsed
+		}
+	}
+	events := a.Events.Tail(n)
+	if r.URL.Query().Get("format") == "json" {
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(events)
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	if a.Events == nil {
+		fmt.Fprintln(w, "eventz: no flight recorder configured")
+		return
+	}
+	fmt.Fprintf(w, "eventz: %d retained, %d dropped, last seq %d\n\n",
+		a.Events.Len(), a.Events.Dropped(), a.Events.Seq())
+	for _, e := range events {
+		fmt.Fprintf(w, "%6d  %s  %-20s %-14s %s\n",
+			e.Seq, e.At.Format("15:04:05.000"), e.Kind, e.Source, e.Summary)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 func get(t *testing.T, srv *httptest.Server, path string) (int, string) {
@@ -24,22 +25,36 @@ func get(t *testing.T, srv *httptest.Server, path string) (int, string) {
 }
 
 // TestAdminDegraded: a bare Admin with nothing wired must still serve every
-// endpoint — partial wiring degrades, it does not 500.
+// endpoint — partial wiring degrades, it does not 500 — and nothing else.
 func TestAdminDegraded(t *testing.T) {
 	srv := httptest.NewServer((&Admin{}).Handler())
 	defer srv.Close()
 
-	if code, body := get(t, srv, "/metrics"); code != 200 || body != "" {
-		t.Errorf("/metrics: %d %q", code, body)
+	for _, c := range []struct {
+		path, want string
+		code       int
+	}{
+		{"/metrics", "", 200},
+		{"/healthz", `"ok":true`, 200},
+		{"/readyz", `"ok":true`, 200},
+		{"/tracez", "tracing disabled", 200},
+		{"/queuesz", "queue", 200},
+		{"/eventz", "no flight recorder configured", 200},
+		{"/eventz?format=json", "null", 200},
+		{"/fleetz", "fleet collection not enabled", http.StatusNotFound},
+		{"/debug/pprof/", "goroutine", 200},
+	} {
+		code, body := get(t, srv, c.path)
+		if code != c.code || !strings.Contains(body, c.want) || (c.path == "/metrics" && body != "") {
+			t.Errorf("%s: %d %q, want %d containing %q", c.path, code, body, c.code, c.want)
+		}
 	}
-	if code, body := get(t, srv, "/healthz"); code != 200 || !strings.Contains(body, `"ok":true`) {
-		t.Errorf("/healthz: %d %q", code, body)
-	}
-	if code, body := get(t, srv, "/tracez"); code != 200 || !strings.Contains(body, "tracing disabled") {
-		t.Errorf("/tracez: %d %q", code, body)
-	}
-	if code, _ := get(t, srv, "/queuesz"); code != 200 {
-		t.Errorf("/queuesz: %d", code)
+	// The retired time-series and elasticity endpoints are gone: history
+	// belongs to whatever scrapes /metrics.
+	for _, retired := range []string{"varz", "elasticz"} {
+		if code, _ := get(t, srv, "/"+retired); code != http.StatusNotFound {
+			t.Errorf("/%s: %d, want 404", retired, code)
+		}
 	}
 }
 
@@ -137,5 +152,53 @@ func TestAdminServe(t *testing.T) {
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestAdminEventz(t *testing.T) {
+	at := time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC)
+	l := NewEventLog(8)
+	l.Append(Event{At: at, Kind: EventProvisionDecision, Source: "provision.combined", Summary: "predictive: 3 instances"})
+	l.Append(Event{At: at.Add(time.Second), Kind: EventSupervisorScale, Source: "omq.supervisor", Summary: "sync: 1 → 3"})
+	srv := httptest.NewServer((&Admin{Events: l}).Handler())
+	defer srv.Close()
+
+	code, body := get(t, srv, "/eventz")
+	if code != 200 || !strings.Contains(body, "provision.decision") || !strings.Contains(body, "supervisor.scale") {
+		t.Fatalf("/eventz: %d %q", code, body)
+	}
+	code, body = get(t, srv, "/eventz?format=json&n=1")
+	if code != 200 {
+		t.Fatalf("/eventz json: %d", code)
+	}
+	var events []Event
+	if err := json.Unmarshal([]byte(body), &events); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if len(events) != 1 || events[0].Seq != l.Seq() {
+		t.Fatalf("json tail = %+v, want newest seq %d", events, l.Seq())
+	}
+}
+
+func TestAdminPprofAndRuntimeMetrics(t *testing.T) {
+	reg := NewRegistry()
+	a := &Admin{Registry: reg}
+	srv := httptest.NewServer(a.Handler())
+	defer srv.Close()
+
+	if code, body := get(t, srv, "/debug/pprof/"); code != 200 || !strings.Contains(body, "goroutine") {
+		t.Fatalf("/debug/pprof/: %d", code)
+	}
+
+	RegisterRuntimeMetrics(reg)
+	RegisterRuntimeMetrics(reg) // idempotent
+	code, body := get(t, srv, "/metrics")
+	if code != 200 {
+		t.Fatalf("/metrics: %d", code)
+	}
+	for _, name := range []string{"go_goroutines", "go_heap_bytes", "go_gc_pause_seconds"} {
+		if strings.Count(body, name) != 1 {
+			t.Fatalf("runtime gauge %s appears %d times in /metrics:\n%s", name, strings.Count(body, name), body)
+		}
 	}
 }

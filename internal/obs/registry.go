@@ -6,9 +6,9 @@
 // introspection-first design the paper's elasticity loop (§3.3) builds on,
 // extended from per-queue stats to every hop of a sync commit.
 //
-// The package depends only on the stdlib plus the leaf-level clock and
-// metrics packages, and sits at the bottom of the import graph so that mq,
-// omq, metastore, objstore, client and bench can all depend on it.
+// The package depends only on the stdlib and sits at the bottom of the
+// import graph so that mq, omq, metastore, objstore, client and bench can
+// all depend on it.
 package obs
 
 import (
@@ -298,13 +298,6 @@ func (r *Registry) HistogramWith(buckets []float64, name string, labels ...strin
 	return h
 }
 
-// SeriesKey renders the canonical exposition key of (name, labels) — the
-// identity the Scraper and /varz address series by.
-func SeriesKey(name string, labels ...string) string {
-	key, _ := seriesKey(name, labels)
-	return key
-}
-
 // VisitValues calls fn for every counter, gauge and gauge-func series with
 // its canonical key and current value. Gauge funcs are evaluated outside the
 // registry lock (they may themselves take locks).
@@ -331,20 +324,6 @@ func (r *Registry) VisitValues(fn func(key string, v float64)) {
 	}
 	for key, f := range funcs {
 		fn(key, f())
-	}
-}
-
-// VisitHistograms calls fn for every histogram series with its canonical key
-// and a consistent snapshot. Snapshots are taken outside the registry lock.
-func (r *Registry) VisitHistograms(fn func(key string, s HistogramSnapshot)) {
-	r.mu.RLock()
-	hists := make(map[string]*Histogram, len(r.hists))
-	for key, h := range r.hists {
-		hists[key] = h
-	}
-	r.mu.RUnlock()
-	for key, h := range hists {
-		fn(key, h.Snapshot())
 	}
 }
 
@@ -449,18 +428,24 @@ func (r *Registry) WriteText(w io.Writer) {
 		var b strings.Builder
 		for i, bound := range s.Bounds {
 			fmt.Fprintf(&b, "%s %d\n",
-				SeriesKey(id.name+"_bucket", append([]string{"le", formatBound(bound)}, id.labels...)...),
+				exposedKey(id.name+"_bucket", append([]string{"le", formatBound(bound)}, id.labels...)),
 				s.Buckets[i])
 		}
-		fmt.Fprintf(&b, "%s %d\n", SeriesKey(id.name+"_bucket", append([]string{"le", "+Inf"}, id.labels...)...), s.Count)
-		fmt.Fprintf(&b, "%s %d\n", SeriesKey(id.name+"_count", id.labels...), s.Count)
-		fmt.Fprintf(&b, "%s %g\n", SeriesKey(id.name+"_sum", id.labels...), s.Sum)
+		fmt.Fprintf(&b, "%s %d\n", exposedKey(id.name+"_bucket", append([]string{"le", "+Inf"}, id.labels...)), s.Count)
+		fmt.Fprintf(&b, "%s %d\n", exposedKey(id.name+"_count", id.labels), s.Count)
+		fmt.Fprintf(&b, "%s %g\n", exposedKey(id.name+"_sum", id.labels), s.Sum)
 		lines = append(lines, line{key, b.String()})
 	}
 	sort.Slice(lines, func(i, j int) bool { return lines[i].key < lines[j].key })
 	for _, l := range lines {
 		_, _ = io.WriteString(w, l.text)
 	}
+}
+
+// exposedKey renders the exposition key of one derived histogram line.
+func exposedKey(name string, labels []string) string {
+	key, _ := seriesKey(name, labels)
+	return key
 }
 
 func formatBound(b float64) string {

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"sync/atomic"
 	"time"
 )
 
@@ -10,8 +11,6 @@ import (
 // (Table 3) is d = 450 ms; the tracker generalizes it to a fractional
 // objective so error budgets can be computed.
 type SLOConfig struct {
-	// Name labels the tracker's registry series (slo="Name").
-	Name string
 	// Target is the per-request latency objective (the SLA's d).
 	Target time.Duration
 	// Objective is the required fraction of requests within Target, e.g.
@@ -19,52 +18,40 @@ type SLOConfig struct {
 	Objective float64
 }
 
-// SLOTracker counts requests against a latency SLO. It records two counters
-// in the registry — slo_requests_total{slo} and slo_good_total{slo} — so the
-// Scraper picks them up like any other series; windowed attainment and
-// error-budget burn are then derived from the scraped history.
+// SLOTracker counts requests against a latency SLO: how many were observed
+// and how many finished within target. Safe for concurrent use.
 type SLOTracker struct {
 	cfg   SLOConfig
-	good  *Counter
-	total *Counter
+	good  atomic.Uint64
+	total atomic.Uint64
 }
 
-// NewSLOTracker registers the tracker's counters in reg.
-func NewSLOTracker(reg *Registry, cfg SLOConfig) *SLOTracker {
+// NewSLOTracker builds a tracker for cfg.
+func NewSLOTracker(cfg SLOConfig) *SLOTracker {
 	if cfg.Objective <= 0 || cfg.Objective > 1 {
 		cfg.Objective = 0.99
 	}
-	return &SLOTracker{
-		cfg:   cfg,
-		good:  reg.Counter("slo_good_total", "slo", cfg.Name),
-		total: reg.Counter("slo_requests_total", "slo", cfg.Name),
-	}
+	return &SLOTracker{cfg: cfg}
 }
 
-// Config returns the tracked objective.
-func (t *SLOTracker) Config() SLOConfig { return t.cfg }
-
-// GoodKey returns the registry series key of the within-target counter.
-func (t *SLOTracker) GoodKey() string { return SeriesKey("slo_good_total", "slo", t.cfg.Name) }
-
-// TotalKey returns the registry series key of the request counter.
-func (t *SLOTracker) TotalKey() string { return SeriesKey("slo_requests_total", "slo", t.cfg.Name) }
-
 // Observe records one request latency.
-func (t *SLOTracker) Observe(d time.Duration) { t.ObserveSeconds(d.Seconds()) }
-
-// ObserveSeconds records one request latency expressed in seconds.
-func (t *SLOTracker) ObserveSeconds(s float64) {
-	t.total.Inc()
-	if s <= t.cfg.Target.Seconds() {
-		t.good.Inc()
+func (t *SLOTracker) Observe(d time.Duration) {
+	t.total.Add(1)
+	if d <= t.cfg.Target {
+		t.good.Add(1)
 	}
 }
 
 // Attainment returns the cumulative fraction of requests within target
 // (1 when nothing was observed yet — an empty window has spent no budget).
 func (t *SLOTracker) Attainment() float64 {
-	return attainment(float64(t.good.Value()), float64(t.total.Value()))
+	// good before total: Observe bumps total first, so good ≤ total here.
+	good := t.good.Load()
+	total := t.total.Load()
+	if total == 0 {
+		return 1
+	}
+	return float64(good) / float64(total)
 }
 
 // BurnRate returns the cumulative error-budget burn rate: the ratio of the
@@ -72,19 +59,8 @@ func (t *SLOTracker) Attainment() float64 {
 // spends the budget exactly as fast as the objective allows; burn 2 exhausts
 // it in half the period.
 func (t *SLOTracker) BurnRate() float64 {
-	return burnRate(t.Attainment(), t.cfg.Objective)
-}
-
-func attainment(good, total float64) float64 {
-	if total <= 0 {
-		return 1
-	}
-	return good / total
-}
-
-func burnRate(att, objective float64) float64 {
-	allowed := 1 - objective
-	missed := 1 - att
+	allowed := 1 - t.cfg.Objective
+	missed := 1 - t.Attainment()
 	if allowed <= 0 {
 		if missed > 0 {
 			return math.Inf(1)
@@ -92,33 +68,4 @@ func burnRate(att, objective float64) float64 {
 		return 0
 	}
 	return missed / allowed
-}
-
-// SLOWindow is a windowed SLO report derived from scraped counters.
-type SLOWindow struct {
-	Window     time.Duration `json:"window"`
-	Requests   float64       `json:"requests"`
-	Good       float64       `json:"good"`
-	Attainment float64       `json:"attainment"`
-	BurnRate   float64       `json:"burnRate"`
-}
-
-// SLOWindow derives attainment and burn rate for the tracker over the
-// trailing window from this scraper's sampled history: Δgood/Δtotal between
-// the window-edge baseline and the newest sample. ok is false before two
-// samples of the tracker's series exist.
-func (s *Scraper) SLOWindow(t *SLOTracker, window time.Duration) (SLOWindow, bool) {
-	dGood, ok1 := s.Delta(t.GoodKey(), window)
-	dTotal, ok2 := s.Delta(t.TotalKey(), window)
-	if !ok1 || !ok2 {
-		return SLOWindow{}, false
-	}
-	att := attainment(dGood, dTotal)
-	return SLOWindow{
-		Window:     window,
-		Requests:   dTotal,
-		Good:       dGood,
-		Attainment: att,
-		BurnRate:   burnRate(att, t.cfg.Objective),
-	}, true
 }

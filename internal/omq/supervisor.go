@@ -96,10 +96,9 @@ type Supervisor struct {
 	stopOnce sync.Once
 }
 
-// ScaleHistoryCap bounds the retained scale events (the DecisionHistoryCap
-// analogue of provision.Combined): one supervisor checking every second
-// records at most ~68 minutes of back-to-back actions before the oldest
-// fall off, keeping week-long soaks flat in memory.
+// ScaleHistoryCap bounds the retained scale events: one supervisor checking
+// every second records at most ~68 minutes of back-to-back actions before
+// the oldest fall off, keeping week-long soaks flat in memory.
 const ScaleHistoryCap = 4096
 
 // ScaleEvent records one enforcement action, for experiments and tests.

@@ -30,21 +30,11 @@ type Combined struct {
 	// into planning for hour 30's workload while hour 20 runs.
 	mispredict time.Duration
 
-	// trace of decisions for experiments; bounded to DecisionHistoryCap
-	decisions []Decision
-	events    *obs.EventLog
+	events *obs.EventLog
 }
 
-// DecisionHistoryCap bounds the decision trace kept by Combined: once full,
-// the oldest decision is discarded per append. At the paper's cadence (one
-// predictive decision per 15 minutes plus at most one reactive correction per
-// 5 minutes) the cap covers roughly two weeks of continuous operation, so
-// long soaks cannot grow the slice unbounded; the full stream is still
-// available through the obs.EventLog flight recorder.
-const DecisionHistoryCap = 4096
-
-// Decision records one provisioning decision for experiment output and the
-// /elasticz introspection surface.
+// Decision is one provisioning decision, as recordEvent writes it into the
+// flight recorder (obs.EventProvisionDecision).
 type Decision struct {
 	Time time.Time `json:"time"`
 	// Trigger is "predictive" (period baseline) or "reactive" (τ-divergence
@@ -154,16 +144,6 @@ func recordEvent(l *obs.EventLog, source string, d Decision) {
 	})
 }
 
-// appendDecisionLocked appends to the bounded decision trace. Callers hold
-// c.mu.
-func (c *Combined) appendDecisionLocked(d Decision) {
-	if len(c.decisions) >= DecisionHistoryCap {
-		copy(c.decisions, c.decisions[1:])
-		c.decisions = c.decisions[:DecisionHistoryCap-1]
-	}
-	c.decisions = append(c.decisions, d)
-}
-
 // Desired implements omq.Provisioner.
 func (c *Combined) Desired(now time.Time, info omq.ObjectInfo) int {
 	c.predictive.Observe(now, info.ArrivalRate)
@@ -176,9 +156,8 @@ func (c *Combined) Desired(now time.Time, info omq.ObjectInfo) int {
 		c.target = InstancesForRate(c.sla, pred)
 		c.nextPredictive = now.Truncate(PeriodDuration).Add(PeriodDuration)
 		c.nextReactive = now.Add(ReactiveInterval)
-		d := decisionFor(now, "predictive", c.sla, info, pred, c.target)
-		c.appendDecisionLocked(d)
-		recordEvent(c.events, "provision.combined", d)
+		recordEvent(c.events, "provision.combined",
+			decisionFor(now, "predictive", c.sla, info, pred, c.target))
 		return c.target
 	}
 	if !now.Before(c.nextReactive) {
@@ -189,29 +168,17 @@ func (c *Combined) Desired(now time.Time, info omq.ObjectInfo) int {
 		n, corrected := c.reactive.Check(now, info.ArrivalRate)
 		c.mu.Lock()
 		if corrected {
-			d := decisionFor(now, "reactive", c.sla, info, pred, n)
 			c.target = n
-			c.appendDecisionLocked(d)
-			recordEvent(events, "provision.combined", d)
+			recordEvent(events, "provision.combined",
+				decisionFor(now, "reactive", c.sla, info, pred, n))
 		} else {
 			// The check ran and endorsed the standing target: record the
-			// non-decision in the flight recorder (trigger "none") but keep
-			// it out of the decision trace the experiments consume.
+			// non-decision (trigger "none").
 			recordEvent(events, "provision.combined",
 				decisionFor(now, "none", c.sla, info, pred, c.target))
 		}
 	}
 	return c.target
-}
-
-// Decisions returns a copy of the recorded decision trace. The trace is
-// bounded: only the most recent DecisionHistoryCap decisions are retained.
-func (c *Combined) Decisions() []Decision {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Decision, len(c.decisions))
-	copy(out, c.decisions)
-	return out
 }
 
 // Target returns the current instance target without re-evaluating.

@@ -8,37 +8,9 @@ import (
 	"stacksync/internal/omq"
 )
 
-// TestDecisionHistoryBounded: the decision trace never exceeds
-// DecisionHistoryCap; the oldest entries are shed first.
-func TestDecisionHistoryBounded(t *testing.T) {
-	c := NewCombined(DefaultSLA(), NewPredictive(DefaultSLA(), 0.95, 0))
-	c.mu.Lock()
-	for i := 0; i < DecisionHistoryCap+25; i++ {
-		c.appendDecisionLocked(Decision{Instances: i})
-	}
-	c.mu.Unlock()
-
-	got := c.Decisions()
-	if len(got) != DecisionHistoryCap {
-		t.Fatalf("len(Decisions()) = %d, want cap %d", len(got), DecisionHistoryCap)
-	}
-	if got[0].Instances != 25 {
-		t.Fatalf("oldest retained decision = %d, want 25 (first 25 shed)", got[0].Instances)
-	}
-	if got[len(got)-1].Instances != DecisionHistoryCap+24 {
-		t.Fatalf("newest decision = %d, want %d", got[len(got)-1].Instances, DecisionHistoryCap+24)
-	}
-
-	// Decisions() returns a copy: mutating it must not corrupt the trace.
-	got[0].Instances = -1
-	if c.Decisions()[0].Instances != 25 {
-		t.Fatal("Decisions() exposed internal slice")
-	}
-}
-
 // TestCombinedEmitsDecisionEvents: every Desired-side decision lands in the
 // flight recorder, including reactive checks that endorse the standing target
-// (trigger "none"), which stay out of the decision trace.
+// (trigger "none").
 func TestCombinedEmitsDecisionEvents(t *testing.T) {
 	sla := DefaultSLA()
 	pred := NewPredictive(sla, 0.95, 0)
@@ -59,11 +31,6 @@ func TestCombinedEmitsDecisionEvents(t *testing.T) {
 	now = now.Add(ReactiveInterval)
 	c.Desired(now, omq.ObjectInfo{ArrivalRate: 40, Instances: 3}) // reactive check, no divergence
 
-	decisions := c.Decisions()
-	if len(decisions) != 1 || decisions[0].Trigger != "predictive" {
-		t.Fatalf("decision trace = %+v, want single predictive entry", decisions)
-	}
-
 	events := l.Tail(0)
 	var triggers []string
 	for _, e := range events {
@@ -75,14 +42,28 @@ func TestCombinedEmitsDecisionEvents(t *testing.T) {
 	if len(triggers) != 2 || triggers[0] != "predictive" || triggers[1] != "none" {
 		t.Fatalf("event triggers = %v, want [predictive none]", triggers)
 	}
+	if got := decisionTriggers(l); len(got) != 1 || got[0] != "predictive" {
+		t.Fatalf("decisions = %v, want single predictive entry", got)
+	}
 
-	// The predictive event mirrors the decision trace entry field by field.
-	d := decisions[0]
+	// The predictive event carries the decision's inputs field by field.
 	f := events[0].Fields
 	if f["current"] != "1" || f["observed"] != "40" {
-		t.Fatalf("event fields %v do not mirror decision %+v", f, d)
+		t.Fatalf("event fields %v do not carry the decision inputs", f)
 	}
-	if !events[0].At.Equal(d.Time) {
-		t.Fatalf("event time %v != decision time %v", events[0].At, d.Time)
+	if !events[0].At.Equal(start.Add(7 * 24 * time.Hour)) {
+		t.Fatalf("event time %v != decision time", events[0].At)
 	}
+}
+
+// decisionTriggers lists the triggers of the provisioning decisions in l,
+// oldest first, skipping reactive checks that changed nothing ("none").
+func decisionTriggers(l *obs.EventLog) []string {
+	var out []string
+	for _, e := range l.Tail(0) {
+		if e.Kind == obs.EventProvisionDecision && e.Fields["trigger"] != "none" {
+			out = append(out, e.Fields["trigger"])
+		}
+	}
+	return out
 }

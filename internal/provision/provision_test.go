@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"stacksync/internal/obs"
 	"stacksync/internal/omq"
 )
 
@@ -191,6 +192,8 @@ func TestCombinedPredictiveBaselineAndReactiveOverride(t *testing.T) {
 		p.LoadHistory(day(d), samples)
 	}
 	c := NewCombined(sla, p)
+	l := obs.NewEventLog(64)
+	c.SetEventLog(l)
 	start := time.Date(2013, 11, 8, 9, 0, 0, 0, time.UTC)
 
 	// First call: predictive baseline.
@@ -207,9 +210,8 @@ func TestCombinedPredictiveBaselineAndReactiveOverride(t *testing.T) {
 	if flash <= base {
 		t.Fatalf("flash crowd not corrected: %d <= %d", flash, base)
 	}
-	decisions := c.Decisions()
-	if len(decisions) < 2 || decisions[0].Trigger != "predictive" || decisions[len(decisions)-1].Trigger != "reactive" {
-		t.Fatalf("decision trace: %+v", decisions)
+	if got := decisionTriggers(l); len(got) < 2 || got[0] != "predictive" || got[len(got)-1] != "reactive" {
+		t.Fatalf("decision triggers: %v", got)
 	}
 	if c.Target() != flash {
 		t.Fatalf("Target() = %d, want %d", c.Target(), flash)

@@ -8,7 +8,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 echo "==> gofmt -l"
-unformatted=$(gofmt -l ./cmd ./internal ./examples ./*.go)
+unformatted=$(gofmt -l ./cmd ./internal ./examples ./benchmark ./*.go)
 if [ -n "$unformatted" ]; then
     echo "gofmt needed on:" >&2
     echo "$unformatted" >&2
