@@ -71,7 +71,6 @@ func start(o options) (*deploy.Fleet, func(), error) {
 		StorageToken:  o.storageToken,
 		Workspaces:    []metastore.Workspace{{ID: o.workspace, Owner: members[0], Members: members}},
 		Supervisor: &omq.SupervisorConfig{
-			CheckEvery:   time.Second,
 			MinInstances: o.minInstances,
 			MaxInstances: o.maxInstances,
 			Provisioner:  reactive,

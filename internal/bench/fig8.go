@@ -117,8 +117,7 @@ func RunFig8f(cfg Fig8fConfig) (*Fig8fResult, error) {
 	cl, err := client.NewClient(client.Config{
 		UserID: "user-0", DeviceID: "dev-0", WorkspaceID: "ft-ws",
 		Broker: clientBroker, Storage: fleet.Chunks,
-		Chunker:     chunker.Fixed{ChunkSize: 64 * 1024},
-		CallTimeout: 2 * time.Second, CallRetries: 10,
+		Chunker: chunker.Fixed{ChunkSize: 64 * 1024},
 		// Proxy retries alone cover the crash window; retransmission would
 		// blur the per-commit latency attribution.
 		RetransmitEvery: -1,

@@ -43,8 +43,7 @@ func TestCrossInstanceLinearizability(t *testing.T) {
 			Provisioner: omq.ProvisionerFunc(func(time.Time, omq.ObjectInfo) int {
 				return int(target.Load())
 			}),
-			MaxInstances:    6,
-			InventoryWindow: 50 * time.Millisecond,
+			MaxInstances: 6,
 		},
 	})
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"stacksync/internal/chunker"
 	"stacksync/internal/client"
 	"stacksync/internal/core"
 	"stacksync/internal/deploy"
@@ -26,12 +25,13 @@ import (
 // SoakConfig parameterizes the chaos soak: a supervised SyncService fleet is
 // driven through the phase schedule soakPhases while a seeded fault plan
 // drops, duplicates and delays messages, fails storage, aborts metadata
-// transactions and kills instances. Every device takes the shipped path:
-// the shared request queue, async commits and retransmission, as
-// stacksync-client runs. Afterwards every device must converge on every
-// acked commit, respawns must take at most the paper's ~1 s (§5.3.4), and a
-// traced commit made after a closing kill must leave a complete stitched
-// trace.
+// transactions and kills instances. Every device runs stacksync-client's
+// configuration: it sets only its ids, broker, storage, registry and tracer,
+// and everything else is the shipped default (the shared request queue,
+// async commits, 1 s retransmission, no periodic resync). Afterwards every
+// device must converge on every acked commit, respawns must take at most the
+// paper's ~1 s (§5.3.4), and a traced commit made after a closing kill must
+// leave a complete stitched trace.
 type SoakConfig struct {
 	// Seed fixes the fault plan and the kill schedule; same seed, same chaos.
 	Seed int64
@@ -99,7 +99,9 @@ func soakPlan(cfg SoakConfig, reg *obs.Registry) *faults.Plan {
 				ErrorP: 0.10, DelayP: 0.10, MaxDelay: 10 * time.Millisecond,
 				Outages: faults.RandomOutages(cfg.Seed, "objstore", 2, 300*time.Millisecond, horizon),
 			},
-			// Notification pushes: the lossiest hop — resync must repair.
+			// Notification pushes: the lossiest hop. A dropped publish is
+			// lost for every device at once, so the writer's retransmit,
+			// which the service re-acks and re-publishes, repairs it.
 			deploy.FaultSiteNotify: {DropP: 0.10, DupP: 0.05, DelayP: 0.10, MaxDelay: 20 * time.Millisecond},
 			// Metadata transactions: sporadic aborts the pipeline must retry.
 			deploy.FaultSiteMeta: {AbortP: 0.15},
@@ -175,9 +177,6 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 				return int(target.Load())
 			}),
 			MaxInstances: slices.Max(soakPhases) + 2,
-			// A scale-in's inventory multicall holds the check this long;
-			// keep it under the check period.
-			InventoryWindow: 50 * time.Millisecond,
 		},
 	})
 	if err != nil {
@@ -206,16 +205,10 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 		defer cb.Close()
 		cl, err := client.NewClient(client.Config{
 			UserID: "user-0", DeviceID: fmt.Sprintf("dev-%d", i), WorkspaceID: wsOf(i),
-			Broker:      cb,
-			Storage:     objstore.NewFaulty(fleet.Chunks, plan, "objstore", nil),
-			Registry:    reg,
-			Tracer:      tracer,
-			Chunker:     chunker.Fixed{ChunkSize: 4 * 1024},
-			CallTimeout: 500 * time.Millisecond, CallRetries: 10,
-			StoreBackoff: 5 * time.Millisecond, BreakerThreshold: 4,
-			BreakerCooldown: 150 * time.Millisecond,
-			RetransmitEvery: 250 * time.Millisecond,
-			ResyncEvery:     250 * time.Millisecond,
+			Broker:   cb,
+			Storage:  objstore.NewFaulty(fleet.Chunks, plan, "objstore", nil),
+			Registry: reg,
+			Tracer:   tracer,
 		})
 		if err != nil {
 			return nil, err
@@ -281,8 +274,8 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 	workloadEnd := time.Now()
 	res.Window = workloadEnd.Sub(start).Round(time.Millisecond)
 
-	// Stop killing; let redelivery, retransmission, resync and upload
-	// flushing settle the system.
+	// Stop killing; let redelivery, retransmission and upload flushing
+	// settle the system.
 	crashes.Stop()
 	<-phaseDone
 	for _, g := range expected {

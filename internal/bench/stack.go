@@ -46,9 +46,9 @@ type StackOptions struct {
 	// gives each component a private registry (the pre-existing behaviour).
 	Registry *obs.Registry
 	// TransferWorkers and TransferBatch tune every client's transfer
-	// pipeline (0 keeps the client defaults; negative forces serial /
-	// per-chunk). Benchmarks sweep these to measure the pipelined data path
-	// against the one-chunk-at-a-time baseline.
+	// pipeline (0 keeps the client defaults; 1 and 1 is serial, per-chunk).
+	// Benchmarks sweep these to measure the pipelined data path against the
+	// one-chunk-at-a-time baseline.
 	TransferWorkers int
 	TransferBatch   int
 }
@@ -120,7 +120,6 @@ func NewStack(opts StackOptions) (*Stack, error) {
 			Storage:     metered,
 			Chunker:     opts.Chunker,
 			Compression: opts.Compression,
-			EventBuffer: 4096,
 			Tracer:      opts.Tracer,
 			Registry:    opts.Registry,
 

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"stacksync/internal/chunker"
-	"stacksync/internal/clock"
 	"stacksync/internal/core"
 	"stacksync/internal/metastore"
 	"stacksync/internal/objstore"
@@ -40,6 +39,10 @@ type Event struct {
 	Status  metastore.Status
 }
 
+// eventBuffer caps the Events channel. When it is full, the oldest unread
+// events are dropped.
+const eventBuffer = 256
+
 // Config assembles a Client.
 type Config struct {
 	// UserID authenticates against the SyncService's workspace list.
@@ -57,23 +60,6 @@ type Config struct {
 	Chunker chunker.Chunker
 	// Compression applied to chunks before upload (default gzip).
 	Compression chunker.Compression
-	// CallTimeout and CallRetries tune @SyncMethod calls (default 1500 ms, 5).
-	CallTimeout time.Duration
-	CallRetries int
-	// EventBuffer caps the Events channel (default 256). When full, the
-	// oldest unread events are dropped.
-	EventBuffer int
-	// Clock drives waits, retries and background loops (default wall clock).
-	Clock clock.Clock
-	// StoreRetries and StoreBackoff tune the retry loop around each storage
-	// operation (defaults 3 extra attempts, 20 ms doubling).
-	StoreRetries int
-	StoreBackoff time.Duration
-	// BreakerThreshold consecutive storage failures open the circuit for
-	// BreakerCooldown (defaults 5, 500 ms). While open, chunk uploads queue
-	// and drain in the background — commits stay available (degraded mode).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// TransferWorkers bounds the concurrent batch transfers of one upload or
 	// download (default 4; 1 serializes the data path). TransferBatch caps
 	// the chunks per batch request (default 16; 1 degenerates to per-chunk
@@ -81,9 +67,6 @@ type Config struct {
 	// workers overlap request latency, batches amortize per-request cost.
 	TransferWorkers int
 	TransferBatch   int
-	// ChunkCacheBytes bounds the compressed-chunk LRU cache consulted before
-	// any download (default 16 MB; negative disables caching).
-	ChunkCacheBytes int64
 	// RetransmitEvery re-proposes commits whose notification has not arrived
 	// (default 1 s; the metadata store deduplicates replays). <0 disables.
 	RetransmitEvery time.Duration
@@ -107,7 +90,6 @@ type Config struct {
 type Client struct {
 	cfg       Config
 	container string
-	clk       clock.Clock
 	store     *breakerStore
 	uploads   *uploadQueue
 	flights   *flightGroup
@@ -162,18 +144,6 @@ func NewClient(cfg Config) (*Client, error) {
 	if cfg.Compression == 0 {
 		cfg.Compression = chunker.Gzip
 	}
-	if cfg.CallTimeout <= 0 {
-		cfg.CallTimeout = omq.DefaultTimeout
-	}
-	if cfg.CallRetries <= 0 {
-		cfg.CallRetries = omq.DefaultRetries
-	}
-	if cfg.EventBuffer <= 0 {
-		cfg.EventBuffer = 256
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = clock.NewReal()
-	}
 	if cfg.RetransmitEvery == 0 {
 		cfg.RetransmitEvery = time.Second
 	}
@@ -181,37 +151,24 @@ func NewClient(cfg Config) (*Client, error) {
 		cfg.Registry = obs.NewRegistry()
 	}
 	if cfg.TransferWorkers <= 0 {
-		if cfg.TransferWorkers < 0 {
-			cfg.TransferWorkers = 1
-		} else {
-			cfg.TransferWorkers = defaultTransferWorkers
-		}
+		cfg.TransferWorkers = defaultTransferWorkers
 	}
 	if cfg.TransferBatch <= 0 {
-		if cfg.TransferBatch < 0 {
-			cfg.TransferBatch = 1
-		} else {
-			cfg.TransferBatch = defaultTransferBatch
-		}
-	}
-	if cfg.ChunkCacheBytes == 0 {
-		cfg.ChunkCacheBytes = defaultChunkCacheBytes
+		cfg.TransferBatch = defaultTransferBatch
 	}
 	c := &Client{
 		cfg:       cfg,
 		container: WorkspaceContainer(cfg.WorkspaceID),
-		clk:       cfg.Clock,
 		uploads:   newUploadQueue(),
 		flights:   newFlightGroup(),
-		cache:     newChunkCache(cfg.ChunkCacheBytes),
+		cache:     newChunkCache(chunkCacheBytes),
 		tracer:    cfg.Tracer,
 		reg:       cfg.Registry,
 		db:        newLocalDB(),
-		events:    make(chan Event, cfg.EventBuffer),
+		events:    make(chan Event, eventBuffer),
 		stopCh:    make(chan struct{}),
 	}
-	c.store = newBreakerStore(cfg.Storage, cfg.Clock,
-		cfg.StoreRetries, cfg.StoreBackoff, cfg.BreakerThreshold, cfg.BreakerCooldown)
+	c.store = newBreakerStore(cfg.Storage, storeRetries, storeBackoff, breakerThreshold, breakerCooldown)
 	c.tm = newTransferMetrics(c.reg, cfg.DeviceID)
 	c.reg.GaugeFunc("client_chunk_cache_bytes", func() float64 {
 		return float64(c.cache.bytes())
@@ -255,8 +212,7 @@ func (c *Client) Start() error {
 	if err := c.store.EnsureContainer(context.Background(), c.container); err != nil {
 		return fmt.Errorf("client: ensure container: %w", err)
 	}
-	c.sync = c.cfg.Broker.Lookup(core.ServiceOID,
-		omq.WithTimeout(c.cfg.CallTimeout), omq.WithRetries(c.cfg.CallRetries))
+	c.sync = c.cfg.Broker.Lookup(core.ServiceOID)
 
 	handler, err := c.cfg.Broker.Bind(core.WorkspaceOID(c.cfg.WorkspaceID), &notificationHandler{c: c})
 	if err != nil {
@@ -294,7 +250,7 @@ func (c *Client) repairLoop() {
 		select {
 		case <-c.stopCh:
 			return
-		case <-c.clk.After(uploadFlushEvery):
+		case <-time.After(uploadFlushEvery):
 		}
 		c.flushUploads()
 		sinceRetransmit += uploadFlushEvery
@@ -361,7 +317,7 @@ func (c *Client) StorageDegraded() bool { return c.store.Open() }
 // retransmit interval: its CommitRequest or notification was lost somewhere
 // along the at-least-once pipeline.
 func (c *Client) retransmitPending() {
-	now := c.clk.Now()
+	now := time.Now()
 	c.mu.Lock()
 	var items []metastore.ItemVersion
 	for key, p := range c.pendingProposals {
@@ -672,7 +628,7 @@ func (c *Client) stashProposed(item metastore.ItemVersion, content []byte) {
 		c.pendingProposals = make(map[pendingKey]pendingProposal)
 	}
 	c.pendingProposals[pendingKey{item.ItemID, item.Version}] = pendingProposal{
-		content: content, item: item, at: c.clk.Now(),
+		content: content, item: item, at: time.Now(),
 	}
 }
 
@@ -760,19 +716,19 @@ func (c *Client) WaitForGone(filePath string, timeout time.Duration) error {
 // before the predicate is checked, so a change racing the check is never
 // missed — the broadcast channel closes and re-arms on every upsert.
 func (c *Client) waitDB(timeout time.Duration, pred func() bool) bool {
-	deadline := c.clk.Now().Add(timeout)
+	deadline := time.Now().Add(timeout)
 	for {
 		ch := c.db.changeCh()
 		if pred() {
 			return true
 		}
-		remaining := deadline.Sub(c.clk.Now())
+		remaining := time.Until(deadline)
 		if remaining <= 0 {
 			return false
 		}
 		select {
 		case <-ch:
-		case <-c.clk.After(remaining):
+		case <-time.After(remaining):
 			return pred()
 		}
 	}

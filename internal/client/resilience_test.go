@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"stacksync/internal/chunker"
-	"stacksync/internal/clock"
 	"stacksync/internal/core"
 	"stacksync/internal/mq"
 	"stacksync/internal/objstore"
@@ -66,7 +65,7 @@ func (f *flakyStore) ExistsMulti(ctx context.Context, c string, keys []string) (
 func TestBreakerOpensThenRecovers(t *testing.T) {
 	flaky := &flakyStore{Store: objstore.NewMemory()}
 	flaky.down.Store(true)
-	b := newBreakerStore(flaky, clock.NewReal(), -1, time.Millisecond, 3, 30*time.Millisecond)
+	b := newBreakerStore(flaky, 0, time.Millisecond, 3, 30*time.Millisecond)
 
 	ctx := context.Background()
 	one := []objstore.Object{{Key: "k", Data: []byte("x")}}
@@ -112,7 +111,7 @@ func TestPermanentErrorsSkipRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	counting := &flakyStore{Store: mem}
-	b := newBreakerStore(counting, clock.NewReal(), 5, time.Millisecond, 2, time.Minute)
+	b := newBreakerStore(counting, 5, time.Millisecond, 2, time.Minute)
 	if _, err := b.GetMulti(ctx, "c", []string{"missing"}); !errors.Is(err, objstore.ErrNotFound) {
 		t.Fatalf("get: %v", err)
 	}
@@ -135,8 +134,6 @@ func TestDegradedCommitQueuesUploads(t *testing.T) {
 	flaky := &flakyStore{Store: r.storage}
 	a := r.newDevice("alice", "dev-a", func(cfg *Config) {
 		cfg.Storage = flaky
-		cfg.StoreRetries = -1 // no in-call retries: fail fast into the queue
-		cfg.BreakerCooldown = 50 * time.Millisecond
 	})
 
 	flaky.down.Store(true)
@@ -211,8 +208,6 @@ func TestFlushDropsPoisonedChunk(t *testing.T) {
 	a := r.newDevice("alice", "dev-a", func(cfg *Config) {
 		cfg.Storage = flaky
 		cfg.Chunker = fixed
-		cfg.StoreRetries = -1 // no in-call retries: fail fast into the queue
-		cfg.BreakerCooldown = 50 * time.Millisecond
 	})
 
 	flaky.down.Store(true)

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"stacksync/internal/clock"
 	"stacksync/internal/objstore"
 )
 
@@ -16,12 +15,15 @@ import (
 // transient storage failure (queue the upload, retry the download later).
 var ErrCircuitOpen = errors.New("client: storage circuit open")
 
-// Breaker/retry defaults for the client's storage path.
+// The retry and breaker policy of the client's storage path: 3 extra
+// attempts, 20 ms doubling backoff, and 5 consecutive failures open the
+// circuit for 500 ms. While it is open, chunk uploads queue and drain in the
+// background, so commits stay available (degraded mode).
 const (
-	defaultStoreRetries     = 3
-	defaultStoreBackoff     = 20 * time.Millisecond
-	defaultBreakerThreshold = 5
-	defaultBreakerCooldown  = 500 * time.Millisecond
+	storeRetries     = 3
+	storeBackoff     = 20 * time.Millisecond
+	breakerThreshold = 5
+	breakerCooldown  = 500 * time.Millisecond
 )
 
 // breakerStore wraps the Storage back-end with the client-side resilience
@@ -33,7 +35,6 @@ const (
 // and retry as a unit; content-addressed puts make replays idempotent.
 type breakerStore struct {
 	inner   objstore.Store
-	clk     clock.Clock
 	retries int           // extra attempts after the first
 	backoff time.Duration // pause before retry n is backoff<<n
 
@@ -48,23 +49,9 @@ type breakerStore struct {
 
 var _ objstore.Store = (*breakerStore)(nil)
 
-func newBreakerStore(inner objstore.Store, clk clock.Clock, retries int, backoff time.Duration, threshold int, cooldown time.Duration) *breakerStore {
-	if retries == 0 {
-		retries = defaultStoreRetries
-	} else if retries < 0 {
-		retries = 0 // explicit "no retries"
-	}
-	if backoff <= 0 {
-		backoff = defaultStoreBackoff
-	}
-	if threshold <= 0 {
-		threshold = defaultBreakerThreshold
-	}
-	if cooldown <= 0 {
-		cooldown = defaultBreakerCooldown
-	}
+func newBreakerStore(inner objstore.Store, retries int, backoff time.Duration, threshold int, cooldown time.Duration) *breakerStore {
 	return &breakerStore{
-		inner: inner, clk: clk,
+		inner:   inner,
 		retries: retries, backoff: backoff,
 		threshold: threshold, cooldown: cooldown,
 	}
@@ -109,7 +96,7 @@ func (b *breakerStore) do(ctx context.Context, op func() error) error {
 		if attempt >= b.retries {
 			break
 		}
-		b.clk.Sleep(b.backoff << attempt)
+		time.Sleep(b.backoff << attempt)
 		if cerr := ctx.Err(); cerr != nil {
 			return cerr
 		}
@@ -126,7 +113,7 @@ func (b *breakerStore) admit() bool {
 	if b.openedAt.IsZero() {
 		return true
 	}
-	if b.clk.Now().Sub(b.openedAt) >= b.cooldown {
+	if time.Since(b.openedAt) >= b.cooldown {
 		// Half-open: allow a probe; failure re-opens via fail().
 		b.openedAt = time.Time{}
 		b.failures = b.threshold - 1
@@ -146,7 +133,7 @@ func (b *breakerStore) fail() {
 	b.mu.Lock()
 	b.failures++
 	if b.failures >= b.threshold && b.openedAt.IsZero() {
-		b.openedAt = b.clk.Now()
+		b.openedAt = time.Now()
 		b.trips++
 	}
 	b.mu.Unlock()
@@ -156,7 +143,7 @@ func (b *breakerStore) fail() {
 func (b *breakerStore) Open() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return !b.openedAt.IsZero() && b.clk.Now().Sub(b.openedAt) < b.cooldown
+	return !b.openedAt.IsZero() && time.Since(b.openedAt) < b.cooldown
 }
 
 // Trips reports how many times the breaker has opened.

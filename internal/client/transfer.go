@@ -14,11 +14,12 @@ import (
 
 // Transfer pipeline defaults. The batch-first Store API only pays off when
 // the client actually batches and overlaps requests; these bound how hard it
-// does so.
+// does so. chunkCacheBytes bounds the compressed-chunk LRU cache consulted
+// before any download.
 const (
 	defaultTransferWorkers = 4
 	defaultTransferBatch   = 16
-	defaultChunkCacheBytes = 16 << 20
+	chunkCacheBytes        = 16 << 20
 )
 
 // transferByteBuckets are histogram bounds for per-batch transfer sizes,

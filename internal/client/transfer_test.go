@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"stacksync/internal/chunker"
-	"stacksync/internal/clock"
 	"stacksync/internal/objstore"
 	"stacksync/internal/objstore/storetest"
 )
@@ -20,8 +19,7 @@ import (
 // counting against the breaker).
 func TestBreakerStoreConformance(t *testing.T) {
 	storetest.Run(t, func(t *testing.T) objstore.Store {
-		return newBreakerStore(objstore.NewMemory(), clock.NewReal(),
-			-1, time.Millisecond, 5, time.Millisecond)
+		return newBreakerStore(objstore.NewMemory(), 0, time.Millisecond, 5, time.Millisecond)
 	})
 }
 

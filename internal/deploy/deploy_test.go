@@ -99,7 +99,7 @@ func TestSupervisedRoutedFleet(t *testing.T) {
 	f, err := Start(Config{
 		Supervisor: &omq.SupervisorConfig{
 			Provisioner: omq.FixedProvisioner(n), MaxInstances: n,
-			CheckEvery: 20 * time.Millisecond, InventoryWindow: 50 * time.Millisecond,
+			CheckEvery: 20 * time.Millisecond,
 		},
 		Registry: obs.NewRegistry(), Events: obs.NewEventLog(64),
 		FleetObs: true, CollectEvery: 20 * time.Millisecond,

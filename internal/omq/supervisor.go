@@ -44,9 +44,6 @@ type SupervisorConfig struct {
 	// MaxInstances caps the fleet (default 64); a runaway policy cannot
 	// exhaust the node pool.
 	MaxInstances int
-	// InventoryWindow bounds the multicall collecting RemoteBroker
-	// inventories. Default 200ms.
-	InventoryWindow time.Duration
 }
 
 func (c *SupervisorConfig) applyDefaults() {
@@ -59,9 +56,13 @@ func (c *SupervisorConfig) applyDefaults() {
 	if c.MaxInstances <= 0 {
 		c.MaxInstances = 64
 	}
-	if c.InventoryWindow <= 0 {
-		c.InventoryWindow = 200 * time.Millisecond
-	}
+}
+
+// inventoryWindow bounds the multicall collecting RemoteBroker inventories
+// for a scale-in. The multicall holds the check for the whole window, so it
+// takes half the check period, capped at 200 ms.
+func (c *SupervisorConfig) inventoryWindow() time.Duration {
+	return min(c.CheckEvery/2, 200*time.Millisecond)
 }
 
 // SupervisorOID is the object id the supervisor itself binds under so that
@@ -232,7 +233,7 @@ func (s *Supervisor) enforceOnce() {
 }
 
 func (s *Supervisor) shrink(n int) {
-	replies, err := s.rbrokers.MultiCall("ListInstances", s.cfg.InventoryWindow, InventoryQuery{OID: s.cfg.OID})
+	replies, err := s.rbrokers.MultiCall("ListInstances", s.cfg.inventoryWindow(), InventoryQuery{OID: s.cfg.OID})
 	if err != nil {
 		return
 	}

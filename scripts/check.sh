@@ -33,12 +33,13 @@ echo "==> benchmark module: go vet"
 echo "==> go test -race ./..."
 go test -race -timeout 20m ./...
 
-# `go build ./...` only compiles the examples. Run the two that check their
-# own outcome (convergence; a conflict copy of a concurrent edit): each must
-# exit 0.
-echo "==> examples: quickstart, sharedworkspace"
+# `go build ./...` only compiles the examples. Run them; each checks its own
+# outcome (convergence; a conflict copy of a concurrent edit; the three
+# ObjectMQ invocation primitives) and must exit 0.
+echo "==> examples: quickstart, sharedworkspace, objectmq"
 go run ./examples/quickstart
 go run ./examples/sharedworkspace
+go run ./examples/objectmq
 
 # The RPC codec and the frame format are the most hand-rolled encoding in
 # the tree and every message crosses both: one extra race pass over them,
