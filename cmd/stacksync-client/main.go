@@ -2,12 +2,12 @@
 // the broker of a stacksync-server, binds to a workspace and keeps a local
 // directory in sync with it.
 //
-//	stacksync-client -broker 127.0.0.1:7070 -storage ./stacksync-data/chunks \
+//	stacksync-client -broker 127.0.0.1:7070 -storage-url http://127.0.0.1:7071 \
 //	    -user alice -device alice-laptop -workspace shared -dir ~/Sync
 //
-// The storage back-end is the server's chunk directory in this reference
-// deployment (both processes share a filesystem); the Store interface
-// accommodates a remote gateway without client changes.
+// Chunks go to the server's storage gateway (-storage-url, the default).
+// -storage instead reads and writes the server's chunk directory directly,
+// for a client that shares a filesystem with the server.
 package main
 
 import (

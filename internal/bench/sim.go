@@ -21,37 +21,9 @@ import (
 // distribution, and the Combined provisioner (the identical code the live
 // Supervisor runs) decides the instance count each simulated second.
 
-// Policy selects the provisioning composition for ablation runs (§5.3's
-// combined deployment is the default).
-type Policy int
-
-const (
-	// PolicyCombined is predictive baseline + reactive correction (§4.3).
-	PolicyCombined Policy = iota
-	// PolicyPredictiveOnly disables the reactive layer.
-	PolicyPredictiveOnly
-	// PolicyReactiveOnly disables the predictive layer: every decision
-	// recomputes from the observed rate.
-	PolicyReactiveOnly
-)
-
-// String names the policy.
-func (p Policy) String() string {
-	switch p {
-	case PolicyPredictiveOnly:
-		return "predictive-only"
-	case PolicyReactiveOnly:
-		return "reactive-only"
-	default:
-		return "combined"
-	}
-}
-
 // SimConfig parameterizes an auto-scaling replay.
 type SimConfig struct {
 	SLA provision.SLA
-	// Policy selects the provisioning composition (default PolicyCombined).
-	Policy Policy
 	// History is the arrival trace that seeds the predictive provisioner
 	// (the UB1 week).
 	History *trace.ArrivalTrace
@@ -137,18 +109,6 @@ func RunAutoScaleSim(cfg SimConfig) *SimResult {
 	if cfg.MispredictOffset != 0 {
 		combined.SetMispredictionOffset(cfg.MispredictOffset)
 	}
-	reactiveOnly := provision.NewReactive(cfg.SLA, 0, 0, nil)
-	reactiveOnly.DrainWindow = 0 // backlog is not part of the sim's ObjectInfo
-	policy := func(now time.Time, info omq.ObjectInfo) int {
-		switch cfg.Policy {
-		case PolicyPredictiveOnly:
-			return predictive.Desired(now.Add(cfg.MispredictOffset), info)
-		case PolicyReactiveOnly:
-			return reactiveOnly.Desired(now, info)
-		default:
-			return combined.Desired(now, info)
-		}
-	}
 
 	sd := math.Sqrt(cfg.SLA.VarService)
 	meanSvc := cfg.SLA.S.Seconds()
@@ -217,7 +177,7 @@ func RunAutoScaleSim(cfg SimConfig) *SimResult {
 		if sec < 60 {
 			observed = float64(sum) / float64(sec+1)
 		}
-		desired := policy(now, omq.ObjectInfo{ArrivalRate: observed, Instances: len(servers)})
+		desired := combined.Desired(now, omq.ObjectInfo{ArrivalRate: observed, Instances: len(servers)})
 		if desired < 1 {
 			desired = 1
 		}

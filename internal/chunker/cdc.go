@@ -20,8 +20,8 @@ type CDC struct {
 var _ Chunker = CDC{}
 
 // NewCDC returns a content-defined chunker tuned so the expected chunk size
-// matches the paper's 512 KB fixed chunks, keeping traffic volumes
-// comparable in the ablation experiments.
+// matches the paper's 512 KB fixed chunks, keeping chunk counts comparable
+// with the fixed chunker in the tests and micro-benchmarks.
 func NewCDC() CDC {
 	return CDC{
 		Min:    128 * 1024,

@@ -2,15 +2,15 @@ package chunker
 
 import (
 	"bytes"
-	"compress/flate"
 	"compress/gzip"
 	"fmt"
 	"io"
 )
 
 // Compression selects the algorithm applied to chunks before transmission.
-// The paper compresses every chunk with Gzip or Bzip2 (§4.1); gzip and a
-// raw-DEFLATE variant are provided, plus None for ablation runs.
+// The paper compresses every chunk with Gzip or Bzip2 (§4.1); gzip is the
+// one provided, plus None for the transfer-pipeline measurement, which
+// isolates transfer from compression CPU.
 type Compression int
 
 const (
@@ -18,37 +18,7 @@ const (
 	None Compression = iota + 1
 	// Gzip is the default algorithm.
 	Gzip
-	// Flate is raw DEFLATE (smaller framing than gzip).
-	Flate
 )
-
-// String names the compression for logs and headers.
-func (c Compression) String() string {
-	switch c {
-	case None:
-		return "none"
-	case Gzip:
-		return "gzip"
-	case Flate:
-		return "flate"
-	default:
-		return "unknown"
-	}
-}
-
-// ParseCompression resolves a compression name.
-func ParseCompression(s string) (Compression, error) {
-	switch s {
-	case "none", "":
-		return None, nil
-	case "gzip":
-		return Gzip, nil
-	case "flate":
-		return Flate, nil
-	default:
-		return 0, fmt.Errorf("chunker: unknown compression %q", s)
-	}
-}
 
 // Compress encodes data with the selected algorithm.
 func Compress(data []byte, c Compression) ([]byte, error) {
@@ -63,19 +33,6 @@ func Compress(data []byte, c Compression) ([]byte, error) {
 		}
 		if err := w.Close(); err != nil {
 			return nil, fmt.Errorf("chunker: gzip close: %w", err)
-		}
-		return buf.Bytes(), nil
-	case Flate:
-		var buf bytes.Buffer
-		w, err := flate.NewWriter(&buf, flate.DefaultCompression)
-		if err != nil {
-			return nil, fmt.Errorf("chunker: flate writer: %w", err)
-		}
-		if _, err := w.Write(data); err != nil {
-			return nil, fmt.Errorf("chunker: flate write: %w", err)
-		}
-		if err := w.Close(); err != nil {
-			return nil, fmt.Errorf("chunker: flate close: %w", err)
 		}
 		return buf.Bytes(), nil
 	default:
@@ -97,14 +54,6 @@ func Decompress(data []byte, c Compression) ([]byte, error) {
 		out, err := io.ReadAll(r)
 		if err != nil {
 			return nil, fmt.Errorf("chunker: gunzip: %w", err)
-		}
-		return out, nil
-	case Flate:
-		r := flate.NewReader(bytes.NewReader(data))
-		defer r.Close()
-		out, err := io.ReadAll(r)
-		if err != nil {
-			return nil, fmt.Errorf("chunker: inflate: %w", err)
 		}
 		return out, nil
 	default:

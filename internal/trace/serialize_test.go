@@ -7,8 +7,9 @@ import (
 	"time"
 )
 
-// The tracegen tool emits Ops and ArrivalTraces as JSON; these tests pin
-// the round-trip so saved traces stay replayable across versions.
+// Ops and ArrivalTraces carry JSON tags so a generated trace can be saved
+// and replayed; these tests pin the round-trip so saved traces stay
+// replayable across versions.
 
 func TestOpJSONRoundTrip(t *testing.T) {
 	tr := Generate(GenConfig{Seed: 4, Snapshots: 10})
@@ -56,7 +57,7 @@ func TestArrivalTraceJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReplayedTraceFromJSONMatchesOriginal pins the full tracegen workflow:
+// TestReplayedTraceFromJSONMatchesOriginal pins the save-and-replay workflow:
 // generate, serialize, deserialize, materialize — contents must match the
 // direct replay byte for byte.
 func TestReplayedTraceFromJSONMatchesOriginal(t *testing.T) {

@@ -100,4 +100,9 @@ go test -run '^$' -fuzz '^FuzzChangesSince$' -fuzztime 10s ./internal/metastore/
 echo "==> snapshot isolation + linearizability harnesses (race)"
 go test -race -count=1 -run '^(TestSnapshotIsolationUnderConcurrentCommits|TestShardedStoreMatchesSerialReference|TestConcurrentSameWorkspaceInvariants)$' ./internal/metastore/
 
+# ROADMAP N8's line budget, printed for information and not a gate:
+# root-module non-test Go (tracked files, benchmark/ excluded).
+echo "==> root-module non-test Go lines"
+git ls-files '*.go' | grep -v -e '_test\.go$' -e '^benchmark/' | xargs cat | wc -l
+
 echo "OK"
