@@ -3,6 +3,7 @@ package codec
 import (
 	"encoding"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
@@ -18,6 +19,8 @@ import (
 //	uint             uvarint
 //	float            8-byte big-endian IEEE 754
 //	string/bytes     uvarint length + raw bytes
+//	hex string       uvarint length + the bytes the hex spells, for a
+//	                 non-empty, even-length string of [0-9a-f] only
 //	list             uvarint count + elements
 //	map              uvarint count + alternating key/value
 //	struct           uvarint field count, then per exported field (in
@@ -52,6 +55,7 @@ const (
 	bMap
 	bStruct
 	bMarshaled
+	bHex
 )
 
 // maxDepth bounds encode and decode recursion: cyclic values fail instead
@@ -126,6 +130,9 @@ func appendValue(dst []byte, v reflect.Value, depth int) ([]byte, error) {
 		return binary.BigEndian.AppendUint64(dst, math.Float64bits(v.Float())), nil
 	case reflect.String:
 		s := v.String()
+		if out, ok := appendHex(dst, s); ok {
+			return out, nil
+		}
 		dst = append(dst, bString)
 		dst = binary.AppendUvarint(dst, uint64(len(s)))
 		return append(dst, s...), nil
@@ -184,6 +191,45 @@ func appendValue(dst []byte, v reflect.Value, depth int) ([]byte, error) {
 	default:
 		return dst, fmt.Errorf("codec: binary cannot encode %s", t)
 	}
+}
+
+// appendHex encodes s under bHex if it is non-empty, even-length lowercase
+// hex — the ids, fingerprints and checksums every commit carries — decoding
+// the pairs straight into dst. Otherwise it reports false and leaves dst's
+// length as it was.
+func appendHex(dst []byte, s string) ([]byte, bool) {
+	if len(s) == 0 || len(s)%2 != 0 {
+		return dst, false
+	}
+	start := len(dst)
+	dst = append(dst, bHex)
+	dst = binary.AppendUvarint(dst, uint64(len(s)/2))
+	for i := 0; i < len(s); i += 2 {
+		hi, lo := unhex[s[i]], unhex[s[i+1]]
+		if hi|lo > 0xf {
+			return dst[:start], false
+		}
+		dst = append(dst, hi<<4|lo)
+	}
+	return dst, true
+}
+
+// unhex maps a lowercase hex digit to its value and every other byte to 0xff.
+var unhex = func() (t [256]byte) {
+	for i := range t {
+		t[i] = 0xff
+	}
+	for i, c := range "0123456789abcdef" {
+		t[c] = byte(i)
+	}
+	return t
+}()
+
+// hexString spells raw in lowercase hex; up to a SHA-256 it allocates
+// only the string.
+func hexString(raw []byte) string {
+	var tmp [64]byte
+	return string(hex.AppendEncode(tmp[:0], raw))
 }
 
 // appendLengthPrefixed encodes v prefixed by its byte length. Field
@@ -326,15 +372,19 @@ func decodeTagged(tag byte, data []byte, v reflect.Value, depth int) ([]byte, er
 			return nil, decodeMismatch(tag, t)
 		}
 		return data[8:], nil
-	case bString, bBytes:
+	case bString, bBytes, bHex:
 		n, rest, err := lengthPrefix(data)
 		if err != nil {
 			return nil, err
 		}
 		raw, rest := rest[:n], rest[n:]
 		switch {
+		case v.Kind() == reflect.String && tag == bHex:
+			v.SetString(hexString(raw))
 		case v.Kind() == reflect.String:
 			v.SetString(string(raw))
+		case tag == bHex:
+			return nil, decodeMismatch(tag, t)
 		case v.Kind() == reflect.Slice && t.Elem().Kind() == reflect.Uint8:
 			v.SetBytes(append([]byte(nil), raw...))
 		case v.Kind() == reflect.Array && t.Elem().Kind() == reflect.Uint8:
@@ -539,10 +589,13 @@ func decodeGeneric(tag byte, data []byte, depth int) (any, []byte, error) {
 			return nil, nil, errShortValue
 		}
 		return math.Float64frombits(binary.BigEndian.Uint64(data)), data[8:], nil
-	case bString:
+	case bString, bHex:
 		n, rest, err := lengthPrefix(data)
 		if err != nil {
 			return nil, nil, err
+		}
+		if tag == bHex {
+			return hexString(rest[:n]), rest[n:], nil
 		}
 		return string(rest[:n]), rest[n:], nil
 	case bBytes, bMarshaled:

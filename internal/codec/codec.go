@@ -1,8 +1,11 @@
 // Package codec is the one serialization every ObjectMQ envelope, argument
 // and result travels in, and the mq stats reply too: Binary, a compact
-// length-prefixed reflection codec (the paper's Kryo analogue). There is no
-// negotiation and no fallback — a peer still speaking the pre-binary JSON
-// envelope is refused, not translated.
+// length-prefixed reflection codec (the paper's Kryo analogue). A string of
+// lowercase hex — the item ids, chunk fingerprints and checksums every
+// commit carries — travels as the raw bytes it spells, half its length, and
+// decodes back to the identical string; every other string travels as is.
+// There is no negotiation and no fallback — a peer still speaking the
+// pre-binary JSON envelope is refused, not translated.
 //
 // # Buffer ownership
 //

@@ -395,3 +395,43 @@ func TestBinaryTrailingZeroFields(t *testing.T) {
 		}
 	})
 }
+
+// TestBinaryHexStrings pins the hex rule: a non-empty, even-length string
+// of lowercase hex travels as the bytes it spells under bHex, half its
+// size, and decodes back to the identical string into typed and generic
+// targets; every other string keeps bString byte for byte.
+func TestBinaryHexStrings(t *testing.T) {
+	c := Binary{}
+	sha1Hex := "da39a3ee5e6b4b0d3255bfef95601890afd80709"
+	sha256Hex := "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+	for _, tc := range []struct {
+		s   string
+		hex bool
+	}{
+		{"", false}, {"0", false}, {"ab", true}, {"AB", false}, {"aB", false},
+		{"0g", false}, {"w00-d05", false}, {sha1Hex, true}, {sha256Hex, true},
+	} {
+		data, err := c.MarshalAppend(nil, tc.s)
+		if err != nil {
+			t.Fatalf("%q: %v", tc.s, err)
+		}
+		if tc.hex {
+			if data[0] != bHex || len(data) != 2+len(tc.s)/2 {
+				t.Errorf("%q encodes as %x, want bHex and %d bytes", tc.s, data, 2+len(tc.s)/2)
+			}
+		} else if want := append([]byte{bString, byte(len(tc.s))}, tc.s...); !bytes.Equal(data, want) {
+			t.Errorf("%q encodes as %x, want bString %x", tc.s, data, want)
+		}
+		var typed string
+		if err := c.Unmarshal(data, &typed); err != nil || typed != tc.s {
+			t.Errorf("%q decodes into string as %q (%v)", tc.s, typed, err)
+		}
+		var generic any
+		if err := c.Unmarshal(data, &generic); err != nil || generic != any(tc.s) {
+			t.Errorf("%q decodes into any as %#v (%v)", tc.s, generic, err)
+		}
+	}
+	if data, _ := c.MarshalAppend(nil, sha1Hex); len(data) != 22 {
+		t.Fatalf("40-char hex string encodes in %d B, want 22 (42 as bString)", len(data))
+	}
+}

@@ -3,9 +3,12 @@ package omq_test
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"stacksync/internal/chunker"
+	"stacksync/internal/client"
 	"stacksync/internal/codec"
 	"stacksync/internal/core"
 	"stacksync/internal/metastore"
@@ -28,13 +31,24 @@ func FuzzBinaryCodec(f *testing.F) {
 	key := metastore.ItemVersion{ItemID: item.ItemID, Version: item.Version}
 	proposal := item
 	proposal.CommittedAt = time.Time{} // as a device proposes it: trailing zero, not sent
+	// The ids a device really sends are lowercase hex, which the codec sends
+	// as raw bytes; the near misses (odd length, upper case) stay strings.
+	fp := chunker.Fingerprint([]byte("chunk"))
+	hexItem := item
+	hexItem.ItemID, hexItem.Chunks, hexItem.Checksum = client.ItemID("ws-1", item.Path), []string{fp}, fp
+	nearMiss := item
+	nearMiss.ItemID, nearMiss.Chunks, nearMiss.Checksum = fp[1:], []string{strings.ToUpper(fp), "ab"}, "0"
 	for _, v := range []any{
 		core.CommitRequest{Workspace: "ws-1", DeviceID: "dev-1", Items: []metastore.ItemVersion{item}},
 		core.CommitRequest{Workspace: "ws-1", DeviceID: "dev-1", Items: []metastore.ItemVersion{proposal}},
+		core.CommitRequest{Workspace: "ws-1", DeviceID: "dev-1", Items: []metastore.ItemVersion{hexItem, nearMiss}},
 		core.CommitNotification{Workspace: "ws-1", DeviceID: "dev-1",
 			Results: []core.CommitResult{{Committed: false, Item: item, Proposed: key}}},
 		core.CommitNotification{Workspace: "ws-1", DeviceID: "dev-1", // committed: no echo
 			Results: []core.CommitResult{{Committed: true, Item: item}}},
+		core.CommitNotification{Workspace: "ws-1", DeviceID: "dev-1", Results: []core.CommitResult{
+			{Committed: true, Item: hexItem},
+			{Committed: false, Item: nearMiss, Proposed: metastore.ItemVersion{ItemID: hexItem.ItemID, Version: 2}}}},
 		omq.Request{Method: "CommitRequest", Args: [][]byte{{1, 2}}, CorrelationID: "c", ReplyTo: "r", RequestID: "q"},
 		omq.Response{CorrelationID: "c", Result: []byte{3}, Err: "boom", From: "svc-0"},
 	} {

@@ -32,8 +32,9 @@ func legacyFrame(payload string) []byte {
 
 // retiredMarkers are the markers of earlier binary protocols: 0xB2 peers
 // wait for an OpOK to every ack, 0xB3 peers expect every commit result to
-// echo its proposal's key. The reader must refuse both.
-var retiredMarkers = []byte{0xB2, 0xB3}
+// echo its proposal's key, 0xB4 peers cannot decode hex strings sent as raw
+// bytes. The reader must refuse all three.
+var retiredMarkers = []byte{0xB2, 0xB3, 0xB4}
 
 // retiredFrame is f in today's encoding under a retired marker.
 func retiredFrame(f *Frame, marker byte) []byte {
@@ -70,6 +71,7 @@ func FuzzFrameCodec(f *testing.F) {
 	f.Add(mixed.Bytes())
 	f.Add(retiredFrame(&Frame{Op: OpAck, DeliveryID: 3}, 0xB2))                                               // peer awaiting OK to acks
 	f.Add(retiredFrame(&Frame{Op: OpDeliver, ConsumerID: "c1", Queue: "q", DeliveryID: 3}, 0xB3))             // peer expecting echoes
+	f.Add(retiredFrame(&Frame{Op: OpDeliver, ConsumerID: "c1", DeliveryID: 4, Body: []byte{1}}, 0xB4))        // peer sending hex as text
 	f.Add([]byte{0, 0, 0})                                                                                    // truncated pre-v2 header
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 'x'})                                                                // over-limit pre-v2 length prefix
 	f.Add([]byte{0, 0, 0, 2, '{', '}', 0, 0, 0})                                                              // pre-v2 empty frame + torn tail

@@ -2,18 +2,19 @@
 // clients and the mq TCP server. It plays the role AMQP framing plays
 // between RabbitMQ and its clients in the paper's deployment.
 //
-// Every frame is binary: a 0xB4 marker, the uvarint payload length, then a
-// stream of (field id, varint-framed value) pairs with hot header keys
-// interned to one byte. The frame header and the message body are written
-// as two scatter/gather vectors (net.Buffers), so a publish performs zero
-// payload copies after encode. OpAck and OpNack are one-way: the server
-// sends nothing back. OpDeliver carries no queue name: the consumer id
-// names the subscription. A frame that does not start with the marker is
-// refused with ErrNotBinary: the 4-byte-length JSON framing of pre-v2
-// peers, the 0xB2 marker of peers that still wait for an OpOK to each ack,
-// and the 0xB3 marker of peers that still expect every commit result to
-// echo its proposal's key. The hard size cap protects both ends from
-// corrupt peers.
+// Every frame is binary: a one-byte protocol marker, the uvarint payload
+// length, then a stream of (field id, varint-framed value) pairs with hot
+// header keys interned to one byte. The frame header and the message body
+// are written as two scatter/gather vectors (net.Buffers), so a publish
+// performs zero payload copies after encode. OpAck and OpNack are one-way:
+// the server sends nothing back. OpDeliver carries no queue name: the
+// consumer id names the subscription. A frame that does not start with the
+// marker is refused with ErrNotBinary: the 4-byte-length JSON framing of
+// pre-v2 peers, the 0xB2 marker of peers that still wait for an OpOK to
+// each ack, the 0xB3 marker of peers that still expect every commit result
+// to echo its proposal's key, and the 0xB4 marker of peers whose codec
+// cannot decode hex strings sent as raw bytes. The hard size cap protects
+// both ends from corrupt peers.
 //
 // # Buffer ownership
 //
@@ -39,8 +40,10 @@ import (
 const MaxFrameSize = 16 << 20
 
 // binaryMarker is the first byte of every frame (0xB2 until acks went
-// one-way, 0xB3 until a committed result stopped echoing its proposal key).
-const binaryMarker = 0xB4
+// one-way, 0xB3 until a committed result stopped echoing its proposal key,
+// 0xB4 until the RPC codec sent lowercase-hex strings as raw bytes; 0xB5
+// is objstore's batch magic).
+const binaryMarker = 0xB6
 
 // Frame operation codes. Values are part of the protocol; never renumber.
 type Op int
@@ -203,7 +206,7 @@ var internedKeyID = func() map[string]byte {
 var (
 	ErrFrameTooLarge = errors.New("wire: frame exceeds size limit")
 	ErrShortFrame    = errors.New("wire: truncated frame")
-	ErrNotBinary     = errors.New("wire: frame lacks the 0xB4 binary marker (peer of an older protocol?)")
+	ErrNotBinary     = fmt.Errorf("wire: frame lacks the 0x%X binary marker (peer of an older protocol?)", binaryMarker)
 )
 
 // maxPrefix is the space reserved at the front of an encode buffer for the

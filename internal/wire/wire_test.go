@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -149,6 +151,9 @@ func TestFormatInterop(t *testing.T) {
 		if _, err := NewReader(bytes.NewReader(retiredFrame(&Frame{Op: OpPing, Seq: 1}, m))).Read(); !errors.Is(err, ErrNotBinary) {
 			t.Fatalf("%#x frame: err = %v, want ErrNotBinary", m, err)
 		}
+	}
+	if want := fmt.Sprintf("0x%X", binaryMarker); !strings.Contains(ErrNotBinary.Error(), want) {
+		t.Fatalf("ErrNotBinary %q does not name the marker %s", ErrNotBinary, want)
 	}
 	frame := Frame{
 		Op: OpPublish, Seq: 9, Exchange: "ex", Key: "route",

@@ -21,12 +21,14 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
-# benchmark/ is its own module (the instrument; its tests are
-# `cd benchmark && go test .`). It builds against this tree, so compile and
-# vet it here: a refactor that breaks the instrument fails CI. Nothing under
-# benchmark/ is run or edited.
-echo "==> benchmark module: go vet"
+# benchmark/ is its own module (the instrument). It builds against this
+# tree, so vet it and run its tests here: TestSmokeEveryWorkload drives all
+# four workloads over real sockets, so a refactor or a wire-format change
+# that breaks the instrument or the real-process path fails CI. Nothing
+# under benchmark/ is edited.
+echo "==> benchmark module: go vet, go test"
 (cd benchmark && go vet ./...)
+(cd benchmark && go test -count=1 .)
 
 # internal/bench alone takes 9–10 minutes under -race on a 2-CPU host, which
 # is the go test default timeout; give the pass room instead of a flaky cut.
