@@ -21,8 +21,8 @@ check: scripts/check.sh
 
 ## chaos runs the seeded fault soak: shipped-path devices on one fleet scaled
 ## 1→4→2 under kills, partitions and storage faults, closed by a traced
-## commit after a kill, checked on the stitched fleet trace (see
-## EXPERIMENTS.md).
+## commit after a kill, checked on its trace in the fleet's one span sink
+## (see EXPERIMENTS.md).
 chaos:
 	$(GO) run ./cmd/experiments -run chaos -quick
 

@@ -20,7 +20,6 @@ import (
 	"stacksync/internal/bench"
 	"stacksync/internal/metastore"
 	"stacksync/internal/mq"
-	"stacksync/internal/obs"
 	"stacksync/internal/trace"
 	"stacksync/internal/wire"
 )
@@ -361,57 +360,6 @@ func BenchmarkMultiInstanceCommit(b *testing.B) {
 	for _, n := range []int{1, 4} {
 		b.Run(fmt.Sprintf("instances=%d", n), func(b *testing.B) { run(b, n) })
 	}
-}
-
-// BenchmarkFleetObs measures the fleet-observability plumbing on its own:
-// one full Collector scrape plus rollup over a 4-instance fleet whose span
-// sinks, metric registries and hot-workspace sketches are warm. No brokers,
-// no RPC — pure collector overhead, so a scrape that starts walking spans
-// quadratically or allocating per metric shows up here. The steady
-// state after the first iteration is the poller's real cost: every span is
-// already deduplicated, so the loop pays the re-scan, the metric snapshot
-// and the top-K merge.
-func BenchmarkFleetObs(b *testing.B) {
-	const (
-		instances = 4
-		traces    = 64
-		children  = 4
-	)
-	col := obs.NewCollector()
-	for i := 0; i < instances; i++ {
-		id := fmt.Sprintf("inst-%d", i)
-		reg := obs.NewRegistry()
-		for m := 0; m < 16; m++ {
-			reg.Counter(fmt.Sprintf("bench_metric_%d", m)).Add(uint64(m + 1))
-		}
-		sink := obs.NewSpanSink(0)
-		tracer := obs.NewTracer(obs.WithSink(sink), obs.WithInstance(id))
-		for t := 0; t < traces; t++ {
-			root := tracer.StartRoot(fmt.Sprintf("bench.op.%d", t))
-			for c := 0; c < children; c++ {
-				child := tracer.StartChild(root.Context(), "bench.step")
-				child.Annotate("step", fmt.Sprint(c))
-				child.End()
-			}
-			root.End()
-		}
-		hot := obs.NewHotStats(8)
-		for w := 0; w < 64; w++ {
-			hot.ObserveCommit(fmt.Sprintf("ws-%d", w%12), 4, 4096)
-		}
-		col.Register(obs.Source{InstanceID: id, Registry: reg, Sink: sink, Hot: hot})
-	}
-	col.Collect() // absorb the warm spans once; iterations measure steady state
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		col.Collect()
-		if got := len(col.Rollup().Instances); got != instances {
-			b.Fatalf("rollup lost instances: %d != %d", got, instances)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "scrapes/s")
 }
 
 // BenchmarkMQPublishThroughput measures raw broker publish throughput into a

@@ -8,8 +8,8 @@
 // Experiment ids: fig7a fig7b fig7cd table2 fig7e fig7f fig8ab fig8cde fig8f
 // plus the non-figure runs: chaos (the fault soak: shipped-path devices on
 // one supervised fleet scaled 1→4→2 under kills, partitions and storage
-// faults, closed by a traced commit after a kill whose stitched
-// cross-instance trace is checked; exit 1 on a violation), ub1-multi (UB1
+// faults, closed by a traced commit after a kill whose cross-instance
+// trace is checked; exit 1 on a violation), ub1-multi (UB1
 // day-8 peak replay over 4 instances with SLO attainment), matrix (the
 // scenario matrix's correctness/SLO checks: mobile churn, cold-start herd,
 // reconnect storm; exit 1 on a violation) and trace (end-to-end

@@ -15,7 +15,6 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"stacksync/internal/deploy"
 	"stacksync/internal/metastore"
@@ -46,7 +45,7 @@ func main() {
 	flag.StringVar(&o.admin, "admin", "", "admin/introspection listen address, e.g. 127.0.0.1:7072 (empty disables; enabling it also enables tracing)")
 	flag.Parse()
 
-	_, stop, err := start(o)
+	srv, err := start(o)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,12 +55,25 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	log.Println("shutting down")
-	stop()
+	srv.stop()
 }
 
-// start brings the deployment up and returns once it serves; stop tears it
-// down.
-func start(o options) (*deploy.Fleet, func(), error) {
+// server is a running deployment and its admin endpoint.
+type server struct {
+	fleet *deploy.Fleet
+	admin *obs.AdminServer // nil without -admin
+}
+
+// stop tears the server down.
+func (s *server) stop() {
+	if s.admin != nil {
+		_ = s.admin.Close()
+	}
+	_ = s.fleet.Close()
+}
+
+// start brings the deployment up and returns once it serves.
+func start(o options) (*server, error) {
 	members := strings.Split(o.users, ",")
 	reactive := provision.NewReactive(provision.DefaultSLA(), 0, 0, nil)
 	cfg := deploy.Config{
@@ -79,37 +91,32 @@ func start(o options) (*deploy.Fleet, func(), error) {
 	if o.metaShards > 0 {
 		cfg.Meta = []metastore.Option{metastore.WithShards(o.metaShards)}
 	}
-	// Observability: with -admin set, every broker shares one registry, one
-	// tracer and one flight recorder so /metrics, /tracez and /eventz see the
-	// whole node, and every instance exports its own bundle to a fleet
-	// Collector for /fleetz and the fleet /tracez.
+	// Observability: with -admin set, every broker and every SyncService
+	// instance shares one registry, one tracer and one flight recorder, so
+	// /metrics, /tracez and /eventz see the whole node.
 	if o.admin != "" {
 		cfg.Tracer, cfg.Registry = obs.NewTracer(), obs.NewRegistry()
 		cfg.Events = obs.NewEventLog(obs.DefaultEventLogCapacity)
-		cfg.FleetObs, cfg.CollectEvery = true, time.Second
 		reactive.SetEventLog(cfg.Events)
 	}
 	fleet, err := deploy.Start(cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	log.Printf("broker listening on %s", fleet.Addr())
 	if a := fleet.StorageAddr(); a != "" {
 		log.Printf("storage gateway listening on %s", a)
 	}
+	srv := &server{fleet: fleet}
 	if o.admin == "" {
-		return fleet, func() { _ = fleet.Close() }, nil
+		return srv, nil
 	}
-	adminSrv, err := adminFor(fleet, cfg, o.minInstances).Serve(o.admin)
-	if err != nil {
+	if srv.admin, err = adminFor(fleet, cfg, o.minInstances).Serve(o.admin); err != nil {
 		_ = fleet.Close()
-		return nil, nil, err
+		return nil, err
 	}
-	log.Printf("admin endpoint on http://%s", adminSrv.Addr())
-	return fleet, func() {
-		_ = adminSrv.Close()
-		_ = fleet.Close()
-	}, nil
+	log.Printf("admin endpoint on http://%s", srv.admin.Addr())
+	return srv, nil
 }
 
 // adminFor builds the admin surface over a running fleet.
@@ -126,7 +133,7 @@ func adminFor(fleet *deploy.Fleet, cfg deploy.Config, minInstances int) *obs.Adm
 					Detail: fmt.Sprintf("%d/%d instances", instances, minInstances)},
 			}}
 		},
-		Collector: fleet.Collector,
-		Queues:    fleet.Queues,
+		Fleet:  fleet.Status,
+		Queues: fleet.Queues,
 	}
 }

@@ -1,7 +1,13 @@
 package main
 
 import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
 	"net"
+	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +15,7 @@ import (
 	"stacksync/internal/core"
 	"stacksync/internal/metastore"
 	"stacksync/internal/mq"
+	"stacksync/internal/obs"
 	"stacksync/internal/omq"
 )
 
@@ -22,13 +29,13 @@ func testOptions(t *testing.T) options {
 // TestServesWhenStartReturns dials the broker the moment start returns: a
 // commit must be acked at once, not after the Supervisor's first check.
 func TestServesWhenStartReturns(t *testing.T) {
-	fleet, stop, err := start(testOptions(t))
+	srv, err := start(testOptions(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer stop()
+	defer srv.stop()
 	began := time.Now()
-	conn, err := mq.Dial(fleet.Addr())
+	conn, err := mq.Dial(srv.fleet.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +68,8 @@ func TestStartFailsWhenStoragePortTaken(t *testing.T) {
 	defer ln.Close()
 	o := testOptions(t)
 	o.storageListen = ln.Addr().String()
-	if _, stop, err := start(o); err == nil {
-		stop()
+	if srv, err := start(o); err == nil {
+		srv.stop()
 		t.Fatal("start succeeded with the storage port taken")
 	} else if !strings.Contains(err.Error(), "storage gateway") {
 		t.Fatalf("error %q does not name the storage gateway", err)
@@ -70,34 +77,109 @@ func TestStartFailsWhenStoragePortTaken(t *testing.T) {
 	// The failed start released the data directory: a retry on a free port
 	// comes up on the same one.
 	o.storageListen = "127.0.0.1:0"
-	_, stop, err := start(o)
+	srv, err := start(o)
 	if err != nil {
 		t.Fatalf("retry: %v", err)
 	}
-	stop()
+	srv.stop()
 }
 
-// TestAdminEnablesFleetObs: -admin on its own gives /fleetz and the fleet
-// /tracez a collector that lists every serving instance.
-func TestAdminEnablesFleetObs(t *testing.T) {
+// TestAdminSeesEveryInstance: with -admin, the admin surface of a
+// two-instance server sees both instances' handling of traced commits from a
+// remote client — their handler metrics on /metrics, every server-side span
+// of a commit's trace on /tracez, and both instances with the hot workspace
+// on /fleetz.
+func TestAdminSeesEveryInstance(t *testing.T) {
 	o := testOptions(t)
-	o.admin = "127.0.0.1:0"
-	fleet, stop, err := start(o)
+	o.admin, o.minInstances, o.maxInstances = "127.0.0.1:0", 2, 2
+	srv, err := start(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer stop()
-	if fleet.Collector == nil {
-		t.Fatal("-admin started no fleet collector")
+	defer srv.stop()
+	conn, err := mq.Dial(srv.fleet.Addr())
+	if err != nil {
+		t.Fatal(err)
 	}
-	fleet.Collector.Collect()
-	live := 0
-	for _, st := range fleet.Collector.Rollup().Instances {
-		if st.Alive {
-			live++
+	defer conn.Close()
+	tracer := obs.NewTracer() // the client's own, as in another process
+	b, err := omq.NewBroker(conn, omq.WithTracer(tracer))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	const commits = 6
+	proxy := b.Lookup(core.ServiceOID, omq.WithTimeout(2*time.Second))
+	var traceID string
+	for i := 0; i < commits; i++ {
+		path := fmt.Sprintf("f%d.txt", i)
+		root := tracer.StartRoot("client.commit")
+		err := proxy.CallCtx(obs.ContextWith(context.Background(), root.Context()), "CommitRequest", nil,
+			core.CommitRequest{Workspace: "shared", DeviceID: "d", Items: []metastore.ItemVersion{{
+				Workspace: "shared", ItemID: "shared:" + path, Path: path, Version: 1, Status: metastore.Added, DeviceID: "d",
+			}}})
+		root.End()
+		if err != nil {
+			t.Fatalf("commit %d: %v", i, err)
+		}
+		traceID = root.Context().TraceID
+	}
+	admin := "http://" + srv.admin.Addr()
+
+	metrics := httpGet(t, admin+"/metrics")
+	var handled int
+	serviceMeans := 0
+	for _, line := range strings.Split(metrics, "\n") {
+		if v, ok := strings.CutPrefix(line, `omq_handle_seconds_count{oid="syncservice"} `); ok {
+			handled, _ = strconv.Atoi(v)
+		}
+		if strings.HasPrefix(line, "omq_service_mean_seconds{") && strings.Contains(line, `oid="syncservice"`) {
+			serviceMeans++
 		}
 	}
-	if live < o.minInstances {
-		t.Fatalf("collector lists %d live instances, want >= %d", live, o.minInstances)
+	if handled < commits || serviceMeans != 2 {
+		t.Fatalf("/metrics: %d handled calls (want >= %d), %d omq_service_mean_seconds lines (want 2):\n%s",
+			handled, commits, serviceMeans, metrics)
 	}
+
+	// The notification fan-out is published after the reply: poll for it.
+	var trace string
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		trace = httpGet(t, admin+"/tracez?trace="+traceID)
+		if strings.Contains(trace, "omq.multi.NotifyCommit") || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	for _, want := range []string{"omq.handle.CommitRequest", "metastore.commitBatch", "omq.multi.NotifyCommit"} {
+		if !strings.Contains(trace, want) {
+			t.Fatalf("/tracez?trace=%s lacks %s:\n%s", traceID, want, trace)
+		}
+	}
+	if strings.Contains(trace, "PARTIAL") {
+		t.Fatalf("/tracez?trace=%s flags a partial trace:\n%s", traceID, trace)
+	}
+
+	var fleetz obs.FleetStatus
+	if err := json.Unmarshal([]byte(httpGet(t, admin+"/fleetz?format=json")), &fleetz); err != nil {
+		t.Fatal(err)
+	}
+	if len(fleetz.Instances) != 2 || len(fleetz.Hot.Commits) == 0 || fleetz.Hot.Commits[0].Key != "shared" {
+		t.Fatalf("/fleetz = %+v, want 2 live instances and shared hottest", fleetz)
+	}
+}
+
+func httpGet(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %d %v", url, resp.StatusCode, err)
+	}
+	return string(body)
 }

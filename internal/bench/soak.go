@@ -31,7 +31,7 @@ import (
 // async commits, 1 s retransmission, no periodic resync). Afterwards every
 // device must converge on every acked commit, respawns must take at most the
 // paper's ~1 s (§5.3.4), and a traced commit made after a closing kill must
-// leave a complete stitched trace.
+// leave a complete trace in the fleet's one span sink.
 type SoakConfig struct {
 	// Seed fixes the fault plan and the kill schedule; same seed, same chaos.
 	Seed int64
@@ -130,21 +130,22 @@ type SoakResult struct {
 	FinalInstances, Scales int
 	// FaultCounts maps site/kind to the injections fired.
 	FaultCounts map[string]uint64
-	// Fleet observability: stitched traces and the fleet-merged hottest
-	// workspace by commits.
-	StitchedTraces int
-	HotTop         string
-	HotTopCommits  uint64
+	// Fleet observability: traces in the fleet's span sink and the hottest
+	// workspace by commits in its sketch.
+	Traces        int
+	HotTop        string
+	HotTopCommits uint64
 	// The closing probe: the instance it killed and the anatomy of the
-	// stitched trace of the commit it made afterwards. ProbePathInstances
-	// counts distinct instances on the trace's critical path; >= 2 means it
-	// crosses the process boundary.
+	// trace of the commit it made afterwards. ProbePathInstances counts
+	// distinct instances on the trace's critical path; >= 2 means it
+	// crosses from the client into a serving instance. ProbeOrphans counts
+	// spans, the root excepted, whose parent is missing from the sink.
 	ProbeKilled        string
 	ProbeTrace         string
 	ProbeSpans         int
 	ProbeInstances     int
 	ProbePathInstances int
-	ProbePartial       bool
+	ProbeOrphans       int
 	// Violations lists every broken invariant (empty on a clean run).
 	Violations []string
 }
@@ -161,16 +162,15 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 	// The phase driver moves an atomic target the provisioner reads.
 	var target atomic.Int64
 	target.Store(int64(soakPhases[0]))
+	// Every instance and device traces into the one sink, stamped with its
+	// own id.
+	tracer := obs.NewTracer()
 	fleet, err := deploy.Start(deploy.Config{
 		Workspaces: workspacesOf(soakWorkspaces+1, soakWorkspace),
+		Tracer:     tracer,
 		Registry:   reg,
 		Events:     events,
 		Faults:     plan,
-		// Every spawned instance exports its own obs into one Collector,
-		// polled during the run so a kill loses only the spans buffered
-		// since the last scrape.
-		FleetObs:     true,
-		CollectEvery: 50 * time.Millisecond,
 		Supervisor: &omq.SupervisorConfig{
 			CheckEvery: 60 * time.Millisecond,
 			Provisioner: omq.ProvisionerFunc(func(time.Time, omq.ObjectInfo) int {
@@ -190,15 +190,10 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 	wsOf := func(i int) string { return soakWorkspace(i % soakWorkspaces) }
 	clients := make([]*client.Client, cfg.Clients)
 	for i := range clients {
-		// Each device traces into its own sink, a collector pseudo-source,
-		// so a commit's trace stitches from the device into the instance
-		// that served it.
 		id := fmt.Sprintf("30-client-%d", i)
-		sink := obs.NewSpanSink(0)
-		tracer := obs.NewTracer(obs.WithSink(sink), obs.WithInstance(id))
-		fleet.Collector.Register(obs.Source{InstanceID: id, Sink: sink})
+		devTracer := tracer.ForInstance(id)
 		cb, err := omq.NewBroker(mq.NewFaulty(fleet.MQ, plan, "mq.client", nil),
-			omq.WithID(id), omq.WithRegistry(reg), omq.WithTracer(tracer))
+			omq.WithID(id), omq.WithRegistry(reg), omq.WithTracer(devTracer))
 		if err != nil {
 			return nil, err
 		}
@@ -208,7 +203,7 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 			Broker:   cb,
 			Storage:  objstore.NewFaulty(fleet.Chunks, plan, "objstore", nil),
 			Registry: reg,
-			Tracer:   tracer,
+			Tracer:   devTracer,
 		})
 		if err != nil {
 			return nil, err
@@ -291,32 +286,35 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 
 	final := soakPhases[len(soakPhases)-1]
 	_ = fleet.WaitInstances(final, 5*time.Second)
-	probeErr := res.probeAfterKill(fleet, soakWorkspace(soakWorkspaces), final)
+	probeErr := res.probeAfterKill(fleet, tracer, soakWorkspace(soakWorkspaces), final)
 	_ = fleet.WaitInstances(final, 5*time.Second)
 
 	res.FinalInstances = fleet.Instances()
+	// Instances the flight recorder saw drain, in order.
+	var drained []string
 	for _, e := range events.Tail(events.Len()) {
-		if e.Kind == obs.EventSupervisorScale {
+		switch e.Kind {
+		case obs.EventSupervisorScale:
 			res.Scales++
+		case obs.EventInstanceDrain:
+			drained = append(drained, e.Fields["instance"])
 		}
 	}
 	res.FaultCounts = plan.Counts()
 	killed, maxRespawn := crashes.result()
 	res.Crashes, res.MaxRespawn = len(killed), maxRespawn
 
-	// Final scrape, then the fleet-wide trace and heavy-hitter state.
-	fleet.Collector.Collect()
-	rollup := fleet.Collector.Rollup()
-	res.StitchedTraces = len(fleet.Collector.TraceIDs())
-	if len(rollup.HotCommits) > 0 {
-		res.HotTop, res.HotTopCommits = rollup.HotCommits[0].Key, rollup.HotCommits[0].Count
+	// The fleet-wide trace and heavy-hitter state.
+	res.Traces = len(tracer.Sink().Summaries())
+	if hot := fleet.Status().Hot.Commits; len(hot) > 0 {
+		res.HotTop, res.HotTopCommits = hot[0].Key, hot[0].Count
 	}
 
 	v := deviceViolations(clients, wsOf, expected)
 	if probeErr != nil {
 		v = append(v, "probe: "+probeErr.Error())
 	}
-	v = append(v, res.fleetViolations(append(killed, res.ProbeKilled), rollup, expected)...)
+	v = append(v, res.fleetViolations(append(killed, res.ProbeKilled), drained, expected)...)
 	sort.Strings(v)
 	res.Violations = v
 	return res, nil
@@ -367,9 +365,9 @@ func deviceViolations(clients []*client.Client, wsOf func(int) string, expected 
 
 // fleetViolations checks the run as a whole: the soak exercised what it
 // claims (kills and both phase switches inside the workload, every fault
-// site fired), the fleet repaired itself, and the collector tells kills from
-// drains and surfaces a hottest workspace.
-func (r *SoakResult) fleetViolations(killed []string, rollup obs.FleetRollup, expected map[string]map[string]string) []string {
+// site fired), the fleet repaired itself, and its observability tells kills
+// from drains and surfaces a hottest workspace.
+func (r *SoakResult) fleetViolations(killed, drained []string, expected map[string]map[string]string) []string {
 	var v []string
 	if !r.Converged {
 		v = append(v, fmt.Sprintf("devices did not converge within %v (%d acked commits)", soakSettle, r.Commits))
@@ -404,35 +402,33 @@ func (r *SoakResult) fleetViolations(killed []string, rollup obs.FleetRollup, ex
 	if r.Scales == 0 {
 		v = append(v, "no supervisor.scale events recorded despite scale phases")
 	}
-	if r.StitchedTraces == 0 {
-		v = append(v, "collector holds no stitched traces despite a traced workload")
+	if r.Traces == 0 {
+		v = append(v, "span sink holds no traces despite a traced workload")
 	}
 
-	// Kills are never clean; the 4 → 2 phase drains instances cleanly.
+	// Kills are never drains; the 4 → 2 phase drains instances cleanly.
 	drainedClean := false
-	for _, inst := range rollup.Instances {
-		if !inst.Alive && inst.CleanExit {
-			if slices.Contains(killed, inst.InstanceID) {
-				v = append(v, fmt.Sprintf("killed instance %s reported as a clean drain", inst.InstanceID))
-			} else {
-				drainedClean = true
-			}
+	for _, id := range drained {
+		if slices.Contains(killed, id) {
+			v = append(v, fmt.Sprintf("killed instance %s recorded as a clean drain", id))
+		} else {
+			drainedClean = true
 		}
 	}
 	if !drainedClean {
 		v = append(v, "no instance recorded as a clean drain after the scale-in")
 	}
 
-	// The probe's commit after the kill stitched from the probe into a
+	// The probe's commit after the kill is traced from the probe into a
 	// serving instance, completely.
 	if r.ProbeInstances < 2 {
-		v = append(v, fmt.Sprintf("probe: stitched trace spans %d instance(s), want >= 2", r.ProbeInstances))
+		v = append(v, fmt.Sprintf("probe: trace spans %d instance(s), want >= 2", r.ProbeInstances))
 	}
 	if r.ProbePathInstances < 2 {
 		v = append(v, fmt.Sprintf("probe: critical path touches %d instance(s), want >= 2", r.ProbePathInstances))
 	}
-	if r.ProbePartial {
-		v = append(v, "probe: trace of the commit after the kill marked partial")
+	if r.ProbeOrphans > 0 {
+		v = append(v, fmt.Sprintf("probe: %d span(s) of the commit after the kill lack their parent", r.ProbeOrphans))
 	}
 
 	most := 0
@@ -446,19 +442,17 @@ func (r *SoakResult) fleetViolations(killed []string, rollup obs.FleetRollup, ex
 }
 
 // probeAfterKill closes the soak: it kills one instance, waits for the
-// Supervisor's respawn, then a clean traced client that joins the collector
-// makes one sync commit on the shared queue. The commit's stitched trace
-// must be in the collector, complete, and on a critical path that crosses
-// from the client into the instance that served it.
-func (r *SoakResult) probeAfterKill(fleet *deploy.Fleet, ws string, want int) error {
-	sink := obs.NewSpanSink(0)
-	tracer := obs.NewTracer(obs.WithSink(sink), obs.WithInstance("probe"))
+// Supervisor's respawn, then a clean client tracing into the fleet's sink
+// makes one sync commit on the shared queue. The commit's trace must be in
+// the sink, complete, and on a critical path that crosses from the client
+// into the instance that served it.
+func (r *SoakResult) probeAfterKill(fleet *deploy.Fleet, fleetTracer *obs.Tracer, ws string, want int) error {
+	tracer := fleetTracer.ForInstance("probe")
 	b, err := omq.NewBroker(fleet.MQ, omq.WithID("40-probe"), omq.WithTracer(tracer))
 	if err != nil {
 		return err
 	}
 	defer b.Close()
-	fleet.Collector.Register(obs.Source{InstanceID: "probe", Sink: sink})
 	if r.ProbeKilled = fleet.Kill(); r.ProbeKilled == "" {
 		return fmt.Errorf("no running instance to kill")
 	}
@@ -484,14 +478,27 @@ func (r *SoakResult) probeAfterKill(fleet *deploy.Fleet, ws string, want int) er
 		return fmt.Errorf("commit after the kill: %w", err)
 	}
 	r.ProbeTrace = root.Context().TraceID
-	fleet.Collector.Collect()
-	st, ok := fleet.Collector.Trace(r.ProbeTrace)
-	if !ok {
-		return fmt.Errorf("trace of the commit after the kill missing from collector")
+	spans := tracer.Sink().Trace(r.ProbeTrace)
+	if len(spans) == 0 {
+		return fmt.Errorf("trace of the commit after the kill missing from the sink")
 	}
-	r.ProbeSpans, r.ProbeInstances, r.ProbePartial = len(st.Spans), len(st.Instances), st.Partial
+	r.ProbeSpans = len(spans)
+	ids := make(map[string]bool, len(spans))
+	for _, sp := range spans {
+		ids[sp.SpanID] = true
+	}
+	instances := make(map[string]bool)
+	for _, sp := range spans {
+		if sp.Instance != "" {
+			instances[sp.Instance] = true
+		}
+		if sp.ParentID != "" && !ids[sp.ParentID] {
+			r.ProbeOrphans++
+		}
+	}
+	r.ProbeInstances = len(instances)
 	onPath := make(map[string]bool)
-	for _, seg := range obs.CriticalPathDeep(st.Spans) {
+	for _, seg := range obs.CriticalPath(spans) {
 		if seg.Instance != "" {
 			onPath[seg.Instance] = true
 		}
@@ -512,8 +519,8 @@ func (r *SoakResult) Print(w io.Writer) {
 		r.SettleTime.Round(time.Millisecond), r.MaxRespawn.Round(time.Millisecond))
 	fmt.Fprintf(w, "%-30s %v; %d crashes, phase switches at %v\n", "workload window", r.Window, r.Crashes, r.PhaseAt)
 	fmt.Fprintf(w, "%-30s %d instances after %d scale events\n", "final fleet", r.FinalInstances, r.Scales)
-	fmt.Fprintf(w, "%-30s %d stitched traces; hottest workspace %s (%d commits)\n",
-		"fleet obs", r.StitchedTraces, r.HotTop, r.HotTopCommits)
+	fmt.Fprintf(w, "%-30s %d traces in the sink; hottest workspace %s (%d commits)\n",
+		"fleet obs", r.Traces, r.HotTop, r.HotTopCommits)
 	fmt.Fprintf(w, "%-30s killed %s; trace %s: %d spans, %d instances, critical path crosses %d instances\n",
 		"probe after kill", r.ProbeKilled, r.ProbeTrace, r.ProbeSpans, r.ProbeInstances, r.ProbePathInstances)
 	fmt.Fprintf(w, "%-30s %v\n", "schedule stable", r.ScheduleStable)

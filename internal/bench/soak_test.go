@@ -12,8 +12,8 @@ import (
 // it breaks no invariant: every device converged on every acked commit, no
 // spurious conflict copy, respawn under ~1 s, the fleet settled on the final
 // phase, a reproducible schedule, and a commit made after the closing kill
-// whose stitched trace is complete and crosses instances. The full-size soak is `experiments -run
-// chaos`.
+// whose trace is complete and crosses instances. The full-size soak is
+// `experiments -run chaos`.
 func TestChaosSoakConverges(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak skipped in -short mode")

@@ -76,13 +76,11 @@ type Service struct {
 	meta   *metastore.Store
 	broker *omq.Broker
 
-	// Per-instance observability (DESIGN §15). tracer, when set, overrides the
-	// notification broker's tracer for spans this service opens — instances
-	// spawned through a RemoteBroker share that broker, so without the
-	// override every instance's spans would land in one undifferentiated
-	// sink. hot is the instance's hot-workspace sketch, fed by the commit
-	// path and scraped by the fleet Collector.
-	obsMu  sync.RWMutex
+	// Observability (DESIGN §15). tracer, when set, replaces the
+	// notification broker's tracer for spans this service opens: instances
+	// spawned through a RemoteBroker share that broker, so deploy hands each
+	// one the node tracer stamped with its instance id. hot is the
+	// deployment's hot-workspace sketch, fed by the commit path.
 	tracer *obs.Tracer
 	hot    *obs.HotStats
 
@@ -138,23 +136,18 @@ func (s *Service) Bind() (*omq.BoundObject, error) {
 // instances through a RemoteBroker factory instead of calling Bind directly.
 func (s *Service) API() *API { return &API{svc: s} }
 
-// SetObs installs this instance's own tracer and hot-workspace sketch. Both
-// are optional; nil leaves the broker's tracer (and no sketch) in place.
+// SetObs installs this instance's tracer and the hot-workspace sketch it
+// feeds. Both are optional: a nil tracer leaves the broker's in place, a nil
+// sketch records nothing. Call it before the service is bound.
 func (s *Service) SetObs(tracer *obs.Tracer, hot *obs.HotStats) {
-	s.obsMu.Lock()
-	s.tracer = tracer
-	s.hot = hot
-	s.obsMu.Unlock()
+	s.tracer, s.hot = tracer, hot
 }
 
-// obsTracer returns the per-instance tracer when one is installed, falling
-// back to the notification broker's tracer.
+// obsTracer returns the tracer installed by SetObs, falling back to the
+// notification broker's tracer.
 func (s *Service) obsTracer() *obs.Tracer {
-	s.obsMu.RLock()
-	t := s.tracer
-	s.obsMu.RUnlock()
-	if t != nil {
-		return t
+	if s.tracer != nil {
+		return s.tracer
 	}
 	return s.broker.Tracer()
 }
@@ -223,10 +216,7 @@ func (s *Service) commit(ctx context.Context, req CommitRequest) (CommitNotifica
 // fan-out it caused (results pushed to the workspace group), and the bytes
 // of content the commit covered.
 func (s *Service) observeHot(req CommitRequest, fanout int) {
-	s.obsMu.RLock()
-	hot := s.hot
-	s.obsMu.RUnlock()
-	if hot == nil {
+	if s.hot == nil {
 		return
 	}
 	var bytes uint64
@@ -235,7 +225,7 @@ func (s *Service) observeHot(req CommitRequest, fanout int) {
 			bytes += uint64(sz)
 		}
 	}
-	hot.ObserveCommit(req.Workspace, uint64(fanout), bytes)
+	s.hot.ObserveCommit(req.Workspace, uint64(fanout), bytes)
 }
 
 // enqueueNotify hands one notification to the drainer. The multicast group

@@ -59,16 +59,12 @@ type Config struct {
 	// per instance on the shared request queue.
 	Instances int
 
-	// Tracer, Registry and Events are shared by every server-side broker
-	// and the metadata store; nil disables each.
+	// Tracer, Registry and Events are shared by every server-side broker,
+	// every SyncService instance and the metadata store; nil disables each.
+	// A supervised instance's spans carry its instance id.
 	Tracer   *obs.Tracer
 	Registry *obs.Registry
 	Events   *obs.EventLog
-	// FleetObs gives every supervised instance its own tracer, registry,
-	// event log and hot-workspace sketch, registered with Fleet.Collector.
-	// CollectEvery > 0 polls the collector at that period.
-	FleetObs     bool
-	CollectEvery time.Duration
 
 	// Faults, when set, injects at FaultSiteMeta and FaultSiteNotify.
 	Faults *faults.Plan
@@ -80,8 +76,6 @@ type Fleet struct {
 	MQ     *mq.Broker
 	Meta   *metastore.Store
 	Chunks objstore.Store
-	// Collector federates per-instance observability (nil without FleetObs).
-	Collector *obs.Collector
 
 	cfg         Config
 	mqServer    *mq.Server
@@ -89,7 +83,7 @@ type Fleet struct {
 	pinned      int
 	rb          *omq.RemoteBroker
 	sup         *omq.Supervisor
-	bundles     sync.Map // instance id -> *instanceObs, from spawn to factory
+	hot         *obs.HotStats // fed by every supervised instance, read by Status
 
 	closers   []func() error
 	closeOnce sync.Once
@@ -220,23 +214,14 @@ func (f *Fleet) startSupervised(notif *omq.Broker) error {
 		return err
 	}
 	f.closers = append(f.closers, f.rb.Close)
-	if f.cfg.FleetObs {
-		f.Collector = obs.NewCollector()
-		f.rb.SetSpawnHooks(f.spawnHooks())
-		if f.cfg.CollectEvery > 0 {
-			stop := f.Collector.StartPolling(f.cfg.CollectEvery)
-			f.closers = append(f.closers, func() error { stop(); return nil })
-		}
-	}
+	f.hot = obs.NewHotStats(8)
 	sc := *f.cfg.Supervisor
 	sc.OID = core.ServiceOID
 	f.rb.RegisterInstanceFactory(core.ServiceOID, func(id string) (interface{}, error) {
+		// The service opens its metastore spans through the shared notif
+		// broker; stamp them with the instance like its child broker's.
 		svc := core.NewService(f.Meta, notif)
-		if b, ok := f.bundles.LoadAndDelete(id); ok {
-			o := b.(*instanceObs)
-			svc.SetObs(o.tracer, o.Hot)
-			f.Collector.Register(o.Source)
-		}
+		svc.SetObs(f.cfg.Tracer.ForInstance(id), f.hot)
 		return svc.API(), nil
 	})
 	supBroker, err := f.broker(f.MQ, "sup-0")
@@ -251,35 +236,6 @@ func (f *Fleet) startSupervised(notif *omq.Broker) error {
 	// its result rather than enforcing concurrently with its loop.
 	n := max(sc.MinInstances, 1)
 	return f.wait(startTimeout, n, func(live int) bool { return live >= n })
-}
-
-// instanceObs is one spawned instance's observability, built in the spawn
-// hook (the instance id exists before its broker) and consumed by the
-// factory.
-type instanceObs struct {
-	obs.Source
-	tracer *obs.Tracer
-}
-
-// spawnHooks gives every spawned instance its own observability bundle and
-// reports instance death to the collector (a clean drain earns a final
-// scrape; a kill loses the spans buffered since the last one).
-func (f *Fleet) spawnHooks() omq.SpawnHooks {
-	return omq.SpawnHooks{
-		Options: func(_, id string) []omq.BrokerOption {
-			o := &instanceObs{Source: obs.Source{
-				InstanceID: id,
-				Registry:   obs.NewRegistry(),
-				Sink:       obs.NewSpanSink(0),
-				Events:     obs.NewEventLog(obs.DefaultEventLogCapacity),
-				Hot:        obs.NewHotStats(8),
-			}}
-			o.tracer = obs.NewTracer(obs.WithSink(o.Sink), obs.WithInstance(id))
-			f.bundles.Store(id, o)
-			return []omq.BrokerOption{omq.WithTracer(o.tracer), omq.WithRegistry(o.Registry), omq.WithEventLog(o.Events)}
-		},
-		Stopped: func(_, id string, clean bool) { f.Collector.MarkDead(id, clean) },
-	}
 }
 
 // Addr is the broker's TCP address ("" without Listen).
@@ -299,6 +255,16 @@ func (f *Fleet) Instances() int {
 		return f.pinned
 	}
 	return f.rb.InstanceCount(core.ServiceOID)
+}
+
+// Status is the /fleetz view of a supervised fleet: the serving instances'
+// ids and the hot-workspace top-K of every commit they served. A pinned
+// fleet reports neither.
+func (f *Fleet) Status() obs.FleetStatus {
+	if f.rb == nil {
+		return obs.FleetStatus{}
+	}
+	return obs.FleetStatus{Instances: f.rb.InstanceIDs(core.ServiceOID), Hot: f.hot.Snapshot()}
 }
 
 // Kill crashes one supervised instance without draining it and returns its

@@ -2,8 +2,10 @@ package deploy
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -89,20 +91,22 @@ func TestDurableRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSupervisedRoutedFleet starts a supervised fleet with per-instance
-// observability — N instances the MQ routes calls to through the shared
-// request queue — waits for all N, checks the collector knows each of them,
-// and checks Close leaves no goroutine behind.
+// TestSupervisedRoutedFleet starts a supervised fleet — N instances the MQ
+// routes calls to through the shared request queue — waits for all N,
+// checks Status lists each of them, drives concurrent traced commits into
+// the one sink and sketch they share, and checks Close leaves no goroutine
+// behind.
 func TestSupervisedRoutedFleet(t *testing.T) {
 	const n = 3
 	before := runtime.NumGoroutine()
+	tracer := obs.NewTracer()
 	f, err := Start(Config{
+		Workspaces: []metastore.Workspace{{ID: "ws", Owner: "alice"}},
 		Supervisor: &omq.SupervisorConfig{
 			Provisioner: omq.FixedProvisioner(n), MaxInstances: n,
 			CheckEvery: 20 * time.Millisecond,
 		},
-		Registry: obs.NewRegistry(), Events: obs.NewEventLog(64),
-		FleetObs: true, CollectEvery: 20 * time.Millisecond,
+		Tracer: tracer, Registry: obs.NewRegistry(), Events: obs.NewEventLog(64),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -113,9 +117,54 @@ func TestSupervisedRoutedFleet(t *testing.T) {
 	if err := f.WaitInstances(n, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	f.Collector.Collect()
-	if got := len(f.Collector.Rollup().Instances); got != n {
-		t.Fatalf("collector knows %d instances, want %d", got, n)
+	live := f.Status().Instances
+	if len(live) != n {
+		t.Fatalf("Status lists %d instances, want %d", len(live), n)
+	}
+
+	const writers, commits = 4, 5
+	cb, err := omq.NewBroker(f.MQ, omq.WithTracer(tracer.ForInstance("client")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	service := cb.Lookup(core.ServiceOID, omq.WithTimeout(2*time.Second))
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		go func(w int) {
+			var err error
+			for k := 0; k < commits && err == nil; k++ {
+				path := fmt.Sprintf("w%d/%d.txt", w, k)
+				root := tracer.StartRoot("client.commit")
+				err = service.CallCtx(obs.ContextWith(context.Background(), root.Context()), "CommitRequest", nil,
+					core.CommitRequest{Workspace: "ws", DeviceID: "d", Items: []metastore.ItemVersion{{
+						Workspace: "ws", ItemID: "ws:" + path, Path: path, Version: 1, Status: metastore.Added, DeviceID: "d",
+					}}})
+				root.End()
+			}
+			errs <- err
+		}(w)
+	}
+	for w := 0; w < writers; w++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	_ = cb.Close()
+	if hot := f.Status().Hot.Commits; len(hot) != 1 || hot[0].Key != "ws" || hot[0].Count != writers*commits {
+		t.Fatalf("hot commits %+v, want ws with %d", hot, writers*commits)
+	}
+	metaSpans := 0
+	for _, sp := range tracer.Sink().Spans() {
+		if sp.Name != "metastore.commitBatch" {
+			continue
+		}
+		metaSpans++
+		if !slices.Contains(live, sp.Instance) {
+			t.Fatalf("span %s stamped %q, not a live instance %v", sp.Name, sp.Instance, live)
+		}
+	}
+	if metaSpans != writers*commits {
+		t.Fatalf("%d metastore.commitBatch spans in the sink, want %d", metaSpans, writers*commits)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)

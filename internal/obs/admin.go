@@ -55,9 +55,15 @@ type Admin struct {
 	Queues func() []QueueInfo
 	// Events backs /eventz with the flight-recorder tail.
 	Events *EventLog
-	// Collector backs /fleetz and upgrades /tracez to the fleet-stitched
-	// view when set.
-	Collector *Collector
+	// Fleet backs /fleetz with the live instances and the hot workspaces.
+	Fleet func() FleetStatus
+}
+
+// FleetStatus is the /fleetz payload: the SyncService instances serving now
+// and the deployment's hot-workspace top-K.
+type FleetStatus struct {
+	Instances []string    `json:"instances"`
+	Hot       HotSnapshot `json:"hot"`
 }
 
 // Handler returns the HTTP handler serving the admin endpoints, including
@@ -102,30 +108,44 @@ func writeHealth(w http.ResponseWriter, h Health) {
 	_ = json.NewEncoder(w).Encode(h)
 }
 
-// serveFleetz serves the Collector rollup: per-instance status plus the
-// fleet-merged hot-workspace top-k lists. JSON with ?format=json, text
-// otherwise.
+// serveFleetz serves the live instance ids and the hot-workspace top-K
+// lists. JSON with ?format=json, text otherwise.
 func (a *Admin) serveFleetz(w http.ResponseWriter, r *http.Request) {
-	if a.Collector == nil {
+	if a.Fleet == nil {
 		http.Error(w, "fleet collection not enabled", http.StatusNotFound)
 		return
 	}
-	a.Collector.Collect()
+	st := a.Fleet()
 	if r.URL.Query().Get("format") == "json" {
 		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(a.Collector.Rollup())
+		_ = json.NewEncoder(w).Encode(st)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	a.Collector.WriteFleetz(w)
+	fmt.Fprintf(w, "fleet: %d live instance(s)\n", len(st.Instances))
+	for _, id := range st.Instances {
+		fmt.Fprintf(w, "  %s\n", id)
+	}
+	for _, hot := range []struct {
+		name string
+		list []TopKEntry
+	}{
+		{"commits", st.Hot.Commits},
+		{"notify fan-out", st.Hot.NotifyFanout},
+		{"transfer bytes", st.Hot.Transfer},
+	} {
+		if len(hot.list) == 0 {
+			continue
+		}
+		fmt.Fprintf(w, "hot workspaces by %s:\n", hot.name)
+		for _, e := range hot.list {
+			fmt.Fprintf(w, "  %-22s %d (±%d)\n", e.Key, e.Count, e.Err)
+		}
+	}
 }
 
 func (a *Admin) serveTracez(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if a.Collector != nil {
-		a.serveFleetTracez(w, r)
-		return
-	}
 	sink := a.Tracer.Sink()
 	if sink == nil {
 		fmt.Fprintln(w, "tracing disabled")
@@ -158,42 +178,6 @@ func (a *Admin) serveTracez(w http.ResponseWriter, r *http.Request) {
 	if len(sums) > 0 {
 		fmt.Fprintln(w)
 		WriteTraceReport(w, sums[0].TraceID, sink.Trace(sums[0].TraceID))
-	}
-}
-
-// serveFleetTracez is /tracez backed by the fleet collector: the same listing
-// shape, but each trace is the stitched cross-instance view.
-func (a *Admin) serveFleetTracez(w http.ResponseWriter, r *http.Request) {
-	a.Collector.Collect()
-	if id := r.URL.Query().Get("trace"); id != "" {
-		st, ok := a.Collector.Trace(id)
-		if !ok {
-			http.Error(w, "unknown trace "+id, http.StatusNotFound)
-			return
-		}
-		WriteStitched(w, st)
-		return
-	}
-	n := 10
-	if v := r.URL.Query().Get("n"); v != "" {
-		if parsed, err := strconv.Atoi(v); err == nil && parsed > 0 {
-			n = parsed
-		}
-	}
-	sums := a.Collector.Summaries()
-	fmt.Fprintf(w, "tracez (fleet): %d stitched traces\n\n", len(sums))
-	if len(sums) > n {
-		sums = sums[:n]
-	}
-	for _, s := range sums {
-		fmt.Fprintf(w, "%s  %-32s %3d spans  %s\n",
-			s.TraceID, s.Root, s.Spans, s.Duration.Round(time.Microsecond))
-	}
-	if len(sums) > 0 {
-		fmt.Fprintln(w)
-		if st, ok := a.Collector.Trace(sums[0].TraceID); ok {
-			WriteStitched(w, st)
-		}
 	}
 }
 

@@ -97,6 +97,35 @@ func TestAdminTracez(t *testing.T) {
 	}
 }
 
+// TestAdminFleetz: /fleetz renders the provider's live instances and hot
+// workspaces, as text and as JSON.
+func TestAdminFleetz(t *testing.T) {
+	hot := NewHotStats(4)
+	hot.ObserveCommit("shared", 2, 1024)
+	hot.ObserveCommit("shared", 2, 1024)
+	hot.ObserveCommit("other", 1, 10)
+	a := &Admin{Fleet: func() FleetStatus {
+		return FleetStatus{Instances: []string{"i-1", "i-2"}, Hot: hot.Snapshot()}
+	}}
+	srv := httptest.NewServer(a.Handler())
+	defer srv.Close()
+
+	code, body := get(t, srv, "/fleetz")
+	for _, want := range []string{"2 live instance(s)", "i-1", "i-2", "hot workspaces by commits", "shared"} {
+		if code != 200 || !strings.Contains(body, want) {
+			t.Fatalf("/fleetz: %d lacks %q:\n%s", code, want, body)
+		}
+	}
+	_, body = get(t, srv, "/fleetz?format=json")
+	var st FleetStatus
+	if err := json.Unmarshal([]byte(body), &st); err != nil {
+		t.Fatalf("/fleetz json: %v in %q", err, body)
+	}
+	if len(st.Instances) != 2 || len(st.Hot.Commits) == 0 || st.Hot.Commits[0].Key != "shared" || st.Hot.Commits[0].Count != 2 {
+		t.Fatalf("/fleetz json decoded %+v", st)
+	}
+}
+
 func TestAdminMetricsAndQueuesz(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("commits_total", "oid", "sync").Add(3)

@@ -29,6 +29,9 @@ const (
 	EventElectionWon EventKind = "election.won"
 	// EventInstanceKill is an injected instance crash (KillLocal).
 	EventInstanceKill EventKind = "instance.kill"
+	// EventInstanceDrain is an orderly instance stop: its in-flight call
+	// finished before it left (a scale-in, or the node closing).
+	EventInstanceDrain EventKind = "instance.drain"
 	// EventFaultInjected is one fired fault-plan decision.
 	EventFaultInjected EventKind = "fault.injected"
 )

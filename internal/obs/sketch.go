@@ -94,54 +94,20 @@ func (t *TopK) Snapshot() []TopKEntry {
 		out = append(out, TopKEntry{Key: k, Count: e.count, Err: e.err})
 	}
 	t.mu.Unlock()
-	sortTopK(out)
-	return out
-}
-
-func sortTopK(out []TopKEntry) {
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Count != out[j].Count {
 			return out[i].Count > out[j].Count
 		}
 		return out[i].Key < out[j].Key
 	})
-}
-
-// MergeTopK folds per-instance snapshots into one fleet-wide top-k list.
-// Counts and error bounds add pointwise; keys absent from an input may have
-// occurred up to that input's minimum count times, so a merged Count can
-// undercount such a key; the space-saving property (true ≥ Count-Err) is
-// preserved. Instances share one request queue, so a workspace hot enough to
-// matter sits in every instance's sketch and sums exactly up to its Err.
-func MergeTopK(k int, lists ...[]TopKEntry) []TopKEntry {
-	if k <= 0 {
-		k = 8
-	}
-	merged := make(map[string]TopKEntry)
-	for _, list := range lists {
-		for _, e := range list {
-			m := merged[e.Key]
-			m.Key = e.Key
-			m.Count += e.Count
-			m.Err += e.Err
-			merged[e.Key] = m
-		}
-	}
-	out := make([]TopKEntry, 0, len(merged))
-	for _, e := range merged {
-		out = append(out, e)
-	}
-	sortTopK(out)
-	if len(out) > k {
-		out = out[:k]
-	}
 	return out
 }
 
-// HotStats bundles the per-workspace heavy-hitter sketches one instance
-// exports: commit counts, notification fan-out, and transferred bytes. A nil
-// *HotStats is inert, so the service pays one nil check when attribution is
-// off.
+// HotStats bundles the per-workspace heavy-hitter sketches of a deployment:
+// commit counts, notification fan-out, and transferred bytes. Every
+// SyncService instance of a process feeds the one HotStats, so its top-K is
+// exact up to each entry's Err. A nil *HotStats is inert, so the service
+// pays one nil check when attribution is off.
 type HotStats struct {
 	Commits      *TopK
 	NotifyFanout *TopK
@@ -164,7 +130,7 @@ func (h *HotStats) ObserveCommit(workspace string, fanout, bytes uint64) {
 	h.Transfer.Observe(workspace, bytes)
 }
 
-// HotSnapshot is the exported view of one instance's HotStats.
+// HotSnapshot is the exported view of a HotStats.
 type HotSnapshot struct {
 	Commits      []TopKEntry `json:"commits,omitempty"`
 	NotifyFanout []TopKEntry `json:"notifyFanout,omitempty"`

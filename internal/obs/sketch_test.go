@@ -82,21 +82,6 @@ func TestTopKNilAndZero(t *testing.T) {
 	}
 }
 
-func TestMergeTopKSumsAndTruncates(t *testing.T) {
-	a := []TopKEntry{{Key: "w1", Count: 10}, {Key: "w2", Count: 4, Err: 1}}
-	b := []TopKEntry{{Key: "w2", Count: 6}, {Key: "w3", Count: 2}}
-	merged := MergeTopK(2, a, b)
-	if len(merged) != 2 {
-		t.Fatalf("want truncation to 2, got %+v", merged)
-	}
-	if merged[0].Key != "w1" || merged[0].Count != 10 {
-		t.Fatalf("merged[0] = %+v", merged[0])
-	}
-	if merged[1].Key != "w2" || merged[1].Count != 10 || merged[1].Err != 1 {
-		t.Fatalf("merged[1] = %+v", merged[1])
-	}
-}
-
 func TestTopKConcurrent(t *testing.T) {
 	tk := NewTopK(8)
 	var wg sync.WaitGroup

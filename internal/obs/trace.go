@@ -103,9 +103,8 @@ type Span struct {
 	Name     string    `json:"name"`
 	Start    time.Time `json:"start"`
 	End      time.Time `json:"end"`
-	// Instance is the id of the process/instance that recorded the span
-	// (stamped by WithInstance; "" on unstamped tracers). The fleet
-	// stitcher keys clock-skew alignment on it.
+	// Instance is the id of the instance that recorded the span (stamped
+	// by a tracer from ForInstance; "" on unstamped tracers).
 	Instance string `json:"instance,omitempty"`
 	// Annots are bounded key/value annotations (at most MaxSpanAnnots).
 	Annots []Annot `json:"annots,omitempty"`
@@ -252,14 +251,8 @@ type TraceSummary struct {
 
 // Summaries groups all buffered spans by trace, slowest first.
 func (s *SpanSink) Summaries() []TraceSummary {
-	return SummarizeSpans(s.Spans())
-}
-
-// SummarizeSpans groups spans by trace into /tracez-style summaries, slowest
-// first — shared by the per-process sink and the fleet collector.
-func SummarizeSpans(spans []Span) []TraceSummary {
 	byTrace := make(map[string][]Span)
-	for _, sp := range spans {
+	for _, sp := range s.Spans() {
 		byTrace[sp.TraceID] = append(byTrace[sp.TraceID], sp)
 	}
 	out := make([]TraceSummary, 0, len(byTrace))
@@ -319,12 +312,6 @@ func WithNowFunc(fn func() time.Time) TracerOption {
 	return func(t *Tracer) { t.now = fn }
 }
 
-// WithInstance stamps every span the tracer records with the given instance
-// id, so a fleet collector can tell which process each span came from.
-func WithInstance(id string) TracerOption {
-	return func(t *Tracer) { t.instance = id }
-}
-
 // NewTracer returns an enabled tracer (default: fresh 4096-span sink, wall
 // clock).
 func NewTracer(opts ...TracerOption) *Tracer {
@@ -340,6 +327,17 @@ func NewTracer(opts ...TracerOption) *Tracer {
 
 // Enabled reports whether the tracer records anything.
 func (t *Tracer) Enabled() bool { return t != nil }
+
+// ForInstance returns a tracer that records into the same sink on the same
+// clock, stamping every span with instance id — how the spans of the many
+// SyncService instances of one process stay told apart in one sink. It
+// returns nil on a nil tracer, so a disabled tracer stays disabled.
+func (t *Tracer) ForInstance(id string) *Tracer {
+	if t == nil {
+		return nil
+	}
+	return &Tracer{sink: t.sink, now: t.now, instance: id}
+}
 
 // Sink exposes the span sink (nil for a disabled tracer).
 func (t *Tracer) Sink() *SpanSink {
@@ -436,20 +434,28 @@ func (h *SpanHandle) Context() TraceContext {
 type PathSegment struct {
 	Name string        `json:"name"`
 	Self time.Duration `json:"self"`
-	// Instance is the instance the hop ran on ("" when unstamped) — the
-	// fleet view uses it to attribute latency across process boundaries.
+	// Instance is the instance the hop ran on ("" when unstamped), so a
+	// path attributes latency across instances.
 	Instance string `json:"instance,omitempty"`
 }
 
 // CriticalPath walks the span tree from the root, at each step following the
 // child whose *subtree* ends latest, and charges each hop the time until the
-// next hop begins (the last hop keeps its full duration). Following subtree
-// ends (not span ends) matters for asynchronous hops: a publish span closes
-// as soon as the broker accepts the message, but its descendants — queue
-// dwell, remote handler, remote apply — carry the latency that the user
-// actually waits for. The segment sum therefore equals the chain's
-// start-to-finish latency — "where did the commit's 2 s go: queue wait, DB
-// or storage?".
+// next hop begins. Following subtree ends (not span ends) matters for
+// asynchronous hops: a publish span closes as soon as the broker accepts the
+// message, but its descendants — queue dwell, remote handler, remote apply —
+// carry the latency that the user actually waits for. When that subtree
+// finishes inside its parent, as a synchronous call's remote handler does,
+// the walk descends into it all the same and then charges the parent's
+// remaining tail back to the parent as a second segment of the same name.
+//
+// A sink can hold several roots of one trace — every span whose parent lives
+// in another process, such as the queue dwell and the handler of a call
+// from a remote client. The walk starts at the root whose subtree ends
+// last, and each earlier root covers the time before the root after it
+// (an interval no root covers is an "(untraced)" segment). The segment sum
+// therefore equals the trace's start-to-finish latency — "where did the
+// commit's 2 s go: queue wait, DB or storage?".
 func CriticalPath(spans []Span) []PathSegment {
 	if len(spans) == 0 {
 		return nil
@@ -460,20 +466,21 @@ func CriticalPath(spans []Span) []PathSegment {
 		byID[sp.SpanID] = sp
 		children[sp.ParentID] = append(children[sp.ParentID], sp)
 	}
-	root := spans[0]
+	var roots []Span
 	for _, sp := range spans {
-		if _, hasParent := byID[sp.ParentID]; !hasParent && sp.Start.Before(root.Start) {
-			root = sp
+		if _, hasParent := byID[sp.ParentID]; !hasParent {
+			roots = append(roots, sp)
 		}
 	}
-	if _, hasParent := byID[root.ParentID]; hasParent {
-		// All spans have in-buffer parents (shouldn't happen); fall back to
-		// the earliest span.
+	if len(roots) == 0 {
+		// Corrupt parent links formed a cycle: start at the earliest span.
+		root := spans[0]
 		for _, sp := range spans {
 			if sp.Start.Before(root.Start) {
 				root = sp
 			}
 		}
+		roots = []Span{root}
 	}
 	// subtreeEnd[id] = latest End anywhere in the span's subtree.
 	subtreeEnd := make(map[string]time.Time, len(spans))
@@ -492,13 +499,19 @@ func CriticalPath(spans []Span) []PathSegment {
 		subtreeEnd[sp.SpanID] = end
 		return end
 	}
-	var chain []Span
-	cur := root
-	for {
-		chain = append(chain, cur)
-		kids := children[cur.SpanID]
+	seg := func(name, instance string, d time.Duration) PathSegment {
+		return PathSegment{Name: name, Self: max(d, 0), Instance: instance}
+	}
+	visited := make(map[string]bool, len(spans))
+	var walk func(sp Span) []PathSegment
+	walk = func(sp Span) []PathSegment {
+		if visited[sp.SpanID] {
+			return nil // corrupt parent links formed a cycle
+		}
+		visited[sp.SpanID] = true
+		kids := children[sp.SpanID]
 		if len(kids) == 0 {
-			break
+			return []PathSegment{seg(sp.Name, sp.Instance, sp.Duration())}
 		}
 		next := kids[0]
 		nextEnd := deepEnd(next)
@@ -507,24 +520,60 @@ func CriticalPath(spans []Span) []PathSegment {
 				next, nextEnd = k, d
 			}
 		}
-		if !nextEnd.After(cur.End) && len(chain) > 1 {
-			// The subtree finished inside this span; the span itself is the
-			// tail of the path.
-			break
+		out := append([]PathSegment{seg(sp.Name, sp.Instance, next.Start.Sub(sp.Start))}, walk(next)...)
+		if tail := sp.End.Sub(nextEnd); tail > 0 {
+			// The subtree finished inside this span: the remainder (reply
+			// publish, dwell back, decode) belongs to the parent again.
+			out = append(out, seg(sp.Name, sp.Instance, tail))
 		}
-		cur = next
+		return out
 	}
-	segs := make([]PathSegment, len(chain))
-	for i, sp := range chain {
-		if i+1 < len(chain) {
-			self := chain[i+1].Start.Sub(sp.Start)
-			if self < 0 {
-				self = 0
+	// Chain the roots backwards from the one whose subtree ends last: each
+	// step takes, among the roots starting before the current one, the root
+	// that runs closest to it, and keeps its path up to that start.
+	var path []PathSegment
+	var until time.Time // start of the root chained last; zero before the first
+	for {
+		var best Span
+		var bestEnd time.Time
+		found := false
+		for _, r := range roots {
+			if visited[r.SpanID] || (!until.IsZero() && !r.Start.Before(until)) {
+				continue
 			}
-			segs[i] = PathSegment{Name: sp.Name, Self: self, Instance: sp.Instance}
-		} else {
-			segs[i] = PathSegment{Name: sp.Name, Self: sp.Duration(), Instance: sp.Instance}
+			end := deepEnd(r)
+			if !until.IsZero() && end.After(until) {
+				end = until
+			}
+			if !found || end.After(bestEnd) || (end.Equal(bestEnd) && r.Start.Before(best.Start)) {
+				best, bestEnd, found = r, end, true
+			}
 		}
+		if !found {
+			return path
+		}
+		segs := walk(best)
+		if !until.IsZero() {
+			segs = clipPath(segs, bestEnd.Sub(best.Start))
+			if gap := until.Sub(bestEnd); gap > 0 {
+				segs = append(segs, seg("(untraced)", "", gap))
+			}
+		}
+		path = append(segs, path...)
+		until = best.Start
+	}
+}
+
+// clipPath keeps the first d of a time-ordered path, shortening the segment
+// that straddles d and dropping everything after it.
+func clipPath(segs []PathSegment, d time.Duration) []PathSegment {
+	var sum time.Duration
+	for i := range segs {
+		if sum+segs[i].Self >= d {
+			segs[i].Self = d - sum
+			return segs[:i+1]
+		}
+		sum += segs[i].Self
 	}
 	return segs
 }

@@ -180,28 +180,101 @@ func TestSummaries(t *testing.T) {
 
 func TestCriticalPath(t *testing.T) {
 	segs := CriticalPath(testTrace())
-	// From root the walker follows slow-child (latest End among children);
-	// grandchild finishes inside it, so the chain stops there. Each hop is
-	// charged until the next begins; the last keeps its full duration, making
-	// the segment sum the chain's start-to-finish latency.
-	if len(segs) != 2 {
-		t.Fatalf("critical path %v, want 2 segments", segs)
+	// From root the walker follows slow-child (latest End among children)
+	// and descends into grandchild, which finishes inside it; the tails of
+	// slow-child and root after their followed subtree are charged back to
+	// them. Each hop is charged until the next begins, making the segment
+	// sum the root's start-to-finish latency.
+	want := []PathSegment{
+		{Name: "root", Self: 20 * time.Millisecond},
+		{Name: "slow-child", Self: 10 * time.Millisecond},
+		{Name: "grandchild", Self: 55 * time.Millisecond},
+		{Name: "slow-child", Self: 5 * time.Millisecond},
+		{Name: "root", Self: 10 * time.Millisecond},
 	}
-	if segs[0].Name != "root" || segs[0].Self != 20*time.Millisecond {
-		t.Fatalf("first segment %+v, want root/20ms", segs[0])
+	if len(segs) != len(want) {
+		t.Fatalf("critical path %v, want %d segments", segs, len(want))
 	}
-	if segs[1].Name != "slow-child" || segs[1].Self != 70*time.Millisecond {
-		t.Fatalf("second segment %+v, want slow-child/70ms", segs[1])
+	for i := range want {
+		if segs[i] != want[i] {
+			t.Fatalf("segment %d = %+v, want %+v", i, segs[i], want[i])
+		}
 	}
 	var sum time.Duration
 	for _, s := range segs {
 		sum += s.Self
 	}
-	if sum != 90*time.Millisecond { // root start (0) to slow-child end (90)
-		t.Fatalf("segment sum = %v, want 90ms", sum)
+	if sum != 100*time.Millisecond { // root start (0) to root end (100)
+		t.Fatalf("segment sum = %v, want 100ms", sum)
 	}
 	if CriticalPath(nil) != nil {
 		t.Fatal("critical path of no spans")
+	}
+}
+
+// TestCriticalPathCoversEveryRoot: a server's sink holds a remote caller's
+// trace as several roots, the queue dwell and the handler, whose common
+// parent lives in the caller's process. The path must cover the trace's
+// whole extent, not stop at the end of the earliest root.
+func TestCriticalPathCoversEveryRoot(t *testing.T) {
+	epoch := time.Unix(5000, 0)
+	us := func(id, parent, name string, from, to int) Span {
+		return Span{TraceID: "t1", SpanID: id, ParentID: parent, Name: name,
+			Start: epoch.Add(time.Duration(from) * time.Microsecond),
+			End:   epoch.Add(time.Duration(to) * time.Microsecond)}
+	}
+	spans := []Span{
+		us("d", "remote", "mq.dwell", 0, 22),
+		us("h", "remote", "omq.handle.CommitRequest", 22, 135),
+		us("m", "h", "metastore.commitBatch", 26, 134),
+		us("n", "h", "omq.multi.NotifyCommit", 161, 162),
+	}
+	segs := CriticalPath(spans)
+	var sum time.Duration
+	onPath := false
+	for _, s := range segs {
+		sum += s.Self
+		onPath = onPath || s.Name == "omq.handle.CommitRequest"
+	}
+	if sum != 162*time.Microsecond {
+		t.Fatalf("segment sum = %v over %v, want the trace's 162µs", sum, segs)
+	}
+	if !onPath || segs[0].Name != "mq.dwell" {
+		t.Fatalf("critical path %v, want mq.dwell then the handler", segs)
+	}
+	// A gap no root covers is charged as untraced time, so the sum still
+	// equals the extent.
+	spans[1] = us("h", "remote", "omq.handle.CommitRequest", 30, 135)
+	var gap time.Duration
+	for _, s := range CriticalPath(spans) {
+		if s.Name == "(untraced)" {
+			gap += s.Self
+		}
+	}
+	if gap != 8*time.Microsecond {
+		t.Fatalf("untraced gap = %v, want 8µs", gap)
+	}
+}
+
+// TestForInstanceSharesSink: an instance tracer records into its parent's
+// sink, stamped with its id; a disabled tracer stays disabled.
+func TestForInstanceSharesSink(t *testing.T) {
+	var off *Tracer
+	if off.ForInstance("a") != nil {
+		t.Fatal("instance tracer of a disabled tracer is enabled")
+	}
+	tr := NewTracer()
+	a, b := tr.ForInstance("a"), tr.ForInstance("b")
+	root := tr.StartRoot("client")
+	a.StartChild(root.Context(), "on-a").End()
+	b.RecordChild(root.Context(), "on-b", time.Now(), time.Now())
+	root.End()
+	got := map[string]string{}
+	for _, sp := range tr.Sink().Trace(root.Context().TraceID) {
+		got[sp.Name] = sp.Instance
+	}
+	if len(got) != 3 || got["client"] != "" || got["on-a"] != "a" || got["on-b"] != "b" {
+		t.Fatalf("instance stamps %v, want client unstamped, on-a@a, on-b@b", got)
 	}
 }
 

@@ -19,27 +19,8 @@ type Factory func() (interface{}, error)
 
 // InstanceFactory is a Factory that learns the identity its instance will
 // run under (the spawned child broker's id), so it can attach state keyed by
-// that id — deploy hands each instance the observability bundle built for it
-// in SpawnHooks.Options.
+// that id — deploy stamps each SyncService's spans with it.
 type InstanceFactory func(instanceID string) (interface{}, error)
-
-// SpawnHooks let the embedding process observe instance lifecycle and
-// customize per-instance broker construction. Fleet observability hangs off
-// this seam: Options can give every spawned instance its own tracer, sink,
-// registry and event log (keyed by the instance id, which is decided before
-// the child broker is built), and Stopped tells the fleet collector whether
-// the instance drained cleanly (final scrape granted) or crashed (buffered
-// spans lost).
-type SpawnHooks struct {
-	// Options returns extra BrokerOptions for the child broker that will
-	// serve a new instance. They are applied after the inherited defaults,
-	// so a per-instance WithTracer/WithRegistry/WithEventLog overrides the
-	// node-wide one.
-	Options func(oid, instanceID string) []BrokerOption
-	// Stopped runs after an instance is gone; clean reports whether it was
-	// an orderly drain (true) or a kill (false).
-	Stopped func(oid, instanceID string, clean bool)
-}
 
 // RemoteBroker is the ObjectMQ server agent that launches and shuts down
 // server objects on its node at the Supervisor's request.
@@ -49,7 +30,6 @@ type RemoteBroker struct {
 	mu        sync.Mutex
 	factories map[string]InstanceFactory
 	instances map[string][]*BoundObject // spawned, each on its own child broker
-	hooks     SpawnHooks
 	closed    bool
 
 	self *BoundObject
@@ -85,13 +65,6 @@ func (rb *RemoteBroker) RegisterInstanceFactory(oid string, f InstanceFactory) {
 	rb.factories[oid] = f
 }
 
-// SetSpawnHooks installs lifecycle hooks for subsequently spawned instances.
-func (rb *RemoteBroker) SetSpawnHooks(h SpawnHooks) {
-	rb.mu.Lock()
-	defer rb.mu.Unlock()
-	rb.hooks = h
-}
-
 // BrokerID returns the identity of the underlying ObjectMQ broker.
 func (rb *RemoteBroker) BrokerID() string { return rb.broker.id }
 
@@ -102,12 +75,22 @@ func (rb *RemoteBroker) InstanceCount(oid string) int {
 	return len(rb.instances[oid])
 }
 
+// InstanceIDs lists the ids of the local instances of oid, oldest first.
+func (rb *RemoteBroker) InstanceIDs(oid string) []string {
+	rb.mu.Lock()
+	defer rb.mu.Unlock()
+	ids := make([]string, len(rb.instances[oid]))
+	for i, bo := range rb.instances[oid] {
+		ids[i] = bo.ownedBroker.id
+	}
+	return ids
+}
+
 // SpawnLocal starts n instances of oid on this node directly (without going
 // through messaging). The Supervisor path uses the remote API instead.
 func (rb *RemoteBroker) SpawnLocal(oid string, n int) (int, error) {
 	rb.mu.Lock()
 	factory, ok := rb.factories[oid]
-	hooks := rb.hooks
 	closed := rb.closed
 	rb.mu.Unlock()
 	if closed {
@@ -124,17 +107,12 @@ func (rb *RemoteBroker) SpawnLocal(oid string, n int) (int, error) {
 		// queue per BoundObject, so instances can share rb.broker — except
 		// that Bind refuses duplicate oids per broker. Spawn therefore binds
 		// through a lightweight child broker on the same MQ, whose id doubles
-		// as the instance identity.
-		// The instance id is decided up front so SpawnHooks.Options can build
-		// per-instance observability keyed by it before the broker exists.
+		// as the instance identity. The child shares the node's registry,
+		// event log and span sink; its spans carry its id.
 		id := newID()
-		opts := []BrokerOption{WithBrokerClock(rb.broker.clk),
-			WithTracer(rb.broker.tracer), WithRegistry(rb.broker.reg), WithEventLog(rb.broker.events)}
-		if hooks.Options != nil {
-			opts = append(opts, hooks.Options(oid, id)...)
-		}
-		opts = append(opts, WithID(id))
-		child, err := NewBroker(rb.broker.mq, opts...)
+		child, err := NewBroker(rb.broker.mq, WithID(id), WithBrokerClock(rb.broker.clk),
+			WithTracer(rb.broker.tracer.ForInstance(id)), WithRegistry(rb.broker.reg),
+			WithEventLog(rb.broker.events))
 		if err != nil {
 			return started, fmt.Errorf("omq: spawn child broker: %w", err)
 		}
@@ -176,20 +154,23 @@ func (rb *RemoteBroker) ShutdownLocal(oid string, n int) int {
 }
 
 // stopInstance drains one instance: Unbind waits for the in-flight call to
-// finish, then the owned broker is released.
+// finish, then the owned broker is released and the drain recorded.
 func (rb *RemoteBroker) stopInstance(oid string, bo *BoundObject) {
 	_ = bo.Unbind()
 	_ = bo.ownedBroker.Close()
-	rb.notifyStopped(oid, bo.ownedBroker.id, true)
+	rb.recordStop(obs.EventInstanceDrain, "drained", oid, bo.ownedBroker.id)
 }
 
-func (rb *RemoteBroker) notifyStopped(oid, instanceID string, clean bool) {
-	rb.mu.Lock()
-	stopped := rb.hooks.Stopped
-	rb.mu.Unlock()
-	if stopped != nil {
-		stopped(oid, instanceID, clean)
-	}
+// recordStop appends an instance's end, a drain or a kill, to the flight
+// recorder.
+func (rb *RemoteBroker) recordStop(kind obs.EventKind, verb, oid, id string) {
+	rb.broker.events.Append(obs.Event{
+		At:      rb.broker.clk.Now(),
+		Kind:    kind,
+		Source:  "omq.rbroker",
+		Summary: fmt.Sprintf("%s one %s instance (%s) on broker %s", verb, oid, id, rb.broker.id),
+		Fields:  map[string]string{"oid": oid, "broker": rb.broker.id, "instance": id},
+	})
 }
 
 // KillLocal abruptly terminates one instance of oid without orderly
@@ -207,17 +188,10 @@ func (rb *RemoteBroker) KillLocal(oid string) string {
 	rb.instances[oid] = list[:len(list)-1]
 	rb.mu.Unlock()
 	id := bo.ownedBroker.id
-	rb.broker.events.Append(obs.Event{
-		At:      rb.broker.clk.Now(),
-		Kind:    obs.EventInstanceKill,
-		Source:  "omq.rbroker",
-		Summary: fmt.Sprintf("killed one %s instance (%s) on broker %s", oid, id, rb.broker.id),
-		Fields:  map[string]string{"oid": oid, "broker": rb.broker.id, "instance": id},
-	})
+	rb.recordStop(obs.EventInstanceKill, "killed", oid, id)
 	// Closing the owned broker cancels subscriptions; the MQ requeues any
 	// unacked call, which is precisely the crash behaviour §3.4 describes.
 	_ = bo.ownedBroker.Close()
-	rb.notifyStopped(oid, id, false)
 	return id
 }
 

@@ -56,12 +56,21 @@ echo "==> transfer pipeline stress (race, 3x)"
 go test -race -count=3 -run '^TestTransferPipelineStress$' ./internal/client/
 
 # Cross-instance failover is timing-sensitive by nature: re-run the chaos
-# soak (shipped-path devices on one fleet under kills, whose collector polls
-# concurrently with the kills, closed by a traced commit after one more
-# kill) and the cross-instance linearizability race under the race
-# detector, so a flaky interleaving fails here, not downstream.
+# soak (shipped-path devices on one fleet under kills, every instance and
+# device tracing into one span sink while instances die and respawn,
+# closed by a traced commit after one more kill) and the cross-instance
+# linearizability race under the race detector, so a flaky interleaving
+# fails here, not downstream.
 echo "==> chaos soak + cross-instance linearizability (race, 2x)"
 go test -race -count=2 -run '^(TestChaosSoakConverges|TestCrossInstanceLinearizability)$' ./internal/bench/
+
+# Every SyncService instance of a process writes the one span sink,
+# metrics registry and hot-workspace sketch concurrently: extra race
+# passes over the admin server that reads them and the supervised fleet
+# that writes them from several instances.
+echo "==> one observability bundle, many instances (race, 3x)"
+go test -race -count=3 -run '^TestAdminSeesEveryInstance$' ./cmd/stacksync-server/
+go test -race -count=3 -run '^TestSupervisedRoutedFleet$' ./internal/deploy/
 
 # `go test` never executes benchmarks, so run once each the layer benchmarks
 # that performance claims cite: a refactor that breaks one fails here, not at
