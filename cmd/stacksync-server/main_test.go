@@ -88,7 +88,8 @@ func TestStartFailsWhenStoragePortTaken(t *testing.T) {
 // two-instance server sees both instances' handling of traced commits from a
 // remote client — their handler metrics on /metrics, every server-side span
 // of a commit's trace on /tracez, and both instances with the hot workspace
-// on /fleetz.
+// on /fleetz. /metrics also carries the broker server's and the chunk
+// store's I/O counters.
 func TestAdminSeesEveryInstance(t *testing.T) {
 	o := testOptions(t)
 	o.admin, o.minInstances, o.maxInstances = "127.0.0.1:0", 2, 2
@@ -140,6 +141,14 @@ func TestAdminSeesEveryInstance(t *testing.T) {
 	if handled < commits || serviceMeans != 2 {
 		t.Fatalf("/metrics: %d handled calls (want >= %d), %d omq_service_mean_seconds lines (want 2):\n%s",
 			handled, commits, serviceMeans, metrics)
+	}
+	// The broker's write coalescing and the chunk store's recent-object hits
+	// are on /metrics as counter pairs: frames per write, hits per get.
+	for _, series := range []string{"mq_server_writes_total", "mq_server_frames_total",
+		"objstore_disk_gets_total", "objstore_disk_recent_hits_total"} {
+		if !strings.Contains(metrics, "\n"+series+" ") {
+			t.Fatalf("/metrics lacks %s:\n%s", series, metrics)
+		}
 	}
 
 	// The notification fan-out is published after the reply: poll for it.

@@ -112,6 +112,9 @@ func (f *Fleet) start() error {
 			return err
 		}
 		f.closers = append(f.closers, f.mqServer.Close)
+		if f.cfg.Registry != nil {
+			f.mqServer.Register(f.cfg.Registry)
+		}
 	}
 	if f.cfg.StorageListen != "" {
 		// Bind before anything is announced, so a taken port fails Start.
@@ -163,9 +166,14 @@ func (f *Fleet) startBackends() error {
 			return err
 		}
 		f.closers = append(f.closers, f.Meta.Close)
-		if f.Chunks, err = objstore.NewDisk(filepath.Join(dir, "chunks")); err != nil {
+		disk, err := objstore.NewDisk(filepath.Join(dir, "chunks"))
+		if err != nil {
 			return err
 		}
+		if f.cfg.Registry != nil {
+			disk.Register(f.cfg.Registry)
+		}
+		f.Chunks = disk
 	}
 	for _, ws := range f.cfg.Workspaces {
 		if err := f.Meta.CreateWorkspace(ws); err != nil && !errors.Is(err, metastore.ErrWorkspaceExists) {

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
 	"testing"
+
+	"stacksync/internal/obs"
 )
 
 func BenchmarkPublishConsumeAck(b *testing.B) {
@@ -173,14 +173,24 @@ func BenchmarkJournalFanout(b *testing.B) {
 }
 
 // BenchmarkNetworkFanoutAck is the ack path's layer number over real
-// sockets: 24 Clients on loopback, each consuming (prefetch 1) its own queue
-// bound to a fanout exchange of a journalled broker behind a Server. Each
-// iteration publishes one persistent 1 KB message in-process and waits until
-// every client has acked it. syscalls/msg counts the read and write system
-// calls of the whole process, clients and server, per message.
-// journalWrites/msg is how many more write calls a persistent fan-out costs
-// than the same number of transient ones, which the journal never sees.
+// sockets: 24 consumers on loopback, each consuming (prefetch 1) its own
+// queue bound to a fanout exchange of a journalled broker behind a Server.
+// conns=24 gives every consumer its own Client; conns=2 multiplexes the 24
+// over two, the shape of a benchmark rig whose devices share connections.
+// Each iteration publishes one persistent 1 KB message in-process and waits
+// until every consumer has acked it. syscalls/msg counts the read and write
+// system calls of the whole process, clients and server, per message;
+// frames/write is how many frames the server's connection writes carried
+// on average. journalWrites/msg is how many more write calls a persistent
+// fan-out costs than the same number of transient ones, which the journal
+// never sees.
 func BenchmarkNetworkFanoutAck(b *testing.B) {
+	for _, conns := range []int{24, 2} {
+		b.Run(fmt.Sprintf("conns=%d", conns), func(b *testing.B) { benchNetworkFanoutAck(b, conns) })
+	}
+}
+
+func benchNetworkFanoutAck(b *testing.B, conns int) {
 	const queues = 24
 	j, err := OpenJournal(filepath.Join(b.TempDir(), "bench.journal"))
 	if err != nil {
@@ -196,9 +206,15 @@ func BenchmarkNetworkFanoutAck(b *testing.B) {
 	if err := br.DeclareExchange("fan", Fanout); err != nil {
 		b.Fatal(err)
 	}
+	clients := make([]*Client, conns)
+	for i := range clients {
+		if clients[i], err = Dial(srv.Addr()); err != nil {
+			b.Fatal(err)
+		}
+		defer clients[i].Close()
+	}
 	acked := make(chan struct{}, queues)
-	clients := make([]*Client, queues)
-	for q := range clients {
+	for q := 0; q < queues; q++ {
 		name := fmt.Sprintf("q%d", q)
 		if err := br.DeclareQueue(name); err != nil {
 			b.Fatal(err)
@@ -206,13 +222,7 @@ func BenchmarkNetworkFanoutAck(b *testing.B) {
 		if err := br.BindQueue(name, "fan", ""); err != nil {
 			b.Fatal(err)
 		}
-		cli, err := Dial(srv.Addr())
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer cli.Close()
-		clients[q] = cli
-		sub, err := cli.Subscribe(name, 1)
+		sub, err := clients[q%conns].Subscribe(name, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -242,27 +252,18 @@ func BenchmarkNetworkFanoutAck(b *testing.B) {
 	transientWrites := processWrites()
 	fanout(false)
 	transientWrites = processWrites() - transientWrites
-	calls, writes := processIO("syscr")+processIO("syscw"), processWrites()
+	calls, writes := obs.ProcessIO("syscr")+obs.ProcessIO("syscw"), processWrites()
+	srvWrites, srvFrames := srv.writes.Load(), srv.frames.Load()
 	b.ResetTimer()
 	fanout(true)
 	b.StopTimer()
-	calls = processIO("syscr") + processIO("syscw") - calls
+	calls = obs.ProcessIO("syscr") + obs.ProcessIO("syscw") - calls
 	writes = processWrites() - writes
+	srvWrites, srvFrames = srv.writes.Load()-srvWrites, srv.frames.Load()-srvFrames
 	b.ReportMetric(float64(calls)/float64(b.N), "syscalls/msg")
+	b.ReportMetric(float64(srvFrames)/float64(srvWrites), "frames/write")
 	b.ReportMetric(float64(writes-transientWrites)/float64(b.N), "journalWrites/msg")
 }
 
 // processWrites reads this process's write-syscall count from /proc.
-func processWrites() int64 { return processIO("syscw") }
-
-// processIO reads one counter (syscr, syscw, ...) of /proc/self/io.
-func processIO(field string) int64 {
-	data, _ := os.ReadFile("/proc/self/io")
-	for _, line := range strings.Split(string(data), "\n") {
-		if rest, ok := strings.CutPrefix(line, field+": "); ok {
-			n, _ := strconv.ParseInt(rest, 10, 64)
-			return n
-		}
-	}
-	return 0
-}
+func processWrites() int64 { return obs.ProcessIO("syscw") }

@@ -37,6 +37,9 @@ type Broker struct {
 	// holds routing targets between routeLocked and its caller.
 	idBuf        []byte
 	routeScratch []*queue
+	// wakes collects what the deliveries made under b.mu asked to be woken;
+	// unlock calls each once the mutex is released.
+	wakes []func()
 }
 
 var _ MQ = (*Broker)(nil)
@@ -75,12 +78,25 @@ type queue struct {
 	arrivals    rateCounter
 }
 
+// A consumer is a deliver function with credit. deliver runs under b.mu,
+// so it must neither block nor call the broker; a non-nil result is called
+// once b.mu is released (how a network connection learns it has frames to
+// write). stop, if set, runs under b.mu when the consumer is cancelled.
 type consumer struct {
 	queue     *queue
-	ch        chan Delivery
+	deliver   func(Delivery) (wake func())
+	stop      func()
 	prefetch  int
 	inflight  int
 	cancelled bool
+}
+
+// cancel marks c cancelled and stops it. Caller holds b.mu.
+func (c *consumer) cancel() {
+	c.cancelled = true
+	if c.stop != nil {
+		c.stop()
+	}
 }
 
 // BrokerOption configures a Broker.
@@ -120,7 +136,7 @@ func (b *Broker) journalled(change func() (int64, error)) error {
 		return ErrClosed
 	}
 	off, err := change()
-	b.mu.Unlock()
+	b.unlock()
 	if werr := b.journal.wait(off); err == nil {
 		err = werr
 	}
@@ -212,8 +228,8 @@ func (r *msgRing) PopFront() queuedMsg {
 	return m
 }
 
-// DeleteQueue removes the queue, dropping pending messages and closing its
-// consumers' delivery channels.
+// DeleteQueue removes the queue, dropping pending messages and cancelling
+// its consumers (a Subscribe channel closes).
 func (b *Broker) DeleteQueue(name string) error {
 	return b.journalled(func() (int64, error) {
 		q, ok := b.queues[name]
@@ -222,8 +238,7 @@ func (b *Broker) DeleteQueue(name string) error {
 		}
 		for _, c := range q.consumers {
 			if !c.cancelled {
-				c.cancelled = true
-				close(c.ch)
+				c.cancel()
 			}
 		}
 		b.outstanding -= len(q.unacked) // dropped with the queue; the delq record below ends them
@@ -309,7 +324,7 @@ func (b *Broker) Publish(exchangeName, key string, msg Message) error {
 		return ErrClosed
 	}
 	off, err := b.publishLocked(exchangeName, key, msg, b.clk.Now())
-	b.mu.Unlock()
+	b.unlock()
 	if err != nil {
 		return err
 	}
@@ -396,13 +411,31 @@ func (b *Broker) routeLocked(exchangeName, key string) ([]*queue, error) {
 }
 
 // Subscribe registers a consumer with the given prefetch (max unacked
-// deliveries in flight to this consumer; must be >= 1).
+// deliveries in flight to this consumer; must be >= 1). Its deliveries
+// arrive on a channel whose buffer equals the prefetch, so the deliver
+// function's send never blocks: inflight < prefetch is checked first.
 func (b *Broker) Subscribe(queueName string, prefetch int) (Subscription, error) {
 	if prefetch < 1 {
 		return nil, ErrBadPrefetch
 	}
+	ch := make(chan Delivery, prefetch)
+	c, err := b.subscribe(queueName, prefetch,
+		func(d Delivery) func() { ch <- d; return nil },
+		func() { close(ch) })
+	if err != nil {
+		return nil, err
+	}
+	return &brokerSubscription{b: b, c: c, ch: ch}, nil
+}
+
+// subscribe registers deliver (and stop, see consumer) as a consumer of
+// the named queue and hands it what the queue holds, up to its prefetch.
+func (b *Broker) subscribe(queueName string, prefetch int, deliver func(Delivery) func(), stop func()) (*consumer, error) {
+	if prefetch < 1 {
+		return nil, ErrBadPrefetch
+	}
 	b.mu.Lock()
-	defer b.mu.Unlock()
+	defer b.unlock()
 	if b.closed {
 		return nil, ErrClosed
 	}
@@ -410,19 +443,15 @@ func (b *Broker) Subscribe(queueName string, prefetch int) (Subscription, error)
 	if !ok {
 		return nil, ErrQueueNotFound
 	}
-	c := &consumer{
-		queue:    q,
-		ch:       make(chan Delivery, prefetch),
-		prefetch: prefetch,
-	}
+	c := &consumer{queue: q, deliver: deliver, stop: stop, prefetch: prefetch}
 	q.consumers = append(q.consumers, c)
 	b.dispatchLocked(q)
-	return &brokerSubscription{b: b, c: c}, nil
+	return c, nil
 }
 
 // dispatchLocked moves pending messages to consumers with free credit,
-// round-robin. Caller holds b.mu. Sends never block: a consumer's channel
-// buffer equals its prefetch and inflight < prefetch is checked first.
+// round-robin. Caller holds b.mu and releases it with unlock, which wakes
+// whatever the deliveries asked for.
 func (b *Broker) dispatchLocked(q *queue) {
 	for q.pending.Len() > 0 {
 		c := q.nextFreeConsumer()
@@ -438,13 +467,34 @@ func (b *Broker) dispatchLocked(q *queue) {
 		if qm.redelivered > 0 {
 			q.redelivered++
 		}
-		c.ch <- Delivery{
+		wake := c.deliver(Delivery{
 			Message:     qm.msg,
 			Queue:       q.name,
 			Tag:         tag,
 			Redelivered: qm.redelivered,
 			settle:      b.settleFunc(q.name, tag),
+		})
+		if wake != nil {
+			b.wakes = append(b.wakes, wake)
 		}
+	}
+}
+
+// unlock releases b.mu, then calls the wakes the deliveries made under it
+// asked for. Waking after the unlock lets a whole fan-out queue up before
+// any connection's writer runs, and keeps writers off b.mu.
+func (b *Broker) unlock() {
+	if len(b.wakes) == 0 {
+		b.mu.Unlock()
+		return
+	}
+	var buf [8]func()
+	wakes := append(buf[:0], b.wakes...)
+	clear(b.wakes)
+	b.wakes = b.wakes[:0]
+	b.mu.Unlock()
+	for _, wake := range wakes {
+		wake()
 	}
 }
 
@@ -502,13 +552,13 @@ func (b *Broker) settleLocked(queueName string, tag uint64, ack, requeue bool) e
 	return nil
 }
 
-// unlockAndFlushIfIdle releases b.mu and, if no delivery is outstanding,
-// writes out the ack records buffered since the journal's last write: with
-// nothing in flight no publish may come to take them along. The write
-// happens after the unlock, so no file I/O runs under b.mu.
+// unlockAndFlushIfIdle releases b.mu (see unlock) and, if no delivery is
+// outstanding, writes out the ack records buffered since the journal's last
+// write: with nothing in flight no publish may come to take them along. The
+// write happens after the unlock, so no file I/O runs under b.mu.
 func (b *Broker) unlockAndFlushIfIdle() {
 	idle := b.outstanding == 0
-	b.mu.Unlock()
+	b.unlock()
 	if idle {
 		_ = b.journal.flush()
 	}
@@ -554,7 +604,7 @@ func (b *Broker) Queues() []string {
 	return names
 }
 
-// Close shuts the broker down, closing all consumer channels. Pending
+// Close shuts the broker down, cancelling every consumer. Pending
 // persistent messages remain in the journal for recovery.
 func (b *Broker) Close() error {
 	b.mu.Lock()
@@ -566,8 +616,7 @@ func (b *Broker) Close() error {
 	for _, q := range b.queues {
 		for _, c := range q.consumers {
 			if !c.cancelled {
-				c.cancelled = true
-				close(c.ch)
+				c.cancel()
 			}
 		}
 	}
@@ -576,31 +625,35 @@ func (b *Broker) Close() error {
 }
 
 type brokerSubscription struct {
-	b *Broker
-	c *consumer
+	b  *Broker
+	c  *consumer
+	ch chan Delivery
 }
 
 var _ Subscription = (*brokerSubscription)(nil)
 
-func (s *brokerSubscription) Deliveries() <-chan Delivery { return s.c.ch }
+func (s *brokerSubscription) Deliveries() <-chan Delivery { return s.ch }
 
 // Cancel unregisters the consumer. Its unacked messages return to the front
 // of the queue (in tag order) so another instance picks them up — this is
 // the §3.4 crash-redelivery behaviour.
-func (s *brokerSubscription) Cancel() error {
-	s.b.mu.Lock()
-	if s.c.cancelled {
-		s.b.mu.Unlock()
+func (s *brokerSubscription) Cancel() error { return s.b.cancel(s.c) }
+
+// cancel unregisters c and requeues its unacked deliveries; see
+// brokerSubscription.Cancel.
+func (b *Broker) cancel(c *consumer) error {
+	b.mu.Lock()
+	if c.cancelled {
+		b.mu.Unlock()
 		return nil
 	}
-	s.c.cancelled = true
-	close(s.c.ch)
-	q := s.c.queue
+	c.cancel()
+	q := c.queue
 	// Collect this consumer's unacked deliveries sorted by tag so the
 	// original order is preserved when pushed back to the front.
 	var tags []uint64
 	for tag, inflight := range q.unacked {
-		if inflight.consumer == s.c {
+		if inflight.consumer == c {
 			tags = append(tags, tag)
 		}
 	}
@@ -611,11 +664,11 @@ func (s *brokerSubscription) Cancel() error {
 		inflight.qm.redelivered++
 		q.pending.PushFront(inflight.qm)
 	}
-	s.c.inflight = 0
-	s.b.outstanding -= len(tags)
+	c.inflight = 0
+	b.outstanding -= len(tags)
 	// Drop the consumer from the queue's list.
-	for i, c := range q.consumers {
-		if c == s.c {
+	for i, other := range q.consumers {
+		if other == c {
 			q.consumers = append(q.consumers[:i], q.consumers[i+1:]...)
 			break
 		}
@@ -623,10 +676,10 @@ func (s *brokerSubscription) Cancel() error {
 	if q.rr >= len(q.consumers) {
 		q.rr = 0
 	}
-	if !s.b.closed {
-		s.b.dispatchLocked(q)
+	if !b.closed {
+		b.dispatchLocked(q)
 	}
-	s.b.unlockAndFlushIfIdle()
+	b.unlockAndFlushIfIdle()
 	return nil
 }
 

@@ -2,7 +2,12 @@ package mq
 
 import (
 	"errors"
+	"fmt"
 	"net"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -109,7 +114,11 @@ func TestNetworkFanoutAcrossClients(t *testing.T) {
 	}
 }
 
+// TestNetworkClientDisconnectRequeuesUnacked: when a connection dies, every
+// delivery it did not settle comes back for a healthy consumer — one the
+// client received, and ones still queued on the server, not yet written.
 func TestNetworkClientDisconnectRequeuesUnacked(t *testing.T) {
+	testDisconnectRequeuesQueued(t)
 	_, srv, cli1 := newNetworkPair(t)
 	if err := cli1.DeclareQueue("q"); err != nil {
 		t.Fatal(err)
@@ -140,6 +149,164 @@ func TestNetworkClientDisconnectRequeuesUnacked(t *testing.T) {
 		t.Fatalf("redelivery after disconnect: body=%q redelivered=%d", d.Body, d.Redelivered)
 	}
 	_ = d.Ack()
+}
+
+// testDisconnectRequeuesQueued subscribes over a raw connection that never
+// reads, so deliveries larger than the socket buffers stay queued on the
+// server, then drops the connection: all of them must be redelivered. Once
+// Server.Close returns, no connection goroutine — reader or writer — is
+// left.
+func testDisconnectRequeuesQueued(t *testing.T) {
+	const msgs = 64
+	idle := connGoroutines()
+	b := NewBroker()
+	defer b.Close()
+	srv, err := NewServer(b, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	mustDeclare(t, b, "q")
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.NewWriter(conn).Write(&wire.Frame{Op: wire.OpSubscribe, Seq: 1, Queue: "q", ConsumerID: "c1", Prefetch: msgs}); err != nil {
+		t.Fatal(err)
+	}
+	body := make([]byte, 512<<10) // 64 × 512 KB is far past loopback's socket buffers
+	for i := 0; i < msgs; i++ {
+		if err := b.Publish("", "q", Message{ID: fmt.Sprint("m", i), Body: body}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, func() bool { st, _ := b.QueueStats("q"); return st.Unacked == msgs })
+	if written := srv.frames.Load(); written >= msgs {
+		t.Fatalf("server wrote %d frames to a reader that never reads", written)
+	}
+	_ = conn.Close()
+
+	cli, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	sub, err := cli.Subscribe("q", msgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < msgs; i++ {
+		d := recvDelivery(t, sub)
+		if d.ID != fmt.Sprint("m", i) || d.Redelivered != 1 || len(d.Body) != len(body) {
+			t.Fatalf("redelivery %d: %s redelivered %d, %d B", i, d.ID, d.Redelivered, len(d.Body))
+		}
+		_ = d.Ack()
+	}
+	if n := connGoroutines(); n <= idle {
+		t.Fatalf("%d connection goroutines while a client is connected, %d before", n, idle)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := connGoroutines(); n != idle {
+		t.Fatalf("%d connection goroutines after Server.Close, %d before", n, idle)
+	}
+}
+
+// connGoroutines counts the goroutines running a server connection's read
+// loop or writer.
+func connGoroutines() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	count := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "mq.(*serverConn).serve") || strings.Contains(g, "mq.(*serverConn).writeLoop") {
+			count++
+		}
+	}
+	return count
+}
+
+// waitFor polls cond for up to 5 seconds.
+func waitFor(t *testing.T, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("condition not reached in 5s")
+		}
+	}
+}
+
+// TestNetworkFanoutLeavesInOneWrite: a fan-out to 12 consumers sharing one
+// connection (prefetch 1, no acks) leaves the server in one write, so one
+// persistent publish costs the process at most that write plus the journal
+// record's. The minimum over a few publishes is checked, so a write the Go
+// runtime makes on its own does not fail the test.
+func TestNetworkFanoutLeavesInOneWrite(t *testing.T) {
+	if _, err := os.Stat("/proc/self/io"); err != nil {
+		t.Skip("counts system calls in /proc/self/io, which this platform lacks")
+	}
+	const consumers = 12
+	j, err := OpenJournal(filepath.Join(t.TempDir(), "broker.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBroker(WithJournal(j))
+	defer b.Close()
+	srv, err := NewServer(b, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if err := b.DeclareExchange("fan", Fanout); err != nil {
+		t.Fatal(err)
+	}
+	subs := make([]Subscription, consumers)
+	for i := range subs {
+		name := fmt.Sprint("q", i)
+		mustDeclare(t, b, name)
+		if err := b.BindQueue(name, "fan", ""); err != nil {
+			t.Fatal(err)
+		}
+		if subs[i], err = cli.Subscribe(name, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fewest := int64(-1)
+	for attempt := 0; attempt < 5; attempt++ {
+		before := obs.ProcessIO("syscw")
+		if err := b.Publish("fan", "", Message{Body: []byte("commit notification"), Persistent: true}); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]Delivery, consumers)
+		for i, sub := range subs {
+			got[i] = recvDelivery(t, sub)
+		}
+		if w := obs.ProcessIO("syscw") - before; fewest < 0 || w < fewest {
+			fewest = w
+		}
+		for i := range got {
+			_ = got[i].Ack()
+		}
+		if err := cli.Ping(); err != nil { // the server has settled every ack
+			t.Fatal(err)
+		}
+	}
+	if fewest > 2 {
+		t.Fatalf("a fan-out to %d consumers on one connection cost %d write calls, want at most 2 (one delivery write, one journal write)", consumers, fewest)
+	}
 }
 
 func TestNetworkCancelStopsDeliveries(t *testing.T) {

@@ -5,14 +5,18 @@ import (
 	"log"
 	"net"
 	"sync"
+	"sync/atomic"
 
 	"stacksync/internal/codec"
+	"stacksync/internal/obs"
 	"stacksync/internal/wire"
 )
 
 // Server exposes a Broker over TCP using the wire protocol, playing the role
 // of the RabbitMQ daemon in the paper's testbed. Each connection multiplexes
-// requests and delivery streams for any number of consumers.
+// requests and delivery streams for any number of consumers, and sends
+// everything through one outbound queue that its writer empties with one
+// scatter/gather write per wake (DESIGN §17).
 type Server struct {
 	broker *Broker
 	ln     net.Listener
@@ -22,6 +26,10 @@ type Server struct {
 	wg        sync.WaitGroup
 	done      chan struct{}
 	closeOnce sync.Once
+
+	// writes counts the connection writes that succeeded, frames the frames
+	// they carried: frames/writes is how many frames one write coalesces.
+	writes, frames atomic.Uint64
 }
 
 // NewServer starts serving broker on the given address ("127.0.0.1:0" picks
@@ -44,6 +52,13 @@ func NewServer(broker *Broker, addr string) (*Server, error) {
 
 // Addr returns the listening address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
+
+// Register exposes the write counters on reg as mq_server_writes_total and
+// mq_server_frames_total.
+func (s *Server) Register(reg *obs.Registry) {
+	reg.GaugeFunc("mq_server_writes_total", func() float64 { return float64(s.writes.Load()) })
+	reg.GaugeFunc("mq_server_frames_total", func() float64 { return float64(s.frames.Load()) })
+}
 
 // Close stops accepting, closes all connections and waits for handlers.
 // It does not close the underlying broker.
@@ -78,10 +93,10 @@ func (s *Server) acceptLoop() {
 		sc := &serverConn{
 			srv:       s,
 			conn:      conn,
-			w:         wire.NewWriter(conn),
-			subs:      make(map[string]*serverSub),
-			unsettled: make(map[uint64]*Delivery),
+			subs:      make(map[string]*consumer),
+			unsettled: make(map[uint64]Delivery),
 		}
+		sc.out.init()
 		s.mu.Lock()
 		s.conns[sc] = struct{}{}
 		s.mu.Unlock()
@@ -99,21 +114,67 @@ func (s *Server) acceptLoop() {
 type serverConn struct {
 	srv  *Server
 	conn net.Conn
-
-	writeMu sync.Mutex
-	w       *wire.Writer
+	out  outbox
 
 	mu        sync.Mutex
-	subs      map[string]*serverSub
-	unsettled map[uint64]*Delivery
+	subs      map[string]*consumer
+	unsettled map[uint64]Delivery
 }
 
-type serverSub struct {
-	sub  Subscription
-	done chan struct{}
+// outbox is a connection's one outbound queue: replies and deliveries alike,
+// in the order they are sent. A delivery is queued under the broker's mutex
+// and its wake runs after the broker releases it, so a fan-out's deliveries
+// to one connection queue up before the writer runs and leave in one write.
+// Lock order: Broker.mu → serverConn.mu → outbox.mu; no broker call is made
+// under either of the last two. The queue has no cap: each consumer's
+// prefetch bounds its deliveries, and the read loop queues one reply per
+// request.
+type outbox struct {
+	mu     sync.Mutex
+	frames []wire.Frame
+	woken  bool // a wake is owed or pending since the writer last took frames
+	kick   chan struct{}
+	stop   chan struct{}
+	done   chan struct{}
+	wake   func() // kicks the writer; allocated once
+}
+
+func (o *outbox) init() {
+	o.kick, o.stop, o.done = make(chan struct{}, 1), make(chan struct{}), make(chan struct{})
+	o.wake = func() {
+		select {
+		case o.kick <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// push queues f. It returns the writer's wake for the caller to call when
+// the queue was idle, and nil when a wake is already owed.
+func (o *outbox) push(f wire.Frame) (wake func()) {
+	o.mu.Lock()
+	o.frames = append(o.frames, f)
+	idle := !o.woken
+	o.woken = true
+	o.mu.Unlock()
+	if idle {
+		return o.wake
+	}
+	return nil
+}
+
+// take swaps the queued frames for spare (emptied) and clears the owed wake.
+func (o *outbox) take(spare []wire.Frame) []wire.Frame {
+	o.mu.Lock()
+	batch := o.frames
+	o.frames = spare[:0]
+	o.woken = false
+	o.mu.Unlock()
+	return batch
 }
 
 func (c *serverConn) serve() {
+	go c.writeLoop()
 	defer c.cleanup()
 	r := wire.NewReader(c.conn)
 	for {
@@ -122,33 +183,58 @@ func (c *serverConn) serve() {
 			return // connection gone; cleanup requeues unacked
 		}
 		if err := c.handle(f); err != nil {
-			c.reply(&wire.Frame{Op: wire.OpError, Seq: f.Seq, Err: err.Error()})
+			c.reply(wire.Frame{Op: wire.OpError, Seq: f.Seq, Err: err.Error()})
 		}
 	}
 }
 
-func (c *serverConn) cleanup() {
-	c.mu.Lock()
-	subs := make([]*serverSub, 0, len(c.subs))
-	for _, ss := range c.subs {
-		subs = append(subs, ss)
+// writeLoop sends everything queued since its last write as one
+// scatter/gather write per wake, until cleanup stops it.
+func (c *serverConn) writeLoop() {
+	defer close(c.out.done)
+	w := wire.NewWriter(c.conn)
+	var batch []wire.Frame
+	for {
+		select {
+		case <-c.out.kick:
+		case <-c.out.stop:
+			return
+		}
+		batch = c.out.take(batch)
+		if len(batch) == 0 {
+			continue
+		}
+		if err := w.WriteBatch(batch); err != nil {
+			// The read loop will notice the broken connection and clean up.
+			_ = c.conn.Close()
+		} else {
+			c.srv.writes.Add(1)
+			c.srv.frames.Add(uint64(len(batch)))
+		}
+		clear(batch) // drop body and header references
 	}
-	c.subs = map[string]*serverSub{}
-	c.unsettled = map[uint64]*Delivery{}
-	c.mu.Unlock()
-	for _, ss := range subs {
-		_ = ss.sub.Cancel() // requeues this connection's unacked messages
-		<-ss.done
-	}
-	_ = c.conn.Close()
 }
 
-func (c *serverConn) reply(f *wire.Frame) {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	if err := c.w.Write(f); err != nil {
-		// The read loop will notice the broken connection and clean up.
-		_ = c.conn.Close()
+// cleanup cancels this connection's consumers, which requeues every
+// delivery it did not settle, written or still queued, then closes the
+// connection and waits for the writer to stop.
+func (c *serverConn) cleanup() {
+	c.mu.Lock()
+	subs := c.subs
+	c.subs = nil
+	c.mu.Unlock()
+	for _, cons := range subs {
+		_ = c.srv.broker.cancel(cons)
+	}
+	_ = c.conn.Close()
+	close(c.out.stop)
+	<-c.out.done
+}
+
+// reply queues f behind everything queued before it and wakes the writer.
+func (c *serverConn) reply(f wire.Frame) {
+	if wake := c.out.push(f); wake != nil {
+		wake()
 	}
 }
 
@@ -156,7 +242,7 @@ func (c *serverConn) handle(f *wire.Frame) error {
 	b := c.srv.broker
 	switch f.Op {
 	case wire.OpPing:
-		c.reply(&wire.Frame{Op: wire.OpPong, Seq: f.Seq})
+		c.reply(wire.Frame{Op: wire.OpPong, Seq: f.Seq})
 		return nil
 	case wire.OpDeclareQueue:
 		if err := b.DeclareQueue(f.Queue); err != nil {
@@ -210,71 +296,68 @@ func (c *serverConn) handle(f *wire.Frame) error {
 		if err != nil {
 			return fmt.Errorf("mq: marshal stats: %w", err)
 		}
-		c.reply(&wire.Frame{Op: wire.OpStatsReply, Seq: f.Seq, Stats: raw})
+		c.reply(wire.Frame{Op: wire.OpStatsReply, Seq: f.Seq, Stats: raw})
 		return nil
 	default:
 		return fmt.Errorf("mq: server: unexpected frame %v", f.Op)
 	}
-	c.reply(&wire.Frame{Op: wire.OpOK, Seq: f.Seq})
+	c.reply(wire.Frame{Op: wire.OpOK, Seq: f.Seq})
 	return nil
 }
 
 func (c *serverConn) subscribe(f *wire.Frame) error {
 	c.mu.Lock()
-	if _, exists := c.subs[f.ConsumerID]; exists {
-		c.mu.Unlock()
+	_, exists := c.subs[f.ConsumerID]
+	c.mu.Unlock()
+	if exists {
 		return fmt.Errorf("mq: consumer %q already subscribed", f.ConsumerID)
 	}
-	c.mu.Unlock()
-	sub, err := c.srv.broker.Subscribe(f.Queue, f.Prefetch)
+	cons, err := c.srv.broker.subscribe(f.Queue, f.Prefetch, c.deliverTo(f.ConsumerID), nil)
 	if err != nil {
 		return err
 	}
-	ss := &serverSub{sub: sub, done: make(chan struct{})}
 	c.mu.Lock()
-	c.subs[f.ConsumerID] = ss
+	c.subs[f.ConsumerID] = cons
 	c.mu.Unlock()
-	consumerID := f.ConsumerID
-	go func() {
-		defer close(ss.done)
-		for d := range sub.Deliveries() {
-			d := d
-			c.mu.Lock()
-			c.unsettled[d.Tag] = &d
-			c.mu.Unlock()
-			// No queue name: the consumer id names the subscription, and the
-			// client already knows which queue it subscribed to.
-			c.reply(&wire.Frame{
-				Op:         wire.OpDeliver,
-				ConsumerID: consumerID,
-				DeliveryID: d.Tag,
-				MessageID:  d.Message.ID,
-				Headers:    d.Message.Headers,
-				Body:       d.Message.Body,
-				Persistent: d.Message.Persistent,
-				Redelivery: d.Redelivered,
-			})
-		}
-	}()
-	c.reply(&wire.Frame{Op: wire.OpOK, Seq: f.Seq})
+	c.reply(wire.Frame{Op: wire.OpOK, Seq: f.Seq})
 	return nil
+}
+
+// deliverTo is the broker deliver function of consumer id on this
+// connection: it keeps the delivery for the settle that will name its tag
+// and queues its OpDeliver frame. The body is the broker's, immutable, so
+// the frame references it. No queue name: the consumer id names the
+// subscription, and the client knows which queue it subscribed to.
+func (c *serverConn) deliverTo(consumerID string) func(Delivery) func() {
+	return func(d Delivery) func() {
+		c.mu.Lock()
+		c.unsettled[d.Tag] = d
+		c.mu.Unlock()
+		return c.out.push(wire.Frame{
+			Op:         wire.OpDeliver,
+			ConsumerID: consumerID,
+			DeliveryID: d.Tag,
+			MessageID:  d.Message.ID,
+			Headers:    d.Message.Headers,
+			Body:       d.Message.Body,
+			Persistent: d.Message.Persistent,
+			Redelivery: d.Redelivered,
+		})
+	}
 }
 
 func (c *serverConn) cancel(f *wire.Frame) error {
 	c.mu.Lock()
-	ss, ok := c.subs[f.ConsumerID]
-	if ok {
-		delete(c.subs, f.ConsumerID)
-	}
+	cons, ok := c.subs[f.ConsumerID]
+	delete(c.subs, f.ConsumerID)
 	c.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("mq: unknown consumer %q", f.ConsumerID)
 	}
-	if err := ss.sub.Cancel(); err != nil {
+	if err := c.srv.broker.cancel(cons); err != nil {
 		return err
 	}
-	<-ss.done
-	c.reply(&wire.Frame{Op: wire.OpOK, Seq: f.Seq})
+	c.reply(wire.Frame{Op: wire.OpOK, Seq: f.Seq})
 	return nil
 }
 

@@ -2,6 +2,7 @@ package objstore
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -9,6 +10,8 @@ import (
 	"strconv"
 	"sync/atomic"
 	"testing"
+
+	"stacksync/internal/obs"
 )
 
 // BenchmarkGatewayBatch times one batch round trip, HTTPStore to Handler to
@@ -63,6 +66,50 @@ func BenchmarkGatewayBatch(b *testing.B) {
 			})
 		}
 		srv.Close()
+	}
+}
+
+// BenchmarkGatewayHotGet is the read side of one fan-out at the storage
+// gateway: one object is put through HTTPStore → Handler → Disk over
+// loopback, then each iteration gets it 23 times, once per other device of
+// a 24-device workspace. syscalls/get counts the read and write system calls
+// of the whole process, client and gateway, per get. The 4KB object is a
+// fresh small chunk, served from Disk's recent-object set; the 512KB one is
+// over the set's cap and read from its file every time.
+func BenchmarkGatewayHotGet(b *testing.B) {
+	const readers = 23
+	ctx := context.Background()
+	for _, size := range []int{4 << 10, 512 << 10} {
+		b.Run(fmt.Sprintf("%dKB", size>>10), func(b *testing.B) {
+			disk, err := NewDisk(b.TempDir())
+			if err != nil {
+				b.Fatal(err)
+			}
+			srv := httptest.NewServer(NewHandler(disk, ""))
+			defer srv.Close()
+			s := NewHTTPStore(srv.URL, "")
+			if err := s.EnsureContainer(ctx, "c"); err != nil {
+				b.Fatal(err)
+			}
+			data := make([]byte, size)
+			rand.New(rand.NewSource(1)).Read(data)
+			if err := s.PutMulti(ctx, "c", []Object{{Key: "chunk", Data: data}}); err != nil {
+				b.Fatal(err)
+			}
+			keys := []string{"chunk"}
+			calls := obs.ProcessIO("syscr") + obs.ProcessIO("syscw")
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for r := 0; r < readers; r++ {
+					if _, err := s.GetMulti(ctx, "c", keys); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.StopTimer()
+			calls = obs.ProcessIO("syscr") + obs.ProcessIO("syscw") - calls
+			b.ReportMetric(float64(calls)/float64(b.N*readers), "syscalls/get")
+		})
 	}
 }
 

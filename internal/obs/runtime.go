@@ -1,6 +1,11 @@
 package obs
 
-import "runtime"
+import (
+	"os"
+	"runtime"
+	"strconv"
+	"strings"
+)
 
 // RegisterRuntimeMetrics registers the process self-telemetry gauge funcs —
 // go_goroutines, go_heap_bytes and go_gc_pause_seconds (the most recent GC
@@ -27,4 +32,19 @@ func RegisterRuntimeMetrics(reg *Registry) {
 		}
 		return float64(m.PauseNs[(m.NumGC+255)%256]) / 1e9
 	})
+}
+
+// ProcessIO reads one counter of this process's /proc/self/io — syscr and
+// syscw count its read- and write-family system calls — or 0 where the
+// file or the counter is missing. Layer benchmarks and tests count system
+// calls with it.
+func ProcessIO(field string) int64 {
+	data, _ := os.ReadFile("/proc/self/io")
+	for _, line := range strings.Split(string(data), "\n") {
+		if rest, ok := strings.CutPrefix(line, field+": "); ok {
+			n, _ := strconv.ParseInt(rest, 10, 64)
+			return n
+		}
+	}
+	return 0
 }

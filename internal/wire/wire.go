@@ -4,17 +4,19 @@
 //
 // Every frame is binary: a one-byte protocol marker, the uvarint payload
 // length, then a stream of (field id, varint-framed value) pairs with hot
-// header keys interned to one byte. The frame header and the message body
-// are written as two scatter/gather vectors (net.Buffers), so a publish
-// performs zero payload copies after encode. OpAck and OpNack are one-way:
-// the server sends nothing back. OpDeliver carries no queue name: the
-// consumer id names the subscription. A frame that does not start with the
-// marker is refused with ErrNotBinary: the 4-byte-length JSON framing of
-// pre-v2 peers, the 0xB2 marker of peers that still wait for an OpOK to
-// each ack, the 0xB3 marker of peers that still expect every commit result
-// to echo its proposal's key, and the 0xB4 marker of peers whose codec
-// cannot decode hex strings sent as raw bytes. The hard size cap protects
-// both ends from corrupt peers.
+// header keys interned to one byte. Writer.WriteBatch encodes the headers
+// of any number of frames into one buffer and sends them, with each message
+// body as its own vector, in one scatter/gather write (net.Buffers, one
+// writev on TCP): no payload is copied after encode, and the mq server
+// sends everything a connection has queued in one system call. OpAck and
+// OpNack are one-way: the server sends nothing back. OpDeliver carries no
+// queue name: the consumer id names the subscription. A frame that does
+// not start with the marker is refused with ErrNotBinary: the
+// 4-byte-length JSON framing of pre-v2 peers, the 0xB2 marker of peers
+// that still wait for an OpOK to each ack, the 0xB3 marker of peers that
+// still expect every commit result to echo its proposal's key, and the
+// 0xB4 marker of peers whose codec cannot decode hex strings sent as raw
+// bytes. The hard size cap protects both ends from corrupt peers.
 //
 // # Buffer ownership
 //
@@ -22,7 +24,8 @@
 // the same Reader: Body and Stats alias an internal buffer that the next
 // frame overwrites (Headers and string fields are fresh copies). Callers
 // that retain a frame — or its Body — past the next Read must copy first;
-// Frame.Clone does a deep copy. Writer.Write never retains f or f.Body.
+// Frame.Clone does a deep copy. Writer.Write and WriteBatch never retain a
+// frame or its body.
 package wire
 
 import (
@@ -234,44 +237,71 @@ func putEncodeBuf(bp *[]byte, b []byte) {
 }
 
 // Writer encodes frames onto an io.Writer. Not safe for concurrent use;
-// callers serialize writes. Write never retains the frame or its body.
+// callers serialize writes. Writes never retain a frame or its body.
 type Writer struct {
-	w    io.Writer
-	vecs [2][]byte
+	w      io.Writer
+	vecs   [][]byte
+	splits []int // header offsets at which a body vector goes
 }
 
 // NewWriter returns a Writer emitting frames to w.
 func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 
-// Write encodes and sends a single frame. The encoded header and the frame
-// body go out as two scatter/gather vectors (net.Buffers → writev on TCP):
-// the body is never copied after encode.
-func (fw *Writer) Write(f *Frame) error {
+// Write encodes and sends a single frame: WriteBatch of one.
+func (fw *Writer) Write(f *Frame) error { return fw.WriteBatch([]Frame{*f}) }
+
+// WriteBatch encodes frames back to back and sends them in one
+// scatter/gather write (net.Buffers → one writev on TCP): the frames'
+// headers share one encode buffer, and each non-empty body goes out as its
+// own vector, never copied after encode. If any frame is too large, nothing
+// is written.
+func (fw *Writer) WriteBatch(frames []Frame) error {
 	bp := encodeBufPool.Get().(*[]byte)
 	buf := (*bp)[:0]
-	buf = buf[:maxPrefix] // reserve prefix space (pool buffers have cap >= maxPrefix)
-	buf = appendFields(buf, f)
-	total := (len(buf) - maxPrefix) + len(f.Body)
-	if total > MaxFrameSize {
-		putEncodeBuf(bp, buf)
-		return ErrFrameTooLarge
+	splits := fw.splits[:0]
+	for i := range frames {
+		f := &frames[i]
+		// Encode the fields behind a reserved prefix, then slide them left
+		// over the prefix's unused bytes so the headers stay contiguous.
+		p := len(buf)
+		buf = append(buf, make([]byte, maxPrefix)...)
+		buf = appendFields(buf, f)
+		fields := len(buf) - p - maxPrefix
+		total := fields + len(f.Body)
+		if total > MaxFrameSize {
+			putEncodeBuf(bp, buf)
+			return ErrFrameTooLarge
+		}
+		buf[p] = binaryMarker
+		w := 1 + binary.PutUvarint(buf[p+1:p+maxPrefix], uint64(total))
+		copy(buf[p+w:], buf[p+maxPrefix:])
+		buf = buf[:p+w+fields]
+		if len(f.Body) > 0 {
+			splits = append(splits, len(buf))
+		}
 	}
-	// Right-align marker + length against the fields.
-	var pre [maxPrefix]byte
-	pre[0] = binaryMarker
-	w := 1 + binary.PutUvarint(pre[1:], uint64(total))
-	start := maxPrefix - w
-	copy(buf[start:], pre[:w])
-
 	var err error
-	if len(f.Body) == 0 {
-		_, err = fw.w.Write(buf[start:])
+	if len(splits) == 0 {
+		_, err = fw.w.Write(buf)
 	} else {
-		fw.vecs[0], fw.vecs[1] = buf[start:], f.Body
-		nb := net.Buffers(fw.vecs[:])
+		vecs, start, body := fw.vecs[:0], 0, 0
+		for i := range frames {
+			if len(frames[i].Body) == 0 {
+				continue
+			}
+			vecs = append(vecs, buf[start:splits[body]], frames[i].Body)
+			start = splits[body]
+			body++
+		}
+		if start < len(buf) {
+			vecs = append(vecs, buf[start:])
+		}
+		nb := net.Buffers(vecs)
 		_, err = nb.WriteTo(fw.w)
-		fw.vecs[0], fw.vecs[1] = nil, nil
+		clear(vecs) // WriteTo may stop early; drop every body reference
+		fw.vecs = vecs[:0]
 	}
+	fw.splits = splits[:0]
 	putEncodeBuf(bp, buf)
 	if err != nil {
 		return fmt.Errorf("wire: write frame: %w", err)

@@ -49,6 +49,13 @@ go run ./examples/objectmq
 echo "==> codec + wire (race)"
 go test -race -count=1 ./internal/codec/ ./internal/omq/ ./internal/wire/ ./internal/mq/
 
+# The broker server's write path (one outbound queue per connection, woken
+# after the broker releases its mutex) and Disk's recent-object set are
+# where a lost wake, a frame sent out of order or a cache disagreeing with
+# its file would hide: twenty race-enabled passes over both.
+echo "==> server write path + recent-object set (race, 20x)"
+go test -race -count=20 -run 'TestNetwork|TestDiskServesRecent' ./internal/mq ./internal/objstore
+
 # Extra interleavings over the client's parallel transfer pipeline: many
 # writers, overlapping chunks, dedup probes and singleflight coalescing all
 # racing — the part of the codebase where a data race would hide best.
@@ -77,7 +84,7 @@ go test -race -count=3 -run '^TestSupervisedRoutedFleet$' ./internal/deploy/
 # the next measurement. One iteration each is a smoke pass, not a number.
 echo "==> layer-benchmark smoke (1x)"
 go test -run '^$' -benchtime 1x \
-    -bench '^(BenchmarkNotifyDelivery|BenchmarkNetworkFanoutAck|BenchmarkJournalFanout|BenchmarkGatewayBatch|BenchmarkWireFrameCodec)$' \
+    -bench '^(BenchmarkNotifyDelivery|BenchmarkNetworkFanoutAck|BenchmarkJournalFanout|BenchmarkGatewayBatch|BenchmarkGatewayHotGet|BenchmarkWireFrameCodec)$' \
     . ./internal/core/ ./internal/mq/ ./internal/objstore/
 
 # Short coverage-guided fuzz legs over the codecs that parse bytes the
