@@ -55,7 +55,9 @@ type CommitResult struct {
 }
 
 // CommitNotification is pushed to every device of a workspace after a
-// commitRequest has been processed.
+// commitRequest has been processed. It names the workspace and the
+// originating device once: its items carry no Workspace, DeviceID or
+// CommittedAt (GetChangesSince replies keep them).
 type CommitNotification struct {
 	Workspace string         `json:"workspace"`
 	DeviceID  string         `json:"deviceId"` // originating device
@@ -199,6 +201,9 @@ func (s *Service) commit(ctx context.Context, req CommitRequest) (CommitNotifica
 		Results:   make([]CommitResult, len(results)),
 	}
 	for i, r := range results {
+		// r.Version is a copy: the snapshot keeps its workspace, device and
+		// commit time, which no device reads from a notification's item.
+		r.Version.Workspace, r.Version.DeviceID, r.Version.CommittedAt = "", "", time.Time{}
 		n.Results[i] = CommitResult{Committed: r.Committed, Item: r.Version}
 		if !r.Committed {
 			n.Results[i].Proposed = metastore.ItemVersion{ItemID: req.Items[i].ItemID, Version: req.Items[i].Version}

@@ -356,6 +356,9 @@ func (b *Broker) PublishBatch(pubs []Publication) error {
 // consumer can see the message, so the record of an ack always follows it —
 // and returns the journal offset the caller waits on after unlocking.
 func (b *Broker) publishLocked(exchangeName, key string, msg Message, now time.Time) (int64, error) {
+	if err := checkFits(&msg); err != nil {
+		return 0, err
+	}
 	b.seq++
 	if msg.ID == "" {
 		b.idBuf = strconv.AppendUint(append(b.idBuf[:0], 'm'), b.seq, 10)

@@ -222,6 +222,9 @@ func (c *Client) UnbindQueue(queue, exchangeName, key string) error {
 
 // Publish routes a message on the remote broker.
 func (c *Client) Publish(exchangeName, key string, msg Message) error {
+	if err := checkFits(&msg); err != nil {
+		return err
+	}
 	_, err := c.request(&wire.Frame{
 		Op:         wire.OpPublish,
 		Exchange:   exchangeName,

@@ -10,8 +10,12 @@
 package mq
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"time"
+
+	"stacksync/internal/wire"
 )
 
 // ExchangeKind selects the routing discipline of an exchange.
@@ -170,7 +174,30 @@ var (
 	ErrNoExchange     = errors.New("mq: exchange not found")
 	ErrAlreadySettled = errors.New("mq: delivery already settled")
 	ErrBadPrefetch    = errors.New("mq: prefetch must be positive")
+	// ErrTooLarge refuses, at publish, a message whose frame could not be
+	// written: one undeliverable message fails its own publish, never the
+	// connection it would have shared.
+	ErrTooLarge = errors.New("mq: message too large for one frame")
 )
+
+// frameSlack bounds what a publish or deliver frame adds to a message's
+// body, id and headers: op, consumer id, delivery tag, redelivery count,
+// field ids and lengths. A consumer id longer than the slack leaves it to
+// the server's writer, which drops the one frame.
+const frameSlack = 512
+
+// checkFits returns ErrTooLarge when msg's frame could exceed
+// wire.MaxFrameSize.
+func checkFits(msg *Message) error {
+	n := len(msg.Body) + len(msg.ID) + frameSlack
+	for k, v := range msg.Headers {
+		n += len(k) + len(v) + 2*binary.MaxVarintLen32
+	}
+	if n > wire.MaxFrameSize {
+		return fmt.Errorf("%d B body: %w", len(msg.Body), ErrTooLarge)
+	}
+	return nil
+}
 
 // rateWindow is the sliding window over which ArrivalRate is computed.
 const rateWindow = 60 * time.Second

@@ -1,0 +1,108 @@
+package mq_test
+
+import (
+	"errors"
+	"net"
+	"strings"
+	"testing"
+	"time"
+
+	"stacksync/internal/mq"
+	"stacksync/internal/obs"
+	"stacksync/internal/omq"
+	"stacksync/internal/wire"
+)
+
+// blob is a bound object whose reply is as large as asked.
+type blob struct{}
+
+func (blob) Bytes(n int) []byte { return make([]byte, n) }
+
+// TestNetworkOversizeReplyFailsOneCall: a reply too large for one frame
+// fails its own call with mq.ErrTooLarge, and the connection it would have
+// shared keeps serving: the next call on the same mq.Client succeeds. A
+// frame that still gets past the publish check (a delivery to a consumer
+// id longer than the broker's slack, which it cannot know at publish) is
+// dropped alone by the server's writer: the connection answers the next
+// ping, and the consumer's prefetch slot is free for the next message.
+func TestNetworkOversizeReplyFailsOneCall(t *testing.T) {
+	inner := mq.NewBroker()
+	srv, err := mq.NewServer(inner, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	srv.Register(reg)
+	// The service sits beside the broker, as deploy puts it; the caller
+	// dials in.
+	server, err := omq.NewBroker(inner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := mq.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := omq.NewBroker(cli)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		_ = client.Close()
+		_ = cli.Close()
+		_ = server.Close()
+		_ = srv.Close()
+		_ = inner.Close()
+	})
+	if _, err := server.Bind("blob", blob{}); err != nil {
+		t.Fatal(err)
+	}
+	proxy := client.Lookup("blob", omq.WithTimeout(5*time.Second), omq.WithRetries(1))
+	var got []byte
+	if err := proxy.Call("Bytes", &got, wire.MaxFrameSize+1); !errors.Is(err, mq.ErrTooLarge) {
+		t.Fatalf("oversize reply: err = %v, want mq.ErrTooLarge", err)
+	}
+	if err := proxy.Call("Bytes", &got, 16); err != nil || len(got) != 16 {
+		t.Fatalf("next call on the same client: %d B, err = %v", len(got), err)
+	}
+
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	w, r := wire.NewWriter(conn), wire.NewReader(conn)
+	roundTrip := func(f *wire.Frame, want wire.Op) *wire.Frame {
+		t.Helper()
+		if err := w.Write(f); err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.Read()
+		if err != nil {
+			t.Fatalf("%v: the connection did not survive: %v", f.Op, err)
+		}
+		if got.Op != want || got.Seq != f.Seq {
+			t.Fatalf("%v: got %v seq %d, want %v seq %d", f.Op, got.Op, got.Seq, want, f.Seq)
+		}
+		return got
+	}
+	if err := inner.DeclareQueue("big"); err != nil {
+		t.Fatal(err)
+	}
+	roundTrip(&wire.Frame{Op: wire.OpSubscribe, Seq: 1, Queue: "big", ConsumerID: strings.Repeat("c", 4096), Prefetch: 1}, wire.OpOK)
+	if err := inner.Publish("", "big", mq.Message{Body: make([]byte, wire.MaxFrameSize-1024)}); err != nil {
+		t.Fatalf("a body within the publish bound was refused: %v", err)
+	}
+	roundTrip(&wire.Frame{Op: wire.OpPing, Seq: 2}, wire.OpPong)
+	if n, _ := reg.GaugeValue("mq_server_dropped_frames_total"); n != 1 {
+		t.Fatalf("mq_server_dropped_frames_total = %v, want 1", n)
+	}
+	if err := inner.Publish("", "big", mq.Message{Body: []byte("small")}); err != nil {
+		t.Fatal(err)
+	}
+	d, err := r.Read()
+	if err != nil || d.Op != wire.OpDeliver || string(d.Body) != "small" {
+		t.Fatalf("after the dropped frame: %+v, err = %v, want the small delivery", d, err)
+	}
+}

@@ -262,3 +262,46 @@ func TestCodecHeaderStamping(t *testing.T) {
 		t.Fatal("no publish observed")
 	}
 }
+
+// TestOneWayEnvelopeEndsAtFlag pins the size of a one-way call: the
+// envelope of Async("Fire", 1) is its method, its one argument and the
+// one-way flag, 18 B, with no empty reply-routing fields behind the flag
+// (27 B when CorrelationID, ReplyTo and RequestID preceded it). A sync
+// call still sends all three: TestRetriedErrorIsDeduplicated needs
+// RequestID.
+func TestOneWayEnvelopeEndsAtFlag(t *testing.T) {
+	m := mq.NewBroker()
+	defer m.Close()
+	b, err := NewBroker(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	const queue = "sniff"
+	if err := m.DeclareQueue(queue); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := m.Subscribe(queue, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Lookup(queue).Async("Fire", 1); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case d := <-sub.Deliveries():
+		_ = d.Ack()
+		if len(d.Body) != 18 {
+			t.Fatalf("one-way envelope is %d B, want 18", len(d.Body))
+		}
+		req, err := decodeRequest(d.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if req.Method != "Fire" || len(req.Args) != 1 || !req.OneWay || req.CorrelationID != "" || req.ReplyTo != "" || req.RequestID != "" {
+			t.Fatalf("one-way envelope: %+v", req)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no publish observed")
+	}
+}

@@ -3,6 +3,7 @@ package omq_test
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -38,6 +39,10 @@ func FuzzBinaryCodec(f *testing.F) {
 	hexItem.ItemID, hexItem.Chunks, hexItem.Checksum = client.ItemID("ws-1", item.Path), []string{fp}, fp
 	nearMiss := item
 	nearMiss.ItemID, nearMiss.Chunks, nearMiss.Checksum = fp[1:], []string{strings.ToUpper(fp), "ab"}, "0"
+	// A notification's item as the service sends it: no workspace, device
+	// or commit time.
+	trimmed := hexItem
+	trimmed.Workspace, trimmed.DeviceID, trimmed.CommittedAt = "", "", time.Time{}
 	for _, v := range []any{
 		core.CommitRequest{Workspace: "ws-1", DeviceID: "dev-1", Items: []metastore.ItemVersion{item}},
 		core.CommitRequest{Workspace: "ws-1", DeviceID: "dev-1", Items: []metastore.ItemVersion{proposal}},
@@ -49,12 +54,23 @@ func FuzzBinaryCodec(f *testing.F) {
 		core.CommitNotification{Workspace: "ws-1", DeviceID: "dev-1", Results: []core.CommitResult{
 			{Committed: true, Item: hexItem},
 			{Committed: false, Item: nearMiss, Proposed: metastore.ItemVersion{ItemID: hexItem.ItemID, Version: 2}}}},
-		omq.Request{Method: "CommitRequest", Args: [][]byte{{1, 2}}, CorrelationID: "c", ReplyTo: "r", RequestID: "q"},
+		core.CommitNotification{Workspace: "ws-1", DeviceID: "dev-1",
+			Results: []core.CommitResult{{Committed: true, Item: trimmed}}},
+		omq.Request{Method: "NotifyCommit", Args: [][]byte{{1, 2}}, OneWay: true}, // ends at its flag
+		omq.Request{Method: "GetChangesSince", Args: [][]byte{{1, 2}}, CorrelationID: "c", ReplyTo: "r", RequestID: "q"},
 		omq.Response{CorrelationID: "c", Result: []byte{3}, Err: "boom", From: "svc-0"},
 	} {
 		data, err := bin.MarshalAppend(nil, v)
 		if err != nil {
 			f.Fatal(err)
+		}
+		// Every seed round-trips byte for byte through its own type.
+		back := reflect.New(reflect.TypeOf(v))
+		if err := bin.Unmarshal(data, back.Interface()); err != nil {
+			f.Fatalf("%T seed does not decode: %v", v, err)
+		}
+		if again, _ := bin.MarshalAppend(nil, back.Elem().Interface()); !bytes.Equal(data, again) {
+			f.Fatalf("%T seed does not round-trip:\n %x\n %x", v, data, again)
 		}
 		f.Add(data)
 		f.Add(data[:len(data)/2])

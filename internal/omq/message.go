@@ -14,8 +14,10 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"strings"
 
 	"stacksync/internal/codec"
+	"stacksync/internal/mq"
 )
 
 // bin encodes every envelope, argument and result. The paper's
@@ -25,10 +27,16 @@ import (
 var bin = codec.Default()
 
 // request is the envelope published to a remote object's queue; argument
-// payloads are bin-encoded byte slices inside it.
+// payloads are bin-encoded byte slices inside it. The codec drops trailing
+// zero fields, so the fields a one-way call leaves empty come last: a
+// notification or commit request ends at OneWay.
 type request struct {
-	Method        string
-	Args          [][]byte
+	Method string
+	Args   [][]byte
+	// OneWay marks @AsyncMethod calls: no response is produced even on
+	// handler error, matching "the client is not even notified whether the
+	// message was handled correctly" (§3.2).
+	OneWay        bool
 	CorrelationID string
 	ReplyTo       string
 	// RequestID identifies the logical call: it is stable across the retry
@@ -36,10 +44,6 @@ type request struct {
 	// Servers use it to deduplicate a retried @SyncMethod instead of
 	// executing it twice.
 	RequestID string
-	// OneWay marks @AsyncMethod calls: no response is produced even on
-	// handler error, matching "the client is not even notified whether the
-	// message was handled correctly" (§3.2).
-	OneWay bool
 }
 
 // response is the envelope published to the caller's private reply queue.
@@ -96,6 +100,15 @@ type RemoteError struct {
 // Error formats the remote failure.
 func (e *RemoteError) Error() string {
 	return fmt.Sprintf("omq: remote %s: %s", e.Method, e.Msg)
+}
+
+// Unwrap maps a reply refused as too large for one frame back to
+// mq.ErrTooLarge, so errors.Is works across the network boundary.
+func (e *RemoteError) Unwrap() error {
+	if strings.HasSuffix(e.Msg, mq.ErrTooLarge.Error()) {
+		return mq.ErrTooLarge
+	}
+	return nil
 }
 
 // Errors returned by ObjectMQ.

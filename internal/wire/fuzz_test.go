@@ -33,8 +33,9 @@ func legacyFrame(payload string) []byte {
 // retiredMarkers are the markers of earlier binary protocols: 0xB2 peers
 // wait for an OpOK to every ack, 0xB3 peers expect every commit result to
 // echo its proposal's key, 0xB4 peers cannot decode hex strings sent as raw
-// bytes. The reader must refuse all three.
-var retiredMarkers = []byte{0xB2, 0xB3, 0xB4}
+// bytes, 0xB6 peers declare the RPC envelope's one-way flag after its
+// reply-routing fields. The reader must refuse all four.
+var retiredMarkers = []byte{0xB2, 0xB3, 0xB4, 0xB6}
 
 // retiredFrame is f in today's encoding under a retired marker.
 func retiredFrame(f *Frame, marker byte) []byte {

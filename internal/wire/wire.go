@@ -16,7 +16,9 @@
 // that still wait for an OpOK to each ack, the 0xB3 marker of peers that
 // still expect every commit result to echo its proposal's key, and the
 // 0xB4 marker of peers whose codec cannot decode hex strings sent as raw
-// bytes. The hard size cap protects both ends from corrupt peers.
+// bytes, and the 0xB6 marker of peers whose RPC envelope declares the
+// one-way flag after the reply-routing fields. The hard size cap protects
+// both ends from corrupt peers.
 //
 // # Buffer ownership
 //
@@ -44,9 +46,10 @@ const MaxFrameSize = 16 << 20
 
 // binaryMarker is the first byte of every frame (0xB2 until acks went
 // one-way, 0xB3 until a committed result stopped echoing its proposal key,
-// 0xB4 until the RPC codec sent lowercase-hex strings as raw bytes; 0xB5
-// is objstore's batch magic).
-const binaryMarker = 0xB6
+// 0xB4 until the RPC codec sent lowercase-hex strings as raw bytes, 0xB6
+// until the RPC envelope declared its one-way flag before the reply-routing
+// fields; 0xB5 is objstore's batch magic).
+const binaryMarker = 0xB7
 
 // Frame operation codes. Values are part of the protocol; never renumber.
 type Op int

@@ -45,14 +45,17 @@ go run ./examples/objectmq
 
 # The RPC codec and the frame format are the most hand-rolled encoding in
 # the tree and every message crosses both: one extra race pass over them,
-# and over mq, whose one-way acks pipeline with the frames after them.
+# over core, whose notifications are what most frames carry, and over mq,
+# whose one-way acks pipeline with the frames after them.
 echo "==> codec + wire (race)"
-go test -race -count=1 ./internal/codec/ ./internal/omq/ ./internal/wire/ ./internal/mq/
+go test -race -count=1 ./internal/codec/ ./internal/core/ ./internal/omq/ ./internal/wire/ ./internal/mq/
 
 # The broker server's write path (one outbound queue per connection, woken
 # after the broker releases its mutex) and Disk's recent-object set are
 # where a lost wake, a frame sent out of order or a cache disagreeing with
-# its file would hide: twenty race-enabled passes over both.
+# its file would hide, and the writer is where an oversize frame must be
+# dropped alone (TestNetworkOversizeReplyFailsOneCall): twenty
+# race-enabled passes over both.
 echo "==> server write path + recent-object set (race, 20x)"
 go test -race -count=20 -run 'TestNetwork|TestDiskServesRecent' ./internal/mq ./internal/objstore
 
