@@ -227,8 +227,14 @@ func connGoroutines() int {
 	}
 	count := 0
 	for _, g := range strings.Split(string(buf), "\n\n") {
-		if strings.Contains(g, "mq.(*serverConn).serve") || strings.Contains(g, "mq.(*serverConn).writeLoop") {
-			count++
+		for _, line := range strings.Split(g, "\n") {
+			// Frames only: a "created by" line names the goroutine's
+			// creator, which need not be running.
+			if !strings.HasPrefix(line, "created by ") &&
+				(strings.Contains(line, "mq.(*serverConn).serve(") || strings.Contains(line, "mq.(*serverConn).writeLoop(")) {
+				count++
+				break
+			}
 		}
 	}
 	return count

@@ -67,10 +67,13 @@ func TestObjectInfoRateMathVirtualClock(t *testing.T) {
 		}
 	}
 
-	info, err := server.ObjectInfo(oid)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The instance acks a call after replying, so the last ack can land
+	// just after the last reply returns.
+	var info ObjectInfo
+	waitFor(t, 5*time.Second, func() bool {
+		info, err = server.ObjectInfo(oid)
+		return err == nil && info.Processed >= calls
+	})
 	if want := float64(calls) / 60.0; info.ArrivalRate != want {
 		t.Fatalf("arrival rate = %v, want exactly %v", info.ArrivalRate, want)
 	}
