@@ -143,10 +143,9 @@ func TestAdminSeesEveryInstance(t *testing.T) {
 			handled, commits, serviceMeans, metrics)
 	}
 	// The broker's write coalescing and the chunk store's recent-object hits
-	// are on /metrics as counter pairs: frames per write, hits per get. Frames
-	// dropped as too large to write are counted beside them.
+	// are on /metrics as counter pairs: frames per write, hits per get.
 	for _, series := range []string{"mq_server_writes_total", "mq_server_frames_total",
-		"mq_server_dropped_frames_total", "objstore_disk_gets_total", "objstore_disk_recent_hits_total"} {
+		"objstore_disk_gets_total", "objstore_disk_recent_hits_total"} {
 		if !strings.Contains(metrics, "\n"+series+" ") {
 			t.Fatalf("/metrics lacks %s:\n%s", series, metrics)
 		}

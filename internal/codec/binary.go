@@ -11,41 +11,45 @@ import (
 	"sync"
 )
 
-// Binary is the compact reflection codec — the paper's Kryo analogue. Every
-// value is a one-byte type tag followed by a varint-framed payload:
+// Binary is the compact reflection codec — the paper's Kryo analogue, laid
+// out the way Kryo's FieldSerializer lays out an object. The top-level value
+// opens with one kind tag; below it nothing carries a tag or a length of its
+// own, because the decoder walks the target type and knows what comes next:
 //
-//	nil/false/true   tag only (nil covers nil slices and maps)
+//	bool             1 byte
 //	int              zigzag varint
 //	uint             uvarint
-//	float            8-byte big-endian IEEE 754
-//	string/bytes     uvarint length + raw bytes
-//	hex string       uvarint length + the bytes the hex spells, for a
-//	                 non-empty, even-length string of [0-9a-f] only
-//	list             uvarint count + elements
-//	map              uvarint count + alternating key/value
-//	struct           uvarint field count, then per exported field (in
-//	                 declaration order) a uvarint byte length + encoding,
-//	                 up to the last field that is not reflect-zero
+//	float            8-byte big-endian IEEE 754 (-0 arrives as +0)
+//	string           uvarint(len<<1 | hex) + bytes; hex is 1 for a non-empty,
+//	                 even-length string of [0-9a-f], and the bytes are then
+//	                 the len bytes it spells
+//	bytes, slice     uvarint(count+1) + elements; 0 means nil, so nil and
+//	                 empty stay distinct
+//	array, map       uvarint(count+1) + elements (a map: key, value, ...)
+//	pointer          presence byte (0 or 1), then the value
+//	struct           uvarint(n), then the first n exported fields in
+//	                 declaration order, where n stops at the last field that
+//	                 is not reflect-zero; the decoder zero-fills the rest
 //	marshaled        uvarint length + encoding.BinaryMarshaler output
 //
-// The per-field byte length is what buys schema evolution: a decoder built
-// against an older struct skips unknown trailing fields, and missing
-// trailing fields decode as zero values — an append-only contract, so
-// fields may be added at the end of a struct but never reordered or
-// removed. The encoder leans on the same rule: it stops at the last
-// exported field that is not reflect.Value.IsZero, and any decoder reads
-// the omitted tail back as zero. An empty non-nil slice or map is not zero,
-// so it is still sent and stays non-nil; a negative-zero float counts as
-// zero, so a trailing -0.0 arrives as +0. Types implementing
-// encoding.BinaryMarshaler/BinaryUnmarshaler
-// (notably time.Time) use their own representation. Only exported fields
+// There is no evolution path: a struct encoding names no fields, so a
+// decoder reads it only into the struct it was written from. A count above
+// the target's field count is refused, a top-level kind other than the
+// target's is refused (an int never decodes into a uint64), and so is any
+// interface value below the top level and any interface{} target. A layout
+// change therefore bumps the wire marker, as a frame change does. Every
+// value takes at least one byte, so a count above the bytes left fails
+// before anything is allocated. An empty non-nil slice or map is not zero,
+// so it is still sent and stays non-nil. Types whose value implements
+// encoding.BinaryMarshaler (and whose pointer implements BinaryUnmarshaler),
+// notably time.Time, use their own representation. Only exported fields
 // travel.
 type Binary struct{}
 
+// Kind tags: the one byte that opens every top-level value.
 const (
 	bNil = iota + 1
-	bFalse
-	bTrue
+	bBool
 	bInt
 	bUint
 	bFloat
@@ -55,7 +59,6 @@ const (
 	bMap
 	bStruct
 	bMarshaled
-	bHex
 )
 
 // maxDepth bounds encode and decode recursion: cyclic values fail instead
@@ -65,10 +68,14 @@ const maxDepth = 1000
 
 var errTooDeep = errors.New("codec: binary value nesting too deep")
 
-var (
-	binaryMarshalerType   = reflect.TypeOf((*encoding.BinaryMarshaler)(nil)).Elem()
-	binaryUnmarshalerType = reflect.TypeOf((*encoding.BinaryUnmarshaler)(nil)).Elem()
-)
+var binaryMarshalerType = reflect.TypeOf((*encoding.BinaryMarshaler)(nil)).Elem()
+
+// marshaled reports whether values of the concrete type t travel as their
+// MarshalBinary output. NumMethod first: most types have no methods, and
+// it is far cheaper than Implements.
+func marshaled(t reflect.Type) bool {
+	return t.NumMethod() > 0 && t.Implements(binaryMarshalerType)
+}
 
 // fieldCache maps a struct type to the indices of its exported fields.
 var fieldCache sync.Map // reflect.Type -> []int
@@ -87,69 +94,106 @@ func exportedFields(t reflect.Type) []int {
 	return idx
 }
 
-// MarshalAppend appends the binary encoding of v to dst.
+// kindTag is the tag a top-level value of type t opens with; a pointer
+// takes its element's.
+func kindTag(t reflect.Type) (byte, error) {
+	for t.Kind() == reflect.Pointer {
+		t = t.Elem()
+	}
+	if t.Kind() != reflect.Interface && marshaled(t) {
+		return bMarshaled, nil
+	}
+	switch t.Kind() {
+	case reflect.Bool:
+		return bBool, nil
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return bInt, nil
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		return bUint, nil
+	case reflect.Float32, reflect.Float64:
+		return bFloat, nil
+	case reflect.String:
+		return bString, nil
+	case reflect.Slice:
+		if t.Elem().Kind() == reflect.Uint8 {
+			return bBytes, nil
+		}
+		return bList, nil
+	case reflect.Array:
+		return bList, nil
+	case reflect.Map:
+		return bMap, nil
+	case reflect.Struct:
+		return bStruct, nil
+	}
+	return 0, fmt.Errorf("codec: binary has no encoding for %s", t)
+}
+
+// MarshalAppend appends the binary encoding of v to dst: its kind tag, then
+// its positional encoding. A nil v, or a nil pointer, is bNil alone.
 func (Binary) MarshalAppend(dst []byte, v any) ([]byte, error) {
-	return appendValue(dst, reflect.ValueOf(v), 0)
+	rv := reflect.ValueOf(v)
+	for rv.Kind() == reflect.Pointer && !rv.IsNil() {
+		rv = rv.Elem()
+	}
+	if !rv.IsValid() || rv.Kind() == reflect.Pointer {
+		return append(dst, bNil), nil
+	}
+	tag, err := kindTag(rv.Type())
+	if err != nil {
+		return dst, err
+	}
+	return appendValue(append(dst, tag), rv, 0)
 }
 
 func appendValue(dst []byte, v reflect.Value, depth int) ([]byte, error) {
 	if depth > maxDepth {
 		return dst, errTooDeep
 	}
-	if !v.IsValid() {
-		return append(dst, bNil), nil
-	}
 	t := v.Type()
 	switch v.Kind() {
-	case reflect.Interface, reflect.Pointer:
+	case reflect.Pointer:
 		if v.IsNil() {
-			return append(dst, bNil), nil
+			return append(dst, 0), nil
 		}
-		if v.Kind() == reflect.Pointer && t.Implements(binaryMarshalerType) {
-			return appendMarshaled(dst, v)
-		}
-		return appendValue(dst, v.Elem(), depth+1)
+		return appendValue(append(dst, 1), v.Elem(), depth+1)
+	case reflect.Interface:
+		return dst, fmt.Errorf("codec: binary cannot encode interface value of %s", t)
 	}
-	if t.Implements(binaryMarshalerType) {
-		return appendMarshaled(dst, v)
+	if marshaled(t) {
+		data, err := v.Interface().(encoding.BinaryMarshaler).MarshalBinary()
+		if err != nil {
+			return dst, fmt.Errorf("codec: binary marshal %s: %w", t, err)
+		}
+		dst = binary.AppendUvarint(dst, uint64(len(data)))
+		return append(dst, data...), nil
 	}
 	switch v.Kind() {
 	case reflect.Bool:
 		if v.Bool() {
-			return append(dst, bTrue), nil
+			return append(dst, 1), nil
 		}
-		return append(dst, bFalse), nil
+		return append(dst, 0), nil
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		dst = append(dst, bInt)
 		return binary.AppendVarint(dst, v.Int()), nil
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		dst = append(dst, bUint)
 		return binary.AppendUvarint(dst, v.Uint()), nil
 	case reflect.Float32, reflect.Float64:
-		dst = append(dst, bFloat)
 		return binary.BigEndian.AppendUint64(dst, math.Float64bits(v.Float())), nil
 	case reflect.String:
-		s := v.String()
-		if out, ok := appendHex(dst, s); ok {
-			return out, nil
-		}
-		dst = append(dst, bString)
-		dst = binary.AppendUvarint(dst, uint64(len(s)))
-		return append(dst, s...), nil
+		return appendString(dst, v.String()), nil
 	case reflect.Slice:
 		if v.IsNil() {
-			return append(dst, bNil), nil // a nil list decodes back to nil, not empty
+			return append(dst, 0), nil // nil decodes back to nil, not empty
 		}
 		if t.Elem().Kind() == reflect.Uint8 {
-			dst = append(dst, bBytes)
-			dst = binary.AppendUvarint(dst, uint64(v.Len()))
+			dst = binary.AppendUvarint(dst, uint64(v.Len())+1)
 			return append(dst, v.Bytes()...), nil
 		}
 		fallthrough
 	case reflect.Array:
 		n := v.Len()
-		dst = append(dst, bList)
-		dst = binary.AppendUvarint(dst, uint64(n))
+		dst = binary.AppendUvarint(dst, uint64(n)+1)
 		var err error
 		for i := 0; i < n; i++ {
 			if dst, err = appendValue(dst, v.Index(i), depth+1); err != nil {
@@ -159,10 +203,9 @@ func appendValue(dst []byte, v reflect.Value, depth int) ([]byte, error) {
 		return dst, nil
 	case reflect.Map:
 		if v.IsNil() {
-			return append(dst, bNil), nil
+			return append(dst, 0), nil
 		}
-		dst = append(dst, bMap)
-		dst = binary.AppendUvarint(dst, uint64(v.Len()))
+		dst = binary.AppendUvarint(dst, uint64(v.Len())+1)
 		iter := v.MapRange()
 		var err error
 		for iter.Next() {
@@ -179,11 +222,10 @@ func appendValue(dst []byte, v reflect.Value, depth int) ([]byte, error) {
 		for len(fields) > 0 && v.Field(fields[len(fields)-1]).IsZero() {
 			fields = fields[:len(fields)-1] // the decoder zero-fills them
 		}
-		dst = append(dst, bStruct)
 		dst = binary.AppendUvarint(dst, uint64(len(fields)))
+		var err error
 		for _, fi := range fields {
-			var err error
-			if dst, err = appendLengthPrefixed(dst, v.Field(fi), depth+1); err != nil {
+			if dst, err = appendValue(dst, v.Field(fi), depth+1); err != nil {
 				return dst, err
 			}
 		}
@@ -193,17 +235,25 @@ func appendValue(dst []byte, v reflect.Value, depth int) ([]byte, error) {
 	}
 }
 
-// appendHex encodes s under bHex if it is non-empty, even-length lowercase
-// hex — the ids, fingerprints and checksums every commit carries — decoding
-// the pairs straight into dst. Otherwise it reports false and leaves dst's
-// length as it was.
+// appendString writes s as uvarint(len<<1) + s, or as a hex string.
+func appendString(dst []byte, s string) []byte {
+	if out, ok := appendHex(dst, s); ok {
+		return out
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(s))<<1)
+	return append(dst, s...)
+}
+
+// appendHex writes s as uvarint(len/2<<1 | 1) + the bytes its pairs spell
+// if it is non-empty, even-length lowercase hex — the ids, fingerprints and
+// checksums every commit carries. Otherwise it reports false and leaves
+// dst's length as it was.
 func appendHex(dst []byte, s string) ([]byte, bool) {
 	if len(s) == 0 || len(s)%2 != 0 {
 		return dst, false
 	}
 	start := len(dst)
-	dst = append(dst, bHex)
-	dst = binary.AppendUvarint(dst, uint64(len(s)/2))
+	dst = binary.AppendUvarint(dst, uint64(len(s)/2)<<1|1)
 	for i := 0; i < len(s); i += 2 {
 		hi, lo := unhex[s[i]], unhex[s[i+1]]
 		if hi|lo > 0xf {
@@ -232,51 +282,38 @@ func hexString(raw []byte) string {
 	return string(hex.AppendEncode(tmp[:0], raw))
 }
 
-// appendLengthPrefixed encodes v prefixed by its byte length. Field
-// encodings are almost always under 128 bytes, so a single placeholder byte
-// is reserved and patched in place; longer encodings shift right to make
-// room for the wider varint.
-func appendLengthPrefixed(dst []byte, v reflect.Value, depth int) ([]byte, error) {
-	lenPos := len(dst)
-	dst = append(dst, 0)
-	start := len(dst)
-	dst, err := appendValue(dst, v, depth)
-	if err != nil {
-		return dst, err
-	}
-	n := len(dst) - start
-	if n < 0x80 {
-		dst[lenPos] = byte(n)
-		return dst, nil
-	}
-	var tmp [binary.MaxVarintLen64]byte
-	w := binary.PutUvarint(tmp[:], uint64(n))
-	dst = append(dst, tmp[1:w]...) // grow by the extra varint width
-	copy(dst[start+w-1:], dst[start:start+n])
-	copy(dst[lenPos:], tmp[:w])
-	return dst, nil
-}
-
-func appendMarshaled(dst []byte, v reflect.Value) ([]byte, error) {
-	data, err := v.Interface().(encoding.BinaryMarshaler).MarshalBinary()
-	if err != nil {
-		return dst, fmt.Errorf("codec: binary marshal %s: %w", v.Type(), err)
-	}
-	dst = append(dst, bMarshaled)
-	dst = binary.AppendUvarint(dst, uint64(len(data)))
-	return append(dst, data...), nil
-}
-
-// Unmarshal decodes binary data into v, which must be a non-nil pointer.
-// Decoded values never alias data.
+// Unmarshal decodes binary data into v, which must be a non-nil pointer to
+// a value of the kind data was encoded from. Decoded values never alias
+// data.
 func (Binary) Unmarshal(data []byte, v any) error {
 	rv := reflect.ValueOf(v)
 	if rv.Kind() != reflect.Pointer || rv.IsNil() {
 		return errors.New("codec: binary unmarshal target must be a non-nil pointer")
 	}
-	rest, err := decodeValue(data, rv.Elem(), 0)
+	if len(data) == 0 {
+		return errShortValue
+	}
+	target := rv.Elem()
+	want, err := kindTag(target.Type())
 	if err != nil {
 		return err
+	}
+	rest := data[1:]
+	switch data[0] {
+	case bNil:
+		target.Set(reflect.Zero(target.Type()))
+	case want:
+		for target.Kind() == reflect.Pointer {
+			if target.IsNil() {
+				target.Set(reflect.New(target.Type().Elem()))
+			}
+			target = target.Elem()
+		}
+		if rest, err = decodeValue(rest, target, 0); err != nil {
+			return err
+		}
+	default:
+		return fmt.Errorf("codec: binary tag %d cannot decode into %s", data[0], target.Type())
 	}
 	if len(rest) != 0 {
 		return fmt.Errorf("codec: %d trailing bytes after binary value", len(rest))
@@ -295,194 +332,137 @@ func uvarint(data []byte) (uint64, []byte, error) {
 	return x, data[n:], nil
 }
 
-// lengthPrefix reads a uvarint length and checks it against the remaining
-// input, so corrupt lengths fail before any allocation sized by them.
-func lengthPrefix(data []byte) (int, []byte, error) {
-	x, rest, err := uvarint(data)
-	if err != nil {
-		return 0, nil, err
-	}
+// bounded checks a length or count against the remaining input, so a
+// corrupt one fails before any allocation sized by it.
+func bounded(x uint64, rest []byte) (int, error) {
 	if x > uint64(len(rest)) {
-		return 0, nil, fmt.Errorf("codec: binary length %d exceeds %d remaining bytes", x, len(rest))
+		return 0, fmt.Errorf("codec: binary length %d exceeds %d remaining bytes", x, len(rest))
 	}
-	return int(x), rest, nil
+	return int(x), nil
+}
+
+// count reads uvarint(count+1) and returns -1 for nil. Every value takes
+// at least one byte, so count is bounded by the bytes left.
+func count(data []byte) (int, []byte, error) {
+	x, rest, err := uvarint(data)
+	if err != nil || x == 0 {
+		return -1, rest, err
+	}
+	n, err := bounded(x-1, rest)
+	return n, rest, err
 }
 
 func decodeValue(data []byte, v reflect.Value, depth int) ([]byte, error) {
-	if len(data) == 0 {
-		return nil, errShortValue
-	}
-	return decodeTagged(data[0], data[1:], v, depth)
-}
-
-func decodeTagged(tag byte, data []byte, v reflect.Value, depth int) ([]byte, error) {
 	if depth > maxDepth {
 		return nil, errTooDeep
 	}
+	if len(data) == 0 {
+		return nil, errShortValue
+	}
 	t := v.Type()
-	if tag == bNil {
-		v.Set(reflect.Zero(t))
-		return data, nil
+	switch v.Kind() {
+	case reflect.Pointer:
+		switch data[0] {
+		case 0:
+			v.Set(reflect.Zero(t))
+			return data[1:], nil
+		case 1:
+			if v.IsNil() {
+				v.Set(reflect.New(t.Elem()))
+			}
+			return decodeValue(data[1:], v.Elem(), depth+1)
+		}
+		return nil, fmt.Errorf("codec: presence byte %d for %s", data[0], t)
+	case reflect.Interface:
+		return nil, fmt.Errorf("codec: binary cannot decode into interface %s", t)
 	}
-	if v.Kind() == reflect.Pointer {
-		if v.IsNil() {
-			v.Set(reflect.New(t.Elem()))
-		}
-		if tag == bMarshaled && t.Implements(binaryUnmarshalerType) {
-			return decodeMarshaled(data, v)
-		}
-		return decodeTagged(tag, data, v.Elem(), depth+1)
+	if marshaled(t) {
+		return decodeMarshaled(data, v)
 	}
-	if tag == bMarshaled {
-		if v.CanAddr() && reflect.PointerTo(t).Implements(binaryUnmarshalerType) {
-			return decodeMarshaled(data, v.Addr())
+	switch v.Kind() {
+	case reflect.Bool:
+		if data[0] > 1 {
+			return nil, fmt.Errorf("codec: bool byte %d", data[0])
 		}
-		return nil, fmt.Errorf("codec: cannot decode marshaled value into %s", t)
-	}
-	if v.Kind() == reflect.Interface {
-		if t.NumMethod() != 0 {
-			return nil, fmt.Errorf("codec: cannot decode into non-empty interface %s", t)
+		v.SetBool(data[0] == 1)
+		return data[1:], nil
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		i, n := binary.Varint(data)
+		if n <= 0 {
+			return nil, fmt.Errorf("codec: malformed varint: %w", errShortValue)
 		}
-		g, rest, err := decodeGeneric(tag, data, depth)
+		if v.OverflowInt(i) {
+			return nil, fmt.Errorf("codec: %d overflows %s", i, t)
+		}
+		v.SetInt(i)
+		return data[n:], nil
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		u, rest, err := uvarint(data)
 		if err != nil {
 			return nil, err
 		}
-		v.Set(reflect.ValueOf(g))
-		return rest, nil
-	}
-
-	switch tag {
-	case bFalse, bTrue:
-		if v.Kind() != reflect.Bool {
-			return nil, decodeMismatch(tag, t)
+		if v.OverflowUint(u) {
+			return nil, fmt.Errorf("codec: %d overflows %s", u, t)
 		}
-		v.SetBool(tag == bTrue)
-		return data, nil
-	case bInt, bUint:
-		return decodeNumeric(tag, data, v)
-	case bFloat:
+		v.SetUint(u)
+		return rest, nil
+	case reflect.Float32, reflect.Float64:
 		if len(data) < 8 {
 			return nil, errShortValue
 		}
 		f := math.Float64frombits(binary.BigEndian.Uint64(data))
-		switch v.Kind() {
-		case reflect.Float32, reflect.Float64:
-			v.SetFloat(f)
-		default:
-			return nil, decodeMismatch(tag, t)
+		if f == 0 {
+			f = 0 // -0 is reflect-zero, so a trailing one would not be sent
 		}
+		v.SetFloat(f)
 		return data[8:], nil
-	case bString, bBytes, bHex:
-		n, rest, err := lengthPrefix(data)
+	case reflect.String:
+		x, rest, err := uvarint(data)
 		if err != nil {
 			return nil, err
 		}
-		raw, rest := rest[:n], rest[n:]
-		switch {
-		case v.Kind() == reflect.String && tag == bHex:
-			v.SetString(hexString(raw))
-		case v.Kind() == reflect.String:
-			v.SetString(string(raw))
-		case tag == bHex:
-			return nil, decodeMismatch(tag, t)
-		case v.Kind() == reflect.Slice && t.Elem().Kind() == reflect.Uint8:
-			v.SetBytes(append([]byte(nil), raw...))
-		case v.Kind() == reflect.Array && t.Elem().Kind() == reflect.Uint8:
-			if n != v.Len() {
-				return nil, fmt.Errorf("codec: %d bytes into [%d]byte", n, v.Len())
-			}
-			reflect.Copy(v, reflect.ValueOf(raw))
-		default:
-			return nil, decodeMismatch(tag, t)
+		n, err := bounded(x>>1, rest)
+		if err != nil {
+			return nil, err
 		}
-		return rest, nil
-	case bList:
+		if x&1 == 1 {
+			v.SetString(hexString(rest[:n]))
+		} else {
+			v.SetString(string(rest[:n]))
+		}
+		return rest[n:], nil
+	case reflect.Slice, reflect.Array:
 		return decodeList(data, v, depth)
-	case bMap:
+	case reflect.Map:
 		return decodeMap(data, v, depth)
-	case bStruct:
+	case reflect.Struct:
 		return decodeStruct(data, v, depth)
 	default:
-		return nil, fmt.Errorf("codec: unknown binary tag %d", tag)
+		return nil, fmt.Errorf("codec: binary cannot decode into %s", t)
 	}
-}
-
-func decodeMismatch(tag byte, t reflect.Type) error {
-	return fmt.Errorf("codec: binary tag %d cannot decode into %s", tag, t)
-}
-
-// decodeNumeric handles the int/uint tags with lenient cross-decoding: an
-// encoder that widened or re-signed a field stays readable as long as the
-// value fits the target.
-func decodeNumeric(tag byte, data []byte, v reflect.Value) ([]byte, error) {
-	var (
-		i    int64
-		u    uint64
-		rest []byte
-	)
-	if tag == bInt {
-		var n int
-		i, n = binary.Varint(data)
-		if n <= 0 {
-			return nil, fmt.Errorf("codec: malformed varint: %w", errShortValue)
-		}
-		rest = data[n:]
-		u = uint64(i)
-	} else {
-		var err error
-		u, rest, err = uvarint(data)
-		if err != nil {
-			return nil, err
-		}
-		i = int64(u)
-	}
-	switch v.Kind() {
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		if tag == bUint && u > math.MaxInt64 {
-			return nil, fmt.Errorf("codec: %d overflows %s", u, v.Type())
-		}
-		if v.OverflowInt(i) {
-			return nil, fmt.Errorf("codec: %d overflows %s", i, v.Type())
-		}
-		v.SetInt(i)
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		if tag == bInt && i < 0 {
-			return nil, fmt.Errorf("codec: %d into unsigned %s", i, v.Type())
-		}
-		if v.OverflowUint(u) {
-			return nil, fmt.Errorf("codec: %d overflows %s", u, v.Type())
-		}
-		v.SetUint(u)
-	case reflect.Float32, reflect.Float64:
-		if tag == bInt {
-			v.SetFloat(float64(i))
-		} else {
-			v.SetFloat(float64(u))
-		}
-	default:
-		return nil, decodeMismatch(tag, v.Type())
-	}
-	return rest, nil
 }
 
 func decodeList(data []byte, v reflect.Value, depth int) ([]byte, error) {
-	count, data, err := lengthPrefix(data) // each element is >= 1 byte
+	n, data, err := count(data)
 	if err != nil {
 		return nil, err
 	}
 	t := v.Type()
-	switch v.Kind() {
-	case reflect.Slice:
-		v.Set(reflect.MakeSlice(t, count, count))
-	case reflect.Array:
-		if count > v.Len() {
-			return nil, fmt.Errorf("codec: %d elements into %s", count, t)
+	switch {
+	case v.Kind() == reflect.Array:
+		if n != v.Len() {
+			return nil, fmt.Errorf("codec: %d elements into %s", n, t)
 		}
+	case n < 0:
 		v.Set(reflect.Zero(t))
+		return data, nil
+	case t.Elem().Kind() == reflect.Uint8:
+		v.SetBytes(append([]byte{}, data[:n]...))
+		return data[n:], nil
 	default:
-		return nil, decodeMismatch(bList, t)
+		v.Set(reflect.MakeSlice(t, n, n))
 	}
-	for i := 0; i < count; i++ {
+	for i := 0; i < n; i++ {
 		if data, err = decodeValue(data, v.Index(i), depth+1); err != nil {
 			return nil, err
 		}
@@ -491,18 +471,21 @@ func decodeList(data []byte, v reflect.Value, depth int) ([]byte, error) {
 }
 
 func decodeMap(data []byte, v reflect.Value, depth int) ([]byte, error) {
-	count, data, err := lengthPrefix(data) // each pair is >= 2 bytes, so count can't exceed len
+	n, data, err := count(data)
 	if err != nil {
 		return nil, err
 	}
 	t := v.Type()
-	if v.Kind() != reflect.Map {
-		return nil, decodeMismatch(bMap, t)
+	if n < 0 {
+		v.Set(reflect.Zero(t))
+		return data, nil
 	}
-	v.Set(reflect.MakeMapWithSize(t, count))
+	v.Set(reflect.MakeMapWithSize(t, n))
 	key := reflect.New(t.Key()).Elem()
 	val := reflect.New(t.Elem()).Elem()
-	for i := 0; i < count; i++ {
+	for i := 0; i < n; i++ {
+		key.SetZero() // a pointer left from the last pair must not be reused
+		val.SetZero()
 		if data, err = decodeValue(data, key, depth+1); err != nil {
 			return nil, err
 		}
@@ -515,164 +498,43 @@ func decodeMap(data []byte, v reflect.Value, depth int) ([]byte, error) {
 }
 
 func decodeStruct(data []byte, v reflect.Value, depth int) ([]byte, error) {
-	count, data, err := lengthPrefix(data)
+	n, data, err := uvarint(data)
 	if err != nil {
 		return nil, err
 	}
 	t := v.Type()
-	if v.Kind() != reflect.Struct {
-		return nil, decodeMismatch(bStruct, t)
-	}
-	v.Set(reflect.Zero(t)) // missing trailing fields decode as zero
 	fields := exportedFields(t)
-	for i := 0; i < count; i++ {
-		var n int
-		if n, data, err = lengthPrefix(data); err != nil {
+	if n > uint64(len(fields)) {
+		return nil, fmt.Errorf("codec: %d fields into %s, which has %d", n, t, len(fields))
+	}
+	v.Set(reflect.Zero(t)) // fields past n decode as zero
+	for _, fi := range fields[:n] {
+		if data, err = decodeValue(data, v.Field(fi), depth+1); err != nil {
 			return nil, err
 		}
-		field, rest := data[:n], data[n:]
-		if i < len(fields) {
-			left, err := decodeValue(field, v.Field(fields[i]), depth+1)
-			if err != nil {
-				return nil, err
-			}
-			if len(left) != 0 {
-				return nil, fmt.Errorf("codec: %d stray bytes inside field %s", len(left), t.Field(fields[i]).Name)
-			}
-		}
-		// Fields beyond the ones this build knows are skipped: that is the
-		// append-only schema-evolution contract.
-		data = rest
 	}
 	return data, nil
 }
 
-func decodeMarshaled(data []byte, ptr reflect.Value) ([]byte, error) {
-	n, rest, err := lengthPrefix(data)
+// decodeMarshaled reads a length-prefixed BinaryMarshaler encoding into
+// the addressable v, whose pointer must implement BinaryUnmarshaler.
+func decodeMarshaled(data []byte, v reflect.Value) ([]byte, error) {
+	x, rest, err := uvarint(data)
 	if err != nil {
 		return nil, err
 	}
-	um := ptr.Interface().(encoding.BinaryUnmarshaler)
+	n, err := bounded(x, rest)
+	if err != nil {
+		return nil, err
+	}
+	um, ok := v.Addr().Interface().(encoding.BinaryUnmarshaler)
+	if !ok {
+		return nil, fmt.Errorf("codec: cannot decode marshaled value into %s", v.Type())
+	}
 	// BinaryUnmarshaler implementations may retain their input; hand over a
 	// copy so the no-aliasing contract holds.
 	if err := um.UnmarshalBinary(append([]byte(nil), rest[:n]...)); err != nil {
-		return nil, fmt.Errorf("codec: binary unmarshal %s: %w", ptr.Type().Elem(), err)
+		return nil, fmt.Errorf("codec: binary unmarshal %s: %w", v.Type(), err)
 	}
 	return rest[n:], nil
-}
-
-// decodeGeneric decodes a value into its natural Go shape for interface{}
-// targets: nil, bool, int64, uint64, float64, string, []byte, []any,
-// map[any]any; struct and marshaled payloads surface as []any and []byte.
-func decodeGeneric(tag byte, data []byte, depth int) (any, []byte, error) {
-	if depth > maxDepth {
-		return nil, nil, errTooDeep
-	}
-	switch tag {
-	case bNil:
-		return nil, data, nil
-	case bFalse:
-		return false, data, nil
-	case bTrue:
-		return true, data, nil
-	case bInt:
-		i, n := binary.Varint(data)
-		if n <= 0 {
-			return nil, nil, fmt.Errorf("codec: malformed varint: %w", errShortValue)
-		}
-		return i, data[n:], nil
-	case bUint:
-		u, rest, err := uvarint(data)
-		return u, rest, err
-	case bFloat:
-		if len(data) < 8 {
-			return nil, nil, errShortValue
-		}
-		return math.Float64frombits(binary.BigEndian.Uint64(data)), data[8:], nil
-	case bString, bHex:
-		n, rest, err := lengthPrefix(data)
-		if err != nil {
-			return nil, nil, err
-		}
-		if tag == bHex {
-			return hexString(rest[:n]), rest[n:], nil
-		}
-		return string(rest[:n]), rest[n:], nil
-	case bBytes, bMarshaled:
-		n, rest, err := lengthPrefix(data)
-		if err != nil {
-			return nil, nil, err
-		}
-		return append([]byte(nil), rest[:n]...), rest[n:], nil
-	case bList:
-		count, rest, err := lengthPrefix(data)
-		if err != nil {
-			return nil, nil, err
-		}
-		out := make([]any, count)
-		for i := range out {
-			if len(rest) == 0 {
-				return nil, nil, errShortValue
-			}
-			if out[i], rest, err = decodeGeneric(rest[0], rest[1:], depth+1); err != nil {
-				return nil, nil, err
-			}
-		}
-		return out, rest, nil
-	case bMap:
-		count, rest, err := lengthPrefix(data)
-		if err != nil {
-			return nil, nil, err
-		}
-		out := make(map[any]any, count)
-		for i := 0; i < count; i++ {
-			var k, v any
-			if len(rest) == 0 {
-				return nil, nil, errShortValue
-			}
-			if k, rest, err = decodeGeneric(rest[0], rest[1:], depth+1); err != nil {
-				return nil, nil, err
-			}
-			if len(rest) == 0 {
-				return nil, nil, errShortValue
-			}
-			if v, rest, err = decodeGeneric(rest[0], rest[1:], depth+1); err != nil {
-				return nil, nil, err
-			}
-			kt := reflect.TypeOf(k)
-			if kt != nil && !kt.Comparable() {
-				return nil, nil, fmt.Errorf("codec: uncomparable generic map key %T", k)
-			}
-			out[k] = v
-		}
-		return out, rest, nil
-	case bStruct:
-		count, rest, err := lengthPrefix(data)
-		if err != nil {
-			return nil, nil, err
-		}
-		out := make([]any, count)
-		for i := range out {
-			var n int
-			if n, rest, err = lengthPrefix(rest); err != nil {
-				return nil, nil, err
-			}
-			field := rest[:n]
-			if len(field) == 0 {
-				return nil, nil, errShortValue
-			}
-			g, left, err := decodeGeneric(field[0], field[1:], depth+1)
-			if err != nil {
-				return nil, nil, err
-			}
-			if len(left) != 0 {
-				return nil, nil, fmt.Errorf("codec: %d stray bytes inside generic field", len(left))
-			}
-			out[i] = g
-			rest = rest[n:]
-		}
-		return out, rest, nil
-	default:
-		return nil, nil, fmt.Errorf("codec: unknown binary tag %d", tag)
-	}
 }

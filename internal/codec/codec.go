@@ -1,11 +1,14 @@
 // Package codec is the one serialization every ObjectMQ envelope, argument
-// and result travels in, and the mq stats reply too: Binary, a compact
-// length-prefixed reflection codec (the paper's Kryo analogue). A string of
-// lowercase hex — the item ids, chunk fingerprints and checksums every
-// commit carries — travels as the raw bytes it spells, half its length, and
-// decodes back to the identical string; every other string travels as is.
-// There is no negotiation and no fallback — a peer still speaking the
-// pre-binary JSON envelope is refused, not translated.
+// and result travels in, and the mq stats reply too: Binary, a positional
+// reflection codec (the paper's Kryo analogue). One kind tag opens the
+// top-level value; below it struct fields travel in declaration order with
+// no tag and no length, and the decoder reads them by the target's type. A
+// string of lowercase hex — the item ids, chunk fingerprints and checksums
+// every commit carries — travels as the raw bytes it spells, half its
+// length, and decodes back to the identical string; every other string
+// travels as is. There is no negotiation, no fallback and no evolution
+// path — a peer still speaking an earlier layout is refused by the wire
+// marker, not translated.
 //
 // # Buffer ownership
 //

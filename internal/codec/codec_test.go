@@ -3,6 +3,7 @@ package codec
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -24,6 +25,7 @@ type conformanceValue struct {
 	List    []string
 	Ints    []int
 	Map     map[string]int
+	PtrMap  map[string]*inner // each value its own pointer after decoding
 	Nested  inner
 	PtrSet  *inner
 	PtrNil  *inner
@@ -53,6 +55,7 @@ func sample() conformanceValue {
 		List:    []string{"a", "", "c"},
 		Ints:    []int{-1, 0, 1 << 40},
 		Map:     map[string]int{"x": 1, "y": -2},
+		PtrMap:  map[string]*inner{"p": {Name: "p", Count: 1}, "q": {Name: "q", Count: 2}},
 		Nested:  inner{Name: "n", Count: 7},
 		PtrSet:  &inner{Name: "p", Count: 9},
 		When:    time.Date(2014, 12, 8, 9, 30, 0, 123456789, time.UTC),
@@ -206,9 +209,10 @@ func TestConformance(t *testing.T) {
 	}
 }
 
-// TestBinarySchemaEvolution exercises the append-only evolution contract:
-// old readers skip unknown trailing fields, new readers zero missing ones.
-func TestBinarySchemaEvolution(t *testing.T) {
+// TestBinaryStructCountRefusedOrZeroFilled pins the positional struct
+// contract, which has no evolution path: an encoding with more fields than
+// its target is refused, and one with fewer zero-fills the target's tail.
+func TestBinaryStructCountRefusedOrZeroFilled(t *testing.T) {
 	type v1 struct {
 		A string
 		B int
@@ -226,11 +230,12 @@ func TestBinarySchemaEvolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	var old v1
-	if err := c.Unmarshal(newData, &old); err != nil {
-		t.Fatalf("old reader rejected new data: %v", err)
+	if err := c.Unmarshal(newData, &old); err == nil {
+		t.Fatalf("4-field encoding decoded into a 2-field struct: %+v", old)
 	}
-	if old.A != "x" || old.B != 2 {
-		t.Fatalf("old reader decoded %+v", old)
+	// The same refusal from hand-built bytes: three fields into inner's two.
+	if err := c.Unmarshal([]byte{bStruct, 3, 2, 'a', 2, 0}, new(inner)); err == nil {
+		t.Fatal("3-field encoding decoded into inner")
 	}
 
 	oldData, err := c.MarshalAppend(nil, v1{A: "y", B: 3})
@@ -239,10 +244,37 @@ func TestBinarySchemaEvolution(t *testing.T) {
 	}
 	newer := v2{C: []string{"stale"}, D: &inner{Name: "stale"}}
 	if err := c.Unmarshal(oldData, &newer); err != nil {
-		t.Fatalf("new reader rejected old data: %v", err)
+		t.Fatalf("2-field encoding refused by a 4-field struct: %v", err)
 	}
 	if newer.A != "y" || newer.B != 3 || newer.C != nil || newer.D != nil {
 		t.Fatalf("missing fields not zeroed: %+v", newer)
+	}
+}
+
+// TestBinaryTopLevelKindMismatchFails pins what the one top-level tag
+// buys: a value never decodes into a target of another kind, where the
+// untagged varints below would silently misread it.
+func TestBinaryTopLevelKindMismatchFails(t *testing.T) {
+	c := Binary{}
+	for _, tc := range []struct {
+		name string
+		in   any
+		into any
+	}{
+		{"int into uint64", 7, new(uint64)},
+		{"uint64 into int", uint64(7), new(int)},
+		{"int into float64", 7, new(float64)},
+		{"string into []byte", "ab", new([]byte)},
+		{"struct into slice", inner{Name: "a"}, new([]inner)},
+		{"slice into map", []string{"a"}, new(map[string]string)},
+	} {
+		data, err := c.MarshalAppend(nil, tc.in)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := c.Unmarshal(data, tc.into); err == nil {
+			t.Errorf("%s: decoded as %v", tc.name, reflect.ValueOf(tc.into).Elem())
+		}
 	}
 }
 
@@ -254,41 +286,68 @@ func TestBinaryMalformed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := map[string][]byte{
-		"empty":            {},
-		"unknown-tag":      {0xEE},
-		"truncated-varint": {bUint, 0x80, 0x80, 0x80},
-		"overlong-varint":  {bUint, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01},
-		"huge-string":      {bString, 0xFF, 0xFF, 0xFF, 0x7F, 'x'},
-		"huge-list":        {bList, 0xFF, 0xFF, 0xFF, 0x7F, bNil},
-		"short-float":      {bFloat, 1, 2, 3},
-		"trailing-bytes":   append(append([]byte(nil), good...), 0x00),
+	type withPtr struct{ P *int }
+	cases := map[string]struct {
+		data []byte
+		into any
+	}{
+		"empty":            {[]byte{}, new(conformanceValue)},
+		"unknown-tag":      {[]byte{0xEE}, new(conformanceValue)},
+		"truncated-varint": {[]byte{bUint, 0x80, 0x80, 0x80}, new(uint64)},
+		"overlong-varint":  {[]byte{bUint, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}, new(uint64)},
+		"int8-overflow":    {[]byte{bInt, 0x80, 0x02}, new(int8)},
+		"huge-string":      {[]byte{bString, 0xFF, 0xFF, 0xFF, 0x7F, 'x'}, new(string)},
+		"huge-list":        {[]byte{bList, 0xFF, 0xFF, 0xFF, 0x7F, 0}, new([]int)},
+		"huge-map":         {[]byte{bMap, 0xFF, 0xFF, 0xFF, 0x7F, 0, 0}, new(map[string]int)},
+		"short-float":      {[]byte{bFloat, 1, 2, 3}, new(float64)},
+		"bad-bool":         {[]byte{bBool, 2}, new(bool)},
+		"bad-presence":     {[]byte{bStruct, 1, 2, 2}, new(withPtr)},
+		"array-length":     {[]byte{bList, 3, 2, 4}, new([3]int)},
+		"trailing-bytes":   {append(append([]byte(nil), good...), 0x00), new(conformanceValue)},
 	}
-	for i := 1; i < len(good); i += 97 {
-		cases["truncated-"+string(rune('a'+i%26))] = good[:i]
+	for i := 1; i < len(good); i += 7 {
+		cases[fmt.Sprintf("truncated-%d", i)] = struct {
+			data []byte
+			into any
+		}{good[:i], new(conformanceValue)}
 	}
-	for name, data := range cases {
-		var out conformanceValue
-		if err := c.Unmarshal(data, &out); err == nil {
+	for name, tc := range cases {
+		if err := c.Unmarshal(tc.data, tc.into); err == nil {
 			t.Errorf("%s: malformed input accepted", name)
 		}
 	}
 }
 
-// TestBinaryGenericDecode covers interface{} targets.
-func TestBinaryGenericDecode(t *testing.T) {
+// TestBinaryRefusesInterfaces pins that interface values have no encoding:
+// no wire type has such a field, and a positional decoder could not tell
+// what an interface held. interface{} targets fail whatever the data, and
+// interface values below the top level fail to encode.
+func TestBinaryRefusesInterfaces(t *testing.T) {
 	c := Binary{}
-	data, err := c.MarshalAppend(nil, []any{int64(-5), "s", true, nil, []byte{1, 2}})
+	data, err := c.MarshalAppend(nil, []string{"s"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out any
-	if err := c.Unmarshal(data, &out); err != nil {
-		t.Fatal(err)
+	if err := c.Unmarshal(data, &out); err == nil {
+		t.Fatalf("decoded into interface{}: %#v", out)
 	}
-	want := []any{int64(-5), "s", true, nil, []byte{1, 2}}
-	if !reflect.DeepEqual(out, want) {
-		t.Fatalf("got %#v want %#v", out, want)
+	var list []any
+	if err := c.Unmarshal(data, &list); err == nil {
+		t.Fatalf("decoded into []interface{}: %#v", list)
+	}
+	type holder struct {
+		Name string
+		V    any
+	}
+	for _, v := range []any{[]any{int64(-5), "s"}, holder{Name: "h", V: 1}, map[string]any{"k": 1}} {
+		if data, err := c.MarshalAppend(nil, v); err == nil {
+			t.Errorf("%T encoded as %x", v, data)
+		}
+	}
+	// The top-level value is always an interface{} argument: that is fine.
+	if _, err := c.MarshalAppend(nil, any(holder{Name: "h"})); err != nil {
+		t.Fatalf("top-level value refused: %v", err)
 	}
 }
 
@@ -304,7 +363,8 @@ func TestBinaryCycleFails(t *testing.T) {
 	}
 }
 
-// TestBinaryLongField exercises the >127-byte length-prefix patch path.
+// TestBinaryLongField round-trips a field over 127 bytes, whose length
+// takes a multi-byte uvarint, followed by another field.
 func TestBinaryLongField(t *testing.T) {
 	type big struct {
 		Blob []byte
@@ -335,9 +395,9 @@ func TestBinaryCompact(t *testing.T) {
 	}
 }
 
-// TestBinaryTrailingZeroFields pins the encoder's half of the append-only
-// contract: exported fields after the last non-zero one are not sent, and
-// the decoder reads them back as zero.
+// TestBinaryTrailingZeroFields pins the struct layout: a field count, then
+// the fields up to the last non-zero one, untagged and unframed; the
+// decoder reads the rest back as zero.
 func TestBinaryTrailingZeroFields(t *testing.T) {
 	c := Binary{}
 	t.Run("zero ItemVersion is tag and count", func(t *testing.T) {
@@ -350,9 +410,9 @@ func TestBinaryTrailingZeroFields(t *testing.T) {
 		}
 	})
 	t.Run("non-zero last field keeps every field", func(t *testing.T) {
-		// The bytes every field of inner{"a", 1} encodes to: tag, count 2,
-		// then per field a length and the tagged value.
-		want := []byte{bStruct, 2, 3, bString, 1, 'a', 2, bInt, 2}
+		// inner{"a", 1}: tag, count 2, then the string (uvarint(len<<1),
+		// bytes) and the zigzag int, nothing around either.
+		want := []byte{bStruct, 2, 1 << 1, 'a', 2}
 		data, err := c.MarshalAppend(nil, inner{Name: "a", Count: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -360,7 +420,7 @@ func TestBinaryTrailingZeroFields(t *testing.T) {
 		if !bytes.Equal(data, want) {
 			t.Fatalf("encodes as %x, want %x", data, want)
 		}
-		if data, _ = c.MarshalAppend(nil, inner{Name: "a"}); !bytes.Equal(data, []byte{bStruct, 1, 3, bString, 1, 'a'}) {
+		if data, _ = c.MarshalAppend(nil, inner{Name: "a"}); !bytes.Equal(data, []byte{bStruct, 1, 1 << 1, 'a'}) {
 			t.Fatalf("zero trailing Count still sent: %x", data)
 		}
 	})
@@ -397,9 +457,9 @@ func TestBinaryTrailingZeroFields(t *testing.T) {
 }
 
 // TestBinaryHexStrings pins the hex rule: a non-empty, even-length string
-// of lowercase hex travels as the bytes it spells under bHex, half its
-// size, and decodes back to the identical string into typed and generic
-// targets; every other string keeps bString byte for byte.
+// of lowercase hex travels as the bytes it spells, half its size, under a
+// length with its low bit set, and decodes back to the identical string;
+// every other string keeps its bytes under an even length.
 func TestBinaryHexStrings(t *testing.T) {
 	c := Binary{}
 	sha1Hex := "da39a3ee5e6b4b0d3255bfef95601890afd80709"
@@ -416,22 +476,18 @@ func TestBinaryHexStrings(t *testing.T) {
 			t.Fatalf("%q: %v", tc.s, err)
 		}
 		if tc.hex {
-			if data[0] != bHex || len(data) != 2+len(tc.s)/2 {
-				t.Errorf("%q encodes as %x, want bHex and %d bytes", tc.s, data, 2+len(tc.s)/2)
+			if data[0] != bString || data[1] != byte(len(tc.s)/2<<1|1) || len(data) != 2+len(tc.s)/2 {
+				t.Errorf("%q encodes as %x, want hex bit and %d bytes", tc.s, data, 2+len(tc.s)/2)
 			}
-		} else if want := append([]byte{bString, byte(len(tc.s))}, tc.s...); !bytes.Equal(data, want) {
-			t.Errorf("%q encodes as %x, want bString %x", tc.s, data, want)
+		} else if want := append([]byte{bString, byte(len(tc.s) << 1)}, tc.s...); !bytes.Equal(data, want) {
+			t.Errorf("%q encodes as %x, want %x", tc.s, data, want)
 		}
 		var typed string
 		if err := c.Unmarshal(data, &typed); err != nil || typed != tc.s {
 			t.Errorf("%q decodes into string as %q (%v)", tc.s, typed, err)
 		}
-		var generic any
-		if err := c.Unmarshal(data, &generic); err != nil || generic != any(tc.s) {
-			t.Errorf("%q decodes into any as %#v (%v)", tc.s, generic, err)
-		}
 	}
 	if data, _ := c.MarshalAppend(nil, sha1Hex); len(data) != 22 {
-		t.Fatalf("40-char hex string encodes in %d B, want 22 (42 as bString)", len(data))
+		t.Fatalf("40-char hex string encodes in %d B, want 22 (42 as text)", len(data))
 	}
 }

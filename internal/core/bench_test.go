@@ -78,6 +78,63 @@ func (r notifyRig) deliver(tb testing.TB, i int) []byte {
 	return d.Body
 }
 
+// codecPair is what BenchmarkCodec encodes: a device's one-item, one-chunk
+// commit request and the notification the service sends for it, with ids
+// shaped as the benchmark rig's (w05, w05-d00, f000123.dat, SHA-1 hex).
+func codecPair() (CommitRequest, CommitNotification) {
+	hexSum := func(s string) string { sum := sha1.Sum([]byte(s)); return hex.EncodeToString(sum[:]) }
+	fp := hexSum("f000123.dat#0")
+	item := metastore.ItemVersion{
+		Workspace: "w05", ItemID: hexSum("w05|f000123.dat"), Path: "f000123.dat", Version: 1,
+		Status: metastore.Added, Size: 1024, Chunks: []string{fp}, Checksum: fp, DeviceID: "w05-d00",
+	}
+	req := CommitRequest{Workspace: item.Workspace, DeviceID: item.DeviceID, Items: []metastore.ItemVersion{item}}
+	sent := item
+	sent.Workspace, sent.DeviceID = "", ""
+	return req, CommitNotification{Workspace: item.Workspace, DeviceID: item.DeviceID,
+		Results: []CommitResult{{Committed: true, Item: sent}}}
+}
+
+// BenchmarkCodec is the codec's layer number: the time and allocations to
+// marshal and to unmarshal a commit request and a notification, and their
+// encoded size (body_B/op), without the omq envelope around them.
+func BenchmarkCodec(b *testing.B) {
+	bin := codec.Default()
+	req, notif := codecPair()
+	for _, tc := range []struct {
+		name string
+		in   any
+		out  func() any
+	}{
+		{"request", req, func() any { return new(CommitRequest) }},
+		{"notification", notif, func() any { return new(CommitNotification) }},
+	} {
+		body, err := bin.MarshalAppend(nil, tc.in)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(tc.name+"/marshal", func(b *testing.B) {
+			b.ReportAllocs()
+			buf := make([]byte, 0, 2*len(body))
+			for i := 0; i < b.N; i++ {
+				if buf, err = bin.MarshalAppend(buf[:0], tc.in); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(body)), "body_B/op")
+		})
+		b.Run(tc.name+"/unmarshal", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := bin.Unmarshal(body, tc.out()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(body)), "body_B/op")
+		})
+	}
+}
+
 // BenchmarkNotifyDelivery measures what one device receives per commit: the
 // encoded omq envelope of a one-item, one-chunk NotifyCommit, published by
 // the SyncService's own commit path. B/delivery is the layer number behind
@@ -96,14 +153,14 @@ func BenchmarkNotifyDelivery(b *testing.B) {
 }
 
 // TestNotifyDeliverySize pins BenchmarkNotifyDelivery's number: the
-// notification of a one-item, one-chunk commit is at most 162 B, which
-// holds only while its three SHA-1 hex ids travel as raw bytes (262 B as
-// hex text), its item repeats neither the workspace, the device nor the
-// commit time, and its one-way envelope sends no reply-routing fields
-// (202 B with all three).
+// notification of a one-item, one-chunk commit is at most 125 B, which
+// holds only while the codec is positional (160 B with a tag on every value
+// and a length on every struct field), its three SHA-1 hex ids travel as
+// raw bytes, its item repeats neither the workspace, the device nor the
+// commit time, and its one-way envelope sends no reply-routing fields.
 func TestNotifyDeliverySize(t *testing.T) {
-	if n := len(newNotifyRig(t).deliver(t, 0)); n > 162 {
-		t.Fatalf("one-chunk notification is %d B, want <= 162", n)
+	if n := len(newNotifyRig(t).deliver(t, 0)); n > 125 {
+		t.Fatalf("one-chunk notification is %d B, want <= 125", n)
 	}
 }
 
@@ -114,14 +171,16 @@ func TestNotifyDeliverySize(t *testing.T) {
 func TestNotificationItemsCarryNoWorkspaceDeviceOrTime(t *testing.T) {
 	rig := newNotifyRig(t)
 	body := rig.deliver(t, 0)
-	// The omq request envelope's leading fields; the decoder skips the rest.
+	// The omq request envelope as a one-way call sends it: it ends at its
+	// flag, and a positional decoder refuses a shorter struct.
 	var env struct {
 		Method string
 		Args   [][]byte
+		OneWay bool
 	}
 	bin := codec.Default()
-	if err := bin.Unmarshal(body, &env); err != nil || len(env.Args) != 1 {
-		t.Fatalf("envelope: %v (%d args)", err, len(env.Args))
+	if err := bin.Unmarshal(body, &env); err != nil || len(env.Args) != 1 || !env.OneWay {
+		t.Fatalf("envelope: %v (%d args, one-way %v)", err, len(env.Args), env.OneWay)
 	}
 	var n CommitNotification
 	if err := bin.Unmarshal(env.Args[0], &n); err != nil {

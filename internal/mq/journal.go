@@ -39,8 +39,10 @@ type Journal struct {
 	err      error  // sticky: the first write error, or errJournalClosed
 }
 
-// journalMagic opens every journal file; anything else is refused.
-const journalMagic = "SSMQJNL2"
+// journalMagic opens every journal file; anything else is refused. It
+// names the codec of the envelopes inside too: SSMQJNL2 journals hold
+// envelopes of the tagged codec that preceded the positional one.
+const journalMagic = "SSMQJNL3"
 
 var (
 	errJournalClosed = errors.New("mq: journal closed")
@@ -311,7 +313,7 @@ func replayJournal(b *Broker, path string) (map[uint64]*livePub, error) {
 	r := bufio.NewReaderSize(f, 64<<10)
 	magic := make([]byte, len(journalMagic))
 	if n, _ := io.ReadFull(r, magic); string(magic[:n]) != journalMagic[:n] {
-		return nil, fmt.Errorf("mq: %s is not a broker journal: no %q header (JSON-lines journals of earlier versions are not read)", path, journalMagic)
+		return nil, fmt.Errorf("mq: %s is not a broker journal: no %q header (earlier formats, SSMQJNL2 and JSON-lines journals, are not read)", path, journalMagic)
 	} else if n < len(magic) {
 		return nil, nil // crashed while creating the file
 	}

@@ -602,6 +602,31 @@ func TestRecoverRefusesOtherFormats(t *testing.T) {
 	}
 }
 
+// TestRecoverRefusesTaggedCodecJournal: a journal whose header is the
+// previous magic, SSMQJNL2, holds envelopes in the tagged codec that this
+// build cannot decode, so recovery refuses it whole rather than replaying
+// messages no consumer could read.
+func TestRecoverRefusesTaggedCodecJournal(t *testing.T) {
+	path := journalPath(t)
+	b := newJournaledBroker(t, path)
+	mustDeclare(t, b, "q")
+	mustPublish(t, b, "", "q", "m1")
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	old := append([]byte("SSMQJNL2"), journalBytes(t, path)[len(journalMagic):]...)
+	path = writeJournalFile(t, old)
+	if b2, err := RecoverBroker(path); err == nil {
+		_ = b2.Close()
+		t.Fatal("SSMQJNL2 journal replayed")
+	} else if !strings.Contains(err.Error(), "SSMQJNL2") {
+		t.Fatalf("refusal %q does not name the old format", err)
+	}
+	if !bytes.Equal(journalBytes(t, path), old) {
+		t.Fatal("refused journal was modified")
+	}
+}
+
 // TestRecoveryCompactsJournal: file size follows live state, not history.
 func TestRecoveryCompactsJournal(t *testing.T) {
 	path := journalPath(t)

@@ -182,9 +182,13 @@ var (
 
 // frameSlack bounds what a publish or deliver frame adds to a message's
 // body, id and headers: op, consumer id, delivery tag, redelivery count,
-// field ids and lengths. A consumer id longer than the slack leaves it to
-// the server's writer, which drops the one frame.
+// field ids and lengths.
 const frameSlack = 512
+
+// maxConsumerID bounds the consumer id a subscription may name. Every
+// deliver frame carries it, so this bound, well under frameSlack, is what
+// keeps the deliver frame of any message that passed checkFits writable.
+const maxConsumerID = 128
 
 // checkFits returns ErrTooLarge when msg's frame could exceed
 // wire.MaxFrameSize.

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"stacksync/internal/mq"
-	"stacksync/internal/obs"
 	"stacksync/internal/omq"
 	"stacksync/internal/wire"
 )
@@ -20,19 +19,17 @@ func (blob) Bytes(n int) []byte { return make([]byte, n) }
 
 // TestNetworkOversizeReplyFailsOneCall: a reply too large for one frame
 // fails its own call with mq.ErrTooLarge, and the connection it would have
-// shared keeps serving: the next call on the same mq.Client succeeds. A
-// frame that still gets past the publish check (a delivery to a consumer
-// id longer than the broker's slack, which it cannot know at publish) is
-// dropped alone by the server's writer: the connection answers the next
-// ping, and the consumer's prefetch slot is free for the next message.
+// shared keeps serving: the next call on the same mq.Client succeeds. The
+// one part of a deliver frame the broker cannot see at publish, the
+// consumer id, is bounded at subscribe: a longer id is refused with
+// OpError on a connection that keeps serving, and the largest body the
+// publish check accepts reaches a consumer whose id is at the bound.
 func TestNetworkOversizeReplyFailsOneCall(t *testing.T) {
 	inner := mq.NewBroker()
 	srv, err := mq.NewServer(inner, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	srv.Register(reg)
 	// The service sits beside the broker, as deploy puts it; the caller
 	// dials in.
 	server, err := omq.NewBroker(inner)
@@ -90,19 +87,22 @@ func TestNetworkOversizeReplyFailsOneCall(t *testing.T) {
 	if err := inner.DeclareQueue("big"); err != nil {
 		t.Fatal(err)
 	}
-	roundTrip(&wire.Frame{Op: wire.OpSubscribe, Seq: 1, Queue: "big", ConsumerID: strings.Repeat("c", 4096), Prefetch: 1}, wire.OpOK)
-	if err := inner.Publish("", "big", mq.Message{Body: make([]byte, wire.MaxFrameSize-1024)}); err != nil {
-		t.Fatalf("a body within the publish bound was refused: %v", err)
+	refused := roundTrip(&wire.Frame{Op: wire.OpSubscribe, Seq: 1, Queue: "big", ConsumerID: strings.Repeat("c", 129), Prefetch: 1}, wire.OpError)
+	if !strings.Contains(refused.Err, "consumer id") {
+		t.Fatalf("refusal %q does not name the consumer id", refused.Err)
 	}
 	roundTrip(&wire.Frame{Op: wire.OpPing, Seq: 2}, wire.OpPong)
-	if n, _ := reg.GaugeValue("mq_server_dropped_frames_total"); n != 1 {
-		t.Fatalf("mq_server_dropped_frames_total = %v, want 1", n)
+	roundTrip(&wire.Frame{Op: wire.OpSubscribe, Seq: 3, Queue: "big", ConsumerID: strings.Repeat("c", 128), Prefetch: 1}, wire.OpOK)
+	largest := make([]byte, wire.MaxFrameSize-512) // all the publish check leaves
+	if err := inner.Publish("", "big", mq.Message{Body: largest}); err != nil {
+		t.Fatalf("a body within the publish bound was refused: %v", err)
 	}
-	if err := inner.Publish("", "big", mq.Message{Body: []byte("small")}); err != nil {
-		t.Fatal(err)
+	if err := inner.Publish("", "big", mq.Message{Body: append(largest, 0)}); !errors.Is(err, mq.ErrTooLarge) {
+		t.Fatalf("a body over the publish bound: err = %v, want mq.ErrTooLarge", err)
 	}
 	d, err := r.Read()
-	if err != nil || d.Op != wire.OpDeliver || string(d.Body) != "small" {
-		t.Fatalf("after the dropped frame: %+v, err = %v, want the small delivery", d, err)
+	if err != nil || d.Op != wire.OpDeliver || len(d.Body) != len(largest) {
+		t.Fatalf("largest delivery: %v, err = %v", d.Op, err)
 	}
+	roundTrip(&wire.Frame{Op: wire.OpPing, Seq: 4}, wire.OpPong)
 }

@@ -1,7 +1,6 @@
 package mq
 
 import (
-	"errors"
 	"fmt"
 	"log"
 	"net"
@@ -30,8 +29,7 @@ type Server struct {
 
 	// writes counts the connection writes that succeeded, frames the frames
 	// they carried: frames/writes is how many frames one write coalesces.
-	// dropped counts frames too large to write, dropped alone.
-	writes, frames, dropped atomic.Uint64
+	writes, frames atomic.Uint64
 }
 
 // NewServer starts serving broker on the given address ("127.0.0.1:0" picks
@@ -55,12 +53,11 @@ func NewServer(broker *Broker, addr string) (*Server, error) {
 // Addr returns the listening address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Register exposes the write counters on reg as mq_server_writes_total,
-// mq_server_frames_total and mq_server_dropped_frames_total.
+// Register exposes the write counters on reg as mq_server_writes_total and
+// mq_server_frames_total.
 func (s *Server) Register(reg *obs.Registry) {
 	reg.GaugeFunc("mq_server_writes_total", func() float64 { return float64(s.writes.Load()) })
 	reg.GaugeFunc("mq_server_frames_total", func() float64 { return float64(s.frames.Load()) })
-	reg.GaugeFunc("mq_server_dropped_frames_total", func() float64 { return float64(s.dropped.Load()) })
 }
 
 // Close stops accepting, closes all connections and waits for handlers.
@@ -197,7 +194,10 @@ func (c *serverConn) serve() {
 }
 
 // writeLoop sends everything queued since its last write as one
-// scatter/gather write per wake, until cleanup stops it.
+// scatter/gather write per wake, until cleanup stops it. A failed write
+// closes the connection. No delivery can fail for its size: the broker
+// refuses an oversize message at publish (ErrTooLarge), and subscribe
+// bounds the consumer id every deliver frame adds to it.
 func (c *serverConn) writeLoop() {
 	w := wire.NewWriter(c.conn)
 	var batch []wire.Frame
@@ -212,44 +212,15 @@ func (c *serverConn) writeLoop() {
 			continue
 		}
 		err := w.WriteBatch(batch)
-		if errors.Is(err, wire.ErrFrameTooLarge) {
-			err = c.writeEach(w, batch)
-		} else if err == nil {
+		if err == nil {
 			c.srv.writes.Add(1)
 			c.srv.frames.Add(uint64(len(batch)))
-		}
-		if err != nil {
+		} else {
 			// The read loop will notice the broken connection and clean up.
 			_ = c.conn.Close()
 		}
 		clear(batch) // drop body and header references
 	}
-}
-
-// writeEach sends batch one frame at a time, after WriteBatch refused it
-// for a frame too large to write. That frame alone is dropped and counted,
-// and a dropped delivery is settled without requeue, so it frees its
-// consumer's prefetch slot instead of coming back. The broker refuses such
-// messages at publish (ErrTooLarge), so this is a defence: one undeliverable
-// frame never costs the connection and the frames that share it.
-func (c *serverConn) writeEach(w *wire.Writer, batch []wire.Frame) error {
-	for i := range batch {
-		f := &batch[i]
-		err := w.Write(f)
-		switch {
-		case errors.Is(err, wire.ErrFrameTooLarge):
-			c.srv.dropped.Add(1)
-			if f.Op == wire.OpDeliver {
-				c.settle(&wire.Frame{Op: wire.OpNack, DeliveryID: f.DeliveryID})
-			}
-		case err != nil:
-			return err
-		default:
-			c.srv.writes.Add(1)
-			c.srv.frames.Add(1)
-		}
-	}
-	return nil
 }
 
 // cleanup cancels this connection's consumers, which requeues every
@@ -343,6 +314,9 @@ func (c *serverConn) handle(f *wire.Frame) error {
 }
 
 func (c *serverConn) subscribe(f *wire.Frame) error {
+	if len(f.ConsumerID) > maxConsumerID {
+		return fmt.Errorf("mq: consumer id of %d B, over the %d B bound", len(f.ConsumerID), maxConsumerID)
+	}
 	c.mu.Lock()
 	_, exists := c.subs[f.ConsumerID]
 	c.mu.Unlock()

@@ -265,8 +265,8 @@ func TestCodecHeaderStamping(t *testing.T) {
 
 // TestOneWayEnvelopeEndsAtFlag pins the size of a one-way call: the
 // envelope of Async("Fire", 1) is its method, its one argument and the
-// one-way flag, 18 B, with no empty reply-routing fields behind the flag
-// (27 B when CorrelationID, ReplyTo and RequestID preceded it). A sync
+// one-way flag, 12 B, with no empty reply-routing fields behind the flag
+// (15 B when CorrelationID, ReplyTo and RequestID preceded it). A sync
 // call still sends all three: TestRetriedErrorIsDeduplicated needs
 // RequestID.
 func TestOneWayEnvelopeEndsAtFlag(t *testing.T) {
@@ -291,8 +291,8 @@ func TestOneWayEnvelopeEndsAtFlag(t *testing.T) {
 	select {
 	case d := <-sub.Deliveries():
 		_ = d.Ack()
-		if len(d.Body) != 18 {
-			t.Fatalf("one-way envelope is %d B, want 18", len(d.Body))
+		if len(d.Body) != 12 {
+			t.Fatalf("one-way envelope is %d B, want 12", len(d.Body))
 		}
 		req, err := decodeRequest(d.Body)
 		if err != nil {
@@ -303,5 +303,35 @@ func TestOneWayEnvelopeEndsAtFlag(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("no publish observed")
+	}
+}
+
+// versions is a remote object whose method takes and returns a uint64.
+type versions struct{}
+
+func (versions) Next(v uint64) uint64 { return v + 1 }
+
+// TestArgumentKindMismatchFails pins the codec's top-level kind tag at the
+// RPC boundary: an int passed where the handler takes a uint64, or a uint64
+// reply read into an int, is an error, never a number misread from an
+// untagged varint. Typed the same on both sides, the call succeeds.
+func TestArgumentKindMismatchFails(t *testing.T) {
+	server, client := twoBrokers(t)
+	if _, err := server.Bind("versions", versions{}); err != nil {
+		t.Fatal(err)
+	}
+	p := client.Lookup("versions", WithTimeout(5*time.Second), WithRetries(1))
+	var next uint64
+	err := p.Call("Next", &next, 41)
+	var remote *RemoteError
+	if !errors.As(err, &remote) || next != 0 {
+		t.Fatalf("int argument for a uint64 parameter: next = %d, err = %v, want a remote error", next, err)
+	}
+	var asInt int
+	if err := p.Call("Next", &asInt, uint64(41)); err == nil {
+		t.Fatalf("uint64 reply decoded into an int: %d", asInt)
+	}
+	if err := p.Call("Next", &next, uint64(41)); err != nil || next != 42 {
+		t.Fatalf("typed call: next = %d, err = %v", next, err)
 	}
 }

@@ -13,12 +13,14 @@ import (
 	"stacksync/internal/codec"
 	"stacksync/internal/core"
 	"stacksync/internal/metastore"
+	"stacksync/internal/mq"
 	"stacksync/internal/omq"
 )
 
 // FuzzBinaryCodec feeds arbitrary bytes to codec.Binary.Unmarshal for every
-// type an omq server or client decodes off the wire: the request and
-// response envelopes and the SyncService's commit request and notification.
+// type a server or client decodes off the wire: the omq request and
+// response envelopes, the SyncService's commit request, notification,
+// changes reply and workspace list, and the mq stats reply.
 // Nothing may panic, and whatever decodes must re-encode and decode back to
 // the same value and the same bytes — a corrupt or hostile peer gets an
 // error, never a crash or a value that drifts on relay.
@@ -43,6 +45,9 @@ func FuzzBinaryCodec(f *testing.F) {
 	// or commit time.
 	trimmed := hexItem
 	trimmed.Workspace, trimmed.DeviceID, trimmed.CommittedAt = "", "", time.Time{}
+	// A log tail's tombstone: the deleted version keeps its key, no chunks.
+	tombstone := hexItem
+	tombstone.Version, tombstone.Status, tombstone.Size, tombstone.Chunks, tombstone.Checksum = 4, metastore.Deleted, 0, nil, ""
 	for _, v := range []any{
 		core.CommitRequest{Workspace: "ws-1", DeviceID: "dev-1", Items: []metastore.ItemVersion{item}},
 		core.CommitRequest{Workspace: "ws-1", DeviceID: "dev-1", Items: []metastore.ItemVersion{proposal}},
@@ -59,6 +64,10 @@ func FuzzBinaryCodec(f *testing.F) {
 		omq.Request{Method: "NotifyCommit", Args: [][]byte{{1, 2}}, OneWay: true}, // ends at its flag
 		omq.Request{Method: "GetChangesSince", Args: [][]byte{{1, 2}}, CorrelationID: "c", ReplyTo: "r", RequestID: "q"},
 		omq.Response{CorrelationID: "c", Result: []byte{3}, Err: "boom", From: "svc-0"},
+		core.ChangesReply{Workspace: "ws-1", Version: 9, Full: true, Items: []metastore.ItemVersion{item, hexItem, nearMiss}},
+		core.ChangesReply{Workspace: "ws-1", Since: 3, Version: 4, Items: []metastore.ItemVersion{tombstone}}, // a tail
+		[]metastore.Workspace{{ID: "ws-1", Owner: "u1", Members: []string{"u1", "u2"}}, {ID: "ws-2", Owner: "u2"}},
+		mq.QueueStats{Name: "syncservice", Depth: 3, Unacked: 1, Consumers: 2, Enqueued: 90, Acked: 86, Redelivered: 1, ArrivalRate: 12.5},
 	} {
 		data, err := bin.MarshalAppend(nil, v)
 		if err != nil {
@@ -77,12 +86,26 @@ func FuzzBinaryCodec(f *testing.F) {
 	}
 	f.Add([]byte(`{"method":"Add","args":["eyJhIjoxfQ=="],"codec":"json"}`)) // pre-binary envelope
 	f.Add([]byte{})
+	// A struct encoding with one field more than its type: the response
+	// envelope's four fields and a fifth. The codec has no evolution path,
+	// so every struct target refuses it.
+	over, err := bin.MarshalAppend(nil, struct{ A, B, C, D, E string }{"c", "r", "e", "f", "x"})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if bin.Unmarshal(over, new(omq.Response)) == nil {
+		f.Fatal("a 5-field struct decoded into the 4-field response envelope")
+	}
+	f.Add(over)
 
 	targets := []func() any{
 		func() any { return new(omq.Request) },
 		func() any { return new(omq.Response) },
 		func() any { return new(core.CommitRequest) },
 		func() any { return new(core.CommitNotification) },
+		func() any { return new(core.ChangesReply) },
+		func() any { return new([]metastore.Workspace) },
+		func() any { return new(mq.QueueStats) },
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, newTarget := range targets {

@@ -34,8 +34,9 @@ func legacyFrame(payload string) []byte {
 // wait for an OpOK to every ack, 0xB3 peers expect every commit result to
 // echo its proposal's key, 0xB4 peers cannot decode hex strings sent as raw
 // bytes, 0xB6 peers declare the RPC envelope's one-way flag after its
-// reply-routing fields. The reader must refuse all four.
-var retiredMarkers = []byte{0xB2, 0xB3, 0xB4, 0xB6}
+// reply-routing fields, 0xB7 peers tag every value and frame every struct
+// field with its length. The reader must refuse all five.
+var retiredMarkers = []byte{0xB2, 0xB3, 0xB4, 0xB6, 0xB7}
 
 // retiredFrame is f in today's encoding under a retired marker.
 func retiredFrame(f *Frame, marker byte) []byte {
@@ -73,6 +74,7 @@ func FuzzFrameCodec(f *testing.F) {
 	f.Add(retiredFrame(&Frame{Op: OpAck, DeliveryID: 3}, 0xB2))                                               // peer awaiting OK to acks
 	f.Add(retiredFrame(&Frame{Op: OpDeliver, ConsumerID: "c1", Queue: "q", DeliveryID: 3}, 0xB3))             // peer expecting echoes
 	f.Add(retiredFrame(&Frame{Op: OpDeliver, ConsumerID: "c1", DeliveryID: 4, Body: []byte{1}}, 0xB4))        // peer sending hex as text
+	f.Add(retiredFrame(&Frame{Op: OpDeliver, ConsumerID: "c1", DeliveryID: 5, Body: []byte{11, 1}}, 0xB7))    // peer tagging every value
 	f.Add([]byte{0, 0, 0})                                                                                    // truncated pre-v2 header
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 'x'})                                                                // over-limit pre-v2 length prefix
 	f.Add([]byte{0, 0, 0, 2, '{', '}', 0, 0, 0})                                                              // pre-v2 empty frame + torn tail

@@ -14,11 +14,12 @@
 // not start with the marker is refused with ErrNotBinary: the
 // 4-byte-length JSON framing of pre-v2 peers, the 0xB2 marker of peers
 // that still wait for an OpOK to each ack, the 0xB3 marker of peers that
-// still expect every commit result to echo its proposal's key, and the
-// 0xB4 marker of peers whose codec cannot decode hex strings sent as raw
-// bytes, and the 0xB6 marker of peers whose RPC envelope declares the
-// one-way flag after the reply-routing fields. The hard size cap protects
-// both ends from corrupt peers.
+// still expect every commit result to echo its proposal's key, the 0xB4
+// marker of peers whose codec cannot decode hex strings sent as raw bytes,
+// the 0xB6 marker of peers whose RPC envelope declares the one-way flag
+// after the reply-routing fields, and the 0xB7 marker of peers whose codec
+// tags every value and frames every struct field with its length. The hard
+// size cap protects both ends from corrupt peers.
 //
 // # Buffer ownership
 //
@@ -48,8 +49,9 @@ const MaxFrameSize = 16 << 20
 // one-way, 0xB3 until a committed result stopped echoing its proposal key,
 // 0xB4 until the RPC codec sent lowercase-hex strings as raw bytes, 0xB6
 // until the RPC envelope declared its one-way flag before the reply-routing
-// fields; 0xB5 is objstore's batch magic).
-const binaryMarker = 0xB7
+// fields, 0xB7 until the RPC codec went positional: no tag or length below
+// the top-level value; 0xB5 is objstore's batch magic).
+const binaryMarker = 0xB8
 
 // Frame operation codes. Values are part of the protocol; never renumber.
 type Op int

@@ -87,7 +87,7 @@ go test -race -count=3 -run '^TestSupervisedRoutedFleet$' ./internal/deploy/
 # the next measurement. One iteration each is a smoke pass, not a number.
 echo "==> layer-benchmark smoke (1x)"
 go test -run '^$' -benchtime 1x \
-    -bench '^(BenchmarkNotifyDelivery|BenchmarkNetworkFanoutAck|BenchmarkJournalFanout|BenchmarkGatewayBatch|BenchmarkGatewayHotGet|BenchmarkWireFrameCodec)$' \
+    -bench '^(BenchmarkCodec|BenchmarkNotifyDelivery|BenchmarkNetworkFanoutAck|BenchmarkJournalFanout|BenchmarkGatewayBatch|BenchmarkGatewayHotGet|BenchmarkWireFrameCodec)$' \
     . ./internal/core/ ./internal/mq/ ./internal/objstore/
 
 # Short coverage-guided fuzz legs over the codecs that parse bytes the
