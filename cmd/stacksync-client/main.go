@@ -5,9 +5,9 @@
 //	stacksync-client -broker 127.0.0.1:7070 -storage-url http://127.0.0.1:7071 \
 //	    -user alice -device alice-laptop -workspace shared -dir ~/Sync
 //
-// Chunks go to the server's storage gateway (-storage-url, the default).
-// -storage instead reads and writes the server's chunk directory directly,
-// for a client that shares a filesystem with the server.
+// Chunks go to the server's storage gateway (-storage-url). The server's
+// chunk store is one log that only the server writes, so a client never
+// opens it directly.
 package main
 
 import (
@@ -28,9 +28,8 @@ import (
 
 func main() {
 	brokerAddr := flag.String("broker", "127.0.0.1:7070", "broker address of the stacksync-server")
-	storageURL := flag.String("storage-url", "http://127.0.0.1:7071", "storage gateway URL (preferred)")
+	storageURL := flag.String("storage-url", "http://127.0.0.1:7071", "storage gateway URL")
 	storageToken := flag.String("storage-token", "", "storage gateway auth token")
-	storageDir := flag.String("storage", "", "chunk directory shared with the server (overrides -storage-url)")
 	user := flag.String("user", "alice", "user id")
 	device := flag.String("device", "", "device id (default <user>-<hostname>)")
 	workspace := flag.String("workspace", "shared", "workspace id")
@@ -38,12 +37,12 @@ func main() {
 	interval := flag.Duration("scan-interval", 500*time.Millisecond, "local change scan interval")
 	flag.Parse()
 
-	if err := run(*brokerAddr, *storageURL, *storageToken, *storageDir, *user, *device, *workspace, *dir, *interval); err != nil {
+	if err := run(*brokerAddr, *storageURL, *storageToken, *user, *device, *workspace, *dir, *interval); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(brokerAddr, storageURL, storageToken, storageDir, user, device, workspace, dir string, interval time.Duration) error {
+func run(brokerAddr, storageURL, storageToken, user, device, workspace, dir string, interval time.Duration) error {
 	if device == "" {
 		host, err := os.Hostname()
 		if err != nil {
@@ -66,20 +65,9 @@ func run(brokerAddr, storageURL, storageToken, storageDir, user, device, workspa
 	}
 	defer broker.Close()
 
-	var storage objstore.Store
-	if storageDir != "" {
-		disk, err := objstore.NewDisk(storageDir)
-		if err != nil {
-			return err
-		}
-		storage = disk
-	} else {
-		storage = objstore.NewHTTPStore(storageURL, storageToken)
-	}
-
 	c, err := client.NewClient(client.Config{
 		UserID: user, DeviceID: device, WorkspaceID: workspace,
-		Broker: broker, Storage: storage,
+		Broker: broker, Storage: objstore.NewHTTPStore(storageURL, storageToken),
 	})
 	if err != nil {
 		return err

@@ -170,6 +170,7 @@ func (f *Fleet) startBackends() error {
 		if err != nil {
 			return err
 		}
+		f.closers = append(f.closers, disk.Close)
 		if f.cfg.Registry != nil {
 			disk.Register(f.cfg.Registry)
 		}

@@ -1,37 +1,61 @@
 package objstore
 
 import (
+	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"stacksync/internal/obs"
 )
 
-// Disk is a filesystem-backed Store: one directory per container, one file
-// per object. Keys are chunk fingerprints (hex), so they are always safe
-// path components; other keys are sanitized.
-//
-// Disk also keeps a copy of each small object it recently wrote and serves
-// GetMulti from it before opening the file: a commit's new chunk is read
-// back by every other device of the workspace right after it lands
-// (DESIGN §12).
+// Disk is a filesystem-backed Store: one append-only log, the Haystack/
+// Bitcask layout in the broker journal's framing (DESIGN §12): logMagic,
+// then records uvarint(len(payload)) | payload | crc32c(payload). A payload
+// is a record type, a container name and, for a put, a key and the object's
+// bytes; names are uvarint-length-prefixed. An in-memory index maps each
+// object to its last put: no path is derived from any name. A root belongs
+// to one open Disk; nothing orders the appends of two. Disk also keeps a
+// copy of each small object it recently wrote and serves GetMulti from it:
+// every other device of a workspace reads a commit's new chunk right away.
 type Disk struct {
-	root string
+	f *os.File
 
-	// mu orders each put's rename with its update of recent, so two
-	// overwrites of one key leave recent agreeing with the file.
-	mu     sync.Mutex
-	recent recentSet
+	// mu orders each append with its index and recent-set updates, so
+	// readers find whole records only and recent agrees with the log.
+	mu         sync.Mutex
+	end        int64 // end of the last whole record, where the next append goes
+	containers map[string]bool
+	index      map[objKey]extent
+	recent     recentSet
 
 	gets, recentHits atomic.Uint64
 }
+
+type objKey struct{ container, key string }
+
+// extent places an object's record: its n-byte payload starts at off, the
+// object's bytes at payload offset data, and the CRC follows.
+type extent struct {
+	off     int64
+	n, data int
+}
+
+const (
+	logName                   = "objects.log"
+	logMagic                  = "SSOBJLG1"
+	recContainer, recPut byte = 1, 2
+)
+
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // The recent-object set's limits (DESIGN §12). Objects over recentMaxObject
 // stay with the page cache: copying them costs more than the read saves.
@@ -40,30 +64,30 @@ const (
 	recentBudget    = 1 << 20
 )
 
-// recentSet holds copies of recently written small objects, by file path,
-// evicting first-in first-out past recentBudget bytes.
+// recentSet holds copies of recently written small objects, evicting
+// first-in first-out past recentBudget bytes.
 type recentSet struct {
-	data  map[string][]byte
-	order []string // insertion order; may name paths since dropped
+	data  map[objKey][]byte
+	order []objKey // insertion order; may name objects since dropped
 	bytes int
 }
 
-// put stores data (owned by the set) under path, or drops path when data
-// is nil.
-func (r *recentSet) put(path string, data []byte) {
-	old, had := r.data[path]
+// put keeps a copy of data — never the caller's buffer — under id, or
+// drops id when data is over recentMaxObject.
+func (r *recentSet) put(id objKey, data []byte) {
+	old, had := r.data[id]
 	r.bytes -= len(old)
-	if data == nil {
-		delete(r.data, path)
+	if len(data) > recentMaxObject {
+		delete(r.data, id)
 		return
 	}
 	if r.data == nil {
-		r.data = make(map[string][]byte)
+		r.data = make(map[objKey][]byte)
 	}
-	r.data[path] = data
+	r.data[id] = clone(data)
 	r.bytes += len(data)
 	if !had {
-		r.order = append(r.order, path)
+		r.order = append(r.order, id)
 	}
 	for r.bytes > recentBudget && len(r.order) > 0 {
 		victim := r.order[0]
@@ -75,170 +99,249 @@ func (r *recentSet) put(path string, data []byte) {
 
 var _ Store = (*Disk)(nil)
 
-// NewDisk roots a store at dir, creating it if needed.
+// NewDisk opens the store rooted at dir, creating it if needed: it replays
+// the log into the index and cuts off a torn tail, so appends follow the
+// last whole record. A root holding a directory, as the one-file-per-object
+// layout of earlier versions did, is refused.
 func NewDisk(dir string) (*Disk, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("objstore: create root: %w", err)
 	}
-	return &Disk{root: dir}, nil
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("objstore: read root: %w", err)
+	}
+	for _, e := range entries {
+		if e.IsDir() {
+			return nil, fmt.Errorf("objstore: %s holds directory %q: the one-file-per-object layout of earlier versions is not read", dir, e.Name())
+		}
+	}
+	f, err := os.OpenFile(filepath.Join(dir, logName), os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("objstore: open log: %w", err)
+	}
+	d := &Disk{f: f, containers: make(map[string]bool), index: make(map[objKey]extent)}
+	if err := d.recover(); err != nil {
+		_ = f.Close()
+		return nil, fmt.Errorf("objstore: recover %s: %w", f.Name(), err)
+	}
+	return d, nil
 }
 
-// Register exposes the read counters on reg as objstore_disk_gets_total
-// (objects GetMulti asked for) and objstore_disk_recent_hits_total (those
-// served from the recent-object set).
+// Close closes the log.
+func (d *Disk) Close() error { return d.f.Close() }
+
+// recover replays the log into the index. Replay ends at the first record
+// that is cut short, fails its CRC or makes no sense; what precedes it
+// stands and the rest is truncated.
+func (d *Disk) recover() error {
+	info, err := d.f.Stat()
+	if err != nil {
+		return err
+	}
+	r := bufio.NewReaderSize(d.f, 64<<10)
+	magic := make([]byte, len(logMagic))
+	n, _ := io.ReadFull(r, magic)
+	if string(magic[:n]) != logMagic[:n] {
+		return fmt.Errorf("no %q header: not an object log", logMagic)
+	}
+	if d.end = int64(len(logMagic)); n < len(magic) { // new, or crashed while creating it
+		_, err := d.f.WriteAt([]byte(logMagic), 0)
+		return err
+	}
+	var rec []byte
+	for {
+		head, _ := r.Peek(binary.MaxVarintLen64)
+		n, k := binary.Uvarint(head)
+		if k <= 0 || n > uint64(info.Size()) {
+			break
+		}
+		_, _ = r.Discard(k) // Peek returned these bytes
+		rec = slices.Grow(rec[:0], int(n)+4)[:n+4]
+		off := d.end + int64(k)
+		if _, err := io.ReadFull(r, rec); err != nil ||
+			crc32.Checksum(rec[:n], crcTable) != binary.LittleEndian.Uint32(rec[n:]) || !d.apply(rec[:n], off) {
+			break
+		}
+		d.end = off + int64(n) + 4
+	}
+	if d.end < info.Size() {
+		return d.f.Truncate(d.end)
+	}
+	return nil
+}
+
+// apply indexes the record whose payload p starts at off.
+func (d *Disk) apply(p []byte, off int64) bool {
+	if len(p) == 0 {
+		return false
+	}
+	container, rest, ok := cutName(p[1:])
+	if ok && p[0] == recContainer && len(rest) == 0 {
+		d.containers[container] = true
+		return true
+	}
+	key, rest, ok2 := cutName(rest)
+	if !ok || !ok2 || p[0] != recPut || !d.containers[container] {
+		return false
+	}
+	d.index[objKey{container, key}] = extent{off: off, n: len(p), data: len(p) - len(rest)}
+	return true
+}
+
+// cutName splits a uvarint-length-prefixed name off the front of p.
+func cutName(p []byte) (name string, rest []byte, ok bool) {
+	n, k := binary.Uvarint(p)
+	if k <= 0 || n > uint64(len(p)-k) {
+		return "", nil, false
+	}
+	return string(p[k : k+int(n)]), p[k+int(n):], true
+}
+
+func appendName(p []byte, s string) []byte {
+	return append(binary.AppendUvarint(p, uint64(len(s))), s...)
+}
+
+// frame appends the record head+data to buf, with its extent relative to buf.
+func frame(buf, head, data []byte) ([]byte, extent) {
+	n := len(head) + len(data)
+	buf = binary.AppendUvarint(buf, uint64(n))
+	e := extent{off: int64(len(buf)), n: n, data: len(head)}
+	crc := crc32.Update(crc32.Checksum(head, crcTable), crcTable, data)
+	return binary.LittleEndian.AppendUint32(append(append(buf, head...), data...), crc), e
+}
+
+// appendLocked writes buf at the end of the log in one write; the caller
+// holds d.mu. A failed write is cut off again, so no part of it can be
+// replayed behind a later record.
+func (d *Disk) appendLocked(buf []byte) error {
+	if _, err := d.f.WriteAt(buf, d.end); err != nil {
+		_ = d.f.Truncate(d.end) // the write's error is the one to report
+		return err
+	}
+	d.end += int64(len(buf))
+	return nil
+}
+
+// Register exposes on reg the objects GetMulti was asked for and those the
+// recent-object set served, the log's length and the objects it holds.
 func (d *Disk) Register(reg *obs.Registry) {
 	reg.GaugeFunc("objstore_disk_gets_total", func() float64 { return float64(d.gets.Load()) })
 	reg.GaugeFunc("objstore_disk_recent_hits_total", func() float64 { return float64(d.recentHits.Load()) })
+	reg.GaugeFunc("objstore_disk_log_bytes", func() float64 { return d.stat(func() int { return int(d.end) }) })
+	reg.GaugeFunc("objstore_disk_objects", func() float64 { return d.stat(func() int { return len(d.index) }) })
 }
 
-func safeName(s string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_', r == '.':
-			return r
-		default:
-			return '_'
-		}
-	}, s)
+// stat reads v under d.mu, for a gauge.
+func (d *Disk) stat(v func() int) float64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return float64(v())
 }
 
-func (d *Disk) containerPath(container string) string {
-	return filepath.Join(d.root, safeName(container))
-}
-
-// EnsureContainer creates the container directory if missing.
+// EnsureContainer logs a container record the first time it sees a name.
 func (d *Disk) EnsureContainer(ctx context.Context, container string) error {
 	if err := ctxErr(ctx, "ensure", container); err != nil {
 		return err
 	}
-	if err := os.MkdirAll(d.containerPath(container), 0o755); err != nil {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.containers[container] {
+		return nil
+	}
+	buf, _ := frame(nil, appendName([]byte{recContainer}, container), nil)
+	if err := d.appendLocked(buf); err != nil {
 		return fmt.Errorf("objstore: ensure container %s: %w", container, err)
 	}
+	d.containers[container] = true
 	return nil
 }
 
-// dir returns the directory of an existing container.
-func (d *Disk) dir(ctx context.Context, op, container string) (string, error) {
+// check fails op on a canceled ctx or a missing container.
+func (d *Disk) check(ctx context.Context, op, container string) error {
 	if err := ctxErr(ctx, op, container); err != nil {
-		return "", err
-	}
-	dir := d.containerPath(container)
-	if _, err := os.Stat(dir); err != nil {
-		return "", opErr(op, container, "", ErrNoContainer)
-	}
-	return dir, nil
-}
-
-// PutMulti writes each object atomically (temp file + rename), re-checking
-// ctx between files.
-func (d *Disk) PutMulti(ctx context.Context, container string, objects []Object) error {
-	dir, err := d.dir(ctx, "putmulti", container)
-	if err != nil {
 		return err
-	}
-	for _, o := range objects {
-		if err := ctxErr(ctx, "putmulti", container); err != nil {
-			return err
-		}
-		if err := d.writeFile(filepath.Join(dir, safeName(o.Key)), o.Data); err != nil {
-			return opErr("putmulti", container, o.Key, err)
-		}
-	}
-	return nil
-}
-
-// writeFile writes path through a temp file renamed into place, so a reader
-// never sees a partial object, and records a copy of small data — never the
-// caller's buffer — in the recent-object set.
-func (d *Disk) writeFile(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".put-*")
-	if err != nil {
-		return err
-	}
-	_, err = tmp.Write(data)
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		_ = os.Remove(tmp.Name())
-		return err
-	}
-	var kept []byte // nil drops an older copy of an object now too large
-	if len(data) <= recentMaxObject {
-		kept = append([]byte{}, data...)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		_ = os.Remove(tmp.Name())
-		return err
+	if !d.containers[container] {
+		return opErr(op, container, "", ErrNoContainer)
 	}
-	d.recent.put(path, kept)
 	return nil
 }
 
-// GetMulti reads each object, re-checking ctx between files.
+// PutMulti frames the whole batch into one buffer, appends it with one
+// write, and then indexes it and puts it in the recent-object set.
+func (d *Disk) PutMulti(ctx context.Context, container string, objects []Object) error {
+	if err := d.check(ctx, "putmulti", container); err != nil {
+		return err
+	}
+	size := 0
+	for _, o := range objects {
+		size += 3*binary.MaxVarintLen64 + 5 + len(container) + len(o.Key) + len(o.Data)
+	}
+	buf, head := make([]byte, 0, size), []byte(nil)
+	places := make([]extent, len(objects))
+	for i, o := range objects {
+		head = appendName(appendName(append(head[:0], recPut), container), o.Key)
+		buf, places[i] = frame(buf, head, o.Data)
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	base := d.end
+	if err := d.appendLocked(buf); err != nil {
+		return opErr("putmulti", container, "", err)
+	}
+	for i, o := range objects {
+		places[i].off += base
+		d.index[objKey{container, o.Key}] = places[i]
+		d.recent.put(objKey{container, o.Key}, o.Data)
+	}
+	return nil
+}
+
+// GetMulti serves each object from the recent-object set, or reads its
+// record with one read and checks its CRC: a damaged record is an error,
+// never data.
 func (d *Disk) GetMulti(ctx context.Context, container string, keys []string) ([][]byte, error) {
-	dir, err := d.dir(ctx, "getmulti", container)
-	if err != nil {
+	if err := d.check(ctx, "getmulti", container); err != nil {
 		return nil, err
 	}
 	return getEach(ctx, container, keys, func(k string) ([]byte, error) {
-		path := filepath.Join(dir, safeName(k))
+		id := objKey{container, k}
 		d.gets.Add(1)
 		d.mu.Lock()
-		kept, ok := d.recent.data[path]
+		kept, hit := d.recent.data[id]
+		e, ok := d.index[id]
 		d.mu.Unlock()
-		if ok { // kept is never written to; the caller gets its own copy
+		if hit { // kept is never written to; the caller gets its own copy
 			d.recentHits.Add(1)
-			return append([]byte{}, kept...), nil
+			return clone(kept), nil
 		}
-		data, err := readFile(path)
-		if errors.Is(err, os.ErrNotExist) {
-			err = ErrNotFound
+		if !ok {
+			return nil, opErr("getmulti", container, k, ErrNotFound)
 		}
-		if err != nil {
+		rec := make([]byte, e.n+4)
+		if _, err := d.f.ReadAt(rec, e.off); err != nil {
 			return nil, opErr("getmulti", container, k, err)
 		}
-		return data, nil
+		if crc32.Checksum(rec[:e.n], crcTable) != binary.LittleEndian.Uint32(rec[e.n:]) {
+			return nil, opErr("getmulti", container, k, errors.New("record fails its checksum"))
+		}
+		return rec[e.data:e.n:e.n], nil
 	})
 }
 
-// readFile reads a file with one read(2) sized by fstat, where os.ReadFile
-// reads again to see EOF: objects are immutable and appear by rename.
-func readFile(path string) ([]byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	data := make([]byte, fi.Size())
-	if _, err := io.ReadFull(f, data); err != nil {
-		return nil, err
-	}
-	return data, nil
-}
-
-// ExistsMulti stats each object, re-checking ctx between files.
+// ExistsMulti reads the index alone: it makes no system call.
 func (d *Disk) ExistsMulti(ctx context.Context, container string, keys []string) ([]bool, error) {
-	dir, err := d.dir(ctx, "existsmulti", container)
-	if err != nil {
+	if err := d.check(ctx, "existsmulti", container); err != nil {
 		return nil, err
 	}
 	out := make([]bool, len(keys))
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	for i, k := range keys {
-		if err := ctxErr(ctx, "existsmulti", container); err != nil {
-			return nil, err
-		}
-		_, err := os.Stat(filepath.Join(dir, safeName(k)))
-		if err != nil && !errors.Is(err, os.ErrNotExist) {
-			return nil, opErr("existsmulti", container, k, err)
-		}
-		out[i] = err == nil
+		_, out[i] = d.index[objKey{container, k}]
 	}
 	return out, nil
 }

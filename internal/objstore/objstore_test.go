@@ -1,26 +1,21 @@
 package objstore
 
 import (
-	"bytes"
 	"context"
 	"errors"
-	"os"
-	"path/filepath"
 	"strconv"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"stacksync/internal/clock"
 	"stacksync/internal/faults"
-	"stacksync/internal/obs"
 )
 
 // The cross-implementation contract lives in the storetest conformance
 // suite (see conformance_test.go). The tests here cover backend- and
-// wrapper-specific behaviour the shared suite cannot: aliasing, crash
-// persistence, accounting, the latency model and fault injection.
+// wrapper-specific behaviour the shared suite cannot: aliasing, accounting,
+// the latency model and fault injection; disk_test.go covers Disk.
 
 var ctx = context.Background()
 
@@ -62,146 +57,6 @@ func TestMemoryPutMultiCopiesInput(t *testing.T) {
 	got, _ := m.GetMulti(ctx, "c", []string{"k1", "k2"})
 	if string(got[0]) != "original" || string(got[1]) != "orig" {
 		t.Fatalf("store aliased caller's batch buffer: %q", got)
-	}
-}
-
-func TestDiskSurvivesReopen(t *testing.T) {
-	dir := t.TempDir()
-	d1, err := NewDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = d1.EnsureContainer(ctx, "c")
-	if err := d1.PutMulti(ctx, "c", []Object{{Key: "deadbeef", Data: []byte("persisted")}}); err != nil {
-		t.Fatal(err)
-	}
-	d2, err := NewDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := d2.GetMulti(ctx, "c", []string{"deadbeef"})
-	if err != nil || string(got[0]) != "persisted" {
-		t.Fatalf("after reopen: %q, %v", got, err)
-	}
-}
-
-func TestDiskSanitizesHostileKeys(t *testing.T) {
-	root := t.TempDir()
-	d, err := NewDisk(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = d.EnsureContainer(ctx, "c")
-	if err := d.PutMulti(ctx, "c", []Object{{Key: "../../etc/passwd", Data: []byte("nope")}}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := d.GetMulti(ctx, "c", []string{"../../etc/passwd"})
-	if err != nil || string(got[0]) != "nope" {
-		t.Fatalf("hostile key round trip: %q, %v", got, err)
-	}
-	// The object is one file inside the container, nothing outside it.
-	if files, _ := os.ReadDir(d.containerPath("c")); len(files) != 1 {
-		t.Fatalf("container holds %v", files)
-	}
-	if entries, _ := os.ReadDir(root); len(entries) != 1 {
-		t.Fatalf("store root holds %v", entries)
-	}
-}
-
-// TestDiskServesRecentObjects: a small object Disk just wrote is served from
-// memory — repeated gets read no file — as a copy the caller may write to.
-// An empty object stays an empty non-nil slice. Overwrites with other bytes,
-// concurrent ones included, leave memory agreeing with the file. An object
-// over the size cap, or one evicted past the byte budget, is read from its
-// file.
-func TestDiskServesRecentObjects(t *testing.T) {
-	if _, err := os.Stat("/proc/self/io"); err != nil {
-		t.Skip("counts system calls in /proc/self/io, which this platform lacks")
-	}
-	d, err := NewDisk(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = d.EnsureContainer(ctx, "c")
-	put := func(key string, data []byte) {
-		t.Helper()
-		if err := d.PutMulti(ctx, "c", []Object{{Key: key, Data: data}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Reading the counter costs read calls of its own: measure them once.
-	idle := obs.ProcessIO("syscr")
-	idle = obs.ProcessIO("syscr") - idle
-	// get returns key's bytes and how many read calls the process made.
-	get := func(key string) ([]byte, int64) {
-		t.Helper()
-		before := obs.ProcessIO("syscr")
-		got, err := d.GetMulti(ctx, "c", []string{key})
-		reads := obs.ProcessIO("syscr") - before - idle
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got[0], reads
-	}
-	fill := func(n int, seed byte) []byte {
-		b := make([]byte, n)
-		for i := range b {
-			b[i] = seed + byte(i)
-		}
-		return b
-	}
-
-	hot := fill(4<<10, 1)
-	put("hot", hot)
-	hot[0]++ // the set kept a copy, not the caller's buffer
-	for i := 0; i < 5; i++ {
-		got, reads := get("hot")
-		if reads != 0 || !bytes.Equal(got, fill(4<<10, 1)) {
-			t.Fatalf("get %d of a fresh 4 KB object: %d reads, right bytes %v", i, reads, bytes.Equal(got, fill(4<<10, 1)))
-		}
-		got[0]++ // must not reach the next get
-	}
-
-	put("empty", nil)
-	if got, reads := get("empty"); got == nil || len(got) != 0 || reads != 0 {
-		t.Fatalf("empty object: %v (nil %v), %d reads", got, got == nil, reads)
-	}
-
-	// Concurrent overwrites with different bytes, small and over the cap.
-	path := filepath.Join(d.containerPath("c"), "contended")
-	versions := [][]byte{fill(1<<10, 7), fill(2<<10, 9), fill(recentMaxObject+1, 11)}
-	for round := 0; round < 20; round++ {
-		var wg sync.WaitGroup
-		for _, v := range versions {
-			wg.Add(1)
-			go func(v []byte) {
-				defer wg.Done()
-				_ = d.PutMulti(ctx, "c", []Object{{Key: "contended", Data: v}})
-			}(v)
-		}
-		wg.Wait()
-		onDisk, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, _ := get("contended"); !bytes.Equal(got, onDisk) {
-			t.Fatalf("round %d: get returns %d B, the file holds %d B", round, len(got), len(onDisk))
-		}
-	}
-
-	big := fill(recentMaxObject+1, 3)
-	put("big", big)
-	if got, reads := get("big"); reads == 0 || !bytes.Equal(got, big) {
-		t.Fatalf("object over the cap: %d reads, right bytes %v", reads, bytes.Equal(got, big))
-	}
-
-	first := fill(4<<10, 5)
-	put("first", first)
-	for i := 0; i <= recentBudget/recentMaxObject; i++ {
-		put("filler-"+strconv.Itoa(i), fill(recentMaxObject, byte(i)))
-	}
-	if got, reads := get("first"); reads == 0 || !bytes.Equal(got, first) {
-		t.Fatalf("evicted object: %d reads, right bytes %v", reads, bytes.Equal(got, first))
 	}
 }
 

@@ -51,13 +51,15 @@ echo "==> codec + wire (race)"
 go test -race -count=1 ./internal/codec/ ./internal/core/ ./internal/omq/ ./internal/wire/ ./internal/mq/
 
 # The broker server's write path (one outbound queue per connection, woken
-# after the broker releases its mutex) and Disk's recent-object set are
-# where a lost wake, a frame sent out of order or a cache disagreeing with
-# its file would hide, and the writer is where an oversize frame must be
+# after the broker releases its mutex) and Disk's log (one append per batch
+# under the mutex that installs its index entries, read back by concurrent
+# gets) with its recent-object set are where a lost wake, a frame sent out
+# of order, a read of a record not yet whole or a cache disagreeing with
+# the log would hide, and the writer is where an oversize frame must be
 # dropped alone (TestNetworkOversizeReplyFailsOneCall): twenty
 # race-enabled passes over both.
-echo "==> server write path + recent-object set (race, 20x)"
-go test -race -count=20 -run 'TestNetwork|TestDiskServesRecent' ./internal/mq ./internal/objstore
+echo "==> server write path + chunk log and recent-object set (race, 20x)"
+go test -race -count=20 -run 'TestNetwork|TestDiskServesRecent|TestDiskConcurrentPutGet' ./internal/mq ./internal/objstore
 
 # Extra interleavings over the client's parallel transfer pipeline: many
 # writers, overlapping chunks, dedup probes and singleflight coalescing all
@@ -87,19 +89,22 @@ go test -race -count=3 -run '^TestSupervisedRoutedFleet$' ./internal/deploy/
 # the next measurement. One iteration each is a smoke pass, not a number.
 echo "==> layer-benchmark smoke (1x)"
 go test -run '^$' -benchtime 1x \
-    -bench '^(BenchmarkCodec|BenchmarkNotifyDelivery|BenchmarkNetworkFanoutAck|BenchmarkJournalFanout|BenchmarkGatewayBatch|BenchmarkGatewayHotGet|BenchmarkWireFrameCodec)$' \
+    -bench '^(BenchmarkCodec|BenchmarkNotifyDelivery|BenchmarkNetworkFanoutAck|BenchmarkJournalFanout|BenchmarkGatewayBatch|BenchmarkGatewayHotGet|BenchmarkDiskPut|BenchmarkDiskOpen|BenchmarkWireFrameCodec)$' \
     . ./internal/core/ ./internal/mq/ ./internal/objstore/
 
 # Short coverage-guided fuzz legs over the codecs that parse bytes the
 # program did not just write: the wire frame reader, the storage gateway's
 # batch bodies, the RPC codec on every envelope and payload omq decodes, WAL
-# replay and broker journal replay.
+# replay, broker journal replay and the chunk log's replay at open.
 # Ten seconds each is a smoke pass — run `go test -fuzz` open-ended to dig.
 echo "==> fuzz smoke: FuzzFrameCodec (10s)"
 go test -run '^$' -fuzz '^FuzzFrameCodec$' -fuzztime 10s ./internal/wire/
 
 echo "==> fuzz smoke: FuzzGatewayBatch (10s)"
 go test -run '^$' -fuzz '^FuzzGatewayBatch$' -fuzztime 10s ./internal/objstore/
+
+echo "==> fuzz smoke: FuzzDiskRecover (10s)"
+go test -run '^$' -fuzz '^FuzzDiskRecover$' -fuzztime 10s ./internal/objstore/
 
 echo "==> fuzz smoke: FuzzBinaryCodec (10s)"
 go test -run '^$' -fuzz '^FuzzBinaryCodec$' -fuzztime 10s ./internal/omq/
