@@ -218,11 +218,10 @@ func commitWorkload(b *testing.B, shards int, parallel bool) {
 	)
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		w, err := metastore.OpenWAL(filepath.Join(b.TempDir(), "wal.log"))
+		st, err := metastore.Recover(filepath.Join(b.TempDir(), "wal.log"), metastore.WithShards(shards))
 		if err != nil {
 			b.Fatal(err)
 		}
-		st := metastore.NewStore(metastore.WithWAL(w), metastore.WithShards(shards))
 		for ws := 0; ws < nWorkspaces; ws++ {
 			if err := st.CreateWorkspace(metastore.Workspace{ID: fmt.Sprintf("ws-%d", ws), Owner: "bench"}); err != nil {
 				b.Fatal(err)

@@ -8,8 +8,6 @@ import (
 	"reflect"
 	"testing"
 	"time"
-
-	"stacksync/internal/metastore"
 )
 
 // conformanceValue is the kitchen-sink payload the codec must round-trip.
@@ -395,13 +393,25 @@ func TestBinaryCompact(t *testing.T) {
 	}
 }
 
+// itemVersion has the fields of metastore.ItemVersion, which the WAL
+// encodes with this codec (so the codec's tests cannot import it).
+type itemVersion struct {
+	Workspace, ItemID, Path string
+	Version                 uint64
+	Status                  int
+	Size                    int64
+	Chunks                  []string
+	Checksum, DeviceID      string
+	CommittedAt             time.Time
+}
+
 // TestBinaryTrailingZeroFields pins the struct layout: a field count, then
 // the fields up to the last non-zero one, untagged and unframed; the
 // decoder reads the rest back as zero.
 func TestBinaryTrailingZeroFields(t *testing.T) {
 	c := Binary{}
 	t.Run("zero ItemVersion is tag and count", func(t *testing.T) {
-		data, err := c.MarshalAppend(nil, metastore.ItemVersion{})
+		data, err := c.MarshalAppend(nil, itemVersion{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,25 +1,42 @@
 package metastore
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"stacksync/internal/reclog"
 )
+
+// walRecord frames one record as the WAL writes it.
+func walRecord(f *testing.F, op byte, v any) []byte {
+	p, err := appendRecord(nil, op, v)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return reclog.Frame(nil, p)
+}
+
+// walFile is the WAL's magic followed by parts.
+func walFile(f *testing.F, parts ...[]byte) []byte {
+	return bytes.Join(append([][]byte{[]byte(walMagic)}, parts...), nil)
+}
 
 // FuzzWALReplay throws arbitrary bytes at WAL recovery. Recovery may reject
 // the log with an error, but it must never panic — and when it accepts, the
 // recovered store must be fully usable: new commits append cleanly and a
 // second recovery of the repaired log succeeds.
 func FuzzWALReplay(f *testing.F) {
-	f.Add([]byte(`{"op":"workspace","workspace":{"id":"ws","owner":"u"}}` + "\n"))
-	f.Add([]byte(`{"op":"workspace","workspace":{"id":"ws","owner":"u"}}` + "\n" +
-		`{"op":"version","version":{"workspace":"ws","itemId":"i","path":"/i","version":1,"status":1}}` + "\n"))
-	f.Add([]byte(`{"op":"version","version":{"workspace":"ghost","itemId":"i","version":1,"status":1}}` + "\n"))
-	f.Add([]byte(`{"op":"workspace","workspace":{"id":"ws","ow`)) // torn tail
-	f.Add([]byte("\n\n  \n"))
-	f.Add([]byte(`{"op":"nonsense"}` + "\n" + `not json at all`))
-
+	ws := walFile(f, walRecord(f, walWorkspace, &Workspace{ID: "ws", Owner: "u"}))
+	version := walRecord(f, walVersion, &ItemVersion{Workspace: "ws", ItemID: "i", Path: "/i", Version: 1, Status: Added})
+	f.Add(ws)
+	f.Add(append(bytes.Clone(ws), version...))
+	f.Add(walFile(f, walRecord(f, walVersion, &ItemVersion{Workspace: "ghost", ItemID: "i", Version: 1, Status: Added})))
+	f.Add(ws[:len(ws)-5]) // torn tail
+	f.Add([]byte(walMagic))
+	f.Add(walFile(f, reclog.Frame(nil, []byte{9, 1, 2}), []byte("not a record at all")))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "wal.log")
 		if err := os.WriteFile(path, data, 0o644); err != nil {

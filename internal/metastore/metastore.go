@@ -158,11 +158,6 @@ func (s *Store) inc(c *obs.Counter) {
 // Option configures a Store.
 type Option func(*Store)
 
-// WithWAL enables write-ahead durability at the given journal.
-func WithWAL(w *WAL) Option {
-	return func(s *Store) { s.wal = w }
-}
-
 // WithNow substitutes the timestamp source.
 func WithNow(now func() time.Time) Option {
 	return func(s *Store) { s.now = now }
@@ -262,9 +257,6 @@ func NewStore(opts ...Option) *Store {
 			}
 			return time.Duration(s.now().UnixNano() - last).Seconds()
 		})
-		if s.wal != nil {
-			s.wal.Instrument(s.reg)
-		}
 	}
 	return s
 }
@@ -311,14 +303,6 @@ func (s *Store) lockShard(idx int) *shard {
 	return sh
 }
 
-// attachWAL installs (or replaces) the journal and instruments it.
-func (s *Store) attachWAL(w *WAL) {
-	s.wal = w
-	if s.reg != nil && w != nil {
-		w.Instrument(s.reg)
-	}
-}
-
 // CreateWorkspace registers a workspace.
 func (s *Store) CreateWorkspace(ws Workspace) error {
 	if s.closed.Load() {
@@ -343,15 +327,12 @@ func (s *Store) CreateWorkspace(ws Workspace) error {
 	st.snap.Store(emptySnapshot())
 	next[ws.ID] = st
 	sh.ws.Store(&next)
-	var g *walGroup
-	if s.wal != nil {
-		g = s.wal.enqueue([]walEntry{{Op: walWorkspace, Workspace: &ws}})
-	}
+	off, err := s.wal.append(walWorkspace, &ws)
 	sh.mu.Unlock()
-	if g != nil {
-		return g.wait()
+	if err != nil {
+		return err
 	}
-	return nil
+	return s.wal.wait(off)
 }
 
 // WorkspacesFor lists the workspaces a user owns or is a member of —
@@ -411,7 +392,7 @@ func (s *Store) Current(workspace, itemID string) (ItemVersion, bool, error) {
 //     the authoritative current version, which the service piggybacks on the
 //     CommitNotification so the losing client can reconstruct the file.
 //
-// The WAL record is enqueued while the shard lock is held (preserving
+// The WAL record is appended while the shard lock is held (preserving
 // per-workspace append order) but awaited after release, so concurrent
 // committers share one group-commit flush.
 func (s *Store) CommitVersion(v ItemVersion) (ItemVersion, error) {
@@ -436,31 +417,13 @@ func (s *Store) CommitVersion(v ItemVersion) (ItemVersion, error) {
 		sh.mu.Unlock()
 		return committed, err
 	}
-	var g *walGroup
-	if s.wal != nil {
-		g = s.wal.enqueue([]walEntry{{Op: walVersion, Version: &committed}})
-	}
+	off, err := s.wal.append(walVersion, &committed)
 	wr.install()
 	sh.mu.Unlock()
-	if g != nil {
-		if err := g.wait(); err != nil {
-			return committed, err
-		}
+	if err == nil {
+		err = s.wal.wait(off)
 	}
-	return committed, nil
-}
-
-// sameChunks reports elementwise equality of two chunk fingerprint lists.
-func sameChunks(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return committed, err
 }
 
 // BatchResult is one element of a CommitBatch outcome. Each proposal
@@ -503,7 +466,8 @@ func (s *Store) CommitBatch(proposals []ItemVersion) ([]BatchResult, error) {
 	}
 
 	results := make([]BatchResult, len(proposals))
-	var flushes []*walGroup
+	var last int64   // the WAL offset to wait on
+	var walErr error // the first append that failed
 	for _, g := range order {
 		sh := s.lockShard(s.shardIdx(g.ws))
 		if s.closed.Load() {
@@ -515,7 +479,6 @@ func (s *Store) CommitBatch(proposals []ItemVersion) ([]BatchResult, error) {
 			sh.mu.Unlock()
 			return nil, werr
 		}
-		var entries []walEntry
 		abort := error(nil)
 		for _, i := range g.idxs {
 			committed, err := wr.commit(proposals[i], s.now)
@@ -528,27 +491,26 @@ func (s *Store) CommitBatch(proposals []ItemVersion) ([]BatchResult, error) {
 				break
 			}
 			results[i] = BatchResult{Committed: true, Version: committed}
-			if s.wal != nil {
-				cv := committed
-				entries = append(entries, walEntry{Op: walVersion, Version: &cv})
+			off, err := s.wal.append(walVersion, &committed)
+			if err != nil && walErr == nil {
+				walErr = err
 			}
-		}
-		if len(entries) > 0 {
-			flushes = append(flushes, s.wal.enqueue(entries))
+			last = max(last, off)
 		}
 		// One pointer swap publishes the whole group (even on a mid-group
 		// abort, what committed before the abort stays committed — matching
-		// the WAL records already enqueued above).
+		// the WAL records already appended above).
 		wr.install()
 		sh.mu.Unlock()
 		if abort != nil {
 			return nil, abort
 		}
 	}
-	for _, g := range flushes {
-		if err := g.wait(); err != nil {
-			return nil, err
-		}
+	if walErr == nil {
+		walErr = s.wal.wait(last)
+	}
+	if walErr != nil {
+		return nil, walErr
 	}
 	return results, nil
 }
@@ -631,8 +593,5 @@ func (s *Store) Close() error {
 		// writer that passed the closed check before the flag flipped.
 		sh.mu.Unlock()
 	}
-	if s.wal != nil {
-		return s.wal.Close()
-	}
-	return nil
+	return s.wal.Close()
 }

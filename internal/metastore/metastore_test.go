@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"stacksync/internal/obs"
 )
 
 func newWS(t *testing.T, s *Store, id, owner string, members ...string) {
@@ -230,12 +232,11 @@ func TestCloseRejectsWrites(t *testing.T) {
 
 func TestWALRecovery(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "meta.wal")
-	w, err := OpenWAL(path)
+	fixed := time.Date(2014, 12, 8, 12, 0, 0, 0, time.UTC)
+	s, err := Recover(path, WithNow(func() time.Time { return fixed }))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixed := time.Date(2014, 12, 8, 12, 0, 0, 0, time.UTC)
-	s := NewStore(WithWAL(w), WithNow(func() time.Time { return fixed }))
 	newWS(t, s, "ws", "alice", "bob")
 	if _, err := s.CommitVersion(ver("ws", "f", 1, Added)); err != nil {
 		t.Fatal(err)
@@ -276,6 +277,66 @@ func TestWALRecovery(t *testing.T) {
 	cur, _, _ = s3.Current("ws", "f")
 	if cur.Version != 3 {
 		t.Fatalf("second-generation commit lost: v%d", cur.Version)
+	}
+}
+
+// TestWALGroupCommitConcurrent: committers on several workspaces, two per
+// workspace, commit through one WAL at once, by CommitVersion and by
+// CommitBatch. Every commit returns only once durable, the flushes that
+// carried the records are counted, and a recovery finds exactly what was
+// acknowledged.
+func TestWALGroupCommitConcurrent(t *testing.T) {
+	const workspaces, perWS, each = 4, 2, 25
+	path := filepath.Join(t.TempDir(), "meta.wal")
+	fixed := WithNow(func() time.Time { return time.Unix(1700000000, 0).UTC() })
+	reg := obs.NewRegistry()
+	s, err := Recover(path, fixed, WithRegistry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w := 0; w < workspaces; w++ {
+		newWS(t, s, fmt.Sprint("ws", w), "u")
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < workspaces*perWS; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			ws, item := fmt.Sprint("ws", c%workspaces), fmt.Sprint("item", c)
+			for v := uint64(1); v <= each; v++ {
+				var err error
+				if v%2 == 0 {
+					_, err = s.CommitVersion(ver(ws, item, v, Modified))
+				} else {
+					_, err = s.CommitBatch([]ItemVersion{ver(ws, item, v, Modified)})
+				}
+				if err != nil {
+					t.Errorf("%s/%s v%d: %v", ws, item, v, err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	records := reg.CounterValue("metastore_wal_records_total")
+	flushes := reg.CounterValue("metastore_wal_flushes_total")
+	if want := uint64(workspaces + workspaces*perWS*each); records != want || flushes == 0 || flushes > records {
+		t.Fatalf("%d records in %d flushes, want %d records", records, flushes, want)
+	}
+	rec, err := Recover(path, fixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	for c := 0; c < workspaces*perWS; c++ {
+		ws, item := fmt.Sprint("ws", c%workspaces), fmt.Sprint("item", c)
+		h, err := rec.History(ws, item)
+		if err != nil || len(h) != each || h[each-1].Version != each {
+			t.Fatalf("%s/%s: recovered %d versions, %v", ws, item, len(h), err)
+		}
 	}
 }
 

@@ -22,6 +22,7 @@ package metastore
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -270,7 +271,7 @@ func (wr *wsWrite) commit(v ItemVersion, now func() time.Time) (ItemVersion, err
 			prior := chain.versions[v.Version-1]
 			if prior.DeviceID == v.DeviceID && prior.Checksum == v.Checksum &&
 				prior.Status == v.Status && prior.Path == v.Path &&
-				sameChunks(prior.Chunks, v.Chunks) {
+				slices.Equal(prior.Chunks, v.Chunks) {
 				return prior, nil
 			}
 		}

@@ -1,393 +1,179 @@
 package metastore
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 
+	"stacksync/internal/codec"
 	"stacksync/internal/obs"
+	"stacksync/internal/reclog"
 )
 
-// WAL is the metadata store's write-ahead log: workspace creations and
-// committed item versions are appended as JSON lines and replayed on
-// recovery, standing in for PostgreSQL durability.
+// WAL is the metadata store's write-ahead log, standing in for PostgreSQL
+// durability: workspace creations and committed item versions, replayed on
+// recovery. The file is a record log (DESIGN §20) under walMagic; a record
+// is op | codec.Binary(value), the value a Workspace or an ItemVersion.
 //
-// Appends use group commit: a committer enqueues its records and blocks on
-// the group's completion while a single flusher drains the queue, writing
-// every queued record and syncing the batch with one flush. Committers that
-// arrive while a flush is in progress share the next one, so the flush cost
-// amortizes across concurrent commits instead of being paid per record.
+// Appends use the log's durable group writer: a committer appends its
+// records under its shard lock, which fixes per-workspace order, and waits
+// after releasing it. The first waiter writes every record appended so far
+// with one write and one fsync; committers that arrive meanwhile share the
+// next one, so the fsync amortizes across concurrent commits.
 type WAL struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	f    *os.File
-	w    *bufio.Writer
+	log *reclog.Writer
 
-	queue    []*walGroup
-	flushing bool  // a flusher goroutine is draining the queue
-	werr     error // sticky death error (torn crash or close)
-
+	mu      sync.Mutex // orders appends with the tear counter
+	scratch []byte     // payload under construction
 	// tearIn arms the injected crash: after tearIn more complete records,
-	// the next record writes only half its bytes. -1 means disarmed.
+	// the file ends halfway through the next. -1 means disarmed.
 	tearIn int
-
-	// Metrics (nil without Instrument): flush count, records appended, and
-	// the per-flush record count distribution — the group-commit batch size.
-	flushes   *obs.Counter
-	records   *obs.Counter
-	batchHist *obs.Histogram
 }
+
+// walMagic opens every WAL file. It names the codec of the values inside,
+// so a codec change or a field-order change of Workspace or ItemVersion
+// bumps it.
+const walMagic = "SSMDWAL1"
 
 // ErrTornWrite reports an injected torn append: only a prefix of the record
 // reached the file, as if the process crashed mid-write. The WAL refuses
 // further writes, matching the crash it emulates.
-var ErrTornWrite = errors.New("metastore: torn wal write (injected crash)")
+var ErrTornWrite = reclog.ErrTornWrite
 
-var errWALClosed = errors.New("metastore: wal closed")
+// Record types: the payload's first byte.
+const (
+	walWorkspace byte = iota + 1
+	walVersion
+)
 
-// walBatchBuckets sizes the group-commit histogram in records per flush.
-var walBatchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
-
-// TearNext arms a fault: the next record writes only half its bytes (no
-// newline), then the WAL behaves as crashed. Recovery must drop the torn
-// tail and keep every complete record.
+// TearNext arms a fault: the file ends halfway through the next record,
+// then the WAL behaves as crashed. Recovery must drop the torn tail and
+// keep every complete record.
 func (w *WAL) TearNext() { w.TearAfter(0) }
 
 // TearAfter arms a fault n records ahead: n more records append completely,
-// then the following record tears mid-write and the WAL behaves as crashed.
-// The counter spans flushes, so a tear can land inside a group-commit batch
-// or exactly on a batch boundary.
+// then the file ends halfway through the following record and the WAL
+// behaves as crashed. The counter spans flushes, so a tear can land inside
+// a group-commit batch or exactly on a batch boundary.
 func (w *WAL) TearAfter(n int) {
 	w.mu.Lock()
 	w.tearIn = n
 	w.mu.Unlock()
 }
 
-// Instrument wires the WAL's group-commit metrics into a registry.
-func (w *WAL) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
+// newWAL appends to f, a recovered log ending at end. With a registry it
+// counts flushes and records, and the records per flush: the group-commit
+// batch size.
+func newWAL(f reclog.File, end int64, reg *obs.Registry) *WAL {
+	var drained func(int)
+	if reg != nil {
+		flushes := reg.Counter("metastore_wal_flushes_total")
+		records := reg.Counter("metastore_wal_records_total")
+		batch := reg.HistogramWith([]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}, "metastore_wal_flush_records")
+		drained = func(n int) {
+			flushes.Inc()
+			records.Add(uint64(n))
+			batch.Observe(float64(n))
+		}
 	}
-	w.mu.Lock()
-	w.flushes = reg.Counter("metastore_wal_flushes_total")
-	w.records = reg.Counter("metastore_wal_records_total")
-	w.batchHist = reg.HistogramWith(walBatchBuckets, "metastore_wal_flush_records")
-	w.mu.Unlock()
+	return &WAL{log: reclog.NewWriter(f, end, true, drained), tearIn: -1}
 }
 
-type walOp string
-
-const (
-	walWorkspace walOp = "workspace"
-	walVersion   walOp = "version"
-)
-
-type walEntry struct {
-	Op        walOp        `json:"op"`
-	Workspace *Workspace   `json:"workspace,omitempty"`
-	Version   *ItemVersion `json:"version,omitempty"`
-}
-
-// walGroup is one committer's contribution to a group-commit batch: its
-// marshalled records and the channel the flusher completes it on.
-type walGroup struct {
-	lines [][]byte // records, newline added at write time
-	err   error    // valid after done is closed
-	done  chan struct{}
-}
-
-// wait blocks until the flusher has durably appended (or failed) the group.
-func (g *walGroup) wait() error {
-	<-g.done
-	return g.err
-}
-
-// OpenWAL opens (creating if needed) the log at path for appending.
-func OpenWAL(path string) (*WAL, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("metastore: open wal: %w", err)
+// append logs one record, v a *Workspace or an *ItemVersion, and returns
+// the offset to wait on. It never blocks on I/O, so a caller may hold its
+// shard lock.
+func (w *WAL) append(op byte, v any) (int64, error) {
+	if w == nil {
+		return 0, nil
 	}
-	w := &WAL{f: f, w: bufio.NewWriter(f), tearIn: -1}
-	w.cond = sync.NewCond(&w.mu)
-	return w, nil
-}
-
-// enqueue submits one committer's records for the next group-commit flush
-// and returns the group to wait on. The caller may hold its shard lock —
-// enqueueing never blocks on I/O, so per-workspace append order is fixed
-// here while the flush itself overlaps with other committers.
-func (w *WAL) enqueue(entries []walEntry) *walGroup {
-	g := &walGroup{done: make(chan struct{})}
-	for _, e := range entries {
-		line, err := json.Marshal(e)
-		if err != nil {
-			g.err = fmt.Errorf("metastore: marshal wal entry: %w", err)
-			close(g.done)
-			return g
-		}
-		g.lines = append(g.lines, line)
-	}
-	w.mu.Lock()
-	if w.f == nil {
-		err := w.werr
-		w.mu.Unlock()
-		if err == nil {
-			err = errWALClosed
-		}
-		g.err = err
-		close(g.done)
-		return g
-	}
-	w.queue = append(w.queue, g)
-	if !w.flushing {
-		w.flushing = true
-		go w.flushLoop()
-	}
-	w.mu.Unlock()
-	return g
-}
-
-// flushLoop drains the queue in batches and exits when it runs dry, so an
-// idle WAL holds no goroutine.
-func (w *WAL) flushLoop() {
-	w.mu.Lock()
-	for len(w.queue) > 0 {
-		batch := w.queue
-		w.queue = nil
-		w.flushBatch(batch)
-	}
-	w.flushing = false
-	w.cond.Broadcast()
-	w.mu.Unlock()
-}
-
-// flushBatch writes one batch of groups with a single flush. Called with
-// w.mu held; releases it during I/O and reacquires before returning.
-func (w *WAL) flushBatch(batch []*walGroup) {
-	if w.f == nil {
-		err := w.werr
-		if err == nil {
-			err = errWALClosed
-		}
-		for _, g := range batch {
-			g.err = err
-			close(g.done)
-		}
-		return
-	}
-	f, bw := w.f, w.w
-	tear := w.tearIn
-	armed := tear >= 0
-	w.mu.Unlock()
-
-	var torn bool
-	var werr error // first hard write error; poisons the rest of the batch
-	written := 0
-	for _, g := range batch {
-		if werr != nil {
-			g.err = werr
-			continue
-		}
-		for _, line := range g.lines {
-			if tear == 0 {
-				// Injected crash: half the record, no newline, then the
-				// file is gone. Complete records already buffered in this
-				// batch reach the file — recovery keeps them and drops the
-				// torn tail.
-				_, _ = bw.Write(line[:len(line)/2])
-				_ = bw.Flush()
-				_ = f.Close()
-				torn = true
-				werr = ErrTornWrite
-				g.err = ErrTornWrite
-				break
-			}
-			if tear > 0 {
-				tear--
-			}
-			if _, err := bw.Write(line); err != nil {
-				werr = fmt.Errorf("metastore: append wal: %w", err)
-				g.err = werr
-				break
-			}
-			if err := bw.WriteByte('\n'); err != nil {
-				werr = fmt.Errorf("metastore: append wal: %w", err)
-				g.err = werr
-				break
-			}
-			written++
-		}
-	}
-	switch {
-	case torn:
-		// Crash emulated; groups before the tear flushed with the half-line.
-	case werr != nil:
-		// A hard write error leaves the whole batch's durability unknown —
-		// poison every group, including ones that appended without error.
-		for _, g := range batch {
-			g.err = werr
-		}
-	default:
-		// The single flush+fsync that makes every record in the batch
-		// durable — the cost all committers in the group share. This is
-		// where group commit pays: N concurrent committers, one fsync.
-		err := bw.Flush()
-		if err == nil {
-			err = f.Sync()
-		}
-		if err != nil {
-			werr = fmt.Errorf("metastore: flush wal: %w", err)
-			for _, g := range batch {
-				g.err = werr
-			}
-		}
-	}
-
-	w.mu.Lock()
-	if torn {
-		w.f = nil
-		w.werr = ErrTornWrite
-	} else if armed {
-		w.tearIn = tear // burn down across flushes until the tear lands
-	}
-	if werr == nil {
-		if w.flushes != nil {
-			w.flushes.Inc()
-			w.records.Add(uint64(written))
-			w.batchHist.Observe(float64(written))
-		}
-	}
-	for _, g := range batch {
-		close(g.done)
-	}
-}
-
-// Close waits out any in-flight flush, then flushes and closes the log.
-func (w *WAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for w.flushing {
-		w.cond.Wait()
+	p, err := appendRecord(w.scratch[:0], op, v)
+	if err != nil {
+		return 0, err
 	}
-	if w.f == nil {
-		return nil
+	w.scratch = p
+	if w.tearIn == 0 {
+		w.log.TearAt(w.log.End() + 1 + int64(len(p)/2))
 	}
-	flushErr := w.w.Flush()
-	closeErr := w.f.Close()
-	w.f = nil
-	w.werr = errWALClosed
-	if flushErr != nil {
-		return fmt.Errorf("metastore: flush wal on close: %w", flushErr)
+	if w.tearIn >= 0 {
+		w.tearIn--
 	}
-	if closeErr != nil {
-		return fmt.Errorf("metastore: close wal: %w", closeErr)
-	}
-	return nil
+	return w.log.Append(p)
 }
 
-// Recover rebuilds a Store from the log at path and keeps journalling to it.
-// A record counts as committed only when terminated by its newline; a torn
-// trailing record (crash mid-append — including one torn inside a
-// group-commit batch) is dropped: replay stops at the last complete record
-// and the file is truncated there, so later appends can never merge with a
-// partial line.
+// appendRecord appends the payload of one record to dst.
+func appendRecord(dst []byte, op byte, v any) ([]byte, error) {
+	p, err := codec.Default().MarshalAppend(append(dst, op), v)
+	if err != nil {
+		return dst, fmt.Errorf("metastore: encode wal record: %w", err)
+	}
+	return p, nil
+}
+
+// wait returns once the log holds everything up to off, fsync'd.
+func (w *WAL) wait(off int64) error {
+	if w == nil {
+		return nil
+	}
+	return w.log.Wait(off)
+}
+
+// Close writes out what is buffered and closes the log.
+func (w *WAL) Close() error {
+	if w == nil {
+		return nil
+	}
+	return w.log.Close()
+}
+
+// Recover rebuilds a Store from the log at path, or starts an empty one
+// where there is none, and keeps journalling to it. Replay ends at the
+// first record that is cut short, fails its checksum or makes no sense — a
+// torn tail, including one torn inside a group-commit batch — and the file
+// is cut there, so later appends can never follow a partial record.
 func Recover(path string, opts ...Option) (*Store, error) {
 	s := NewStore(opts...)
-	s.wal = nil // replay without re-recording
-
-	f, err := os.Open(path)
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-		// Fresh database.
-	case err != nil:
-		return nil, fmt.Errorf("metastore: open wal for recovery: %w", err)
-	default:
-		r := bufio.NewReaderSize(f, 64*1024)
-		var offset int64 // bytes consumed so far
-		var good int64   // offset just past the last complete, replayed record
-	replay:
-		for {
-			line, readErr := r.ReadBytes('\n')
-			offset += int64(len(line))
-			complete := readErr == nil // the terminating '\n' made it to disk
-			trimmed := trimLine(line)
-			switch {
-			case len(trimmed) == 0 && complete:
-				good = offset // blank line, harmless
-			case len(trimmed) > 0:
-				var e walEntry
-				if uerr := json.Unmarshal(trimmed, &e); uerr != nil || !complete {
-					break replay // torn or corrupt tail: drop from here
-				}
-				if err := s.replayEntry(e); err != nil {
-					_ = f.Close()
-					return nil, err
-				}
-				good = offset
-			}
-			if readErr != nil {
-				break // EOF
-			}
-		}
-		if err := f.Close(); err != nil {
-			return nil, fmt.Errorf("metastore: close wal after recovery: %w", err)
-		}
-		if info, err := os.Stat(path); err == nil && info.Size() > good {
-			if err := os.Truncate(path, good); err != nil {
-				return nil, fmt.Errorf("metastore: truncate torn wal tail: %w", err)
-			}
-		}
+	f, end, err := reclog.Open(path, walMagic, s.replay)
+	if errors.Is(err, reclog.ErrMagic) {
+		return nil, fmt.Errorf("metastore: %w; the JSON-lines WAL of earlier versions is not read", err)
+	} else if err != nil {
+		return nil, fmt.Errorf("metastore: open wal: %w", err)
 	}
-
-	w, err := OpenWAL(path)
-	if err != nil {
-		return nil, err
-	}
-	s.attachWAL(w)
+	s.wal = newWAL(f, end, s.reg)
 	return s, nil
 }
 
-// trimLine strips the trailing newline and surrounding spaces.
-func trimLine(line []byte) []byte {
-	for len(line) > 0 && (line[len(line)-1] == '\n' || line[len(line)-1] == '\r' || line[len(line)-1] == ' ') {
-		line = line[:len(line)-1]
+// replay applies one recovered record, reporting whether it made sense.
+// Conflicts and duplicates are tolerated: at-least-once appends (commit
+// replays) are idempotent here too.
+func (s *Store) replay(p []byte, _ int64) bool {
+	if len(p) == 0 {
+		return false
 	}
-	for len(line) > 0 && line[0] == ' ' {
-		line = line[1:]
-	}
-	return line
-}
-
-// replayEntry applies one recovered record. Conflicts and duplicates are
-// tolerated: at-least-once appends (commit replays) are idempotent here too.
-func (s *Store) replayEntry(e walEntry) error {
-	switch e.Op {
+	switch p[0] {
 	case walWorkspace:
-		if e.Workspace != nil {
-			if err := s.CreateWorkspace(*e.Workspace); err != nil && !errors.Is(err, ErrWorkspaceExists) {
-				return err
-			}
+		var ws Workspace
+		if codec.Default().Unmarshal(p[1:], &ws) != nil {
+			return false
 		}
+		err := s.CreateWorkspace(ws)
+		return err == nil || errors.Is(err, ErrWorkspaceExists)
 	case walVersion:
-		if e.Version != nil {
-			sh := s.shards[s.shardIdx(e.Version.Workspace)]
-			sh.mu.Lock()
-			wr, werr := sh.writeTo(s, e.Version.Workspace)
-			if werr != nil {
-				sh.mu.Unlock()
-				return werr
-			}
-			_, err := wr.commit(*e.Version, s.now)
-			wr.install()
-			sh.mu.Unlock()
-			if err != nil && !errors.Is(err, ErrVersionConflict) {
-				return err
-			}
+		var v ItemVersion
+		if codec.Default().Unmarshal(p[1:], &v) != nil {
+			return false
 		}
+		sh := s.shards[s.shardIdx(v.Workspace)]
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		wr, err := sh.writeTo(s, v.Workspace)
+		if err != nil {
+			return false
+		}
+		_, err = wr.commit(v, s.now)
+		wr.install()
+		return err == nil || errors.Is(err, ErrVersionConflict)
 	}
-	return nil
+	return false
 }

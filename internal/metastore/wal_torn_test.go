@@ -1,7 +1,9 @@
 package metastore
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -25,40 +27,50 @@ func commitN(t *testing.T, s *Store, ws string, n int) {
 	}
 }
 
-// TestRecoverTornTail truncates the WAL mid-record and asserts recovery
-// replays every complete transaction and drops only the torn tail.
-func TestRecoverTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	w, err := OpenWAL(path)
+// recoverT recovers the store at path and closes it when the test ends.
+func recoverT(t *testing.T, path string, opts ...Option) *Store {
+	t.Helper()
+	s, err := Recover(path, opts...)
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+	return s
+}
+
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	info, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewStore(WithWAL(w))
+	return info.Size()
+}
+
+// TestRecoverTornTail cuts the WAL mid-way through its last record's
+// payload and asserts recovery replays every complete transaction and drops
+// only the torn tail.
+func TestRecoverTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	s := recoverT(t, path)
 	if err := s.CreateWorkspace(Workspace{ID: "ws", Owner: "u"}); err != nil {
 		t.Fatal(err)
 	}
-	commitN(t, s, "ws", 5)
+	commitN(t, s, "ws", 4)
+	before := fileSize(t, path) // v5's record starts here
+	if _, err := s.CommitVersion(ItemVersion{
+		Workspace: "ws", ItemID: "item", Path: "f.txt", Version: 5, Status: Modified, Checksum: "ccccc",
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Tear the final record: cut the file mid-way through its last line.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := data[:len(data)-1] // strip final newline
-	lastLine := body[strings.LastIndexByte(string(body), '\n')+1:]
-	torn := len(data) - 1 - len(lastLine)/2
-	if err := os.Truncate(path, int64(torn)); err != nil {
+	if err := os.Truncate(path, before+(fileSize(t, path)-before)/2); err != nil {
 		t.Fatal(err)
 	}
 
-	rec, err := Recover(path)
-	if err != nil {
-		t.Fatalf("recover torn wal: %v", err)
-	}
-	defer rec.Close()
+	rec := recoverT(t, path)
 	cur, ok, err := rec.Current("ws", "item")
 	if err != nil || !ok {
 		t.Fatalf("current after recovery: ok=%v err=%v", ok, err)
@@ -78,26 +90,17 @@ func TestRecoverTornTail(t *testing.T) {
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rec2, err := Recover(path)
-	if err != nil {
-		t.Fatalf("second recovery: %v", err)
-	}
-	defer rec2.Close()
-	cur, ok, err = rec2.Current("ws", "item")
+	cur, ok, err = recoverT(t, path).Current("ws", "item")
 	if err != nil || !ok || cur.Version != 5 || cur.Checksum != "new5" {
 		t.Fatalf("after append+recover: %+v ok=%v err=%v", cur, ok, err)
 	}
 }
 
-// TestRecoverNewlinelessCompleteTail: a record missing only its newline is
-// still treated as torn — commit is defined by the terminating newline.
+// TestRecoverNewlinelessCompleteTail: a last record missing only its final
+// CRC byte is still torn — a record is committed when it is whole.
 func TestRecoverNewlinelessCompleteTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	w, err := OpenWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewStore(WithWAL(w))
+	s := recoverT(t, path)
 	if err := s.CreateWorkspace(Workspace{ID: "ws", Owner: "u"}); err != nil {
 		t.Fatal(err)
 	}
@@ -105,21 +108,78 @@ func TestRecoverNewlinelessCompleteTail(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	info, err := os.Stat(path)
-	if err != nil {
+	if err := os.Truncate(path, fileSize(t, path)-1); err != nil { // drop the last CRC byte only
 		t.Fatal(err)
 	}
-	if err := os.Truncate(path, info.Size()-1); err != nil { // drop final '\n' only
-		t.Fatal(err)
-	}
-	rec, err := Recover(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Close()
-	cur, ok, _ := rec.Current("ws", "item")
+	cur, ok, _ := recoverT(t, path).Current("ws", "item")
 	if !ok || cur.Version != 2 {
 		t.Fatalf("recovered version = %d (ok=%v), want 2", cur.Version, ok)
+	}
+}
+
+// TestRecoverStopsAtDamagedRecord flips, one at a time, each byte of the
+// third of five committed versions' record. Whatever the byte, recovery
+// must keep v1 and v2 as they were committed and end the replay at v3: a
+// damaged record is never replayed as data, and nothing after it is.
+func TestRecoverStopsAtDamagedRecord(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "wal.log")
+	now := WithNow(func() time.Time { return time.Unix(1700000000, 0).UTC() })
+	s := recoverT(t, path, now)
+	if err := s.CreateWorkspace(Workspace{ID: "ws", Owner: "u"}); err != nil {
+		t.Fatal(err)
+	}
+	var committed []ItemVersion
+	var ends []int64 // the file's size after each commit
+	for v := uint64(1); v <= 5; v++ {
+		c, err := s.CommitVersion(ItemVersion{
+			Workspace: "ws", ItemID: "item", Path: "f.txt", Version: v, Status: Modified,
+			Size: 1000 * int64(v), Checksum: strings.Repeat("ab", int(v)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		committed = append(committed, c)
+		ends = append(ends, fileSize(t, path))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := ends[1]; i < ends[2]; i++ {
+		damaged := bytes.Clone(data)
+		damaged[i] ^= 0x01
+		p := filepath.Join(dir, fmt.Sprintf("damaged-%d.wal", i))
+		if err := os.WriteFile(p, damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := recoverT(t, p, now).History("ws", "item")
+		if err != nil || !reflect.DeepEqual(got, committed[:2]) {
+			t.Fatalf("byte %d of v3's record flipped: recovered %+v (%v), want v1 and v2 as committed %+v", i-ends[1], got, err, committed[:2])
+		}
+	}
+}
+
+// TestWALRefusesJSONLines: a metadata.wal of the JSON-lines format earlier
+// versions wrote fails Recover with an error that names the format, and is
+// left as it was.
+func TestWALRefusesJSONLines(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "metadata.wal")
+	old := `{"op":"workspace","workspace":{"id":"ws","owner":"u"}}` + "\n"
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := Recover(path); err == nil {
+		_ = s.Close()
+		t.Fatal("JSON-lines WAL replayed")
+	} else if !strings.Contains(err.Error(), "JSON-lines") {
+		t.Fatalf("refusal %q does not name the format", err)
+	}
+	if data, _ := os.ReadFile(path); string(data) != old {
+		t.Fatal("refused WAL was modified")
 	}
 }
 
@@ -128,18 +188,14 @@ func TestRecoverNewlinelessCompleteTail(t *testing.T) {
 // recovery drops exactly that record.
 func TestInjectedTornWrite(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	w, err := OpenWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	plan := faults.NewPlan(faults.Config{Seed: 1, Sites: map[string]faults.SiteConfig{
 		"meta": {TornP: 1},
 	}})
-	s := NewStore(WithWAL(w), WithFaults(plan, "meta"))
+	s := recoverT(t, path, WithFaults(plan, "meta"))
 	if err := s.CreateWorkspace(Workspace{ID: "ws", Owner: "u"}); err != nil {
 		t.Fatal(err)
 	}
-	_, err = s.CommitVersion(ItemVersion{
+	_, err := s.CommitVersion(ItemVersion{
 		Workspace: "ws", ItemID: "item", Path: "f.txt", Version: 1, Status: Added, Checksum: "c",
 	})
 	if !errors.Is(err, ErrTornWrite) {
@@ -147,11 +203,7 @@ func TestInjectedTornWrite(t *testing.T) {
 	}
 	_ = s.Close()
 
-	rec, err := Recover(path)
-	if err != nil {
-		t.Fatalf("recover after injected tear: %v", err)
-	}
-	defer rec.Close()
+	rec := recoverT(t, path)
 	if _, ok, _ := rec.Current("ws", "item"); ok {
 		t.Fatalf("torn commit survived recovery")
 	}
@@ -307,15 +359,11 @@ func TestRecoverTornBatchMatrix(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "wal.log")
-			w, err := OpenWAL(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := NewStore(WithWAL(w), WithNow(now))
+			s := recoverT(t, path, WithNow(now))
 			if err := s.CreateWorkspace(Workspace{ID: "ws", Owner: "u"}); err != nil {
 				t.Fatal(err)
 			}
-			tc.run(t, s, w)
+			tc.run(t, s, s.wal)
 			_ = s.Close()
 
 			rec, err := Recover(path, WithNow(now))

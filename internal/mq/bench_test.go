@@ -113,11 +113,10 @@ func BenchmarkJournalFanout(b *testing.B) {
 	for _, queues := range []int{1, 24} {
 		b.Run(fmt.Sprintf("queues=%d", queues), func(b *testing.B) {
 			path := filepath.Join(b.TempDir(), "bench.journal")
-			j, err := OpenJournal(path)
+			br, err := RecoverBroker(path)
 			if err != nil {
 				b.Fatal(err)
 			}
-			br := NewBroker(WithJournal(j))
 			if err := br.DeclareExchange("fan", Fanout); err != nil {
 				b.Fatal(err)
 			}
@@ -192,11 +191,10 @@ func BenchmarkNetworkFanoutAck(b *testing.B) {
 
 func benchNetworkFanoutAck(b *testing.B, conns int) {
 	const queues = 24
-	j, err := OpenJournal(filepath.Join(b.TempDir(), "bench.journal"))
+	br, err := RecoverBroker(filepath.Join(b.TempDir(), "bench.journal"))
 	if err != nil {
 		b.Fatal(err)
 	}
-	br := NewBroker(WithJournal(j))
 	defer br.Close()
 	srv, err := NewServer(br, "127.0.0.1:0")
 	if err != nil {

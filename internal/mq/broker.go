@@ -107,12 +107,6 @@ func WithClock(c clock.Clock) BrokerOption {
 	return func(b *Broker) { b.clk = c }
 }
 
-// WithJournal enables persistence of declarations and persistent messages
-// in j. See Journal.
-func WithJournal(j *Journal) BrokerOption {
-	return func(b *Broker) { b.journal = j }
-}
-
 // NewBroker returns an empty broker ready for declarations.
 func NewBroker(opts ...BrokerOption) *Broker {
 	b := &Broker{

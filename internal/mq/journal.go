@@ -1,15 +1,13 @@
 package mq
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"slices"
-	"sync"
+
+	"stacksync/internal/reclog"
 )
 
 // Journal is the broker's append-only log of declarations and persistent
@@ -18,36 +16,23 @@ import (
 // queues, so that when the system is restarted, the unprocessed messages can
 // be recovered."
 //
-// The file is journalMagic, then records framed as uvarint(len(payload)) |
-// payload | crc32c(payload). The broker appends records to buf under its
-// mutex, which fixes their order, and one flusher at a time writes buf out,
-// so what accumulates during one write goes out in the next. wait blocks
-// until a record is in the file: written, not fsync'd, which survives a
-// crash of the process, not of the machine. Ack records are appended with
-// no wait and ride the next write: any wait drains the whole buffer, and
-// the broker calls flush when no delivery is left outstanding. A nil
-// *Journal is a disabled journal.
+// The file is a record log (DESIGN §20) under journalMagic, and its writer
+// the log's group writer without fsync: wait blocks until a record is in the
+// file, written, not fsync'd, which survives a crash of the process, not of
+// the machine. The broker appends records under its mutex, which fixes their
+// order and guards scratch. Ack records are appended with no wait and ride
+// the next write: any wait drains the whole buffer, and the broker calls
+// flush when no delivery is left outstanding. A nil *Journal is a disabled
+// journal.
 type Journal struct {
-	mu       sync.Mutex
-	cond     *sync.Cond // signalled after every write
-	f        *os.File
-	buf      []byte // framed records not yet handed to the flusher
-	scratch  []byte // payload under construction
-	appended int64  // bytes ever put in buf
-	written  int64  // bytes of buf ever written to f
-	flushing bool   // a flusher is running
-	err      error  // sticky: the first write error, or errJournalClosed
+	w       *reclog.Writer
+	scratch []byte // payload under construction
 }
 
 // journalMagic opens every journal file; anything else is refused. It
 // names the codec of the envelopes inside too: SSMQJNL2 journals hold
 // envelopes of the tagged codec that preceded the positional one.
 const journalMagic = "SSMQJNL3"
-
-var (
-	errJournalClosed = errors.New("mq: journal closed")
-	crcTable         = crc32.MakeTable(crc32.Castagnoli)
-)
 
 // Record types. Every record but recPublish has the payload
 // op | uvarint a | uvarint b | strings, each string uvarint-length-prefixed.
@@ -64,26 +49,14 @@ const (
 	recPublish
 )
 
-// OpenJournal creates the journal at path for a new broker. An existing
-// journal holds queue ids only its own replay can interpret: RecoverBroker
-// opens those.
-func OpenJournal(path string) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err == nil {
-		if _, err = f.WriteString(journalMagic); err != nil {
-			_ = f.Close()
-		}
-	}
+// createJournal creates the journal at path, which must not exist, and
+// returns it with its file, which recovery fsyncs before renaming it.
+func createJournal(path string) (*Journal, *os.File, error) {
+	f, err := reclog.Create(path, journalMagic)
 	if err != nil {
-		return nil, fmt.Errorf("mq: create journal: %w", err)
+		return nil, nil, fmt.Errorf("mq: create journal: %w", err)
 	}
-	j := &Journal{f: f}
-	j.cond = sync.NewCond(&j.mu)
-	return j, nil
-}
-
-func appendString(p []byte, s string) []byte {
-	return append(binary.AppendUvarint(p, uint64(len(s))), s...)
+	return &Journal{w: reclog.NewWriter(f, int64(len(journalMagic)), false, nil)}, f, nil
 }
 
 // record appends one non-publish record and returns the offset to wait on,
@@ -92,13 +65,12 @@ func (j *Journal) record(op byte, a, b uint64, strs ...string) (int64, error) {
 	if j == nil {
 		return 0, nil
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	p := binary.AppendUvarint(binary.AppendUvarint(append(j.scratch[:0], op), a), b)
 	for _, s := range strs {
-		p = appendString(p, s)
+		p = reclog.AppendString(p, s)
 	}
-	return j.frameLocked(p)
+	j.scratch = p
+	return j.w.Append(p)
 }
 
 // publish appends the single record of a message routed to targets.
@@ -106,94 +78,36 @@ func (j *Journal) publish(lsn uint64, targets []*queue, msg *Message) (int64, er
 	if j == nil {
 		return 0, nil
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	p := binary.AppendUvarint(append(j.scratch[:0], recPublish), lsn)
 	p = binary.AppendUvarint(p, uint64(len(targets)))
 	for _, q := range targets {
 		p = binary.AppendUvarint(p, q.id)
 	}
-	p = appendString(p, msg.ID)
+	p = reclog.AppendString(p, msg.ID)
 	p = binary.AppendUvarint(p, uint64(len(msg.Headers)))
 	for k, v := range msg.Headers {
-		p = appendString(appendString(p, k), v)
+		p = reclog.AppendString(reclog.AppendString(p, k), v)
 	}
-	return j.frameLocked(append(p, msg.Body...))
-}
-
-// frameLocked frames payload (built in j.scratch) onto buf.
-func (j *Journal) frameLocked(payload []byte) (int64, error) {
-	j.scratch = payload
-	if j.err != nil {
-		return 0, j.err
-	}
-	n := len(j.buf)
-	j.buf = slices.Grow(j.buf, binary.MaxVarintLen64+len(payload)+4)
-	j.buf = append(binary.AppendUvarint(j.buf, uint64(len(payload))), payload...)
-	j.buf = binary.LittleEndian.AppendUint32(j.buf, crc32.Checksum(payload, crcTable))
-	j.appended += int64(len(j.buf) - n)
-	return j.appended, nil
-}
-
-// drainLocked is the flusher: it writes buf out until it runs dry. The
-// caller holds j.mu and has seen j.flushing false; setting it keeps everyone
-// else out while the mutex is released across each write.
-func (j *Journal) drainLocked() {
-	j.flushing = true
-	for len(j.buf) > 0 && j.err == nil {
-		batch := j.buf
-		j.buf = nil // batch is the flusher's alone; appends start a new array
-		j.mu.Unlock()
-		_, err := j.f.Write(batch)
-		j.mu.Lock()
-		if err != nil {
-			j.err = fmt.Errorf("mq: append journal: %w", err)
-		} else {
-			j.written += int64(len(batch))
-		}
-		j.cond.Broadcast()
-	}
-	j.flushing = false
+	j.scratch = append(p, msg.Body...)
+	return j.w.Append(j.scratch)
 }
 
 // wait returns once everything up to off, an offset record or publish
-// returned, is in the file, or with the error that prevented it. If no
-// flusher is running the caller becomes it — an uncontended publish writes
-// its own record, with no hand-off to another goroutine — and otherwise it
-// shares the running flusher's next write.
+// returned, is in the file, or with the error that prevented it.
 func (j *Journal) wait(off int64) error {
-	if off == 0 {
+	if j == nil {
 		return nil
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	for j.written < off && j.err == nil {
-		if j.flushing {
-			j.cond.Wait()
-		} else {
-			j.drainLocked()
-		}
-	}
-	if j.written >= off {
-		return nil
-	}
-	return j.err
+	return j.w.Wait(off)
 }
 
-// flush writes out what is buffered and reports the journal's error, if it
-// has one. It is for records nobody waits on (acks, and recovery's
-// checkpoint): if a flusher is running it returns at once, since that
-// flusher's loop takes them along.
+// flush writes out what is buffered, for records nobody waits on (acks,
+// and recovery's checkpoint), and reports the journal's error.
 func (j *Journal) flush() error {
 	if j == nil {
 		return nil
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if !j.flushing {
-		j.drainLocked()
-	}
-	return j.err
+	return j.w.Flush()
 }
 
 // Close writes out what is buffered and closes the file.
@@ -201,21 +115,7 @@ func (j *Journal) Close() error {
 	if j == nil {
 		return nil
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	for j.flushing {
-		j.cond.Wait()
-	}
-	if j.f == nil {
-		return nil
-	}
-	j.drainLocked()
-	err := j.err
-	if cerr := j.f.Close(); err == nil && cerr != nil {
-		err = fmt.Errorf("mq: close journal: %w", cerr)
-	}
-	j.f, j.err = nil, errJournalClosed
-	return err
+	return j.w.Close()
 }
 
 // RecoverBroker replays the journal at path into a fresh Broker: topology,
@@ -226,20 +126,23 @@ func (j *Journal) Close() error {
 // appending to it. The broker keeps journalling to the new file.
 func RecoverBroker(path string, opts ...BrokerOption) (*Broker, error) {
 	b := NewBroker(opts...)
-	b.journal = nil // replay without re-recording
-	live, err := replayJournal(b, path)
-	if err != nil {
-		return nil, err
+	st := replayState{b: b, queues: make(map[uint64]*queue), live: make(map[uint64]*livePub)}
+	old, _, err := reclog.Open(path, journalMagic, st.apply)
+	if errors.Is(err, reclog.ErrMagic) {
+		return nil, fmt.Errorf("mq: %w; earlier formats, SSMQJNL2 and JSON-lines journals, are not read", err)
+	} else if err != nil {
+		return nil, fmt.Errorf("mq: open journal for recovery: %w", err)
 	}
+	_ = old.Close()
 	tmp := path + ".tmp"
-	_ = os.Remove(tmp) // left by a crash mid-compaction; if it stays, OpenJournal says so
-	j, err := OpenJournal(tmp)
+	_ = os.Remove(tmp) // left by a crash mid-compaction; if it stays, createJournal says so
+	j, f, err := createJournal(tmp)
 	if err != nil {
 		return nil, err
 	}
-	b.checkpointTo(j, live)
+	b.checkpointTo(j, st.live)
 	if err = j.flush(); err == nil {
-		err = j.f.Sync()
+		err = f.Sync()
 	}
 	if err == nil {
 		err = os.Rename(tmp, path)
@@ -294,101 +197,28 @@ func (b *Broker) checkpointTo(j *Journal, live map[uint64]*livePub) {
 	}
 }
 
-// replayJournal applies the journal at path to b and returns the messages
-// still owed to some queue, by LSN. Replay ends at the first record that is
-// cut short, fails its checksum or makes no sense; what precedes it stands.
-func replayJournal(b *Broker, path string) (map[uint64]*livePub, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("mq: open journal for recovery: %w", err)
-	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("mq: open journal for recovery: %w", err)
-	}
-	r := bufio.NewReaderSize(f, 64<<10)
-	magic := make([]byte, len(journalMagic))
-	if n, _ := io.ReadFull(r, magic); string(magic[:n]) != journalMagic[:n] {
-		return nil, fmt.Errorf("mq: %s is not a broker journal: no %q header (earlier formats, SSMQJNL2 and JSON-lines journals, are not read)", path, journalMagic)
-	} else if n < len(magic) {
-		return nil, nil // crashed while creating the file
-	}
-	st := replayState{b: b, queues: make(map[uint64]*queue), live: make(map[uint64]*livePub)}
-	var rec []byte
-	for {
-		n, err := binary.ReadUvarint(r)
-		if err != nil || n > uint64(info.Size()) {
-			break
-		}
-		if uint64(cap(rec)) < n+4 {
-			rec = make([]byte, n+4)
-		}
-		rec = rec[:n+4]
-		if _, err := io.ReadFull(r, rec); err != nil {
-			break
-		}
-		payload := rec[:n]
-		if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(rec[n:]) || !st.apply(payload) {
-			break
-		}
-	}
-	return st.live, nil
-}
-
 type replayState struct {
 	b      *Broker
 	queues map[uint64]*queue // declared and not deleted, by journal id
 	live   map[uint64]*livePub
 }
 
-// journalDecoder reads the fields of one payload; ok turns false, and stays
-// false, once a field runs past the end.
-type journalDecoder struct {
-	p  []byte
-	ok bool
-}
-
-func (d *journalDecoder) uvarint() uint64 {
-	v, n := binary.Uvarint(d.p)
-	if n <= 0 {
-		d.ok = false
-		return 0
-	}
-	d.p = d.p[n:]
-	return v
-}
-
-func (d *journalDecoder) str() string {
-	n := d.uvarint()
-	if n > uint64(len(d.p)) {
-		d.ok = false
-		return ""
-	}
-	s := string(d.p[:n])
-	d.p = d.p[n:]
-	return s
-}
-
 // apply replays one record, reporting whether it was well formed. Records
 // that name a queue or exchange deleted since are skipped, not malformed.
-func (st *replayState) apply(payload []byte) bool {
+func (st *replayState) apply(payload []byte, _ int64) bool {
 	if len(payload) == 0 {
 		return false
 	}
-	b, d := st.b, journalDecoder{p: payload[1:], ok: true}
+	b, d := st.b, reclog.NewDecoder(payload[1:])
 	if payload[0] == recPublish {
 		return st.applyPublish(&d)
 	}
-	a, lsn := d.uvarint(), d.uvarint()
+	a, lsn := d.Uvarint(), d.Uvarint()
 	q := st.queues[a]
 	switch payload[0] {
 	case recDeclareQueue:
-		name := d.str()
-		if _, dup := b.queues[name]; !d.ok || dup || q != nil {
+		name := d.Str()
+		if _, dup := b.queues[name]; !d.OK() || dup || q != nil {
 			return false
 		}
 		q = b.addQueueLocked(name)
@@ -401,13 +231,13 @@ func (st *replayState) apply(payload []byte) bool {
 			_ = b.DeleteQueue(q.name) // declared above, so it exists
 		}
 	case recDeclareExchange:
-		name, kind := d.str(), ExchangeKind(a)
-		if !d.ok || (kind != Direct && kind != Fanout) || b.DeclareExchange(name, kind) != nil {
+		name, kind := d.Str(), ExchangeKind(a)
+		if !d.OK() || (kind != Direct && kind != Fanout) || b.DeclareExchange(name, kind) != nil {
 			return false
 		}
 	case recBind, recUnbind:
-		exchange, key := d.str(), d.str()
-		if !d.ok {
+		exchange, key := d.Str(), d.Str()
+		if !d.OK() {
 			return false
 		}
 		if q != nil && payload[0] == recBind {
@@ -427,36 +257,36 @@ func (st *replayState) apply(payload []byte) bool {
 	default:
 		return false
 	}
-	return d.ok && len(d.p) == 0
+	return d.Done()
 }
 
-func (st *replayState) applyPublish(d *journalDecoder) bool {
-	lsn, n := d.uvarint(), d.uvarint()
-	if !d.ok || lsn == 0 || st.live[lsn] != nil || n > uint64(len(d.p)) {
+func (st *replayState) applyPublish(d *reclog.Decoder) bool {
+	lsn, n := d.Uvarint(), d.Uvarint()
+	if !d.OK() || lsn == 0 || st.live[lsn] != nil || n > uint64(len(d.Rest())) {
 		return false
 	}
 	p := &livePub{msg: Message{Persistent: true}}
 	for ; n > 0; n-- {
-		if q := st.queues[d.uvarint()]; q != nil {
+		if q := st.queues[d.Uvarint()]; q != nil {
 			p.targets = append(p.targets, q)
 		}
 	}
-	p.msg.ID = d.str()
-	if n = d.uvarint(); n > uint64(len(d.p)) {
+	p.msg.ID = d.Str()
+	if n = d.Uvarint(); n > uint64(len(d.Rest())) {
 		return false
 	}
 	if n > 0 {
 		p.msg.Headers = make(map[string]string, n)
 	}
 	for ; n > 0; n-- {
-		k := d.str()
-		p.msg.Headers[k] = d.str()
+		k := d.Str()
+		p.msg.Headers[k] = d.Str()
 	}
-	if !d.ok {
+	if !d.OK() {
 		return false
 	}
-	if len(d.p) > 0 {
-		p.msg.Body = append([]byte(nil), d.p...)
+	if body := d.Rest(); len(body) > 0 {
+		p.msg.Body = append([]byte(nil), body...)
 	}
 	st.b.seq = max(st.b.seq, lsn)
 	if len(p.targets) > 0 {

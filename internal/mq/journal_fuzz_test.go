@@ -1,28 +1,21 @@
 package mq
 
 import (
-	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"reflect"
 	"testing"
+
+	"stacksync/internal/reclog"
 )
 
-// frameRecords states the journal's framing independently of journal.go:
-// the magic, then each payload as uvarint length | payload | CRC-32C. data
-// is cut into payloads by a length byte before each.
+// frameRecords writes the magic, then data cut into records by a length
+// byte before each payload, framed by the record log.
 func frameRecords(data []byte) []byte {
 	out := []byte(journalMagic)
 	for len(data) > 0 {
-		n := int(data[0])
-		data = data[1:]
-		if n > len(data) {
-			n = len(data)
-		}
-		out = binary.AppendUvarint(out, uint64(n))
-		out = append(out, data[:n]...)
-		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(data[:n], crc32.MakeTable(crc32.Castagnoli)))
-		data = data[n:]
+		n := min(int(data[0]), len(data)-1)
+		out = reclog.Frame(out, data[1:1+n])
+		data = data[1+n:]
 	}
 	return out
 }
@@ -45,11 +38,10 @@ func queueContents(t *testing.T, b *Broker) map[string][]string {
 // file takes appends that the next recovery reads back.
 func FuzzJournalReplay(f *testing.F) {
 	path := f.TempDir() + "/seed.journal"
-	j, err := OpenJournal(path)
+	b, err := RecoverBroker(path)
 	if err != nil {
 		f.Fatal(err)
 	}
-	b := NewBroker(WithJournal(j))
 	_ = b.DeclareExchange("fan", Fanout)
 	for _, q := range []string{"a", "b"} {
 		_ = b.DeclareQueue(q)

@@ -13,11 +13,10 @@ import (
 // broker and verifies recovery reflects exactly the unacked set.
 func TestJournalRecoveryUnderConcurrentLoad(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "stress.journal")
-	j, err := OpenJournal(path)
+	b, err := RecoverBroker(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBroker(WithJournal(j))
 	mustDeclare(t, b, "q")
 
 	const (

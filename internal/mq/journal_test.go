@@ -18,11 +18,11 @@ func journalPath(t *testing.T) string {
 
 func newJournaledBroker(t *testing.T, path string) *Broker {
 	t.Helper()
-	j, err := OpenJournal(path)
+	b, err := RecoverBroker(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewBroker(WithJournal(j))
+	return b
 }
 
 func mustRecover(t *testing.T, path string) *Broker {
@@ -408,10 +408,15 @@ func TestPublishReturnsAfterRecordIsInFile(t *testing.T) {
 // is delivered though not durable; from then on persistent publishes are
 // refused before they reach a queue, and transient ones are not affected.
 func TestFailedJournalRefusesLaterPublishes(t *testing.T) {
-	b := newJournaledBroker(t, journalPath(t))
+	j, f, err := createJournal(journalPath(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBroker()
+	b.journal = j
 	t.Cleanup(func() { _ = b.Close() })
 	mustDeclare(t, b, "q")
-	_ = b.journal.f.Close() // every write fails from here on
+	_ = f.Close() // every write fails from here on
 	for _, id := range []string{"first", "second"} {
 		if err := b.Publish("", "q", Message{ID: id, Persistent: true}); err == nil {
 			t.Fatalf("publish %s returned nil though its record is not in the file", id)
@@ -597,8 +602,8 @@ func TestRecoverRefusesOtherFormats(t *testing.T) {
 	if string(journalBytes(t, path)) != old {
 		t.Fatal("refused journal was modified")
 	}
-	if _, err := OpenJournal(path); err == nil {
-		t.Fatal("OpenJournal accepted a non-empty file")
+	if _, _, err := createJournal(path); err == nil {
+		t.Fatal("createJournal accepted a non-empty file")
 	}
 }
 

@@ -260,11 +260,10 @@ func TestNetworkFanoutLeavesInOneWrite(t *testing.T) {
 		t.Skip("counts system calls in /proc/self/io, which this platform lacks")
 	}
 	const consumers = 12
-	j, err := OpenJournal(filepath.Join(t.TempDir(), "broker.journal"))
+	b, err := RecoverBroker(filepath.Join(t.TempDir(), "broker.journal"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBroker(WithJournal(j))
 	defer b.Close()
 	srv, err := NewServer(b, "127.0.0.1:0")
 	if err != nil {

@@ -1,25 +1,21 @@
 package objstore
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 	"sync/atomic"
 
 	"stacksync/internal/obs"
+	"stacksync/internal/reclog"
 )
 
 // Disk is a filesystem-backed Store: one append-only log, the Haystack/
-// Bitcask layout in the broker journal's framing (DESIGN §12): logMagic,
-// then records uvarint(len(payload)) | payload | crc32c(payload). A payload
+// Bitcask layout, as a record log (DESIGN §12, §20) under logMagic. A payload
 // is a record type, a container name and, for a put, a key and the object's
 // bytes; names are uvarint-length-prefixed. An in-memory index maps each
 // object to its last put: no path is derived from any name. A root belongs
@@ -54,8 +50,6 @@ const (
 	logMagic                  = "SSOBJLG1"
 	recContainer, recPut byte = 1, 2
 )
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // The recent-object set's limits (DESIGN §12). Objects over recentMaxObject
 // stay with the page cache: copying them costs more than the read saves.
@@ -116,14 +110,9 @@ func NewDisk(dir string) (*Disk, error) {
 			return nil, fmt.Errorf("objstore: %s holds directory %q: the one-file-per-object layout of earlier versions is not read", dir, e.Name())
 		}
 	}
-	f, err := os.OpenFile(filepath.Join(dir, logName), os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("objstore: open log: %w", err)
-	}
-	d := &Disk{f: f, containers: make(map[string]bool), index: make(map[objKey]extent)}
-	if err := d.recover(); err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("objstore: recover %s: %w", f.Name(), err)
+	d := &Disk{containers: make(map[string]bool), index: make(map[objKey]extent)}
+	if d.f, d.end, err = reclog.Open(filepath.Join(dir, logName), logMagic, d.apply); err != nil {
+		return nil, fmt.Errorf("objstore: open chunk log: %w", err)
 	}
 	return d, nil
 }
@@ -131,84 +120,23 @@ func NewDisk(dir string) (*Disk, error) {
 // Close closes the log.
 func (d *Disk) Close() error { return d.f.Close() }
 
-// recover replays the log into the index. Replay ends at the first record
-// that is cut short, fails its CRC or makes no sense; what precedes it
-// stands and the rest is truncated.
-func (d *Disk) recover() error {
-	info, err := d.f.Stat()
-	if err != nil {
-		return err
-	}
-	r := bufio.NewReaderSize(d.f, 64<<10)
-	magic := make([]byte, len(logMagic))
-	n, _ := io.ReadFull(r, magic)
-	if string(magic[:n]) != logMagic[:n] {
-		return fmt.Errorf("no %q header: not an object log", logMagic)
-	}
-	if d.end = int64(len(logMagic)); n < len(magic) { // new, or crashed while creating it
-		_, err := d.f.WriteAt([]byte(logMagic), 0)
-		return err
-	}
-	var rec []byte
-	for {
-		head, _ := r.Peek(binary.MaxVarintLen64)
-		n, k := binary.Uvarint(head)
-		if k <= 0 || n > uint64(info.Size()) {
-			break
-		}
-		_, _ = r.Discard(k) // Peek returned these bytes
-		rec = slices.Grow(rec[:0], int(n)+4)[:n+4]
-		off := d.end + int64(k)
-		if _, err := io.ReadFull(r, rec); err != nil ||
-			crc32.Checksum(rec[:n], crcTable) != binary.LittleEndian.Uint32(rec[n:]) || !d.apply(rec[:n], off) {
-			break
-		}
-		d.end = off + int64(n) + 4
-	}
-	if d.end < info.Size() {
-		return d.f.Truncate(d.end)
-	}
-	return nil
-}
-
 // apply indexes the record whose payload p starts at off.
 func (d *Disk) apply(p []byte, off int64) bool {
 	if len(p) == 0 {
 		return false
 	}
-	container, rest, ok := cutName(p[1:])
-	if ok && p[0] == recContainer && len(rest) == 0 {
+	r := reclog.NewDecoder(p[1:])
+	container := r.Str()
+	if p[0] == recContainer && r.Done() {
 		d.containers[container] = true
 		return true
 	}
-	key, rest, ok2 := cutName(rest)
-	if !ok || !ok2 || p[0] != recPut || !d.containers[container] {
+	key := r.Str()
+	if !r.OK() || p[0] != recPut || !d.containers[container] {
 		return false
 	}
-	d.index[objKey{container, key}] = extent{off: off, n: len(p), data: len(p) - len(rest)}
+	d.index[objKey{container, key}] = extent{off: off, n: len(p), data: len(p) - len(r.Rest())}
 	return true
-}
-
-// cutName splits a uvarint-length-prefixed name off the front of p.
-func cutName(p []byte) (name string, rest []byte, ok bool) {
-	n, k := binary.Uvarint(p)
-	if k <= 0 || n > uint64(len(p)-k) {
-		return "", nil, false
-	}
-	return string(p[k : k+int(n)]), p[k+int(n):], true
-}
-
-func appendName(p []byte, s string) []byte {
-	return append(binary.AppendUvarint(p, uint64(len(s))), s...)
-}
-
-// frame appends the record head+data to buf, with its extent relative to buf.
-func frame(buf, head, data []byte) ([]byte, extent) {
-	n := len(head) + len(data)
-	buf = binary.AppendUvarint(buf, uint64(n))
-	e := extent{off: int64(len(buf)), n: n, data: len(head)}
-	crc := crc32.Update(crc32.Checksum(head, crcTable), crcTable, data)
-	return binary.LittleEndian.AppendUint32(append(append(buf, head...), data...), crc), e
 }
 
 // appendLocked writes buf at the end of the log in one write; the caller
@@ -249,8 +177,7 @@ func (d *Disk) EnsureContainer(ctx context.Context, container string) error {
 	if d.containers[container] {
 		return nil
 	}
-	buf, _ := frame(nil, appendName([]byte{recContainer}, container), nil)
-	if err := d.appendLocked(buf); err != nil {
+	if err := d.appendLocked(reclog.Frame(nil, reclog.AppendString([]byte{recContainer}, container))); err != nil {
 		return fmt.Errorf("objstore: ensure container %s: %w", container, err)
 	}
 	d.containers[container] = true
@@ -283,8 +210,10 @@ func (d *Disk) PutMulti(ctx context.Context, container string, objects []Object)
 	buf, head := make([]byte, 0, size), []byte(nil)
 	places := make([]extent, len(objects))
 	for i, o := range objects {
-		head = appendName(appendName(append(head[:0], recPut), container), o.Key)
-		buf, places[i] = frame(buf, head, o.Data)
+		head = reclog.AppendString(reclog.AppendString(append(head[:0], recPut), container), o.Key)
+		buf = reclog.Frame(buf, head, o.Data)
+		n := len(head) + len(o.Data)
+		places[i] = extent{off: int64(len(buf) - 4 - n), n: n, data: len(head)}
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -325,7 +254,7 @@ func (d *Disk) GetMulti(ctx context.Context, container string, keys []string) ([
 		if _, err := d.f.ReadAt(rec, e.off); err != nil {
 			return nil, opErr("getmulti", container, k, err)
 		}
-		if crc32.Checksum(rec[:e.n], crcTable) != binary.LittleEndian.Uint32(rec[e.n:]) {
+		if !reclog.Check(rec) {
 			return nil, opErr("getmulti", container, k, errors.New("record fails its checksum"))
 		}
 		return rec[e.data:e.n:e.n], nil

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"stacksync/internal/reclog"
 )
 
 // FuzzDiskRecover appends arbitrary bytes to a log of whole records, as a
@@ -13,8 +15,8 @@ import (
 // back its own bytes, and an object put after the reopen must read back
 // after a second one: the tail is cut off, not built on.
 func FuzzDiskRecover(f *testing.F) {
-	rec, _ := frame(nil, appendName(appendName([]byte{recPut}, "c"), "t"), []byte("tail"))
-	box, _ := frame(nil, appendName([]byte{recContainer}, "x"), nil)
+	rec := reclog.Frame(nil, reclog.AppendString(reclog.AppendString([]byte{recPut}, "c"), "t"), []byte("tail"))
+	box := reclog.Frame(nil, reclog.AppendString([]byte{recContainer}, "x"))
 	damaged := bytes.Clone(rec)
 	damaged[len(damaged)-6] ^= 1
 	f.Add([]byte{})

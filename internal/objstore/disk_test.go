@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"stacksync/internal/obs"
+	"stacksync/internal/reclog"
 )
 
 // openDisk opens the store at dir and closes it when the test ends.
@@ -141,9 +142,9 @@ func TestDiskRecoversTornTail(t *testing.T) {
 	if err := d.PutMulti(ctx, "c", []Object{{Key: "a", Data: want["a"]}, {Key: "b", Data: want["b"]}}); err != nil {
 		t.Fatal(err)
 	}
-	putHead := func(key string) []byte { return appendName(appendName([]byte{recPut}, "c"), key) }
-	afterRec, _ := frame(nil, putHead("after"), want["after"])
-	ghost, _ := frame(nil, putHead("ghost"), []byte("resurrected"))
+	putHead := func(key string) []byte { return reclog.AppendString(reclog.AppendString([]byte{recPut}, "c"), key) }
+	afterRec := reclog.Frame(nil, putHead("after"), want["after"])
+	ghost := reclog.Frame(nil, putHead("ghost"), []byte("resurrected"))
 	torn := make([]byte, 3000)
 	copy(torn[len(afterRec)-len(putHead("torn"))-2:], ghost) // 2: the torn record's length prefix
 	if err := d.PutMulti(ctx, "c", []Object{{Key: "torn", Data: torn}}); err != nil {

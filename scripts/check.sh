@@ -56,10 +56,14 @@ go test -race -count=1 ./internal/codec/ ./internal/core/ ./internal/omq/ ./inte
 # gets) with its recent-object set are where a lost wake, a frame sent out
 # of order, a read of a record not yet whole or a cache disagreeing with
 # the log would hide, and the writer is where an oversize frame must be
-# dropped alone (TestNetworkOversizeReplyFailsOneCall): twenty
-# race-enabled passes over both.
-echo "==> server write path + chunk log and recent-object set (race, 20x)"
-go test -race -count=20 -run 'TestNetwork|TestDiskServesRecent|TestDiskConcurrentPutGet' ./internal/mq ./internal/objstore
+# dropped alone (TestNetworkOversizeReplyFailsOneCall). The record log's
+# group writer (concurrent Append/Wait, one flusher at a time with its
+# mutex released across each write) and the metadata WAL's group commit on
+# it are where a lost wake or an acknowledgement ahead of the file would
+# hide: twenty race-enabled passes over all of them.
+echo "==> server write path, chunk log, record-log writer, WAL group commit (race, 20x)"
+go test -race -count=20 -run 'TestNetwork|TestDiskServesRecent|TestDiskConcurrentPutGet|TestWriterConcurrentAppendWait|TestWALGroupCommitConcurrent' \
+    ./internal/mq ./internal/objstore ./internal/reclog ./internal/metastore
 
 # Extra interleavings over the client's parallel transfer pipeline: many
 # writers, overlapping chunks, dedup probes and singleflight coalescing all
@@ -89,13 +93,15 @@ go test -race -count=3 -run '^TestSupervisedRoutedFleet$' ./internal/deploy/
 # the next measurement. One iteration each is a smoke pass, not a number.
 echo "==> layer-benchmark smoke (1x)"
 go test -run '^$' -benchtime 1x \
-    -bench '^(BenchmarkCodec|BenchmarkNotifyDelivery|BenchmarkNetworkFanoutAck|BenchmarkJournalFanout|BenchmarkGatewayBatch|BenchmarkGatewayHotGet|BenchmarkDiskPut|BenchmarkDiskOpen|BenchmarkWireFrameCodec)$' \
+    -bench '^(BenchmarkCodec|BenchmarkNotifyDelivery|BenchmarkNetworkFanoutAck|BenchmarkJournalFanout|BenchmarkGatewayBatch|BenchmarkGatewayHotGet|BenchmarkDiskPut|BenchmarkDiskOpen|BenchmarkWireFrameCodec|BenchmarkCommitParallelWorkspaces)$' \
     . ./internal/core/ ./internal/mq/ ./internal/objstore/
 
 # Short coverage-guided fuzz legs over the codecs that parse bytes the
 # program did not just write: the wire frame reader, the storage gateway's
-# batch bodies, the RPC codec on every envelope and payload omq decodes, WAL
-# replay, broker journal replay and the chunk log's replay at open.
+# batch bodies, the RPC codec on every envelope and payload omq decodes, and
+# the record log's one replay (reclog.Open), reached through each log's
+# decoder: the chunk log's at open, the metadata WAL's and the broker
+# journal's.
 # Ten seconds each is a smoke pass — run `go test -fuzz` open-ended to dig.
 echo "==> fuzz smoke: FuzzFrameCodec (10s)"
 go test -run '^$' -fuzz '^FuzzFrameCodec$' -fuzztime 10s ./internal/wire/
