@@ -37,6 +37,7 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(ws[:len(ws)-5]) // torn tail
 	f.Add([]byte(walMagic))
 	f.Add(walFile(f, reclog.Frame(nil, []byte{9, 1, 2}), []byte("not a record at all")))
+	f.Add(append(bytes.Clone(ws), make([]byte, 4096)...)) // a zero tail, as the writer preallocates
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "wal.log")
 		if err := os.WriteFile(path, data, 0o644); err != nil {

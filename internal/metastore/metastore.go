@@ -581,7 +581,7 @@ func (s *Store) ItemCount(workspace string) (int, error) {
 	return len(state), nil
 }
 
-// Close flushes the WAL and rejects further writes. It drains in-flight
+// Close syncs the WAL and rejects further writes. It drains in-flight
 // writers (each shard lock is acquired once) before closing the journal.
 func (s *Store) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {

@@ -15,11 +15,11 @@ import (
 // recovery. The file is a record log (DESIGN §20) under walMagic; a record
 // is op | codec.Binary(value), the value a Workspace or an ItemVersion.
 //
-// Appends use the log's durable group writer: a committer appends its
-// records under its shard lock, which fixes per-workspace order, and waits
-// after releasing it. The first waiter writes every record appended so far
-// with one write and one fsync; committers that arrive meanwhile share the
-// next one, so the fsync amortizes across concurrent commits.
+// Appends use the log's durable writer: a committer appends its records
+// under its shard lock, which fixes per-workspace order, and waits after
+// releasing it. The first waiter fsyncs every record appended so far with
+// one fsync; committers that arrive meanwhile share the next one, so the
+// fsync amortizes across concurrent commits.
 type WAL struct {
 	log *reclog.Writer
 
@@ -53,7 +53,7 @@ func (w *WAL) TearNext() { w.TearAfter(0) }
 
 // TearAfter arms a fault n records ahead: n more records append completely,
 // then the file ends halfway through the following record and the WAL
-// behaves as crashed. The counter spans flushes, so a tear can land inside
+// behaves as crashed. The counter spans fsyncs, so a tear can land inside
 // a group-commit batch or exactly on a batch boundary.
 func (w *WAL) TearAfter(n int) {
 	w.mu.Lock()
@@ -62,26 +62,26 @@ func (w *WAL) TearAfter(n int) {
 }
 
 // newWAL appends to f, a recovered log ending at end. With a registry it
-// counts flushes and records, and the records per flush: the group-commit
-// batch size.
+// counts fsyncs ("flushes") and records, and the records per fsync: the
+// group-commit batch size.
 func newWAL(f reclog.File, end int64, reg *obs.Registry) *WAL {
-	var drained func(int)
+	var synced func(int)
 	if reg != nil {
 		flushes := reg.Counter("metastore_wal_flushes_total")
 		records := reg.Counter("metastore_wal_records_total")
 		batch := reg.HistogramWith([]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}, "metastore_wal_flush_records")
-		drained = func(n int) {
+		synced = func(n int) {
 			flushes.Inc()
 			records.Add(uint64(n))
 			batch.Observe(float64(n))
 		}
 	}
-	return &WAL{log: reclog.NewWriter(f, end, true, drained), tearIn: -1}
+	return &WAL{log: reclog.NewWriter(f, end, true, synced), tearIn: -1}
 }
 
 // append logs one record, v a *Workspace or an *ItemVersion, and returns
-// the offset to wait on. It never blocks on I/O, so a caller may hold its
-// shard lock.
+// the offset to wait on. It never waits for a sync, so a caller may hold
+// its shard lock.
 func (w *WAL) append(op byte, v any) (int64, error) {
 	if w == nil {
 		return 0, nil
@@ -119,7 +119,7 @@ func (w *WAL) wait(off int64) error {
 	return w.log.Wait(off)
 }
 
-// Close writes out what is buffered and closes the log.
+// Close syncs the log, cuts it after its last record and closes it.
 func (w *WAL) Close() error {
 	if w == nil {
 		return nil
@@ -140,7 +140,7 @@ func Recover(path string, opts ...Option) (*Store, error) {
 	} else if err != nil {
 		return nil, fmt.Errorf("metastore: open wal: %w", err)
 	}
-	s.wal = newWAL(f, end, s.reg)
+	s.wal = newWAL(reclog.MapTail(f), end, s.reg)
 	return s, nil
 }
 

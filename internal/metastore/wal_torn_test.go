@@ -57,7 +57,7 @@ func TestRecoverTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	commitN(t, s, "ws", 4)
-	before := fileSize(t, path) // v5's record starts here
+	before := s.wal.log.End() // v5's record starts here
 	if _, err := s.CommitVersion(ItemVersion{
 		Workspace: "ws", ItemID: "item", Path: "f.txt", Version: 5, Status: Modified, Checksum: "ccccc",
 	}); err != nil {
@@ -130,7 +130,7 @@ func TestRecoverStopsAtDamagedRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	var committed []ItemVersion
-	var ends []int64 // the file's size after each commit
+	var ends []int64 // where the log ends after each commit
 	for v := uint64(1); v <= 5; v++ {
 		c, err := s.CommitVersion(ItemVersion{
 			Workspace: "ws", ItemID: "item", Path: "f.txt", Version: v, Status: Modified,
@@ -140,7 +140,7 @@ func TestRecoverStopsAtDamagedRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 		committed = append(committed, c)
-		ends = append(ends, fileSize(t, path))
+		ends = append(ends, s.wal.log.End())
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

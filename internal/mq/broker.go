@@ -27,11 +27,6 @@ type Broker struct {
 	// restarts. nextQueueID numbers queues for the journal the same way.
 	seq         uint64
 	nextQueueID uint64
-	// outstanding counts deliveries not yet settled, over every queue. The
-	// settle, cancel or delete that brings it to zero writes out the ack
-	// records no publish has taken along (DESIGN.md §18).
-	outstanding int
-
 	// Scratch space reused under b.mu to keep the hot publish path
 	// allocation-free: idBuf builds generated message IDs, routeScratch
 	// holds routing targets between routeLocked and its caller.
@@ -120,29 +115,25 @@ func NewBroker(opts ...BrokerOption) *Broker {
 	return b
 }
 
-// journalled runs one change — a declaration or a publish — under the mutex
-// and then, with the mutex released, waits for the journal record the
-// change returned to reach the file. The change's own error comes first.
-func (b *Broker) journalled(change func() (int64, error)) error {
+// journalled runs one change — a declaration or a publish — under the
+// mutex; its journal record is in the file when the change returns.
+func (b *Broker) journalled(change func() error) error {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
 		return ErrClosed
 	}
-	off, err := change()
+	err := change()
 	b.unlock()
-	if werr := b.journal.wait(off); err == nil {
-		err = werr
-	}
 	return err
 }
 
 // DeclareQueue creates the named queue. Declaring an existing queue is a
 // no-op, which lets many server objects bind to the same identifier (§3).
 func (b *Broker) DeclareQueue(name string) error {
-	return b.journalled(func() (int64, error) {
+	return b.journalled(func() error {
 		if _, ok := b.queues[name]; ok {
-			return 0, nil
+			return nil
 		}
 		q := b.addQueueLocked(name)
 		return b.journal.record(recDeclareQueue, q.id, 0, name)
@@ -225,17 +216,16 @@ func (r *msgRing) PopFront() queuedMsg {
 // DeleteQueue removes the queue, dropping pending messages and cancelling
 // its consumers (a Subscribe channel closes).
 func (b *Broker) DeleteQueue(name string) error {
-	return b.journalled(func() (int64, error) {
+	return b.journalled(func() error {
 		q, ok := b.queues[name]
 		if !ok {
-			return 0, ErrQueueNotFound
+			return ErrQueueNotFound
 		}
 		for _, c := range q.consumers {
 			if !c.cancelled {
 				c.cancel()
 			}
 		}
-		b.outstanding -= len(q.unacked) // dropped with the queue; the delq record below ends them
 		delete(b.queues, name)
 		for _, ex := range b.exchanges {
 			for _, set := range ex.bindings {
@@ -249,12 +239,12 @@ func (b *Broker) DeleteQueue(name string) error {
 // DeclareExchange creates an exchange. Re-declaring with the same kind is a
 // no-op; with a different kind it fails.
 func (b *Broker) DeclareExchange(name string, kind ExchangeKind) error {
-	return b.journalled(func() (int64, error) {
+	return b.journalled(func() error {
 		if ex, ok := b.exchanges[name]; ok {
 			if ex.kind != kind {
-				return 0, ErrExchangeExists
+				return ErrExchangeExists
 			}
-			return 0, nil
+			return nil
 		}
 		b.exchanges[name] = &exchange{kind: kind, bindings: make(map[string]map[string]*queue)}
 		return b.journal.record(recDeclareExchange, uint64(kind), 0, name)
@@ -264,14 +254,14 @@ func (b *Broker) DeclareExchange(name string, kind ExchangeKind) error {
 // BindQueue binds a queue to an exchange under a key. For fanout exchanges
 // the key is ignored (normalized to "").
 func (b *Broker) BindQueue(queueName, exchangeName, key string) error {
-	return b.journalled(func() (int64, error) {
+	return b.journalled(func() error {
 		ex, ok := b.exchanges[exchangeName]
 		if !ok {
-			return 0, ErrNoExchange
+			return ErrNoExchange
 		}
 		q, ok := b.queues[queueName]
 		if !ok {
-			return 0, ErrQueueNotFound
+			return ErrQueueNotFound
 		}
 		if ex.kind == Fanout {
 			key = ""
@@ -288,17 +278,17 @@ func (b *Broker) BindQueue(queueName, exchangeName, key string) error {
 
 // UnbindQueue removes a binding; unknown bindings are ignored.
 func (b *Broker) UnbindQueue(queueName, exchangeName, key string) error {
-	return b.journalled(func() (int64, error) {
+	return b.journalled(func() error {
 		ex, ok := b.exchanges[exchangeName]
 		if !ok {
-			return 0, ErrNoExchange
+			return ErrNoExchange
 		}
 		if ex.kind == Fanout {
 			key = ""
 		}
 		q, bound := ex.bindings[key][queueName]
 		if !bound {
-			return 0, nil
+			return nil
 		}
 		delete(ex.bindings[key], queueName)
 		return b.journal.record(recUnbind, q.id, 0, exchangeName, key)
@@ -307,51 +297,36 @@ func (b *Broker) UnbindQueue(queueName, exchangeName, key string) error {
 
 // Publish routes a message. The empty exchange is the AMQP default exchange:
 // it routes directly to the queue named by the routing key. A persistent
-// message is in the journal file when Publish returns nil. If writing it
-// failed, Publish returns the error, but consumers may have the message
-// already: the error says "not durable", not "not delivered". Every later
-// publish of a persistent message is refused without being delivered.
+// message is in the journal file when Publish returns nil. If storing it
+// failed, Publish returns the error and the message is not delivered; the
+// failure is sticky, so every later persistent publish is refused too.
 func (b *Broker) Publish(exchangeName, key string, msg Message) error {
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return ErrClosed
-	}
-	off, err := b.publishLocked(exchangeName, key, msg, b.clk.Now())
-	b.unlock()
-	if err != nil {
-		return err
-	}
-	return b.journal.wait(off)
-}
-
-// PublishBatch routes a whole batch under one lock acquisition — the
-// batching half of the pipelined notification fanout — and waits for the
-// journal once. Each publication succeeds or fails independently; the
-// joined error reports the failures.
-func (b *Broker) PublishBatch(pubs []Publication) error {
-	return b.journalled(func() (int64, error) {
-		var errs []error
-		var last int64
-		now := b.clk.Now() // one clock read for the whole batch
-		for _, p := range pubs {
-			off, err := b.publishLocked(p.Exchange, p.Key, p.Message, now)
-			if err != nil {
-				errs = append(errs, err)
-			} else if off != 0 {
-				last = off
-			}
-		}
-		return last, errors.Join(errs...)
+	return b.journalled(func() error {
+		return b.publishLocked(exchangeName, key, msg, b.clk.Now())
 	})
 }
 
-// publishLocked routes msg, appends its one journal record — before any
-// consumer can see the message, so the record of an ack always follows it —
-// and returns the journal offset the caller waits on after unlocking.
-func (b *Broker) publishLocked(exchangeName, key string, msg Message, now time.Time) (int64, error) {
+// PublishBatch routes a whole batch under one lock acquisition — the
+// batching half of the pipelined notification fanout. Each publication
+// succeeds or fails independently; the joined error reports the failures.
+func (b *Broker) PublishBatch(pubs []Publication) error {
+	return b.journalled(func() error {
+		var errs []error
+		now := b.clk.Now() // one clock read for the whole batch
+		for _, p := range pubs {
+			if err := b.publishLocked(p.Exchange, p.Key, p.Message, now); err != nil {
+				errs = append(errs, err)
+			}
+		}
+		return errors.Join(errs...)
+	})
+}
+
+// publishLocked routes msg and appends its one journal record — before any
+// consumer can see the message, so the record of an ack always follows it.
+func (b *Broker) publishLocked(exchangeName, key string, msg Message, now time.Time) error {
 	if err := checkFits(&msg); err != nil {
-		return 0, err
+		return err
 	}
 	b.seq++
 	if msg.ID == "" {
@@ -360,14 +335,13 @@ func (b *Broker) publishLocked(exchangeName, key string, msg Message, now time.T
 	}
 	targets, err := b.routeLocked(exchangeName, key)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	qm := queuedMsg{msg: msg}
-	var off int64
 	if b.journal != nil && msg.Persistent && len(targets) > 0 {
 		qm.lsn = b.seq
-		if off, err = b.journal.publish(qm.lsn, targets, &qm.msg); err != nil {
-			return 0, err // a journal that has failed takes no more messages
+		if err := b.journal.publish(qm.lsn, targets, &qm.msg); err != nil {
+			return err // a journal that has failed takes no more messages
 		}
 	}
 	for _, q := range targets {
@@ -376,7 +350,7 @@ func (b *Broker) publishLocked(exchangeName, key string, msg Message, now time.T
 		q.arrivals.add(now)
 		b.dispatchLocked(q)
 	}
-	return off, nil
+	return nil
 }
 
 // routeLocked resolves a publish to its target queues. The returned slice
@@ -460,7 +434,6 @@ func (b *Broker) dispatchLocked(q *queue) {
 		tag := b.nextTag
 		q.unacked[tag] = inflightMsg{qm: qm, consumer: c}
 		c.inflight++
-		b.outstanding++
 		if qm.redelivered > 0 {
 			q.redelivered++
 		}
@@ -511,7 +484,7 @@ func (b *Broker) settleFunc(queueName string, tag uint64) func(ack, requeue bool
 	return func(ack, requeue bool) error {
 		b.mu.Lock()
 		err := b.settleLocked(queueName, tag, ack, requeue)
-		b.unlockAndFlushIfIdle()
+		b.unlock()
 		return err
 	}
 }
@@ -530,35 +503,22 @@ func (b *Broker) settleLocked(queueName string, tag uint64, ack, requeue bool) e
 	}
 	delete(q.unacked, tag)
 	inflight.consumer.inflight--
-	b.outstanding--
 	if requeue && !ack {
 		inflight.qm.redelivered++
 		q.pending.PushFront(inflight.qm)
 	} else {
-		// Acked or dropped: either way the message is consumed. Nobody
-		// waits for the record: it rides the journal's next write, and
-		// losing it to a crash costs one redelivery.
+		// Acked or dropped: either way the message is consumed, and its
+		// record is in the file when the settle returns. If the journal
+		// has failed the record is lost, which costs one redelivery.
 		if ack {
 			q.acked++
 		}
 		if inflight.qm.lsn != 0 {
-			b.journal.record(recAck, q.id, inflight.qm.lsn)
+			_ = b.journal.record(recAck, q.id, inflight.qm.lsn)
 		}
 	}
 	b.dispatchLocked(q)
 	return nil
-}
-
-// unlockAndFlushIfIdle releases b.mu (see unlock) and, if no delivery is
-// outstanding, writes out the ack records buffered since the journal's last
-// write: with nothing in flight no publish may come to take them along. The
-// write happens after the unlock, so no file I/O runs under b.mu.
-func (b *Broker) unlockAndFlushIfIdle() {
-	idle := b.outstanding == 0
-	b.unlock()
-	if idle {
-		_ = b.journal.flush()
-	}
 }
 
 // QueueStats returns an introspection snapshot of the named queue.
@@ -662,7 +622,6 @@ func (b *Broker) cancel(c *consumer) error {
 		q.pending.PushFront(inflight.qm)
 	}
 	c.inflight = 0
-	b.outstanding -= len(tags)
 	// Drop the consumer from the queue's list.
 	for i, other := range q.consumers {
 		if other == c {
@@ -676,7 +635,7 @@ func (b *Broker) cancel(c *consumer) error {
 	if !b.closed {
 		b.dispatchLocked(q)
 	}
-	b.unlockAndFlushIfIdle()
+	b.unlock()
 	return nil
 }
 

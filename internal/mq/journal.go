@@ -1,6 +1,7 @@
 package mq
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -17,13 +18,10 @@ import (
 // be recovered."
 //
 // The file is a record log (DESIGN §20) under journalMagic, and its writer
-// the log's group writer without fsync: wait blocks until a record is in the
-// file, written, not fsync'd, which survives a crash of the process, not of
-// the machine. The broker appends records under its mutex, which fixes their
-// order and guards scratch. Ack records are appended with no wait and ride
-// the next write: any wait drains the whole buffer, and the broker calls
-// flush when no delivery is left outstanding. A nil *Journal is a disabled
-// journal.
+// the log's writer without fsync: a record is in the file, not fsync'd, once
+// it is appended, which survives a crash of the process, not of the
+// machine. The broker appends records under its mutex, which fixes their
+// order and guards scratch. A nil *Journal is a disabled journal.
 type Journal struct {
 	w       *reclog.Writer
 	scratch []byte // payload under construction
@@ -56,27 +54,28 @@ func createJournal(path string) (*Journal, *os.File, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("mq: create journal: %w", err)
 	}
-	return &Journal{w: reclog.NewWriter(f, int64(len(journalMagic)), false, nil)}, f, nil
+	return &Journal{w: reclog.NewWriter(reclog.MapTail(f), int64(len(journalMagic)), false, nil)}, f, nil
 }
 
-// record appends one non-publish record and returns the offset to wait on,
-// or the error that has already stopped the journal.
-func (j *Journal) record(op byte, a, b uint64, strs ...string) (int64, error) {
+// record appends one non-publish record, or returns the error that stopped
+// the journal.
+func (j *Journal) record(op byte, a, b uint64, strs ...string) error {
 	if j == nil {
-		return 0, nil
+		return nil
 	}
 	p := binary.AppendUvarint(binary.AppendUvarint(append(j.scratch[:0], op), a), b)
 	for _, s := range strs {
 		p = reclog.AppendString(p, s)
 	}
 	j.scratch = p
-	return j.w.Append(p)
+	_, err := j.w.Append(p)
+	return err
 }
 
 // publish appends the single record of a message routed to targets.
-func (j *Journal) publish(lsn uint64, targets []*queue, msg *Message) (int64, error) {
+func (j *Journal) publish(lsn uint64, targets []*queue, msg *Message) error {
 	if j == nil {
-		return 0, nil
+		return nil
 	}
 	p := binary.AppendUvarint(append(j.scratch[:0], recPublish), lsn)
 	p = binary.AppendUvarint(p, uint64(len(targets)))
@@ -89,28 +88,11 @@ func (j *Journal) publish(lsn uint64, targets []*queue, msg *Message) (int64, er
 		p = reclog.AppendString(reclog.AppendString(p, k), v)
 	}
 	j.scratch = append(p, msg.Body...)
-	return j.w.Append(j.scratch)
+	_, err := j.w.Append(j.scratch)
+	return err
 }
 
-// wait returns once everything up to off, an offset record or publish
-// returned, is in the file, or with the error that prevented it.
-func (j *Journal) wait(off int64) error {
-	if j == nil {
-		return nil
-	}
-	return j.w.Wait(off)
-}
-
-// flush writes out what is buffered, for records nobody waits on (acks,
-// and recovery's checkpoint), and reports the journal's error.
-func (j *Journal) flush() error {
-	if j == nil {
-		return nil
-	}
-	return j.w.Flush()
-}
-
-// Close writes out what is buffered and closes the file.
+// Close cuts the file after its last record and closes it.
 func (j *Journal) Close() error {
 	if j == nil {
 		return nil
@@ -140,8 +122,7 @@ func RecoverBroker(path string, opts ...BrokerOption) (*Broker, error) {
 	if err != nil {
 		return nil, err
 	}
-	b.checkpointTo(j, st.live)
-	if err = j.flush(); err == nil {
+	if err = b.checkpointTo(j, st.live); err == nil {
 		err = f.Sync()
 	}
 	if err == nil {
@@ -165,17 +146,19 @@ type livePub struct {
 // checkpointTo appends the broker's state to j: the counter, topology, and
 // the live messages in LSN order, which it also puts on their queues. Only
 // recovery calls it, on a new journal and before the broker is shared, so it
-// takes no lock and no append can fail.
-func (b *Broker) checkpointTo(j *Journal, live map[uint64]*livePub) {
-	j.record(recSeq, b.seq, 0)
+// takes no lock. It returns the first append's error, if one fails.
+func (b *Broker) checkpointTo(j *Journal, live map[uint64]*livePub) error {
+	var err error
+	keep := func(e error) { err = cmp.Or(err, e) }
+	keep(j.record(recSeq, b.seq, 0))
 	for _, q := range b.queues {
-		j.record(recDeclareQueue, q.id, 0, q.name)
+		keep(j.record(recDeclareQueue, q.id, 0, q.name))
 	}
 	for name, ex := range b.exchanges {
-		j.record(recDeclareExchange, uint64(ex.kind), 0, name)
+		keep(j.record(recDeclareExchange, uint64(ex.kind), 0, name))
 		for key, set := range ex.bindings {
 			for _, q := range set {
-				j.record(recBind, q.id, 0, name, key)
+				keep(j.record(recBind, q.id, 0, name, key))
 			}
 		}
 	}
@@ -188,13 +171,14 @@ func (b *Broker) checkpointTo(j *Journal, live map[uint64]*livePub) {
 	for _, lsn := range lsns {
 		p := live[lsn]
 		if p.targets = slices.DeleteFunc(p.targets, deleted); len(p.targets) > 0 {
-			j.publish(lsn, p.targets, &p.msg)
+			keep(j.publish(lsn, p.targets, &p.msg))
 		}
 		for _, q := range p.targets {
 			q.pending.PushBack(queuedMsg{msg: p.msg, lsn: lsn})
 			q.enqueued++
 		}
 	}
+	return err
 }
 
 type replayState struct {

@@ -1,6 +1,7 @@
 package mq
 
 import (
+	"bytes"
 	"os"
 	"reflect"
 	"testing"
@@ -9,12 +10,15 @@ import (
 )
 
 // frameRecords writes the magic, then data cut into records by a length
-// byte before each payload, framed by the record log.
+// byte before each payload, framed by the record log. A zero length byte
+// frames nothing: an empty payload is not a record.
 func frameRecords(data []byte) []byte {
 	out := []byte(journalMagic)
 	for len(data) > 0 {
 		n := min(int(data[0]), len(data)-1)
-		out = reclog.Frame(out, data[1:1+n])
+		if n > 0 {
+			out = reclog.Frame(out, data[1:1+n])
+		}
 		data = data[1+n:]
 	}
 	return out
@@ -63,6 +67,7 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add(seed[:5], false)
 	f.Add([]byte(`{"op":"declq","queue":"q"}`+"\n"), false)
 	f.Add([]byte{}, false)
+	f.Add(append(bytes.Clone(seed), make([]byte, 4096)...), false) // a zero tail, as the writer preallocates
 	f.Add([]byte{
 		4, recDeclareQueue, 1, 0, 1, 'q', // declare queue 1 "q"
 		4, recDeclareQueue, 2, 0, 1, 'r',

@@ -2,6 +2,7 @@ package mq
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"stacksync/internal/reclog"
 )
 
 func journalPath(t *testing.T) string {
@@ -256,11 +259,11 @@ func fanoutConsumers(t *testing.T, b *Broker, n int) []Subscription {
 	return subs
 }
 
-// TestAckRecordsWrittenWhenIdle: the 24 acks of a fan-out buffer their
-// records, and the one that leaves no delivery outstanding writes them all
-// out: the message costs two writes, its own and the acks', and a crash
-// right after the last Ack returns recovers nothing pending. The acks are
-// held until Publish returns, so its write cannot take any of them along.
+// TestAckRecordsWrittenWhenIdle: each of the 24 acks of a fan-out is in
+// the file when its settle returns, so a crash right after the last Ack
+// returns recovers nothing pending; and the message and its acks cost no
+// write(2), since every record is stored through the journal's mapping.
+// The acks are held until Publish returns, so no publish follows them.
 func TestAckRecordsWrittenWhenIdle(t *testing.T) {
 	path := journalPath(t)
 	b := newJournaledBroker(t, path)
@@ -288,49 +291,45 @@ func TestAckRecordsWrittenWhenIdle(t *testing.T) {
 	for i := range subs {
 		wantIDs(t, rb, fmt.Sprintf("q%d", i))
 	}
-	if writes > 2 {
-		t.Fatalf("a message fanned out to %d queues and acked by all took %d writes, want at most 2", len(subs), writes)
+	if writes != 0 {
+		t.Fatalf("a message fanned out to %d queues and acked by all took %d writes, want none", len(subs), writes)
 	}
 }
 
-// TestAckRecordsRideNextWrite: while a delivery is outstanding, acks are not
-// written on their own; the next publish writes them with its record.
-func TestAckRecordsRideNextWrite(t *testing.T) {
+// TestAckIsInFileWhileDeliveriesOutstanding: an ack is in the file when
+// its settle returns, though another delivery of the message is still
+// outstanding and nothing is published after it.
+func TestAckIsInFileWhileDeliveriesOutstanding(t *testing.T) {
 	path := journalPath(t)
 	b := newJournaledBroker(t, path)
 	t.Cleanup(func() { _ = b.Close() })
 	subs := fanoutConsumers(t, b, 24)
-	mustDeclare(t, b, "next")
 	mustPublish(t, b, "fan", "", "m")
 	held := recvDelivery(t, subs[0])
-	for _, sub := range subs[1:] {
+	for i, sub := range subs[1:] {
 		d := recvDelivery(t, sub)
 		if err := d.Ack(); err != nil {
 			t.Fatal(err)
 		}
+		killed := mustRecover(t, crashCopy(t, path))
+		for j := range subs {
+			if j == 0 || j > i+1 {
+				wantIDs(t, killed, fmt.Sprintf("q%d", j), "m")
+			} else {
+				wantIDs(t, killed, fmt.Sprintf("q%d", j))
+			}
+		}
 	}
-	before := mustRecover(t, crashCopy(t, path))
-	for i := range subs {
-		wantIDs(t, before, fmt.Sprintf("q%d", i), "m")
-	}
-
-	mustPublish(t, b, "", "next", "n")
-	after := mustRecover(t, crashCopy(t, path))
-	wantIDs(t, after, "q0", "m")
-	for i := 1; i < len(subs); i++ {
-		wantIDs(t, after, fmt.Sprintf("q%d", i))
-	}
-	wantIDs(t, after, "next", "n")
 	if err := held.Ack(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestCrashRedeliversOnlyUnwrittenAcks abandons the broker, never closed,
-// with acks still buffered: recovery redelivers exactly the messages whose
-// acks were not written yet, besides the one never acked, and loses nothing.
-// A Cancel that leaves nothing outstanding then writes those acks.
-func TestCrashRedeliversOnlyUnwrittenAcks(t *testing.T) {
+// TestCrashRedeliversOnlyUnackedMessages abandons the broker, never
+// closed, right after acks: recovery redelivers exactly the messages not
+// acked yet and loses nothing. A Cancel then requeues the last one, and
+// what it acks afterwards is in the file too.
+func TestCrashRedeliversOnlyUnackedMessages(t *testing.T) {
 	path := journalPath(t)
 	b := newJournaledBroker(t, path)
 	t.Cleanup(func() { _ = b.Close() })
@@ -353,19 +352,19 @@ func TestCrashRedeliversOnlyUnwrittenAcks(t *testing.T) {
 		}
 	}
 	ack(&ds[0])
-	mustPublish(t, b, "", "other", "e") // writes a's ack
+	mustPublish(t, b, "", "other", "e")
 	ack(&ds[1])
-	ack(&ds[2]) // d is still out: b's and c's acks stay buffered
+	ack(&ds[2]) // d is still out
 	killed := mustRecover(t, crashCopy(t, path))
-	wantIDs(t, killed, "q", "b", "c", "d")
+	wantIDs(t, killed, "q", "d")
 	wantIDs(t, killed, "other", "e")
 
-	// Cancelling the consumer requeues d, which leaves nothing outstanding:
-	// the buffered acks are written then.
 	if err := sub.Cancel(); err != nil {
 		t.Fatal(err)
 	}
 	wantIDs(t, mustRecover(t, crashCopy(t, path)), "q", "d")
+	ackN(t, b, "q", 1)
+	wantIDs(t, mustRecover(t, crashCopy(t, path)), "q")
 }
 
 // TestPublishReturnsAfterRecordIsInFile kills the broker — it is simply
@@ -403,20 +402,22 @@ func TestPublishReturnsAfterRecordIsInFile(t *testing.T) {
 	}
 }
 
+// failingTail is a journal file that cannot grow, as a full disk leaves it.
+type failingTail struct{}
+
+func (failingTail) Map(int64, int) ([]byte, error) { return nil, errors.New("injected: no space left") }
+func (failingTail) Sync() error                    { return nil }
+func (failingTail) Close(int64) error              { return nil }
+
 // TestFailedJournalRefusesLaterPublishes pins what a Publish error means.
-// The publish that meets the write error was routed before the write, so it
-// is delivered though not durable; from then on persistent publishes are
-// refused before they reach a queue, and transient ones are not affected.
+// The publish that meets the journal's failure (a grow that fails) is
+// refused before it reaches a queue, and so is every later persistent
+// publish; transient ones are not affected.
 func TestFailedJournalRefusesLaterPublishes(t *testing.T) {
-	j, f, err := createJournal(journalPath(t))
-	if err != nil {
-		t.Fatal(err)
-	}
 	b := NewBroker()
-	b.journal = j
 	t.Cleanup(func() { _ = b.Close() })
 	mustDeclare(t, b, "q")
-	_ = f.Close() // every write fails from here on
+	b.journal = &Journal{w: reclog.NewWriter(failingTail{}, int64(len(journalMagic)), false, nil)}
 	for _, id := range []string{"first", "second"} {
 		if err := b.Publish("", "q", Message{ID: id, Persistent: true}); err == nil {
 			t.Fatalf("publish %s returned nil though its record is not in the file", id)
@@ -425,7 +426,7 @@ func TestFailedJournalRefusesLaterPublishes(t *testing.T) {
 	if err := b.Publish("", "q", Message{ID: "transient"}); err != nil {
 		t.Fatalf("transient publish: %v", err)
 	}
-	wantIDs(t, b, "q", "first", "transient")
+	wantIDs(t, b, "q", "transient")
 	if err := b.DeclareQueue("q2"); err == nil {
 		t.Fatal("declaration returned nil though its record is not in the file")
 	}
@@ -563,14 +564,14 @@ func TestTornTailAtEveryOffset(t *testing.T) {
 	b := newJournaledBroker(t, path)
 	mustDeclare(t, b, "q")
 	mustPublish(t, b, "", "q", "keep")
-	whole := crashCopy(t, path)
+	intact := int(b.journal.w.End())
 	mustPublish(t, b, "", "q", "torn")
 	_ = b.Close()
-	intact, full := journalBytes(t, whole), journalBytes(t, path)
-	if len(full) <= len(intact) {
+	full := journalBytes(t, path)
+	if len(full) <= intact {
 		t.Fatal("second publish added nothing to the journal")
 	}
-	for cut := len(intact); cut < len(full); cut++ {
+	for cut := intact; cut < len(full); cut++ {
 		p := writeJournalFile(t, full[:cut])
 		b2, err := RecoverBroker(p)
 		if err != nil {
@@ -643,7 +644,7 @@ func TestRecoveryCompactsJournal(t *testing.T) {
 	if err := b.BindQueue("q", "x", "k"); err != nil {
 		t.Fatal(err)
 	}
-	declarations := len(journalBytes(t, path))
+	declarations := b.journal.w.End()
 	sub, err := b.Subscribe("q", 16)
 	if err != nil {
 		t.Fatal(err)
@@ -672,10 +673,9 @@ func TestRecoveryCompactsJournal(t *testing.T) {
 
 	b2 := mustRecover(t, path)
 	wantIDs(t, b2, "q")
-	after, _ := os.Stat(path)
 	// Declarations plus the one counter record.
-	if after.Size() > int64(declarations)+16 {
-		t.Fatalf("compacted journal is %d bytes; the declarations alone are %d", after.Size(), declarations)
+	if after := b2.journal.w.End(); after > declarations+16 {
+		t.Fatalf("compacted journal is %d bytes; the declarations alone are %d", after, declarations)
 	}
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
 		t.Fatalf("compaction left its temp file behind: %v", err)

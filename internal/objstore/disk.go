@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -197,6 +198,10 @@ func (d *Disk) check(ctx context.Context, op, container string) error {
 	return nil
 }
 
+// frameBufs recycles PutMulti's framing buffers, so a batch neither
+// allocates nor zeroes one; one over 4 MB, a rare huge batch, is dropped.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // PutMulti frames the whole batch into one buffer, appends it with one
 // write, and then indexes it and puts it in the recent-object set.
 func (d *Disk) PutMulti(ctx context.Context, container string, objects []Object) error {
@@ -207,7 +212,8 @@ func (d *Disk) PutMulti(ctx context.Context, container string, objects []Object)
 	for _, o := range objects {
 		size += 3*binary.MaxVarintLen64 + 5 + len(container) + len(o.Key) + len(o.Data)
 	}
-	buf, head := make([]byte, 0, size), []byte(nil)
+	pooled := frameBufs.Get().(*[]byte)
+	buf, head := slices.Grow((*pooled)[:0], size), []byte(nil)
 	places := make([]extent, len(objects))
 	for i, o := range objects {
 		head = reclog.AppendString(reclog.AppendString(append(head[:0], recPut), container), o.Key)
@@ -218,7 +224,11 @@ func (d *Disk) PutMulti(ctx context.Context, container string, objects []Object)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	base := d.end
-	if err := d.appendLocked(buf); err != nil {
+	err := d.appendLocked(buf)
+	if *pooled = buf; cap(buf) <= 4<<20 {
+		frameBufs.Put(pooled)
+	}
+	if err != nil {
 		return opErr("putmulti", container, "", err)
 	}
 	for i, o := range objects {

@@ -20,12 +20,13 @@ func FuzzDiskRecover(f *testing.F) {
 	damaged := bytes.Clone(rec)
 	damaged[len(damaged)-6] ^= 1
 	f.Add([]byte{})
-	f.Add(rec)                              // a whole record
-	f.Add(rec[:len(rec)-3])                 // cut inside its CRC
-	f.Add(damaged)                          // a flipped byte in the body
-	f.Add(append(box, 0xff, 0xff, 0xff))    // a whole record, then an unterminated length
-	f.Add([]byte{0x7f, recPut, 1, 'c'})     // a length past the end
-	f.Add(append(bytes.Clone(rec), rec...)) // two whole records
+	f.Add(rec)                                             // a whole record
+	f.Add(rec[:len(rec)-3])                                // cut inside its CRC
+	f.Add(damaged)                                         // a flipped byte in the body
+	f.Add(append(box, 0xff, 0xff, 0xff))                   // a whole record, then an unterminated length
+	f.Add([]byte{0x7f, recPut, 1, 'c'})                    // a length past the end
+	f.Add(append(bytes.Clone(rec), rec...))                // two whole records
+	f.Add(append(bytes.Clone(rec), make([]byte, 4096)...)) // a whole record, then a zero tail, as a mapped writer preallocates
 	f.Fuzz(func(t *testing.T, tail []byte) {
 		dir := t.TempDir()
 		d := openDisk(t, dir)

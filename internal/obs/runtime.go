@@ -48,3 +48,15 @@ func ProcessIO(field string) int64 {
 	}
 	return 0
 }
+
+// MinorFaults reads this process's minor page faults, field 10 of
+// /proc/self/stat, or 0 where the file is missing.
+func MinorFaults() int64 {
+	data, _ := os.ReadFile("/proc/self/stat")
+	i := strings.LastIndexByte(string(data), ')') // the command name may hold spaces
+	if fields := strings.Fields(string(data[i+1:])); len(fields) > 7 {
+		n, _ := strconv.ParseInt(fields[7], 10, 64) // fields resume at field 3
+		return n
+	}
+	return 0
+}

@@ -5,10 +5,12 @@
 //
 //	uvarint(len(payload)) | payload | crc32c(payload)
 //
-// with the CRC little-endian. Replay reads records in order and ends at the
-// first one that is cut short, fails its CRC or that the log's own decoder
+// with the CRC little-endian. A payload is never empty, so a zero length
+// ends the log: that is how the zero-filled tail a Writer preallocates
+// reads. Replay reads records in order and ends there or at the first
+// record that is cut short, fails its CRC or that the log's own decoder
 // refuses; what precedes it stands and the rest is cut off, so an append
-// never lands behind a torn tail. Writer is the one group writer.
+// never lands behind a torn tail. Writer is the one appender.
 package reclog
 
 import (
@@ -29,11 +31,16 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 var ErrMagic = errors.New("reclog: unknown format")
 
 // Frame appends to buf one record whose payload is parts, concatenated.
+// It panics on an empty payload, which would read back as the end of the
+// log.
 func Frame(buf []byte, parts ...[]byte) []byte {
 	n, crc := 0, uint32(0)
 	for _, p := range parts {
 		n += len(p)
 		crc = crc32.Update(crc, crcTable, p)
+	}
+	if n == 0 {
+		panic("reclog: empty payload")
 	}
 	buf = slices.Grow(buf, binary.MaxVarintLen64+n+4)
 	buf = binary.AppendUvarint(buf, uint64(n))
@@ -56,8 +63,8 @@ func Check(rec []byte) bool {
 // anything else is refused untouched. Open then replays the records through
 // apply, in file order, each with the file offset of its payload; the
 // payload is apply's only during the call. It cuts the file after the last
-// whole record apply accepted and returns the file, positioned there, and
-// that offset: where the next record goes.
+// whole record apply accepted — so of a zero tail too — and returns the
+// file, positioned there, and that offset: where the next record goes.
 func Open(path, magic string, apply func(payload []byte, off int64) bool) (*os.File, int64, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -94,7 +101,7 @@ func replay(f *os.File, magic string, apply func([]byte, int64) bool) (int64, er
 	for {
 		lead, _ := r.Peek(binary.MaxVarintLen64)
 		n, k := binary.Uvarint(lead)
-		if k <= 0 || n > uint64(info.Size()-end) {
+		if k <= 0 || n == 0 || n > uint64(info.Size()-end) {
 			break
 		}
 		_, _ = r.Discard(k) // Peek returned these bytes
@@ -111,9 +118,10 @@ func replay(f *os.File, magic string, apply func([]byte, int64) bool) (int64, er
 	return end, nil
 }
 
-// Create creates the log at path, which must not exist, holding magic only.
+// Create creates the log at path, which must not exist, holding magic
+// only, open for reading and writing as a mapping needs.
 func Create(path, magic string) (*os.File, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
 	}

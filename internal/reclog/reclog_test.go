@@ -13,21 +13,28 @@ import (
 
 const magic = "TESTLOG1"
 
-// memFile is a File in memory. failSync, when set, is the error of the
-// next Sync, which then clears it.
+// memFile is a File in memory: Map grows data and returns a window into
+// it. failSync and failMap, when set, are the error of the next Sync or
+// Map, which then clears it.
 type memFile struct {
-	mu            sync.Mutex
-	data          []byte
-	writes, syncs int
-	failSync      error
+	mu                sync.Mutex
+	data              []byte
+	maps, syncs       int
+	failSync, failMap error
 }
 
-func (m *memFile) Write(p []byte) (int, error) {
+func (m *memFile) Map(off int64, n int) ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.data = append(m.data, p...)
-	m.writes++
-	return len(p), nil
+	if err := m.failMap; err != nil {
+		m.failMap = nil
+		return nil, err
+	}
+	if grow := int(off) + n - len(m.data); grow > 0 {
+		m.data = append(m.data, make([]byte, grow)...)
+	}
+	m.maps++
+	return m.data[off : off+int64(n) : off+int64(n)], nil
 }
 
 func (m *memFile) Sync() error {
@@ -39,12 +46,11 @@ func (m *memFile) Sync() error {
 	return err
 }
 
-func (m *memFile) Close() error { return nil }
-
-func (m *memFile) len() int64 {
+func (m *memFile) Close(end int64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return int64(len(m.data))
+	m.data = m.data[:end]
+	return nil
 }
 
 func newMem() (*memFile, int64) { return &memFile{data: []byte(magic)}, int64(len(magic)) }
@@ -96,7 +102,7 @@ func TestOpenRefusesOtherMagic(t *testing.T) {
 // offset of its payload; a record cut short ends the replay and is cut off,
 // and so is a record apply refuses, with everything after it.
 func TestOpenReplaysAndCutsTornTail(t *testing.T) {
-	want := [][]byte{[]byte("one"), {}, bytes.Repeat([]byte("x"), 300)}
+	want := [][]byte{[]byte("one"), []byte("two"), bytes.Repeat([]byte("x"), 300)}
 	data := []byte(magic)
 	for _, p := range want {
 		data = Frame(data, p)
@@ -152,9 +158,74 @@ func TestDecoder(t *testing.T) {
 	}
 }
 
-// TestWriterSyncErrorIsSticky: once a sync fails, the records of that
-// drain are not acknowledged, and neither is anything after: every later
-// Append and Wait returns the error, though the next sync would succeed.
+// TestOpenEndsAtZeroTail: a zero length prefix is the end of the log, as
+// the zero-filled tail a Writer preallocates reads, and Open cuts it off.
+// A zero-length record, whose bytes are all zero, cannot be framed.
+func TestOpenEndsAtZeroTail(t *testing.T) {
+	data := Frame([]byte(magic), []byte("whole"))
+	whole := int64(len(data))
+	path := writeLog(t, append(data, make([]byte, 4096)...))
+	var c collect
+	if end := openT(t, path, c.apply); end != whole || len(c.payloads) != 1 {
+		t.Fatalf("end %d with %d records, want %d with 1", end, len(c.payloads), whole)
+	}
+	if info, _ := os.Stat(path); info.Size() != whole {
+		t.Fatalf("file is %d bytes after the cut, want %d", info.Size(), whole)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Frame framed an empty payload")
+		}
+	}()
+	Frame(nil, nil, []byte{})
+}
+
+// TestWriterTailIsCutAtOpenAndClose: a log abandoned without Close, as
+// kill -9 leaves it, holds its records and then the zero tail the writer
+// preallocated; reopened, it replays exactly its records and is cut after
+// them. A log closed cleanly has no tail.
+func TestWriterTailIsCutAtOpenAndClose(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "test.log")
+	f, err := Create(path, magic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWriter(MapTail(f), int64(len(magic)), false, nil)
+	want := []string{"one", "two", strings.Repeat("three", 1000)}
+	for _, p := range want {
+		if _, err := w.Append([]byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	end := w.End()
+	abandoned, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(abandoned)) <= end {
+		t.Fatalf("open log is %d bytes, its records end at %d: no preallocated tail", len(abandoned), end)
+	}
+	var c collect
+	if got := openT(t, writeLog(t, abandoned), c.apply); got != end || len(c.payloads) != len(want) {
+		t.Fatalf("abandoned log replays to %d with %d records, want %d with %d", got, len(c.payloads), end, len(want))
+	}
+	for i, p := range want {
+		if string(c.payloads[i]) != p {
+			t.Fatalf("record %d replays as %.20q", i, c.payloads[i])
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if info, _ := os.Stat(path); info.Size() != end {
+		t.Fatalf("closed log is %d bytes, its records end at %d", info.Size(), end)
+	}
+}
+
+// TestWriterSyncErrorIsSticky: once a sync fails, the records it covered
+// are not acknowledged, and neither is anything after: every later Append
+// and Wait returns the error, though the next sync would succeed. A grow
+// that fails stops the log the same way, before its record is stored.
 func TestWriterSyncErrorIsSticky(t *testing.T) {
 	m, end := newMem()
 	w := NewWriter(m, end, true, nil)
@@ -167,40 +238,88 @@ func TestWriterSyncErrorIsSticky(t *testing.T) {
 	}
 	injected := errors.New("injected sync failure")
 	m.failSync = injected
-	off, _ = w.Append([]byte("second"))
-	if err := w.Wait(off); !errors.Is(err, injected) {
-		t.Fatalf("wait on the failed drain: %v", err)
+	second, _ := w.Append([]byte("second"))
+	if err := w.Wait(second); !errors.Is(err, injected) {
+		t.Fatalf("wait on the failed sync: %v", err)
 	}
 	if _, err := w.Append([]byte("third")); !errors.Is(err, injected) {
 		t.Fatalf("append after the failed sync: %v", err)
 	}
-	if err := w.Wait(off); !errors.Is(err, injected) {
+	if err := w.Wait(second); !errors.Is(err, injected) {
 		t.Fatalf("wait again: %v", err)
 	}
-	if err := w.Flush(); !errors.Is(err, injected) {
-		t.Fatalf("flush: %v", err)
+	if err := w.Wait(off); err != nil {
+		t.Fatalf("wait on a record synced before the failure: %v", err)
 	}
 	if err := w.Close(); !errors.Is(err, injected) {
 		t.Fatalf("close: %v", err)
 	}
+
+	m, end = newMem()
+	w = NewWriter(m, end, false, nil)
+	if _, err := w.Append([]byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	injected = errors.New("injected grow failure")
+	m.failMap = injected
+	if _, err := w.Append(bytes.Repeat([]byte("x"), window)); !errors.Is(err, injected) {
+		t.Fatalf("append past the window with a failing grow: %v", err)
+	}
+	if _, err := w.Append([]byte("small")); !errors.Is(err, injected) {
+		t.Fatalf("append after the failed grow: %v", err)
+	}
+	if err := w.Close(); !errors.Is(err, injected) {
+		t.Fatalf("close: %v", err)
+	}
+	var c collect
+	if openT(t, writeLog(t, m.data), c.apply); len(c.payloads) != 1 {
+		t.Fatalf("%d records replay after the failed grow, want 1", len(c.payloads))
+	}
+}
+
+// TestWriterCloseSyncsStoredRecords: Close fsyncs what a durable writer
+// stored, so a committer that appended before Close and waits after it is
+// acknowledged, not told the log is closed.
+func TestWriterCloseSyncsStoredRecords(t *testing.T) {
+	m, end := newMem()
+	w := NewWriter(m, end, true, nil)
+	off, err := w.Append([]byte("stored"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Wait(off); err != nil || m.syncs != 1 {
+		t.Fatalf("wait after close: %v with %d syncs, want nil after one", err, m.syncs)
+	}
+	if _, err := w.Append([]byte("late")); !errors.Is(err, ErrClosed) {
+		t.Fatalf("append after close: %v", err)
+	}
 }
 
 // TestWriterConcurrentAppendWait: many goroutines append and wait. Each
-// Wait returns only once the file holds its record, a durable drain is one
-// write and one sync, and the file replays to every record, each writer's
-// in its order.
+// Wait returns only once a sync has covered its record, every sync covers
+// every record stored before it began, and the file replays to every
+// record, each writer's in its order.
 func TestWriterConcurrentAppendWait(t *testing.T) {
 	const writers, each = 8, 200
 	m, end := newMem()
-	var drains, drained int
-	w := NewWriter(m, end, true, func(n int) { drains++; drained += n })
+	var syncs, synced int // written by the callback, under the writer's mutex
+	w := NewWriter(m, end, true, func(n int) { syncs++; synced += n })
+	var order sync.Mutex // appends in rank order
+	appended := 0
 	var wg sync.WaitGroup
 	for g := 0; g < writers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
+				order.Lock()
 				off, err := w.Append([]byte(fmt.Sprintf("%d:%d", g, i)))
+				appended++
+				rank := appended
+				order.Unlock()
 				if err == nil {
 					err = w.Wait(off)
 				}
@@ -208,8 +327,11 @@ func TestWriterConcurrentAppendWait(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if n := m.len(); n < off {
-					t.Errorf("wait returned at file length %d, before its record's end %d", n, off)
+				w.mu.Lock() // synced is the writer's to guard
+				n := synced
+				w.mu.Unlock()
+				if n < rank {
+					t.Errorf("wait returned with %d records synced, before its record, number %d", n, rank)
 					return
 				}
 			}
@@ -219,9 +341,9 @@ func TestWriterConcurrentAppendWait(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if drained != writers*each || m.writes != drains || m.syncs != drains {
-		t.Fatalf("%d records in %d drains, %d writes, %d syncs; want %d records, one write and sync per drain",
-			drained, drains, m.writes, m.syncs, writers*each)
+	if synced != writers*each || m.syncs != syncs || m.maps != 1 {
+		t.Fatalf("%d records in %d syncs, %d fsyncs, %d maps; want %d records, one fsync per sync, one map",
+			synced, syncs, m.syncs, m.maps, writers*each)
 	}
 	next := make([]int, writers)
 	record := func(p []byte, _ int64) bool {
@@ -240,6 +362,67 @@ func TestWriterConcurrentAppendWait(t *testing.T) {
 	}
 }
 
+// TestWriterCrossesWindows: goroutines append to one mapped file at once,
+// records of up to a quarter window and, among them, some larger than a
+// window, so the tail is remapped several times, once for a record that
+// needs a window of its own length. Every record replays whole and in
+// each writer's order.
+func TestWriterCrossesWindows(t *testing.T) {
+	const writers, each, big = 3, 8, 5
+	path := filepath.Join(t.TempDir(), "test.log")
+	f, err := Create(path, magic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWriter(MapTail(f), int64(len(magic)), false, nil)
+	size := func(g, i int) int {
+		if i == big {
+			return window + 1000*g + 1
+		}
+		return 2 + (g*7919+i*104729)%(window/4)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				p := bytes.Repeat([]byte{byte(g*31 + i)}, size(g, i))
+				p[0], p[1] = byte(g), byte(i)
+				if _, err := w.Append(p); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	end := w.End()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if end < 4*window {
+		t.Fatalf("%d bytes appended cross too few windows", end)
+	}
+	next := make([]int, writers)
+	record := func(p []byte, _ int64) bool {
+		g, i := int(p[0]), int(p[1])
+		if g >= writers || i != next[g] || len(p) != size(g, i) || bytes.Count(p[2:], []byte{byte(g*31 + i)}) != len(p)-2 {
+			t.Fatalf("record of %d bytes (writer %d, number %d) is not whole or out of order", len(p), g, i)
+		}
+		next[g]++
+		return true
+	}
+	if got := openT(t, path, record); got != end {
+		t.Fatalf("replay ends at %d, want %d", got, end)
+	}
+	for g, n := range next {
+		if n != each {
+			t.Fatalf("writer %d: %d records replayed, want %d", g, n, each)
+		}
+	}
+}
+
 // TestWriterTearAt: the file ends where TearAt says; records wholly before
 // it are acknowledged, the torn one and every later one fail with
 // ErrTornWrite, and the file replays to the whole records.
@@ -249,22 +432,26 @@ func TestWriterTearAt(t *testing.T) {
 	first, _ := w.Append([]byte("whole"))
 	tear := w.End() + 4
 	w.TearAt(tear)
-	second, _ := w.Append([]byte("torn in half"))
-	third, _ := w.Append([]byte("never written"))
-	if err := w.Wait(third); !errors.Is(err, ErrTornWrite) {
-		t.Fatalf("wait past the tear: %v", err)
+	if _, err := w.Append([]byte("torn in half")); !errors.Is(err, ErrTornWrite) {
+		t.Fatalf("append of the torn record: %v", err)
+	}
+	if _, err := w.Append([]byte("never written")); !errors.Is(err, ErrTornWrite) {
+		t.Fatalf("append after the tear: %v", err)
 	}
 	if err := w.Wait(first); err != nil {
 		t.Fatalf("wait before the tear: %v", err)
 	}
-	if err := w.Wait(second); !errors.Is(err, ErrTornWrite) {
-		t.Fatalf("wait on the torn record: %v", err)
+	if err := w.Wait(tear); !errors.Is(err, ErrTornWrite) {
+		t.Fatalf("wait past the tear: %v", err)
 	}
-	if _, err := w.Append([]byte("after")); !errors.Is(err, ErrTornWrite) {
-		t.Fatalf("append after the tear: %v", err)
+	if w.End() != tear {
+		t.Fatalf("log ends at %d, want %d", w.End(), tear)
 	}
-	if m.len() != tear {
-		t.Fatalf("file ends at %d, want %d", m.len(), tear)
+	if err := w.Close(); !errors.Is(err, ErrTornWrite) {
+		t.Fatalf("close: %v", err)
+	}
+	if int64(len(m.data)) != tear || !bytes.Equal(m.data[first:], Frame(nil, []byte("torn in half"))[:tear-first]) {
+		t.Fatalf("file ends at %d with %q, want the torn record's first %d bytes at %d", len(m.data), m.data[first:], tear-first, tear)
 	}
 	var c collect
 	if got := openT(t, writeLog(t, m.data), c.apply); got != first || len(c.payloads) != 1 {

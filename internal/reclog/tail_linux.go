@@ -1,0 +1,32 @@
+package reclog
+
+import (
+	"fmt"
+	"syscall"
+)
+
+// Map preallocates before it maps, so a full disk fails here with ENOSPC
+// and never as a SIGBUS at a store into the mapping.
+func (t *tail) Map(off int64, n int) ([]byte, error) {
+	if err := t.unmap(); err != nil {
+		return nil, err
+	}
+	if err := syscall.Fallocate(int(t.Fd()), 0, off, int64(n)); err != nil {
+		return nil, fmt.Errorf("fallocate %s: %w", t.Name(), err)
+	}
+	win, err := syscall.Mmap(int(t.Fd()), off, n, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
+	if err != nil {
+		return nil, fmt.Errorf("mmap %s: %w", t.Name(), err)
+	}
+	t.win = win
+	return win, nil
+}
+
+func (t *tail) unmap() error {
+	if t.win == nil {
+		return nil
+	}
+	err := syscall.Munmap(t.win)
+	t.win = nil
+	return err
+}

@@ -1,16 +1,23 @@
 package reclog
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"os"
 	"sync"
 )
 
-// File is what a Writer writes to: an *os.File, or a test's stand-in.
+// File is the seam a Writer appends through: the mapped tail of a log file
+// (MapTail), or a test's stand-in.
 type File interface {
-	Write([]byte) (int, error)
+	// Map preallocates the file's bytes [off, off+n), off page-aligned, and
+	// returns them mapped writable in place of the window it returned last.
+	Map(off int64, n int) ([]byte, error)
+	// Sync makes everything stored through the mappings durable.
 	Sync() error
-	Close() error
+	// Close drops the mapping, cuts the file at end and closes it.
+	Close(end int64) error
 }
 
 var (
@@ -21,158 +28,152 @@ var (
 	ErrTornWrite = errors.New("reclog: torn write (injected crash)")
 )
 
-// Writer is the group writer of a log. Append frames a record onto a buffer
-// under the writer's mutex, which fixes the order of records, and returns
-// the offset just past it. Wait(off) returns once the file holds everything
-// up to off: if no flush is running the caller becomes the flusher, writing
-// out the buffer until it runs dry, and otherwise it shares the running
-// flusher's next write. Each such drain is one write(2), followed by one
-// fsync when the writer is durable. The first write or sync error is
-// sticky: the drain it ends reports it and so does every later Append and
-// Wait, since what follows a record the kernel may have dropped must not
-// be acknowledged.
+// window is how much of a log's tail a Writer maps and preallocates at a
+// time; a record larger than that maps its own length.
+const window = 4 << 20
+
+var pageSize = int64(os.Getpagesize())
+
+// Writer appends records to a log by framing each into a shared mapping of
+// the file's preallocated tail under its mutex, which fixes their order. A
+// record is in the page cache, so in the file, once Append returns: it
+// survives a crash of the process. A durable writer's Wait(off) also makes
+// it survive a crash of the machine: with no sync running the caller
+// becomes the syncer, one fsync for every record stored so far, and
+// otherwise it shares the next one. The first grow or sync error is sticky:
+// every later Append and Wait returns it, since what follows a record the
+// kernel may have dropped must not be acknowledged.
 type Writer struct {
-	mu       sync.Mutex
-	cond     *sync.Cond // signalled after every drain
-	f        File
-	durable  bool
-	drained  func(records int) // after each drain that succeeds; may be nil
-	buf      []byte            // framed records not yet handed to a flusher
-	records  int               // records in buf
-	appended int64             // file offset past the last record appended
-	written  int64             // file offset past the last byte written
-	tear     int64             // if > 0, where the file ends (TearAt)
-	flushing bool              // a flusher is running
-	err      error             // sticky: the first write or sync error, ErrTornWrite or ErrClosed
+	mu      sync.Mutex
+	cond    *sync.Cond // signalled after every sync
+	f       File
+	durable bool
+	synced  func(records int) // after each sync that succeeds; may be nil
+	win     []byte            // the mapped window of the file's tail
+	base    int64             // file offset of win[0]
+	end     int64             // file offset past the last byte stored
+	done    int64             // file offset up to which Wait acknowledges
+	records int               // records stored and not yet synced
+	tear    int64             // if > 0, where the file ends (TearAt)
+	syncing bool              // a syncer is running
+	err     error             // sticky: the first grow or sync error, ErrTornWrite or ErrClosed
 }
 
-// NewWriter appends to f, which ends at end. A durable writer fsyncs after
-// each write; drained, if not nil, is called with the number of records of
-// each drain that succeeds.
-func NewWriter(f File, end int64, durable bool, drained func(records int)) *Writer {
-	w := &Writer{f: f, durable: durable, drained: drained, appended: end, written: end}
+// NewWriter appends to f, which ends at end. A durable writer acknowledges
+// a record once it is fsync'd; synced, if not nil, is called with the
+// number of records of each sync that succeeds.
+func NewWriter(f File, end int64, durable bool, synced func(records int)) *Writer {
+	w := &Writer{f: f, durable: durable, synced: synced, end: end, done: end}
 	w.cond = sync.NewCond(&w.mu)
 	return w
 }
 
-// Append frames payload onto the buffer and returns the offset to Wait on,
-// or the error that has already stopped the log.
+// Append stores payload's record in the file and returns the offset just
+// past it, to Wait on, or the error that stopped the log.
 func (w *Writer) Append(payload []byte) (int64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
 		return 0, w.err
 	}
-	n := len(w.buf)
-	w.buf = Frame(w.buf, payload)
-	w.appended += int64(len(w.buf) - n)
+	// The room Frame grows its buffer by, so it frames in place.
+	if room := int64(binary.MaxVarintLen64 + len(payload) + 4); w.end+room > w.base+int64(len(w.win)) {
+		base := w.end &^ (pageSize - 1)
+		n := max(window, (w.end-base+room+pageSize-1)&^(pageSize-1))
+		win, err := w.f.Map(base, int(n))
+		if err != nil {
+			w.win, w.err = nil, fmt.Errorf("reclog: grow: %w", err)
+			return 0, w.err
+		}
+		w.win, w.base = win, base
+	}
+	i := w.end - w.base
+	rec := Frame(w.win[i:i], payload)
+	if w.tear > 0 && w.end+int64(len(rec)) > w.tear {
+		clear(rec[w.tear-w.end:])
+		w.done, w.end, w.err = w.end, w.tear, ErrTornWrite
+		return 0, w.err
+	}
+	w.end += int64(len(rec))
 	w.records++
-	return w.appended, nil
+	if !w.durable {
+		w.done = w.end
+	}
+	return w.end, nil
 }
 
 // End returns the offset at which the next record appended will start.
 func (w *Writer) End() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.appended
+	return w.end
 }
 
-// TearAt makes the file end at off, at or past End: the drain that reaches
-// off writes the bytes before it and stops the log with ErrTornWrite.
+// TearAt makes the file end at off, at or past End: the record that
+// crosses off is stored only up to it, and the log stops with
+// ErrTornWrite.
 func (w *Writer) TearAt(off int64) {
 	w.mu.Lock()
 	w.tear = off
 	w.mu.Unlock()
 }
 
-// Wait returns once everything up to off, an offset Append returned, is in
-// the file, or with the error that prevented it. Offset 0 is no record.
+// Wait returns once everything up to off, an offset Append returned, is
+// acknowledged — stored, and fsync'd if the writer is durable — or with
+// the error that prevented it. Offset 0 is no record.
 func (w *Writer) Wait(off int64) error {
 	if off == 0 {
 		return nil
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for w.written < off && w.err == nil {
-		if w.flushing {
+	for w.done < off && w.err == nil {
+		if w.syncing {
 			w.cond.Wait()
-		} else {
-			w.drainLocked()
+			continue
 		}
+		w.syncing = true
+		to, records := w.end, w.records
+		w.records = 0
+		w.mu.Unlock()
+		err := w.f.Sync()
+		w.mu.Lock()
+		if err != nil {
+			w.err = fmt.Errorf("reclog: sync: %w", err)
+		} else {
+			w.done = max(w.done, to)
+			if w.synced != nil {
+				w.synced(records)
+			}
+		}
+		w.syncing = false
+		w.cond.Broadcast()
 	}
-	if w.written >= off {
+	if w.done >= off {
 		return nil
 	}
 	return w.err
 }
 
-// Flush writes out what is buffered and reports the log's error, if it has
-// one. It is for records nobody waits on: if a flusher is running it
-// returns at once, since that flusher's loop takes them along.
-func (w *Writer) Flush() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if !w.flushing {
-		w.drainLocked()
-	}
-	return w.err
-}
-
-// drainLocked is the flusher: it writes the buffer out until it runs dry.
-// The caller holds w.mu and has seen w.flushing false; setting it keeps
-// everyone else out while the mutex is released across each write.
-func (w *Writer) drainLocked() {
-	w.flushing = true
-	for len(w.buf) > 0 && w.err == nil {
-		batch, records := w.buf, w.records
-		w.buf, w.records = nil, 0 // batch is the flusher's alone; appends start a new array
-		torn := w.tear > 0 && w.written+int64(len(batch)) > w.tear
-		if torn {
-			batch = batch[:w.tear-w.written]
-		}
-		w.mu.Unlock()
-		_, err := w.f.Write(batch)
-		if err != nil {
-			err = fmt.Errorf("reclog: write: %w", err)
-		} else if w.durable && !torn {
-			if err = w.f.Sync(); err != nil {
-				err = fmt.Errorf("reclog: sync: %w", err)
-			}
-		}
-		w.mu.Lock()
-		switch {
-		case err != nil:
-			w.err = err
-		case torn:
-			w.written += int64(len(batch))
-			w.err = ErrTornWrite
-		default:
-			w.written += int64(len(batch))
-			if w.drained != nil {
-				w.drained(records)
-			}
-		}
-		w.cond.Broadcast()
-	}
-	w.flushing = false
-}
-
-// Close writes out what is buffered, closes the file and returns the log's
-// first error, if it has one. Close again returns nil.
+// Close syncs what a durable writer stored, so a Wait still to come on it
+// succeeds, cuts the file after its last record, closes it and returns the
+// log's first error, if it has one. Close again returns nil.
 func (w *Writer) Close() error {
+	if w.durable {
+		_ = w.Wait(w.End()) // a sync error is the log's, returned below
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for w.flushing {
+	for w.syncing {
 		w.cond.Wait()
 	}
 	if w.f == nil {
 		return nil
 	}
-	w.drainLocked()
 	err := w.err
-	if cerr := w.f.Close(); err == nil && cerr != nil {
+	if cerr := w.f.Close(w.end); err == nil && cerr != nil {
 		err = fmt.Errorf("reclog: close: %w", cerr)
 	}
-	w.f, w.err = nil, ErrClosed
+	w.f, w.win, w.err = nil, nil, ErrClosed
 	return err
 }
