@@ -206,12 +206,11 @@ func BenchmarkFig8fFaultTolerance(b *testing.B) {
 
 // commitWorkload drives one fixed metadata workload — 8 workspaces × 4
 // writers per workspace × 16 commits per writer, every commit durable through
-// the WAL — against a store with the given shard count. With parallel=false
-// the same commits run from a single goroutine, which is the pre-sharding
-// behaviour: each commit waits out its own WAL flush before the next starts.
-// Parallel committers instead share group-commit flushes, so the win this
-// benchmark shows is flush amortisation plus cross-workspace concurrency.
-func commitWorkload(b *testing.B, shards int, parallel bool) {
+// the WAL. With parallel=false the same commits run from a single goroutine:
+// each commit waits out its own WAL flush before the next starts. Parallel
+// committers instead share group-commit flushes, so the win this benchmark
+// shows is flush amortisation plus cross-workspace concurrency.
+func commitWorkload(b *testing.B, parallel bool) {
 	const (
 		nWorkspaces = 8
 		nWriters    = 4
@@ -220,7 +219,7 @@ func commitWorkload(b *testing.B, shards int, parallel bool) {
 	var writes, faults int64 // write calls and minor faults while timed
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		st, err := metastore.Recover(filepath.Join(b.TempDir(), "wal.log"), metastore.WithShards(shards))
+		st, err := metastore.Recover(filepath.Join(b.TempDir(), "wal.log"))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -295,21 +294,17 @@ func commitWorkload(b *testing.B, shards int, parallel bool) {
 	b.ReportMetric(float64(faults)/total, "minflt/commit")
 }
 
-// BenchmarkCommitParallelWorkspaces measures the sharded metadata hot path:
-// serial is the baseline (one committer, one WAL fsync per record), and the
-// shards=N legs run 8 workspaces × 4 goroutines each against the sharded
-// store with group-commit. The acceptance bar is shards=16 ≥ 2× the serial
-// baseline's commits/s. writes/commit counts the process's write calls and
-// minflt/commit its minor faults while timed: the WAL stores its records
-// through a mapping, so it makes no write call, and each fsync costs a
-// fault at the next store to the page it wrote back.
+// BenchmarkCommitParallelWorkspaces measures the metadata commit hot path:
+// serial is the baseline (one committer, one WAL fsync per record), and
+// parallel runs 8 workspaces × 4 goroutines each, every workspace's writers
+// serialized by its own lock and all of them sharing group commits.
+// writes/commit counts the process's write calls and minflt/commit its
+// minor faults while timed: the WAL stores its records through a mapping,
+// so it makes no write call, and each fsync costs a fault at the next store
+// to the page it wrote back.
 func BenchmarkCommitParallelWorkspaces(b *testing.B) {
-	b.Run("serial", func(b *testing.B) { commitWorkload(b, 1, false) })
-	for _, shards := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			commitWorkload(b, shards, true)
-		})
-	}
+	b.Run("serial", func(b *testing.B) { commitWorkload(b, false) })
+	b.Run("parallel", func(b *testing.B) { commitWorkload(b, true) })
 }
 
 // BenchmarkTransferPipeline measures the client's chunk upload throughput
@@ -459,10 +454,9 @@ func BenchmarkWireFrameCodec(b *testing.B) {
 }
 
 // readWriteMix drives 4 writers committing flat out against the MVCC store
-// while `readers` goroutines poll workspaces that live on the same shards —
-// the structure the pre-MVCC store guarded with one RWMutex per shard, so
-// every one of these reads used to contend with the commit path. Each poll
-// is a ChangesSince on a read-side workspace (full State scan every 8th
+// while `readers` goroutines poll the same store, whose reads a lock shared
+// with the writers would make contend with the commit path. Each poll is a
+// ChangesSince on a read-side workspace (full State scan every 8th
 // iteration), with every 16th iteration tailing a written workspace from the
 // reader's cursor so the change-log replay path stays in the mix without the
 // benchmark degenerating into measuring O(readers x commits) tail-copy
@@ -485,7 +479,7 @@ func readWriteMix(b *testing.B, readers int) {
 	wsName := func(w int) string { return fmt.Sprintf("ws-%d", w) }
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		st := metastore.NewStore(metastore.WithShards(4))
+		st := metastore.NewStore()
 		for w := 0; w < 2*writers; w++ { // ws-0..3 written, ws-4..7 read-side
 			if err := st.CreateWorkspace(metastore.Workspace{ID: wsName(w), Owner: "bench"}); err != nil {
 				b.Fatal(err)

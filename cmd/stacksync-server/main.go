@@ -27,7 +27,7 @@ import (
 type options struct {
 	listen, storageListen, storageToken, dataDir string
 	workspace, users                             string
-	minInstances, maxInstances, metaShards       int
+	minInstances, maxInstances                   int
 	admin                                        string
 }
 
@@ -41,7 +41,6 @@ func main() {
 	flag.StringVar(&o.users, "users", "alice", "comma-separated users with access to the workspace")
 	flag.IntVar(&o.minInstances, "min-instances", 1, "minimum SyncService instances")
 	flag.IntVar(&o.maxInstances, "max-instances", 8, "maximum SyncService instances")
-	flag.IntVar(&o.metaShards, "meta-shards", 0, "metadata store shard count, rounded up to a power of two (0 = default)")
 	flag.StringVar(&o.admin, "admin", "", "admin/introspection listen address, e.g. 127.0.0.1:7072 (empty disables; enabling it also enables tracing)")
 	flag.Parse()
 
@@ -87,9 +86,6 @@ func start(o options) (*server, error) {
 			MaxInstances: o.maxInstances,
 			Provisioner:  reactive,
 		},
-	}
-	if o.metaShards > 0 {
-		cfg.Meta = []metastore.Option{metastore.WithShards(o.metaShards)}
 	}
 	// Observability: with -admin set, every broker and every SyncService
 	// instance shares one registry, one tracer and one flight recorder, so

@@ -41,8 +41,8 @@ type StackOptions struct {
 	// a commit's trace crosses all hops. nil disables tracing (no overhead).
 	Tracer *obs.Tracer
 	// Registry, when set, is the shared metrics registry of the whole stack:
-	// broker queue gauges, client series, metastore shard-contention
-	// counters, and every device's MQ/storage traffic meters land on it. nil
+	// broker queue gauges, client series, metastore writer-contention
+	// counter, and every device's MQ/storage traffic meters land on it. nil
 	// gives each component a private registry (the pre-existing behaviour).
 	Registry *obs.Registry
 	// TransferWorkers and TransferBatch tune every client's transfer

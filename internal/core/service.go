@@ -175,6 +175,14 @@ func (s *Service) workspaceGroup(workspaceID string) (string, error) {
 // notification is queued for the drainer and the next request's metadata
 // commit proceeds without waiting for the fanout publish.
 func (s *Service) commit(ctx context.Context, req CommitRequest) (CommitNotification, error) {
+	// Items carry their workspace from the client. One naming another
+	// workspace would commit there, and that workspace's devices would
+	// never hear of it: the notification goes to req.Workspace.
+	for i := range req.Items {
+		if ws := req.Items[i].Workspace; ws != req.Workspace {
+			return CommitNotification{}, fmt.Errorf("core: commit %s: item %s names workspace %q", req.Workspace, req.Items[i].ItemID, ws)
+		}
+	}
 	metaSpan := s.obsTracer().StartFromContext(ctx, "metastore.commitBatch")
 	metaSpan.Annotate("workspace", req.Workspace)
 	var results []metastore.BatchResult

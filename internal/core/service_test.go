@@ -145,6 +145,32 @@ func TestGetChangesUnknownWorkspace(t *testing.T) {
 	}
 }
 
+// TestCommitRefusesItemOfAnotherWorkspace: items carry their workspace
+// from the client, and one naming a workspace other than the request's is
+// refused — alone or beside one of the request's own — with nothing
+// committed anywhere, so no workspace changes behind its devices' backs.
+func TestCommitRefusesItemOfAnotherWorkspace(t *testing.T) {
+	r := newRig(t)
+	for _, ws := range []string{"ws1", "ws2"} {
+		if err := r.meta.CreateWorkspace(metastore.Workspace{ID: ws, Owner: "alice"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, items := range [][]metastore.ItemVersion{
+		{item("ws2", "f", 1, metastore.Added)},
+		{item("ws1", "f", 1, metastore.Added), item("ws2", "g", 1, metastore.Added)},
+	} {
+		if _, err := r.svc.commit(context.Background(), CommitRequest{Workspace: "ws1", DeviceID: "dev-test", Items: items}); err == nil {
+			t.Fatalf("request for ws1 with items %+v committed", items)
+		}
+	}
+	for _, ws := range []string{"ws1", "ws2"} {
+		if v, err := r.meta.CommitVersionOf(ws); err != nil || v != 0 {
+			t.Fatalf("%s at version %d (%v) after refused requests", ws, v, err)
+		}
+	}
+}
+
 func TestCommitRequestOverAsyncRPC(t *testing.T) {
 	r := newRig(t)
 	if err := r.meta.CreateWorkspace(metastore.Workspace{ID: "ws1", Owner: "alice"}); err != nil {

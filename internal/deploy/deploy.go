@@ -48,7 +48,7 @@ type Config struct {
 
 	// Workspaces are created at start; ones that already exist are kept.
 	Workspaces []metastore.Workspace
-	// Meta adds metadata store options (shard count, log retention).
+	// Meta adds metadata store options (log retention, clock).
 	Meta []metastore.Option
 
 	// Supervisor, when set, runs the fleet the paper's way: a RemoteBroker

@@ -6,23 +6,24 @@
 // conflict (first-committer-wins).
 //
 // The paper's data model is per-workspace item-version tables with no
-// cross-workspace invariants, so the store shards its state by workspace ID:
-// commits to the same workspace serialize under that shard's writer lock,
-// while commits to distinct workspaces proceed concurrently. An optional
-// write-ahead log makes committed state durable; concurrent committers share
-// its group-commit flush (see wal.go).
+// cross-workspace invariants, so every workspace has one writer: its
+// commits, WAL replay and compactions serialize under its own mutex, and a
+// CommitBatch is one workspace's transaction. An optional write-ahead log
+// makes committed state durable; concurrent committers share its
+// group-commit flush (see wal.go).
 //
-// Reads never take the shard lock: every workspace publishes an immutable
-// MVCC snapshot (copy-on-write item table + append-only change log) through
-// an atomic pointer, installed by the committer with one pointer swap — see
-// mvcc.go and DESIGN §16.
+// Reads never take a lock: the workspace table and every workspace's
+// immutable MVCC snapshot (copy-on-write item table + append-only change
+// log) are published through atomic pointers, the snapshot installed by
+// its writer with one pointer swap — see mvcc.go and DESIGN §16.
 package metastore
 
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,7 +88,7 @@ var (
 	ErrVersionConflict = errors.New("metastore: version conflict")
 	ErrNoItem          = errors.New("metastore: item not found")
 	ErrClosed          = errors.New("metastore: store closed")
-	ErrTxDone          = errors.New("metastore: transaction finished")
+	ErrMixedBatch      = errors.New("metastore: batch spans workspaces")
 	// ErrTxAborted is a transient, injected transaction rollback: the commit
 	// was not applied and may be retried verbatim.
 	ErrTxAborted = errors.New("metastore: transaction aborted")
@@ -99,28 +100,14 @@ type itemChain struct {
 
 func (c *itemChain) current() ItemVersion { return c.versions[len(c.versions)-1] }
 
-// shard holds the workspaces that hash to it. Every invariant the store
-// enforces is workspace-local, so one shard lock serializes workspace
-// creation and snapshot installs for its workspaces; the workspace table is
-// published through an atomic pointer (copied on create) so lookups — like
-// every other read — never touch the lock.
-type shard struct {
-	mu sync.RWMutex // writers only: creates, commits, compactions
-	ws atomic.Pointer[wsTable]
-}
-
-// DefaultShards is the shard count used when WithShards is not given.
-const DefaultShards = 16
-
 // Store is the metadata database.
 type Store struct {
-	shards []*shard
-	mask   uint32
+	mu     sync.Mutex              // serializes CreateWorkspace
+	ws     atomic.Pointer[wsTable] // copied on create, read lock-free
 	wal    *WAL
 	now    func() time.Time
 	closed atomic.Bool
 
-	nshards      int // WithShards hint, resolved in NewStore
 	logRetention int // WithLogRetention hint, resolved in NewStore
 
 	// Fault injection (nil in production): transaction aborts, delays and
@@ -130,25 +117,25 @@ type Store struct {
 	fkeys faults.Keyer
 
 	// MVCC bookkeeping, maintained whether or not a registry is attached:
-	// installs/compactRuns count snapshot swaps and compactions, logEntries
-	// tracks the summed change-log length, lastInstall the newest snapshot's
-	// install time (unix nanos; 0 before the first commit).
-	installs    atomic.Uint64
+	// compactRuns counts compactions, logEntries tracks the summed
+	// change-log length, lastInstall the newest snapshot's install time
+	// (unix nanos; 0 before the first commit).
 	compactRuns atomic.Uint64
 	logEntries  atomic.Int64
 	lastInstall atomic.Int64
 
-	reg        *obs.Registry
-	contention []*obs.Counter // per shard; nil without a registry
-	// Read-path and snapshot counters (nil without a registry): ChangesSince
-	// outcomes, snapshot installs, compaction runs and dropped entries.
+	reg *obs.Registry
+	// Counters (nil without a registry): writers that found their
+	// workspace's lock taken, ChangesSince outcomes, snapshot installs,
+	// compaction runs and dropped entries.
+	contention                          *obs.Counter
 	chTail, chFull, chEmpty, chFallback *obs.Counter
 	snapInstalls, compactions           *obs.Counter
 	compactedEntries                    *obs.Counter
 }
 
-// inc bumps a read-path counter when a registry is attached. Counters are
-// plain atomics, so this keeps the lock-free read path lock-free.
+// inc bumps a counter when a registry is attached. Counters are plain
+// atomics, so this keeps the lock-free read path lock-free.
 func (s *Store) inc(c *obs.Counter) {
 	if c != nil {
 		c.Inc()
@@ -163,30 +150,25 @@ func WithNow(now func() time.Time) Option {
 	return func(s *Store) { s.now = now }
 }
 
-// WithShards sets how many shards the workspace map splits into, rounded up
-// to a power of two (minimum 1). One shard serializes all writers — the
-// pre-sharding behavior, useful as a reference model and baseline.
-func WithShards(n int) Option {
-	return func(s *Store) { s.nshards = n }
-}
-
 // WithRegistry wires the store (and its WAL, if any) into a metrics
-// registry: per-shard contention counters and group-commit flush metrics.
+// registry: writer contention, read-path and snapshot counters, and
+// group-commit flush metrics.
 func WithRegistry(reg *obs.Registry) Option {
 	return func(s *Store) { s.reg = reg }
 }
 
 // WithFaults wires deterministic fault injection into the transaction path:
 // a commit may be rolled back with ErrTxAborted (transient — the caller's
-// retry/redelivery layer must re-submit), may stall before taking the shard
-// lock, or may tear the next WAL record as if the process crashed mid-append.
+// retry/redelivery layer must re-submit), may stall before taking its
+// workspace's lock, or may tear the next WAL record as if the process
+// crashed mid-append.
 func WithFaults(plan *faults.Plan, site string) Option {
 	return func(s *Store) { s.fplan, s.fsite = plan, site }
 }
 
-// injectTx rolls one transaction-level fault. It runs before the shard lock
-// is taken, so an injected delay stalls only this commit — readers and
-// commits to other workspaces proceed.
+// injectTx rolls one transaction-level fault. It runs before the workspace
+// lock is taken, so an injected delay stalls only this commit — readers and
+// other writers proceed.
 func (s *Store) injectTx() error {
 	if s.fplan == nil {
 		return nil
@@ -211,35 +193,14 @@ func (s *Store) injectTx() error {
 
 // NewStore returns an empty metadata store.
 func NewStore(opts ...Option) *Store {
-	s := &Store{
-		now:          time.Now,
-		nshards:      DefaultShards,
-		logRetention: DefaultLogRetention,
-	}
+	s := &Store{now: time.Now, logRetention: DefaultLogRetention}
 	for _, opt := range opts {
 		opt(s)
 	}
-	if s.logRetention < 2 {
-		s.logRetention = 2
-	}
-	n := 1
-	for n < s.nshards {
-		n <<= 1
-	}
-	s.shards = make([]*shard, n)
-	for i := range s.shards {
-		sh := &shard{}
-		t := make(wsTable)
-		sh.ws.Store(&t)
-		s.shards[i] = sh
-	}
-	s.mask = uint32(n - 1)
+	s.logRetention = max(s.logRetention, 2)
+	s.ws.Store(&wsTable{})
 	if s.reg != nil {
-		s.contention = make([]*obs.Counter, n)
-		for i := range s.contention {
-			s.contention[i] = s.reg.Counter("metastore_shard_contention_total", "shard", strconv.Itoa(i))
-		}
-		s.reg.GaugeFunc("metastore_shards", func() float64 { return float64(n) })
+		s.contention = s.reg.Counter("metastore_commit_contention_total")
 		s.chTail = s.reg.Counter("metastore_changes_since_total", "result", "tail")
 		s.chFull = s.reg.Counter("metastore_changes_since_total", "result", "full")
 		s.chEmpty = s.reg.Counter("metastore_changes_since_total", "result", "empty")
@@ -261,74 +222,40 @@ func NewStore(opts ...Option) *Store {
 	return s
 }
 
-// SnapshotInstalls reports how many snapshot pointer swaps have been
-// performed since the store opened (one per committing CommitVersion /
-// per-workspace CommitBatch group).
-func (s *Store) SnapshotInstalls() uint64 { return s.installs.Load() }
-
 // Compactions reports how many change-log compactions have run.
 func (s *Store) Compactions() uint64 { return s.compactRuns.Load() }
 
 // lookupWS resolves a workspace without taking any lock.
 func (s *Store) lookupWS(workspace string) (*wsState, bool) {
-	sh := s.shards[s.shardIdx(workspace)]
-	w, ok := (*sh.ws.Load())[workspace]
+	w, ok := (*s.ws.Load())[workspace]
 	return w, ok
 }
 
-// Shards reports the resolved shard count.
-func (s *Store) Shards() int { return len(s.shards) }
-
-// shardIdx maps a workspace ID to its shard (FNV-1a, masked).
-func (s *Store) shardIdx(workspace string) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(workspace); i++ {
-		h ^= uint32(workspace[i])
-		h *= 16777619
-	}
-	return int(h & s.mask)
-}
-
-// lockShard write-locks shard idx, counting the acquisition as contended
-// when another writer already holds it.
-func (s *Store) lockShard(idx int) *shard {
-	sh := s.shards[idx]
-	if sh.mu.TryLock() {
-		return sh
-	}
-	if s.contention != nil {
-		s.contention[idx].Inc()
-	}
-	sh.mu.Lock()
-	return sh
-}
-
-// CreateWorkspace registers a workspace.
+// CreateWorkspace registers a workspace. Its WAL record is appended before
+// the table publishes the workspace, so no commit to it can reach the log
+// first: replay meets every workspace before its first version.
 func (s *Store) CreateWorkspace(ws Workspace) error {
-	if s.closed.Load() {
-		return ErrClosed
+	s.mu.Lock()
+	old := *s.ws.Load()
+	_, exists := old[ws.ID]
+	var err error
+	switch {
+	case s.closed.Load():
+		err = ErrClosed
+	case exists:
+		err = fmt.Errorf("metastore: create %q: %w", ws.ID, ErrWorkspaceExists)
+	default:
+		err = s.wal.append(walWorkspace, &ws)
 	}
-	sh := s.lockShard(s.shardIdx(ws.ID))
-	if s.closed.Load() {
-		sh.mu.Unlock()
-		return ErrClosed
+	if err == nil {
+		st := &wsState{meta: ws}
+		st.snap.Store(emptySnapshot())
+		next := maps.Clone(old)
+		next[ws.ID] = st
+		s.ws.Store(&next)
 	}
-	old := sh.ws.Load()
-	if _, ok := (*old)[ws.ID]; ok {
-		sh.mu.Unlock()
-		return fmt.Errorf("metastore: create %q: %w", ws.ID, ErrWorkspaceExists)
-	}
-	// Copy-on-create: the table is read lock-free, so publish a new one.
-	next := make(wsTable, len(*old)+1)
-	for id, w := range *old {
-		next[id] = w
-	}
-	st := &wsState{meta: ws}
-	st.snap.Store(emptySnapshot())
-	next[ws.ID] = st
-	sh.ws.Store(&next)
-	off, err := s.wal.append(walWorkspace, &ws)
-	sh.mu.Unlock()
+	off := s.wal.end()
+	s.mu.Unlock()
 	if err != nil {
 		return err
 	}
@@ -336,23 +263,14 @@ func (s *Store) CreateWorkspace(ws Workspace) error {
 }
 
 // WorkspacesFor lists the workspaces a user owns or is a member of —
-// the getWorkspaces operation's backing query. Lock-free: it walks each
-// shard's published workspace table.
+// the getWorkspaces operation's backing query. Lock-free: it walks the
+// published workspace table.
 func (s *Store) WorkspacesFor(user string) []Workspace {
 	var out []Workspace
-	for _, sh := range s.shards {
-		for _, w := range *sh.ws.Load() {
-			ws := w.meta
-			if ws.Owner == user {
-				out = append(out, ws)
-				continue
-			}
-			for _, m := range ws.Members {
-				if m == user {
-					out = append(out, ws)
-					break
-				}
-			}
+	for _, w := range *s.ws.Load() {
+		ws := w.meta
+		if ws.Owner == user || slices.Contains(ws.Members, user) {
+			out = append(out, ws)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
@@ -383,47 +301,48 @@ func (s *Store) Current(workspace, itemID string) (ItemVersion, bool, error) {
 	return chain.current(), true, nil
 }
 
-// CommitVersion atomically applies the version-precedence check of
-// Algorithm 1 and stores the proposed version:
-//
-//   - item unknown  and proposed Version == 1  → committed (store_new_object)
-//   - current+1 == proposed Version            → committed (store_new_version)
-//   - anything else                            → ErrVersionConflict carrying
-//     the authoritative current version, which the service piggybacks on the
-//     CommitNotification so the losing client can reconstruct the file.
-//
-// The WAL record is appended while the shard lock is held (preserving
-// per-workspace append order) but awaited after release, so concurrent
-// committers share one group-commit flush.
-func (s *Store) CommitVersion(v ItemVersion) (ItemVersion, error) {
+// write runs fn as its workspace's one writer. Every write takes this
+// sequence — CommitBatch, WAL replay and CompactLog: check closed, lock the
+// workspace, re-check closed, open its wsWrite, and install what fn built
+// unless fn fails.
+func (s *Store) write(workspace string, fn func(*wsWrite) error) error {
 	if s.closed.Load() {
-		return ItemVersion{}, ErrClosed
+		return ErrClosed
 	}
-	if err := s.injectTx(); err != nil {
-		return ItemVersion{}, err
+	w, ok := s.lookupWS(workspace)
+	if !ok {
+		return fmt.Errorf("metastore: write to %q: %w", workspace, ErrNoWorkspace)
 	}
-	sh := s.lockShard(s.shardIdx(v.Workspace))
+	if !w.mu.TryLock() {
+		s.inc(s.contention)
+		w.mu.Lock()
+	}
+	defer w.mu.Unlock()
 	if s.closed.Load() {
-		sh.mu.Unlock()
-		return ItemVersion{}, ErrClosed
+		return ErrClosed
 	}
-	wr, err := sh.writeTo(s, v.Workspace)
-	if err != nil {
-		sh.mu.Unlock()
-		return ItemVersion{}, err
+	b := w.snap.Load()
+	wr := &wsWrite{st: s, w: w, base: b, items: b.items, log: b.log, version: b.version, logStart: b.logStart}
+	if err := fn(wr); err != nil {
+		return err
 	}
-	committed, err := wr.commit(v, s.now)
-	if err != nil {
-		sh.mu.Unlock()
-		return committed, err
-	}
-	off, err := s.wal.append(walVersion, &committed)
 	wr.install()
-	sh.mu.Unlock()
-	if err == nil {
-		err = s.wal.wait(off)
+	return nil
+}
+
+// CommitVersion commits one proposal: a CommitBatch of one, with a conflict
+// returned as ErrVersionConflict carrying the authoritative current
+// version, which the service piggybacks on the CommitNotification so the
+// losing client can reconstruct the file.
+func (s *Store) CommitVersion(v ItemVersion) (ItemVersion, error) {
+	res, err := s.CommitBatch([]ItemVersion{v})
+	if err != nil {
+		return ItemVersion{}, err
 	}
-	return committed, err
+	if !res[0].Committed {
+		return res[0].Version, fmt.Errorf("metastore: %s v%d: %w", v.ItemID, v.Version, ErrVersionConflict)
+	}
+	return res[0].Version, nil
 }
 
 // BatchResult is one element of a CommitBatch outcome. Each proposal
@@ -435,82 +354,52 @@ type BatchResult struct {
 	Version   ItemVersion `json:"version"` // committed version, or current on conflict
 }
 
-// CommitBatch applies a list of proposed versions. Proposals are grouped by
-// workspace; each group commits atomically with respect to other writers of
-// that workspace (the paper's per-workspace transaction), and groups for
-// distinct workspaces may interleave with concurrent committers. All of a
-// group's WAL records join one group-commit flush.
+// CommitBatch applies Algorithm 1's version-precedence check to proposals
+// of one workspace, as one transaction (the paper's per-workspace
+// transaction): each proposal commits or conflicts against the state the
+// earlier ones left, and one pointer swap publishes them all. A batch that
+// names more than one workspace is refused with ErrMixedBatch before
+// anything commits.
+//
+// The WAL records of the versions committed fresh are appended under the
+// workspace's lock, which fixes their order, and awaited after its release,
+// so concurrent committers share one group-commit flush. A replayed
+// proposal that already committed is re-acknowledged and appends nothing.
 func (s *Store) CommitBatch(proposals []ItemVersion) ([]BatchResult, error) {
-	if s.closed.Load() {
-		return nil, ErrClosed
+	if len(proposals) == 0 {
+		return nil, nil
+	}
+	ws := proposals[0].Workspace
+	for _, p := range proposals[1:] {
+		if p.Workspace != ws {
+			return nil, fmt.Errorf("metastore: batch names %q and %q: %w", ws, p.Workspace, ErrMixedBatch)
+		}
 	}
 	if err := s.injectTx(); err != nil {
 		return nil, err
 	}
-	// Group indices by workspace, preserving both first-appearance order of
-	// workspaces and in-workspace proposal order.
-	type wsGroup struct {
-		ws   string
-		idxs []int
-	}
-	byWS := make(map[string]*wsGroup)
-	var order []*wsGroup
-	for i, p := range proposals {
-		g, ok := byWS[p.Workspace]
-		if !ok {
-			g = &wsGroup{ws: p.Workspace}
-			byWS[p.Workspace] = g
-			order = append(order, g)
-		}
-		g.idxs = append(g.idxs, i)
-	}
-
 	results := make([]BatchResult, len(proposals))
-	var last int64   // the WAL offset to wait on
-	var walErr error // the first append that failed
-	for _, g := range order {
-		sh := s.lockShard(s.shardIdx(g.ws))
-		if s.closed.Load() {
-			sh.mu.Unlock()
-			return nil, ErrClosed
-		}
-		wr, werr := sh.writeTo(s, g.ws)
-		if werr != nil {
-			sh.mu.Unlock()
-			return nil, werr
-		}
-		abort := error(nil)
-		for _, i := range g.idxs {
-			committed, err := wr.commit(proposals[i], s.now)
-			if err != nil {
-				if errors.Is(err, ErrVersionConflict) {
-					results[i] = BatchResult{Committed: false, Version: committed}
-					continue
+	var off int64
+	err := s.write(ws, func(wr *wsWrite) error {
+		for i, p := range proposals {
+			v, o := wr.commit(p)
+			results[i] = BatchResult{Committed: o != conflict, Version: v}
+			if o == fresh {
+				if err := s.wal.append(walVersion, &results[i].Version); err != nil {
+					return err
 				}
-				abort = err
-				break
 			}
-			results[i] = BatchResult{Committed: true, Version: committed}
-			off, err := s.wal.append(walVersion, &committed)
-			if err != nil && walErr == nil {
-				walErr = err
-			}
-			last = max(last, off)
 		}
-		// One pointer swap publishes the whole group (even on a mid-group
-		// abort, what committed before the abort stays committed — matching
-		// the WAL records already appended above).
-		wr.install()
-		sh.mu.Unlock()
-		if abort != nil {
-			return nil, abort
-		}
+		// Wait for the log as it stands, not just for this batch's records:
+		// a version a replay re-acknowledges may still await its fsync.
+		off = s.wal.end()
+		return nil
+	})
+	if err == nil {
+		err = s.wal.wait(off)
 	}
-	if walErr == nil {
-		walErr = s.wal.wait(last)
-	}
-	if walErr != nil {
-		return nil, walErr
+	if err != nil {
+		return nil, err
 	}
 	return results, nil
 }
@@ -581,17 +470,20 @@ func (s *Store) ItemCount(workspace string) (int, error) {
 	return len(state), nil
 }
 
-// Close syncs the WAL and rejects further writes. It drains in-flight
-// writers (each shard lock is acquired once) before closing the journal.
+// Close syncs the WAL and rejects further writes. It first waits out every
+// writer that passed its closed check before the flag flipped (a creator
+// holds the store mutex, a committer its workspace's), then closes the log.
 func (s *Store) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		// Empty critical section on purpose: entering the lock waits out any
-		// writer that passed the closed check before the flag flipped.
-		sh.mu.Unlock()
+	s.mu.Lock()
+	for _, w := range *s.ws.Load() {
+		// Empty critical section on purpose: entering the lock waits out
+		// the workspace's writer.
+		w.mu.Lock()
+		w.mu.Unlock()
 	}
+	s.mu.Unlock()
 	return s.wal.Close()
 }

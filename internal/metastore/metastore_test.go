@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -336,6 +337,188 @@ func TestWALGroupCommitConcurrent(t *testing.T) {
 		h, err := rec.History(ws, item)
 		if err != nil || len(h) != each || h[each-1].Version != each {
 			t.Fatalf("%s/%s: recovered %d versions, %v", ws, item, len(h), err)
+		}
+	}
+}
+
+// TestCreateLoggedBeforeFirstCommit: creators make workspaces while a
+// committer per creator waits for each one to appear and commits to it at
+// once. A workspace's record must reach the WAL before any commit to it,
+// or replay meets the commit first, stops there and cuts every later
+// record: after Close and Recover, every acknowledged create and commit is
+// back.
+func TestCreateLoggedBeforeFirstCommit(t *testing.T) {
+	const creators, each = 4, 100
+	path := filepath.Join(t.TempDir(), "meta.wal")
+	s, err := Recover(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := func(c, i int) string { return fmt.Sprintf("ws-%d-%d", c, i) }
+	var wg sync.WaitGroup
+	for c := 0; c < creators; c++ {
+		wg.Add(2)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := s.CreateWorkspace(Workspace{ID: id(c, i), Owner: "u"}); err != nil {
+					t.Errorf("create %s: %v", id(c, i), err)
+					return
+				}
+			}
+		}(c)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				for {
+					_, err := s.CommitVersion(ver(id(c, i), "f", 1, Added))
+					if err == nil {
+						break
+					}
+					if !errors.Is(err, ErrNoWorkspace) {
+						t.Errorf("commit to %s: %v", id(c, i), err)
+						return
+					}
+					runtime.Gosched()
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if t.Failed() {
+		return
+	}
+	rec, err := Recover(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	for c := 0; c < creators; c++ {
+		for i := 0; i < each; i++ {
+			if cur, ok, err := rec.Current(id(c, i), "f"); err != nil || !ok || cur.Version != 1 {
+				t.Fatalf("%s after recovery: v%d ok=%v err=%v", id(c, i), cur.Version, ok, err)
+			}
+		}
+	}
+}
+
+// TestCloseWaitsOutWriters: Close lands while committers on several
+// workspaces are mid-write. Each commit either fails with ErrClosed or is
+// acknowledged, and every acknowledged commit is back after Recover.
+func TestCloseWaitsOutWriters(t *testing.T) {
+	const workspaces, perWS = 4, 2
+	path := filepath.Join(t.TempDir(), "meta.wal")
+	s, err := Recover(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w := 0; w < workspaces; w++ {
+		newWS(t, s, fmt.Sprint("ws", w), "u")
+	}
+	acked := make([]uint64, workspaces*perWS)
+	var wg sync.WaitGroup
+	for c := range acked {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			ws, item := fmt.Sprint("ws", c%workspaces), fmt.Sprint("item", c)
+			for v := uint64(1); ; v++ {
+				if _, err := s.CommitVersion(ver(ws, item, v, Modified)); err != nil {
+					if !errors.Is(err, ErrClosed) {
+						t.Errorf("%s/%s v%d: %v", ws, item, v, err)
+					}
+					return
+				}
+				acked[c] = v
+			}
+		}(c)
+	}
+	for s.wal.end() < 4096 && !t.Failed() { // let the committers get going
+		runtime.Gosched()
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	rec := recoverT(t, path)
+	for c, v := range acked {
+		ws, item := fmt.Sprint("ws", c%workspaces), fmt.Sprint("item", c)
+		if cur, _, _ := rec.Current(ws, item); cur.Version < v {
+			t.Errorf("%s/%s: v%d acknowledged, v%d recovered", ws, item, v, cur.Version)
+		}
+	}
+}
+
+// TestReplayedProposalAppendsNothing: a proposal that comes back after it
+// committed (a client retransmit, an MQ redelivery) is re-acknowledged
+// without a second WAL record or a second fsync'd record.
+func TestReplayedProposalAppendsNothing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "meta.wal")
+	reg := obs.NewRegistry()
+	s, err := Recover(path, WithRegistry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	newWS(t, s, "ws", "alice")
+	v := ver("ws", "f", 1, Added)
+	v.DeviceID = "d1"
+	v1, err := s.CommitVersion(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := s.wal.log.End()
+	for i := 0; i < 4; i++ {
+		res, err := s.CommitBatch([]ItemVersion{v})
+		if err != nil || !res[0].Committed {
+			t.Fatalf("replay %d: %+v, %v", i, res, err)
+		}
+	}
+	if got := s.wal.log.End(); got != end {
+		t.Fatalf("replays grew the WAL from %d to %d B", end, got)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.CounterValue("metastore_wal_records_total"); got != 2 {
+		t.Fatalf("%d WAL records, want 2 (the workspace and v1)", got)
+	}
+	// A log written while replays still appended holds such duplicates:
+	// recovery reads past one.
+	rec := recoverT(t, path)
+	if h, err := rec.History("ws", "f"); err != nil || len(h) != 1 {
+		t.Fatalf("recovered history %+v, %v", h, err)
+	}
+	if err := rec.wal.append(walVersion, &v1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rec.CommitVersion(ver("ws", "f", 2, Modified)); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if h, err := recoverT(t, path).History("ws", "f"); err != nil || len(h) != 2 {
+		t.Fatalf("history recovered past a duplicate record: %+v, %v", h, err)
+	}
+}
+
+// TestCommitBatchRefusesMixedWorkspaces: a batch is one workspace's
+// transaction, so one naming two is refused before anything commits.
+func TestCommitBatchRefusesMixedWorkspaces(t *testing.T) {
+	s := NewStore()
+	defer s.Close()
+	newWS(t, s, "a", "alice")
+	newWS(t, s, "b", "alice")
+	_, err := s.CommitBatch([]ItemVersion{ver("a", "f", 1, Added), ver("b", "f", 1, Added)})
+	if !errors.Is(err, ErrMixedBatch) {
+		t.Fatalf("mixed batch: %v", err)
+	}
+	for _, ws := range []string{"a", "b"} {
+		if v, _ := s.CommitVersionOf(ws); v != 0 {
+			t.Fatalf("refused batch committed to %s: version %d", ws, v)
 		}
 	}
 }

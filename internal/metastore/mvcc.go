@@ -2,11 +2,11 @@ package metastore
 
 // MVCC read path (DESIGN §16). Every workspace keeps an immutable snapshot —
 // a copy-on-write item table plus an append-only change log — published
-// through one atomic pointer. Writers build the next snapshot under their
-// shard lock and install it with a single pointer swap, so a CommitBatch
-// becomes visible all-or-nothing; readers (State, Current, History,
-// ChangesSince) load the pointer and walk structures that will never mutate
-// beneath them, acquiring no lock at all. A reconnecting client replays the
+// through one atomic pointer. The workspace's one writer builds the next
+// snapshot under the workspace's lock and installs it with a single pointer
+// swap, so a CommitBatch becomes visible all-or-nothing; readers (State,
+// Current, History, ChangesSince) load the pointer and walk structures that
+// will never mutate beneath them, acquiring no lock at all. A reconnecting client replays the
 // log tail ("changes since v") instead of re-scanning the workspace; once
 // the requested version has been compacted away, the reply falls back to the
 // full live state and says so.
@@ -24,8 +24,8 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // DefaultLogRetention is the per-workspace change-log bound used when
@@ -71,16 +71,18 @@ func (sn *snapshot) live() []ItemVersion {
 	return out
 }
 
-// wsState is one workspace: its immutable registration record and the
-// atomically published snapshot pointer. meta never changes after creation,
-// so reads need no lock anywhere in this struct.
+// wsState is one workspace: its immutable registration record, the
+// atomically published snapshot pointer and the mutex of its one writer,
+// which guards the snapshot's replacement. meta never changes after
+// creation, so reads need no lock anywhere in this struct.
 type wsState struct {
 	meta Workspace
+	mu   sync.Mutex // the writer: commits, WAL replay, compactions
 	snap atomic.Pointer[snapshot]
 }
 
 // wsTable maps workspace ID to state. The table itself is published through
-// an atomic pointer per shard and copied on workspace creation, so lookups
+// the store's atomic pointer and copied on workspace creation, so lookups
 // are lock-free too.
 type wsTable map[string]*wsState
 
@@ -165,99 +167,58 @@ func (s *Store) CompactWatermark(workspace string) (uint64, error) {
 // form exists for operational trimming and for the test/fuzz harnesses that
 // race compaction against readers.
 func (s *Store) CompactLog(workspace string, keep int) (uint64, error) {
-	if s.closed.Load() {
-		return 0, ErrClosed
-	}
-	if keep < 0 {
-		keep = 0
-	}
-	sh := s.lockShard(s.shardIdx(workspace))
-	defer sh.mu.Unlock()
-	w, ok := (*sh.ws.Load())[workspace]
-	if !ok {
-		return 0, fmt.Errorf("metastore: %q: %w", workspace, ErrNoWorkspace)
-	}
-	sn := w.snap.Load()
-	if len(sn.log) <= keep {
-		return sn.logStart, nil
-	}
-	ns := &snapshot{
-		version:  sn.version,
-		logStart: sn.version - uint64(keep),
-		items:    sn.items,
-		log:      append([]ItemVersion(nil), sn.log[len(sn.log)-keep:]...),
-	}
-	s.noteCompaction(len(sn.log) - keep)
-	s.logEntries.Add(int64(keep) - int64(len(sn.log)))
-	w.snap.Store(ns)
-	return ns.logStart, nil
+	var mark uint64
+	err := s.write(workspace, func(wr *wsWrite) error {
+		wr.compact(max(keep, 0))
+		mark = wr.logStart
+		return nil
+	})
+	return mark, err
 }
 
-// wsWrite builds one workspace's next snapshot under the shard lock: the
-// write side of MVCC. commit applies Algorithm 1's precedence check against
-// the working state (so later proposals of a batch see earlier winners) and
-// install publishes everything committed with one pointer swap — or swaps
-// nothing when nothing committed.
+// wsWrite builds one workspace's next snapshot under the workspace's lock:
+// the write side of MVCC. commit applies Algorithm 1's precedence check
+// against the working state (so later proposals of a batch see earlier
+// winners), compact trims the working log, and install publishes the
+// result with one pointer swap — or swaps nothing when nothing changed.
 type wsWrite struct {
-	st   *Store
-	w    *wsState
-	base *snapshot
-	// items is nil until the first successful commit copies the base table;
-	// install is a no-op while it stays nil.
-	items    map[string]*itemChain
+	st       *Store
+	w        *wsState
+	base     *snapshot
+	items    map[string]*itemChain // base.items until the first commit copies it
 	log      []ItemVersion
 	version  uint64
-	appended int
+	logStart uint64
 }
 
-// writeTo opens the write side of a workspace. Caller holds the shard lock.
-func (sh *shard) writeTo(st *Store, workspace string) (*wsWrite, error) {
-	w, ok := (*sh.ws.Load())[workspace]
-	if !ok {
-		return nil, fmt.Errorf("metastore: commit to %q: %w", workspace, ErrNoWorkspace)
-	}
-	base := w.snap.Load()
-	return &wsWrite{st: st, w: w, base: base, log: base.log, version: base.version}, nil
-}
+// outcome is what commit did with one proposal.
+type outcome int
 
-// chain returns the working chain for an item.
-func (wr *wsWrite) chain(itemID string) (*itemChain, bool) {
-	if wr.items != nil {
-		c, ok := wr.items[itemID]
-		return c, ok
-	}
-	c, ok := wr.base.items[itemID]
-	return c, ok
-}
+const (
+	conflict outcome = iota // lost the precedence check; nothing changed
+	replayed                // committed before: re-acknowledged, nothing changed
+	fresh                   // committed now, into the working state
+)
 
-// ensureCopied copies the base item table once, on the first write.
-func (wr *wsWrite) ensureCopied() {
-	if wr.items != nil {
-		return
-	}
-	wr.items = make(map[string]*itemChain, len(wr.base.items)+1)
-	for id, c := range wr.base.items {
-		wr.items[id] = c
-	}
-}
-
-// commit applies the precedence check and append for one proposal:
+// commit applies the precedence check to one proposal and returns the
+// version that answers it — the committed one, or on a conflict the
+// authoritative current version (zero for an unknown item):
 //
-//   - item unknown  and proposed Version == 1  → committed (store_new_object)
-//   - current+1 == proposed Version            → committed (store_new_version)
-//   - anything else                            → ErrVersionConflict carrying
-//     the authoritative current version (or a replay re-ack, see below).
-func (wr *wsWrite) commit(v ItemVersion, now func() time.Time) (ItemVersion, error) {
+//   - item unknown  and proposed Version == 1  → fresh (store_new_object)
+//   - current+1 == proposed Version            → fresh (store_new_version)
+//   - an earlier version proposed again        → replayed (see below)
+//   - anything else                            → conflict
+func (wr *wsWrite) commit(v ItemVersion) (ItemVersion, outcome) {
 	if v.CommittedAt.IsZero() {
-		v.CommittedAt = now()
+		v.CommittedAt = wr.st.now()
 	}
-	chain, exists := wr.chain(v.ItemID)
+	chain, exists := wr.items[v.ItemID]
 	if !exists {
 		if v.Version != 1 {
-			return ItemVersion{}, fmt.Errorf("metastore: %s v%d on unknown item: %w", v.ItemID, v.Version, ErrVersionConflict)
+			return ItemVersion{}, conflict
 		}
 		wr.append(v, &itemChain{versions: []ItemVersion{v}})
-		return v, nil
+		return v, fresh
 	}
 	cur := chain.current()
 	if v.Version != cur.Version+1 {
@@ -272,62 +233,60 @@ func (wr *wsWrite) commit(v ItemVersion, now func() time.Time) (ItemVersion, err
 			if prior.DeviceID == v.DeviceID && prior.Checksum == v.Checksum &&
 				prior.Status == v.Status && prior.Path == v.Path &&
 				slices.Equal(prior.Chunks, v.Chunks) {
-				return prior, nil
+				return prior, replayed
 			}
 		}
-		return cur, fmt.Errorf("metastore: %s proposed v%d over v%d: %w", v.ItemID, v.Version, cur.Version, ErrVersionConflict)
+		return cur, conflict
 	}
 	wr.append(v, &itemChain{versions: append(chain.versions, v)})
-	return v, nil
+	return v, fresh
 }
 
 // append records one committed version in the working state.
 func (wr *wsWrite) append(v ItemVersion, chain *itemChain) {
-	wr.ensureCopied()
+	if wr.version == wr.base.version { // the first commit copies the base table
+		wr.items = make(map[string]*itemChain, len(wr.base.items)+1)
+		for id, c := range wr.base.items {
+			wr.items[id] = c
+		}
+	}
 	wr.items[v.ItemID] = chain
 	wr.log = append(wr.log, v)
 	wr.version++
-	wr.appended++
+}
+
+// compact trims the working log to its newest keep entries, advancing the
+// watermark past the dropped ones.
+func (wr *wsWrite) compact(keep int) {
+	dropped := len(wr.log) - keep
+	if dropped <= 0 {
+		return
+	}
+	wr.log = append([]ItemVersion(nil), wr.log[dropped:]...)
+	wr.logStart = wr.version - uint64(keep)
+	wr.st.compactRuns.Add(1)
+	if wr.st.compactions != nil {
+		wr.st.compactions.Inc()
+		wr.st.compactedEntries.Add(uint64(dropped))
+	}
 }
 
 // install publishes the working state as the workspace's next snapshot —
-// the one pointer swap of the commit path — applying the retention policy
-// first. Caller still holds the shard lock. A wsWrite that committed
-// nothing installs nothing.
+// the one pointer swap of every write — after applying the retention
+// policy to a commit. Caller still holds the workspace's lock. A write that
+// changed nothing installs nothing, and only a commit counts as a snapshot
+// install.
 func (wr *wsWrite) install() {
-	if wr.items == nil {
+	st := wr.st
+	if wr.version != wr.base.version {
+		if len(wr.log) > st.logRetention {
+			wr.compact(st.logRetention / 2)
+		}
+		st.lastInstall.Store(st.now().UnixNano())
+		st.inc(st.snapInstalls)
+	} else if wr.logStart == wr.base.logStart {
 		return
 	}
-	ns := &snapshot{
-		version:  wr.version,
-		logStart: wr.base.logStart,
-		items:    wr.items,
-		log:      wr.log,
-	}
-	if max := wr.st.logRetention; len(ns.log) > max {
-		keep := max / 2
-		if keep < 1 {
-			keep = 1
-		}
-		dropped := len(ns.log) - keep
-		ns.log = append([]ItemVersion(nil), ns.log[dropped:]...)
-		ns.logStart = ns.version - uint64(keep)
-		wr.st.noteCompaction(dropped)
-	}
-	wr.st.logEntries.Add(int64(len(ns.log)) - int64(len(wr.base.log)))
-	wr.st.lastInstall.Store(wr.st.now().UnixNano())
-	wr.st.installs.Add(1)
-	if wr.st.snapInstalls != nil {
-		wr.st.snapInstalls.Inc()
-	}
-	wr.w.snap.Store(ns)
-}
-
-// noteCompaction records one compaction dropping n log entries.
-func (s *Store) noteCompaction(n int) {
-	s.compactRuns.Add(1)
-	if s.compactions != nil {
-		s.compactions.Inc()
-		s.compactedEntries.Add(uint64(n))
-	}
+	st.logEntries.Add(int64(len(wr.log)) - int64(len(wr.base.log)))
+	wr.w.snap.Store(&snapshot{version: wr.version, logStart: wr.logStart, items: wr.items, log: wr.log})
 }

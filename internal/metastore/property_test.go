@@ -138,14 +138,13 @@ func TestStateMatchesChains(t *testing.T) {
 	}
 }
 
-// --- Linearizability-style model checking of the sharded store ---
+// --- Linearizability-style model checking of the store ---
 //
-// The sharded store serializes writers per workspace, so for a workload
-// whose per-workspace op sequence is fixed, running the workspaces
-// concurrently against the sharded store must be indistinguishable —
-// per-op outcomes, final state, full histories — from replaying the same
-// sequences one workspace at a time against a single-shard store (the old
-// serial store, used here as the reference model). Schedules are generated
+// The store serializes writers per workspace, so for a workload whose
+// per-workspace op sequence is fixed, running the workspaces concurrently
+// against one store must be indistinguishable — per-op outcomes, final
+// state, full histories — from replaying the same sequences one workspace
+// at a time against a second store, the reference model. Schedules are generated
 // from a seeded math/rand, and every failure message carries the seed, so a
 // failing interleaving replays deterministically.
 
@@ -240,10 +239,11 @@ func runSchedule(s *Store, sched []propOp) []string {
 	return out
 }
 
-// TestShardedStoreMatchesSerialReference is the model-checking harness:
-// concurrent per-workspace schedules against the sharded store must produce
-// exactly the outcomes of the serial single-shard reference store.
-func TestShardedStoreMatchesSerialReference(t *testing.T) {
+// TestConcurrentStoreMatchesSerialReference is the model-checking harness:
+// per-workspace schedules run concurrently against one store must produce
+// exactly the outcomes of the same schedules run sequentially against a
+// reference store.
+func TestConcurrentStoreMatchesSerialReference(t *testing.T) {
 	const (
 		seeds      = 6
 		workspaces = 8
@@ -259,14 +259,11 @@ func TestShardedStoreMatchesSerialReference(t *testing.T) {
 			// exactly (CommittedAt is assigned inside the store).
 			fixed := time.Unix(1700000000, 0).UTC()
 			now := func() time.Time { return fixed }
-			sharded := NewStore(WithShards(16), WithNow(now))
-			serial := NewStore(WithShards(1), WithNow(now))
-			if sharded.Shards() != 16 || serial.Shards() != 1 {
-				t.Fatalf("shard counts: %d/%d", sharded.Shards(), serial.Shards())
-			}
+			concurrent := NewStore(WithNow(now))
+			serial := NewStore(WithNow(now))
 			for w := 0; w < workspaces; w++ {
 				ws := fmt.Sprintf("ws-%d", w)
-				for _, s := range []*Store{sharded, serial} {
+				for _, s := range []*Store{concurrent, serial} {
 					if err := s.CreateWorkspace(Workspace{ID: ws, Owner: "u"}); err != nil {
 						t.Fatal(err)
 					}
@@ -280,7 +277,7 @@ func TestShardedStoreMatchesSerialReference(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					got[w] = runSchedule(sharded, scheds[w])
+					got[w] = runSchedule(concurrent, scheds[w])
 				}()
 			}
 			wg.Wait()
@@ -289,24 +286,24 @@ func TestShardedStoreMatchesSerialReference(t *testing.T) {
 				want := runSchedule(serial, scheds[w])
 				for i := range want {
 					if got[w][i] != want[i] {
-						t.Fatalf("seed %d: ws-%d op %d diverges from reference model\n  sharded: %s\n  serial:  %s\n(re-run with seed %d for a deterministic replay)",
+						t.Fatalf("seed %d: ws-%d op %d diverges from reference model\n  concurrent: %s\n  serial:     %s\n(re-run with seed %d for a deterministic replay)",
 							seed, w, i, got[w][i], want[i], seed)
 					}
 				}
 			}
 			for w := 0; w < workspaces; w++ {
 				ws := fmt.Sprintf("ws-%d", w)
-				a, errA := sharded.State(ws)
+				a, errA := concurrent.State(ws)
 				b, errB := serial.State(ws)
 				if errA != nil || errB != nil {
 					t.Fatalf("state: %v / %v", errA, errB)
 				}
 				if !reflect.DeepEqual(a, b) {
-					t.Fatalf("seed %d: final state of %s diverges\n  sharded: %+v\n  serial:  %+v", seed, ws, a, b)
+					t.Fatalf("seed %d: final state of %s diverges\n  concurrent: %+v\n  serial:     %+v", seed, ws, a, b)
 				}
 				for it := 0; it < items; it++ {
 					itemID := string(rune('a' + it))
-					ha, _ := sharded.History(ws, itemID)
+					ha, _ := concurrent.History(ws, itemID)
 					hb, _ := serial.History(ws, itemID)
 					if !reflect.DeepEqual(ha, hb) {
 						t.Fatalf("seed %d: history of %s/%s diverges", seed, ws, itemID)
@@ -318,7 +315,7 @@ func TestShardedStoreMatchesSerialReference(t *testing.T) {
 }
 
 // TestConcurrentSameWorkspaceInvariants races writers into ONE workspace —
-// the shard lock, not goroutine luck, must uphold first-committer-wins —
+// the workspace's lock, not goroutine luck, must uphold first-committer-wins —
 // while readers hammer the snapshot paths. Afterwards every chain must be
 // strictly sequential with exactly one winner per version slot.
 func TestConcurrentSameWorkspaceInvariants(t *testing.T) {
@@ -327,7 +324,7 @@ func TestConcurrentSameWorkspaceInvariants(t *testing.T) {
 		attempts = 200
 		items    = 4
 	)
-	s := NewStore(WithShards(8))
+	s := NewStore()
 	if err := s.CreateWorkspace(Workspace{ID: "ws", Owner: "u"}); err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +449,7 @@ func TestSnapshotIsolationUnderConcurrentCommits(t *testing.T) {
 	)
 	// Retention far below items*batches, and not batch-aligned, so automatic
 	// compaction keeps trimming mid-run and its watermark can land mid-batch.
-	s := NewStore(WithShards(8), WithLogRetention(42))
+	s := NewStore(WithLogRetention(42))
 	wsID := func(w int) string { return fmt.Sprintf("ws-%d", w) }
 	for w := 0; w < workspaces; w++ {
 		if err := s.CreateWorkspace(Workspace{ID: wsID(w), Owner: "u"}); err != nil {

@@ -16,10 +16,12 @@ import (
 // is op | codec.Binary(value), the value a Workspace or an ItemVersion.
 //
 // Appends use the log's durable writer: a committer appends its records
-// under its shard lock, which fixes per-workspace order, and waits after
-// releasing it. The first waiter fsyncs every record appended so far with
-// one fsync; committers that arrive meanwhile share the next one, so the
-// fsync amortizes across concurrent commits.
+// under its workspace's lock, which fixes per-workspace order, and waits
+// after releasing it; a workspace's record is appended before the
+// workspace is published, so it precedes every commit to it. The first
+// waiter fsyncs every record appended so far with one fsync; committers
+// that arrive meanwhile share the next one, so the fsync amortizes across
+// concurrent commits.
 type WAL struct {
 	log *reclog.Writer
 
@@ -79,18 +81,17 @@ func newWAL(f reclog.File, end int64, reg *obs.Registry) *WAL {
 	return &WAL{log: reclog.NewWriter(f, end, true, synced), tearIn: -1}
 }
 
-// append logs one record, v a *Workspace or an *ItemVersion, and returns
-// the offset to wait on. It never waits for a sync, so a caller may hold
-// its shard lock.
-func (w *WAL) append(op byte, v any) (int64, error) {
+// append logs one record, v a *Workspace or an *ItemVersion. It never
+// waits for a sync, so a caller may hold a lock.
+func (w *WAL) append(op byte, v any) error {
 	if w == nil {
-		return 0, nil
+		return nil
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	p, err := appendRecord(w.scratch[:0], op, v)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	w.scratch = p
 	if w.tearIn == 0 {
@@ -99,7 +100,16 @@ func (w *WAL) append(op byte, v any) (int64, error) {
 	if w.tearIn >= 0 {
 		w.tearIn--
 	}
-	return w.log.Append(p)
+	_, err = w.log.Append(p)
+	return err
+}
+
+// end returns the offset past the last record appended, to wait on.
+func (w *WAL) end() int64 {
+	if w == nil {
+		return 0
+	}
+	return w.log.End()
 }
 
 // appendRecord appends the payload of one record to dst.
@@ -144,9 +154,10 @@ func Recover(path string, opts ...Option) (*Store, error) {
 	return s, nil
 }
 
-// replay applies one recovered record, reporting whether it made sense.
-// Conflicts and duplicates are tolerated: at-least-once appends (commit
-// replays) are idempotent here too.
+// replay applies one recovered record through the workspace's writer,
+// reporting whether it made sense. Conflicts and duplicates are tolerated:
+// a log written before replayed proposals stopped appending can hold a
+// re-acknowledged version twice.
 func (s *Store) replay(p []byte, _ int64) bool {
 	if len(p) == 0 {
 		return false
@@ -164,16 +175,10 @@ func (s *Store) replay(p []byte, _ int64) bool {
 		if codec.Default().Unmarshal(p[1:], &v) != nil {
 			return false
 		}
-		sh := s.shards[s.shardIdx(v.Workspace)]
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		wr, err := sh.writeTo(s, v.Workspace)
-		if err != nil {
-			return false
-		}
-		_, err = wr.commit(v, s.now)
-		wr.install()
-		return err == nil || errors.Is(err, ErrVersionConflict)
+		return s.write(v.Workspace, func(wr *wsWrite) error {
+			wr.commit(v)
+			return nil
+		}) == nil
 	}
 	return false
 }

@@ -470,7 +470,7 @@ func TestCurrentNotBlockedByInjectedSlowCommit(t *testing.T) {
 		t.Fatal("no seed with a long first-commit delay in 1..1000")
 	}
 
-	s := NewStore(WithFaults(faults.NewPlan(cfg(seed)), "meta"), WithShards(16))
+	s := NewStore(WithFaults(faults.NewPlan(cfg(seed)), "meta"))
 	for _, ws := range []string{"ws-slow", "ws-other"} {
 		if err := s.CreateWorkspace(Workspace{ID: ws, Owner: "u"}); err != nil {
 			t.Fatal(err)
@@ -478,7 +478,7 @@ func TestCurrentNotBlockedByInjectedSlowCommit(t *testing.T) {
 	}
 
 	// The first write op draws key "0" and sleeps for `delay` before taking
-	// its shard lock.
+	// its workspace's lock.
 	start := time.Now()
 	done := make(chan error, 1)
 	go func() {

@@ -68,10 +68,12 @@ go test -race -count=1 ./internal/codec/ ./internal/core/ ./internal/omq/ ./inte
 # released across each fsync; appends from goroutines across several
 # remapped windows of the tail) and the metadata WAL's group commit on it
 # are where a lost wake, a record stored into a stale window or an
-# acknowledgement ahead of the fsync would hide: twenty race-enabled
-# passes over all of them.
+# acknowledgement ahead of the fsync would hide; concurrent workspace
+# creation beside first commits is where a commit's record could reach the
+# WAL ahead of its workspace's, and a Close amid commits where a write could
+# follow the log's close: twenty race-enabled passes over all of them.
 echo "==> server write path, chunk log, record-log writer, WAL group commit (race, 20x)"
-go test -race -count=20 -run 'TestNetwork|TestDiskServesRecent|TestDiskConcurrentPutGet|TestWriterConcurrentAppendWait|TestWriterCrossesWindows|TestWALGroupCommitConcurrent' \
+go test -race -count=20 -run 'TestNetwork|TestDiskServesRecent|TestDiskConcurrentPutGet|TestWriterConcurrentAppendWait|TestWriterCrossesWindows|TestWALGroupCommitConcurrent|TestCreateLoggedBeforeFirstCommit|TestCloseWaitsOutWriters' \
     ./internal/mq ./internal/objstore ./internal/reclog ./internal/metastore
 
 # Extra interleavings over the client's parallel transfer pipeline: many
@@ -139,7 +141,7 @@ go test -run '^$' -fuzz '^FuzzChangesSince$' -fuzztime 10s ./internal/metastore/
 # proof obligations of the lock-free read path (DESIGN §16): re-run both
 # under the race detector, one extra count on top of the full-suite pass.
 echo "==> snapshot isolation + linearizability harnesses (race)"
-go test -race -count=1 -run '^(TestSnapshotIsolationUnderConcurrentCommits|TestShardedStoreMatchesSerialReference|TestConcurrentSameWorkspaceInvariants)$' ./internal/metastore/
+go test -race -count=1 -run '^(TestSnapshotIsolationUnderConcurrentCommits|TestConcurrentStoreMatchesSerialReference|TestConcurrentSameWorkspaceInvariants)$' ./internal/metastore/
 
 # ROADMAP N8's line budget, printed for information and not a gate:
 # root-module non-test Go (tracked files, benchmark/ excluded).
