@@ -367,14 +367,11 @@ func BenchmarkMultiInstanceCommit(b *testing.B) {
 }
 
 // BenchmarkMQPublishThroughput measures raw broker publish throughput into a
-// fanout exchange with 8 bound queues, per-message vs batched (the path the
-// SyncService's pipelined notification fan-out uses), reported as msgs/s.
+// fanout exchange with 8 bound queues, one Publish per message, reported as
+// msgs/s.
 func BenchmarkMQPublishThroughput(b *testing.B) {
-	const (
-		queues = 8
-		batch  = 64
-	)
-	run := func(b *testing.B, batched bool) {
+	const queues = 8
+	b.Run("single", func(b *testing.B) {
 		br := mq.NewBroker()
 		defer br.Close()
 		if err := br.DeclareExchange("fan", mq.Fanout); err != nil {
@@ -390,30 +387,16 @@ func BenchmarkMQPublishThroughput(b *testing.B) {
 			}
 		}
 		payload := make([]byte, 256)
-		pubs := make([]mq.Publication, batch)
-		for i := range pubs {
-			pubs[i] = mq.Publication{Exchange: "fan", Message: mq.Message{Body: payload}}
-		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if batched {
-				if err := mq.PublishAll(br, pubs); err != nil {
-					b.Fatal(err)
-				}
-			} else {
-				for j := 0; j < batch; j++ {
-					if err := br.Publish("fan", "", mq.Message{Body: payload}); err != nil {
-						b.Fatal(err)
-					}
-				}
+			if err := br.Publish("fan", "", mq.Message{Body: payload}); err != nil {
+				b.Fatal(err)
 			}
 		}
 		b.StopTimer()
-		b.ReportMetric(float64(b.N)*batch/b.Elapsed().Seconds(), "msgs/s")
-	}
-	b.Run("single", func(b *testing.B) { run(b, false) })
-	b.Run("batch", func(b *testing.B) { run(b, true) })
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "msgs/s")
+	})
 }
 
 // BenchmarkWireFrameCodec measures frame encode+decode throughput over an

@@ -70,9 +70,6 @@ type Config struct {
 	// RetransmitEvery re-proposes commits whose notification has not arrived
 	// (default 1 s; the metadata store deduplicates replays). <0 disables.
 	RetransmitEvery time.Duration
-	// ResyncEvery periodically pulls GetChangesSince to repair losses the
-	// push path missed (dropped notifications). Default 0 = disabled.
-	ResyncEvery time.Duration
 	// Tracer records a root span per commit and child spans at every hop
 	// (storage puts/gets, notification application). nil disables tracing.
 	// Pass the same tracer to the device's Broker so the trace continues
@@ -228,8 +225,8 @@ func (c *Client) Start() error {
 		return fmt.Errorf("client: getChanges: %w", err)
 	}
 
-	// Background repair loops: drain deferred chunk uploads, retransmit
-	// unacknowledged proposals, and (when configured) resync pulled state.
+	// Background repair loop: drain deferred chunk uploads and retransmit
+	// unacknowledged proposals.
 	c.bg.Add(1)
 	go c.repairLoop()
 	return nil
@@ -238,14 +235,13 @@ func (c *Client) Start() error {
 // uploadFlushEvery paces the deferred-upload drain attempts.
 const uploadFlushEvery = 100 * time.Millisecond
 
-// repairLoop is the client's self-healing heartbeat. Each tick it (1) drains
-// queued chunk uploads once the store admits requests again, (2) re-proposes
-// commits whose notification never came (the metadata store deduplicates
-// replays, §4.2 at-least-once), and (3) optionally pulls GetChangesSince to
-// repair dropped pushes.
+// repairLoop is the client's self-healing heartbeat. Each tick it drains
+// queued chunk uploads once the store admits requests again, and it
+// re-proposes commits whose notification never came (the metadata store
+// deduplicates replays, §4.2 at-least-once).
 func (c *Client) repairLoop() {
 	defer c.bg.Done()
-	var sinceResync, sinceRetransmit time.Duration
+	var sinceRetransmit time.Duration
 	for {
 		select {
 		case <-c.stopCh:
@@ -257,11 +253,6 @@ func (c *Client) repairLoop() {
 		if c.cfg.RetransmitEvery > 0 && sinceRetransmit >= c.cfg.RetransmitEvery {
 			sinceRetransmit = 0
 			c.retransmitPending()
-		}
-		sinceResync += uploadFlushEvery
-		if c.cfg.ResyncEvery > 0 && sinceResync >= c.cfg.ResyncEvery {
-			sinceResync = 0
-			_ = c.Resync()
 		}
 	}
 }

@@ -287,13 +287,11 @@ func TestRetransmitRecoversDroppedCommit(t *testing.T) {
 }
 
 // TestResyncPicksUpMissedCommit: a commit that produced no push notification
-// (here: written straight into the metadata store) is repaired by the
-// periodic pull-based resync.
+// (here: written straight into the metadata store) is repaired by a
+// pull-based resync.
 func TestResyncPicksUpMissedCommit(t *testing.T) {
 	r := newRig(t)
-	b := r.newDevice("bob", "dev-b", func(cfg *Config) {
-		cfg.ResyncEvery = 100 * time.Millisecond
-	})
+	b := r.newDevice("bob", "dev-b")
 
 	// Upload the chunk + commit behind every push channel's back.
 	a := r.newDevice("alice", "dev-a")
@@ -313,6 +311,9 @@ func TestResyncPicksUpMissedCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	if err := b.Resync(); err != nil {
+		t.Fatal(err)
+	}
 	if err := b.WaitForVersion("seed.txt", 2, syncWait); err != nil {
 		t.Fatalf("resync never repaired the silent commit: %v", err)
 	}

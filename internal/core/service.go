@@ -68,12 +68,9 @@ type CommitNotification struct {
 // multiple instances can run against the same Metadata back-end, each bound
 // to the shared request queue, and the MQ balances commits across them.
 //
-// The commit path is pipelined: commit applies the metadata transaction and
-// enqueues the CommitNotification, and a single drainer goroutine publishes
-// queued notifications as one batched multicast (omq.PublishMultiBatch).
-// While one request waits on the metastore, earlier requests' fanout is in
-// flight — commit and notification overlap across requests instead of
-// running serially per RPC.
+// commit publishes its CommitNotification itself before it returns, and
+// omq acks a request only after its handler returns: an acked commit
+// request's notification is in the broker (ack after execute, §3.4).
 type Service struct {
 	meta   *metastore.Store
 	broker *omq.Broker
@@ -87,45 +84,32 @@ type Service struct {
 	hot    *obs.HotStats
 
 	mu     sync.Mutex
-	groups map[string]bool // workspace IDs with a declared multicast group
+	groups map[string]*omq.Proxy // workspace ID → proxy of its declared multicast group
 
-	nmu      sync.Mutex
-	ncond    *sync.Cond
-	nqueue   []omq.MultiPub
-	draining bool
-
-	notifyBatch  *obs.Histogram
-	notifyErrors *obs.Counter
-	notifySent   *obs.Counter
+	notifyErrors  *obs.Counter
+	notifySent    *obs.Counter
+	commitRefused *obs.Counter
 }
-
-// notifyBatchBuckets sizes the fanout batch histogram in publications per
-// drain (the latency-shaped default buckets would misread counts).
-var notifyBatchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
 // commitAbortRetries bounds the in-handler retries of a transiently aborted
 // metadata transaction before the error escapes to the transport layer.
 const commitAbortRetries = 5
 
+// errForeignItem refuses a request holding an item of another workspace.
+var errForeignItem = errors.New("core: item names another workspace")
+
 // NewService wires a SyncService to its Metadata back-end and the ObjectMQ
 // broker used to push notifications.
 func NewService(meta *metastore.Store, broker *omq.Broker) *Service {
-	s := &Service{
-		meta:   meta,
-		broker: broker,
-		groups: make(map[string]bool),
-	}
-	s.ncond = sync.NewCond(&s.nmu)
 	reg := broker.Registry()
-	s.notifyBatch = reg.HistogramWith(notifyBatchBuckets, "core_notify_batch_size")
-	s.notifyErrors = reg.Counter("core_notify_errors_total")
-	s.notifySent = reg.Counter("core_notify_published_total")
-	reg.GaugeFunc("core_notify_pending", func() float64 {
-		s.nmu.Lock()
-		defer s.nmu.Unlock()
-		return float64(len(s.nqueue))
-	})
-	return s
+	return &Service{
+		meta:          meta,
+		broker:        broker,
+		groups:        make(map[string]*omq.Proxy),
+		notifyErrors:  reg.Counter("core_notify_errors_total"),
+		notifySent:    reg.Counter("core_notify_published_total"),
+		commitRefused: reg.Counter("core_commit_refused_total"),
+	}
 }
 
 // Bind registers this instance on the shared request queue. The returned
@@ -154,33 +138,33 @@ func (s *Service) obsTracer() *obs.Tracer {
 	return s.broker.Tracer()
 }
 
-// workspaceGroup makes sure the workspace's multicast exchange exists,
-// declaring it at most once per Service.
-func (s *Service) workspaceGroup(workspaceID string) (string, error) {
-	oid := WorkspaceOID(workspaceID)
+// workspaceGroup returns the proxy of the workspace's multicast group,
+// declaring its exchange at most once per Service.
+func (s *Service) workspaceGroup(workspaceID string) (*omq.Proxy, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.groups[workspaceID] {
-		if err := s.broker.EnsureMulticastGroup(oid); err != nil {
-			return "", fmt.Errorf("core: ensure workspace group: %w", err)
-		}
-		s.groups[workspaceID] = true
+	if p, ok := s.groups[workspaceID]; ok {
+		return p, nil
 	}
-	return oid, nil
+	oid := WorkspaceOID(workspaceID)
+	if err := s.broker.EnsureMulticastGroup(oid); err != nil {
+		return nil, fmt.Errorf("core: ensure workspace group: %w", err)
+	}
+	p := s.broker.Lookup(oid)
+	s.groups[workspaceID] = p
+	return p, nil
 }
 
 // commit is Algorithm 1: check version precedence per item, persist winners,
 // mark losers as conflicts carrying the current version, then push one
-// notification to the whole workspace. The push is pipelined: the
-// notification is queued for the drainer and the next request's metadata
-// commit proceeds without waiting for the fanout publish.
+// notification to the whole workspace before returning.
 func (s *Service) commit(ctx context.Context, req CommitRequest) (CommitNotification, error) {
 	// Items carry their workspace from the client. One naming another
 	// workspace would commit there, and that workspace's devices would
 	// never hear of it: the notification goes to req.Workspace.
 	for i := range req.Items {
 		if ws := req.Items[i].Workspace; ws != req.Workspace {
-			return CommitNotification{}, fmt.Errorf("core: commit %s: item %s names workspace %q", req.Workspace, req.Items[i].ItemID, ws)
+			return CommitNotification{}, fmt.Errorf("core: commit %s: item %s in %q: %w", req.Workspace, req.Items[i].ItemID, ws, errForeignItem)
 		}
 	}
 	metaSpan := s.obsTracer().StartFromContext(ctx, "metastore.commitBatch")
@@ -218,7 +202,7 @@ func (s *Service) commit(ctx context.Context, req CommitRequest) (CommitNotifica
 		}
 	}
 	// notifyCommit: @MultiMethod + @AsyncMethod (Fig. 6).
-	if err := s.enqueueNotify(ctx, req.Workspace, n); err != nil {
+	if err := s.notify(ctx, n); err != nil {
 		return n, err
 	}
 	s.observeHot(req, len(n.Results))
@@ -241,61 +225,22 @@ func (s *Service) observeHot(req CommitRequest, fanout int) {
 	s.hot.ObserveCommit(req.Workspace, uint64(fanout), bytes)
 }
 
-// enqueueNotify hands one notification to the drainer. The multicast group
-// is declared before queueing so a missing-topology error still surfaces to
-// the committing request; publish errors past that point are counted, not
-// returned (the commit itself is durable either way).
-func (s *Service) enqueueNotify(ctx context.Context, workspaceID string, n CommitNotification) error {
-	oid, err := s.workspaceGroup(workspaceID)
+// notify publishes n to its workspace's group. A failure to declare the
+// group is returned, so the request is redelivered; a publish error is
+// counted, not returned: the commit is durable either way, and the
+// originating device retransmits its proposal until a notification of it
+// arrives.
+func (s *Service) notify(ctx context.Context, n CommitNotification) error {
+	group, err := s.workspaceGroup(n.Workspace)
 	if err != nil {
 		return err
 	}
-	s.nmu.Lock()
-	s.nqueue = append(s.nqueue, omq.MultiPub{
-		Ctx:    ctx,
-		OID:    oid,
-		Method: "NotifyCommit",
-		Args:   []interface{}{n},
-	})
-	if !s.draining {
-		s.draining = true
-		go s.drainNotifies()
+	if err := group.MultiCtx(ctx, "NotifyCommit", n); err != nil {
+		s.notifyErrors.Inc()
+	} else {
+		s.notifySent.Inc()
 	}
-	s.nmu.Unlock()
 	return nil
-}
-
-// drainNotifies is the single in-flight fanout worker: it repeatedly takes
-// everything queued and publishes it as one batch, then exits when the queue
-// runs dry — an idle Service holds no goroutine, so short-lived instances
-// (RemoteBroker respawns) leak nothing.
-func (s *Service) drainNotifies() {
-	s.nmu.Lock()
-	for len(s.nqueue) > 0 {
-		batch := s.nqueue
-		s.nqueue = nil
-		s.nmu.Unlock()
-		s.notifyBatch.Observe(float64(len(batch)))
-		if err := s.broker.PublishMultiBatch(batch); err != nil {
-			s.notifyErrors.Inc()
-		}
-		s.notifySent.Add(uint64(len(batch)))
-		s.nmu.Lock()
-	}
-	s.draining = false
-	s.ncond.Broadcast()
-	s.nmu.Unlock()
-}
-
-// Flush blocks until every notification enqueued so far has been handed to
-// the MQ — the barrier tests and benchmarks use to make the pipeline
-// deterministic.
-func (s *Service) Flush() {
-	s.nmu.Lock()
-	for s.draining || len(s.nqueue) > 0 {
-		s.ncond.Wait()
-	}
-	s.nmu.Unlock()
 }
 
 // API is the remote surface of the SyncService (Fig. 6). Only these methods
@@ -309,8 +254,18 @@ type API struct {
 // through a return value. The context carries the request's trace context,
 // so the metadata commit and the notification fan-out appear as spans of the
 // originating client's trace.
+//
+// A request that can never succeed (an unknown workspace, an item of
+// another workspace) is counted in core_commit_refused_total and acked:
+// returning its error would have omq requeue it, and the redeliveries would
+// hold this instance's worker. Transient errors (ErrTxAborted past its
+// budget, ErrClosed, a WAL failure) still return, so the request is retried.
 func (a *API) CommitRequest(ctx context.Context, req CommitRequest) error {
 	_, err := a.svc.commit(ctx, req)
+	if errors.Is(err, metastore.ErrNoWorkspace) || errors.Is(err, errForeignItem) {
+		a.svc.commitRefused.Inc()
+		return nil
+	}
 	return err
 }
 

@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"stacksync/internal/metastore"
 	"stacksync/internal/mq"
@@ -260,5 +263,165 @@ func TestGetChangesSinceOverRPC(t *testing.T) {
 	var remote *omq.RemoteError
 	if !errors.As(err, &remote) {
 		t.Fatalf("want RemoteError, got %v", err)
+	}
+}
+
+// holdMQ holds every publish to a multicast exchange until release is
+// called, signalling held as each one arrives.
+type holdMQ struct {
+	mq.MQ
+	held    chan struct{}
+	unblock chan struct{}
+	release func()
+}
+
+func newHoldMQ(m mq.MQ) *holdMQ {
+	h := &holdMQ{MQ: m, held: make(chan struct{}, 1), unblock: make(chan struct{})}
+	h.release = sync.OnceFunc(func() { close(h.unblock) })
+	return h
+}
+
+func (h *holdMQ) Publish(exchange, key string, msg mq.Message) error {
+	if strings.HasSuffix(exchange, ".multi") {
+		h.held <- struct{}{}
+		<-h.unblock
+	}
+	return h.MQ.Publish(exchange, key, msg)
+}
+
+// notifySink is a device's workspace handler: it hands on each notification.
+type notifySink chan CommitNotification
+
+func (s notifySink) NotifyCommit(n CommitNotification) { s <- n }
+
+// TestNotificationPublishedBeforeRequestAcked: the SyncService publishes a
+// commit's notification before its CommitRequest handler returns, so omq
+// acks the request only once the notification is in the broker. While the
+// publish is held, the request stays unacked; once released, it is acked
+// and the device gets the notification. The group's proxy adds no retry
+// series.
+func TestNotificationPublishedBeforeRequestAcked(t *testing.T) {
+	m := mq.NewBroker()
+	hold := newHoldMQ(m)
+	meta := metastore.NewStore()
+	server, err := omq.NewBroker(hold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	device, err := omq.NewBroker(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		hold.release()
+		_ = device.Close()
+		_ = server.Close()
+		_ = meta.Close()
+		_ = m.Close()
+	})
+	if _, err := NewService(meta, server).Bind(); err != nil {
+		t.Fatal(err)
+	}
+	if err := meta.CreateWorkspace(metastore.Workspace{ID: "ws1", Owner: "alice"}); err != nil {
+		t.Fatal(err)
+	}
+	got := make(notifySink, 1)
+	if _, err := device.Bind(WorkspaceOID("ws1"), got); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := device.Lookup(ServiceOID).Async("CommitRequest", CommitRequest{
+		Workspace: "ws1", DeviceID: "d1",
+		Items: []metastore.ItemVersion{item("ws1", "f", 1, metastore.Added)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-hold.held:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the notification was never published")
+	}
+	stats := func() mq.QueueStats {
+		t.Helper()
+		st, err := m.QueueStats(ServiceOID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	for end := time.Now().Add(100 * time.Millisecond); time.Now().Before(end); time.Sleep(5 * time.Millisecond) {
+		if st := stats(); st.Unacked != 1 || st.Acked != 0 {
+			t.Fatalf("request settled while its notification is held: %+v", st)
+		}
+	}
+
+	hold.release()
+	select {
+	case n := <-got:
+		if n.Workspace != "ws1" || len(n.Results) != 1 || !n.Results[0].Committed {
+			t.Fatalf("notification: %+v", n)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the device never got the notification")
+	}
+	for end := time.Now().Add(time.Second); ; time.Sleep(5 * time.Millisecond) {
+		st := stats()
+		if st.Acked == 1 && st.Unacked == 0 {
+			break
+		}
+		if time.Now().After(end) {
+			t.Fatalf("request not acked after the publish: %+v", st)
+		}
+	}
+	// The workspace group's proxy only publishes, so it registers no series.
+	server.Registry().EachCounter("omq_retry_attempts_total", func(labels []string, _ uint64) {
+		t.Errorf("a publish-only proxy registered omq_retry_attempts_total %v", labels)
+	})
+}
+
+// TestRefusedCommitRequestIsAckedOnce: a commit request that can never
+// succeed (an unknown workspace, an item of another workspace) is counted
+// and acked at its first delivery, so a valid request behind it on the same
+// instance commits at once instead of waiting out its redeliveries.
+func TestRefusedCommitRequestIsAckedOnce(t *testing.T) {
+	r := newRig(t)
+	for _, ws := range []string{"ws1", "ws2"} {
+		if err := r.meta.CreateWorkspace(metastore.Workspace{ID: ws, Owner: "alice"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	svc := r.client.Lookup(ServiceOID)
+	for _, req := range []CommitRequest{
+		{Workspace: "ghost", DeviceID: "d1", Items: []metastore.ItemVersion{item("ghost", "f", 1, metastore.Added)}},
+		{Workspace: "ws1", DeviceID: "d1", Items: []metastore.ItemVersion{item("ws2", "f", 1, metastore.Added)}},
+		{Workspace: "ws1", DeviceID: "d1", Items: []metastore.ItemVersion{item("ws1", "f", 1, metastore.Added)}},
+	} {
+		if err := svc.Async("CommitRequest", req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for end := time.Now().Add(time.Second); ; time.Sleep(5 * time.Millisecond) {
+		st, err := r.mq.QueueStats(ServiceOID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Acked == 3 {
+			if st.Redelivered != 0 {
+				t.Fatalf("refused requests were redelivered: %+v", st)
+			}
+			break
+		}
+		if time.Now().After(end) {
+			t.Fatalf("requests not all acked within 1 s: %+v", st)
+		}
+	}
+	if v, err := r.meta.CommitVersionOf("ws1"); err != nil || v != 1 {
+		t.Fatalf("ws1 at version %d (%v), want the valid request committed", v, err)
+	}
+	if v, err := r.meta.CommitVersionOf("ws2"); err != nil || v != 0 {
+		t.Fatalf("ws2 at version %d (%v), want nothing committed", v, err)
+	}
+	if n := r.server.Registry().CounterValue("core_commit_refused_total"); n != 2 {
+		t.Fatalf("core_commit_refused_total = %d, want 2", n)
 	}
 }

@@ -1,7 +1,6 @@
 package mq
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -302,29 +301,13 @@ func (b *Broker) UnbindQueue(queueName, exchangeName, key string) error {
 // failure is sticky, so every later persistent publish is refused too.
 func (b *Broker) Publish(exchangeName, key string, msg Message) error {
 	return b.journalled(func() error {
-		return b.publishLocked(exchangeName, key, msg, b.clk.Now())
-	})
-}
-
-// PublishBatch routes a whole batch under one lock acquisition — the
-// batching half of the pipelined notification fanout. Each publication
-// succeeds or fails independently; the joined error reports the failures.
-func (b *Broker) PublishBatch(pubs []Publication) error {
-	return b.journalled(func() error {
-		var errs []error
-		now := b.clk.Now() // one clock read for the whole batch
-		for _, p := range pubs {
-			if err := b.publishLocked(p.Exchange, p.Key, p.Message, now); err != nil {
-				errs = append(errs, err)
-			}
-		}
-		return errors.Join(errs...)
+		return b.publishLocked(exchangeName, key, msg)
 	})
 }
 
 // publishLocked routes msg and appends its one journal record — before any
 // consumer can see the message, so the record of an ack always follows it.
-func (b *Broker) publishLocked(exchangeName, key string, msg Message, now time.Time) error {
+func (b *Broker) publishLocked(exchangeName, key string, msg Message) error {
 	if err := checkFits(&msg); err != nil {
 		return err
 	}
@@ -344,6 +327,7 @@ func (b *Broker) publishLocked(exchangeName, key string, msg Message, now time.T
 			return err // a journal that has failed takes no more messages
 		}
 	}
+	now := b.clk.Now()
 	for _, q := range targets {
 		q.pending.PushBack(qm)
 		q.enqueued++

@@ -382,13 +382,7 @@ func TestPublishReturnsAfterRecordIsInFile(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				id := fmt.Sprintf("p%d-%d", p, i)
-				var err error
-				if i%2 == 0 {
-					err = b.Publish("", "q", Message{ID: id, Body: []byte("body of " + id), Persistent: true})
-				} else {
-					err = b.PublishBatch([]Publication{{Key: "q", Message: Message{ID: id, Body: []byte("body of " + id), Persistent: true}}})
-				}
-				if err != nil {
+				if err := b.Publish("", "q", Message{ID: id, Body: []byte("body of " + id), Persistent: true}); err != nil {
 					t.Errorf("publish %s: %v", id, err)
 				}
 			}

@@ -135,28 +135,18 @@ type MQ interface {
 	Close() error
 }
 
-// Publication is one routed message in a batch publish.
+// Publication is one routed message: an entry of PublishAll's list.
 type Publication struct {
 	Exchange string
 	Key      string
 	Message  Message
 }
 
-// BatchPublisher is an optional MQ capability: route a whole batch in one
-// broker round-trip (one lock acquisition in-process). Implementations keep
-// per-publication independence — a bad route fails that entry, not the batch.
-type BatchPublisher interface {
-	PublishBatch(pubs []Publication) error
-}
-
-// PublishAll publishes a batch through m, using its BatchPublisher fast path
-// when offered and falling back to per-message Publish otherwise — wrappers
-// that perturb or meter Publish (fault injection, metrics) keep seeing every
-// message. Errors are joined; publications after a failure still go out.
+// PublishAll publishes each publication through m.Publish in order. Nothing
+// in this module calls it; it stays, with Publication, because the
+// benchmark's MQ tap (benchmark/wrap.go) still calls both. Errors are
+// joined; publications after a failure still go out.
 func PublishAll(m MQ, pubs []Publication) error {
-	if bp, ok := m.(BatchPublisher); ok {
-		return bp.PublishBatch(pubs)
-	}
 	var errs []error
 	for _, p := range pubs {
 		if err := m.Publish(p.Exchange, p.Key, p.Message); err != nil {

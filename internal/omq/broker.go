@@ -2,7 +2,6 @@ package omq
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -247,13 +246,12 @@ func (b *Broker) EnsureMulticastGroup(oid string) error {
 // Broker.lookup). No registry is consulted: the queue name is the address.
 func (b *Broker) Lookup(oid string, opts ...CallOption) *Proxy {
 	p := &Proxy{
-		broker:       b,
-		oid:          oid,
-		timeout:      DefaultTimeout,
-		retries:      DefaultRetries,
-		backoffBase:  DefaultBackoffBase,
-		backoffMax:   DefaultBackoffMax,
-		retriesTotal: b.reg.Counter("omq_retry_attempts_total", "oid", oid),
+		broker:      b,
+		oid:         oid,
+		timeout:     DefaultTimeout,
+		retries:     DefaultRetries,
+		backoffBase: DefaultBackoffBase,
+		backoffMax:  DefaultBackoffMax,
 	}
 	for _, opt := range opts {
 		opt(p)
@@ -404,66 +402,6 @@ func (b *Broker) startPublishSpan(ctx context.Context, name string) (*obs.SpanHa
 	h.Context().Inject(headers)
 	headers[obs.HeaderPublishNanos] = strconv.FormatInt(b.now().UnixNano(), 10)
 	return h, headers
-}
-
-// MultiPub is one one-way multicast invocation in a batch: what
-// Proxy.MultiCtx would publish, held as data so many can go out together.
-type MultiPub struct {
-	// Ctx carries the trace the publish span joins (nil = background).
-	Ctx    context.Context
-	OID    string
-	Method string
-	Args   []interface{}
-}
-
-// PublishMultiBatch fans out a batch of one-way multicasts in a single MQ
-// round-trip — mq.PublishAll routes the whole batch under one broker lock
-// when the transport supports it. Each entry keeps its own publish span and
-// trace headers, so a traced notification looks exactly as if MultiCtx had
-// run for it alone. Entries fail independently; the joined error reports
-// every failure.
-func (b *Broker) PublishMultiBatch(pubs []MultiPub) error {
-	var errs []error
-	msgs := make([]mq.Publication, 0, len(pubs))
-	spans := make([]*obs.SpanHandle, 0, len(pubs))
-	for _, p := range pubs {
-		encoded, err := b.encodeArgs(p.Args)
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		body, err := encodeRequest(&request{
-			Method: p.Method,
-			Args:   encoded,
-			OneWay: true,
-		})
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		ctx := p.Ctx
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		// The trace-header map from startPublishSpan is used directly (nil
-		// when tracing is off): one fewer map allocation per message on the
-		// notification fan-out hot path.
-		span, headers := b.startPublishSpan(ctx, "omq.multi."+p.Method)
-		spans = append(spans, span)
-		msgs = append(msgs, mq.Publication{
-			Exchange: multiExchange(p.OID),
-			Message:  mq.Message{Headers: headers, Body: body, Persistent: true},
-		})
-	}
-	if len(msgs) > 0 {
-		if err := mq.PublishAll(b.mq, msgs); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	for _, s := range spans {
-		s.End()
-	}
-	return errors.Join(errs...)
 }
 
 // publish sends raw bytes to a queue (exchange "") or an exchange.

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"time"
-
-	"stacksync/internal/obs"
 )
 
 // Defaults for @SyncMethod calls; the paper's SyncService interface uses
@@ -31,9 +29,6 @@ type Proxy struct {
 	retries     int
 	backoffBase time.Duration
 	backoffMax  time.Duration
-	// retriesTotal counts retry attempts (attempts beyond the first) made by
-	// sync calls through this proxy, as a registry series labelled by oid.
-	retriesTotal *obs.Counter
 }
 
 // CallOption tunes synchronous call behaviour, mirroring the
@@ -126,7 +121,10 @@ func (p *Proxy) CallCtx(ctx context.Context, method string, reply interface{}, a
 	requestID := newID()
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
-			p.retriesTotal.Inc()
+			// Registered on the first retry, not at Lookup: a proxy that
+			// only publishes (a workspace's notification group) adds no
+			// series.
+			p.broker.reg.Counter("omq_retry_attempts_total", "oid", p.oid).Inc()
 			if d := p.backoff(requestID, i-1); d > 0 {
 				p.broker.clk.Sleep(d)
 			}

@@ -53,9 +53,13 @@ go run ./examples/objectmq
 # The RPC codec and the frame format are the most hand-rolled encoding in
 # the tree and every message crosses both: one extra race pass over them,
 # over core, whose notifications are what most frames carry, and over mq,
-# whose one-way acks pipeline with the frames after them.
+# whose one-way acks pipeline with the frames after them. The SyncService's
+# ack-after-publish ordering and its once-only ack of a refused request get
+# twenty passes of their own: a notification published from a goroutine, or
+# a refusal requeued, would pass one interleaving and fail another.
 echo "==> codec + wire (race)"
 go test -race -count=1 ./internal/codec/ ./internal/core/ ./internal/omq/ ./internal/wire/ ./internal/mq/
+go test -race -count=20 -run '^(TestNotificationPublishedBeforeRequestAcked|TestRefusedCommitRequestIsAckedOnce)$' ./internal/core/
 
 # The broker server's write path (one outbound queue per connection, woken
 # after the broker releases its mutex) and Disk's log (one append per batch
