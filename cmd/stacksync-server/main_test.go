@@ -142,11 +142,11 @@ func TestAdminSeesEveryInstance(t *testing.T) {
 		t.Fatalf("/metrics: %d handled calls (want >= %d), %d omq_service_mean_seconds lines (want 2):\n%s",
 			handled, commits, serviceMeans, metrics)
 	}
-	// The broker's write coalescing and the chunk store's recent-object hits
-	// are on /metrics as counter pairs: frames per write, hits per get; the
+	// The broker's write coalescing and the chunk store's file reads are on
+	// /metrics as counter pairs: frames per write, file reads per get; the
 	// chunk store's growth is its log's length and object count.
 	for _, series := range []string{"mq_server_writes_total", "mq_server_frames_total",
-		"objstore_disk_gets_total", "objstore_disk_recent_hits_total",
+		"objstore_disk_gets_total", "objstore_disk_file_reads_total",
 		"objstore_disk_log_bytes", "objstore_disk_objects"} {
 		if !strings.Contains(metrics, "\n"+series+" ") {
 			t.Fatalf("/metrics lacks %s:\n%s", series, metrics)

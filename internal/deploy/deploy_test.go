@@ -3,6 +3,7 @@ package deploy
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -17,6 +18,7 @@ import (
 	"stacksync/internal/objstore"
 	"stacksync/internal/obs"
 	"stacksync/internal/omq"
+	"stacksync/internal/reclog"
 )
 
 // device connects a client to f over its TCP broker and HTTP gateway, the
@@ -88,6 +90,58 @@ func TestDurableRoundTrip(t *testing.T) {
 	}
 	if got, _ := reader.FileContent("notes.txt"); !bytes.Equal(got, want) {
 		t.Fatalf("fresh device read %d bytes, want %d", len(got), len(want))
+	}
+}
+
+// TestSecondStartOnLiveDataDirIsRefused: a second deployment on the data
+// directory of a running one is refused, since its recovery would cut the
+// logs under the first one's mappings. The first keeps committing, past a
+// page of its metadata WAL, and every commit survives a restart.
+func TestSecondStartOnLiveDataDirIsRefused(t *testing.T) {
+	cfg := Config{
+		DataDir: t.TempDir(), Listen: "127.0.0.1:0",
+		StorageListen: "127.0.0.1:0", StorageToken: "token",
+		Workspaces: []metastore.Workspace{{ID: "ws", Owner: "alice"}},
+	}
+	f, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writer := device(t, f, "laptop")
+	commit := func(i int) {
+		t.Helper()
+		name := fmt.Sprintf("file-%02d.txt", i)
+		if err := writer.PutFile(name, bytes.Repeat([]byte{byte(i)}, 500)); err != nil {
+			t.Fatal(err)
+		}
+		if err := writer.WaitForVersion(name, 1, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit(0)
+	if second, err := Start(cfg); !errors.Is(err, reclog.ErrInUse) {
+		if second != nil {
+			_ = second.Close()
+		}
+		t.Fatalf("second Start on a live data directory: %v, want reclog.ErrInUse", err)
+	}
+	const files = 48 // ~5 KB of WAL records
+	for i := 1; i < files; i++ {
+		commit(i)
+	}
+	_ = writer.Close()
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if f, err = Start(cfg); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	defer f.Close()
+	reader := device(t, f, "phone")
+	for i := 0; i < files; i++ {
+		if err := reader.WaitForVersion(fmt.Sprintf("file-%02d.txt", i), 1, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -105,7 +105,8 @@ func (j *Journal) Close() error {
 // publication order. It then rewrites the journal as exactly that state,
 // beside it and renamed over it (a crash in between leaves the old file),
 // which bounds the file by what is live and discards a torn tail instead of
-// appending to it. The broker keeps journalling to the new file.
+// appending to it. The broker keeps journalling to the new file. A journal
+// another broker has open is refused untouched (reclog.ErrInUse).
 func RecoverBroker(path string, opts ...BrokerOption) (*Broker, error) {
 	b := NewBroker(opts...)
 	st := replayState{b: b, queues: make(map[uint64]*queue), live: make(map[uint64]*livePub)}
@@ -115,7 +116,7 @@ func RecoverBroker(path string, opts ...BrokerOption) (*Broker, error) {
 	} else if err != nil {
 		return nil, fmt.Errorf("mq: open journal for recovery: %w", err)
 	}
-	_ = old.Close()
+	defer old.Close() // its lock refuses a second opener until the rename
 	tmp := path + ".tmp"
 	_ = os.Remove(tmp) // left by a crash mid-compaction; if it stays, createJournal says so
 	j, f, err := createJournal(tmp)

@@ -31,7 +31,7 @@ func FuzzDiskRecover(f *testing.F) {
 		dir := t.TempDir()
 		d := openDisk(t, dir)
 		_ = d.EnsureContainer(ctx, "c")
-		objs := []Object{{Key: "empty", Data: []byte{}}, {Key: "small", Data: []byte("one")}, {Key: "big", Data: fill(recentMaxObject+1, 2)}}
+		objs := []Object{{Key: "empty", Data: []byte{}}, {Key: "small", Data: []byte("one")}, {Key: "big", Data: fill(64<<10+1, 2)}}
 		want := make(map[string][]byte)
 		for _, o := range objs {
 			want[o.Key] = o.Data

@@ -3,6 +3,7 @@ package objstore
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -56,6 +57,7 @@ func TestDiskSurvivesReopen(t *testing.T) {
 	if err := d1.PutMulti(ctx, "c", []Object{{Key: "deadbeef", Data: []byte("persisted")}}); err != nil {
 		t.Fatal(err)
 	}
+	_ = d1.Close()
 	d2 := openDisk(t, dir)
 	got, err := d2.GetMulti(ctx, "c", []string{"deadbeef"})
 	if err != nil || string(got[0]) != "persisted" {
@@ -118,7 +120,11 @@ func TestDiskKeepsDistinctNamesApart(t *testing.T) {
 			}
 		}
 	}
-	for _, d := range []*Disk{d, openDisk(t, dir)} {
+	for reopen := 0; reopen < 2; reopen++ {
+		if reopen > 0 {
+			_ = d.Close()
+			d = openDisk(t, dir)
+		}
 		for c, objs := range want {
 			wantObjects(t, d, c, objs)
 		}
@@ -184,7 +190,7 @@ func TestDiskRefusesDamagedRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = d.Close()
-	reader := openDisk(t, dir) // a fresh store: nothing in its recent set
+	reader := openDisk(t, dir) // a fresh store: nothing in its mapped window
 
 	f, err := os.OpenFile(filepath.Join(dir, logName), os.O_RDWR, 0)
 	if err != nil {
@@ -238,17 +244,16 @@ func TestDiskRefusesOldLayout(t *testing.T) {
 
 // TestDiskConcurrentPutGet: a writer and a reader per container, over
 // several containers at once. Objects are content-addressed, so whatever a
-// read finds, from the recent set or the log, must be exactly its bytes, an
-// object ExistsMulti has reported stays readable, and a fresh open finds
-// every object put.
+// read finds must be exactly its bytes, an object ExistsMulti has reported
+// stays readable, and an open after Close finds every object put.
 func TestDiskConcurrentPutGet(t *testing.T) {
 	const containers, keys = 4, 24
 	dir := t.TempDir()
 	d := openDisk(t, dir)
 	name := func(c int) string { return "ws-" + strconv.Itoa(c) }
 	data := func(c, k int) []byte {
-		if k%4 == 0 { // over the recent set's cap: always read from the log
-			return fill(recentMaxObject+k, byte(c*keys+k))
+		if k%4 == 0 {
+			return fill(64<<10+k, byte(c*keys+k))
 		}
 		return fill(1<<10+k, byte(c*keys+k))
 	}
@@ -297,6 +302,7 @@ func TestDiskConcurrentPutGet(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
+	_ = d.Close()
 	fresh := openDisk(t, dir)
 	for c := 0; c < containers; c++ {
 		want := make(map[string][]byte)
@@ -307,16 +313,34 @@ func TestDiskConcurrentPutGet(t *testing.T) {
 	}
 }
 
-// TestDiskServesRecentObjects: a small object Disk just wrote is served from
-// memory — repeated gets make no read call — as a copy the caller may write
-// to. An empty object stays an empty non-nil slice. Overwrites with other
-// bytes, concurrent ones included, leave memory agreeing with what a fresh
-// open reads from the log. An object over the size cap, or one evicted past
-// the byte budget, is read from the log.
-func TestDiskServesRecentObjects(t *testing.T) {
+// countCalls returns a function that reports how many system calls of
+// field ("syscr" or "syscw" of /proc/self/io) the process makes in f, less
+// those the counting itself makes. It skips the test where the file is
+// missing. The count is the whole process's, so a goroutine an earlier test
+// left behind can add a call: callers take the fewest of a few tries.
+func countCalls(t *testing.T, field string) func(f func()) int64 {
+	t.Helper()
 	if _, err := os.Stat("/proc/self/io"); err != nil {
 		t.Skip("counts system calls in /proc/self/io, which this platform lacks")
 	}
+	idle := obs.ProcessIO(field)
+	idle = obs.ProcessIO(field) - idle
+	return func(f func()) int64 {
+		before := obs.ProcessIO(field)
+		f()
+		return obs.ProcessIO(field) - before - idle
+	}
+}
+
+// TestDiskServesFreshObjectsFromWindow: an object Disk just wrote, small or
+// large, is copied from the log's mapped window — repeated gets make no
+// read call — and once more than a window of later puts has moved the
+// window past it, a get reads it with one read call. Neither a put's nor a
+// get's buffer is shared with the store, and an empty object stays an
+// empty non-nil slice. Concurrent overwrites with other bytes leave the
+// store agreeing with what it reads after Close and a reopen.
+func TestDiskServesFreshObjectsFromWindow(t *testing.T) {
+	reads := countCalls(t, "syscr")
 	dir := t.TempDir()
 	d := openDisk(t, dir)
 	_ = d.EnsureContainer(ctx, "c")
@@ -326,39 +350,63 @@ func TestDiskServesRecentObjects(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Reading the counter costs read calls of its own: measure them once.
-	idle := obs.ProcessIO("syscr")
-	idle = obs.ProcessIO("syscr") - idle
 	// get returns key's bytes and how many read calls the process made.
-	get := func(key string) ([]byte, int64) {
+	get := func(key string) (got []byte, n int64) {
 		t.Helper()
-		before := obs.ProcessIO("syscr")
-		got, err := d.GetMulti(ctx, "c", []string{key})
-		reads := obs.ProcessIO("syscr") - before - idle
+		var err error
+		n = reads(func() {
+			var objs [][]byte
+			objs, err = d.GetMulti(ctx, "c", []string{key})
+			got = objs[0]
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return got[0], reads
+		return got, n
 	}
 
-	hot := fill(4<<10, 1)
-	put("hot", hot)
-	hot[0]++ // the set kept a copy, not the caller's buffer
-	for i := 0; i < 5; i++ {
-		got, reads := get("hot")
-		if reads != 0 || !bytes.Equal(got, fill(4<<10, 1)) {
-			t.Fatalf("get %d of a fresh 4 KB object: %d reads, right bytes %v", i, reads, bytes.Equal(got, fill(4<<10, 1)))
+	// fewest returns the fewest read calls of five gets of key, each of which
+	// must return want.
+	fewest := func(key string, want []byte) int64 {
+		t.Helper()
+		least := int64(-1)
+		for i := 0; i < 5; i++ {
+			got, n := get(key)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("get %d of %s: %d B, want %d B", i, key, len(got), len(want))
+			}
+			got[0]++ // must not reach the next get
+			if least < 0 || n < least {
+				least = n
+			}
 		}
-		got[0]++ // must not reach the next get
+		return least
+	}
+
+	for _, size := range []int{4 << 10, 512 << 10} {
+		key := "fresh-" + strconv.Itoa(size)
+		data := fill(size, byte(size>>10))
+		put(key, data)
+		data[0]++ // the store holds its own bytes, not the caller's buffer
+		if n := fewest(key, fill(size, byte(size>>10))); n != 0 {
+			t.Fatalf("gets of a fresh %d KB object: at least %d reads each, want 0", size>>10, n)
+		}
 	}
 
 	put("empty", nil)
-	if got, reads := get("empty"); got == nil || len(got) != 0 || reads != 0 {
-		t.Fatalf("empty object: %v (nil %v), %d reads", got, got == nil, reads)
+	if got, n := get("empty"); got == nil || len(got) != 0 || n != 0 {
+		t.Fatalf("empty object: %v (nil %v), %d reads", got, got == nil, n)
 	}
 
-	// Concurrent overwrites with different bytes, small and over the cap.
-	versions := [][]byte{fill(1<<10, 7), fill(2<<10, 9), fill(recentMaxObject+1, 11)}
+	for i := 0; i < 10; i++ { // 5 MB: past a 4 MB window
+		put("filler-"+strconv.Itoa(i), fill(512<<10, byte(i)))
+	}
+	if n := fewest("fresh-4096", fill(4<<10, 4)); n != 1 {
+		t.Fatalf("gets of an object a window behind: at least %d reads each, want 1", n)
+	}
+
+	// Concurrent overwrites with different bytes, small and large.
+	versions := [][]byte{fill(1<<10, 7), fill(2<<10, 9), fill(512<<10, 11)}
 	for round := 0; round < 20; round++ {
 		var wg sync.WaitGroup
 		for _, v := range versions {
@@ -369,32 +417,38 @@ func TestDiskServesRecentObjects(t *testing.T) {
 			}(v)
 		}
 		wg.Wait()
-		fresh, err := NewDisk(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inLog, err := fresh.GetMulti(ctx, "c", []string{"contended"})
-		_ = fresh.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, _ := get("contended"); !bytes.Equal(got, inLog[0]) {
-			t.Fatalf("round %d: get returns %d B, a fresh open reads %d B", round, len(got), len(inLog[0]))
+		live, _ := get("contended")
+		_ = d.Close()
+		d = openDisk(t, dir)
+		if inLog, _ := get("contended"); !bytes.Equal(live, inLog) {
+			t.Fatalf("round %d: the live store read %d B, a reopen reads %d B", round, len(live), len(inLog))
 		}
 	}
+}
 
-	big := fill(recentMaxObject+1, 3)
-	put("big", big)
-	if got, reads := get("big"); reads == 0 || !bytes.Equal(got, big) {
-		t.Fatalf("object over the cap: %d reads, right bytes %v", reads, bytes.Equal(got, big))
+// TestDiskPutMakesNoWriteCall: a put, small or large, stores its record
+// through the log's mapped tail and makes no write-family system call.
+func TestDiskPutMakesNoWriteCall(t *testing.T) {
+	writes := countCalls(t, "syscw")
+	d := openDisk(t, t.TempDir())
+	if err := d.EnsureContainer(ctx, "c"); err != nil {
+		t.Fatal(err)
 	}
-
-	first := fill(4<<10, 5)
-	put("first", first)
-	for i := 0; i <= recentBudget/recentMaxObject; i++ {
-		put("filler-"+strconv.Itoa(i), fill(recentMaxObject, byte(i)))
-	}
-	if got, reads := get("first"); reads == 0 || !bytes.Equal(got, first) {
-		t.Fatalf("evicted object: %d reads, right bytes %v", reads, bytes.Equal(got, first))
+	for _, size := range []int{1 << 10, 512 << 10} {
+		least := int64(-1)
+		for i := 0; i < 3; i++ {
+			var err error
+			obj := []Object{{Key: fmt.Sprint(size, i), Data: fill(size, byte(i))}}
+			n := writes(func() { err = d.PutMulti(ctx, "c", obj) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if least < 0 || n < least {
+				least = n
+			}
+		}
+		if least != 0 {
+			t.Fatalf("puts of %d KB: at least %d write calls each, want 0", size>>10, least)
+		}
 	}
 }

@@ -73,9 +73,10 @@ func BenchmarkGatewayBatch(b *testing.B) {
 // gateway: one object is put through HTTPStore → Handler → Disk over
 // loopback, then each iteration gets it 23 times, once per other device of
 // a 24-device workspace. syscalls/get counts the read and write system calls
-// of the whole process, client and gateway, per get. The 4KB object is a
-// fresh small chunk, served from Disk's recent-object set; the 512KB one is
-// over the set's cap and read from its file every time.
+// of the whole process, client and gateway, per get. Both objects, a fresh
+// 4KB chunk and a fresh 512KB one, are still in the chunk log's mapped
+// window, so Disk copies them from there without a read call; what remains
+// is the HTTP round trip's.
 func BenchmarkGatewayHotGet(b *testing.B) {
 	const readers = 23
 	ctx := context.Background()

@@ -26,9 +26,14 @@ import (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// ErrMagic is wrapped by the error that refuses a file which does not open
-// with the log's magic.
-var ErrMagic = errors.New("reclog: unknown format")
+var (
+	// ErrMagic is wrapped by the error that refuses a file which does not
+	// open with the log's magic.
+	ErrMagic = errors.New("reclog: unknown format")
+	// ErrInUse is wrapped by the error that refuses a log another open
+	// holds: a second replay would cut the file under the first's mapping.
+	ErrInUse = errors.New("reclog: log is open elsewhere")
+)
 
 // Frame appends to buf one record whose payload is parts, concatenated.
 // It panics on an empty payload, which would read back as the end of the
@@ -65,12 +70,17 @@ func Check(rec []byte) bool {
 // payload is apply's only during the call. It cuts the file after the last
 // whole record apply accepted — so of a zero tail too — and returns the
 // file, positioned there, and that offset: where the next record goes.
+// The file stays locked to it until it is closed; a log that is open
+// already is refused untouched, with ErrInUse.
 func Open(path, magic string, apply func(payload []byte, off int64) bool) (*os.File, int64, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, 0, err
 	}
-	end, err := replay(f, magic, apply)
+	end := int64(0)
+	if err = lock(f); err == nil {
+		end, err = replay(f, magic, apply)
+	}
 	if err == nil {
 		_, err = f.Seek(end, io.SeekStart)
 	}
@@ -119,10 +129,15 @@ func replay(f *os.File, magic string, apply func([]byte, int64) bool) (int64, er
 }
 
 // Create creates the log at path, which must not exist, holding magic
-// only, open for reading and writing as a mapping needs.
+// only, open for reading and writing as a mapping needs and locked as Open
+// locks it.
 func Create(path, magic string) (*os.File, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
 	if err != nil {
+		return nil, err
+	}
+	if err := lock(f); err != nil {
+		_ = f.Close()
 		return nil, err
 	}
 	if _, err := f.WriteString(magic); err != nil {

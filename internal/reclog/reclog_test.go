@@ -458,3 +458,163 @@ func TestWriterTearAt(t *testing.T) {
 		t.Fatalf("replay ends at %d with %d records, want %d with 1", got, len(c.payloads), first)
 	}
 }
+
+// TestSecondOpenOfLiveLogIsRefused: while one open holds a log, a second
+// Open of its path is refused with an error naming the file, and the file
+// is left untouched: a second replay would cut it after its last record,
+// under the first opener's mapping. Once the first opener closes, Open
+// succeeds and replays every record.
+func TestSecondOpenOfLiveLogIsRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "test.log")
+	f, err := Create(path, magic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWriter(MapTail(f), int64(len(magic)), false, nil)
+	if _, err := w.Append([]byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	held, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second, _, err := Open(path, magic, (&collect{}).apply); !errors.Is(err, ErrInUse) || !strings.Contains(err.Error(), path) {
+		if second != nil {
+			_ = second.Close()
+		}
+		t.Fatalf("second open of a live log: %v, want ErrInUse naming %s", err, path)
+	}
+	if now, _ := os.ReadFile(path); !bytes.Equal(now, held) {
+		t.Fatalf("the refused open changed the file: %d bytes, was %d", len(now), len(held))
+	}
+	if _, err := w.Append(bytes.Repeat([]byte("x"), 2*int(pageSize))); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var c collect
+	if openT(t, path, c.apply); len(c.payloads) != 2 {
+		t.Fatalf("%d records replay after the first opener closed, want 2", len(c.payloads))
+	}
+}
+
+// TestWriterReadAtAcrossWindows: goroutines append records to one mapped
+// file, some larger than a window, so the tail is remapped many times,
+// while readers ask ReadAt for records already stored. Every read that
+// returns true holds exactly its record's payload and CRC; a record whose
+// window has moved on, a range past the end and any read after Close
+// return false.
+func TestWriterReadAtAcrossWindows(t *testing.T) {
+	const writers, each, readers = 3, 12, 3
+	path := filepath.Join(t.TempDir(), "test.log")
+	f, err := Create(path, magic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWriter(MapTail(f), int64(len(magic)), false, nil)
+	// want[g][i] is writer g's record i as stored: its payload, then its CRC.
+	want := make([][][]byte, writers)
+	for g := range want {
+		for i := 0; i < each; i++ {
+			n := 2 + (g*7919+i*104729)%(window/8)
+			if i%5 == 4 {
+				n = window + 1000*g + 1
+			}
+			p := bytes.Repeat([]byte{byte(g*31 + i)}, n)
+			p[0], p[1] = byte(g), byte(i)
+			rec := Frame(nil, p)
+			want[g] = append(want[g], rec[len(rec)-n-4:])
+		}
+	}
+	type stored struct {
+		g, i int
+		off  int64 // of the payload
+	}
+	var mu sync.Mutex
+	var log []stored
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i, rec := range want[g] {
+				p := rec[:len(rec)-4]
+				end, err := w.Append(p[:1], p[1:]) // two parts, framed as one payload
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				log = append(log, stored{g, i, end - int64(len(rec))})
+				mu.Unlock()
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	var hits, misses [readers]int
+	var rg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		rg.Add(1)
+		go func(r int) {
+			defer rg.Done()
+			for k := 0; ; k++ {
+				finished := false
+				select {
+				case <-done:
+					finished = true
+				default:
+				}
+				mu.Lock()
+				n := len(log)
+				// The newest record and an older one in turn; the last read,
+				// after every append, is of the newest, which is in the window.
+				var s stored
+				if n > 0 {
+					s = log[n-1]
+					if !finished && k%2 == 1 {
+						s = log[k%n]
+					}
+				}
+				mu.Unlock()
+				if n > 0 {
+					got := make([]byte, len(want[s.g][s.i]))
+					if !w.ReadAt(got, s.off) {
+						misses[r]++
+					} else if hits[r]++; !bytes.Equal(got, want[s.g][s.i]) {
+						t.Errorf("ReadAt of writer %d's record %d at %d returned other bytes", s.g, s.i, s.off)
+						return
+					}
+				}
+				if finished {
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	close(done)
+	rg.Wait()
+	t.Logf("reads returning true %v, false %v", hits, misses)
+	for r := range hits {
+		if hits[r] == 0 {
+			t.Fatalf("reader %d: no read returned true (%d false)", r, misses[r])
+		}
+	}
+	if w.ReadAt(make([]byte, 1), int64(len(magic))) {
+		t.Fatal("ReadAt of the first record, many windows behind, returned true")
+	}
+	end := w.End()
+	if w.ReadAt(make([]byte, 2), end-1) {
+		t.Fatal("ReadAt past the end returned true")
+	}
+	if !w.ReadAt(make([]byte, 1), end-1) {
+		t.Fatal("ReadAt of the last stored byte returned false")
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if w.ReadAt(make([]byte, 1), end-1) {
+		t.Fatal("ReadAt after Close returned true")
+	}
+}

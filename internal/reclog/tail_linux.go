@@ -2,8 +2,18 @@ package reclog
 
 import (
 	"fmt"
+	"os"
 	"syscall"
 )
+
+// lock takes f's exclusive lock, or fails with ErrInUse if another open
+// of the file holds it. Closing f releases it.
+func lock(f *os.File) error {
+	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
+		return fmt.Errorf("%w: %s: %w", ErrInUse, f.Name(), err)
+	}
+	return nil
+}
 
 // Map preallocates before it maps, so a full disk fails here with ENOSPC
 // and never as a SIGBUS at a store into the mapping.

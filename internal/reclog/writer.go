@@ -68,16 +68,21 @@ func NewWriter(f File, end int64, durable bool, synced func(records int)) *Write
 	return w
 }
 
-// Append stores payload's record in the file and returns the offset just
-// past it, to Wait on, or the error that stopped the log.
-func (w *Writer) Append(payload []byte) (int64, error) {
+// Append stores the record whose payload is parts, concatenated, in the
+// file, framing the parts straight into the mapping, and returns the offset
+// just past it, to Wait on, or the error that stopped the log.
+func (w *Writer) Append(parts ...[]byte) (int64, error) {
+	size := 0
+	for _, p := range parts {
+		size += len(p)
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
 		return 0, w.err
 	}
 	// The room Frame grows its buffer by, so it frames in place.
-	if room := int64(binary.MaxVarintLen64 + len(payload) + 4); w.end+room > w.base+int64(len(w.win)) {
+	if room := int64(binary.MaxVarintLen64 + size + 4); w.end+room > w.base+int64(len(w.win)) {
 		base := w.end &^ (pageSize - 1)
 		n := max(window, (w.end-base+room+pageSize-1)&^(pageSize-1))
 		win, err := w.f.Map(base, int(n))
@@ -88,7 +93,7 @@ func (w *Writer) Append(payload []byte) (int64, error) {
 		w.win, w.base = win, base
 	}
 	i := w.end - w.base
-	rec := Frame(w.win[i:i], payload)
+	rec := Frame(w.win[i:i], parts...)
 	if w.tear > 0 && w.end+int64(len(rec)) > w.tear {
 		clear(rec[w.tear-w.end:])
 		w.done, w.end, w.err = w.end, w.tear, ErrTornWrite
@@ -100,6 +105,19 @@ func (w *Writer) Append(payload []byte) (int64, error) {
 		w.done = w.end
 	}
 	return w.end, nil
+}
+
+// ReadAt copies into p the stored bytes of the file at off, if they are
+// all in the current window, and reports whether it did: it returns false
+// for a range outside it and once the log is closed.
+func (w *Writer) ReadAt(p []byte, off int64) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.win == nil || off < w.base || off+int64(len(p)) > w.end {
+		return false
+	}
+	copy(p, w.win[off-w.base:])
+	return true
 }
 
 // End returns the offset at which the next record appended will start.

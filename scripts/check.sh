@@ -62,22 +62,23 @@ go test -race -count=1 ./internal/codec/ ./internal/core/ ./internal/omq/ ./inte
 go test -race -count=20 -run '^(TestNotificationPublishedBeforeRequestAcked|TestRefusedCommitRequestIsAckedOnce)$' ./internal/core/
 
 # The broker server's write path (one outbound queue per connection, woken
-# after the broker releases its mutex) and Disk's log (one append per batch
-# under the mutex that installs its index entries, read back by concurrent
-# gets) with its recent-object set are where a lost wake, a frame sent out
-# of order, a read of a record not yet whole or a cache disagreeing with
-# the log would hide, and the writer is where an oversize frame must be
-# dropped alone (TestNetworkOversizeReplyFailsOneCall). The record log's
-# writer (concurrent Append/Wait, one syncer at a time with its mutex
-# released across each fsync; appends from goroutines across several
-# remapped windows of the tail) and the metadata WAL's group commit on it
-# are where a lost wake, a record stored into a stale window or an
-# acknowledgement ahead of the fsync would hide; concurrent workspace
-# creation beside first commits is where a commit's record could reach the
-# WAL ahead of its workspace's, and a Close amid commits where a write could
-# follow the log's close: twenty race-enabled passes over all of them.
+# after the broker releases its mutex) and Disk's log (one record per object
+# appended under the mutex that installs its index entry, read back by
+# concurrent gets from the mapped window or the file) are where a lost wake,
+# a frame sent out of order, a read of a record not yet whole or a copy from
+# a window already moved on would hide, and the writer is where an oversize
+# frame must be dropped alone (TestNetworkOversizeReplyFailsOneCall). The
+# record log's writer (concurrent Append/Wait, one syncer at a time with its
+# mutex released across each fsync; appends from goroutines across several
+# remapped windows of the tail, with ReadAt beside them; one opener per log)
+# and the metadata WAL's group commit on it are where a lost wake, a record
+# stored into a stale window or an acknowledgement ahead of the fsync would
+# hide; concurrent workspace creation beside first commits is where a
+# commit's record could reach the WAL ahead of its workspace's, and a Close
+# amid commits where a write could follow the log's close: twenty
+# race-enabled passes over all of them.
 echo "==> server write path, chunk log, record-log writer, WAL group commit (race, 20x)"
-go test -race -count=20 -run 'TestNetwork|TestDiskServesRecent|TestDiskConcurrentPutGet|TestWriterConcurrentAppendWait|TestWriterCrossesWindows|TestWALGroupCommitConcurrent|TestCreateLoggedBeforeFirstCommit|TestCloseWaitsOutWriters' \
+go test -race -count=20 -run 'TestNetwork|TestDiskServesFreshObjectsFromWindow|TestDiskConcurrentPutGet|TestWriterConcurrentAppendWait|TestWriterCrossesWindows|TestWriterReadAtAcrossWindows|TestSecondOpenOfLiveLogIsRefused|TestWALGroupCommitConcurrent|TestCreateLoggedBeforeFirstCommit|TestCloseWaitsOutWriters' \
     ./internal/mq ./internal/objstore ./internal/reclog ./internal/metastore
 
 # Extra interleavings over the client's parallel transfer pipeline: many
