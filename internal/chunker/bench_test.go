@@ -1,6 +1,7 @@
 package chunker
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -40,15 +41,21 @@ func BenchmarkCDCSplit(b *testing.B) {
 	}
 }
 
-// BenchmarkGzipChunk measures per-chunk compression cost.
+// BenchmarkGzipChunk measures per-chunk compression cost at the paper's
+// 512 KB chunk and at 4 KB, where a fresh writer's set-up would dominate.
 func BenchmarkGzipChunk(b *testing.B) {
-	data := benchData(DefaultChunkSize)
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Compress(data, Gzip); err != nil {
-			b.Fatal(err)
-		}
+	for _, size := range []int{DefaultChunkSize, 4 << 10} {
+		b.Run(fmt.Sprintf("%dKB", size>>10), func(b *testing.B) {
+			data := benchData(size)
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Compress(data, Gzip); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -2,7 +2,9 @@ package chunker
 
 import (
 	"bytes"
+	"compress/gzip"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -264,4 +266,52 @@ func TestGzipShrinksRedundantData(t *testing.T) {
 	if len(enc) >= len(data)/10 {
 		t.Fatalf("gzip barely compressed: %d -> %d", len(data), len(enc))
 	}
+}
+
+// TestGzipPooledMatchesFresh: a pooled, reset gzip writer emits exactly the
+// bytes a fresh one does, and a pooled reader restores them, for empty,
+// small and chunk-sized inputs compressed concurrently, so no state leaks
+// from one chunk into the next.
+func TestGzipPooledMatchesFresh(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	var inputs [][]byte
+	for _, n := range []int{0, 1 << 10, 4 << 10, DefaultChunkSize} {
+		half := randomBytes(r, n/2)
+		inputs = append(inputs, append(half, bytes.Repeat([]byte("sync"), (n-n/2)/4)...))
+	}
+	want := make([][]byte, len(inputs))
+	for i, in := range inputs {
+		var buf bytes.Buffer
+		w := gzip.NewWriter(&buf)
+		if _, err := w.Write(in); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		want[i] = buf.Bytes()
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 2; round++ {
+				for k := range inputs {
+					i := (g + round + k) % len(inputs)
+					enc, err := Compress(inputs[i], Gzip)
+					if err != nil || !bytes.Equal(enc, want[i]) {
+						t.Errorf("input of %d B: pooled output differs from a fresh writer's (%v)", len(inputs[i]), err)
+						return
+					}
+					dec, err := Decompress(enc, Gzip)
+					if err != nil || !bytes.Equal(dec, inputs[i]) {
+						t.Errorf("input of %d B: round trip through a pooled reader failed (%v)", len(inputs[i]), err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // Compression selects the algorithm applied to chunks before transmission.
@@ -20,6 +21,15 @@ const (
 	Gzip
 )
 
+// A gzip.Writer allocates its ~800 KB compressor on first use and a
+// gzip.Reader its decompressor; Reset keeps both, and a reset writer's
+// output is byte-identical to a fresh one's. A zero gzip.Reader is ready
+// for Reset.
+var (
+	gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
+	gzipReaders = sync.Pool{New: func() any { return new(gzip.Reader) }}
+)
+
 // Compress encodes data with the selected algorithm.
 func Compress(data []byte, c Compression) ([]byte, error) {
 	switch c {
@@ -27,7 +37,9 @@ func Compress(data []byte, c Compression) ([]byte, error) {
 		return data, nil
 	case Gzip:
 		var buf bytes.Buffer
-		w := gzip.NewWriter(&buf)
+		w := gzipWriters.Get().(*gzip.Writer)
+		defer gzipWriters.Put(w)
+		w.Reset(&buf)
 		if _, err := w.Write(data); err != nil {
 			return nil, fmt.Errorf("chunker: gzip write: %w", err)
 		}
@@ -46,11 +58,11 @@ func Decompress(data []byte, c Compression) ([]byte, error) {
 	case None:
 		return data, nil
 	case Gzip:
-		r, err := gzip.NewReader(bytes.NewReader(data))
-		if err != nil {
+		r := gzipReaders.Get().(*gzip.Reader)
+		defer gzipReaders.Put(r)
+		if err := r.Reset(bytes.NewReader(data)); err != nil {
 			return nil, fmt.Errorf("chunker: gzip reader: %w", err)
 		}
-		defer r.Close()
 		out, err := io.ReadAll(r)
 		if err != nil {
 			return nil, fmt.Errorf("chunker: gunzip: %w", err)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -16,9 +17,12 @@ import (
 
 // BenchmarkGatewayBatch times one batch round trip, HTTPStore to Handler to
 // a temp-dir Disk over loopback, for {put,get} x {1x4KB, 4x512KB}. Besides
-// ns/op and allocs/op (client and gateway together) it reports body_B/op:
-// request plus response body bytes the gateway saw per call. It uses only
-// the Store surface, so the file compiles against any gateway revision.
+// ns/op and allocs/op (client and gateway together) it reports body_B/op,
+// the request plus response body bytes the gateway saw per call;
+// syscalls/op, the read and write system calls of the whole process,
+// client and gateway, per call; and gw_reads/op, the Read calls on the
+// gateway's accepted connections per call. It uses only the Store surface,
+// so the file compiles against any gateway revision.
 func BenchmarkGatewayBatch(b *testing.B) {
 	ctx := context.Background()
 	for _, shape := range []struct {
@@ -30,7 +34,10 @@ func BenchmarkGatewayBatch(b *testing.B) {
 			b.Fatal(err)
 		}
 		var bodyBytes atomic.Int64
-		srv := httptest.NewServer(countBodies(NewHandler(disk, ""), &bodyBytes))
+		srv := httptest.NewUnstartedServer(countBodies(NewHandler(disk, ""), &bodyBytes))
+		ln := &countingListener{Listener: srv.Listener}
+		srv.Listener = ln
+		srv.Start()
 		s := NewHTTPStore(srv.URL, "")
 		if err := s.EnsureContainer(ctx, "c"); err != nil {
 			b.Fatal(err)
@@ -50,6 +57,7 @@ func BenchmarkGatewayBatch(b *testing.B) {
 			b.Run(op+"/"+shape.name, func(b *testing.B) {
 				b.ReportAllocs()
 				bodyBytes.Store(0)
+				reads, calls := ln.reads.Load(), obs.ProcessIO("syscr")+obs.ProcessIO("syscw")
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					var err error
@@ -62,7 +70,11 @@ func BenchmarkGatewayBatch(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
+				b.StopTimer()
+				calls = obs.ProcessIO("syscr") + obs.ProcessIO("syscw") - calls
 				b.ReportMetric(float64(bodyBytes.Load())/float64(b.N), "body_B/op")
+				b.ReportMetric(float64(calls)/float64(b.N), "syscalls/op")
+				b.ReportMetric(float64(ln.reads.Load()-reads)/float64(b.N), "gw_reads/op")
 			})
 		}
 		srv.Close()
@@ -112,6 +124,32 @@ func BenchmarkGatewayHotGet(b *testing.B) {
 			b.ReportMetric(float64(calls)/float64(b.N*readers), "syscalls/get")
 		})
 	}
+}
+
+// countingListener counts the connections it accepts and the Read calls on
+// them.
+type countingListener struct {
+	net.Listener
+	accepts, reads atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	l.accepts.Add(1)
+	return countingConn{c, &l.reads}, nil
+}
+
+type countingConn struct {
+	net.Conn
+	reads *atomic.Int64
+}
+
+func (c countingConn) Read(p []byte) (int, error) {
+	c.reads.Add(1)
+	return c.Conn.Read(p)
 }
 
 // countBodies adds the request and response body bytes h handles to n.

@@ -1,6 +1,7 @@
 package objstore
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -8,10 +9,13 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"net"
 	"net/http"
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
+	"time"
 )
 
 // HTTP gateway: exposes a Store over a Swift-flavoured REST API so that
@@ -312,57 +316,160 @@ func sentinelFor(resp *http.Response, msg string) error {
 	return nil
 }
 
-// HTTPStore is a Store backed by a remote gateway.
+// HTTPStore is a Store backed by a remote gateway. It speaks HTTP/1.1
+// itself: each request's head and body leave in one writev on a kept-alive
+// connection from its own pool (DESIGN §12). Only http:// gateways are
+// reached, and never through a proxy.
 type HTTPStore struct {
-	base   string
-	token  string
-	client *http.Client
+	addr  string // host:port to dial
+	host  string // the Host header
+	path  string // the base URL's path, ahead of /v1/
+	token string
+	err   error // why the base URL cannot be reached, returned by every call
+
+	mu   sync.Mutex
+	idle []*gwConn // last in, first out
 }
 
 var _ Store = (*HTTPStore)(nil)
 
-// NewHTTPStore points at a gateway base URL (e.g. "http://host:8080").
+// gwConn is one kept-alive connection to the gateway.
+type gwConn struct {
+	net.Conn
+	br *bufio.Reader
+}
+
+// errNoResponse marks a request that failed before any byte of its response
+// arrived: on a reused connection, the gateway may have closed it idle.
+var errNoResponse = errors.New("no response")
+
+// NewHTTPStore points at a gateway base URL (e.g. "http://host:8080"). A URL
+// of another scheme, or a token that cannot travel in a header, makes every
+// call fail with an error naming it.
 func NewHTTPStore(baseURL, token string) *HTTPStore {
-	return &HTTPStore{
-		base:   strings.TrimSuffix(baseURL, "/"),
-		token:  token,
-		client: &http.Client{},
+	s := &HTTPStore{token: token}
+	u, err := url.Parse(strings.TrimSuffix(baseURL, "/"))
+	switch {
+	case err != nil:
+		s.err = fmt.Errorf("objstore: gateway URL: %w", err)
+	case u.Scheme != "http":
+		s.err = fmt.Errorf("objstore: gateway URL %q: scheme %q is not supported, only http://", baseURL, u.Scheme)
+	case strings.ContainsAny(token, "\r\n"):
+		s.err = errors.New("objstore: gateway token holds a line break")
+	default:
+		s.addr, s.host, s.path = u.Host, u.Host, u.EscapedPath()
+		if u.Port() == "" {
+			s.addr = net.JoinHostPort(u.Hostname(), "80")
+		}
 	}
+	return s
 }
 
-func (s *HTTPStore) url(container string) string {
-	return s.base + "/v1/" + url.PathEscape(container)
+// target returns the request target of container's route.
+func (s *HTTPStore) target(container string) string {
+	return s.path + "/v1/" + url.PathEscape(container)
 }
 
-// call issues one request bound to ctx and returns the response body.
+// call sends one request bound to ctx and returns the response body.
 // Canceling the context aborts the request mid-flight and surfaces the
-// context's error to errors.Is.
-func (s *HTTPStore) call(ctx context.Context, method, u string, body []byte) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, method, u, bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("objstore: build request: %w", err)
+// context's error to errors.Is. A request that fails on a reused connection
+// before any response byte arrives is sent once more on a fresh one: every
+// gateway operation is idempotent.
+func (s *HTTPStore) call(ctx context.Context, method, target string, body []byte) ([]byte, error) {
+	if s.err != nil {
+		return nil, s.err
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("objstore: %s %s: %w", method, target, err)
+	}
+	head := s.head(method, target, len(body))
+	c := s.idleConn()
+	out, err := s.roundTrip(ctx, c, head, body)
+	if c != nil && errors.Is(err, errNoResponse) && ctx.Err() == nil {
+		out, err = s.roundTrip(ctx, nil, head, body)
+	}
+	if err != nil && ctx.Err() != nil {
+		return nil, fmt.Errorf("objstore: %s %s: %w", method, target, ctx.Err())
+	}
+	return out, err
+}
+
+// head builds a request's line and headers.
+func (s *HTTPStore) head(method, target string, n int) []byte {
+	b := make([]byte, 0, 96+len(target)+len(s.host)+len(s.token))
+	b = append(append(append(b, method...), ' '), target...)
+	b = append(append(b, " HTTP/1.1\r\nHost: "...), s.host...)
+	b = strconv.AppendInt(append(b, "\r\nContent-Length: "...), int64(n), 10)
 	if s.token != "" {
-		req.Header.Set("X-Auth-Token", s.token)
+		b = append(append(b, "\r\nX-Auth-Token: "...), s.token...)
 	}
-	resp, err := s.client.Do(req)
+	return append(b, "\r\n\r\n"...)
+}
+
+// idleConn takes the connection returned last, or nil if none is idle.
+func (s *HTTPStore) idleConn() *gwConn {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := len(s.idle)
+	if n == 0 {
+		return nil
+	}
+	c := s.idle[n-1]
+	s.idle[n-1], s.idle = nil, s.idle[:n-1]
+	return c
+}
+
+// roundTrip sends one request on c, or on a fresh connection if c is nil,
+// and reads its response body. The connection goes back to the pool only
+// after a 2xx response read to its end that leaves it open, and only if
+// ctx's cancellation has not touched it; any other outcome closes it.
+func (s *HTTPStore) roundTrip(ctx context.Context, c *gwConn, head, body []byte) ([]byte, error) {
+	if c == nil {
+		nc, err := new(net.Dialer).DialContext(ctx, "tcp", s.addr)
+		if err != nil {
+			return nil, fmt.Errorf("objstore: dial gateway: %w", err)
+		}
+		c = &gwConn{Conn: nc, br: bufio.NewReader(nc)}
+	}
+	// A past deadline wakes a blocked write or read at once.
+	stop := context.AfterFunc(ctx, func() { _ = c.SetDeadline(time.Unix(1, 0)) })
+	out, keep, err := c.exchange(head, body)
+	if stop() && keep {
+		s.mu.Lock()
+		s.idle = append(s.idle, c)
+		s.mu.Unlock()
+	} else {
+		c.Close()
+	}
+	return out, err
+}
+
+// exchange writes head and body in one writev and reads the response,
+// reporting whether c may carry another request.
+func (c *gwConn) exchange(head, body []byte) (out []byte, keep bool, err error) {
+	bufs := net.Buffers{head, body}
+	_, werr := bufs.WriteTo(c.Conn)
+	// The gateway may answer from the head alone and close without reading
+	// the body (a refused token), failing the write: read its answer anyway.
+	if _, err := c.br.Peek(1); err != nil {
+		return nil, false, fmt.Errorf("objstore: gateway sent %w: %w", errNoResponse, errors.Join(werr, err))
+	}
+	resp, err := http.ReadResponse(c.br, nil)
 	if err != nil {
-		return nil, fmt.Errorf("objstore: %s %s: %w", method, u, err)
+		return nil, false, fmt.Errorf("objstore: read response: %w", err)
 	}
-	defer resp.Body.Close()
-	if err := s.checkStatus(resp); err != nil {
-		return nil, err
+	if err := checkStatus(resp); err != nil {
+		return nil, false, err
 	}
-	out, err := readBody(resp.Body, resp.ContentLength, maxBatchBody)
-	if err != nil {
-		return nil, fmt.Errorf("objstore: read body: %w", err)
+	if out, err = readBody(resp.Body, resp.ContentLength, maxBatchBody); err != nil {
+		return nil, false, fmt.Errorf("objstore: read body: %w", err)
 	}
-	return out, nil
+	return out, werr == nil && !resp.Close && c.br.Buffered() == 0, nil
 }
 
 // checkStatus maps non-2xx responses onto the objstore sentinel errors so
 // errors.Is behaves identically across local and remote backends.
-func (s *HTTPStore) checkStatus(resp *http.Response) error {
+func checkStatus(resp *http.Response) error {
 	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
 		return nil
 	}
@@ -376,7 +483,7 @@ func (s *HTTPStore) checkStatus(resp *http.Response) error {
 
 // EnsureContainer creates the remote container.
 func (s *HTTPStore) EnsureContainer(ctx context.Context, container string) error {
-	_, err := s.call(ctx, http.MethodPut, s.url(container), nil)
+	_, err := s.call(ctx, http.MethodPut, s.target(container), nil)
 	return err
 }
 
@@ -387,7 +494,7 @@ func postBatch[T string | []byte](ctx context.Context, s *HTTPStore, container, 
 	if err != nil {
 		return nil, opErr(op+"multi", container, "", err)
 	}
-	return s.call(ctx, http.MethodPost, s.url(container)+"?multi="+op, body)
+	return s.call(ctx, http.MethodPost, s.target(container)+"?multi="+op, body)
 }
 
 // PutMulti ships the whole batch in one round trip.

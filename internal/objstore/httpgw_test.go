@@ -13,6 +13,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/iotest"
 	"time"
@@ -25,15 +26,20 @@ func newGateway(t *testing.T, token string) *HTTPStore {
 	return NewHTTPStore(srv.URL, token)
 }
 
-// raw sends one request through s's client and returns the response, whose
-// body is closed when the test ends.
+// url returns the full URL of container's route on s's gateway.
+func (s *HTTPStore) url(container string) string {
+	return "http://" + s.host + s.target(container)
+}
+
+// raw sends one request through http.DefaultClient and returns the
+// response, whose body is closed when the test ends.
 func raw(t *testing.T, s *HTTPStore, method, u string, body io.Reader) *http.Response {
 	t.Helper()
 	req, err := http.NewRequest(method, u, body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := s.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,6 +172,11 @@ func TestHTTPStoreTokenAuth(t *testing.T) {
 	if err := bad.EnsureContainer(ctx, "c"); !errors.Is(err, ErrUnauthorized) {
 		t.Fatalf("wrong token: %v", err)
 	}
+	// The gateway refuses from the head and closes without reading a body
+	// this large, so the client's write fails; the refusal still arrives.
+	if err := bad.PutMulti(ctx, "c", []Object{{Key: "big", Data: make([]byte, 4<<20)}}); !errors.Is(err, ErrUnauthorized) {
+		t.Fatalf("wrong token, 4 MB body: %v", err)
+	}
 	none := NewHTTPStore(srv.URL, "")
 	if _, err := none.GetMulti(ctx, "c", []string{"k"}); !errors.Is(err, ErrUnauthorized) {
 		t.Fatalf("missing token: %v", err)
@@ -185,7 +196,7 @@ func TestHTTPHandlerRejectsBadRoutes(t *testing.T) {
 	if resp.StatusCode != 405 {
 		t.Fatalf("POST status = %d, want 405", resp.StatusCode)
 	}
-	resp2 := raw(t, s, "GET", s.base+"/other", nil)
+	resp2 := raw(t, s, "GET", "http://"+s.host+"/other", nil)
 	if resp2.StatusCode != 404 {
 		t.Fatalf("bad path status = %d, want 404", resp2.StatusCode)
 	}
@@ -342,12 +353,186 @@ func TestHTTPGatewayRefusesSingleObjectRoutes(t *testing.T) {
 		{http.MethodDelete, "/v1/c/k"},
 		{http.MethodGet, "/v1/c"},
 	} {
-		resp := raw(t, s, tc.method, s.base+tc.path, strings.NewReader("v"))
+		resp := raw(t, s, tc.method, "http://"+s.host+tc.path, strings.NewReader("v"))
 		if resp.StatusCode < 400 || resp.StatusCode >= 500 {
 			t.Fatalf("%s %s: status %d, want 4xx", tc.method, tc.path, resp.StatusCode)
 		}
 	}
 	if present, err := s.ExistsMulti(ctx, "c", []string{"k"}); err != nil || present[0] {
 		t.Fatalf("single-object routes stored k: %v (%v)", present, err)
+	}
+}
+
+// newCountedGateway serves h on a listener that counts its accepts and the
+// Read calls on them, and returns a store pointed at it.
+func newCountedGateway(t *testing.T, h http.Handler) (*HTTPStore, *httptest.Server, *countingListener) {
+	t.Helper()
+	srv := httptest.NewUnstartedServer(h)
+	ln := &countingListener{Listener: srv.Listener}
+	srv.Listener = ln
+	srv.Start()
+	t.Cleanup(srv.Close)
+	return NewHTTPStore(srv.URL, ""), srv, ln
+}
+
+// TestHTTPStoreReusesConnections: sequential calls share one kept-alive
+// connection, whatever the operation.
+func TestHTTPStoreReusesConnections(t *testing.T) {
+	s, _, ln := newCountedGateway(t, NewHandler(NewMemory(), ""))
+	if err := s.EnsureContainer(ctx, "c"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 50; i++ {
+		var err error
+		switch key := strconv.Itoa(i); i % 3 {
+		case 0:
+			err = s.PutMulti(ctx, "c", []Object{{Key: key, Data: []byte(key)}})
+		case 1:
+			_, err = s.ExistsMulti(ctx, "c", []string{key})
+		default:
+			_, err = s.GetMulti(ctx, "c", []string{strconv.Itoa(i - 2)})
+			if i == 2 && errors.Is(err, ErrNotFound) {
+				err = nil
+			}
+		}
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+	if n := ln.accepts.Load(); n != 1 {
+		t.Fatalf("50 sequential calls opened %d connections, want 1", n)
+	}
+}
+
+// TestHTTPStoreRetriesStaleConnection: a pooled connection the gateway has
+// closed fails before any response byte arrives, and the call is sent once
+// more on a fresh connection rather than failing.
+func TestHTTPStoreRetriesStaleConnection(t *testing.T) {
+	s, srv, ln := newCountedGateway(t, NewHandler(NewMemory(), ""))
+	if err := s.EnsureContainer(ctx, "c"); err != nil {
+		t.Fatal(err)
+	}
+	srv.CloseClientConnections()
+	if err := s.PutMulti(ctx, "c", []Object{{Key: "k", Data: []byte("v")}}); err != nil {
+		t.Fatalf("put on a connection the gateway closed: %v", err)
+	}
+	if n := ln.accepts.Load(); n != 2 {
+		t.Fatalf("the gateway accepted %d connections, want 2 (one redial)", n)
+	}
+	if got, err := s.GetMulti(ctx, "c", []string{"k"}); err != nil || string(got[0]) != "v" {
+		t.Fatalf("get after the redial: %q %v", got, err)
+	}
+	if n := ln.accepts.Load(); n != 2 {
+		t.Fatalf("the redialed connection was not kept: %d accepts", n)
+	}
+}
+
+// TestHTTPStoreCancelMidFlight: canceling a call blocked on the gateway
+// returns the context's error at once, and the connection it held is not
+// pooled: the next call succeeds on a fresh one.
+func TestHTTPStoreCancelMidFlight(t *testing.T) {
+	var block atomic.Bool
+	entered, release := make(chan struct{}, 1), make(chan struct{})
+	h := NewHandler(NewMemory(), "")
+	s, _, ln := newCountedGateway(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if block.Load() {
+			entered <- struct{}{}
+			<-release
+			return
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() { close(release) }) // before the server's Close waits for the handler
+	if err := s.EnsureContainer(ctx, "c"); err != nil {
+		t.Fatal(err)
+	}
+	block.Store(true)
+	cctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- s.PutMulti(cctx, "c", []Object{{Key: "k", Data: []byte("v")}}) }()
+	<-entered
+	block.Store(false)
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled put: %v", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("a canceled put did not return within 1 s")
+	}
+	if err := s.PutMulti(ctx, "c", []Object{{Key: "k", Data: []byte("v")}}); err != nil {
+		t.Fatalf("put after a cancel: %v", err)
+	}
+	if n := ln.accepts.Load(); n != 2 {
+		t.Fatalf("the gateway accepted %d connections, want 2 (the canceled one is not reused)", n)
+	}
+}
+
+// TestHTTPStoreSendsRequestInOneWrite: a 2 MB PutMulti leaves the client in
+// one write call, head and body together, so the gateway can read it in a
+// few calls instead of chasing 32 KB pieces. The gateway here is a raw
+// listener that reads each whole request and answers it in one write, so
+// the process makes the client's writes and that one.
+func TestHTTPStoreSendsRequestInOneWrite(t *testing.T) {
+	writes := countCalls(t, "syscw")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				br := bufio.NewReaderSize(c, 1<<20)
+				for {
+					req, err := http.ReadRequest(br)
+					if err != nil {
+						return
+					}
+					if _, err := io.Copy(io.Discard, req.Body); err != nil {
+						return
+					}
+					if _, err := io.WriteString(c, "HTTP/1.1 201 Created\r\nContent-Length: 0\r\n\r\n"); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	s := NewHTTPStore("http://"+ln.Addr().String(), "")
+	t.Cleanup(func() { // ends the listener's connection goroutines
+		for c := s.idleConn(); c != nil; c = s.idleConn() {
+			c.Close()
+		}
+	})
+	data := make([]byte, 2<<20)
+	fewest := int64(-1)
+	for try := 0; try < 3; try++ {
+		var err error
+		n := writes(func() { err = s.PutMulti(ctx, "c", []Object{{Key: "k", Data: data}}) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fewest < 0 || n < fewest {
+			fewest = n
+		}
+	}
+	if fewest > 2 {
+		t.Fatalf("a 2 MB put cost the process %d write calls, want at most 2 (the request, the answer)", fewest)
+	}
+}
+
+// TestHTTPStoreRefusesOtherSchemes: only plain-HTTP gateways are reached; a
+// store for any other URL fails every call with an error naming it.
+func TestHTTPStoreRefusesOtherSchemes(t *testing.T) {
+	s := NewHTTPStore("https://gw.example:443", "")
+	if err := s.EnsureContainer(ctx, "c"); err == nil || !strings.Contains(err.Error(), `"https"`) {
+		t.Fatalf("https gateway: %v", err)
 	}
 }

@@ -75,11 +75,15 @@ go test -race -count=20 -run '^(TestNotificationPublishedBeforeRequestAcked|Test
 # stored into a stale window or an acknowledgement ahead of the fsync would
 # hide; concurrent workspace creation beside first commits is where a
 # commit's record could reach the WAL ahead of its workspace's, and a Close
-# amid commits where a write could follow the log's close: twenty
-# race-enabled passes over all of them.
-echo "==> server write path, chunk log, record-log writer, WAL group commit (race, 20x)"
-go test -race -count=20 -run 'TestNetwork|TestDiskServesFreshObjectsFromWindow|TestDiskConcurrentPutGet|TestWriterConcurrentAppendWait|TestWriterCrossesWindows|TestWriterReadAtAcrossWindows|TestSecondOpenOfLiveLogIsRefused|TestWALGroupCommitConcurrent|TestCreateLoggedBeforeFirstCommit|TestCloseWaitsOutWriters' \
-    ./internal/mq ./internal/objstore ./internal/reclog ./internal/metastore
+# amid commits where a write could follow the log's close. HTTPStore's own
+# connection pool (reuse, the one retry of a connection the gateway closed,
+# a cancel that wakes a blocked call and must not pool its connection, one
+# writev per request) and the chunker's pooled gzip state (a reset writer
+# must emit a fresh one's bytes from any goroutine) are shared by every
+# transfer worker of a device: twenty race-enabled passes over all of them.
+echo "==> server write path, chunk log, record-log writer, WAL group commit, gateway client, gzip pool (race, 20x)"
+go test -race -count=20 -run 'TestNetwork|TestDiskServesFreshObjectsFromWindow|TestDiskConcurrentPutGet|TestWriterConcurrentAppendWait|TestWriterCrossesWindows|TestWriterReadAtAcrossWindows|TestSecondOpenOfLiveLogIsRefused|TestWALGroupCommitConcurrent|TestCreateLoggedBeforeFirstCommit|TestCloseWaitsOutWriters|TestHTTPStoreReusesConnections|TestHTTPStoreRetriesStaleConnection|TestHTTPStoreCancelMidFlight|TestHTTPStoreSendsRequestInOneWrite|TestGzipPooledMatchesFresh' \
+    ./internal/mq ./internal/objstore ./internal/reclog ./internal/metastore ./internal/chunker
 
 # Extra interleavings over the client's parallel transfer pipeline: many
 # writers, overlapping chunks, dedup probes and singleflight coalescing all
