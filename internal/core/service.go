@@ -305,5 +305,5 @@ func (a *API) GetChangesSince(ctx context.Context, workspace string, since uint6
 
 // GetWorkspaces lists the workspaces a user can access (@SyncMethod).
 func (a *API) GetWorkspaces(user string) ([]metastore.Workspace, error) {
-	return a.svc.meta.WorkspacesFor(user), nil
+	return a.svc.meta.WorkspacesFor(user)
 }

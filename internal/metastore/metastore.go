@@ -264,8 +264,8 @@ func (s *Store) CreateWorkspace(ws Workspace) error {
 
 // WorkspacesFor lists the workspaces a user owns or is a member of —
 // the getWorkspaces operation's backing query. Lock-free: it walks the
-// published workspace table.
-func (s *Store) WorkspacesFor(user string) []Workspace {
+// published workspace table, then waits until the WAL holds it.
+func (s *Store) WorkspacesFor(user string) ([]Workspace, error) {
 	var out []Workspace
 	for _, w := range *s.ws.Load() {
 		ws := w.meta
@@ -273,8 +273,11 @@ func (s *Store) WorkspacesFor(user string) []Workspace {
 			out = append(out, ws)
 		}
 	}
+	if err := s.wal.wait(s.wal.end()); err != nil {
+		return nil, err
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return out, nil
 }
 
 // Workspace fetches a workspace by id.

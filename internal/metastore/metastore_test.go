@@ -53,15 +53,15 @@ func TestWorkspacesForOwnerAndMember(t *testing.T) {
 	newWS(t, s, "wsB", "bob")
 	newWS(t, s, "wsC", "carol")
 
-	if got := s.WorkspacesFor("alice"); len(got) != 1 || got[0].ID != "wsA" {
-		t.Fatalf("alice workspaces: %+v", got)
+	if got, err := s.WorkspacesFor("alice"); err != nil || len(got) != 1 || got[0].ID != "wsA" {
+		t.Fatalf("alice workspaces: %+v, %v", got, err)
 	}
-	got := s.WorkspacesFor("bob")
-	if len(got) != 2 || got[0].ID != "wsA" || got[1].ID != "wsB" {
-		t.Fatalf("bob workspaces: %+v", got)
+	got, err := s.WorkspacesFor("bob")
+	if err != nil || len(got) != 2 || got[0].ID != "wsA" || got[1].ID != "wsB" {
+		t.Fatalf("bob workspaces: %+v, %v", got, err)
 	}
-	if got := s.WorkspacesFor("nobody"); len(got) != 0 {
-		t.Fatalf("stranger workspaces: %+v", got)
+	if got, err := s.WorkspacesFor("nobody"); err != nil || len(got) != 0 {
+		t.Fatalf("stranger workspaces: %+v, %v", got, err)
 	}
 }
 
@@ -261,9 +261,9 @@ func TestWALRecovery(t *testing.T) {
 	if !cur.CommittedAt.Equal(fixed) {
 		t.Fatalf("recovery rewrote commit timestamp: %v", cur.CommittedAt)
 	}
-	ws := s2.WorkspacesFor("bob")
-	if len(ws) != 1 || ws[0].ID != "ws" {
-		t.Fatalf("recovered workspaces: %+v", ws)
+	ws, err := s2.WorkspacesFor("bob")
+	if err != nil || len(ws) != 1 || ws[0].ID != "ws" {
+		t.Fatalf("recovered workspaces: %+v, %v", ws, err)
 	}
 	// Recovered store must keep journalling.
 	if _, err := s2.CommitVersion(ver("ws", "f", 3, Modified)); err != nil {
@@ -529,8 +529,8 @@ func TestRecoverMissingWALStartsEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if got := s.WorkspacesFor("anyone"); len(got) != 0 {
-		t.Fatalf("fresh store has workspaces: %+v", got)
+	if got, err := s.WorkspacesFor("anyone"); err != nil || len(got) != 0 {
+		t.Fatalf("fresh store has workspaces: %+v, %v", got, err)
 	}
 }
 

@@ -106,17 +106,22 @@ type Changes struct {
 }
 
 // ChangesSince returns everything committed to the workspace after version
-// since, lock-free at a consistent snapshot. since == 0 always yields a full
-// state reply (a cold client wants the live items, not the whole history);
-// a since below the compaction watermark falls back to full state with Full
-// set; a since at or above the snapshot version returns an empty tail at the
-// snapshot's version.
+// since, lock-free at a consistent snapshot, once the WAL holds it: a
+// writer publishes its snapshot before its records are synced, and a crash
+// must not take back what a reader was shown. since == 0 always yields a
+// full state reply (a cold client wants the live items, not the whole
+// history); a since below the compaction watermark falls back to full state
+// with Full set; a since at or above the snapshot version returns an empty
+// tail at the snapshot's version.
 func (s *Store) ChangesSince(workspace string, since uint64) (Changes, error) {
 	w, ok := s.lookupWS(workspace)
 	if !ok {
 		return Changes{}, fmt.Errorf("metastore: %q: %w", workspace, ErrNoWorkspace)
 	}
 	sn := w.snap.Load()
+	if err := s.wal.wait(s.wal.end()); err != nil {
+		return Changes{}, err
+	}
 	c := Changes{Workspace: workspace, Since: since, Version: sn.version}
 	switch {
 	case since >= sn.version && since > 0:

@@ -19,9 +19,9 @@ import (
 // under its workspace's lock, which fixes per-workspace order, and waits
 // after releasing it; a workspace's record is appended before the
 // workspace is published, so it precedes every commit to it. The first
-// waiter fsyncs every record appended so far with one fsync; committers
-// that arrive meanwhile share the next one, so the fsync amortizes across
-// concurrent commits.
+// waiter syncs every record appended so far at once (reclog.DirectTail);
+// committers that arrive meanwhile share the next sync, so it amortizes
+// across concurrent commits.
 type WAL struct {
 	log *reclog.Writer
 
@@ -150,7 +150,12 @@ func Recover(path string, opts ...Option) (*Store, error) {
 	} else if err != nil {
 		return nil, fmt.Errorf("metastore: open wal: %w", err)
 	}
-	s.wal = newWAL(reclog.MapTail(f), end, s.reg)
+	tail, err := reclog.DirectTail(f)
+	if err != nil {
+		_ = f.Close() // the direct I/O error is the one to report
+		return nil, fmt.Errorf("metastore: open wal: %w", err)
+	}
+	s.wal = newWAL(tail, end, s.reg)
 	return s, nil
 }
 

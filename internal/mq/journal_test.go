@@ -400,7 +400,7 @@ func TestPublishReturnsAfterRecordIsInFile(t *testing.T) {
 type failingTail struct{}
 
 func (failingTail) Map(int64, int) ([]byte, error) { return nil, errors.New("injected: no space left") }
-func (failingTail) Sync() error                    { return nil }
+func (failingTail) Sync(int64) error               { return nil }
 func (failingTail) Close(int64) error              { return nil }
 
 // TestFailedJournalRefusesLaterPublishes pins what a Publish error means.

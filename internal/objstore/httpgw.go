@@ -184,6 +184,9 @@ func NewHandler(store Store, token string) *Handler {
 // ServeHTTP dispatches gateway requests.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if h.token != "" && r.Header.Get("X-Auth-Token") != h.token {
+		// HTTPStore writes a whole request before it reads: a body left unread
+		// would stall it until the server's lingering close resets the conn.
+		_, _ = io.Copy(io.Discard, io.LimitReader(r.Body, maxBatchBody)) // refused either way
 		w.Header().Set(errHeader, "unauthorized")
 		http.Error(w, "unauthorized", http.StatusUnauthorized)
 		return
@@ -449,8 +452,8 @@ func (s *HTTPStore) roundTrip(ctx context.Context, c *gwConn, head, body []byte)
 func (c *gwConn) exchange(head, body []byte) (out []byte, keep bool, err error) {
 	bufs := net.Buffers{head, body}
 	_, werr := bufs.WriteTo(c.Conn)
-	// The gateway may answer from the head alone and close without reading
-	// the body (a refused token), failing the write: read its answer anyway.
+	// A gateway may answer from the head alone and close without reading
+	// the body, failing the write: read its answer anyway.
 	if _, err := c.br.Peek(1); err != nil {
 		return nil, false, fmt.Errorf("objstore: gateway sent %w: %w", errNoResponse, errors.Join(werr, err))
 	}

@@ -172,8 +172,6 @@ func TestHTTPStoreTokenAuth(t *testing.T) {
 	if err := bad.EnsureContainer(ctx, "c"); !errors.Is(err, ErrUnauthorized) {
 		t.Fatalf("wrong token: %v", err)
 	}
-	// The gateway refuses from the head and closes without reading a body
-	// this large, so the client's write fails; the refusal still arrives.
 	if err := bad.PutMulti(ctx, "c", []Object{{Key: "big", Data: make([]byte, 4<<20)}}); !errors.Is(err, ErrUnauthorized) {
 		t.Fatalf("wrong token, 4 MB body: %v", err)
 	}
@@ -183,6 +181,32 @@ func TestHTTPStoreTokenAuth(t *testing.T) {
 	}
 	if err := none.PutMulti(ctx, "c", []Object{{Key: "k"}}); !errors.Is(err, ErrUnauthorized) {
 		t.Fatalf("missing token batch: %v", err)
+	}
+}
+
+// TestHTTPStoreRefusedPutReturnsPromptly: the gateway reads a refused
+// body before it answers, so a refused 8 MB put, more than the loopback
+// socket buffers hold, returns as soon as the body is sent. A gateway that
+// answered from the head and left the body unread stalled the client's
+// write until the server reset the connection after its ~0.5 s lingering
+// close. The fewest of three tries is taken.
+func TestHTTPStoreRefusedPutReturnsPromptly(t *testing.T) {
+	bad := newGateway(t, "secret")
+	bad.token = "wrong"
+	data := make([]byte, 8<<20)
+	fewest := time.Duration(-1)
+	for try := 0; try < 3; try++ {
+		start := time.Now()
+		if err := bad.PutMulti(ctx, "c", []Object{{Key: "big", Data: data}}); !errors.Is(err, ErrUnauthorized) {
+			t.Fatalf("wrong token, 8 MB body: %v", err)
+		}
+		if took := time.Since(start); fewest < 0 || took < fewest {
+			fewest = took
+		}
+	}
+	t.Logf("fastest of three refused 8 MB puts: %v", fewest)
+	if fewest > 250*time.Millisecond {
+		t.Fatalf("the fastest of three refused 8 MB puts took %v, want well under the 0.5 s lingering close", fewest)
 	}
 }
 

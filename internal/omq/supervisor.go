@@ -170,10 +170,7 @@ func (s *Supervisor) loop() {
 	}
 }
 
-// enforceOnce runs one check-and-converge cycle. Exported for experiments
-// driving virtual time step by step.
-func (s *Supervisor) EnforceNow() { s.enforceOnce() }
-
+// enforceOnce runs one check-and-converge cycle.
 func (s *Supervisor) enforceOnce() {
 	info, err := s.broker.ObjectInfo(s.cfg.OID)
 	if err != nil {

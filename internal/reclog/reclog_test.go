@@ -37,7 +37,7 @@ func (m *memFile) Map(off int64, n int) ([]byte, error) {
 	return m.data[off : off+int64(n) : off+int64(n)], nil
 }
 
-func (m *memFile) Sync() error {
+func (m *memFile) Sync(int64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.syncs++
@@ -298,23 +298,61 @@ func TestWriterCloseSyncsStoredRecords(t *testing.T) {
 	}
 }
 
+// directTail returns the direct File over f, failing the test where the
+// file system refuses direct I/O and DirectTail falls back to MapTail.
+func directTail(t *testing.T, f *os.File) File {
+	t.Helper()
+	d, err := DirectTail(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := d.(*tail); ok {
+		t.Fatalf("DirectTail(%s) fell back to a mapped tail: the file system refuses direct I/O", f.Name())
+	}
+	return d
+}
+
 // TestWriterConcurrentAppendWait: many goroutines append and wait. Each
 // Wait returns only once a sync has covered its record, every sync covers
 // every record stored before it began, and the file replays to every
-// record, each writer's in its order.
+// record, each writer's in its order: in memory, where every sync is
+// counted, and through the direct File, which writes only at a sync.
 func TestWriterConcurrentAppendWait(t *testing.T) {
-	const writers, each = 8, 200
-	m, end := newMem()
+	t.Run("mem", func(t *testing.T) {
+		m, end := newMem()
+		syncs := concurrentAppendWait(t, m, end)
+		if m.syncs != syncs || m.maps != 1 {
+			t.Fatalf("%d syncs, %d Syncs of the file, %d maps; want one per sync, one map", syncs, m.syncs, m.maps)
+		}
+		replayWriters(t, writeLog(t, m.data))
+	})
+	t.Run("direct", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "test.log")
+		f, err := Create(path, magic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		concurrentAppendWait(t, directTail(t, f), int64(len(magic)))
+		replayWriters(t, path)
+	})
+}
+
+const appendWaiters, appendWaitEach = 8, 200
+
+// concurrentAppendWait drives appendWaiters goroutines, each appending
+// appendWaitEach records "g:i" to f and waiting on each, then closes the
+// writer and returns how many syncs it made.
+func concurrentAppendWait(t *testing.T, f File, end int64) int {
 	var syncs, synced int // written by the callback, under the writer's mutex
-	w := NewWriter(m, end, true, func(n int) { syncs++; synced += n })
+	w := NewWriter(f, end, true, func(n int) { syncs++; synced += n })
 	var order sync.Mutex // appends in rank order
 	appended := 0
 	var wg sync.WaitGroup
-	for g := 0; g < writers; g++ {
+	for g := 0; g < appendWaiters; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < each; i++ {
+			for i := 0; i < appendWaitEach; i++ {
 				order.Lock()
 				off, err := w.Append([]byte(fmt.Sprintf("%d:%d", g, i)))
 				appended++
@@ -341,11 +379,17 @@ func TestWriterConcurrentAppendWait(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if synced != writers*each || m.syncs != syncs || m.maps != 1 {
-		t.Fatalf("%d records in %d syncs, %d fsyncs, %d maps; want %d records, one fsync per sync, one map",
-			synced, syncs, m.syncs, m.maps, writers*each)
+	if synced != appendWaiters*appendWaitEach {
+		t.Fatalf("%d records synced, want %d", synced, appendWaiters*appendWaitEach)
 	}
-	next := make([]int, writers)
+	return syncs
+}
+
+// replayWriters replays the log concurrentAppendWait wrote at path and
+// checks that every writer's records are there, in its order.
+func replayWriters(t *testing.T, path string) {
+	t.Helper()
+	next := make([]int, appendWaiters)
 	record := func(p []byte, _ int64) bool {
 		var g, i int
 		if _, err := fmt.Sscanf(string(p), "%d:%d", &g, &i); err != nil || i != next[g] {
@@ -354,27 +398,35 @@ func TestWriterConcurrentAppendWait(t *testing.T) {
 		next[g]++
 		return true
 	}
-	openT(t, writeLog(t, m.data), record)
+	openT(t, path, record)
 	for g, n := range next {
-		if n != each {
-			t.Fatalf("writer %d: %d records replayed, want %d", g, n, each)
+		if n != appendWaitEach {
+			t.Fatalf("writer %d: %d records replayed, want %d", g, n, appendWaitEach)
 		}
 	}
 }
 
-// TestWriterCrossesWindows: goroutines append to one mapped file at once,
-// records of up to a quarter window and, among them, some larger than a
-// window, so the tail is remapped several times, once for a record that
-// needs a window of its own length. Every record replays whole and in
-// each writer's order.
+// TestWriterCrossesWindows: goroutines append to one file at once, records
+// of up to a quarter window and, among them, some larger than a window, so
+// the tail is remapped several times, once for a record that needs a
+// window of its own length. Every record replays whole and in each
+// writer's order. Through the direct File the writer is durable and every
+// other record is waited on, so syncs run beside the grows.
 func TestWriterCrossesWindows(t *testing.T) {
+	t.Run("mapped", func(t *testing.T) { crossWindows(t, MapTail, false) })
+	t.Run("direct", func(t *testing.T) {
+		crossWindows(t, func(f *os.File) File { return directTail(t, f) }, true)
+	})
+}
+
+func crossWindows(t *testing.T, tail func(*os.File) File, durable bool) {
 	const writers, each, big = 3, 8, 5
 	path := filepath.Join(t.TempDir(), "test.log")
 	f, err := Create(path, magic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := NewWriter(MapTail(f), int64(len(magic)), false, nil)
+	w := NewWriter(tail(f), int64(len(magic)), durable, nil)
 	size := func(g, i int) int {
 		if i == big {
 			return window + 1000*g + 1
@@ -389,7 +441,11 @@ func TestWriterCrossesWindows(t *testing.T) {
 			for i := 0; i < each; i++ {
 				p := bytes.Repeat([]byte{byte(g*31 + i)}, size(g, i))
 				p[0], p[1] = byte(g), byte(i)
-				if _, err := w.Append(p); err != nil {
+				off, err := w.Append(p)
+				if err == nil && durable && i%2 == 1 {
+					err = w.Wait(off)
+				}
+				if err != nil {
 					t.Error(err)
 					return
 				}

@@ -10,9 +10,11 @@ import (
 func MapTail(f *os.File) File { return &tail{File: f} }
 
 type tail struct {
-	*os.File        // Sync is the file's own fsync
-	win      []byte // the current mapping, if any
+	*os.File
+	win []byte // the current mapping, if any
 }
+
+func (t *tail) Sync(int64) error { return t.File.Sync() } // writes back every page stored to
 
 func (t *tail) Close(end int64) error {
 	return errors.Join(t.unmap(), t.Truncate(end), t.File.Close())

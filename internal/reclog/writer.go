@@ -9,14 +9,17 @@ import (
 )
 
 // File is the seam a Writer appends through: the mapped tail of a log file
-// (MapTail), or a test's stand-in.
+// (MapTail), an aligned buffer written out with direct I/O (DirectTail), or
+// a test's stand-in. The Writer never calls two of its methods at once.
 type File interface {
 	// Map preallocates the file's bytes [off, off+n), off page-aligned, and
-	// returns them mapped writable in place of the window it returned last.
+	// returns a window onto them, holding what is stored there already, in
+	// place of the one it returned last.
 	Map(off int64, n int) ([]byte, error)
-	// Sync makes everything stored through the mappings durable.
-	Sync() error
-	// Close drops the mapping, cuts the file at end and closes it.
+	// Sync makes everything stored through the windows, up to end, durable.
+	Sync(end int64) error
+	// Close writes out what is stored before end and not yet in the file,
+	// drops the window, cuts the file at end and closes it.
 	Close(end int64) error
 }
 
@@ -34,12 +37,12 @@ const window = 4 << 20
 
 var pageSize = int64(os.Getpagesize())
 
-// Writer appends records to a log by framing each into a shared mapping of
-// the file's preallocated tail under its mutex, which fixes their order. A
-// record is in the page cache, so in the file, once Append returns: it
-// survives a crash of the process. A durable writer's Wait(off) also makes
-// it survive a crash of the machine: with no sync running the caller
-// becomes the syncer, one fsync for every record stored so far, and
+// Writer appends records to a log by framing each into a window of the
+// file's preallocated tail under its mutex, which fixes their order. Through
+// MapTail a record is in the page cache, so in the file, once Append
+// returns: it survives a crash of the process. A durable writer's Wait(off)
+// also makes it survive a crash of the machine: with no sync running the
+// caller becomes the syncer, one Sync for every record stored so far, and
 // otherwise it shares the next one. The first grow or sync error is sticky:
 // every later Append and Wait returns it, since what follows a record the
 // kernel may have dropped must not be acknowledged.
@@ -78,19 +81,24 @@ func (w *Writer) Append(parts ...[]byte) (int64, error) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.err != nil {
-		return 0, w.err
-	}
 	// The room Frame grows its buffer by, so it frames in place.
-	if room := int64(binary.MaxVarintLen64 + size + 4); w.end+room > w.base+int64(len(w.win)) {
+	room := int64(binary.MaxVarintLen64 + size + 4)
+	for w.err == nil && w.end+room > w.base+int64(len(w.win)) {
+		if w.syncing {
+			w.cond.Wait() // the running Sync may be reading the window Map drops
+			continue
+		}
 		base := w.end &^ (pageSize - 1)
 		n := max(window, (w.end-base+room+pageSize-1)&^(pageSize-1))
 		win, err := w.f.Map(base, int(n))
 		if err != nil {
 			w.win, w.err = nil, fmt.Errorf("reclog: grow: %w", err)
-			return 0, w.err
+			break
 		}
 		w.win, w.base = win, base
+	}
+	if w.err != nil {
+		return 0, w.err
 	}
 	i := w.end - w.base
 	rec := Frame(w.win[i:i], parts...)
@@ -154,7 +162,7 @@ func (w *Writer) Wait(off int64) error {
 		to, records := w.end, w.records
 		w.records = 0
 		w.mu.Unlock()
-		err := w.f.Sync()
+		err := w.f.Sync(to)
 		w.mu.Lock()
 		if err != nil {
 			w.err = fmt.Errorf("reclog: sync: %w", err)

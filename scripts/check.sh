@@ -18,9 +18,11 @@ fi
 echo "==> go build ./..."
 go build ./...
 
-# The record logs append through a mapped, fallocate'd tail, which needs
-# Linux; elsewhere the writer's grow fails with an error naming the
-# platform, and replay still works. The tree must still build there.
+# The record logs append through a fallocate'd tail, mapped or written
+# with direct I/O, which needs Linux; elsewhere DirectTail is MapTail
+# (internal/reclog/direct_other.go), the writer's grow fails with an error
+# naming the platform, and replay still works. The tree must still build
+# there.
 echo "==> go build ./... for darwin and windows"
 GOOS=darwin go build ./...
 GOOS=windows go build ./...
@@ -69,11 +71,15 @@ go test -race -count=20 -run '^(TestNotificationPublishedBeforeRequestAcked|Test
 # a window already moved on would hide, and the writer is where an oversize
 # frame must be dropped alone (TestNetworkOversizeReplyFailsOneCall). The
 # record log's writer (concurrent Append/Wait, one syncer at a time with its
-# mutex released across each fsync; appends from goroutines across several
-# remapped windows of the tail, with ReadAt beside them; one opener per log)
-# and the metadata WAL's group commit on it are where a lost wake, a record
-# stored into a stale window or an acknowledgement ahead of the fsync would
-# hide; concurrent workspace creation beside first commits is where a
+# mutex released across each sync; appends from goroutines across several
+# windows of the tail, with ReadAt beside them; one opener per log), over
+# the mapped tail and over the WAL's direct File too (the "direct" subtests
+# of TestWriterConcurrentAppendWait and TestWriterCrossesWindows, where a
+# grow must wait out a sync still writing from the old window), and the
+# metadata WAL's group commit on it are where a lost wake, a record stored
+# into a stale window or an acknowledgement ahead of the sync would hide; a
+# copy of the WAL taken amid commits must recover every commit acknowledged
+# before it (TestAbandonedWALKeepsWaitedCommits); concurrent workspace creation beside first commits is where a
 # commit's record could reach the WAL ahead of its workspace's, and a Close
 # amid commits where a write could follow the log's close. HTTPStore's own
 # connection pool (reuse, the one retry of a connection the gateway closed,
@@ -82,7 +88,7 @@ go test -race -count=20 -run '^(TestNotificationPublishedBeforeRequestAcked|Test
 # must emit a fresh one's bytes from any goroutine) are shared by every
 # transfer worker of a device: twenty race-enabled passes over all of them.
 echo "==> server write path, chunk log, record-log writer, WAL group commit, gateway client, gzip pool (race, 20x)"
-go test -race -count=20 -run 'TestNetwork|TestDiskServesFreshObjectsFromWindow|TestDiskConcurrentPutGet|TestWriterConcurrentAppendWait|TestWriterCrossesWindows|TestWriterReadAtAcrossWindows|TestSecondOpenOfLiveLogIsRefused|TestWALGroupCommitConcurrent|TestCreateLoggedBeforeFirstCommit|TestCloseWaitsOutWriters|TestHTTPStoreReusesConnections|TestHTTPStoreRetriesStaleConnection|TestHTTPStoreCancelMidFlight|TestHTTPStoreSendsRequestInOneWrite|TestGzipPooledMatchesFresh' \
+go test -race -count=20 -run 'TestNetwork|TestDiskServesFreshObjectsFromWindow|TestDiskConcurrentPutGet|TestWriterConcurrentAppendWait|TestWriterCrossesWindows|TestWriterReadAtAcrossWindows|TestSecondOpenOfLiveLogIsRefused|TestWALGroupCommitConcurrent|TestAbandonedWALKeepsWaitedCommits|TestCreateLoggedBeforeFirstCommit|TestCloseWaitsOutWriters|TestHTTPStoreReusesConnections|TestHTTPStoreRetriesStaleConnection|TestHTTPStoreCancelMidFlight|TestHTTPStoreSendsRequestInOneWrite|TestGzipPooledMatchesFresh' \
     ./internal/mq ./internal/objstore ./internal/reclog ./internal/metastore ./internal/chunker
 
 # Extra interleavings over the client's parallel transfer pipeline: many
