@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -217,8 +218,10 @@ func commitWorkload(b *testing.B, parallel bool) {
 		nCommits    = 16
 	)
 	var writes, written, faults int64 // write calls, bytes and minor faults while timed
+	var held int64                    // heap the stores hold after their commits
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
+		heap0 := heapAfterGC()
 		st, err := metastore.Recover(filepath.Join(b.TempDir(), "wal.log"))
 		if err != nil {
 			b.Fatal(err)
@@ -283,6 +286,7 @@ func commitWorkload(b *testing.B, parallel bool) {
 		writes += obs.ProcessIO("syscw") - writes0
 		written += obs.ProcessIO("write_bytes") - written0
 		faults += obs.MinorFaults() - faults0
+		held += heapAfterGC() - heap0
 		if err := st.Close(); err != nil {
 			b.Fatal(err)
 		}
@@ -294,6 +298,15 @@ func commitWorkload(b *testing.B, parallel bool) {
 	b.ReportMetric(float64(writes)/total, "writes/commit")
 	b.ReportMetric(float64(written)/total, "write_B/commit")
 	b.ReportMetric(float64(faults)/total, "minflt/commit")
+	b.ReportMetric(float64(held)/total, "heapB/version")
+}
+
+// heapAfterGC is the live heap once a collection has run.
+func heapAfterGC() int64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
 }
 
 // BenchmarkCommitParallelWorkspaces measures the metadata commit hot path:
@@ -303,7 +316,9 @@ func commitWorkload(b *testing.B, parallel bool) {
 // writes/commit counts the process's write calls, write_B/commit the bytes
 // it is charged for writing and minflt/commit its minor faults while timed:
 // each WAL sync is one direct write of the dirty sectors, a sector or two,
-// and the WAL's buffer faults once per new page of records.
+// and the WAL's buffer faults once per new page of records. heapB/version
+// is the heap the store holds after its commits, per committed version: its
+// change log and each item's current version.
 func BenchmarkCommitParallelWorkspaces(b *testing.B) {
 	b.Run("serial", func(b *testing.B) { commitWorkload(b, false) })
 	b.Run("parallel", func(b *testing.B) { commitWorkload(b, true) })

@@ -284,8 +284,9 @@ type ChangesReply struct {
 
 // GetChangesSince is the incremental form of getChanges (@SyncMethod): a
 // reconnecting client sends the last workspace version it synced and receives
-// only the versions committed after it. The read is a lock-free MVCC snapshot
-// at the metastore, so a reconnect storm never stalls the commit hot path.
+// only the versions committed after it. The read is an MVCC snapshot at the
+// metastore, taken without the workspace's writer lock, so a reconnect storm
+// never stalls the commit hot path.
 func (a *API) GetChangesSince(ctx context.Context, workspace string, since uint64) (ChangesReply, error) {
 	span := a.svc.obsTracer().StartFromContext(ctx, "metastore.changesSince")
 	span.Annotate("workspace", workspace)

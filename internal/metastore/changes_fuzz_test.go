@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 	"time"
 )
@@ -50,20 +49,6 @@ func FuzzChangesSince(f *testing.F) {
 				Version: next, Status: status, Checksum: fmt.Sprintf("c%d", next),
 			}
 		}
-		live := func() []ItemVersion {
-			last := make(map[string]ItemVersion, items)
-			for _, v := range log {
-				last[v.ItemID] = v
-			}
-			var out []ItemVersion
-			for _, v := range last {
-				if v.Status != Deleted {
-					out = append(out, v)
-				}
-			}
-			sort.Slice(out, func(i, j int) bool { return out[i].ItemID < out[j].ItemID })
-			return out
-		}
 		sameItems := func(got, want []ItemVersion) bool {
 			if len(got) != len(want) {
 				return false
@@ -78,10 +63,11 @@ func FuzzChangesSince(f *testing.F) {
 		checkRead := func(since uint64) {
 			t.Helper()
 			version := uint64(len(log))
-			wm, err := s.CompactWatermark("ws")
+			sn, err := s.snapshotOf("ws")
 			if err != nil {
 				t.Fatal(err)
 			}
+			wm := sn.logStart
 			ch, err := s.ChangesSince("ws", since)
 			if err != nil {
 				t.Fatalf("ChangesSince(%d): %v", since, err)
@@ -91,9 +77,9 @@ func FuzzChangesSince(f *testing.F) {
 			}
 			switch {
 			case since == 0 || since > version || since < wm:
-				if !ch.Full || !sameItems(ch.Items, live()) {
+				if !ch.Full || !sameItems(ch.Items, foldLive(log)) {
 					t.Fatalf("ChangesSince(%d) full reply diverges (wm=%d, v=%d)\n got:  %+v\n want: %+v",
-						since, wm, version, ch.Items, live())
+						since, wm, version, ch.Items, foldLive(log))
 				}
 			case since == version:
 				if ch.Full || len(ch.Items) != 0 {
@@ -143,7 +129,8 @@ func FuzzChangesSince(f *testing.F) {
 				}
 			case 2: // force-compact
 				keep := int(arg) % 8
-				before, _ := s.CompactWatermark("ws")
+				sn, _ := s.snapshotOf("ws")
+				before := sn.logStart
 				wm, err := s.CompactLog("ws", keep)
 				if err != nil {
 					t.Fatalf("compact: %v", err)

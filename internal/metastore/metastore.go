@@ -1,5 +1,5 @@
 // Package metastore is the Metadata back-end substrate (paper: PostgreSQL
-// 9.1). It stores workspaces and per-item version chains and gives the
+// 9.1). It stores workspaces and each item's current version and gives the
 // SyncService the one property Algorithm 1 leans on: the version-precedence
 // check and the write of the new version commit atomically, so concurrent
 // commitRequests over the same version serialize into one winner and one
@@ -12,10 +12,13 @@
 // makes committed state durable; concurrent committers share its
 // group-commit flush (see wal.go).
 //
-// Reads never take a lock: the workspace table and every workspace's
+// Reads take no workspace lock: the workspace table and every workspace's
 // immutable MVCC snapshot (copy-on-write item table + append-only change
 // log) are published through atomic pointers, the snapshot installed by
-// its writer with one pointer swap — see mvcc.go and DESIGN §16.
+// its writer with one pointer swap — see mvcc.go and DESIGN §16. The two
+// reads the SyncService serves, ChangesSince and WorkspacesFor, then wait
+// for the WAL, taking its writer's mutex: a writer publishes before its
+// records are synced, and a reader must not see what a crash takes back.
 package metastore
 
 import (
@@ -86,19 +89,12 @@ var (
 	ErrWorkspaceExists = errors.New("metastore: workspace exists")
 	ErrNoWorkspace     = errors.New("metastore: workspace not found")
 	ErrVersionConflict = errors.New("metastore: version conflict")
-	ErrNoItem          = errors.New("metastore: item not found")
 	ErrClosed          = errors.New("metastore: store closed")
 	ErrMixedBatch      = errors.New("metastore: batch spans workspaces")
 	// ErrTxAborted is a transient, injected transaction rollback: the commit
 	// was not applied and may be retried verbatim.
 	ErrTxAborted = errors.New("metastore: transaction aborted")
 )
-
-type itemChain struct {
-	versions []ItemVersion // ascending by Version
-}
-
-func (c *itemChain) current() ItemVersion { return c.versions[len(c.versions)-1] }
 
 // Store is the metadata database.
 type Store struct {
@@ -117,10 +113,8 @@ type Store struct {
 	fkeys faults.Keyer
 
 	// MVCC bookkeeping, maintained whether or not a registry is attached:
-	// compactRuns counts compactions, logEntries tracks the summed
-	// change-log length, lastInstall the newest snapshot's install time
-	// (unix nanos; 0 before the first commit).
-	compactRuns atomic.Uint64
+	// logEntries tracks the summed change-log length, lastInstall the newest
+	// snapshot's install time (unix nanos; 0 before the first commit).
 	logEntries  atomic.Int64
 	lastInstall atomic.Int64
 
@@ -222,9 +216,6 @@ func NewStore(opts ...Option) *Store {
 	return s
 }
 
-// Compactions reports how many change-log compactions have run.
-func (s *Store) Compactions() uint64 { return s.compactRuns.Load() }
-
 // lookupWS resolves a workspace without taking any lock.
 func (s *Store) lookupWS(workspace string) (*wsState, bool) {
 	w, ok := (*s.ws.Load())[workspace]
@@ -263,8 +254,9 @@ func (s *Store) CreateWorkspace(ws Workspace) error {
 }
 
 // WorkspacesFor lists the workspaces a user owns or is a member of —
-// the getWorkspaces operation's backing query. Lock-free: it walks the
-// published workspace table, then waits until the WAL holds it.
+// the getWorkspaces operation's backing query. It walks the published
+// workspace table without the store mutex, then waits until the WAL holds
+// it, as ChangesSince does.
 func (s *Store) WorkspacesFor(user string) ([]Workspace, error) {
 	var out []Workspace
 	for _, w := range *s.ws.Load() {
@@ -293,15 +285,15 @@ func (s *Store) Workspace(id string) (Workspace, error) {
 // item has never been committed (Algorithm 1 line 4). Lock-free snapshot
 // read.
 func (s *Store) Current(workspace, itemID string) (ItemVersion, bool, error) {
-	w, ok := s.lookupWS(workspace)
-	if !ok {
-		return ItemVersion{}, false, fmt.Errorf("metastore: %q: %w", workspace, ErrNoWorkspace)
+	sn, err := s.snapshotOf(workspace)
+	if err != nil {
+		return ItemVersion{}, false, err
 	}
-	chain, ok := w.snap.Load().items[itemID]
+	cur, ok := sn.items[itemID]
 	if !ok {
 		return ItemVersion{}, false, nil
 	}
-	return chain.current(), true, nil
+	return *cur, true, nil
 }
 
 // write runs fn as its workspace's one writer. Every write takes this
@@ -407,23 +399,6 @@ func (s *Store) CommitBatch(proposals []ItemVersion) ([]BatchResult, error) {
 	return results, nil
 }
 
-// History returns the full version chain of an item, oldest first.
-// Lock-free snapshot read: the chain structs are immutable, so the copy is
-// taken from a stable view.
-func (s *Store) History(workspace, itemID string) ([]ItemVersion, error) {
-	w, ok := s.lookupWS(workspace)
-	if !ok {
-		return nil, fmt.Errorf("metastore: %q: %w", workspace, ErrNoWorkspace)
-	}
-	chain, ok := w.snap.Load().items[itemID]
-	if !ok {
-		return nil, fmt.Errorf("metastore: %s/%s: %w", workspace, itemID, ErrNoItem)
-	}
-	out := make([]ItemVersion, len(chain.versions))
-	copy(out, chain.versions)
-	return out, nil
-}
-
 // State returns the latest version of every non-deleted item in a
 // workspace — the costly getChanges snapshot clients fetch at startup.
 // Lock-free: the whole reply is computed from one immutable snapshot, so a
@@ -434,16 +409,6 @@ func (s *Store) State(workspace string) ([]ItemVersion, error) {
 		return nil, err
 	}
 	return sn.live(), nil
-}
-
-// StateAt returns the live state together with the workspace version it is
-// consistent at — what a client records as its resync cursor.
-func (s *Store) StateAt(workspace string) ([]ItemVersion, uint64, error) {
-	sn, err := s.snapshotOf(workspace)
-	if err != nil {
-		return nil, 0, err
-	}
-	return sn.live(), sn.version, nil
 }
 
 // CommitVersionOf reports the workspace's current committed version counter.
@@ -462,15 +427,6 @@ func (s *Store) snapshotOf(workspace string) (*snapshot, error) {
 		return nil, fmt.Errorf("metastore: %q: %w", workspace, ErrNoWorkspace)
 	}
 	return w.snap.Load(), nil
-}
-
-// ItemCount reports the number of live (non-deleted) items in a workspace.
-func (s *Store) ItemCount(workspace string) (int, error) {
-	state, err := s.State(workspace)
-	if err != nil {
-		return 0, err
-	}
-	return len(state), nil
 }
 
 // Close syncs the WAL and rejects further writes. It first waits out every

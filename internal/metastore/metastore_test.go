@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -29,6 +30,34 @@ func ver(ws, item string, v uint64, status Status) ItemVersion {
 		Size:      100,
 		Chunks:    []string{"fp-" + item + fmt.Sprint(v)},
 	}
+}
+
+// snap returns the workspace's current snapshot.
+func snap(t *testing.T, s *Store, ws string) *snapshot {
+	t.Helper()
+	sn, err := s.snapshotOf(ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sn
+}
+
+// logged returns the versions of item in the workspace's change log, in
+// commit order: every version it ever committed, since the test first
+// checks that the log still reaches back to the workspace's creation.
+func logged(t *testing.T, s *Store, ws, item string) []ItemVersion {
+	t.Helper()
+	sn := snap(t, s, ws)
+	if sn.logStart != 0 {
+		t.Fatalf("%s: change log starts after v%d, not at creation", ws, sn.logStart)
+	}
+	var out []ItemVersion
+	for _, v := range sn.log {
+		if v.ItemID == item {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 func TestWorkspaceLifecycle(t *testing.T) {
@@ -142,15 +171,20 @@ func TestFirstCommitterWinsUnderConcurrency(t *testing.T) {
 	}
 }
 
-func TestHistoryAndState(t *testing.T) {
+// TestStateAndChangeLog: State holds each live item's latest version, and
+// the change log every acknowledged version in commit order.
+func TestStateAndChangeLog(t *testing.T) {
 	s := NewStore()
 	defer s.Close()
 	newWS(t, s, "ws", "alice")
+	var acked []ItemVersion
 	mustCommit := func(v ItemVersion) {
 		t.Helper()
-		if _, err := s.CommitVersion(v); err != nil {
+		c, err := s.CommitVersion(v)
+		if err != nil {
 			t.Fatal(err)
 		}
+		acked = append(acked, c)
 	}
 	mustCommit(ver("ws", "a", 1, Added))
 	mustCommit(ver("ws", "a", 2, Modified))
@@ -158,12 +192,8 @@ func TestHistoryAndState(t *testing.T) {
 	mustCommit(ver("ws", "c", 1, Added))
 	mustCommit(ver("ws", "c", 2, Deleted))
 
-	hist, err := s.History("ws", "a")
-	if err != nil || len(hist) != 2 || hist[0].Version != 1 || hist[1].Version != 2 {
-		t.Fatalf("history: %+v, %v", hist, err)
-	}
-	if _, err := s.History("ws", "ghost"); !errors.Is(err, ErrNoItem) {
-		t.Fatalf("ghost history: %v", err)
+	if sn := snap(t, s, "ws"); sn.logStart != 0 || !reflect.DeepEqual(sn.log, acked) {
+		t.Fatalf("change log from v%d: %+v, want %+v", sn.logStart, sn.log, acked)
 	}
 
 	// State excludes the deleted item and returns latest versions.
@@ -174,12 +204,8 @@ func TestHistoryAndState(t *testing.T) {
 	if len(state) != 2 {
 		t.Fatalf("state has %d items, want 2: %+v", len(state), state)
 	}
-	if state[0].ItemID != "a" || state[0].Version != 2 || state[1].ItemID != "b" {
+	if !reflect.DeepEqual(state, []ItemVersion{acked[1], acked[2]}) {
 		t.Fatalf("state: %+v", state)
-	}
-	n, err := s.ItemCount("ws")
-	if err != nil || n != 2 {
-		t.Fatalf("item count = %d, %v", n, err)
 	}
 }
 
@@ -298,23 +324,29 @@ func TestWALGroupCommitConcurrent(t *testing.T) {
 	for w := 0; w < workspaces; w++ {
 		newWS(t, s, fmt.Sprint("ws", w), "u")
 	}
+	acked := make([][]ItemVersion, workspaces*perWS)
 	var wg sync.WaitGroup
-	for c := 0; c < workspaces*perWS; c++ {
+	for c := range acked {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
 			ws, item := fmt.Sprint("ws", c%workspaces), fmt.Sprint("item", c)
 			for v := uint64(1); v <= each; v++ {
 				var err error
+				var got ItemVersion
 				if v%2 == 0 {
-					_, err = s.CommitVersion(ver(ws, item, v, Modified))
+					got, err = s.CommitVersion(ver(ws, item, v, Modified))
 				} else {
-					_, err = s.CommitBatch([]ItemVersion{ver(ws, item, v, Modified)})
+					var res []BatchResult
+					if res, err = s.CommitBatch([]ItemVersion{ver(ws, item, v, Modified)}); err == nil {
+						got = res[0].Version
+					}
 				}
 				if err != nil {
 					t.Errorf("%s/%s v%d: %v", ws, item, v, err)
 					return
 				}
+				acked[c] = append(acked[c], got)
 			}
 		}(c)
 	}
@@ -332,11 +364,10 @@ func TestWALGroupCommitConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rec.Close()
-	for c := 0; c < workspaces*perWS; c++ {
+	for c, want := range acked {
 		ws, item := fmt.Sprint("ws", c%workspaces), fmt.Sprint("item", c)
-		h, err := rec.History(ws, item)
-		if err != nil || len(h) != each || h[each-1].Version != each {
-			t.Fatalf("%s/%s: recovered %d versions, %v", ws, item, len(h), err)
+		if got := logged(t, rec, ws, item); len(want) != each || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s/%s: recovered %+v, acknowledged %+v", ws, item, got, want)
 		}
 	}
 }
@@ -454,11 +485,14 @@ func TestCloseWaitsOutWriters(t *testing.T) {
 
 // TestReplayedProposalAppendsNothing: a proposal that comes back after it
 // committed (a client retransmit, an MQ redelivery) is re-acknowledged
-// without a second WAL record or a second fsync'd record.
+// without a second WAL record or a second fsync'd record, both while it is
+// the item's current version and after another device committed over it:
+// the store finds the earlier version in its change log.
 func TestReplayedProposalAppendsNothing(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "meta.wal")
+	now := WithNow(func() time.Time { return time.Unix(1700000000, 0).UTC() })
 	reg := obs.NewRegistry()
-	s, err := Recover(path, WithRegistry(reg))
+	s, err := Recover(path, now, WithRegistry(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,39 +503,51 @@ func TestReplayedProposalAppendsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	end := s.wal.log.End()
-	for i := 0; i < 4; i++ {
-		res, err := s.CommitBatch([]ItemVersion{v})
-		if err != nil || !res[0].Committed {
-			t.Fatalf("replay %d: %+v, %v", i, res, err)
+	replay := func(what string) {
+		t.Helper()
+		end := s.wal.log.End()
+		for i := 0; i < 4; i++ {
+			res, err := s.CommitBatch([]ItemVersion{v})
+			if err != nil || !res[0].Committed || !reflect.DeepEqual(res[0].Version, v1) {
+				t.Fatalf("replay %d %s: %+v, %v", i, what, res, err)
+			}
+		}
+		if got := s.wal.log.End(); got != end {
+			t.Fatalf("replays %s grew the WAL from %d to %d B", what, end, got)
 		}
 	}
-	if got := s.wal.log.End(); got != end {
-		t.Fatalf("replays grew the WAL from %d to %d B", end, got)
+	replay("at the current version")
+	w2 := ver("ws", "f", 2, Modified)
+	w2.DeviceID = "d2"
+	v2, err := s.CommitVersion(w2)
+	if err != nil {
+		t.Fatal(err)
 	}
+	replay("behind the current version")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.CounterValue("metastore_wal_records_total"); got != 2 {
-		t.Fatalf("%d WAL records, want 2 (the workspace and v1)", got)
+	if got := reg.CounterValue("metastore_wal_records_total"); got != 3 {
+		t.Fatalf("%d WAL records, want 3 (the workspace, v1 and v2)", got)
 	}
 	// A log written while replays still appended holds such duplicates:
 	// recovery reads past one.
-	rec := recoverT(t, path)
-	if h, err := rec.History("ws", "f"); err != nil || len(h) != 1 {
-		t.Fatalf("recovered history %+v, %v", h, err)
+	rec := recoverT(t, path, now)
+	if got := logged(t, rec, "ws", "f"); !reflect.DeepEqual(got, []ItemVersion{v1, v2}) {
+		t.Fatalf("recovered %+v", got)
 	}
 	if err := rec.wal.append(walVersion, &v1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rec.CommitVersion(ver("ws", "f", 2, Modified)); err != nil {
+	v3, err := rec.CommitVersion(ver("ws", "f", 3, Modified))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if h, err := recoverT(t, path).History("ws", "f"); err != nil || len(h) != 2 {
-		t.Fatalf("history recovered past a duplicate record: %+v, %v", h, err)
+	if got := logged(t, recoverT(t, path, now), "ws", "f"); !reflect.DeepEqual(got, []ItemVersion{v1, v2, v3}) {
+		t.Fatalf("recovered past a duplicate record: %+v", got)
 	}
 }
 
@@ -545,5 +591,57 @@ func TestCommitToUnknownWorkspaceFails(t *testing.T) {
 	}
 	if _, err := s.State("ghost"); !errors.Is(err, ErrNoWorkspace) {
 		t.Fatalf("state of missing workspace: %v", err)
+	}
+}
+
+// heapAfterGC is the live heap once a collection has run.
+func heapAfterGC() int64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
+}
+
+// TestHeapTracksLiveItemsNotVersions: the store holds each item's current
+// version and a change log bounded by its retention, not every version ever
+// committed. 10^5 versions of 100 items, committed in batches of 100 (about
+// 19 MB when every version stayed), leave the heap under the bound, and so
+// does the Recover that replays their WAL.
+func TestHeapTracksLiveItemsNotVersions(t *testing.T) {
+	const items, versions, bound = 100, 100_000, 6 << 20
+	path := filepath.Join(t.TempDir(), "meta.wal")
+	base := heapAfterGC()
+	s, err := Recover(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newWS(t, s, "ws", "u")
+	batch := make([]ItemVersion, items)
+	for n := uint64(1); n <= versions/items; n++ {
+		for i := range batch {
+			fp := fmt.Sprintf("%040x", n*items+uint64(i))
+			batch[i] = ItemVersion{
+				Workspace: "ws", ItemID: fmt.Sprintf("item-%03d", i), Path: fmt.Sprintf("/dir/file-%03d.txt", i),
+				Version: n, Status: Modified, Size: 1024, Chunks: []string{fp}, Checksum: fp, DeviceID: "dev",
+			}
+		}
+		if _, err := s.CommitBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if grew := heapAfterGC() - base; grew > bound {
+		t.Fatalf("heap grew %d B over %d versions of %d items, bound %d B", grew, versions, items, bound)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	base = heapAfterGC()
+	rec := recoverT(t, path)
+	if grew := heapAfterGC() - base; grew > bound {
+		t.Fatalf("heap grew %d B replaying %d versions of %d items, bound %d B", grew, versions, items, bound)
+	}
+	if v, err := rec.CommitVersionOf("ws"); err != nil || v != versions {
+		t.Fatalf("recovered version %d, %v", v, err)
 	}
 }

@@ -1,27 +1,29 @@
 package metastore
 
 // MVCC read path (DESIGN §16). Every workspace keeps an immutable snapshot —
-// a copy-on-write item table plus an append-only change log — published
-// through one atomic pointer. The workspace's one writer builds the next
-// snapshot under the workspace's lock and installs it with a single pointer
-// swap, so a CommitBatch becomes visible all-or-nothing; readers (State,
-// Current, History, ChangesSince) load the pointer and walk structures that
-// will never mutate beneath them, acquiring no lock at all. A reconnecting client replays the
-// log tail ("changes since v") instead of re-scanning the workspace; once
-// the requested version has been compacted away, the reply falls back to the
-// full live state and says so.
+// a copy-on-write item table holding each item's current version, plus an
+// append-only change log — published through one atomic pointer. The
+// workspace's one writer builds the next snapshot under the workspace's
+// lock and installs it with a single pointer swap, so a CommitBatch becomes
+// visible all-or-nothing; readers (State, Current, ChangesSince) load the
+// pointer and walk structures that will never mutate beneath them, taking
+// no workspace lock. ChangesSince then waits on the WAL, which takes the
+// record log writer's mutex (see ChangesSince). A reconnecting client
+// replays the log tail ("changes since v") instead of re-scanning the
+// workspace; once the requested version has been compacted away, the reply
+// falls back to the full live state and says so.
 //
-// Immutability fine print: successive snapshots share backing arrays. A
-// writer appends the next version at index len(slice) of the newest
-// snapshot's chain/log slice; every published snapshot's slice header bounds
-// readers to [0, len), so the append touches memory no reader of an older
-// snapshot can reach, and the atomic pointer store publishing the new
-// snapshot is the happens-before edge that makes the appended element
-// visible to its readers. Compaction copies the retained tail into a fresh
-// array, after which the old one is never extended again.
+// Immutability fine print: successive snapshots share the log's backing
+// array. A writer appends the next entry at index len(log) of the newest
+// snapshot's log; every published snapshot's slice header bounds readers to
+// [0, len), so the append touches memory no reader of an older snapshot can
+// reach, and the atomic pointer store publishing the new snapshot is the
+// happens-before edge that makes the appended element visible to its
+// readers. Compaction copies the retained tail into a fresh array, after
+// which the old one is never extended again.
 
 import (
-	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -42,29 +44,30 @@ func WithLogRetention(n int) Option {
 }
 
 // snapshot is one immutable read view of a workspace. version counts every
-// committed ItemVersion since workspace creation; log holds the entries
-// (logStart, version] in commit order, so entry i carries workspace version
-// logStart+1+i. Versions at or below logStart have been compacted away.
+// committed ItemVersion since workspace creation; items maps each ItemID to
+// its current version, held by pointer so the per-commit table copy copies
+// pointers; log holds the entries (logStart, version] in commit order, so
+// entry i carries workspace version logStart+1+i. Versions at or below
+// logStart have been compacted away.
 type snapshot struct {
 	version  uint64
 	logStart uint64
-	items    map[string]*itemChain
+	items    map[string]*ItemVersion
 	log      []ItemVersion
 }
 
 // emptySnapshot is the version-0 view every workspace starts from.
 func emptySnapshot() *snapshot {
-	return &snapshot{items: make(map[string]*itemChain)}
+	return &snapshot{items: make(map[string]*ItemVersion)}
 }
 
-// live returns the latest version of every non-deleted item, sorted by
+// live returns the current version of every non-deleted item, sorted by
 // ItemID — the full-state reply.
 func (sn *snapshot) live() []ItemVersion {
 	var out []ItemVersion
-	for _, chain := range sn.items {
-		cur := chain.current()
+	for _, cur := range sn.items {
 		if cur.Status != Deleted {
-			out = append(out, cur)
+			out = append(out, *cur)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ItemID < out[j].ItemID })
@@ -106,7 +109,8 @@ type Changes struct {
 }
 
 // ChangesSince returns everything committed to the workspace after version
-// since, lock-free at a consistent snapshot, once the WAL holds it: a
+// since, read from one snapshot without the workspace's lock, once the WAL
+// holds it. The wait takes the WAL writer's mutex (and may run a sync): a
 // writer publishes its snapshot before its records are synced, and a crash
 // must not take back what a reader was shown. since == 0 always yields a
 // full state reply (a cold client wants the live items, not the whole
@@ -114,11 +118,10 @@ type Changes struct {
 // with Full set; a since at or above the snapshot version returns an empty
 // tail at the snapshot's version.
 func (s *Store) ChangesSince(workspace string, since uint64) (Changes, error) {
-	w, ok := s.lookupWS(workspace)
-	if !ok {
-		return Changes{}, fmt.Errorf("metastore: %q: %w", workspace, ErrNoWorkspace)
+	sn, err := s.snapshotOf(workspace)
+	if err != nil {
+		return Changes{}, err
 	}
-	sn := w.snap.Load()
 	if err := s.wal.wait(s.wal.end()); err != nil {
 		return Changes{}, err
 	}
@@ -155,22 +158,10 @@ func (s *Store) ChangesSince(workspace string, since uint64) (Changes, error) {
 	}
 }
 
-// CompactWatermark reports the workspace's compaction watermark: the highest
-// version no longer served from the change log (0 = the log reaches back to
-// workspace creation).
-func (s *Store) CompactWatermark(workspace string) (uint64, error) {
-	w, ok := s.lookupWS(workspace)
-	if !ok {
-		return 0, fmt.Errorf("metastore: %q: %w", workspace, ErrNoWorkspace)
-	}
-	return w.snap.Load().logStart, nil
-}
-
 // CompactLog force-compacts the workspace's change log down to at most keep
 // entries (keep < 0 is treated as 0) and returns the new watermark. The
 // automatic retention policy does the same on the commit path; this exported
-// form exists for operational trimming and for the test/fuzz harnesses that
-// race compaction against readers.
+// form is for the tests and harnesses that race compaction against readers.
 func (s *Store) CompactLog(workspace string, keep int) (uint64, error) {
 	var mark uint64
 	err := s.write(workspace, func(wr *wsWrite) error {
@@ -190,7 +181,7 @@ type wsWrite struct {
 	st       *Store
 	w        *wsState
 	base     *snapshot
-	items    map[string]*itemChain // base.items until the first commit copies it
+	items    map[string]*ItemVersion // base.items until the first commit copies it
 	log      []ItemVersion
 	version  uint64
 	logStart uint64
@@ -217,45 +208,51 @@ func (wr *wsWrite) commit(v ItemVersion) (ItemVersion, outcome) {
 	if v.CommittedAt.IsZero() {
 		v.CommittedAt = wr.st.now()
 	}
-	chain, exists := wr.items[v.ItemID]
-	if !exists {
+	cur := wr.items[v.ItemID]
+	if cur == nil {
 		if v.Version != 1 {
 			return ItemVersion{}, conflict
 		}
-		wr.append(v, &itemChain{versions: []ItemVersion{v}})
-		return v, fresh
-	}
-	cur := chain.current()
-	if v.Version != cur.Version+1 {
+	} else if v.Version != cur.Version+1 {
 		// Replay detection: an at-least-once transport (MQ redelivery after
 		// an instance crash, proxy retry, client retransmission) can re-submit
 		// a proposal that already committed. Re-acknowledging it keeps the
-		// duplicate from surfacing as a spurious conflict. Only proposals
-		// carrying their writer's DeviceID can be identified as replays;
-		// anonymous proposals keep strict first-committer-wins conflicts.
-		if v.DeviceID != "" && v.Version >= 1 && v.Version <= cur.Version {
-			prior := chain.versions[v.Version-1]
-			if prior.DeviceID == v.DeviceID && prior.Checksum == v.Checksum &&
-				prior.Status == v.Status && prior.Path == v.Path &&
-				slices.Equal(prior.Chunks, v.Chunks) {
-				return prior, replayed
-			}
+		// duplicate from surfacing as a spurious conflict.
+		if prior, ok := wr.priorOf(v, cur); ok {
+			return prior, replayed
 		}
-		return cur, conflict
+		return *cur, conflict
 	}
-	wr.append(v, &itemChain{versions: append(chain.versions, v)})
+	wr.append(v)
 	return v, fresh
 }
 
-// append records one committed version in the working state.
-func (wr *wsWrite) append(v ItemVersion, chain *itemChain) {
-	if wr.version == wr.base.version { // the first commit copies the base table
-		wr.items = make(map[string]*itemChain, len(wr.base.items)+1)
-		for id, c := range wr.base.items {
-			wr.items[id] = c
+// priorOf returns the committed version that v proposes again: cur, or an
+// earlier version of v's item, found in the working log newest-first. Only
+// a proposal carrying its writer's DeviceID can be identified as a replay;
+// anonymous proposals keep strict first-committer-wins conflicts, and so
+// does a replay of a version the log no longer reaches (DESIGN §16).
+func (wr *wsWrite) priorOf(v ItemVersion, cur *ItemVersion) (ItemVersion, bool) {
+	if v.DeviceID == "" {
+		return ItemVersion{}, false
+	}
+	prior := *cur
+	for i := len(wr.log) - 1; i >= 0 && prior.Version > v.Version; i-- {
+		if e := &wr.log[i]; e.ItemID == v.ItemID && e.Version <= v.Version {
+			prior = *e
 		}
 	}
-	wr.items[v.ItemID] = chain
+	return prior, prior.Version == v.Version && prior.DeviceID == v.DeviceID &&
+		prior.Checksum == v.Checksum && prior.Status == v.Status && prior.Path == v.Path &&
+		slices.Equal(prior.Chunks, v.Chunks)
+}
+
+// append records one committed version in the working state.
+func (wr *wsWrite) append(v ItemVersion) {
+	if wr.version == wr.base.version { // the first commit copies the base table
+		wr.items = maps.Clone(wr.base.items)
+	}
+	wr.items[v.ItemID] = &v
 	wr.log = append(wr.log, v)
 	wr.version++
 }
@@ -269,7 +266,6 @@ func (wr *wsWrite) compact(keep int) {
 	}
 	wr.log = append([]ItemVersion(nil), wr.log[dropped:]...)
 	wr.logStart = wr.version - uint64(keep)
-	wr.st.compactRuns.Add(1)
 	if wr.st.compactions != nil {
 		wr.st.compactions.Inc()
 		wr.st.compactedEntries.Add(uint64(dropped))

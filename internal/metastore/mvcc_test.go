@@ -100,7 +100,7 @@ func TestCompactionFallbackToFullState(t *testing.T) {
 	if err != nil || wm != 4 {
 		t.Fatalf("compact: wm=%d err=%v", wm, err)
 	}
-	if got, _ := s.CompactWatermark("ws"); got != 4 {
+	if got := snap(t, s, "ws").logStart; got != 4 {
 		t.Fatalf("watermark: %d", got)
 	}
 
@@ -122,19 +122,17 @@ func TestCompactionFallbackToFullState(t *testing.T) {
 }
 
 func TestAutomaticRetentionCompaction(t *testing.T) {
-	s := NewStore(WithLogRetention(8))
+	reg := obs.NewRegistry()
+	s := NewStore(WithLogRetention(8), WithRegistry(reg))
 	if err := s.CreateWorkspace(Workspace{ID: "ws", Owner: "u"}); err != nil {
 		t.Fatal(err)
 	}
 	commitSeq(t, s, "ws", 20)
-	wm, err := s.CompactWatermark("ws")
-	if err != nil {
-		t.Fatal(err)
-	}
+	wm := snap(t, s, "ws").logStart
 	if wm == 0 {
 		t.Fatal("retention never advanced the watermark")
 	}
-	if s.Compactions() == 0 {
+	if reg.CounterValue("metastore_log_compactions_total") == 0 {
 		t.Fatal("no compaction recorded")
 	}
 	// The surviving tail still serves incremental reads.
@@ -204,7 +202,7 @@ func TestSnapshotReadMetrics(t *testing.T) {
 	}
 }
 
-func TestStateAtAndCommitVersionOf(t *testing.T) {
+func TestCommitVersionOf(t *testing.T) {
 	s := NewStore()
 	if err := s.CreateWorkspace(Workspace{ID: "ws", Owner: "u"}); err != nil {
 		t.Fatal(err)
@@ -213,14 +211,10 @@ func TestStateAtAndCommitVersionOf(t *testing.T) {
 		t.Fatalf("fresh version: %d err=%v", v, err)
 	}
 	commitSeq(t, s, "ws", 3)
-	state, v, err := s.StateAt("ws")
-	if err != nil || v != 3 || len(state) != 3 {
-		t.Fatalf("StateAt: %d items at v%d err=%v", len(state), v, err)
-	}
 	if v, err := s.CommitVersionOf("ws"); err != nil || v != 3 {
 		t.Fatalf("version: %d err=%v", v, err)
 	}
-	if _, _, err := s.StateAt("ghost"); !errors.Is(err, ErrNoWorkspace) {
-		t.Fatalf("ghost StateAt: %v", err)
+	if _, err := s.CommitVersionOf("ghost"); !errors.Is(err, ErrNoWorkspace) {
+		t.Fatalf("ghost CommitVersionOf: %v", err)
 	}
 }

@@ -4,15 +4,36 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
+
+	"stacksync/internal/obs"
 )
 
+// foldLive is the live state a change log folds to: each item's last
+// version unless it is a tombstone, sorted by ItemID.
+func foldLive(log []ItemVersion) []ItemVersion {
+	last := make(map[string]ItemVersion)
+	for _, v := range log {
+		last[v.ItemID] = v
+	}
+	var out []ItemVersion
+	for _, v := range last {
+		if v.Status != Deleted {
+			out = append(out, v)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ItemID < out[j].ItemID })
+	return out
+}
+
 // TestVersionChainInvariants drives random commit attempts and checks the
-// store's core invariants after every operation: versions in a chain are
-// strictly sequential, the current version is the chain's last, and exactly
-// one proposal wins each version slot.
+// store's core invariants after every operation: an item's versions are
+// strictly sequential, the current version is its last, exactly one
+// proposal wins each version slot, and the change log holds every
+// acknowledged version in order.
 func TestVersionChainInvariants(t *testing.T) {
 	const (
 		seeds = 10
@@ -25,8 +46,10 @@ func TestVersionChainInvariants(t *testing.T) {
 		if err := s.CreateWorkspace(Workspace{ID: "ws", Owner: "u"}); err != nil {
 			t.Fatal(err)
 		}
-		// Reference model: current version per item.
+		// Reference model: current version per item, and its acknowledged
+		// versions.
 		model := make(map[string]uint64, items)
+		acked := make(map[string][]ItemVersion, items)
 
 		for step := 0; step < steps; step++ {
 			itemID := string(rune('a' + r.Intn(items)))
@@ -42,7 +65,7 @@ func TestVersionChainInvariants(t *testing.T) {
 			if proposed == 1 {
 				status = Added
 			}
-			_, err := s.CommitVersion(ItemVersion{
+			committed, err := s.CommitVersion(ItemVersion{
 				Workspace: "ws", ItemID: itemID, Path: "/" + itemID,
 				Version: proposed, Status: status,
 			})
@@ -57,6 +80,7 @@ func TestVersionChainInvariants(t *testing.T) {
 			}
 			if err == nil {
 				model[itemID] = proposed
+				acked[itemID] = append(acked[itemID], committed)
 			}
 			// Invariants against the model.
 			cur, ok, err := s.Current("ws", itemID)
@@ -73,14 +97,8 @@ func TestVersionChainInvariants(t *testing.T) {
 				t.Fatalf("seed %d: current(%s) = v%d ok=%v, model v%d",
 					seed, itemID, cur.Version, ok, model[itemID])
 			}
-			hist, err := s.History("ws", itemID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, v := range hist {
-				if v.Version != uint64(i+1) {
-					t.Fatalf("seed %d: history[%d] of %s has v%d", seed, i, itemID, v.Version)
-				}
+			if got := logged(t, s, "ws", itemID); !reflect.DeepEqual(got, acked[itemID]) {
+				t.Fatalf("seed %d: change log of %s holds %+v, acknowledged %+v", seed, itemID, got, acked[itemID])
 			}
 		}
 	}
@@ -143,8 +161,10 @@ func TestStateMatchesChains(t *testing.T) {
 // The store serializes writers per workspace, so for a workload whose
 // per-workspace op sequence is fixed, running the workspaces concurrently
 // against one store must be indistinguishable — per-op outcomes, final
-// state, full histories — from replaying the same sequences one workspace
-// at a time against a second store, the reference model. Schedules are generated
+// state, change logs — from replaying the same sequences one workspace at a
+// time against a second store, the reference model; and each store's log
+// must hold exactly the versions its commits acknowledged, folding to its
+// final state. Schedules are generated
 // from a seeded math/rand, and every failure message carries the seed, so a
 // failing interleaving replays deterministically.
 
@@ -216,19 +236,26 @@ func genSchedules(seed int64, workspaces, ops, items int) [][]propOp {
 
 // runSchedule executes one workspace's schedule and renders every outcome —
 // returned versions, batch results, read results, errors — to a canonical
-// string for exact comparison against the reference model.
-func runSchedule(s *Store, sched []propOp) []string {
-	out := make([]string, len(sched))
+// string for exact comparison against the reference model. acked lists the
+// versions its commits acknowledged, in order.
+func runSchedule(s *Store, sched []propOp) (out []string, acked []ItemVersion) {
+	out = make([]string, len(sched))
 	for i, op := range sched {
 		switch op.kind {
 		case opCommit:
 			v, err := s.CommitVersion(op.items[0])
 			out[i] = fmt.Sprintf("commit %s v%d err=%v", v.ItemID, v.Version, err)
+			if err == nil {
+				acked = append(acked, v)
+			}
 		case opBatch:
 			res, err := s.CommitBatch(op.items)
 			line := fmt.Sprintf("batch err=%v", err)
 			for _, r := range res {
 				line += fmt.Sprintf(" [%v %s v%d]", r.Committed, r.Version.ItemID, r.Version.Version)
+				if r.Committed {
+					acked = append(acked, r.Version)
+				}
 			}
 			out[i] = line
 		case opCurrent:
@@ -236,7 +263,7 @@ func runSchedule(s *Store, sched []propOp) []string {
 			out[i] = fmt.Sprintf("current %s ok=%v v%d err=%v", op.itemID, ok, v.Version, err)
 		}
 	}
-	return out
+	return out, acked
 }
 
 // TestConcurrentStoreMatchesSerialReference is the model-checking harness:
@@ -271,19 +298,20 @@ func TestConcurrentStoreMatchesSerialReference(t *testing.T) {
 			}
 
 			got := make([][]string, workspaces)
+			acked := make([][]ItemVersion, workspaces)
 			var wg sync.WaitGroup
 			for w := range scheds {
 				w := w
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					got[w] = runSchedule(concurrent, scheds[w])
+					got[w], acked[w] = runSchedule(concurrent, scheds[w])
 				}()
 			}
 			wg.Wait()
 
 			for w := range scheds {
-				want := runSchedule(serial, scheds[w])
+				want, _ := runSchedule(serial, scheds[w])
 				for i := range want {
 					if got[w][i] != want[i] {
 						t.Fatalf("seed %d: ws-%d op %d diverges from reference model\n  concurrent: %s\n  serial:     %s\n(re-run with seed %d for a deterministic replay)",
@@ -301,13 +329,16 @@ func TestConcurrentStoreMatchesSerialReference(t *testing.T) {
 				if !reflect.DeepEqual(a, b) {
 					t.Fatalf("seed %d: final state of %s diverges\n  concurrent: %+v\n  serial:     %+v", seed, ws, a, b)
 				}
-				for it := 0; it < items; it++ {
-					itemID := string(rune('a' + it))
-					ha, _ := concurrent.History(ws, itemID)
-					hb, _ := serial.History(ws, itemID)
-					if !reflect.DeepEqual(ha, hb) {
-						t.Fatalf("seed %d: history of %s/%s diverges", seed, ws, itemID)
-					}
+				la, lb := snap(t, concurrent, ws), snap(t, serial, ws)
+				if la.logStart != 0 || !reflect.DeepEqual(la.log, acked[w]) {
+					t.Fatalf("seed %d: change log of %s from v%d does not hold the acknowledged commits\n  log:   %+v\n  acked: %+v",
+						seed, ws, la.logStart, la.log, acked[w])
+				}
+				if !reflect.DeepEqual(la.log, lb.log) {
+					t.Fatalf("seed %d: change log of %s diverges from the reference model", seed, ws)
+				}
+				if !reflect.DeepEqual(a, foldLive(acked[w])) {
+					t.Fatalf("seed %d: final state of %s is not the fold of its acknowledged commits", seed, ws)
 				}
 			}
 		})
@@ -316,8 +347,9 @@ func TestConcurrentStoreMatchesSerialReference(t *testing.T) {
 
 // TestConcurrentSameWorkspaceInvariants races writers into ONE workspace —
 // the workspace's lock, not goroutine luck, must uphold first-committer-wins —
-// while readers hammer the snapshot paths. Afterwards every chain must be
-// strictly sequential with exactly one winner per version slot.
+// while readers hammer the snapshot paths. Afterwards every item's logged
+// versions must be strictly sequential, each the one acknowledged winner of
+// its version slot.
 func TestConcurrentSameWorkspaceInvariants(t *testing.T) {
 	const (
 		writers  = 8
@@ -330,7 +362,7 @@ func TestConcurrentSameWorkspaceInvariants(t *testing.T) {
 	}
 	var wg, rwg sync.WaitGroup
 	stop := make(chan struct{})
-	// Readers: exercise Current/State/History concurrently with the writers;
+	// Readers: exercise Current/State/ChangesSince concurrently with the writers;
 	// under -race this doubles as a data-race probe on the read paths.
 	for g := 0; g < 2; g++ {
 		rwg.Add(1)
@@ -344,11 +376,11 @@ func TestConcurrentSameWorkspaceInvariants(t *testing.T) {
 				}
 				_, _, _ = s.Current("ws", "a")
 				_, _ = s.State("ws")
-				_, _ = s.History("ws", "b")
+				_, _ = s.ChangesSince("ws", 1)
 			}
 		}()
 	}
-	var commits [items]uint64 // per item, winners counted
+	var acked [items]map[uint64]string // per item, the winner's checksum by version
 	var cmu sync.Mutex
 	for g := 0; g < writers; g++ {
 		g := g
@@ -378,7 +410,10 @@ func TestConcurrentSameWorkspaceInvariants(t *testing.T) {
 				})
 				if err == nil {
 					cmu.Lock()
-					commits[it]++
+					if acked[it] == nil {
+						acked[it] = make(map[uint64]string)
+					}
+					acked[it][next] = fmt.Sprintf("w%d-%d", g, i)
 					cmu.Unlock()
 				}
 			}
@@ -389,18 +424,16 @@ func TestConcurrentSameWorkspaceInvariants(t *testing.T) {
 	rwg.Wait()
 	for it := 0; it < items; it++ {
 		itemID := string(rune('a' + it))
-		hist, err := s.History("ws", itemID)
-		if err != nil {
-			t.Fatalf("history %s: %v", itemID, err)
-		}
-		for i, v := range hist {
-			if v.Version != uint64(i+1) {
-				t.Fatalf("%s history[%d] = v%d: chain not sequential", itemID, i, v.Version)
+		got := logged(t, s, "ws", itemID)
+		for i, v := range got {
+			if v.Version != uint64(i+1) || v.Checksum != acked[it][v.Version] {
+				t.Fatalf("%s log[%d] = v%d (%s): not sequential, or not the acknowledged winner (%s)",
+					itemID, i, v.Version, v.Checksum, acked[it][v.Version])
 			}
 		}
-		if uint64(len(hist)) != commits[it] {
-			t.Fatalf("%s: %d committed acks but %d chain entries — a version slot had two winners or a winner vanished",
-				itemID, commits[it], len(hist))
+		if len(got) != len(acked[it]) {
+			t.Fatalf("%s: %d committed acks but %d logged versions — a version slot had two winners or a winner vanished",
+				itemID, len(acked[it]), len(got))
 		}
 	}
 }
@@ -449,7 +482,8 @@ func TestSnapshotIsolationUnderConcurrentCommits(t *testing.T) {
 	)
 	// Retention far below items*batches, and not batch-aligned, so automatic
 	// compaction keeps trimming mid-run and its watermark can land mid-batch.
-	s := NewStore(WithLogRetention(42))
+	reg := obs.NewRegistry()
+	s := NewStore(WithLogRetention(42), WithRegistry(reg))
 	wsID := func(w int) string { return fmt.Sprintf("ws-%d", w) }
 	for w := 0; w < workspaces; w++ {
 		if err := s.CreateWorkspace(Workspace{ID: wsID(w), Owner: "u"}); err != nil {
@@ -586,10 +620,11 @@ func TestSnapshotIsolationUnderConcurrentCommits(t *testing.T) {
 
 	// Final state: the serial reference at the last committed version.
 	for w := 0; w < workspaces; w++ {
-		state, version, err := s.StateAt(wsID(w))
+		state, err := s.State(wsID(w))
 		if err != nil {
 			t.Fatal(err)
 		}
+		version := snap(t, s, wsID(w)).version
 		if version != uint64(items*batches) {
 			t.Fatalf("%s: final version %d, want %d", wsID(w), version, items*batches)
 		}
@@ -601,7 +636,7 @@ func TestSnapshotIsolationUnderConcurrentCommits(t *testing.T) {
 			t.Fatalf("%s: caught-up reply: %+v err=%v", wsID(w), ch, err)
 		}
 	}
-	if s.Compactions() == 0 {
+	if reg.CounterValue("metastore_log_compactions_total") == 0 {
 		t.Fatal("retention never compacted: the fallback path was not exercised")
 	}
 }

@@ -156,9 +156,9 @@ func TestRecoverStopsAtDamagedRecord(t *testing.T) {
 		if err := os.WriteFile(p, damaged, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, err := recoverT(t, p, now).History("ws", "item")
-		if err != nil || !reflect.DeepEqual(got, committed[:2]) {
-			t.Fatalf("byte %d of v3's record flipped: recovered %+v (%v), want v1 and v2 as committed %+v", i-ends[1], got, err, committed[:2])
+		got := logged(t, recoverT(t, p, now), "ws", "item")
+		if !reflect.DeepEqual(got, committed[:2]) {
+			t.Fatalf("byte %d of v3's record flipped: recovered %+v, want v1 and v2 as committed %+v", i-ends[1], got, committed[:2])
 		}
 	}
 }
@@ -254,9 +254,11 @@ func TestCommitAbortInjection(t *testing.T) {
 }
 
 // TestCommitReplayIsIdempotent: re-submitting an already-committed proposal
-// (MQ redelivery, proxy retry) re-acknowledges instead of conflicting.
+// (MQ redelivery, proxy retry) re-acknowledges instead of conflicting, while
+// the change log still holds it; from before the log's window it gets a
+// conflict that carries the current version.
 func TestCommitReplayIsIdempotent(t *testing.T) {
-	s := NewStore()
+	s := NewStore(WithLogRetention(4))
 	if err := s.CreateWorkspace(Workspace{ID: "ws", Owner: "u"}); err != nil {
 		t.Fatal(err)
 	}
@@ -281,6 +283,24 @@ func TestCommitReplayIsIdempotent(t *testing.T) {
 	}
 	if res[0].Committed {
 		t.Fatalf("conflicting proposal wrongly committed")
+	}
+	// Five more versions from d2 push v1 out of the log's window.
+	for n := uint64(2); n <= 6; n++ {
+		next := other
+		next.Version, next.Status = n, Modified
+		if _, err := s.CommitVersion(next); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if start := snap(t, s, "ws").logStart; start < 1 {
+		t.Fatalf("log still starts at v%d: v1 is in the window", start)
+	}
+	res, err = s.CommitBatch([]ItemVersion{v})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0].Committed || res[0].Version.Version != 6 || res[0].Version.DeviceID != "d2" {
+		t.Fatalf("replay from before the window: %+v, want a conflict carrying v6", res[0])
 	}
 }
 
@@ -394,26 +414,23 @@ func TestRecoverTornBatchMatrix(t *testing.T) {
 			if !reflect.DeepEqual(gotState, wantState) {
 				t.Fatalf("recovered state diverges from reference model\n got:  %+v\n want: %+v", gotState, wantState)
 			}
-			gotHist, _ := rec.History("ws", "f")
-			wantHist, _ := ref.History("ws", "f")
-			if !reflect.DeepEqual(gotHist, wantHist) {
-				t.Fatalf("recovered history diverges from reference model\n got:  %+v\n want: %+v", gotHist, wantHist)
-			}
-
 			// WAL replay must rebuild an identical MVCC snapshot, not just
-			// identical query answers: same workspace version, same change log
+			// identical query answers: the workspace version and a change log
 			// reaching back to creation (compaction state is volatile, so the
-			// watermark resets to 0 on recovery), same ChangesSince replies at
-			// every cursor.
-			_, gotV, err := rec.StateAt("ws")
-			if err != nil {
-				t.Fatal(err)
+			// watermark resets to 0 on recovery) that holds exactly the
+			// durable commits, then the same ChangesSince replies at every
+			// cursor.
+			var durable []ItemVersion
+			for v := uint64(1); v <= tc.survive; v++ {
+				d := mk(v)
+				d.CommittedAt = fixed
+				durable = append(durable, d)
 			}
-			if gotV != tc.survive {
+			if got := logged(t, rec, "ws", "f"); !reflect.DeepEqual(got, durable) {
+				t.Fatalf("recovered change log diverges from the durable commits\n got:  %+v\n want: %+v", got, durable)
+			}
+			if gotV := snap(t, rec, "ws").version; gotV != tc.survive {
 				t.Fatalf("recovered workspace version %d, want %d", gotV, tc.survive)
-			}
-			if wm, _ := rec.CompactWatermark("ws"); wm != 0 {
-				t.Fatalf("recovered watermark %d, want 0 (compaction state is volatile)", wm)
 			}
 			for since := uint64(0); since <= tc.survive+1; since++ {
 				gotCh, gErr := rec.ChangesSince("ws", since)

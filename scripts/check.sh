@@ -7,6 +7,38 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# named_test ARGS...: `go test ARGS`, after checking that every name in its
+# -run, -bench and -fuzz lists matches a Test/Benchmark/Fuzz function in a
+# _test.go file of the packages it names (a prefix match for an unanchored
+# list). `go test -run` that matches nothing still exits 0, so a test
+# renamed or removed would otherwise drop out of its leg without a word.
+named_test() {
+    prev= pkgs= lists=
+    for arg in "$@"; do
+        case $prev in -run|-bench|-fuzz) lists="$lists $arg" ;; esac
+        case $arg in .|./*) pkgs="$pkgs ${arg%/}" ;; esac
+        prev=$arg
+    done
+    for list in $lists; do
+        [ "$list" = '^$' ] && continue
+        case $list in ^*\$) end='(' ;; *) end= ;; esac
+        for name in $(printf '%s\n' "$list" | sed -e 's/^^(\{0,1\}//' -e 's/)\{0,1\}\$$//' | tr '|' ' '); do
+            found=
+            for pkg in $pkgs; do
+                if cat "$pkg"/*_test.go 2>/dev/null | grep -q "^func $name$end"; then
+                    found=1
+                    break
+                fi
+            done
+            if [ -z "$found" ]; then
+                echo "check.sh: $name matches no test function in$pkgs" >&2
+                exit 1
+            fi
+        done
+    done
+    go test "$@"
+}
+
 echo "==> gofmt -l"
 unformatted=$(gofmt -l ./cmd ./internal ./examples ./benchmark ./*.go)
 if [ -n "$unformatted" ]; then
@@ -61,7 +93,7 @@ go run ./examples/objectmq
 # a refusal requeued, would pass one interleaving and fail another.
 echo "==> codec + wire (race)"
 go test -race -count=1 ./internal/codec/ ./internal/core/ ./internal/omq/ ./internal/wire/ ./internal/mq/
-go test -race -count=20 -run '^(TestNotificationPublishedBeforeRequestAcked|TestRefusedCommitRequestIsAckedOnce)$' ./internal/core/
+named_test -race -count=20 -run '^(TestNotificationPublishedBeforeRequestAcked|TestRefusedCommitRequestIsAckedOnce)$' ./internal/core/
 
 # The broker server's write path (one outbound queue per connection, woken
 # after the broker releases its mutex) and Disk's log (one record per object
@@ -88,14 +120,14 @@ go test -race -count=20 -run '^(TestNotificationPublishedBeforeRequestAcked|Test
 # must emit a fresh one's bytes from any goroutine) are shared by every
 # transfer worker of a device: twenty race-enabled passes over all of them.
 echo "==> server write path, chunk log, record-log writer, WAL group commit, gateway client, gzip pool (race, 20x)"
-go test -race -count=20 -run 'TestNetwork|TestDiskServesFreshObjectsFromWindow|TestDiskConcurrentPutGet|TestWriterConcurrentAppendWait|TestWriterCrossesWindows|TestWriterReadAtAcrossWindows|TestSecondOpenOfLiveLogIsRefused|TestWALGroupCommitConcurrent|TestAbandonedWALKeepsWaitedCommits|TestCreateLoggedBeforeFirstCommit|TestCloseWaitsOutWriters|TestHTTPStoreReusesConnections|TestHTTPStoreRetriesStaleConnection|TestHTTPStoreCancelMidFlight|TestHTTPStoreSendsRequestInOneWrite|TestGzipPooledMatchesFresh' \
+named_test -race -count=20 -run 'TestNetwork|TestDiskServesFreshObjectsFromWindow|TestDiskConcurrentPutGet|TestWriterConcurrentAppendWait|TestWriterCrossesWindows|TestWriterReadAtAcrossWindows|TestSecondOpenOfLiveLogIsRefused|TestWALGroupCommitConcurrent|TestAbandonedWALKeepsWaitedCommits|TestCreateLoggedBeforeFirstCommit|TestCloseWaitsOutWriters|TestHTTPStoreReusesConnections|TestHTTPStoreRetriesStaleConnection|TestHTTPStoreCancelMidFlight|TestHTTPStoreSendsRequestInOneWrite|TestGzipPooledMatchesFresh' \
     ./internal/mq ./internal/objstore ./internal/reclog ./internal/metastore ./internal/chunker
 
 # Extra interleavings over the client's parallel transfer pipeline: many
 # writers, overlapping chunks, dedup probes and singleflight coalescing all
 # racing — the part of the codebase where a data race would hide best.
 echo "==> transfer pipeline stress (race, 3x)"
-go test -race -count=3 -run '^TestTransferPipelineStress$' ./internal/client/
+named_test -race -count=3 -run '^TestTransferPipelineStress$' ./internal/client/
 
 # Cross-instance failover is timing-sensitive by nature: re-run the chaos
 # soak (shipped-path devices on one fleet under kills, every instance and
@@ -104,21 +136,21 @@ go test -race -count=3 -run '^TestTransferPipelineStress$' ./internal/client/
 # linearizability race under the race detector, so a flaky interleaving
 # fails here, not downstream.
 echo "==> chaos soak + cross-instance linearizability (race, 2x)"
-go test -race -count=2 -run '^(TestChaosSoakConverges|TestCrossInstanceLinearizability)$' ./internal/bench/
+named_test -race -count=2 -run '^(TestChaosSoakConverges|TestCrossInstanceLinearizability)$' ./internal/bench/
 
 # Every SyncService instance of a process writes the one span sink,
 # metrics registry and hot-workspace sketch concurrently: extra race
 # passes over the admin server that reads them and the supervised fleet
 # that writes them from several instances.
 echo "==> one observability bundle, many instances (race, 3x)"
-go test -race -count=3 -run '^TestAdminSeesEveryInstance$' ./cmd/stacksync-server/
-go test -race -count=3 -run '^TestSupervisedRoutedFleet$' ./internal/deploy/
+named_test -race -count=3 -run '^TestAdminSeesEveryInstance$' ./cmd/stacksync-server/
+named_test -race -count=3 -run '^TestSupervisedRoutedFleet$' ./internal/deploy/
 
 # `go test` never executes benchmarks, so run once each the layer benchmarks
 # that performance claims cite: a refactor that breaks one fails here, not at
 # the next measurement. One iteration each is a smoke pass, not a number.
 echo "==> layer-benchmark smoke (1x)"
-go test -run '^$' -benchtime 1x \
+named_test -run '^$' -benchtime 1x \
     -bench '^(BenchmarkCodec|BenchmarkNotifyDelivery|BenchmarkNetworkFanoutAck|BenchmarkJournalFanout|BenchmarkGatewayBatch|BenchmarkGatewayHotGet|BenchmarkDiskPut|BenchmarkDiskOpen|BenchmarkWireFrameCodec|BenchmarkCommitParallelWorkspaces)$' \
     . ./internal/core/ ./internal/mq/ ./internal/objstore/
 
@@ -130,33 +162,33 @@ go test -run '^$' -benchtime 1x \
 # journal's.
 # Ten seconds each is a smoke pass — run `go test -fuzz` open-ended to dig.
 echo "==> fuzz smoke: FuzzFrameCodec (10s)"
-go test -run '^$' -fuzz '^FuzzFrameCodec$' -fuzztime 10s ./internal/wire/
+named_test -run '^$' -fuzz '^FuzzFrameCodec$' -fuzztime 10s ./internal/wire/
 
 echo "==> fuzz smoke: FuzzGatewayBatch (10s)"
-go test -run '^$' -fuzz '^FuzzGatewayBatch$' -fuzztime 10s ./internal/objstore/
+named_test -run '^$' -fuzz '^FuzzGatewayBatch$' -fuzztime 10s ./internal/objstore/
 
 echo "==> fuzz smoke: FuzzDiskRecover (10s)"
-go test -run '^$' -fuzz '^FuzzDiskRecover$' -fuzztime 10s ./internal/objstore/
+named_test -run '^$' -fuzz '^FuzzDiskRecover$' -fuzztime 10s ./internal/objstore/
 
 echo "==> fuzz smoke: FuzzBinaryCodec (10s)"
-go test -run '^$' -fuzz '^FuzzBinaryCodec$' -fuzztime 10s ./internal/omq/
+named_test -run '^$' -fuzz '^FuzzBinaryCodec$' -fuzztime 10s ./internal/omq/
 
 echo "==> fuzz smoke: FuzzWALReplay (10s)"
-go test -run '^$' -fuzz '^FuzzWALReplay$' -fuzztime 10s ./internal/metastore/
+named_test -run '^$' -fuzz '^FuzzWALReplay$' -fuzztime 10s ./internal/metastore/
 
 echo "==> fuzz smoke: FuzzJournalReplay (10s)"
-go test -run '^$' -fuzz '^FuzzJournalReplay$' -fuzztime 10s ./internal/mq/
+named_test -run '^$' -fuzz '^FuzzJournalReplay$' -fuzztime 10s ./internal/mq/
 
 # The MVCC read path's reply correctness under random commit/compact/read
 # interleavings, checked against a serial reference log.
 echo "==> fuzz smoke: FuzzChangesSince (10s)"
-go test -run '^$' -fuzz '^FuzzChangesSince$' -fuzztime 10s ./internal/metastore/
+named_test -run '^$' -fuzz '^FuzzChangesSince$' -fuzztime 10s ./internal/metastore/
 
 # The snapshot-isolation harness and the linearizability harness are the
-# proof obligations of the lock-free read path (DESIGN §16): re-run both
+# proof obligations of the snapshot read path (DESIGN §16): re-run both
 # under the race detector, one extra count on top of the full-suite pass.
 echo "==> snapshot isolation + linearizability harnesses (race)"
-go test -race -count=1 -run '^(TestSnapshotIsolationUnderConcurrentCommits|TestConcurrentStoreMatchesSerialReference|TestConcurrentSameWorkspaceInvariants)$' ./internal/metastore/
+named_test -race -count=1 -run '^(TestSnapshotIsolationUnderConcurrentCommits|TestConcurrentStoreMatchesSerialReference|TestConcurrentSameWorkspaceInvariants)$' ./internal/metastore/
 
 # ROADMAP N8's line budget, printed for information and not a gate:
 # root-module non-test Go (tracked files, benchmark/ excluded).
